@@ -17,9 +17,15 @@
 //! [`write_run_stream`] emits. The schema is versioned via
 //! [`SCHEMA_VERSION`] on the `run_meta` line; consumers should reject
 //! newer versions rather than misread them.
+//!
+//! There is one codec per line type, chosen by `"type"`. The two event
+//! types are all but three of a stream's lines: their bytes go straight
+//! into the output buffer and come back from a [`FlatObject`] scan, with
+//! no [`Json`] tree either way (DESIGN.md §4d has the line grammar).
 
 use std::io::{self, Write};
 
+use crossbid_metrics::json::{render_f64, render_str, render_u64, FlatObject, Scalar};
 use crossbid_metrics::{Json, JsonError, JsonlWriter, RegistrySnapshot, RunRecord};
 use crossbid_simcore::SimTime;
 
@@ -110,357 +116,292 @@ impl RunStreamMeta {
             scheduler: v.req_str("scheduler")?.to_string(),
             worker_config: v.req_str("worker_config")?.to_string(),
             job_config: v.req_str("job_config")?.to_string(),
-            iteration: v.req_u64("iteration")? as u32,
+            iteration: u32::try_from(v.req_u64("iteration")?)
+                .map_err(|_| JsonError("field `iteration` is out of range".into()))?,
             seed: v.req_u64("seed")?,
         })
     }
 }
 
-/// One parsed line of a run stream.
+/// One parsed line of a run stream. The once-per-stream payloads are
+/// boxed: a parsed stream is a `Vec` of these and nearly every element
+/// is an event.
 #[derive(Debug, Clone)]
 pub enum RunStreamLine {
     /// The `run_meta` header.
-    Meta(RunStreamMeta),
+    Meta(Box<RunStreamMeta>),
     /// A data-plane lifecycle event.
     Trace(TraceEvent),
     /// A control-plane scheduler event.
     Sched(SchedEvent),
     /// The run's §6.1 record.
-    Record(RunRecord),
+    Record(Box<RunRecord>),
     /// The run's metrics snapshot.
-    Metrics(RegistrySnapshot),
+    Metrics(Box<RegistrySnapshot>),
 }
 
-fn trace_kind_name(kind: TraceKind) -> &'static str {
-    match kind {
-        TraceKind::Queued => "queued",
-        TraceKind::Started => "started",
-        TraceKind::Fetched => "fetched",
-        TraceKind::Finished => "finished",
+/// A field type of the event lines: how it is written and how it is
+/// read back. Reading is strict — an integer wider than the type is an
+/// error naming the field, never a wrap.
+trait Wire: Sized {
+    fn put(self, out: &mut String);
+    fn take(obj: &FlatObject<'_>, key: &str) -> Result<Self, JsonError>;
+}
+
+/// Unsigned integers and the id newtypes around them.
+macro_rules! wire_uint {
+    ($($t:ty: $raw:expr, $wrap:expr;)*) => {$(
+        impl Wire for $t {
+            fn put(self, out: &mut String) {
+                render_u64(u64::from($raw(self)), out);
+            }
+            fn take(obj: &FlatObject<'_>, key: &str) -> Result<Self, JsonError> {
+                obj.req_uint(key).map($wrap)
+            }
+        }
+    )*};
+}
+wire_uint! {
+    u64: |n| n, |n| n;
+    u32: |n| n, |n| n;
+    JobId: |id: JobId| id.0, JobId;
+    WorkerId: |id: WorkerId| id.0, WorkerId;
+    ShardId: |id: ShardId| id.0, ShardId;
+}
+
+impl Wire for bool {
+    fn put(self, out: &mut String) {
+        out.push_str(if self { "true" } else { "false" });
+    }
+    fn take(obj: &FlatObject<'_>, key: &str) -> Result<Self, JsonError> {
+        obj.req_bool(key)
     }
 }
 
-fn trace_kind_from(name: &str) -> Result<TraceKind, JsonError> {
-    match name {
-        "queued" => Ok(TraceKind::Queued),
-        "started" => Ok(TraceKind::Started),
-        "fetched" => Ok(TraceKind::Fetched),
-        "finished" => Ok(TraceKind::Finished),
-        other => Err(JsonError(format!("unknown trace kind {other:?}"))),
+/// Non-finite renders as `null` and `null` reads back as NaN: a
+/// corrupted bid is logged that way for the oracle to find.
+impl Wire for f64 {
+    fn put(self, out: &mut String) {
+        render_f64(self, out);
+    }
+    fn take(obj: &FlatObject<'_>, key: &str) -> Result<Self, JsonError> {
+        obj.req_f64(key)
     }
 }
 
-fn trace_event_to_json(ev: &TraceEvent) -> Json {
-    Json::obj([
-        ("type", Json::str("trace")),
-        ("job", Json::UInt(ev.job.0)),
-        ("worker", Json::UInt(ev.worker.0 as u64)),
-        ("kind", Json::str(trace_kind_name(ev.kind))),
-        ("at_secs", Json::Num(ev.at.as_secs_f64())),
-    ])
+/// Unlike a bare `f64`, an instant must be a number: `null` would
+/// otherwise read as t = 0.
+impl Wire for SimTime {
+    fn put(self, out: &mut String) {
+        render_f64(self.as_secs_f64(), out);
+    }
+    fn take(obj: &FlatObject<'_>, key: &str) -> Result<Self, JsonError> {
+        let secs = obj.req_f64(key)?;
+        if secs.is_nan() {
+            return Err(JsonError(format!("field `{key}` is null")));
+        }
+        Ok(SimTime::from_secs_f64(secs))
+    }
 }
 
-fn trace_event_from_json(v: &Json) -> Result<TraceEvent, JsonError> {
+/// Absent and `null` both read as `None`.
+impl<T: Wire> Wire for Option<T> {
+    fn put(self, out: &mut String) {
+        match self {
+            Some(v) => v.put(out),
+            None => out.push_str("null"),
+        }
+    }
+    fn take(obj: &FlatObject<'_>, key: &str) -> Result<Self, JsonError> {
+        match obj.get(key) {
+            None | Some(Scalar::Null) => Ok(None),
+            Some(_) => T::take(obj, key).map(Some),
+        }
+    }
+}
+
+const TRACE_KINDS: [(TraceKind, &str); 4] = [
+    (TraceKind::Queued, "queued"),
+    (TraceKind::Started, "started"),
+    (TraceKind::Fetched, "fetched"),
+    (TraceKind::Finished, "finished"),
+];
+
+impl Wire for TraceKind {
+    fn put(self, out: &mut String) {
+        let name = TRACE_KINDS.iter().find(|(k, _)| *k == self);
+        render_str(name.expect("every trace kind has a wire name").1, out);
+    }
+    fn take(obj: &FlatObject<'_>, key: &str) -> Result<Self, JsonError> {
+        let name = obj.req_str(key)?;
+        let kind = TRACE_KINDS.iter().find(|(_, n)| *n == name);
+        kind.map(|(k, _)| *k)
+            .ok_or_else(|| JsonError(format!("unknown trace kind {name:?}")))
+    }
+}
+
+/// Append `,"key":value`. Keys are schema names and need no escaping.
+fn put_field(out: &mut String, key: &str, value: impl Wire) {
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":");
+    value.put(out);
+}
+
+fn put_trace(ev: &TraceEvent, out: &mut String) {
+    out.push_str("{\"type\":\"trace\"");
+    put_field(out, "job", ev.job);
+    put_field(out, "worker", ev.worker);
+    put_field(out, "kind", ev.kind);
+    put_field(out, "at_secs", ev.at);
+    out.push('}');
+}
+
+fn take_trace(obj: &FlatObject<'_>) -> Result<TraceEvent, JsonError> {
     Ok(TraceEvent {
-        job: JobId(v.req_u64("job")?),
-        worker: WorkerId(v.req_u64("worker")? as u32),
-        kind: trace_kind_from(v.req_str("kind")?)?,
-        at: SimTime::from_secs_f64(v.req_f64("at_secs")?),
+        job: Wire::take(obj, "job")?,
+        worker: Wire::take(obj, "worker")?,
+        kind: Wire::take(obj, "kind")?,
+        at: Wire::take(obj, "at_secs")?,
     })
 }
 
-/// The stable wire name of a scheduler event kind.
-pub fn sched_kind_name(kind: &SchedEventKind) -> &'static str {
-    match kind {
-        SchedEventKind::Submitted => "submitted",
-        SchedEventKind::ContestOpened => "contest_opened",
-        SchedEventKind::BidReceived { .. } => "bid_received",
-        SchedEventKind::Assigned => "assigned",
-        SchedEventKind::ContestClosed { .. } => "contest_closed",
-        SchedEventKind::Offered => "offered",
-        SchedEventKind::Rejected => "rejected",
-        SchedEventKind::Completed => "completed",
-        SchedEventKind::Crash => "crash",
-        SchedEventKind::Recover => "recover",
-        SchedEventKind::Redistributed => "redistributed",
-        SchedEventKind::AssignAcked => "assign_acked",
-        SchedEventKind::LeaseExpired => "lease_expired",
-        SchedEventKind::Resent { .. } => "resent",
-        SchedEventKind::LeaderElected { .. } => "leader_elected",
-        SchedEventKind::FailoverReplayed { .. } => "failover_replayed",
-        SchedEventKind::SpillOut { .. } => "spill_out",
-        SchedEventKind::SpillIn { .. } => "spill_in",
-        SchedEventKind::WorkerJoined => "worker_joined",
-        SchedEventKind::WorkerDraining => "worker_draining",
-        SchedEventKind::WorkerRemoved => "worker_removed",
-        SchedEventKind::TaskOffer { .. } => "task_offer",
-        SchedEventKind::TaskBid { .. } => "task_bid",
-        SchedEventKind::TaskAssign { .. } => "task_assign",
-        SchedEventKind::TaskDone { .. } => "task_done",
-        SchedEventKind::SpecLaunch { .. } => "spec_launch",
-        SchedEventKind::SpecCancel { .. } => "spec_cancel",
-        SchedEventKind::FetchReq { .. } => "fetch_req",
-        SchedEventKind::FetchOk { .. } => "fetch_ok",
-        SchedEventKind::FetchFail { .. } => "fetch_fail",
-        SchedEventKind::ReplicaAdd { .. } => "replica_add",
-        SchedEventKind::ReplicaDrop { .. } => "replica_drop",
-        SchedEventKind::RepairStart { .. } => "repair_start",
-        SchedEventKind::RepairDone { .. } => "repair_done",
-    }
+/// The scheduler vocabulary: each kind's wire name and its payload
+/// fields in wire order, from which the name lookup, the encoder and
+/// the decoder are all generated. A field's key is its name in
+/// [`SchedEventKind`] and its encoding is its type's [`Wire`].
+macro_rules! sched_kinds {
+    ($($name:literal => $kind:ident { $($field:ident),* }),* $(,)?) => {
+        /// The stable wire name of a scheduler event kind.
+        pub fn sched_kind_name(kind: &SchedEventKind) -> &'static str {
+            match kind {
+                $(SchedEventKind::$kind { .. } => $name,)*
+            }
+        }
+
+        /// Append `,"kind":"<name>"` and the kind's payload fields.
+        fn put_sched_kind(kind: SchedEventKind, out: &mut String) {
+            out.push_str(",\"kind\":");
+            render_str(sched_kind_name(&kind), out);
+            match kind {
+                $(SchedEventKind::$kind { $($field),* } => {
+                    $(put_field(out, stringify!($field), $field);)*
+                })*
+            }
+        }
+
+        fn take_sched_kind(obj: &FlatObject<'_>) -> Result<SchedEventKind, JsonError> {
+            Ok(match obj.req_str("kind")? {
+                $($name => SchedEventKind::$kind {
+                    $($field: Wire::take(obj, stringify!($field))?),*
+                },)*
+                other => return Err(JsonError(format!("unknown sched kind {other:?}"))),
+            })
+        }
+    };
 }
 
-fn sched_event_to_json(ev: &SchedEvent) -> Json {
-    let mut fields = vec![
-        ("type".to_string(), Json::str("sched")),
-        ("at_secs".to_string(), Json::Num(ev.at.as_secs_f64())),
-        (
-            "worker".to_string(),
-            match ev.worker {
-                Some(w) => Json::UInt(w.0 as u64),
-                None => Json::Null,
-            },
-        ),
-        (
-            "job".to_string(),
-            match ev.job {
-                Some(j) => Json::UInt(j.0),
-                None => Json::Null,
-            },
-        ),
-        ("kind".to_string(), Json::str(sched_kind_name(&ev.kind))),
-    ];
-    match ev.kind {
-        SchedEventKind::BidReceived { estimate_secs } => {
-            fields.push(("estimate_secs".to_string(), Json::Num(estimate_secs)));
-        }
-        SchedEventKind::ContestClosed {
-            timed_out,
-            fallback,
-        } => {
-            fields.push(("timed_out".to_string(), Json::Bool(timed_out)));
-            fields.push(("fallback".to_string(), Json::Bool(fallback)));
-        }
-        SchedEventKind::Resent { attempt } => {
-            fields.push(("attempt".to_string(), Json::UInt(attempt as u64)));
-        }
-        SchedEventKind::LeaderElected { term } => {
-            fields.push(("term".to_string(), Json::UInt(term as u64)));
-        }
-        SchedEventKind::FailoverReplayed { entries } => {
-            fields.push(("entries".to_string(), Json::UInt(entries)));
-        }
-        SchedEventKind::SpillOut { to_shard } => {
-            fields.push(("to_shard".to_string(), Json::UInt(to_shard.0 as u64)));
-        }
-        SchedEventKind::SpillIn { from_shard } => {
-            fields.push(("from_shard".to_string(), Json::UInt(from_shard.0 as u64)));
-        }
-        SchedEventKind::TaskOffer {
-            root,
-            task,
-            preds,
-            total,
-        } => {
-            fields.push(("root".to_string(), Json::UInt(root.0)));
-            fields.push(("task".to_string(), Json::UInt(task as u64)));
-            fields.push(("preds".to_string(), Json::UInt(preds)));
-            fields.push(("total".to_string(), Json::UInt(total as u64)));
-        }
-        SchedEventKind::TaskBid {
-            root,
-            task,
-            estimate_secs,
-        } => {
-            fields.push(("root".to_string(), Json::UInt(root.0)));
-            fields.push(("task".to_string(), Json::UInt(task as u64)));
-            fields.push(("estimate_secs".to_string(), Json::Num(estimate_secs)));
-        }
-        SchedEventKind::TaskAssign {
-            root,
-            task,
-            speculative,
-        } => {
-            fields.push(("root".to_string(), Json::UInt(root.0)));
-            fields.push(("task".to_string(), Json::UInt(task as u64)));
-            fields.push(("speculative".to_string(), Json::Bool(speculative)));
-        }
-        SchedEventKind::TaskDone { root, task }
-        | SchedEventKind::SpecLaunch { root, task }
-        | SchedEventKind::SpecCancel { root, task } => {
-            fields.push(("root".to_string(), Json::UInt(root.0)));
-            fields.push(("task".to_string(), Json::UInt(task as u64)));
-        }
-        SchedEventKind::FetchReq { object, from } | SchedEventKind::FetchOk { object, from } => {
-            fields.push(("object".to_string(), Json::UInt(object)));
-            fields.push(("from".to_string(), Json::UInt(from.0 as u64)));
-        }
-        SchedEventKind::FetchFail {
-            object,
-            from,
-            attempt,
-        } => {
-            fields.push(("object".to_string(), Json::UInt(object)));
-            fields.push(("from".to_string(), Json::UInt(from.0 as u64)));
-            fields.push(("attempt".to_string(), Json::UInt(attempt as u64)));
-        }
-        SchedEventKind::ReplicaAdd { object } | SchedEventKind::RepairDone { object } => {
-            fields.push(("object".to_string(), Json::UInt(object)));
-        }
-        SchedEventKind::ReplicaDrop { object, evicted } => {
-            fields.push(("object".to_string(), Json::UInt(object)));
-            fields.push(("evicted".to_string(), Json::Bool(evicted)));
-        }
-        SchedEventKind::RepairStart { object, from } => {
-            fields.push(("object".to_string(), Json::UInt(object)));
-            fields.push(("from".to_string(), Json::UInt(from.0 as u64)));
-        }
-        _ => {}
+sched_kinds! {
+    "submitted" => Submitted {},
+    "contest_opened" => ContestOpened {},
+    "bid_received" => BidReceived { estimate_secs },
+    "assigned" => Assigned {},
+    "contest_closed" => ContestClosed { timed_out, fallback },
+    "offered" => Offered {},
+    "rejected" => Rejected {},
+    "completed" => Completed {},
+    "crash" => Crash {},
+    "recover" => Recover {},
+    "redistributed" => Redistributed {},
+    "assign_acked" => AssignAcked {},
+    "lease_expired" => LeaseExpired {},
+    "resent" => Resent { attempt },
+    "leader_elected" => LeaderElected { term },
+    "failover_replayed" => FailoverReplayed { entries },
+    "spill_out" => SpillOut { to_shard },
+    "spill_in" => SpillIn { from_shard },
+    "worker_joined" => WorkerJoined {},
+    "worker_draining" => WorkerDraining {},
+    "worker_removed" => WorkerRemoved {},
+    "task_done" => TaskDone { root, task },
+    "task_offer" => TaskOffer { root, task, preds, total },
+    "task_bid" => TaskBid { root, task, estimate_secs },
+    "task_assign" => TaskAssign { root, task, speculative },
+    "spec_launch" => SpecLaunch { root, task },
+    "spec_cancel" => SpecCancel { root, task },
+    "fetch_req" => FetchReq { object, from },
+    "fetch_ok" => FetchOk { object, from },
+    "fetch_fail" => FetchFail { object, from, attempt },
+    "replica_add" => ReplicaAdd { object },
+    "replica_drop" => ReplicaDrop { object, evicted },
+    "repair_start" => RepairStart { object, from },
+    "repair_done" => RepairDone { object },
+}
+
+fn put_sched(ev: &SchedEvent, out: &mut String) {
+    out.push_str("{\"type\":\"sched\"");
+    put_field(out, "at_secs", ev.at);
+    put_field(out, "worker", ev.worker);
+    put_field(out, "job", ev.job);
+    put_sched_kind(ev.kind, out);
+    out.push('}');
+}
+
+fn take_sched(obj: &FlatObject<'_>) -> Result<SchedEvent, JsonError> {
+    Ok(SchedEvent {
+        at: Wire::take(obj, "at_secs")?,
+        worker: Wire::take(obj, "worker")?,
+        job: Wire::take(obj, "job")?,
+        kind: take_sched_kind(obj)?,
+    })
+}
+
+fn record_line(record: &RunRecord) -> Json {
+    let mut fields = vec![("type".to_string(), Json::str("record"))];
+    if let Json::Obj(inner) = record.to_json() {
+        fields.extend(inner);
     }
     Json::Obj(fields)
 }
 
-fn sched_event_from_json(v: &Json) -> Result<SchedEvent, JsonError> {
-    let kind = match v.req_str("kind")? {
-        "submitted" => SchedEventKind::Submitted,
-        "offered" => SchedEventKind::Offered,
-        "rejected" => SchedEventKind::Rejected,
-        "completed" => SchedEventKind::Completed,
-        "contest_opened" => SchedEventKind::ContestOpened,
-        "bid_received" => SchedEventKind::BidReceived {
-            estimate_secs: v.req_f64("estimate_secs")?,
-        },
-        "assigned" => SchedEventKind::Assigned,
-        "contest_closed" => SchedEventKind::ContestClosed {
-            timed_out: v.req_bool("timed_out")?,
-            fallback: v.req_bool("fallback")?,
-        },
-        "crash" => SchedEventKind::Crash,
-        "recover" => SchedEventKind::Recover,
-        "redistributed" => SchedEventKind::Redistributed,
-        "assign_acked" => SchedEventKind::AssignAcked,
-        "lease_expired" => SchedEventKind::LeaseExpired,
-        "resent" => SchedEventKind::Resent {
-            attempt: v.req_u64("attempt")? as u32,
-        },
-        "leader_elected" => SchedEventKind::LeaderElected {
-            term: v.req_u64("term")? as u32,
-        },
-        "failover_replayed" => SchedEventKind::FailoverReplayed {
-            entries: v.req_u64("entries")?,
-        },
-        "spill_out" => SchedEventKind::SpillOut {
-            to_shard: ShardId(v.req_u64("to_shard")? as u16),
-        },
-        "spill_in" => SchedEventKind::SpillIn {
-            from_shard: ShardId(v.req_u64("from_shard")? as u16),
-        },
-        "worker_joined" => SchedEventKind::WorkerJoined,
-        "worker_draining" => SchedEventKind::WorkerDraining,
-        "worker_removed" => SchedEventKind::WorkerRemoved,
-        "task_offer" => SchedEventKind::TaskOffer {
-            root: JobId(v.req_u64("root")?),
-            task: v.req_u64("task")? as u32,
-            preds: v.req_u64("preds")?,
-            total: v.req_u64("total")? as u32,
-        },
-        "task_bid" => SchedEventKind::TaskBid {
-            root: JobId(v.req_u64("root")?),
-            task: v.req_u64("task")? as u32,
-            estimate_secs: v.req_f64("estimate_secs")?,
-        },
-        "task_assign" => SchedEventKind::TaskAssign {
-            root: JobId(v.req_u64("root")?),
-            task: v.req_u64("task")? as u32,
-            speculative: v.req_bool("speculative")?,
-        },
-        "task_done" => SchedEventKind::TaskDone {
-            root: JobId(v.req_u64("root")?),
-            task: v.req_u64("task")? as u32,
-        },
-        "spec_launch" => SchedEventKind::SpecLaunch {
-            root: JobId(v.req_u64("root")?),
-            task: v.req_u64("task")? as u32,
-        },
-        "spec_cancel" => SchedEventKind::SpecCancel {
-            root: JobId(v.req_u64("root")?),
-            task: v.req_u64("task")? as u32,
-        },
-        "fetch_req" => SchedEventKind::FetchReq {
-            object: v.req_u64("object")?,
-            from: WorkerId(v.req_u64("from")? as u32),
-        },
-        "fetch_ok" => SchedEventKind::FetchOk {
-            object: v.req_u64("object")?,
-            from: WorkerId(v.req_u64("from")? as u32),
-        },
-        "fetch_fail" => SchedEventKind::FetchFail {
-            object: v.req_u64("object")?,
-            from: WorkerId(v.req_u64("from")? as u32),
-            attempt: v.req_u64("attempt")? as u32,
-        },
-        "replica_add" => SchedEventKind::ReplicaAdd {
-            object: v.req_u64("object")?,
-        },
-        "replica_drop" => SchedEventKind::ReplicaDrop {
-            object: v.req_u64("object")?,
-            evicted: v.req_bool("evicted")?,
-        },
-        "repair_start" => SchedEventKind::RepairStart {
-            object: v.req_u64("object")?,
-            from: WorkerId(v.req_u64("from")? as u32),
-        },
-        "repair_done" => SchedEventKind::RepairDone {
-            object: v.req_u64("object")?,
-        },
-        other => return Err(JsonError(format!("unknown sched kind {other:?}"))),
-    };
-    let opt_u64 = |key: &str| -> Result<Option<u64>, JsonError> {
-        match v.get(key) {
-            None | Some(Json::Null) => Ok(None),
-            Some(x) => x
-                .as_u64()
-                .map(Some)
-                .ok_or_else(|| JsonError(format!("field {key:?} is not an integer"))),
-        }
-    };
-    Ok(SchedEvent {
-        at: SimTime::from_secs_f64(v.req_f64("at_secs")?),
-        worker: opt_u64("worker")?.map(|w| WorkerId(w as u32)),
-        job: opt_u64("job")?.map(JobId),
-        kind,
-    })
+fn metrics_line(snapshot: &RegistrySnapshot) -> Json {
+    Json::obj([
+        ("type", Json::str("metrics")),
+        ("snapshot", snapshot.to_json()),
+    ])
 }
 
 impl RunStreamLine {
-    /// Encode this line.
-    pub fn to_json(&self) -> Json {
+    /// Append this line's text (no newline) to `out`.
+    pub fn render_into(&self, out: &mut String) {
         match self {
-            RunStreamLine::Meta(m) => m.to_json(),
-            RunStreamLine::Trace(ev) => trace_event_to_json(ev),
-            RunStreamLine::Sched(ev) => sched_event_to_json(ev),
-            RunStreamLine::Record(r) => {
-                let mut fields = vec![("type".to_string(), Json::str("record"))];
-                if let Json::Obj(inner) = r.to_json() {
-                    fields.extend(inner);
-                }
-                Json::Obj(fields)
-            }
-            RunStreamLine::Metrics(s) => {
-                Json::obj([("type", Json::str("metrics")), ("snapshot", s.to_json())])
-            }
+            RunStreamLine::Meta(m) => m.to_json().render_into(out),
+            RunStreamLine::Trace(ev) => put_trace(ev, out),
+            RunStreamLine::Sched(ev) => put_sched(ev, out),
+            RunStreamLine::Record(r) => record_line(r).render_into(out),
+            RunStreamLine::Metrics(s) => metrics_line(s).render_into(out),
         }
     }
 
-    /// Decode one line.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v.req_str("type")? {
-            "run_meta" => Ok(RunStreamLine::Meta(RunStreamMeta::from_json(v)?)),
-            "trace" => Ok(RunStreamLine::Trace(trace_event_from_json(v)?)),
-            "sched" => Ok(RunStreamLine::Sched(sched_event_from_json(v)?)),
-            "record" => Ok(RunStreamLine::Record(RunRecord::from_json(v)?)),
-            "metrics" => Ok(RunStreamLine::Metrics(RegistrySnapshot::from_json(
-                v.req("snapshot")?,
-            )?)),
+    /// This line's text (no newline).
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out);
+        out
+    }
+
+    /// Decode one line; `obj` is scratch space reused from line to line.
+    fn decode<'a>(line: &'a str, obj: &mut FlatObject<'a>) -> Result<Self, JsonError> {
+        obj.scan(line)?;
+        match obj.req_str("type")? {
+            "trace" => take_trace(obj).map(RunStreamLine::Trace),
+            "sched" => take_sched(obj).map(RunStreamLine::Sched),
+            "run_meta" => RunStreamMeta::from_json(&Json::parse(line)?)
+                .map(|m| RunStreamLine::Meta(Box::new(m))),
+            "record" => RunRecord::from_json(&Json::parse(line)?)
+                .map(|r| RunStreamLine::Record(Box::new(r))),
+            "metrics" => RegistrySnapshot::from_json(Json::parse(line)?.req("snapshot")?)
+                .map(|s| RunStreamLine::Metrics(Box::new(s))),
             other => Err(JsonError(format!("unknown stream line type {other:?}"))),
         }
     }
@@ -475,30 +416,38 @@ pub fn write_run_stream<W: Write>(
     run: &RunOutput,
 ) -> io::Result<u64> {
     let mut w = JsonlWriter::new(out);
-    w.write(&RunStreamLine::Meta(meta.clone()).to_json())?;
+    w.write(&meta.to_json())?;
     for ev in run.trace.events() {
-        w.write(&RunStreamLine::Trace(*ev).to_json())?;
+        w.write_with(|line| put_trace(ev, line))?;
     }
     for ev in run.sched_log.events() {
-        w.write(&RunStreamLine::Sched(*ev).to_json())?;
+        w.write_with(|line| put_sched(ev, line))?;
     }
-    w.write(&RunStreamLine::Record(run.record.clone()).to_json())?;
-    w.write(&RunStreamLine::Metrics(run.metrics.clone()).to_json())?;
+    w.write(&record_line(&run.record))?;
+    w.write(&metrics_line(&run.metrics))?;
     let lines = w.lines();
     w.finish()?;
     Ok(lines)
 }
 
+/// Decode a JSONL run stream one line at a time, for consumers that
+/// fold over a stream too long to hold parsed. Blank lines are skipped
+/// and an error names the physical line it is on.
+pub fn run_stream_lines(text: &str) -> impl Iterator<Item = Result<RunStreamLine, JsonError>> + '_ {
+    let mut obj = FlatObject::default();
+    let lines = text.lines().enumerate();
+    lines
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(move |(i, line)| {
+            RunStreamLine::decode(line, &mut obj)
+                .map_err(|e| JsonError(format!("line {}: {}", i + 1, e.0)))
+        })
+}
+
 /// Parse a JSONL run stream produced by [`write_run_stream`] (or any
 /// concatenation of such streams).
 pub fn parse_run_stream(text: &str) -> Result<Vec<RunStreamLine>, JsonError> {
-    crossbid_metrics::parse_jsonl(text)?
-        .iter()
-        .enumerate()
-        .map(|(i, v)| {
-            RunStreamLine::from_json(v).map_err(|e| JsonError(format!("line {}: {}", i + 1, e.0)))
-        })
-        .collect()
+    run_stream_lines(text).collect()
 }
 
 #[cfg(test)]
@@ -523,8 +472,11 @@ mod tests {
                 kind,
                 at: t(12.5),
             };
-            let back = trace_event_from_json(&trace_event_to_json(&ev)).unwrap();
-            assert_eq!(back, ev);
+            let line = RunStreamLine::Trace(ev).render();
+            match parse_run_stream(&line).unwrap()[..] {
+                [RunStreamLine::Trace(back)] => assert_eq!(back, ev, "{line}"),
+                ref other => panic!("{line} parsed as {other:?}"),
+            }
         }
     }
 
@@ -624,8 +576,11 @@ mod tests {
                 },
                 kind,
             };
-            let back = sched_event_from_json(&sched_event_to_json(&ev)).unwrap();
-            assert_eq!(back, ev);
+            let line = RunStreamLine::Sched(ev).render();
+            match parse_run_stream(&line).unwrap()[..] {
+                [RunStreamLine::Sched(back)] => assert_eq!(back, ev, "{line}"),
+                ref other => panic!("{line} parsed as {other:?}"),
+            }
         }
     }
 
@@ -657,5 +612,90 @@ mod tests {
     fn unknown_line_type_is_an_error() {
         let err = parse_run_stream("{\"type\":\"mystery\"}").unwrap_err();
         assert!(err.0.contains("mystery"), "{err}");
+    }
+
+    #[test]
+    fn errors_name_the_physical_line() {
+        // Blank lines are skipped but still counted.
+        let err = parse_run_stream("\n\n{\"type\":\"mystery\"}").unwrap_err();
+        assert!(err.0.starts_with("line 3:"), "{err}");
+        let good = RunStreamLine::Trace(TraceEvent {
+            job: JobId(1),
+            worker: WorkerId(0),
+            kind: TraceKind::Queued,
+            at: t(0.0),
+        })
+        .render();
+        let err = parse_run_stream(&format!("{good}\n \r\n{good}\n{{\"type\":7}}\n")).unwrap_err();
+        assert!(err.0.starts_with("line 4:"), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_ids_are_errors_not_wraps() {
+        let sched = |payload: &str| {
+            format!("{{\"type\":\"sched\",\"at_secs\":1.0,\"worker\":0,\"job\":1,{payload}}}")
+        };
+        let wide_u32 = u64::from(u32::MAX) + 2; // wrapped to 1 before
+        let wide_u16 = u64::from(u16::MAX) + 2;
+        for (line, field) in [
+            (
+                format!("{{\"type\":\"trace\",\"job\":1,\"worker\":{wide_u32},\"kind\":\"queued\",\"at_secs\":0.5}}"),
+                "worker",
+            ),
+            (
+                format!("{{\"type\":\"sched\",\"at_secs\":1.0,\"worker\":{wide_u32},\"job\":1,\"kind\":\"crash\"}}"),
+                "worker",
+            ),
+            (sched(&format!("\"kind\":\"resent\",\"attempt\":{wide_u32}")), "attempt"),
+            (sched(&format!("\"kind\":\"leader_elected\",\"term\":{wide_u32}")), "term"),
+            (sched(&format!("\"kind\":\"spill_out\",\"to_shard\":{wide_u16}")), "to_shard"),
+            (sched(&format!("\"kind\":\"spill_in\",\"from_shard\":{wide_u16}")), "from_shard"),
+            (sched(&format!("\"kind\":\"task_done\",\"root\":1,\"task\":{wide_u32}")), "task"),
+            (
+                sched(&format!("\"kind\":\"task_offer\",\"root\":1,\"task\":0,\"preds\":0,\"total\":{wide_u32}")),
+                "total",
+            ),
+            (sched(&format!("\"kind\":\"fetch_ok\",\"object\":1,\"from\":{wide_u32}")), "from"),
+            (
+                format!("{{\"type\":\"run_meta\",\"schema\":7,\"runtime\":\"sim\",\"scheduler\":\"bidding\",\"worker_config\":\"w\",\"job_config\":\"j\",\"iteration\":{wide_u32},\"seed\":1}}"),
+                "iteration",
+            ),
+        ] {
+            let err = parse_run_stream(&line).unwrap_err();
+            assert!(
+                err.0.contains(&format!("`{field}`")) && err.0.contains("out of range"),
+                "{line}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn null_is_a_legal_estimate_but_not_a_legal_instant() {
+        let line = |at: &str, estimate: &str| {
+            format!(
+                "{{\"type\":\"sched\",\"at_secs\":{at},\"worker\":0,\"job\":1,\"kind\":\"bid_received\",\"estimate_secs\":{estimate}}}"
+            )
+        };
+        match parse_run_stream(&line("2.5", "null")).unwrap()[..] {
+            [RunStreamLine::Sched(SchedEvent {
+                kind: SchedEventKind::BidReceived { estimate_secs },
+                ..
+            })] => assert!(estimate_secs.is_nan()),
+            ref other => panic!("{other:?}"),
+        }
+        let err = parse_run_stream(&line("null", "1.0")).unwrap_err();
+        assert!(err.0.contains("`at_secs` is null"), "{err}");
+        let err = parse_run_stream(
+            "{\"type\":\"trace\",\"job\":1,\"worker\":0,\"kind\":\"queued\",\"at_secs\":null}",
+        )
+        .unwrap_err();
+        assert!(err.0.contains("`at_secs` is null"), "{err}");
+    }
+
+    #[test]
+    fn a_parsed_line_is_no_larger_than_an_event() {
+        // A parsed stream holds one of these per line, and all but
+        // three lines of a stream are events.
+        assert!(std::mem::size_of::<RunStreamLine>() <= 64);
     }
 }

@@ -87,8 +87,8 @@ pub use atomize::{
 pub use baseline::BaselineAllocator;
 pub use engine::{run_workflow, Cluster, EngineConfig, ReplicationConfig, RunMeta, RunOutput};
 pub use export::{
-    parse_run_stream, sched_kind_name, write_run_stream, RunStreamLine, RunStreamMeta,
-    SCHEMA_VERSION,
+    parse_run_stream, run_stream_lines, sched_kind_name, write_run_stream, RunStreamLine,
+    RunStreamMeta, SCHEMA_VERSION,
 };
 pub use faults::{
     FaultEvent, FaultPlan, FaultPlanError, Faults, LinkFault, MasterFaultPlan, MembershipAction,

@@ -115,6 +115,13 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// `JsonlWriter` already writes in large chunks; the `BufWriter` joins
+/// the short streams of a many-iteration run. Both JSONL writers flush
+/// before they report their line count, so no error is lost on drop.
+fn create_trace_file(path: &str) -> std::io::BufWriter<std::fs::File> {
+    std::io::BufWriter::new(std::fs::File::create(path).expect("create --trace file"))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let what = args
@@ -144,7 +151,7 @@ fn main() {
         .cloned();
     let emit_trace_records = |records: &[crossbid_metrics::RunRecord]| {
         if let Some(path) = &trace_file {
-            let f = std::fs::File::create(path).expect("create --trace file");
+            let f = create_trace_file(path);
             let lines = trace_run::write_records_jsonl(f, records).expect("write --trace JSONL");
             eprintln!("[repro] wrote {lines} JSONL lines to {path}");
         }
@@ -443,7 +450,7 @@ fn main() {
             let runs = trace_run::run(&tcfg).unwrap_or_else(|e| die(&e));
             emit("trace", &trace_run::render_phase_table(&runs));
             if let Some(path) = &trace_file {
-                let f = std::fs::File::create(path).expect("create --trace file");
+                let f = create_trace_file(path);
                 let lines = trace_run::write_streams(f, &runs).expect("write --trace JSONL");
                 eprintln!("[repro] wrote {lines} JSONL lines to {path}");
             } else {

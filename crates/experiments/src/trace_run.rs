@@ -7,7 +7,9 @@
 
 use std::io::{self, Write};
 
-use crossbid_crossflow::{write_run_stream, RunOutput, RunSpec, RunStreamMeta, Runtime};
+use crossbid_crossflow::{
+    write_run_stream, RunOutput, RunSpec, RunStreamLine, RunStreamMeta, Runtime,
+};
 use crossbid_metrics::table::f2;
 use crossbid_metrics::{HistogramSnapshot, SchedulerKind, Table};
 use crossbid_simcore::SeedSequence;
@@ -197,7 +199,7 @@ pub fn write_records_jsonl<W: Write>(
 ) -> io::Result<u64> {
     let mut w = crossbid_metrics::JsonlWriter::new(out);
     for r in records {
-        w.write(&crossbid_crossflow::RunStreamLine::Record(r.clone()).to_json())?;
+        w.write_with(|line| RunStreamLine::Record(Box::new(r.clone())).render_into(line))?;
     }
     let lines = w.lines();
     w.finish()?;
@@ -207,7 +209,7 @@ pub fn write_records_jsonl<W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbid_crossflow::{parse_run_stream, RunStreamLine};
+    use crossbid_crossflow::parse_run_stream;
 
     fn smoke_cfg(runtime: RuntimeChoice) -> TraceRunConfig {
         TraceRunConfig {

@@ -16,8 +16,15 @@
 
 #![cfg(feature = "bench-alloc")]
 
+use std::sync::Mutex;
+
 use crossbid_experiments::bench::run_row;
 use crossbid_experiments::trace_run::RuntimeChoice;
+
+/// The allocation counter is process-wide and `cargo test` runs the
+/// tests of one binary on parallel threads: each test holds this for
+/// its whole body so it counts only its own allocations.
+static METER: Mutex<()> = Mutex::new(());
 
 /// Measured ≈7.5 allocs/job at 64 workers (≈4.5 at 7) when this guard
 /// was written; the budget leaves headroom for noise and small
@@ -28,6 +35,9 @@ const BUDGET_ALLOCS_PER_JOB: f64 = 48.0;
 
 #[test]
 fn sim_hot_path_allocations_stay_within_budget() {
+    let _alone = METER
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
     let row = run_row(RuntimeChoice::Sim, 64, 10_000, 0xA110C);
     assert_eq!(row.jobs, 10_000, "row must describe the run it measured");
     let apj = row
@@ -42,4 +52,75 @@ fn sim_hot_path_allocations_stay_within_budget() {
         "sim hot path regressed to {apj:.1} allocs/job (budget {BUDGET_ALLOCS_PER_JOB}); \
          something on the per-event or per-bid path is allocating again"
     );
+}
+
+/// The run-stream codec writes and reads event lines without a tree:
+/// what a stream allocates is its three once-per-stream lines, not a
+/// multiple of its length. Measured ≈0.002 per line (write + parse) when
+/// this guard was written; it was ≈30 per line through `Json`.
+const BUDGET_CODEC_ALLOCS_PER_LINE: f64 = 0.1;
+
+#[test]
+fn run_stream_codec_allocations_stay_within_budget() {
+    use crossbid_core::BiddingAllocator;
+    use crossbid_crossflow::{
+        run_stream_lines, write_run_stream, EngineConfig, RunSpec, RunStreamMeta, Workflow,
+    };
+    use crossbid_experiments::allocmeter::allocs;
+    use crossbid_workload::{ArrivalProcess, JobConfig, WorkerConfig};
+
+    let _alone = METER
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let (workers, jobs, seed) = (32, 10_000, 0xA110C);
+    let mut engine = EngineConfig::ideal();
+    engine.max_events = 10_000_000;
+    let mut rt = RunSpec::builder()
+        .workers(WorkerConfig::AllEqual.specs(workers))
+        .seed(seed)
+        .engine(engine)
+        .trace(true)
+        .build()
+        .sim();
+    let mut wf = Workflow::new();
+    let task = wf.add_sink("bench");
+    let process = ArrivalProcess::Poisson {
+        mean_interval_secs: 0.05,
+    };
+    let stream = JobConfig::AllDiffEqual.generate(seed, jobs, task, &process);
+    let out = rt.run_iteration(&mut wf, &BiddingAllocator::new(), stream.arrivals);
+    let meta = RunStreamMeta {
+        runtime: "sim".to_string(),
+        scheduler: "bidding".to_string(),
+        worker_config: WorkerConfig::AllEqual.name().to_string(),
+        job_config: JobConfig::AllDiffEqual.name().to_string(),
+        iteration: 0,
+        seed,
+    };
+
+    // The outputs' own growth is not the codec's: size the byte buffer
+    // from a first pass and fold over the lines instead of collecting.
+    let mut sizing = Vec::new();
+    write_run_stream(&mut sizing, &meta, &out).unwrap();
+    let mut bytes = Vec::with_capacity(sizing.len());
+    let a0 = allocs();
+    let lines = write_run_stream(&mut bytes, &meta, &out).unwrap();
+    let a1 = allocs();
+    let text = std::str::from_utf8(&bytes).unwrap();
+    let parsed = run_stream_lines(text).try_fold(0u64, |n, line| line.map(|_| n + 1));
+    let a2 = allocs();
+
+    assert_eq!(parsed, Ok(lines));
+    assert!(
+        lines > 40 * jobs as u64,
+        "a 32-worker contest logs a bid per worker"
+    );
+    for (what, spent) in [("write", a1 - a0), ("parse", a2 - a1)] {
+        let per_line = spent as f64 / lines as f64;
+        assert!(
+            per_line < BUDGET_CODEC_ALLOCS_PER_LINE,
+            "{what}: {spent} allocations over {lines} lines ({per_line:.3} per line, \
+             budget {BUDGET_CODEC_ALLOCS_PER_LINE}); an event line is building a tree again"
+        );
+    }
 }

@@ -10,8 +10,13 @@
 //! - Non-finite floats render as `null` (JSON has no NaN/inf).
 //! - Object keys keep insertion order; the schema relies on a stable
 //!   field order for golden-file tests.
+//! - [`FlatObject`] reads one object's top-level fields without
+//!   building a tree, for line types that arrive by the million; it
+//!   shares the lexer with [`Json::parse`], so both accept the same
+//!   text.
 
-use std::fmt;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -138,30 +143,15 @@ impl Json {
         out
     }
 
-    fn render_into(&self, out: &mut String) {
+    /// Append the compact single-line rendering to `out`.
+    pub fn render_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::UInt(n) => {
-                out.push_str(&n.to_string());
-            }
-            Json::Int(n) => {
-                out.push_str(&n.to_string());
-            }
-            Json::Num(x) => {
-                if x.is_finite() {
-                    let s = format!("{x}");
-                    out.push_str(&s);
-                    // `{}` prints integral floats without a point;
-                    // keep them distinguishable from integers.
-                    if !s.contains(['.', 'e', 'E']) {
-                        out.push_str(".0");
-                    }
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => render_string(s, out),
+            Json::UInt(n) => render_u64(*n, out),
+            Json::Int(n) => write!(out, "{n}").expect("writing to a String cannot fail"),
+            Json::Num(x) => render_f64(*x, out),
+            Json::Str(s) => render_str(s, out),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -178,7 +168,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    render_string(k, out);
+                    render_str(k, out);
                     out.push(':');
                     v.render_into(out);
                 }
@@ -189,25 +179,52 @@ impl Json {
 
     /// Parse a complete JSON document.
     pub fn parse(s: &str) -> Result<Json, JsonError> {
-        let bytes = s.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser { src: s, pos: 0 };
         p.skip_ws();
         let v = p.value()?;
-        p.skip_ws();
-        if p.pos != bytes.len() {
-            return Err(JsonError(format!(
-                "trailing garbage at byte {} of {:?}",
-                p.pos,
-                truncate(s)
-            )));
-        }
+        p.end()?;
         Ok(v)
     }
 }
 
-fn render_string(s: &str, out: &mut String) {
+/// Append a decimal integer.
+pub fn render_u64(mut n: u64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ascii digits"));
+}
+
+/// Append a float: shortest round-trip digits, always with a point or
+/// exponent so it reads back as a float; non-finite becomes `null`.
+pub fn render_f64(x: f64, out: &mut String) {
+    if !x.is_finite() {
+        return out.push_str("null");
+    }
+    let start = out.len();
+    write!(out, "{x}").expect("writing to a String cannot fail");
+    // `{}` prints integral floats without a point; keep them
+    // distinguishable from integers.
+    if !out[start..].contains(['.', 'e', 'E']) {
+        out.push_str(".0");
+    }
+}
+
+/// Append a quoted, escaped string.
+pub fn render_str(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
+    // Most strings (every schema name) need no escape: copy them whole.
+    let plain = |b: u8| b >= 0x20 && b != b'"' && b != b'\\';
+    let escaped_from = s.bytes().position(|b| !plain(b)).unwrap_or(s.len());
+    out.push_str(&s[..escaped_from]);
+    for c in s[escaped_from..].chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
@@ -215,7 +232,7 @@ fn render_string(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail");
             }
             c => out.push(c),
         }
@@ -240,24 +257,122 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// A top-level field value of a [`FlatObject`]: scalars by value,
+/// strings borrowed from the line unless an escape forced a copy.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Scalar<'a> {
+    Null,
+    Bool(bool),
+    UInt(u64),
+    Int(i64),
+    Num(f64),
+    Str(Cow<'a, str>),
+    /// An array or object: checked for well-formedness, not kept.
+    Nested,
+}
+
+impl Scalar<'_> {
+    fn into_json(self) -> Json {
+        match self {
+            Scalar::Null => Json::Null,
+            Scalar::Bool(b) => Json::Bool(b),
+            Scalar::UInt(n) => Json::UInt(n),
+            Scalar::Int(n) => Json::Int(n),
+            Scalar::Num(x) => Json::Num(x),
+            Scalar::Str(s) => Json::Str(s.into_owned()),
+            Scalar::Nested => unreachable!("the lexer builds nested values as `Json`"),
+        }
+    }
+}
+
+/// The top-level fields of one JSON object, read in a single pass
+/// with nothing allocated per field; one `FlatObject` is meant to be
+/// [`scan`](Self::scan)ned over line after line. The `req_*`
+/// accessors mirror [`Json`]'s (first duplicate key wins, integers
+/// widen to `f64`, `null` reads as NaN).
+#[derive(Debug, Default)]
+pub struct FlatObject<'a> {
+    fields: Vec<(Cow<'a, str>, Scalar<'a>)>,
+}
+
+impl<'a> FlatObject<'a> {
+    /// Replace the fields with those of `line`, which must hold
+    /// exactly one JSON object.
+    pub fn scan(&mut self, line: &'a str) -> Result<(), JsonError> {
+        self.fields.clear();
+        let mut p = Parser { src: line, pos: 0 };
+        p.skip_ws();
+        p.members(|p, key| {
+            let value = match p.peek() {
+                Some(b'[' | b'{') => p.value().map(|_| Scalar::Nested)?,
+                _ => p.scalar()?,
+            };
+            self.fields.push((key, value));
+            Ok(())
+        })?;
+        p.end()
+    }
+
+    pub fn get(&self, key: &str) -> Option<&Scalar<'a>> {
+        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    pub fn req(&self, key: &str) -> Result<&Scalar<'a>, JsonError> {
+        self.get(key)
+            .ok_or_else(|| JsonError(format!("missing field `{key}`")))
+    }
+
+    pub fn req_str(&self, key: &str) -> Result<&str, JsonError> {
+        match self.req(key)? {
+            Scalar::Str(s) => Ok(s),
+            _ => Err(JsonError(format!("field `{key}` is not a string"))),
+        }
+    }
+
+    /// A non-negative integer that fits `T`; a wider value is an
+    /// error, never a wrap.
+    pub fn req_uint<T: TryFrom<u64>>(&self, key: &str) -> Result<T, JsonError> {
+        let n = match *self.req(key)? {
+            Scalar::UInt(n) => Some(n),
+            Scalar::Int(n) => u64::try_from(n).ok(),
+            _ => None,
+        };
+        let n = n.ok_or_else(|| JsonError(format!("field `{key}` is not a u64")))?;
+        T::try_from(n).map_err(|_| JsonError(format!("field `{key}` is out of range: {n}")))
+    }
+
+    pub fn req_f64(&self, key: &str) -> Result<f64, JsonError> {
+        match *self.req(key)? {
+            Scalar::Num(x) => Ok(x),
+            Scalar::UInt(n) => Ok(n as f64),
+            Scalar::Int(n) => Ok(n as f64),
+            Scalar::Null => Ok(f64::NAN),
+            _ => Err(JsonError(format!("field `{key}` is not a number"))),
+        }
+    }
+
+    pub fn req_bool(&self, key: &str) -> Result<bool, JsonError> {
+        match *self.req(key)? {
+            Scalar::Bool(b) => Ok(b),
+            _ => Err(JsonError(format!("field `{key}` is not a bool"))),
+        }
+    }
+}
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
+            self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
@@ -272,8 +387,21 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    /// Only whitespace may follow the document.
+    fn end(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos == self.src.len() {
+            return Ok(());
+        }
+        Err(JsonError(format!(
+            "trailing garbage at byte {} of {:?}",
+            self.pos,
+            truncate(self.src)
+        )))
+    }
+
+    fn literal<T>(&mut self, word: &str, v: T) -> Result<T, JsonError> {
+        if self.src.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -283,12 +411,25 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
             Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'{') => {
+                let mut fields = Vec::new();
+                self.members(|p, key| {
+                    fields.push((key.into_owned(), p.value()?));
+                    Ok(())
+                })?;
+                Ok(Json::Obj(fields))
+            }
+            _ => self.scalar().map(Scalar::into_json),
+        }
+    }
+
+    fn scalar(&mut self) -> Result<Scalar<'a>, JsonError> {
+        match self.peek() {
+            Some(b'n') => self.literal("null", Scalar::Null),
+            Some(b't') => self.literal("true", Scalar::Bool(true)),
+            Some(b'f') => self.literal("false", Scalar::Bool(false)),
+            Some(b'"') => self.string().map(Scalar::Str),
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(JsonError(format!(
                 "unexpected {:?} at byte {}",
@@ -298,144 +439,132 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut out = Cow::Borrowed("");
         loop {
-            let start = self.pos;
-            // Fast-forward over the plain span.
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' {
-                    break;
-                }
-                self.pos += 1;
+            // The plain span ends at an ASCII byte, so on a character
+            // boundary.
+            let rest = &self.src[self.pos..];
+            let plain = rest
+                .bytes()
+                .position(|b| matches!(b, b'"' | b'\\'))
+                .ok_or_else(|| JsonError("unterminated string".into()))?;
+            if out.is_empty() {
+                out = Cow::Borrowed(&rest[..plain]);
+            } else {
+                out.to_mut().push_str(&rest[..plain]);
             }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| JsonError("invalid utf-8 in string".into()))?,
-            );
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| JsonError("eof in escape".into()))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| JsonError("eof in \\u escape".into()))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| JsonError("bad \\u escape".into()))?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| JsonError("bad \\u escape".into()))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not produced by our
-                            // renderer; map lone surrogates to U+FFFD.
-                            out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                        }
-                        other => {
-                            return Err(JsonError(format!("bad escape `\\{}`", other as char)))
-                        }
-                    }
-                }
-                _ => return Err(JsonError("unterminated string".into())),
+            self.pos += plain + 1;
+            if rest.as_bytes()[plain] == b'"' {
+                return Ok(out);
             }
+            let esc = self
+                .peek()
+                .ok_or_else(|| JsonError("eof in escape".into()))?;
+            self.pos += 1;
+            out.to_mut().push(match esc {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'b' => '\u{8}',
+                b'f' => '\u{c}',
+                b'u' => {
+                    let hex = self.src.get(self.pos..self.pos + 4);
+                    let hex = hex.ok_or_else(|| JsonError("eof in \\u escape".into()))?;
+                    let cp = u32::from_str_radix(hex, 16)
+                        .map_err(|_| JsonError("bad \\u escape".into()))?;
+                    self.pos += 4;
+                    // Surrogate pairs are not produced by our
+                    // renderer; map lone surrogates to U+FFFD.
+                    char::from_u32(cp).unwrap_or('\u{fffd}')
+                }
+                other => return Err(JsonError(format!("bad escape `\\{}`", other as char))),
+            });
         }
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    fn number(&mut self) -> Result<Scalar<'a>, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
         let mut float = false;
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(b) = self.peek() {
             match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    float = true;
-                    self.pos += 1;
-                }
+                b'0'..=b'9' => {}
+                b'.' | b'e' | b'E' | b'+' | b'-' => float = true,
                 _ => break,
             }
+            self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.src[start..self.pos];
         if !float {
             if text.starts_with('-') {
                 if let Ok(i) = text.parse::<i64>() {
-                    return Ok(Json::Int(i));
+                    return Ok(Scalar::Int(i));
                 }
             } else if let Ok(n) = text.parse::<u64>() {
-                return Ok(Json::UInt(n));
+                return Ok(Scalar::UInt(n));
             }
         }
         text.parse::<f64>()
-            .map(Json::Num)
+            .map(Scalar::Num)
             .map_err(|_| JsonError(format!("bad number `{text}`")))
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
         let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(JsonError(format!("bad array at byte {}", self.pos))),
-            }
-        }
+        self.sequence(b'[', b']', "array", |p| {
+            items.push(p.value()?);
+            Ok(())
+        })?;
+        Ok(Json::Arr(items))
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
+    /// One object: calls `member` after each `"key" :`, positioned at
+    /// the value, which it must consume.
+    fn members(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.sequence(b'{', b'}', "object", |p| {
+            let key = p.string()?;
+            p.skip_ws();
+            p.expect(b':')?;
+            p.skip_ws();
+            member(p, key)
+        })
+    }
+
+    /// `open close`, or `open item (, item)* close`; `item` consumes one.
+    fn sequence(
+        &mut self,
+        open: u8,
+        close: u8,
+        what: &str,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.expect(open)?;
         self.skip_ws();
-        if self.peek() == Some(b'}') {
+        if self.peek() == Some(close) {
             self.pos += 1;
-            return Ok(Json::Obj(fields));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
+            item(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b'}') => {
+                Some(b) if b == close => {
                     self.pos += 1;
-                    return Ok(Json::Obj(fields));
+                    return Ok(());
                 }
-                _ => return Err(JsonError(format!("bad object at byte {}", self.pos))),
+                _ => return Err(JsonError(format!("bad {what} at byte {}", self.pos))),
             }
         }
     }
@@ -513,6 +642,85 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("").is_err());
+    }
+
+    #[test]
+    fn flat_object_borrows_and_agrees_with_the_tree() {
+        let line = " {\"type\":\"sched\", \"n\" : 7, \"neg\":-0, \"x\":1e3, \"none\":null, \
+                    \"esc\":\"a\\u0041\\n\", \"deep\":{\"n\":[1,{\"n\":2}]}, \"ok\":true, \"n\":8} ";
+        let mut obj = FlatObject::default();
+        obj.scan(line).unwrap();
+        let tree = Json::parse(line).unwrap();
+        assert!(matches!(
+            obj.get("type"),
+            Some(Scalar::Str(Cow::Borrowed("sched")))
+        ));
+        assert!(matches!(obj.get("esc"), Some(Scalar::Str(Cow::Owned(s))) if s == "aA\n"));
+        assert_eq!(obj.get("deep"), Some(&Scalar::Nested));
+        // First duplicate wins, as `Json::get`.
+        assert_eq!(obj.req_uint::<u64>("n"), tree.req_u64("n"));
+        assert_eq!(obj.req_uint::<u8>("n"), Ok(7));
+        assert_eq!(obj.req_uint::<u64>("neg"), tree.req_u64("neg"));
+        assert_eq!(obj.req_f64("x"), tree.req_f64("x"));
+        assert_eq!(obj.req_f64("n"), Ok(7.0));
+        assert!(obj.req_f64("none").unwrap().is_nan());
+        assert_eq!(obj.req_bool("ok"), Ok(true));
+        assert_eq!(obj.req_str("esc"), tree.req_str("esc"));
+        for (err, tree_err) in [
+            (
+                obj.req_str("n").unwrap_err(),
+                tree.req_str("n").unwrap_err(),
+            ),
+            (
+                obj.req_bool("x").unwrap_err(),
+                tree.req_bool("x").unwrap_err(),
+            ),
+            (
+                obj.req_f64("type").unwrap_err(),
+                tree.req_f64("type").unwrap_err(),
+            ),
+            (
+                obj.req_uint::<u64>("x").unwrap_err(),
+                tree.req_u64("x").unwrap_err(),
+            ),
+            (
+                obj.req_uint::<u64>("deep").unwrap_err(),
+                tree.req_u64("deep").unwrap_err(),
+            ),
+            (obj.req("gone").unwrap_err(), tree.req("gone").unwrap_err()),
+        ] {
+            assert_eq!(err, tree_err);
+        }
+        // A rescan forgets the previous line.
+        obj.scan("{\"n\":300}").unwrap();
+        assert!(obj.get("type").is_none());
+        let err = obj.req_uint::<u8>("n").unwrap_err();
+        assert!(err.0.contains("`n` is out of range"), "{err}");
+    }
+
+    #[test]
+    fn flat_object_rejects_what_the_tree_parser_rejects() {
+        let mut obj = FlatObject::default();
+        for bad in [
+            "",
+            "[1]",
+            "7",
+            "{\"a\":}",
+            "{\"a\":1,}",
+            "{\"a\":[1,]}",
+            "{\"a\":1} x",
+            "{\"a\":1}{\"a\":1}",
+            "{\"a\":\"open}",
+            "{\"a\":\"\\q\"}",
+            "{\"a\":1-2}",
+            "{a:1}",
+        ] {
+            assert!(obj.scan(bad).is_err(), "accepted {bad:?}");
+            assert!(
+                Json::parse(bad).is_err() || !bad.starts_with('{'),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]

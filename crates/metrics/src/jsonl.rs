@@ -1,31 +1,55 @@
-//! Streaming JSONL (one JSON object per line) writing and parsing.
+//! Streaming JSONL (one JSON object per line) writing.
 //!
 //! The trace-export schema emits one self-describing object per line
 //! (`{"type":"trace",...}`), so a consumer can stream-filter a run
-//! without loading it whole.  [`JsonlWriter`] renders each value
-//! compactly and flushes on drop; [`parse_jsonl`] is the inverse.
+//! without loading it whole.  [`JsonlWriter`] gathers rendered lines
+//! in one reused buffer and hands the underlying writer large chunks.
 
 use crate::json::{Json, JsonError};
 use crate::registry::{HistogramSnapshot, RegistrySnapshot};
 use std::io::{self, Write};
 
-/// Line-oriented writer: one compact JSON document per line.
+/// Bytes of rendered lines gathered before they are handed on: large
+/// enough that an unbuffered `File` sees few writes, small enough to
+/// stay in cache.
+const CHUNK_BYTES: usize = 64 * 1024;
+
+/// Line-oriented writer: one compact JSON document per line. Nothing
+/// is written on drop — the last chunk goes out in [`finish`](Self::finish).
+#[must_use = "the last chunk is only written by `finish`"]
 pub struct JsonlWriter<W: Write> {
     out: W,
+    chunk: String,
     lines: u64,
 }
 
 impl<W: Write> JsonlWriter<W> {
     pub fn new(out: W) -> Self {
-        Self { out, lines: 0 }
+        Self {
+            out,
+            chunk: String::with_capacity(CHUNK_BYTES + 1024),
+            lines: 0,
+        }
     }
 
     /// Write one value as a single line.
     pub fn write(&mut self, value: &Json) -> io::Result<()> {
-        self.out.write_all(value.render().as_bytes())?;
-        self.out.write_all(b"\n")?;
+        self.write_with(|line| value.render_into(line))
+    }
+
+    /// Write the single line that `render` appends (without a newline)
+    /// to the buffer it is given — for line types with an encoder of
+    /// their own.
+    pub fn write_with(&mut self, render: impl FnOnce(&mut String)) -> io::Result<()> {
+        render(&mut self.chunk);
+        self.chunk.push('\n');
         self.lines += 1;
-        Ok(())
+        if self.chunk.len() < CHUNK_BYTES {
+            return Ok(());
+        }
+        let written = self.out.write_all(self.chunk.as_bytes());
+        self.chunk.clear();
+        written
     }
 
     /// Number of lines written so far.
@@ -33,22 +57,13 @@ impl<W: Write> JsonlWriter<W> {
         self.lines
     }
 
-    /// Flush and return the underlying writer.
+    /// Write what is still buffered, flush, and return the underlying
+    /// writer.
     pub fn finish(mut self) -> io::Result<W> {
+        self.out.write_all(self.chunk.as_bytes())?;
         self.out.flush()?;
         Ok(self.out)
     }
-}
-
-/// Parse a JSONL document: one JSON value per non-empty line.
-pub fn parse_jsonl(s: &str) -> Result<Vec<Json>, JsonError> {
-    s.lines()
-        .enumerate()
-        .filter(|(_, line)| !line.trim().is_empty())
-        .map(|(i, line)| {
-            Json::parse(line).map_err(|e| JsonError(format!("line {}: {}", i + 1, e.0)))
-        })
-        .collect()
 }
 
 impl RegistrySnapshot {
@@ -175,7 +190,19 @@ mod tests {
         let buf = w.finish().unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert_eq!(text, "{\"a\":1}\n\"two\"\n");
-        assert_eq!(parse_jsonl(&text).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn writer_hands_on_whole_lines_in_chunks() {
+        let line = "x".repeat(1000);
+        let mut w = JsonlWriter::new(Vec::new());
+        for _ in 0..200 {
+            w.write_with(|buf| buf.push_str(&line)).unwrap();
+            assert!(w.out.len() % 1001 == 0, "a chunk ends on a line end");
+            assert!(w.chunk.len() < CHUNK_BYTES);
+        }
+        assert!(!w.out.is_empty(), "200 kB is more than one chunk");
+        assert_eq!(w.finish().unwrap().len(), 200 * 1001);
     }
 
     #[test]
@@ -190,11 +217,5 @@ mod tests {
         let snap = reg.snapshot();
         let back = RegistrySnapshot::from_json(&snap.to_json()).unwrap();
         assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn parse_reports_line_numbers() {
-        let err = parse_jsonl("{\"ok\":1}\nnot json\n").unwrap_err();
-        assert!(err.0.starts_with("line 2:"), "{err}");
     }
 }

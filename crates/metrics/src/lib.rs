@@ -31,7 +31,7 @@ pub mod table;
 
 pub use aggregate::{percent_reduction, speedup, Aggregate, Aggregator};
 pub use json::{Json, JsonError};
-pub use jsonl::{parse_jsonl, JsonlWriter};
+pub use jsonl::JsonlWriter;
 pub use record::{RunRecord, SchedulerKind};
 pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, RegistrySnapshot};
 pub use table::{render_csv, Table};

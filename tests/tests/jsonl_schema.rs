@@ -1,8 +1,9 @@
 //! JSONL export schema tests: every line kind survives a
-//! write→parse→write round trip byte-identically, and both runtimes
+//! write→parse→write round trip byte-identically, both runtimes
 //! emit the same event vocabulary (pinned by a golden file, so a
 //! renamed or dropped event kind is a reviewed schema change, not an
-//! accident).
+//! accident), and the tree-free event-line codec writes and reads
+//! exactly what a `Json` tree would (second half of this file).
 
 use std::collections::BTreeSet;
 
@@ -10,10 +11,11 @@ use crossbid_core::BiddingAllocator;
 use crossbid_crossflow::{
     parse_run_stream, run_federation, sched_kind_name, Allocator, Arrival, AtomizeConfig,
     BaselineAllocator, EngineConfig, FaultPlan, Faults, FedArrival, FedRuntimeKind, FederationSpec,
-    JobSpec, MasterFaultPlan, MembershipPlan, NetFaultPlan, Payload, ReplicationConfig,
-    ResourceRef, RunOutput, RunSpec, RunStreamLine, Runtime, ShardId, ShardSpec, TaskDag, TaskNode,
-    TraceKind, WorkerId, WorkerSpec, Workflow,
+    JobId, JobSpec, MasterFaultPlan, MembershipPlan, NetFaultPlan, Payload, ReplicationConfig,
+    ResourceRef, RunOutput, RunSpec, RunStreamLine, Runtime, SchedEvent, SchedEventKind, ShardId,
+    ShardSpec, TaskDag, TaskNode, TraceEvent, TraceKind, WorkerId, WorkerSpec, Workflow,
 };
+use crossbid_metrics::Json;
 use crossbid_net::{ControlPlane, NoiseModel};
 use crossbid_simcore::{SimDuration, SimTime};
 use crossbid_storage::ObjectId;
@@ -439,7 +441,7 @@ fn run_streams_round_trip_byte_identically() {
         let rewritten: String = parse_run_stream(&text)
             .unwrap()
             .iter()
-            .map(|l| l.to_json().render() + "\n")
+            .map(|l| l.render() + "\n")
             .collect();
         assert_eq!(text, rewritten, "{}: lossy round trip", rt.name());
     }
@@ -463,7 +465,7 @@ fn run_streams_round_trip_byte_identically() {
         let rewritten: String = parse_run_stream(&text)
             .unwrap()
             .iter()
-            .map(|l| l.to_json().render() + "\n")
+            .map(|l| l.render() + "\n")
             .collect();
         assert_eq!(
             text,
@@ -489,7 +491,7 @@ fn run_streams_round_trip_byte_identically() {
         let rewritten: String = parse_run_stream(&text)
             .unwrap()
             .iter()
-            .map(|l| l.to_json().render() + "\n")
+            .map(|l| l.render() + "\n")
             .collect();
         assert_eq!(text, rewritten, "{}: lossy atomized round trip", rt.name());
     }
@@ -501,7 +503,7 @@ fn run_streams_round_trip_byte_identically() {
             let rewritten: String = parse_run_stream(&text)
                 .unwrap()
                 .iter()
-                .map(|l| l.to_json().render() + "\n")
+                .map(|l| l.render() + "\n")
                 .collect();
             assert_eq!(text, rewritten, "{runtime:?}: lossy federation round trip");
         }
@@ -647,4 +649,466 @@ fn both_runtimes_emit_the_golden_event_vocabulary() {
             rt.bidding.name()
         );
     }
+}
+
+// ---------------------------------------------------------------
+// The event-line codec against an independent reference.
+//
+// `trace` and `sched` lines are written and read without a `Json`
+// tree; the reference below spells the same schema out through
+// `Json::obj(..).render()` and `Json::parse`, so the two can only
+// agree if the direct codec's bytes and coercions are the tree's.
+// ---------------------------------------------------------------
+
+const GOLDEN_EVENT_LINES_PATH: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/golden/event_lines.jsonl");
+const GOLDEN_EVENT_LINES: &str = include_str!("../golden/event_lines.jsonl");
+
+/// Every scheduler kind once, payloads at the top of their range when
+/// `wide`, bids estimating `estimate`.
+fn every_sched_kind(wide: bool, estimate: f64) -> Vec<SchedEventKind> {
+    use SchedEventKind as K;
+    let (n64, n32, n16) = if wide {
+        (u64::MAX, u32::MAX, u16::MAX)
+    } else {
+        (42, 3, 2)
+    };
+    let (root, task, object, from) = (JobId(n64), n32, n64, WorkerId(n32));
+    vec![
+        K::Submitted,
+        K::ContestOpened,
+        K::BidReceived {
+            estimate_secs: estimate,
+        },
+        K::Assigned,
+        K::ContestClosed {
+            timed_out: wide,
+            fallback: !wide,
+        },
+        K::Offered,
+        K::Rejected,
+        K::Completed,
+        K::Crash,
+        K::Recover,
+        K::Redistributed,
+        K::AssignAcked,
+        K::LeaseExpired,
+        K::Resent { attempt: n32 },
+        K::LeaderElected { term: n32 },
+        K::FailoverReplayed { entries: n64 },
+        K::SpillOut {
+            to_shard: ShardId(n16),
+        },
+        K::SpillIn {
+            from_shard: ShardId(n16),
+        },
+        K::WorkerJoined,
+        K::WorkerDraining,
+        K::WorkerRemoved,
+        K::TaskDone { root, task },
+        K::TaskOffer {
+            root,
+            task,
+            preds: n64,
+            total: n32,
+        },
+        K::TaskBid {
+            root,
+            task,
+            estimate_secs: estimate,
+        },
+        K::TaskAssign {
+            root,
+            task,
+            speculative: wide,
+        },
+        K::SpecLaunch { root, task },
+        K::SpecCancel { root, task },
+        K::FetchReq { object, from },
+        K::FetchOk { object, from },
+        K::FetchFail {
+            object,
+            from,
+            attempt: n32,
+        },
+        K::ReplicaAdd { object },
+        K::ReplicaDrop {
+            object,
+            evicted: wide,
+        },
+        K::RepairStart { object, from },
+        K::RepairDone { object },
+    ]
+}
+
+/// All 4 trace kinds and all 34 scheduler kinds at one corner of the
+/// value space.
+fn every_event_line(
+    at: f64,
+    worker: Option<WorkerId>,
+    job: Option<JobId>,
+    wide: bool,
+    estimate: f64,
+) -> Vec<RunStreamLine> {
+    let at = SimTime::from_secs_f64(at);
+    let trace = [
+        TraceKind::Queued,
+        TraceKind::Started,
+        TraceKind::Fetched,
+        TraceKind::Finished,
+    ]
+    .map(|kind| {
+        RunStreamLine::Trace(TraceEvent {
+            job: job.unwrap_or(JobId(0)),
+            worker: worker.unwrap_or(WorkerId(0)),
+            kind,
+            at,
+        })
+    });
+    let sched = every_sched_kind(wide, estimate).into_iter().map(|kind| {
+        RunStreamLine::Sched(SchedEvent {
+            at,
+            worker,
+            job,
+            kind,
+        })
+    });
+    trace.into_iter().chain(sched).collect()
+}
+
+/// The corners: no ids and t = 0, ids at `MAX`, integral and
+/// sub-millisecond instants, and every class of float an estimate can
+/// be (NaN and ±inf are how a corrupted bid is logged).
+fn boundary_event_lines() -> Vec<RunStreamLine> {
+    let (w, j) = (WorkerId, JobId);
+    [
+        (0.0, None, None, false, f64::NAN),
+        (
+            3.0,
+            Some(w(u32::MAX)),
+            Some(j(u64::MAX)),
+            true,
+            f64::INFINITY,
+        ),
+        (12.5, Some(w(0)), Some(j(0)), false, f64::NEG_INFINITY),
+        (1e9 + 0.123456, Some(w(1)), None, true, 5e-324),
+        (0.000001, None, Some(j(7)), false, 42.0),
+        (86_400.0, Some(w(31)), Some(j(1 << 48)), true, 1e21),
+        (7.25, Some(w(2)), Some(j(9)), false, -0.0),
+        (0.5, Some(w(2)), Some(j(9)), false, 1.7976931348623157e308),
+    ]
+    .into_iter()
+    .flat_map(|(at, worker, job, wide, est)| every_event_line(at, worker, job, wide, est))
+    .collect()
+}
+
+/// The schema, spelt as a tree: what `export.rs` must write for an
+/// event line, field by field and in order.
+fn reference_json(line: &RunStreamLine) -> Json {
+    use SchedEventKind as K;
+    let id = |n: Option<u64>| n.map_or(Json::Null, Json::UInt);
+    match line {
+        RunStreamLine::Trace(ev) => Json::obj([
+            ("type", Json::str("trace")),
+            ("job", Json::UInt(ev.job.0)),
+            ("worker", Json::UInt(ev.worker.0 as u64)),
+            (
+                "kind",
+                Json::str(&trace_kind_label(ev.kind)["trace/".len()..]),
+            ),
+            ("at_secs", Json::Num(ev.at.as_secs_f64())),
+        ]),
+        RunStreamLine::Sched(ev) => {
+            let mut fields = vec![
+                ("type", Json::str("sched")),
+                ("at_secs", Json::Num(ev.at.as_secs_f64())),
+                ("worker", id(ev.worker.map(|w| w.0 as u64))),
+                ("job", id(ev.job.map(|j| j.0))),
+                ("kind", Json::str(sched_kind_name(&ev.kind))),
+            ];
+            let task_of = |root: JobId, task: u32| {
+                vec![
+                    ("root", Json::UInt(root.0)),
+                    ("task", Json::UInt(task as u64)),
+                ]
+            };
+            let copy_of = |object: u64, from: WorkerId| {
+                vec![
+                    ("object", Json::UInt(object)),
+                    ("from", Json::UInt(from.0 as u64)),
+                ]
+            };
+            let one = |key, value| vec![(key, value)];
+            fields.extend(match ev.kind {
+                K::BidReceived { estimate_secs } => one("estimate_secs", Json::Num(estimate_secs)),
+                K::ContestClosed {
+                    timed_out,
+                    fallback,
+                } => vec![
+                    ("timed_out", Json::Bool(timed_out)),
+                    ("fallback", Json::Bool(fallback)),
+                ],
+                K::Resent { attempt } => one("attempt", Json::UInt(attempt as u64)),
+                K::LeaderElected { term } => one("term", Json::UInt(term as u64)),
+                K::FailoverReplayed { entries } => one("entries", Json::UInt(entries)),
+                K::SpillOut { to_shard } => one("to_shard", Json::UInt(to_shard.0 as u64)),
+                K::SpillIn { from_shard } => one("from_shard", Json::UInt(from_shard.0 as u64)),
+                K::TaskOffer {
+                    root,
+                    task,
+                    preds,
+                    total,
+                } => [
+                    task_of(root, task),
+                    vec![
+                        ("preds", Json::UInt(preds)),
+                        ("total", Json::UInt(total as u64)),
+                    ],
+                ]
+                .concat(),
+                K::TaskBid {
+                    root,
+                    task,
+                    estimate_secs,
+                } => [
+                    task_of(root, task),
+                    one("estimate_secs", Json::Num(estimate_secs)),
+                ]
+                .concat(),
+                K::TaskAssign {
+                    root,
+                    task,
+                    speculative,
+                } => [
+                    task_of(root, task),
+                    one("speculative", Json::Bool(speculative)),
+                ]
+                .concat(),
+                K::TaskDone { root, task }
+                | K::SpecLaunch { root, task }
+                | K::SpecCancel { root, task } => task_of(root, task),
+                K::FetchReq { object, from }
+                | K::FetchOk { object, from }
+                | K::RepairStart { object, from } => copy_of(object, from),
+                K::FetchFail {
+                    object,
+                    from,
+                    attempt,
+                } => [
+                    copy_of(object, from),
+                    one("attempt", Json::UInt(attempt as u64)),
+                ]
+                .concat(),
+                K::ReplicaAdd { object } | K::RepairDone { object } => {
+                    one("object", Json::UInt(object))
+                }
+                K::ReplicaDrop { object, evicted } => vec![
+                    ("object", Json::UInt(object)),
+                    ("evicted", Json::Bool(evicted)),
+                ],
+                K::Submitted
+                | K::ContestOpened
+                | K::Assigned
+                | K::Offered
+                | K::Rejected
+                | K::Completed
+                | K::Crash
+                | K::Recover
+                | K::Redistributed
+                | K::AssignAcked
+                | K::LeaseExpired
+                | K::WorkerJoined
+                | K::WorkerDraining
+                | K::WorkerRemoved => vec![],
+            });
+            Json::obj(fields)
+        }
+        other => panic!("not an event line: {other:?}"),
+    }
+}
+
+fn parse_one(line: &str) -> RunStreamLine {
+    match parse_run_stream(line) {
+        Ok(mut lines) if lines.len() == 1 => lines.remove(0),
+        other => panic!("{line} -> {other:?}"),
+    }
+}
+
+/// The tree reader's coercions (`Json::as_u64`, `as_f64` with `null`
+/// as NaN, absent as `null`) applied to one field of a parsed tree.
+fn tree_agrees(tree: &Json, key: &str, decoded: &Json) -> bool {
+    let found = tree.get(key).unwrap_or(&Json::Null);
+    match decoded {
+        Json::Null => *found == Json::Null,
+        Json::UInt(n) => found.as_u64() == Some(*n),
+        Json::Num(x) if x.is_finite() => found.as_f64() == Some(*x),
+        Json::Num(_) => found.as_f64().is_some_and(f64::is_nan),
+        other => found == other,
+    }
+}
+
+#[test]
+fn event_encoder_matches_the_tree_renderer_at_the_boundaries() {
+    let lines = boundary_event_lines();
+    let names: BTreeSet<String> = lines
+        .iter()
+        .map(|l| reference_json(l).req_str("kind").unwrap().to_string())
+        .collect();
+    assert_eq!(names.len(), 38, "4 trace kinds + 34 sched kinds");
+    for line in &lines {
+        let reference = reference_json(line).render();
+        assert_eq!(line.render(), reference, "{line:?}");
+        // And back: NaN != NaN, so compare what the decoded event
+        // renders to (±inf and NaN all write `null`).
+        assert_eq!(parse_one(&reference).render(), reference);
+    }
+}
+
+#[test]
+fn event_decoder_matches_the_tree_parser_on_foreign_spellings() {
+    // `raw` is a list of (key, value text) pairs; `join` lays them out.
+    type Raw = Vec<(String, String)>;
+    let compact = |raw: &Raw| {
+        let body: Vec<String> = raw.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+        format!("{{{}}}", body.join(","))
+    };
+    let spaced = |raw: &Raw| {
+        let body: Vec<String> = raw
+            .iter()
+            .map(|(k, v)| format!(" \"{k}\"\t: {v} "))
+            .collect();
+        format!("  {{{}}}\t ", body.join(","))
+    };
+    let set = |raw: &Raw, key: &str, value: &str| -> Raw {
+        raw.iter()
+            .map(|(k, v)| {
+                let v = if k == key { value } else { v };
+                (k.clone(), v.to_string())
+            })
+            .collect()
+    };
+    let mut checked = 0;
+    for line in boundary_event_lines() {
+        let canonical = line.render();
+        let Json::Obj(fields) = Json::parse(&canonical).unwrap() else {
+            panic!("{canonical}")
+        };
+        let raw: Raw = fields
+            .iter()
+            .map(|(k, v)| (k.clone(), v.render()))
+            .collect();
+        let kind = fields
+            .iter()
+            .find_map(|(k, v)| (k == "kind").then(|| v.as_str().unwrap()))
+            .unwrap();
+        let at = SimTime::from_secs_f64(1000.0);
+        let at_1000 = match line.clone() {
+            RunStreamLine::Trace(ev) => RunStreamLine::Trace(TraceEvent { at, ..ev }),
+            RunStreamLine::Sched(ev) => RunStreamLine::Sched(SchedEvent { at, ..ev }),
+            other => other,
+        }
+        .render();
+
+        let reversed: Raw = raw.iter().rev().cloned().collect();
+        let mut padded: Raw = vec![
+            ("note".into(), "\"a \\\"quoted\\\" \\u00e9\\n\"".into()),
+            (
+                "nested".into(),
+                "{\"kind\":\"mystery\",\"at_secs\":[1,{\"x\":null}]}".into(),
+            ),
+        ];
+        padded.extend(raw.iter().cloned());
+        padded.insert(4, ("extra".into(), "[ ]".into()));
+        padded.push(("schema".into(), "-12.5e-3".into()));
+        // First wins: the trailing duplicates are never read, valid or not.
+        let mut duplicated = raw.clone();
+        duplicated.extend([
+            ("kind".to_string(), "\"mystery\"".to_string()),
+            ("at_secs".to_string(), "null".to_string()),
+            ("worker".to_string(), "99999999999".to_string()),
+            ("job".to_string(), "\"seven\"".to_string()),
+            ("type".to_string(), "\"metrics\"".to_string()),
+        ]);
+        // `_` (or, failing that, the first letter) as a \u escape.
+        let escaped_kind = match kind.split_once('_') {
+            Some((head, tail)) => format!("\"{head}\\u005f{tail}\""),
+            None => format!("\"\\u{:04x}{}\"", kind.as_bytes()[0], &kind[1..]),
+        };
+
+        for (foreign, expected) in [
+            (compact(&reversed), &canonical),
+            (compact(&padded), &canonical),
+            (spaced(&padded), &canonical),
+            (compact(&duplicated), &canonical),
+            (spaced(&set(&raw, "kind", &escaped_kind)), &canonical),
+            (compact(&set(&raw, "at_secs", "1000")), &at_1000),
+            (compact(&set(&raw, "at_secs", "1e3")), &at_1000),
+            (spaced(&set(&reversed, "at_secs", "10.0E+2")), &at_1000),
+        ] {
+            let decoded = parse_one(&foreign);
+            assert_eq!(&decoded.render(), expected, "{foreign}");
+            let tree = Json::parse(&foreign).unwrap();
+            let Json::Obj(decoded_fields) = reference_json(&decoded) else {
+                unreachable!()
+            };
+            for (key, value) in &decoded_fields {
+                assert!(
+                    tree_agrees(&tree, key, value),
+                    "{foreign}: decoded `{key}` as {value:?}"
+                );
+            }
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 8 * 8 * 38);
+
+    // What the tree reader refused stays refused.
+    for bad in [
+        "{\"type\":\"trace\",\"job\":1,\"worker\":0,\"kind\":\"queued\"}",
+        "{\"type\":\"trace\",\"job\":1.0,\"worker\":0,\"kind\":\"queued\",\"at_secs\":1.0}",
+        "{\"type\":\"trace\",\"job\":-1,\"worker\":0,\"kind\":\"queued\",\"at_secs\":1.0}",
+        "{\"type\":\"trace\",\"job\":1,\"worker\":null,\"kind\":\"queued\",\"at_secs\":1.0}",
+        "{\"type\":\"trace\",\"job\":1,\"worker\":0,\"kind\":\"paused\",\"at_secs\":1.0}",
+        "{\"type\":\"trace\",\"job\":1,\"worker\":0,\"kind\":\"queued\",\"at_secs\":\"1.0\"}",
+        "{\"type\":\"trace\",\"job\":1,\"worker\":0,\"kind\":\"queued\",\"at_secs\":1.0} x",
+        "{\"type\":\"trace\",\"job\":1,\"worker\":0,\"kind\":\"queued\",\"at_secs\":1.0,}",
+        "{\"type\":\"trace\",\"job\":1,\"worker\":0,\"kind\":\"queued\",\"at_secs\":1.0",
+        "{\"type\":\"trace\",\"job\":1,\"worker\":0,\"kind\":\"queued\",\"at_secs\":1.0,\"x\":[1,]}",
+        "{\"type\":\"sched\",\"at_secs\":1.0,\"worker\":0,\"job\":1}",
+        "{\"type\":\"sched\",\"at_secs\":1.0,\"worker\":0,\"job\":1,\"kind\":\"bid_received\"}",
+        "{\"type\":\"sched\",\"at_secs\":1.0,\"worker\":true,\"job\":1,\"kind\":\"crash\"}",
+        "{\"type\":\"sched\",\"at_secs\":1.0,\"worker\":0,\"job\":1,\"kind\":\"contest_closed\",\"timed_out\":0,\"fallback\":false}",
+        "{\"type\":\"sched\",\"at_secs\":1.0,\"worker\":0,\"job\":1,\"kind\":7}",
+        "[\"type\",\"sched\"]",
+        "{\"at_secs\":1.0}",
+    ] {
+        assert!(parse_run_stream(bad).is_err(), "accepted {bad}");
+    }
+}
+
+#[test]
+fn event_lines_match_the_golden_file() {
+    // One line per kind, mid-range values: the wire form itself is the
+    // contract here, so a reader in another language can be written
+    // against the file. Regenerate with
+    // `BLESS_GOLDEN=1 cargo test -p crossbid-integration --test jsonl_schema`.
+    let actual: String = every_event_line(12.5, Some(WorkerId(1)), Some(JobId(7)), false, 3.25)
+        .iter()
+        .map(|l| l.render() + "\n")
+        .collect();
+    if std::env::var_os("BLESS_GOLDEN").is_some() {
+        std::fs::write(GOLDEN_EVENT_LINES_PATH, &actual).expect("bless golden file");
+        return;
+    }
+    assert_eq!(
+        actual, GOLDEN_EVENT_LINES,
+        "event lines diverged from tests/golden/event_lines.jsonl;\n\
+         re-bless with BLESS_GOLDEN=1 if the schema change is intentional"
+    );
+    let reparsed: String = parse_run_stream(GOLDEN_EVENT_LINES)
+        .unwrap()
+        .iter()
+        .map(|l| l.render() + "\n")
+        .collect();
+    assert_eq!(reparsed, GOLDEN_EVENT_LINES);
 }
