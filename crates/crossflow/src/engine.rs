@@ -1050,20 +1050,21 @@ impl<'a> Engine<'a> {
     fn begin_processing(&mut self, w: WorkerId) {
         let job = self.slots[w.0 as usize]
             .current
-            .clone()
+            .as_ref()
             .expect("processing without a current job");
+        let (id, work_bytes, cpu_secs) = (job.id, job.work_bytes, job.cpu_secs);
         let node = &mut self.nodes[w.0 as usize];
-        node.activity = WorkerActivity::Processing(job.id);
+        node.activity = WorkerActivity::Processing(id);
         let rng = &mut self.rng_workers[w.0 as usize];
         let m = node.rw_noise.sample(rng);
         let rw = node.spec.rw.scaled(m);
-        let scan = rw.time_for(job.work_bytes);
-        if job.work_bytes > 0 && !scan.is_zero() && scan != SimDuration::MAX {
-            let mbps = job.work_bytes as f64 / 1e6 / scan.as_secs_f64();
+        let scan = rw.time_for(work_bytes);
+        if work_bytes > 0 && !scan.is_zero() && scan != SimDuration::MAX {
+            let mbps = work_bytes as f64 / 1e6 / scan.as_secs_f64();
             node.rw_tracker.observe(mbps);
         }
         let total = scan.mul_f64(node.spec.cpu_factor)
-            + SimDuration::from_secs_f64(job.cpu_secs * node.spec.cpu_factor);
+            + SimDuration::from_secs_f64(cpu_secs * node.spec.cpu_factor);
         let epoch = self.epochs[w.0 as usize];
         self.q.schedule_in(total, Ev::ProcDone { worker: w, epoch });
     }
@@ -1126,7 +1127,7 @@ impl<'a> Engine<'a> {
     fn master_fetch(&mut self, w: WorkerId) {
         let job = self.slots[w.0 as usize]
             .current
-            .clone()
+            .as_ref()
             .expect("fetch without job");
         let r = job.resource.expect("fetch without resource");
         self.slots[w.0 as usize].fetch_from = None;
@@ -1145,9 +1146,9 @@ impl<'a> Engine<'a> {
     fn start_peer_fetch(&mut self, w: WorkerId, attempt: u32) {
         let job = self.slots[w.0 as usize]
             .current
-            .clone()
+            .as_ref()
             .expect("fetch without job");
-        let r = job.resource.expect("fetch without resource");
+        let (job_id, r) = (job.id, job.resource.expect("fetch without resource"));
         let sources = self.peer_sources(r.id, w);
         if sources.is_empty() || attempt >= self.cfg.replication.max_fetch_attempts {
             self.master_fetch(w);
@@ -1157,7 +1158,7 @@ impl<'a> Engine<'a> {
         self.slots[w.0 as usize].fetch_from = Some(from);
         self.note_sched(
             Some(w),
-            Some(job.id),
+            Some(job_id),
             SchedEventKind::FetchReq {
                 object: r.id.0,
                 from,
@@ -1607,9 +1608,9 @@ impl<'a> Engine<'a> {
                 let now = self.q.now();
                 let job = self.slots[worker.0 as usize]
                     .current
-                    .clone()
+                    .as_ref()
                     .expect("fetch without job");
-                let r = job.resource.expect("fetch without resource");
+                let (job_id, r) = (job.id, job.resource.expect("fetch without resource"));
                 if let Some(started) = self.slots[worker.0 as usize].started {
                     self.m
                         .fetch_secs
@@ -1618,7 +1619,7 @@ impl<'a> Engine<'a> {
                 self.slots[worker.0 as usize].fetch_done = Some(now);
                 let evicted = self.worker(worker).store.insert(r.id, r.bytes, now);
                 self.note_replica_insert(worker, r.id, r.bytes, evicted);
-                self.note_trace(job.id, worker, TraceKind::Fetched);
+                self.note_trace(job_id, worker, TraceKind::Fetched);
                 self.begin_processing(worker);
             }
             Ev::PeerFetchArrive { worker, epoch } => {
@@ -1628,16 +1629,16 @@ impl<'a> Engine<'a> {
                 let now = self.q.now();
                 let job = self.slots[worker.0 as usize]
                     .current
-                    .clone()
+                    .as_ref()
                     .expect("peer fetch without job");
-                let r = job.resource.expect("peer fetch without resource");
+                let (job_id, r) = (job.id, job.resource.expect("peer fetch without resource"));
                 let from = self.slots[worker.0 as usize]
                     .fetch_from
                     .take()
                     .expect("peer fetch without source");
                 self.note_sched(
                     Some(worker),
-                    Some(job.id),
+                    Some(job_id),
                     SchedEventKind::FetchOk {
                         object: r.id.0,
                         from,
@@ -1655,7 +1656,7 @@ impl<'a> Engine<'a> {
                 node.store.note_peer_fetch();
                 let evicted = node.store.insert(r.id, r.bytes, now);
                 self.note_replica_insert(worker, r.id, r.bytes, evicted);
-                self.note_trace(job.id, worker, TraceKind::Fetched);
+                self.note_trace(job_id, worker, TraceKind::Fetched);
                 self.begin_processing(worker);
             }
             Ev::PeerFetchTimeout {
@@ -1668,16 +1669,16 @@ impl<'a> Engine<'a> {
                 }
                 let job = self.slots[worker.0 as usize]
                     .current
-                    .clone()
+                    .as_ref()
                     .expect("peer fetch timeout without job");
-                let r = job.resource.expect("peer fetch without resource");
+                let (job_id, r) = (job.id, job.resource.expect("peer fetch without resource"));
                 let from = self.slots[worker.0 as usize]
                     .fetch_from
                     .take()
                     .expect("peer fetch without source");
                 self.note_sched(
                     Some(worker),
-                    Some(job.id),
+                    Some(job_id),
                     SchedEventKind::FetchFail {
                         object: r.id.0,
                         from,
@@ -1693,7 +1694,7 @@ impl<'a> Engine<'a> {
                     return;
                 }
                 // Seeded backoff before rotating to the next replica.
-                let seed = self.retry_seed(job.id, r.id.0);
+                let seed = self.retry_seed(job_id, r.id.0);
                 let d = self
                     .cfg
                     .netfaults
@@ -2259,11 +2260,12 @@ impl<'a> Engine<'a> {
 
     fn complete_at_master(&mut self, worker: WorkerId, job: Job) {
         let now = self.q.now();
-        if self.dag.is_cancelled(job.id) {
+        if self.dag.take_cancelled(job.id) {
             // The losing attempt of a decided speculation race: its
             // accounting happened when `SpecCancel` committed, so the
             // late completion report is swallowed — no `Completed`
-            // entry, no counter bump, no downstream effects.
+            // entry, no counter bump, no downstream effects. A
+            // duplicate delivery never gets here (`done_ids`).
             self.jobs_inflight.remove(&job.id);
             return;
         }

@@ -1923,10 +1923,12 @@ pub(crate) fn run_threaded_with_shareds(
                 st.outstanding.remove(&job.id);
                 st.rejected_by.remove(&job.id);
                 finish_drain(&mut st, &down_since, worker);
-                if st.dag.is_cancelled(job.id) {
+                if st.dag.take_cancelled(job.id) {
                     // Losing speculation replica: its cancellation was
                     // already committed and accounted — the eventual
-                    // completion is swallowed without side effects.
+                    // completion is swallowed without side effects,
+                    // and so is any at-least-once duplicate of it.
+                    st.done_ids.insert(job.id);
                     st.job_payloads.remove(&job.id);
                     baseline_pump(&mut st, &worker_txs);
                     continue;

@@ -4,7 +4,7 @@
 
 use crossbid_crossflow::{
     run_threaded_output, run_workflow, Arrival, AtomizeConfig, BaselineAllocator, Cluster,
-    EngineConfig, JobSpec, ResourceRef, RunMeta, SchedEventKind, TaskDag, TaskId, TaskNode,
+    EngineConfig, JobId, JobSpec, ResourceRef, RunMeta, SchedEventKind, TaskDag, TaskId, TaskNode,
     ThreadedConfig, ThreadedScheduler, WorkerSpec, Workflow,
 };
 use crossbid_simcore::SimTime;
@@ -106,36 +106,44 @@ fn engine_runs_a_diamond_dag_with_gating_and_output_credit() {
     assert!(held, "sink output was not credited to any worker store");
 }
 
+/// One fast worker and one 400× slower one: blind round-robin strands
+/// a task on the slow one, and only speculation rescues it.
+fn fast_and_slow() -> Vec<WorkerSpec> {
+    [("fast", 1.0), ("slow", 400.0)]
+        .into_iter()
+        .map(|(name, cpu_factor)| {
+            WorkerSpec::builder(name)
+                .net_mbps(100.0)
+                .rw_mbps(100.0)
+                .storage_gb(10.0)
+                .cpu_factor(cpu_factor)
+                .build()
+        })
+        .collect()
+}
+
+fn eager_speculation() -> AtomizeConfig {
+    AtomizeConfig {
+        spec_factor: 2.0,
+        spec_check_secs: 1.0,
+        min_completed_for_spec: 3,
+        ..AtomizeConfig::default()
+    }
+}
+
 #[test]
 fn engine_speculation_rescues_a_straggling_task() {
     // Worker 1 is pathologically slow; six independent one-second
     // tasks. The fast worker's completions establish the median, the
     // sweep replicates the slow primary, and the replica's win cancels
     // it — the run must finish far sooner than the straggler would.
-    let specs = vec![
-        WorkerSpec::builder("fast")
-            .net_mbps(100.0)
-            .rw_mbps(100.0)
-            .storage_gb(10.0)
-            .build(),
-        WorkerSpec::builder("slow")
-            .net_mbps(100.0)
-            .rw_mbps(100.0)
-            .storage_gb(10.0)
-            .cpu_factor(400.0)
-            .build(),
-    ];
+    let specs = fast_and_slow();
     let tasks: Vec<TaskNode> = (0..6)
         .map(|i| node(0, None, res(200 + i, 1), 1.0))
         .collect();
     let dag = TaskDag::new(tasks).unwrap();
     let cfg = EngineConfig {
-        atomize: AtomizeConfig {
-            spec_factor: 2.0,
-            spec_check_secs: 1.0,
-            min_completed_for_spec: 3,
-            ..AtomizeConfig::default()
-        },
+        atomize: eager_speculation(),
         ..traced_ideal()
     };
     let mut cluster = Cluster::new(&specs, &cfg);
@@ -272,19 +280,6 @@ fn threaded_runs_a_diamond_dag_with_gating() {
 
 #[test]
 fn threaded_speculation_rescues_a_straggling_task() {
-    let specs = vec![
-        WorkerSpec::builder("fast")
-            .net_mbps(100.0)
-            .rw_mbps(100.0)
-            .storage_gb(10.0)
-            .build(),
-        WorkerSpec::builder("slow")
-            .net_mbps(100.0)
-            .rw_mbps(100.0)
-            .storage_gb(10.0)
-            .cpu_factor(400.0)
-            .build(),
-    ];
     let tasks: Vec<TaskNode> = (0..6)
         .map(|i| node(0, None, res(300 + i, 1), 1.0))
         .collect();
@@ -298,15 +293,10 @@ fn threaded_speculation_rescues_a_straggling_task() {
     // and never creates a straggler; the baseline's blind round-robin
     // is what strands a task on it (same shape as the engine test).
     let out = run_threaded_output(
-        &specs,
+        &fast_and_slow(),
         &ThreadedConfig {
             scheduler: ThreadedScheduler::Baseline,
-            ..threaded_cfg(AtomizeConfig {
-                spec_factor: 2.0,
-                spec_check_secs: 1.0,
-                min_completed_for_spec: 3,
-                ..AtomizeConfig::default()
-            })
+            ..threaded_cfg(eager_speculation())
         },
         &mut wf,
         arrivals,
@@ -327,4 +317,103 @@ fn threaded_speculation_rescues_a_straggling_task() {
         "speculation failed to rescue the straggler: makespan {}",
         out.record.makespan_secs
     );
+}
+
+/// Two DAGs of six independent one-second tasks, 600 s apart. The
+/// first is rescued and retired within seconds while its cancelled
+/// primary keeps running on the slow worker for 400 s — so the
+/// loser's report reaches the master long after its DAG is gone, and
+/// the second DAG keeps the run alive to receive it.
+fn two_dags_600s_apart(task: TaskId, first_output: u64) -> Vec<Arrival> {
+    [0u64, 600]
+        .into_iter()
+        .map(|at| {
+            let tasks = (0..6)
+                .map(|i| node(0, None, res(first_output + at + i, 1), 1.0))
+                .collect();
+            Arrival {
+                at: SimTime::from_secs(at),
+                spec: JobSpec::atomized(task, TaskDag::new(tasks).unwrap()),
+            }
+        })
+        .collect()
+}
+
+/// Every race was decided once, every task completed once, and a
+/// cancelled loser's late report — its DAG long retired — left no
+/// trace: `SpecCancel` is the last the log hears of it.
+fn assert_late_losers_are_swallowed(log: &crossbid_crossflow::SchedLog) -> Vec<JobId> {
+    assert!(log.spec_launches() >= 1, "no speculation fired");
+    assert_eq!(log.spec_cancels(), log.spec_launches());
+    assert_eq!(log.task_dones(), 12, "every task completes once");
+    assert_eq!(
+        log.completions(),
+        12,
+        "a swallowed report is not a completion"
+    );
+    let events = log.events();
+    let mut losers = Vec::new();
+    for (i, e) in events.iter().enumerate() {
+        if let SchedEventKind::SpecCancel { .. } = e.kind {
+            let later: Vec<_> = events[i + 1..].iter().filter(|l| l.job == e.job).collect();
+            assert!(
+                later.is_empty(),
+                "loser {:?} logged again: {later:?}",
+                e.job
+            );
+            losers.push(e.job.expect("SpecCancel names the loser"));
+        }
+    }
+    losers
+}
+
+#[test]
+fn engine_swallows_a_loser_that_reports_after_its_dag_retired() {
+    let specs = fast_and_slow();
+    let cfg = EngineConfig {
+        atomize: eager_speculation(),
+        ..traced_ideal()
+    };
+    let mut cluster = Cluster::new(&specs, &cfg);
+    let (mut wf, task) = sink_workflow();
+    let out = run_workflow(
+        &mut cluster,
+        &mut wf,
+        &BaselineAllocator,
+        two_dags_600s_apart(task, 400),
+        &cfg,
+        &RunMeta::default(),
+    );
+    let losers = assert_late_losers_are_swallowed(&out.sched_log);
+    // The first loser did run to the end and report: its worker
+    // finished it around 400 s, between the two DAGs.
+    let finished = out
+        .trace
+        .events()
+        .iter()
+        .find(|e| e.job == losers[0] && e.kind == crossbid_crossflow::TraceKind::Finished);
+    let at = finished.expect("the loser ran to completion").at;
+    assert!(
+        SimTime::from_secs(300) < at && at < SimTime::from_secs(600),
+        "the loser finished at {at:?}"
+    );
+}
+
+#[test]
+fn threaded_swallows_a_loser_that_reports_after_its_dag_retired() {
+    let (mut wf, task) = sink_workflow();
+    let out = run_threaded_output(
+        &fast_and_slow(),
+        &ThreadedConfig {
+            scheduler: ThreadedScheduler::Baseline,
+            ..threaded_cfg(eager_speculation())
+        },
+        &mut wf,
+        two_dags_600s_apart(task, 500),
+        &RunMeta::default(),
+    );
+    assert_late_losers_are_swallowed(&out.sched_log);
+    // The slow worker reports its 400 s loser mid-run: the second DAG
+    // only arrives at 600 s.
+    assert!(out.record.makespan_secs > 600.0);
 }

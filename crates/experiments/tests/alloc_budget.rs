@@ -124,3 +124,92 @@ fn run_stream_codec_allocations_stay_within_budget() {
         );
     }
 }
+
+/// A straggler sweep reads a running median and the front of an
+/// ordered index: however long the run has been, it allocates nothing
+/// (it used to clone and sort every completed duration).
+#[test]
+fn straggler_sweep_allocates_nothing() {
+    use crossbid_crossflow::{
+        AtomizeConfig, DagState, JobId, ResourceRef, TaskDag, TaskId, TaskNode,
+    };
+    use crossbid_experiments::allocmeter::allocs;
+    use crossbid_storage::ObjectId;
+
+    let _alone = METER
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    const COMPLETED: u64 = 50_000;
+    let mut state = DagState::new(AtomizeConfig::default());
+    let mut jobs = Vec::new();
+    for d in 0..COMPLETED / 5 + 1 {
+        let root = JobId(d * 8);
+        let nodes = (0..5).map(|t| TaskNode {
+            preds: 0,
+            input: None,
+            output: ResourceRef {
+                id: ObjectId(d * 8 + t),
+                bytes: 1_000,
+            },
+            work_bytes: 0,
+            cpu_secs: 1.0,
+        });
+        let dag = TaskDag::new(nodes.collect()).expect("a valid DAG");
+        for (task, _spec) in state.register(root, TaskId(0), dag) {
+            let job = JobId(d * 8 + 1 + task as u64);
+            state.bind(root, task, job, false);
+            state.on_placed(job, d as f64);
+            jobs.push(job);
+        }
+    }
+    for (i, job) in jobs.iter().take(COMPLETED as usize).enumerate() {
+        state.on_done(*job, 1.0 + i as f64);
+    }
+    assert!(state.is_active(), "the last DAG is still in flight");
+
+    let a0 = allocs();
+    let early = state.straggler(0.0);
+    let late = state.straggler(10.0 * COMPLETED as f64);
+    let spent = allocs() - a0;
+    assert_eq!(early, None, "nothing has aged at time zero");
+    assert!(late.is_some(), "the in-flight DAG has a straggler");
+    assert_eq!(
+        spent, 0,
+        "a sweep over {COMPLETED} completed tasks allocated {spent} times"
+    );
+}
+
+/// An evicting `LocalStore::insert` allocates the `Vec` of evicted ids
+/// it returns and nothing else: the eviction order is one heap whose
+/// buffer stops growing at twice the resident count.
+#[test]
+fn evicting_inserts_allocate_only_their_result() {
+    use crossbid_experiments::allocmeter::allocs;
+    use crossbid_simcore::SimTime;
+    use crossbid_storage::{EvictionPolicy, LocalStore, ObjectId};
+
+    let _alone = METER
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    const RESIDENT: u64 = 300;
+    const INSERTS: u64 = 10_000;
+    let mut store = LocalStore::new(RESIDENT * 1_000, EvictionPolicy::Lru);
+    for i in 0..RESIDENT {
+        store.insert(ObjectId(i), 1_000, SimTime::from_secs(i));
+    }
+    let a0 = allocs();
+    for i in RESIDENT..RESIDENT + INSERTS {
+        // A hit in between leaves its entry's row behind the entry's
+        // key, to be moved when it surfaces.
+        store.lookup(ObjectId(i - 1), SimTime::from_secs(i));
+        let evicted = store.insert(ObjectId(i), 1_000, SimTime::from_secs(i));
+        assert_eq!(evicted.len(), 1);
+    }
+    let spent = allocs() - a0;
+    assert_eq!(store.stats().evictions, INSERTS);
+    assert!(
+        spent <= INSERTS + 16,
+        "{INSERTS} evicting inserts allocated {spent} times; \
+         the eviction order is allocating per operation"
+    );
+}

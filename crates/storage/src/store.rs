@@ -1,6 +1,8 @@
 //! The capacity-bounded local store.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, HashMap};
 
 use crossbid_simcore::SimTime;
 use serde::{Deserialize, Serialize};
@@ -78,6 +80,23 @@ struct Entry {
     pinned: bool,
 }
 
+/// Where an entry stands in the eviction order: the entry with the
+/// smallest `(key, id)` among the unpinned ones is the next victim.
+type OrderKey = (u64, u64);
+
+fn order_key(policy: EvictionPolicy, e: &Entry) -> OrderKey {
+    match policy {
+        EvictionPolicy::Lru => (e.last_seq, 0),
+        EvictionPolicy::Lfu => (e.uses, e.last_seq),
+        EvictionPolicy::Fifo => (e.inserted_seq, 0),
+        EvictionPolicy::LargestFirst => (!e.size, 0),
+    }
+}
+
+/// Rows the eviction order may carry on top of twice the resident
+/// count before it is rebuilt from the entries.
+const ORDER_SLACK: usize = 64;
+
 /// A worker's local resource store.
 ///
 /// Objects have sizes; the store holds at most `capacity` bytes and
@@ -95,6 +114,15 @@ pub struct LocalStore {
     pinned_bytes: u64,
     policy: EvictionPolicy,
     entries: HashMap<ObjectId, Entry>,
+    /// The eviction order, kept so that an eviction costs O(log n)
+    /// instead of a scan: a min-heap with lazy updates. Every unpinned
+    /// entry has a row whose key is at most its current
+    /// [`order_key`] — written when the entry was inserted or
+    /// unpinned; a use only grows the key and leaves the row alone —
+    /// so a row that surfaces with its entry's current key is the
+    /// minimum; any other is re-keyed or dropped on the spot. Ties on
+    /// the key break by `ObjectId`, so the victim is deterministic.
+    order: BinaryHeap<Reverse<(OrderKey, ObjectId)>>,
     seq: u64,
     stats: StoreStats,
 }
@@ -108,6 +136,7 @@ impl LocalStore {
             pinned_bytes: 0,
             policy,
             entries: HashMap::new(),
+            order: BinaryHeap::new(),
             seq: 0,
             stats: StoreStats::default(),
         }
@@ -204,7 +233,7 @@ impl LocalStore {
         let mut evicted = Vec::new();
         while self.used + size > self.capacity {
             let victim = self
-                .pick_victim()
+                .pop_victim()
                 .expect("unpinned bytes cover the shortfall");
             let e = self.entries.remove(&victim).expect("victim resident");
             self.used -= e.size;
@@ -213,17 +242,17 @@ impl LocalStore {
             evicted.push(victim);
         }
         self.used += size;
-        self.entries.insert(
-            id,
-            Entry {
-                size,
-                last_used: now,
-                last_seq: self.seq,
-                inserted_seq: self.seq,
-                uses: 1,
-                pinned: false,
-            },
-        );
+        let e = Entry {
+            size,
+            last_used: now,
+            last_seq: self.seq,
+            inserted_seq: self.seq,
+            uses: 1,
+            pinned: false,
+        };
+        let key = order_key(self.policy, &e);
+        self.entries.insert(id, e);
+        self.push_order(key, id);
         evicted
     }
 
@@ -245,6 +274,7 @@ impl LocalStore {
     /// Drop everything (cold restart of a worker).
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.order.clear();
         self.used = 0;
         self.pinned_bytes = 0;
     }
@@ -272,6 +302,9 @@ impl LocalStore {
             Some(e) if e.pinned => {
                 e.pinned = false;
                 self.pinned_bytes -= e.size;
+                // Its row was dropped if it surfaced while pinned.
+                let key = order_key(self.policy, e);
+                self.push_order(key, id);
                 true
             }
             _ => false,
@@ -297,23 +330,51 @@ impl LocalStore {
         self.entries.keys().copied()
     }
 
-    fn pick_victim(&self) -> Option<ObjectId> {
-        // Deterministic: ties broken by (key metric, ObjectId).
-        // Pinned entries (last surviving copies) are never candidates.
-        let candidates = self.entries.iter().filter(|(_, e)| !e.pinned);
-        match self.policy {
-            EvictionPolicy::Lru => candidates
-                .min_by_key(|(id, e)| (e.last_seq, **id))
-                .map(|(id, _)| *id),
-            EvictionPolicy::Lfu => candidates
-                .min_by_key(|(id, e)| (e.uses, e.last_seq, **id))
-                .map(|(id, _)| *id),
-            EvictionPolicy::Fifo => candidates
-                .min_by_key(|(id, e)| (e.inserted_seq, **id))
-                .map(|(id, _)| *id),
-            EvictionPolicy::LargestFirst => candidates
-                .max_by_key(|(id, e)| (e.size, std::cmp::Reverse(**id)))
-                .map(|(id, _)| *id),
+    /// Add a row to the eviction order, rebuilding it from the entries
+    /// once dead rows (of removed, pinned or replaced entries)
+    /// outnumber live ones, so churn cannot grow it past O(residents).
+    fn push_order(&mut self, key: OrderKey, id: ObjectId) {
+        self.order.push(Reverse((key, id)));
+        if self.order.len() > 2 * self.entries.len() + ORDER_SLACK {
+            let mut rows = std::mem::take(&mut self.order).into_vec();
+            rows.clear();
+            rows.extend(
+                self.entries
+                    .iter()
+                    .filter(|(_, e)| !e.pinned)
+                    .map(|(id, e)| Reverse((order_key(self.policy, e), *id))),
+            );
+            self.order = BinaryHeap::from(rows);
+        }
+    }
+
+    /// The next eviction victim: the unpinned entry with the smallest
+    /// `(order_key, id)`. Pinned entries (last surviving copies) are
+    /// never candidates. The caller evicts it.
+    fn pop_victim(&mut self) -> Option<ObjectId> {
+        loop {
+            let mut top = self.order.peek_mut()?;
+            let Reverse((key, id)) = *top;
+            let current = self
+                .entries
+                .get(&id)
+                .filter(|e| !e.pinned)
+                .map(|e| order_key(self.policy, e));
+            match current {
+                Some(current) if current == key => {
+                    PeekMut::pop(top);
+                    return Some(id);
+                }
+                // Used since the row was written. A key only ever
+                // grows, so the row surfaced no later than its entry
+                // is due: move it to where the entry stands now.
+                Some(current) if current > key => *top = Reverse((current, id)),
+                // The entry is gone or pinned, or the row is left over
+                // from an earlier residency of the same object.
+                _ => {
+                    PeekMut::pop(top);
+                }
+            }
         }
     }
 }
@@ -573,12 +634,124 @@ mod regression_seeds {
     }
 }
 
+/// The eviction this store shipped with before its order was indexed —
+/// one scan of every resident entry per victim — kept verbatim as the
+/// reference the indexed order is checked against.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    fn pick_victim(s: &LocalStore) -> Option<ObjectId> {
+        // Deterministic: ties broken by (key metric, ObjectId).
+        // Pinned entries (last surviving copies) are never candidates.
+        let candidates = s.entries.iter().filter(|(_, e)| !e.pinned);
+        match s.policy {
+            EvictionPolicy::Lru => candidates
+                .min_by_key(|(id, e)| (e.last_seq, **id))
+                .map(|(id, _)| *id),
+            EvictionPolicy::Lfu => candidates
+                .min_by_key(|(id, e)| (e.uses, e.last_seq, **id))
+                .map(|(id, _)| *id),
+            EvictionPolicy::Fifo => candidates
+                .min_by_key(|(id, e)| (e.inserted_seq, **id))
+                .map(|(id, _)| *id),
+            EvictionPolicy::LargestFirst => candidates
+                .max_by_key(|(id, e)| (e.size, std::cmp::Reverse(**id)))
+                .map(|(id, _)| *id),
+        }
+    }
+
+    /// `LocalStore::insert` as it was, choosing victims by scan.
+    pub fn insert(s: &mut LocalStore, id: ObjectId, size: u64, now: SimTime) -> Vec<ObjectId> {
+        s.seq += 1;
+        s.stats.bytes_admitted += size;
+        if let Some(e) = s.entries.get_mut(&id) {
+            e.last_used = now;
+            e.last_seq = s.seq;
+            e.uses += 1;
+            return Vec::new();
+        }
+        if size > s.capacity.saturating_sub(s.pinned_bytes) {
+            return Vec::new();
+        }
+        let mut evicted = Vec::new();
+        while s.used + size > s.capacity {
+            let victim = pick_victim(s).expect("unpinned bytes cover the shortfall");
+            let e = s.entries.remove(&victim).expect("victim resident");
+            s.used -= e.size;
+            s.stats.evictions += 1;
+            s.stats.bytes_evicted += e.size;
+            evicted.push(victim);
+        }
+        s.used += size;
+        s.entries.insert(
+            id,
+            Entry {
+                size,
+                last_used: now,
+                last_seq: s.seq,
+                inserted_seq: s.seq,
+                uses: 1,
+                pinned: false,
+            },
+        );
+        evicted
+    }
+}
+
 #[cfg(test)]
 mod proptests {
     use super::*;
     use proptest::prelude::*;
 
     proptest! {
+        /// The indexed eviction order picks exactly the victims the
+        /// scan picked: same evicted ids in the same order, same
+        /// statistics and residents after every operation, under every
+        /// policy — and the lazy-deletion heap stays O(residents).
+        #[test]
+        fn indexed_order_evicts_what_the_scan_evicted(
+            policy_idx in 0usize..4,
+            capacity in 1u64..600,
+            ops in proptest::collection::vec((0u8..24, 0u64..24, 1u64..120), 1..400)
+        ) {
+            let policy = EvictionPolicy::ALL[policy_idx];
+            let mut new = LocalStore::new(capacity, policy);
+            let mut old = LocalStore::new(capacity, policy);
+            let mut sizes: HashMap<ObjectId, u64> = HashMap::new();
+            for (i, (kind, id, size)) in ops.iter().enumerate() {
+                let id = ObjectId(*id);
+                // Several touches share one virtual instant.
+                let now = SimTime::from_secs(i as u64 / 3);
+                match kind {
+                    0..=9 => {
+                        let size = *sizes.entry(id).or_insert(*size);
+                        prop_assert_eq!(
+                            new.insert(id, size, now),
+                            reference::insert(&mut old, id, size, now)
+                        );
+                    }
+                    10..=16 => prop_assert_eq!(new.lookup(id, now), old.lookup(id, now)),
+                    17..=18 => prop_assert_eq!(new.remove(id), old.remove(id)),
+                    19..=20 => prop_assert_eq!(new.pin(id), old.pin(id)),
+                    21..=22 => prop_assert_eq!(new.unpin(id), old.unpin(id)),
+                    _ if id.0 < 4 => {
+                        new.clear();
+                        old.clear();
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(new.stats(), old.stats());
+                prop_assert_eq!(new.used(), old.used());
+                let mut a: Vec<_> = new.resident().map(|o| (o, new.is_pinned(o))).collect();
+                let mut b: Vec<_> = old.resident().map(|o| (o, old.is_pinned(o))).collect();
+                a.sort();
+                b.sort();
+                prop_assert_eq!(a, b);
+                prop_assert!(new.order.len() <= 2 * new.len() + ORDER_SLACK);
+            }
+        }
+
         /// Capacity is never exceeded and `used` always equals the sum
         /// of resident sizes, for arbitrary operation sequences under
         /// every policy.
