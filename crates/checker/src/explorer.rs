@@ -1,47 +1,66 @@
-//! The controlled-interleaving explorer.
+//! The explorer: one sweep loop over seed tuples, for every scenario
+//! and either runtime.
 //!
-//! One threaded run explores one interleaving of the protocol
-//! messages. The explorer sweeps many: for each iteration it derives a
-//! fresh chaos seed, runs the scenario on the threaded runtime with
-//! the intake perturbed ([`ChaosConfig`]), feeds the resulting
+//! One run explores one point of the schedule space. The explorer
+//! sweeps many: for each iteration it derives a fresh [`ReplayTuple`]
+//! — run seed, chaos seed, net seed, membership seed, master-crash
+//! index, each on its own stream of the root seed so the axes vary
+//! independently — runs the scenario under it, feeds every resulting
 //! control-plane log to the invariant [`oracle`](crate::oracle), and
-//! cross-checks conservation counters against one deterministic run on
-//! the simulation engine. On a violation it *shrinks*: greedily drops
-//! jobs, then whole workers' fault schedules, keeping each removal
-//! only if the violation still reproduces, and reports the minimal
-//! scenario together with the chaos seed and the recorded delivery
-//! schedule — everything needed to replay the failure.
+//! checks conservation: completions observed against the scenario's
+//! own expected count on every run, and on the threaded runtime the
+//! submission/completion counters against one deterministic run on the
+//! simulation engine. It stops at the first violation and reports the
+//! tuple, which is everything needed to replay the run
+//! ([`ExploreConfig::run`] turns it back into the [`Run`]).
+//!
+//! When the scenario is a job list on a single master the failure is
+//! also *shrunk*: jobs, then whole workers' fault schedules, are
+//! dropped greedily, keeping each removal only if the violation still
+//! reproduces, and the report carries the minimal scenario together
+//! with the recorded delivery schedule of its failing run. DAG and
+//! federated runs have nothing to shrink (tasks are entangled through
+//! precedence edges, shards through the routing pre-pass) — there the
+//! tuple *is* the repro.
 //!
 //! The threaded runtime is genuinely nondeterministic, so
 //! "reproduces" means "within a few attempts under the same seeds";
 //! the shrinker is conservative and keeps anything it cannot confirm
 //! removable.
 
-use crossbid_crossflow::{
-    ChaosConfig, FedRuntimeKind, FederationMutation, MasterFaultPlan, NetFaultPlan,
-    ProtocolMutation, RunOutput, WorkerId,
-};
+use std::collections::BTreeMap;
+
+use crossbid_crossflow::{ChaosConfig, FedRuntimeKind, MasterFaultPlan, NetFaultPlan, WorkerId};
 use crossbid_simcore::{SeedSequence, SimTime};
 
-use crate::oracle::{check_log, Violation};
-use crate::scenario::{DagScenario, FedScenario, FedSeeds, ReplScenario, Scenario, ThreadedRun};
+use crate::oracle::Violation;
+use crate::scenario::{Activity, Mutation, Outcome, Run, Scenario, Workload};
+
+/// Shrink attempts per removal candidate on the threaded runtime (a
+/// violation counts as reproduced if any attempt shows one; the sim is
+/// deterministic and needs one).
+const REPRO_ATTEMPTS: u32 = 3;
 
 /// Exploration parameters.
 #[derive(Debug, Clone)]
 pub struct ExploreConfig {
-    /// Interleavings (threaded runs) to explore per scenario.
+    /// Seed tuples to sweep per scenario.
     pub iters: u32,
-    /// Root seed; per-iteration run and chaos seeds derive from it.
+    /// Root seed; every element of every iteration's tuple derives
+    /// from it.
     pub base_seed: u64,
-    /// Reintroduced protocol bug, if any (checker self-validation;
-    /// requires the `protocol-mutation` cargo feature).
-    pub mutation: ProtocolMutation,
-    /// Perturb message delivery (hold/reorder/duplicate/corrupt).
+    /// Which runtime executes the sweep.
+    pub runtime: FedRuntimeKind,
+    /// Reintroduced bug, if any (checker self-validation). Turns the
+    /// conservation checks off — a mutated run may legitimately lose
+    /// or duplicate work, and the oracle is what must notice.
+    pub mutation: Mutation,
+    /// Perturb message delivery at every master's intake
+    /// (hold/reorder/duplicate/corrupt). Threaded runtime only.
     pub chaos: bool,
-    /// Make the links lossy (drop/duplicate/delay plus a timed
-    /// partition window) with the reliability countermeasures armed;
-    /// per-iteration net seeds derive from `base_seed`.
-    pub netfault: bool,
+    /// Make the links lossy: this plan, re-seeded every iteration,
+    /// with the reliability countermeasures armed.
+    pub net: Option<NetFaultPlan>,
     /// Crash the master at a seeded log append index each iteration
     /// (bounded by a reference sim run's log length, so the crash
     /// lands mid-protocol); the elected standby must finish the
@@ -51,101 +70,158 @@ pub struct ExploreConfig {
     /// without chaos (reordering legitimizes re-offers), so the
     /// explorer ignores it whenever `chaos` is on.
     pub strict_reoffer: bool,
-    /// Cross-check conservation counters against one deterministic
-    /// simulation run of the same scenario.
-    pub parity: bool,
-    /// Shrink attempts per removal candidate (the threaded runtime is
-    /// nondeterministic; a violation counts as reproduced if any
-    /// attempt shows one).
-    pub repro_attempts: u32,
 }
 
 impl ExploreConfig {
-    /// A quick sweep of the correct protocol under chaos.
-    pub fn quick(iters: u32, base_seed: u64) -> Self {
+    /// An unperturbed sweep of the correct protocol on `runtime`.
+    pub fn new(runtime: FedRuntimeKind, iters: u32, base_seed: u64) -> Self {
         ExploreConfig {
             iters,
             base_seed,
-            mutation: ProtocolMutation::None,
-            chaos: true,
-            netfault: false,
+            runtime,
+            mutation: Mutation::None,
+            chaos: false,
+            net: None,
             master_crash: false,
             strict_reoffer: false,
-            parity: true,
-            repro_attempts: 3,
         }
     }
 
-    /// Strict-mode sweep without chaos: deterministic delivery, plus
-    /// the Baseline re-offer routing invariant.
-    pub fn strict(iters: u32, base_seed: u64) -> Self {
-        ExploreConfig {
-            iters,
-            base_seed,
-            mutation: ProtocolMutation::None,
-            chaos: false,
-            netfault: false,
-            master_crash: false,
-            strict_reoffer: true,
-            parity: true,
-            repro_attempts: 3,
-        }
+    /// A deterministic sweep on the simulation engine.
+    pub fn sim(iters: u32, base_seed: u64) -> Self {
+        ExploreConfig::new(FedRuntimeKind::Sim, iters, base_seed)
     }
 
-    /// A lossy-network sweep: chaos *and* link faults together, the
+    /// A sweep on real threads, delivery otherwise faithful.
+    pub fn threaded(iters: u32, base_seed: u64) -> Self {
+        ExploreConfig::new(FedRuntimeKind::Threaded, iters, base_seed)
+    }
+
+    /// Arm intake chaos.
+    pub fn chaos(mut self) -> Self {
+        self.chaos = true;
+        self
+    }
+
+    /// The explorer's standard lossy-link plan (seed 0; every
+    /// iteration re-seeds it): moderate symmetric loss and duplication
+    /// with small delays, plus one full partition window shorter than
+    /// the placement-lease horizon, so every scenario must still
+    /// complete with exactly-once effects.
+    pub fn lossy_plan() -> NetFaultPlan {
+        NetFaultPlan::lossy(0, 0.15, 0.05).with_partition(
+            None::<WorkerId>,
+            SimTime::from_secs_f64(2.0),
+            SimTime::from_secs_f64(4.0),
+        )
+    }
+
+    /// Arm [`lossy_plan`](Self::lossy_plan). With chaos this is the
     /// harshest delivery environment the reliability layer must
-    /// survive with exactly-once effects.
-    pub fn netfault(iters: u32, base_seed: u64) -> Self {
-        ExploreConfig {
-            netfault: true,
-            ..ExploreConfig::quick(iters, base_seed)
-        }
+    /// survive.
+    pub fn lossy(mut self) -> Self {
+        self.net = Some(Self::lossy_plan());
+        self
     }
 
-    /// The master-crash sweep: each iteration kills the leader at a
-    /// seeded decision-log index, crossed with lossy links, so the
+    /// Arm the master-crash axis. Crossed with lossy links, the
     /// elected standby inherits in-flight contests, unacked
     /// assignments and pending retries — and must still finish every
     /// job exactly once.
-    pub fn failover(iters: u32, base_seed: u64) -> Self {
-        ExploreConfig {
-            master_crash: true,
-            netfault: true,
-            ..ExploreConfig::quick(iters, base_seed)
-        }
+    pub fn master_crash(mut self) -> Self {
+        self.master_crash = true;
+        self
     }
 
-    fn effective_strict_reoffer(&self) -> bool {
-        self.strict_reoffer && !self.chaos
+    /// Reintroduce one bug.
+    pub fn mutated(mut self, mutation: impl Into<Mutation>) -> Self {
+        self.mutation = mutation.into();
+        self
+    }
+
+    /// Enforce the Baseline re-offer routing invariant.
+    pub fn strict(mut self) -> Self {
+        self.strict_reoffer = true;
+        self
+    }
+
+    /// The run that `tuple` identifies under this configuration.
+    pub fn run(&self, tuple: &ReplayTuple) -> Run {
+        Run {
+            chaos: tuple.chaos.map(ChaosConfig::aggressive),
+            net: tuple.net.map(|seed| NetFaultPlan {
+                seed,
+                ..self.net.clone().unwrap_or_else(NetFaultPlan::none)
+            }),
+            master: tuple
+                .crash_index
+                .map(|ix| MasterFaultPlan::new().crash_at(ix)),
+            membership_seed: tuple.membership.unwrap_or(tuple.run),
+            mutation: self.mutation,
+            ..Run::new(self.runtime, tuple.run)
+        }
     }
 }
 
-/// A minimized failing interleaving.
+/// The seeds (and crash point) that replay one run of a scenario
+/// exactly on the simulation engine, and re-arm the identical fault
+/// schedule on the threaded runtime. `None` = that axis was not armed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReplayTuple {
+    /// Run seed (per-shard runtime seeds derive from it).
+    pub run: u64,
+    /// Threaded intake chaos.
+    pub chaos: Option<u64>,
+    /// Every drop, duplicate and delay draw of the lossy-link plan,
+    /// and a federation's gossip-loss draws.
+    pub net: Option<u64>,
+    /// Every shard's churn schedule.
+    pub membership: Option<u64>,
+    /// 1-based log append attempt at which the master is crashed.
+    pub crash_index: Option<u64>,
+}
+
+impl std::fmt::Display for ReplayTuple {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let or_dash = |s: Option<u64>| s.map_or("-".into(), |s| s.to_string());
+        write!(
+            f,
+            "run seed {}, chaos seed {}, net seed {}, membership seed {}, crash index {}",
+            self.run,
+            or_dash(self.chaos),
+            or_dash(self.net),
+            or_dash(self.membership),
+            or_dash(self.crash_index),
+        )
+    }
+}
+
+/// A failing run, minimized where the scenario allows it.
 #[derive(Debug, Clone)]
 pub struct Failure {
     /// Iteration index at which the violation first appeared.
     pub iteration: u32,
-    /// Run seed of the minimal repro.
-    pub run_seed: u64,
-    /// Chaos seed of the minimal repro (same as `run_seed` derivation;
-    /// `None` when chaos was off).
-    pub chaos_seed: Option<u64>,
-    /// Net-fault seed of the minimal repro (`None` when the links were
-    /// reliable). Together with `run_seed`, `chaos_seed` and
-    /// `crash_index` this is the full replay tuple.
-    pub net_seed: Option<u64>,
-    /// Log append index at which the master was crashed (`None` when
-    /// the master-crash axis was off).
-    pub crash_index: Option<u64>,
-    /// Violations observed in the minimal repro.
-    pub violations: Vec<Violation>,
-    /// Job indices of the minimal repro.
+    /// The replay tuple of the failing run.
+    pub replay: ReplayTuple,
+    /// Violations observed in the (minimal) repro, each tagged with
+    /// the shard whose own log showed it (`None` = the whole run's
+    /// log: the single master's, or the merged federation log).
+    pub violations: Vec<(Option<usize>, Violation)>,
+    /// Job indices of the minimal repro (empty when the scenario has
+    /// nothing to shrink).
     pub kept_jobs: Vec<usize>,
     /// Workers whose fault schedules the minimal repro still needs.
     pub kept_fault_workers: Vec<u32>,
-    /// The recorded delivery schedule of the minimal failing run
-    /// (empty when chaos was off).
+    /// The recorded delivery schedule of the failing run (empty when
+    /// chaos was off).
     pub schedule: String,
+}
+
+impl Failure {
+    /// Did any log show a violation matching `pred`?
+    pub fn shows(&self, pred: impl Fn(&Violation) -> bool) -> bool {
+        self.violations.iter().any(|(_, v)| pred(v))
+    }
 }
 
 /// Result of exploring one scenario.
@@ -155,41 +231,40 @@ pub struct ExploreReport {
     pub scenario: String,
     /// Protocol name.
     pub protocol: String,
-    /// Interleavings actually run (stops early on failure).
+    /// Which runtime ran the sweep.
+    pub runtime: &'static str,
+    /// Seed tuples actually run (stops early on failure).
     pub iterations_run: u32,
-    /// Master failovers observed across the sweep (only nonzero when
-    /// the master-crash axis is armed; a sweep in which the seeded
-    /// crash indices all landed past the end of the run proves
-    /// nothing, so `repro failover` surfaces this count).
-    pub failovers_observed: u64,
-    /// Conservation mismatches against the simulation run.
+    /// Activity observed across the sweep, for [`Demand`]s to read.
+    ///
+    /// [`Demand`]: crate::scenario::Demand
+    pub activity: Activity,
+    /// Registry counters summed over every master of every run (the
+    /// reliability layer's `net/…`, `acks/…`, `lease/…` among them).
+    pub counters: BTreeMap<String, u64>,
+    /// Conservation mismatches: expected vs observed completions, and
+    /// threaded counters vs the simulation run.
     pub parity_mismatches: Vec<String>,
-    /// The minimized failure, if any iteration violated an invariant.
+    /// The first failing run, if any iteration violated an invariant.
     pub failure: Option<Failure>,
 }
 
 impl ExploreReport {
-    /// No violations and no parity mismatches.
+    /// No violations and no conservation mismatches.
     pub fn passed(&self) -> bool {
         self.failure.is_none() && self.parity_mismatches.is_empty()
     }
 
     /// Human-readable report; on failure this is the full repro
-    /// recipe (seed + minimal scenario + delivery schedule).
+    /// recipe (replay tuple, plus minimal scenario and delivery
+    /// schedule where they exist).
     pub fn render(&self) -> String {
         let mut out = format!(
-            "{} [{}]: {} interleaving(s)",
-            self.scenario, self.protocol, self.iterations_run
+            "{} [{} on {}]: {} run(s){}",
+            self.scenario, self.protocol, self.runtime, self.iterations_run, self.activity
         );
         if self.passed() {
-            if self.failovers_observed > 0 {
-                out.push_str(&format!(
-                    " — ok ({} failover(s) survived)\n",
-                    self.failovers_observed
-                ));
-            } else {
-                out.push_str(" — ok\n");
-            }
+            out.push_str(" — ok\n");
             return out;
         }
         out.push('\n');
@@ -198,22 +273,23 @@ impl ExploreReport {
         }
         if let Some(f) = &self.failure {
             out.push_str(&format!(
-                "  VIOLATION at iteration {} (run seed {}, chaos seed {}, net seed {}, crash index {})\n",
-                f.iteration,
-                f.run_seed,
-                f.chaos_seed.map_or("-".into(), |s| s.to_string()),
-                f.net_seed.map_or("-".into(), |s| s.to_string()),
-                f.crash_index.map_or("-".into(), |s| s.to_string()),
+                "  VIOLATION at iteration {} on the {} runtime ({})\n",
+                f.iteration, self.runtime, f.replay
             ));
-            for v in &f.violations {
-                out.push_str(&format!("    {v}\n"));
+            for (shard, v) in &f.violations {
+                match shard {
+                    Some(s) => out.push_str(&format!("    shard {s}: {v}\n")),
+                    None => out.push_str(&format!("    {v}\n")),
+                }
             }
-            out.push_str(&format!(
-                "  minimal repro: jobs {:?}, faulted workers {:?}\n",
-                f.kept_jobs, f.kept_fault_workers
-            ));
+            if !f.kept_jobs.is_empty() {
+                out.push_str(&format!(
+                    "  minimal repro: jobs {:?}, faulted workers {:?}\n",
+                    f.kept_jobs, f.kept_fault_workers
+                ));
+            }
             if !f.schedule.is_empty() {
-                out.push_str("  delivery schedule of the minimal failing run:\n");
+                out.push_str("  delivery schedule of the failing run:\n");
                 for line in f.schedule.lines() {
                     out.push_str(&format!("    {line}\n"));
                 }
@@ -223,70 +299,51 @@ impl ExploreReport {
     }
 }
 
-/// The per-iteration lossy-link plan: moderate symmetric loss and
-/// duplication with small delays, plus one full partition window
-/// shorter than the placement-lease horizon, so every scenario must
-/// still complete with exactly-once effects.
-fn net_plan(seed: u64) -> NetFaultPlan {
-    NetFaultPlan::lossy(seed, 0.15, 0.05).with_partition(
-        None::<WorkerId>,
-        SimTime::from_secs_f64(2.0),
-        SimTime::from_secs_f64(4.0),
-    )
-}
+type Found = Vec<(Option<usize>, Violation)>;
 
-/// One attempt: run + oracle. Returns the output and any violations.
-fn attempt(
-    sc: &Scenario,
-    cfg: &ExploreConfig,
-    run: &ThreadedRun,
-) -> (RunOutput, Vec<Violation>, String) {
-    let (chaos, log) = match &run.chaos {
-        Some(c) => {
-            let (c, h) = c.clone().with_delivery_log();
-            (Some(c), Some(h))
-        }
-        None => (None, None),
-    };
-    let run = ThreadedRun {
-        chaos,
-        ..run.clone()
-    };
-    let out = sc.run_threaded(&run);
-    let violations = check_log(
-        &out.sched_log,
-        sc.oracle_options(cfg.effective_strict_reoffer()),
-    );
-    let schedule = log.map(|h| h.lock().render()).unwrap_or_default();
+/// One attempt: run (capturing the delivery schedule when chaos is
+/// armed) + oracle.
+fn attempt(sc: &Scenario, cfg: &ExploreConfig, run: &Run) -> (Outcome, Found, String) {
+    let mut run = run.clone();
+    let handle = run.chaos.take().map(|c| {
+        let (c, h) = c.with_delivery_log();
+        run.chaos = Some(c);
+        h
+    });
+    let out = sc.run(&run);
+    let violations = out.violations(cfg.strict_reoffer && !cfg.chaos);
+    let schedule = handle.map(|h| h.lock().render()).unwrap_or_default();
     (out, violations, schedule)
 }
 
-/// Does the violation reproduce under this (shrunk) run? Retries
-/// because the threaded runtime is nondeterministic.
-fn reproduces(sc: &Scenario, cfg: &ExploreConfig, run: &ThreadedRun) -> bool {
-    (0..cfg.repro_attempts.max(1)).any(|_| !attempt(sc, cfg, run).1.is_empty())
+/// Does the violation reproduce under this (shrunk) run?
+fn reproduces(sc: &Scenario, cfg: &ExploreConfig, run: &Run) -> bool {
+    let attempts = match cfg.runtime {
+        FedRuntimeKind::Sim => 1,
+        FedRuntimeKind::Threaded => REPRO_ATTEMPTS,
+    };
+    (0..attempts).any(|_| !attempt(sc, cfg, run).1.is_empty())
 }
 
 /// Greedy delta-debugging: drop jobs one at a time, then whole
 /// workers' fault schedules, keeping each removal only if the
 /// violation still reproduces.
-fn shrink(sc: &Scenario, cfg: &ExploreConfig, seed_run: &ThreadedRun) -> (Vec<usize>, Vec<u32>) {
-    let mut jobs: Vec<usize> = (0..sc.jobs.len()).collect();
-    for candidate in (0..sc.jobs.len()).rev() {
+fn shrink(sc: &Scenario, cfg: &ExploreConfig, seed_run: &Run) -> (Vec<usize>, Vec<u32>) {
+    let n_jobs = match &sc.workload {
+        Workload::Jobs(jobs) => jobs.len(),
+        Workload::Dags { .. } => 0,
+    };
+    let mut jobs: Vec<usize> = (0..n_jobs).collect();
+    for candidate in (0..n_jobs).rev() {
         if jobs.len() == 1 {
             break;
         }
         let trial: Vec<usize> = jobs.iter().copied().filter(|j| *j != candidate).collect();
-        if trial.len() < jobs.len()
-            && reproduces(
-                sc,
-                cfg,
-                &ThreadedRun {
-                    keep_jobs: Some(trial.clone()),
-                    ..seed_run.clone()
-                },
-            )
-        {
+        let run = Run {
+            keep_jobs: Some(trial.clone()),
+            ..seed_run.clone()
+        };
+        if reproduces(sc, cfg, &run) {
             jobs = trial;
         }
     }
@@ -297,75 +354,78 @@ fn shrink(sc: &Scenario, cfg: &ExploreConfig, seed_run: &ThreadedRun) -> (Vec<us
             .copied()
             .filter(|w| *w != candidate)
             .collect();
-        if trial.len() < fault_workers.len()
-            && reproduces(
-                sc,
-                cfg,
-                &ThreadedRun {
-                    keep_jobs: Some(jobs.clone()),
-                    keep_fault_workers: Some(trial.clone()),
-                    ..seed_run.clone()
-                },
-            )
-        {
+        let run = Run {
+            keep_jobs: Some(jobs.clone()),
+            keep_fault_workers: Some(trial.clone()),
+            ..seed_run.clone()
+        };
+        if reproduces(sc, cfg, &run) {
             fault_workers = trial;
         }
     }
     (jobs, fault_workers)
 }
 
-/// Sweep `cfg.iters` interleavings of `sc` on the threaded runtime.
-/// Stops at (and shrinks) the first violation.
+/// Sweep `cfg.iters` seed tuples of `sc`. Stops at (and, where the
+/// scenario allows, shrinks) the first violation.
 pub fn explore(sc: &Scenario, cfg: &ExploreConfig) -> ExploreReport {
+    let threaded = cfg.runtime == FedRuntimeKind::Threaded;
+    let clean = cfg.mutation == Mutation::None;
     let mut report = ExploreReport {
         scenario: sc.name.to_string(),
         protocol: sc.protocol.name().to_string(),
+        runtime: if threaded { "threaded" } else { "sim" },
         iterations_run: 0,
-        failovers_observed: 0,
+        activity: Activity::default(),
+        counters: BTreeMap::new(),
         parity_mismatches: Vec::new(),
         failure: None,
     };
-    // One deterministic reference run for conservation parity; the
-    // master-crash axis also uses its log length to bound the seeded
-    // crash indices (the threaded log has the same order of magnitude,
-    // so an index drawn from the first half reliably fires mid-run).
-    let sim = (cfg.parity || cfg.master_crash).then(|| sc.run_sim(cfg.base_seed));
+    // One deterministic reference run: conservation parity for the
+    // threaded runtime, and its log length bounds the seeded crash
+    // indices (a crashed run re-offers and so appends more, so an
+    // index drawn from the first half reliably fires mid-run).
+    let parity = threaded && clean && sc.shrinkable();
+    let reference = (parity || cfg.master_crash).then(|| sc.run(&Run::sim(cfg.base_seed)));
     let crash_bound = cfg
         .master_crash
-        .then(|| (sim.as_ref().map_or(0, |s| s.sched_log.len() as u64) / 2).max(2));
+        .then(|| (reference.as_ref().map_or(0, |r| r.log().len() as u64) / 2).max(2));
+    let churns = sc.federation.is_some_and(|f| f.churn);
     let seeds = SeedSequence::new(cfg.base_seed);
     for i in 0..cfg.iters {
-        let run_seed = seeds.seed_for(i as u64);
-        let net_seed = cfg.netfault.then(|| seeds.seed_for(0x4E37_0000 + i as u64));
-        let crash_index = crash_bound.map(|b| 1 + seeds.seed_for(0xFA11_0000 + i as u64) % b);
-        let run = ThreadedRun {
-            seed: run_seed,
-            chaos: cfg.chaos.then(|| ChaosConfig::aggressive(run_seed)),
-            netfault: net_seed.map(net_plan),
-            master: crash_index.map(|ix| MasterFaultPlan::new().crash_at(ix)),
-            mutation: cfg.mutation,
-            keep_jobs: None,
-            keep_fault_workers: None,
+        let stream = |axis: u64| seeds.seed_for(axis + i as u64);
+        let replay = ReplayTuple {
+            run: stream(0),
+            chaos: (cfg.chaos && threaded).then(|| stream(0xC4A0_0000)),
+            net: (cfg.net.is_some() || sc.federation.is_some()).then(|| stream(0x4E37_0000)),
+            membership: churns.then(|| stream(0x4D42_0000)),
+            crash_index: crash_bound.map(|b| 1 + stream(0xFA11_0000) % b),
         };
+        let run = cfg.run(&replay);
         let (out, violations, schedule) = attempt(sc, cfg, &run);
         report.iterations_run = i + 1;
-        report.failovers_observed += out.sched_log.failovers() as u64;
-        if let Some(sim) = &sim {
+        report.activity += out.activity();
+        for (name, v) in out.masters.iter().flat_map(|m| &m.metrics.counters) {
+            *report.counters.entry(name.clone()).or_default() += v;
+        }
+        if clean && out.completed != out.expected {
+            report.parity_mismatches.push(format!(
+                "iteration {i}: expected {} completions, observed {}",
+                out.expected, out.completed
+            ));
+        }
+        if let Some(sim) = reference.as_ref().filter(|_| parity) {
             for (what, simv, thrv) in [
-                (
-                    "jobs_completed",
-                    sim.record.jobs_completed,
-                    out.record.jobs_completed,
-                ),
+                ("jobs_completed", sim.completed, out.completed),
                 (
                     "submissions",
-                    sim.sched_log.submissions() as u64,
-                    out.sched_log.submissions() as u64,
+                    sim.log().submissions() as u64,
+                    out.log().submissions() as u64,
                 ),
                 (
                     "completions",
-                    sim.sched_log.completions() as u64,
-                    out.sched_log.completions() as u64,
+                    sim.log().completions() as u64,
+                    out.log().completions() as u64,
                 ),
             ] {
                 if simv != thrv {
@@ -375,583 +435,48 @@ pub fn explore(sc: &Scenario, cfg: &ExploreConfig) -> ExploreReport {
                 }
             }
         }
-        if !violations.is_empty() {
-            let (kept_jobs, kept_fault_workers) = shrink(sc, cfg, &run);
+        if violations.is_empty() {
+            continue;
+        }
+        let mut failure = Failure {
+            iteration: i,
+            replay,
+            violations,
+            kept_jobs: Vec::new(),
+            kept_fault_workers: sc.faulted_workers(),
+            schedule,
+        };
+        if sc.shrinkable() {
+            (failure.kept_jobs, failure.kept_fault_workers) = shrink(sc, cfg, &run);
             // Re-run the minimal scenario to capture its schedule and
-            // violations; fall back to the original capture if the
+            // violations; keep the original capture if the
             // nondeterminism refuses to cooperate one more time.
-            let minimal = ThreadedRun {
-                keep_jobs: Some(kept_jobs.clone()),
-                keep_fault_workers: Some(kept_fault_workers.clone()),
-                ..run.clone()
+            let minimal = Run {
+                keep_jobs: Some(failure.kept_jobs.clone()),
+                keep_fault_workers: Some(failure.kept_fault_workers.clone()),
+                ..run
             };
-            let (mut min_violations, mut min_schedule) = (violations, schedule);
-            for _ in 0..cfg.repro_attempts.max(1) {
+            for _ in 0..REPRO_ATTEMPTS {
                 let (_, v, s) = attempt(sc, cfg, &minimal);
                 if !v.is_empty() {
-                    (min_violations, min_schedule) = (v, s);
+                    (failure.violations, failure.schedule) = (v, s);
                     break;
                 }
             }
-            report.failure = Some(Failure {
-                iteration: i,
-                run_seed,
-                chaos_seed: cfg.chaos.then_some(run_seed),
-                net_seed,
-                crash_index,
-                violations: min_violations,
-                kept_jobs,
-                kept_fault_workers,
-                schedule: min_schedule,
-            });
-            break;
         }
+        report.failure = Some(failure);
+        break;
     }
     report
 }
 
-/// Explore every built-in scenario; returns one report per scenario.
-pub fn explore_builtins(cfg: &ExploreConfig) -> Vec<ExploreReport> {
-    Scenario::builtins()
+/// Explore every built-in scenario `pick` selects; one report each.
+pub fn explore_builtins(
+    cfg: &ExploreConfig,
+    pick: impl Fn(&Scenario) -> bool,
+) -> Vec<ExploreReport> {
+    Scenario::builtins_where(pick)
         .iter()
         .map(|sc| explore(sc, cfg))
-        .collect()
-}
-
-/// Parameters of the federation exploration axis.
-#[derive(Debug, Clone)]
-pub struct FedExploreConfig {
-    /// Seed tuples to sweep per scenario.
-    pub iters: u32,
-    /// Root seed; the per-iteration `(run, chaos, net, membership)`
-    /// tuples derive from it on independent streams.
-    pub base_seed: u64,
-    /// Execute the shards on real threads (with intake chaos armed)
-    /// instead of the deterministic sim.
-    pub runtime: FedRuntimeKind,
-    /// Reintroduced hand-off bug, if any (checker self-validation).
-    pub mutation: FederationMutation,
-}
-
-impl FedExploreConfig {
-    /// A quick deterministic sweep on the sim runtime.
-    pub fn quick(iters: u32, base_seed: u64) -> Self {
-        FedExploreConfig {
-            iters,
-            base_seed,
-            runtime: FedRuntimeKind::Sim,
-            mutation: FederationMutation::None,
-        }
-    }
-
-    /// The threaded sweep: every shard master on real threads with
-    /// seeded intake chaos.
-    pub fn threaded(iters: u32, base_seed: u64) -> Self {
-        FedExploreConfig {
-            runtime: FedRuntimeKind::Threaded,
-            ..FedExploreConfig::quick(iters, base_seed)
-        }
-    }
-}
-
-/// A failing federation run, identified by its full replay tuple. The
-/// federation router is deterministic in these seeds, so unlike the
-/// single-shard explorer there is nothing to shrink — the tuple *is*
-/// the repro.
-#[derive(Debug, Clone)]
-pub struct FedFailure {
-    /// Iteration index at which the violation appeared.
-    pub iteration: u32,
-    /// The `(run, chaos, net, membership)` replay tuple.
-    pub seeds: FedSeeds,
-    /// Violations in the merged federation-wide log.
-    pub merged_violations: Vec<Violation>,
-    /// Per-shard violations, as `(shard, violation)` pairs.
-    pub shard_violations: Vec<(usize, Violation)>,
-}
-
-/// Result of sweeping one federation scenario.
-#[derive(Debug, Clone)]
-pub struct FedExploreReport {
-    /// Scenario name.
-    pub scenario: String,
-    /// Protocol name.
-    pub protocol: String,
-    /// Seed tuples actually run (stops early on failure).
-    pub iterations_run: u32,
-    /// Cross-shard hand-offs observed across the sweep. A spill
-    /// scenario whose sweep never spilled proves nothing, so `repro
-    /// federate` surfaces this count.
-    pub spills_observed: u64,
-    /// Elastic-membership events observed in the merged logs (joins +
-    /// drains + removals).
-    pub churn_observed: u64,
-    /// Conservation mismatches (expected vs observed completions).
-    pub parity_mismatches: Vec<String>,
-    /// The first failing seed tuple, if any.
-    pub failure: Option<FedFailure>,
-}
-
-impl FedExploreReport {
-    /// No violations and no conservation mismatches.
-    pub fn passed(&self) -> bool {
-        self.failure.is_none() && self.parity_mismatches.is_empty()
-    }
-
-    /// Human-readable report; on failure this is the replay tuple.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "{} [{}]: {} seed tuple(s), {} spill(s), {} churn event(s)",
-            self.scenario,
-            self.protocol,
-            self.iterations_run,
-            self.spills_observed,
-            self.churn_observed
-        );
-        if self.passed() {
-            out.push_str(" — ok\n");
-            return out;
-        }
-        out.push('\n');
-        for m in &self.parity_mismatches {
-            out.push_str(&format!("  parity: {m}\n"));
-        }
-        if let Some(f) = &self.failure {
-            out.push_str(&format!(
-                "  VIOLATION at iteration {} (run seed {}, chaos seed {}, net seed {}, membership seed {})\n",
-                f.iteration,
-                f.seeds.run,
-                f.seeds.chaos.map_or("-".into(), |s| s.to_string()),
-                f.seeds.net,
-                f.seeds.membership,
-            ));
-            for v in &f.merged_violations {
-                out.push_str(&format!("    merged: {v}\n"));
-            }
-            for (s, v) in &f.shard_violations {
-                out.push_str(&format!("    shard {s}: {v}\n"));
-            }
-        }
-        out
-    }
-}
-
-/// Sweep `cfg.iters` seed tuples of one federation scenario: run the
-/// federation, check the merged log with the federated oracle and each
-/// shard's augmented log with the single-shard oracle, and cross-check
-/// completion conservation. Stops at the first failing tuple.
-pub fn explore_federation(sc: &FedScenario, cfg: &FedExploreConfig) -> FedExploreReport {
-    let mut report = FedExploreReport {
-        scenario: sc.name.to_string(),
-        protocol: sc.protocol.name().to_string(),
-        iterations_run: 0,
-        spills_observed: 0,
-        churn_observed: 0,
-        parity_mismatches: Vec::new(),
-        failure: None,
-    };
-    let seeds = SeedSequence::new(cfg.base_seed);
-    for i in 0..cfg.iters {
-        let tuple = FedSeeds {
-            run: seeds.seed_for(i as u64),
-            chaos: (cfg.runtime == FedRuntimeKind::Threaded)
-                .then(|| seeds.seed_for(0xC4A0_0000 + i as u64)),
-            net: seeds.seed_for(0x4E37_0000 + i as u64),
-            membership: seeds.seed_for(0x4D42_0000 + i as u64),
-        };
-        let out = sc.run(cfg.runtime, tuple, cfg.mutation);
-        report.iterations_run = i + 1;
-        report.spills_observed += out.spills.len() as u64;
-        report.churn_observed += (out.merged.worker_joins()
-            + out.merged.worker_drains()
-            + out.merged.worker_removals()) as u64;
-        if cfg.mutation == FederationMutation::None && out.jobs_completed != sc.total_jobs() {
-            report.parity_mismatches.push(format!(
-                "iteration {i}: expected {} completions, observed {}",
-                sc.total_jobs(),
-                out.jobs_completed
-            ));
-        }
-        let merged_violations = check_log(&out.merged, sc.merged_oracle_options());
-        let shard_violations: Vec<(usize, Violation)> = out
-            .shards
-            .iter()
-            .enumerate()
-            .flat_map(|(s, o)| {
-                check_log(&o.sched_log, sc.shard_oracle_options())
-                    .into_iter()
-                    .map(move |v| (s, v))
-            })
-            .collect();
-        if !merged_violations.is_empty() || !shard_violations.is_empty() {
-            report.failure = Some(FedFailure {
-                iteration: i,
-                seeds: tuple,
-                merged_violations,
-                shard_violations,
-            });
-            break;
-        }
-    }
-    report
-}
-
-/// Explore every built-in federation scenario.
-pub fn explore_federation_builtins(cfg: &FedExploreConfig) -> Vec<FedExploreReport> {
-    FedScenario::builtins()
-        .iter()
-        .map(|sc| explore_federation(sc, cfg))
-        .collect()
-}
-
-/// Parameters of the DAG (atomizer) exploration axis.
-#[derive(Debug, Clone)]
-pub struct DagExploreConfig {
-    /// Run seeds to sweep per scenario.
-    pub iters: u32,
-    /// Root seed; per-iteration run seeds derive from it.
-    pub base_seed: u64,
-    /// Which runtime executes the sweep.
-    pub runtime: FedRuntimeKind,
-    /// Reintroduced atomizer bug, if any (checker self-validation).
-    pub mutation: ProtocolMutation,
-}
-
-impl DagExploreConfig {
-    /// A quick deterministic sweep on the sim engine.
-    pub fn quick(iters: u32, base_seed: u64) -> Self {
-        DagExploreConfig {
-            iters,
-            base_seed,
-            runtime: FedRuntimeKind::Sim,
-            mutation: ProtocolMutation::None,
-        }
-    }
-
-    /// The same sweep on real threads.
-    pub fn threaded(iters: u32, base_seed: u64) -> Self {
-        DagExploreConfig {
-            runtime: FedRuntimeKind::Threaded,
-            ..DagExploreConfig::quick(iters, base_seed)
-        }
-    }
-}
-
-/// A failing DAG run. Task jobs are structurally entangled through
-/// their precedence edges, so there is nothing to shrink — the
-/// `(seed, runtime)` pair is the repro.
-#[derive(Debug, Clone)]
-pub struct DagFailure {
-    /// Iteration index at which the violation appeared.
-    pub iteration: u32,
-    /// The replaying run seed.
-    pub seed: u64,
-    /// Oracle violations in the run's scheduler log.
-    pub violations: Vec<Violation>,
-}
-
-/// Result of sweeping one DAG scenario.
-#[derive(Debug, Clone)]
-pub struct DagExploreReport {
-    /// Scenario name.
-    pub scenario: String,
-    /// Protocol name.
-    pub protocol: String,
-    /// Which runtime ran the sweep.
-    pub runtime: &'static str,
-    /// Seeds actually run (stops early on failure).
-    pub iterations_run: u32,
-    /// Speculative launches observed across the sweep. A straggler
-    /// scenario whose sweep never speculated proves nothing, so
-    /// `repro atomize` surfaces this count.
-    pub speculations_observed: u64,
-    /// Effective-completion conservation mismatches.
-    pub parity_mismatches: Vec<String>,
-    /// The first failing seed, if any.
-    pub failure: Option<DagFailure>,
-}
-
-impl DagExploreReport {
-    /// No violations and no conservation mismatches.
-    pub fn passed(&self) -> bool {
-        self.failure.is_none() && self.parity_mismatches.is_empty()
-    }
-
-    /// Human-readable report; on failure this is the replay tuple.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "{} [{} on {}]: {} seed(s), {} speculative launch(es)",
-            self.scenario,
-            self.protocol,
-            self.runtime,
-            self.iterations_run,
-            self.speculations_observed
-        );
-        if self.passed() {
-            out.push_str(" — ok\n");
-            return out;
-        }
-        out.push('\n');
-        for m in &self.parity_mismatches {
-            out.push_str(&format!("  parity: {m}\n"));
-        }
-        if let Some(f) = &self.failure {
-            out.push_str(&format!(
-                "  VIOLATION at iteration {} (run seed {} on the {} runtime)\n",
-                f.iteration, f.seed, self.runtime,
-            ));
-            for v in &f.violations {
-                out.push_str(&format!("    {v}\n"));
-            }
-        }
-        out
-    }
-}
-
-/// Sweep `cfg.iters` run seeds of one DAG scenario: run it, feed the
-/// scheduler log to the oracle (the DAG invariants arm on the first
-/// `TaskOffer`), and cross-check effective-completion conservation.
-/// Stops at the first failing seed.
-pub fn explore_dag(sc: &DagScenario, cfg: &DagExploreConfig) -> DagExploreReport {
-    let mut report = DagExploreReport {
-        scenario: sc.name.to_string(),
-        protocol: sc.protocol.name().to_string(),
-        runtime: match cfg.runtime {
-            FedRuntimeKind::Sim => "sim",
-            FedRuntimeKind::Threaded => "threaded",
-        },
-        iterations_run: 0,
-        speculations_observed: 0,
-        parity_mismatches: Vec::new(),
-        failure: None,
-    };
-    let seeds = SeedSequence::new(cfg.base_seed);
-    for i in 0..cfg.iters {
-        let seed = seeds.seed_for(i as u64);
-        let out = match cfg.runtime {
-            FedRuntimeKind::Sim => sc.run_sim(seed, cfg.mutation),
-            FedRuntimeKind::Threaded => sc.run_threaded(seed, cfg.mutation),
-        };
-        report.iterations_run = i + 1;
-        report.speculations_observed += out.sched_log.spec_launches() as u64;
-        if cfg.mutation == ProtocolMutation::None
-            && out.sched_log.task_dones() as u64 != sc.expected_tasks()
-        {
-            report.parity_mismatches.push(format!(
-                "iteration {i}: expected {} effective completions, observed {}",
-                sc.expected_tasks(),
-                out.sched_log.task_dones()
-            ));
-        }
-        let violations = check_log(&out.sched_log, sc.oracle_options());
-        if !violations.is_empty() {
-            report.failure = Some(DagFailure {
-                iteration: i,
-                seed,
-                violations,
-            });
-            break;
-        }
-    }
-    report
-}
-
-/// Explore every built-in DAG scenario.
-pub fn explore_dag_builtins(cfg: &DagExploreConfig) -> Vec<DagExploreReport> {
-    DagScenario::builtins()
-        .iter()
-        .map(|sc| explore_dag(sc, cfg))
-        .collect()
-}
-
-/// Parameters of the replication exploration axis.
-#[derive(Debug, Clone)]
-pub struct ReplExploreConfig {
-    /// Seed tuples to sweep per scenario.
-    pub iters: u32,
-    /// Root seed; per-iteration `(run, net)` tuples derive from it on
-    /// independent streams.
-    pub base_seed: u64,
-    /// Which runtime executes the sweep.
-    pub runtime: FedRuntimeKind,
-    /// Reintroduced data-plane bug, if any (checker self-validation).
-    pub mutation: ProtocolMutation,
-    /// Arm lossy links (drop/duplicate/delay plus a timed partition
-    /// window) on top of the scenario's own peer-loss rate.
-    pub netfault: bool,
-}
-
-impl ReplExploreConfig {
-    /// A quick deterministic sweep on the sim engine.
-    pub fn quick(iters: u32, base_seed: u64) -> Self {
-        ReplExploreConfig {
-            iters,
-            base_seed,
-            runtime: FedRuntimeKind::Sim,
-            mutation: ProtocolMutation::None,
-            netfault: false,
-        }
-    }
-
-    /// The same sweep on real threads.
-    pub fn threaded(iters: u32, base_seed: u64) -> Self {
-        ReplExploreConfig {
-            runtime: FedRuntimeKind::Threaded,
-            ..ReplExploreConfig::quick(iters, base_seed)
-        }
-    }
-
-    /// A lossy-link sweep: link faults compose with the scenario's
-    /// seeded peer-transfer loss, so fetches retry across both.
-    pub fn lossy(iters: u32, base_seed: u64) -> Self {
-        ReplExploreConfig {
-            netfault: true,
-            ..ReplExploreConfig::quick(iters, base_seed)
-        }
-    }
-}
-
-/// A failing replication run, identified by its `(run, net)` replay
-/// tuple. Replica state is globally entangled through the pin/repair
-/// protocol, so there is nothing to shrink — the tuple *is* the repro.
-#[derive(Debug, Clone)]
-pub struct ReplFailure {
-    /// Iteration index at which the violation appeared.
-    pub iteration: u32,
-    /// The replaying run seed.
-    pub run_seed: u64,
-    /// Net-fault seed (`None` when the links were reliable).
-    pub net_seed: Option<u64>,
-    /// Oracle violations in the run's scheduler log.
-    pub violations: Vec<Violation>,
-}
-
-/// Result of sweeping one replication scenario.
-#[derive(Debug, Clone)]
-pub struct ReplExploreReport {
-    /// Scenario name.
-    pub scenario: String,
-    /// Protocol name.
-    pub protocol: String,
-    /// Which runtime ran the sweep.
-    pub runtime: &'static str,
-    /// Seed tuples actually run (stops early on failure).
-    pub iterations_run: u32,
-    /// Successful peer fetches observed across the sweep. A sweep in
-    /// which no worker ever pulled from a replica proves nothing about
-    /// the peer path, so `repro replicate` surfaces this count.
-    pub peer_fetches_observed: u64,
-    /// Fetch retries (lost peer transfers) observed across the sweep.
-    pub fetch_retries_observed: u64,
-    /// Committed re-replications that completed across the sweep.
-    pub repairs_observed: u64,
-    /// Completion-conservation mismatches.
-    pub parity_mismatches: Vec<String>,
-    /// The first failing seed tuple, if any.
-    pub failure: Option<ReplFailure>,
-}
-
-impl ReplExploreReport {
-    /// No violations and no conservation mismatches.
-    pub fn passed(&self) -> bool {
-        self.failure.is_none() && self.parity_mismatches.is_empty()
-    }
-
-    /// Human-readable report; on failure this is the replay tuple.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "{} [{} on {}]: {} seed tuple(s), {} peer fetch(es), {} retry(ies), {} repair(s)",
-            self.scenario,
-            self.protocol,
-            self.runtime,
-            self.iterations_run,
-            self.peer_fetches_observed,
-            self.fetch_retries_observed,
-            self.repairs_observed
-        );
-        if self.passed() {
-            out.push_str(" — ok\n");
-            return out;
-        }
-        out.push('\n');
-        for m in &self.parity_mismatches {
-            out.push_str(&format!("  parity: {m}\n"));
-        }
-        if let Some(f) = &self.failure {
-            out.push_str(&format!(
-                "  VIOLATION at iteration {} (run seed {}, net seed {} on the {} runtime)\n",
-                f.iteration,
-                f.run_seed,
-                f.net_seed.map_or("-".into(), |s| s.to_string()),
-                self.runtime,
-            ));
-            for v in &f.violations {
-                out.push_str(&format!("    {v}\n"));
-            }
-        }
-        out
-    }
-}
-
-/// Sweep `cfg.iters` seed tuples of one replication scenario: run it,
-/// feed the scheduler log to the oracle (the replication invariants
-/// arm on the first replica event), and cross-check completion
-/// conservation. Stops at the first failing tuple.
-pub fn explore_replication(sc: &ReplScenario, cfg: &ReplExploreConfig) -> ReplExploreReport {
-    let mut report = ReplExploreReport {
-        scenario: sc.name.to_string(),
-        protocol: sc.protocol.name().to_string(),
-        runtime: match cfg.runtime {
-            FedRuntimeKind::Sim => "sim",
-            FedRuntimeKind::Threaded => "threaded",
-        },
-        iterations_run: 0,
-        peer_fetches_observed: 0,
-        fetch_retries_observed: 0,
-        repairs_observed: 0,
-        parity_mismatches: Vec::new(),
-        failure: None,
-    };
-    let seeds = SeedSequence::new(cfg.base_seed);
-    for i in 0..cfg.iters {
-        let run_seed = seeds.seed_for(i as u64);
-        let net_seed = cfg.netfault.then(|| seeds.seed_for(0x4E37_0000 + i as u64));
-        let net = net_seed.map(net_plan).unwrap_or_else(NetFaultPlan::none);
-        let out = match cfg.runtime {
-            FedRuntimeKind::Sim => sc.run_sim(run_seed, cfg.mutation, net),
-            FedRuntimeKind::Threaded => sc.run_threaded(run_seed, cfg.mutation, net),
-        };
-        report.iterations_run = i + 1;
-        report.peer_fetches_observed += out.sched_log.fetch_oks() as u64;
-        report.fetch_retries_observed += out.sched_log.fetch_fails() as u64;
-        report.repairs_observed += out.sched_log.repair_dones() as u64;
-        if cfg.mutation == ProtocolMutation::None
-            && out.record.jobs_completed != sc.jobs.len() as u64
-        {
-            report.parity_mismatches.push(format!(
-                "iteration {i}: expected {} completions, observed {}",
-                sc.jobs.len(),
-                out.record.jobs_completed
-            ));
-        }
-        let violations = check_log(&out.sched_log, sc.oracle_options());
-        if !violations.is_empty() {
-            report.failure = Some(ReplFailure {
-                iteration: i,
-                run_seed,
-                net_seed,
-                violations,
-            });
-            break;
-        }
-    }
-    report
-}
-
-/// Explore every built-in replication scenario.
-pub fn explore_replication_builtins(cfg: &ReplExploreConfig) -> Vec<ReplExploreReport> {
-    ReplScenario::builtins()
-        .iter()
-        .map(|sc| explore_replication(sc, cfg))
         .collect()
 }

@@ -15,34 +15,38 @@
 //!   from an exported JSONL stream). It knows nothing about either
 //!   runtime's internals, so the same invariants hold the simulation
 //!   engine and the threaded runtime to one standard.
-//! * [`scenario`] defines small, fully-specified workloads as *data*,
-//!   so a failing one can be shrunk mechanically.
-//! * [`explorer`] sweeps seeded message-delivery interleavings of the
-//!   threaded runtime (via [`crossbid_crossflow::ChaosConfig`]), runs
-//!   the oracle after every run, cross-checks conservation counters
-//!   against the deterministic simulation, and on failure shrinks to
-//!   a minimal scenario and prints the seed plus the recorded delivery
-//!   schedule — a replayable repro.
+//! * [`scenario`] defines small, fully-specified workloads as *data*:
+//!   one [`Scenario`] type whose optional axes (replicated data plane,
+//!   task DAGs, sharded federation) are read off the value itself, one
+//!   [`Run`] naming the runtime, seeds and perturbations, and one
+//!   [`Scenario::run`] from the pair to an [`Outcome`] — the logs to
+//!   check with the oracle options that fit each, completions
+//!   observed vs expected, and the activity the run showed.
+//! * [`explorer`] sweeps one scenario across seed tuples on either
+//!   runtime ([`explore`]): threaded intake chaos
+//!   ([`crossbid_crossflow::ChaosConfig`]), lossy links, master
+//!   crashes and membership churn each draw from their own stream of
+//!   the root seed. It runs the oracle on every log after every run,
+//!   checks conservation against the scenario's own expected count
+//!   and (threaded) against the deterministic simulation, and on
+//!   failure reports the [`ReplayTuple`] — plus, for a job list on one
+//!   master, the shrunk scenario and the recorded delivery schedule.
 //!
-//! The checker validates *itself* through
-//! [`crossbid_crossflow::ProtocolMutation`]: each variant
-//! re-introduces one protocol bug fixed in PR 1 (behind the
-//! `protocol-mutation` cargo feature of `crossbid-crossflow`), and the
-//! test suite asserts the explorer finds a violation for every one.
+//! The checker validates *itself* through [`Mutation`]: each
+//! [`crossbid_crossflow::ProtocolMutation`] variant re-introduces one
+//! single-master protocol bug (behind the `protocol-mutation` cargo
+//! feature of `crossbid-crossflow`), each
+//! [`crossbid_crossflow::FederationMutation`] breaks the cross-shard
+//! hand-off, and the test suite asserts the explorer finds a
+//! violation for every one.
 
 pub mod explorer;
 pub mod oracle;
 pub mod scenario;
 
-pub use explorer::{
-    explore, explore_builtins, explore_dag, explore_dag_builtins, explore_federation,
-    explore_federation_builtins, explore_replication, explore_replication_builtins,
-    DagExploreConfig, DagExploreReport, DagFailure, ExploreConfig, ExploreReport, Failure,
-    FedExploreConfig, FedExploreReport, FedFailure, ReplExploreConfig, ReplExploreReport,
-    ReplFailure,
-};
+pub use explorer::{explore, explore_builtins, ExploreConfig, ExploreReport, Failure, ReplayTuple};
 pub use oracle::{check_log, Oracle, OracleOptions, Violation};
 pub use scenario::{
-    DagScenario, FaultDef, FedScenario, FedSeeds, JobDef, Protocol, ReplScenario, Scenario,
-    ThreadedRun,
+    Activity, Demand, FaultDef, Federation, JobDef, Mutation, Outcome, Protocol, Replication, Run,
+    Scenario, Workload,
 };

@@ -1,28 +1,39 @@
 //! Checker scenarios: small, fully-specified workloads runnable on
 //! either runtime.
 //!
-//! A [`Scenario`] is data, not code — a cluster shape, a job list and
-//! a fault schedule — so the explorer can *shrink* it: re-run with a
-//! subset of the jobs or without one worker's faults while keeping
-//! everything else (seeds, chaos schedule parameters) fixed. The
-//! built-in set covers the protocol surface PR 1 hardened: a hot
-//! contested repository, the Baseline's reject-once routing, crash +
-//! recovery redistribution, and a multi-repository spread.
+//! A [`Scenario`] is data, not code — a cluster shape, a workload, a
+//! fault schedule and the optional axes it exercises (a replicated
+//! data plane, a sharded federation, speculation knobs) — so the
+//! explorer can sweep it across seed tuples and *shrink* it: re-run
+//! with a subset of the jobs or without one worker's faults while
+//! everything else stays fixed. A [`Run`] is the other half: which
+//! runtime, which seeds, which perturbations. [`Scenario::run`] turns
+//! the pair into an [`Outcome`] — the logs to check, the completions
+//! observed against the scenario's own expectation, and the activity
+//! the run showed.
+//!
+//! The built-in set covers the protocol surface: a hot contested
+//! repository, the Baseline's reject-once routing, crash + recovery
+//! redistribution and a multi-repository spread on one master; shard
+//! count × spill threshold × membership churn across a federation;
+//! straggler rescue and skewed fan-in over task DAGs; and factor ×
+//! holder crash × peer loss × eviction pressure on the replicated data
+//! plane.
 
 use crossbid_core::BiddingAllocator;
 use crossbid_crossflow::{
     run_federation, Allocator, Arrival, AtomizeConfig, BaselineAllocator, ChaosConfig,
     EngineConfig, FaultPlan, Faults, FedArrival, FedRuntimeKind, FederationMutation,
-    FederationOutput, FederationSpec, JobSpec, MasterFaultPlan, MembershipPlan, NetFaultPlan,
-    Payload, ProtocolMutation, ReplicationConfig, ResourceRef, RunOutput, RunSpec, ShardId,
-    ShardSpec, TaskId, WorkerId, WorkerSpec, Workflow,
+    FederationSpec, JobSpec, MasterFaultPlan, MembershipPlan, NetFaultPlan, Payload,
+    ProtocolMutation, ReplicationConfig, ResourceRef, RunOutput, RunSpec, Runtime, SchedLog,
+    ShardId, ShardSpec, SpillRecord, TaskId, WorkerId, WorkerSpec, Workflow,
 };
 use crossbid_net::{ControlPlane, NoiseModel};
-use crossbid_simcore::{SimDuration, SimTime};
+use crossbid_simcore::{SeedSequence, SimDuration, SimTime};
 use crossbid_storage::ObjectId;
 use crossbid_workload::DagConfig;
 
-use crate::oracle::OracleOptions;
+use crate::oracle::{check_log, OracleOptions, Violation};
 
 /// Which allocation protocol the scenario runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,111 +84,458 @@ pub struct FaultDef {
     pub recovers: bool,
 }
 
+/// What arrives at the master.
+#[derive(Debug, Clone)]
+pub enum Workload {
+    /// Independent scan jobs. Job *indices* are stable identities:
+    /// shrinking passes a subset of indices, and each job keeps its
+    /// payload.
+    Jobs(Vec<JobDef>),
+    /// A stream of structured DAG jobs, one every five virtual
+    /// seconds, generated from the run seed. The atomizer splits each
+    /// into task jobs that are structurally entangled through their
+    /// precedence edges, so there is nothing to shrink.
+    Dags {
+        /// DAG shape generator.
+        config: DagConfig,
+        /// Number of DAG arrivals.
+        count: usize,
+    },
+}
+
+/// The replicated-data-plane axis.
+#[derive(Debug, Clone, Copy)]
+pub struct Replication {
+    /// Replication target factor.
+    pub factor: u32,
+    /// Seeded peer data-transfer loss probability (drives the
+    /// retry → degraded-master-fallback path).
+    pub peer_drop_prob: f64,
+}
+
+/// The federation axis: the scenario's cluster becomes one of `shards`
+/// identical shards, its workload a burst aimed at shard 0 (the
+/// overload the spill protocol exists for), and every peer shard gets
+/// one warm-up job so each master has local activity to interleave
+/// with spill-ins.
+#[derive(Debug, Clone, Copy)]
+pub struct Federation {
+    /// Number of shards (masters).
+    pub shards: usize,
+    /// Spill threshold in virtual seconds (`f64::INFINITY` = the
+    /// single-master baseline).
+    pub spill_threshold_secs: f64,
+    /// Seeded pairwise gossip-exchange loss probability.
+    pub gossip_loss: f64,
+    /// Seeded elastic-membership churn on every shard: one extra
+    /// deferred worker joins early, worker 0 drains mid-run, and with
+    /// at least three base workers, worker 1 is removed late.
+    pub churn: bool,
+}
+
+/// Activity a sweep of a scenario must show, because a sweep that
+/// never exercised the path under test proves nothing about it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Demand {
+    /// At least one cross-shard hand-off.
+    Spill,
+    /// No cross-shard hand-off at all (the ∞-threshold control).
+    NoSpill,
+    /// At least one membership event (join, drain or removal).
+    Churn,
+    /// At least one speculative re-bid.
+    Speculate,
+    /// At least one committed re-replication that completed.
+    Repair,
+    /// At least one lost peer transfer that was retried.
+    Retry,
+    /// At least one master failover.
+    Failover,
+}
+
+impl Demand {
+    /// Why `seen` does not satisfy this demand, if it does not.
+    pub fn unmet(self, seen: &Activity) -> Option<&'static str> {
+        let (met, why) = match self {
+            Demand::Spill => (seen.spills > 0, "no spill fired across the sweep"),
+            Demand::NoSpill => (seen.spills == 0, "the ∞-threshold baseline spilled"),
+            Demand::Churn => (seen.churn > 0, "no churn event fired across the sweep"),
+            Demand::Speculate => (
+                seen.speculations > 0,
+                "no speculative re-bid fired across the sweep",
+            ),
+            Demand::Repair => (
+                seen.repairs > 0,
+                "no committed re-replication completed across the sweep",
+            ),
+            Demand::Retry => (
+                seen.fetch_retries > 0,
+                "no lost peer transfer was retried across the sweep",
+            ),
+            Demand::Failover => (seen.failovers > 0, "no master crash fired across the sweep"),
+        };
+        (!met).then_some(why)
+    }
+}
+
+/// Activity counts read off a run's scheduler log (summed over a
+/// sweep by the explorer).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Activity {
+    /// Master failovers.
+    pub failovers: u64,
+    /// Cross-shard hand-offs.
+    pub spills: u64,
+    /// Membership events (joins + drains + removals).
+    pub churn: u64,
+    /// Speculative launches.
+    pub speculations: u64,
+    /// Successful peer fetches.
+    pub peer_fetches: u64,
+    /// Fetch retries (lost peer transfers).
+    pub fetch_retries: u64,
+    /// Committed re-replications that completed.
+    pub repairs: u64,
+}
+
+impl std::ops::AddAssign for Activity {
+    fn add_assign(&mut self, o: Activity) {
+        self.failovers += o.failovers;
+        self.spills += o.spills;
+        self.churn += o.churn;
+        self.speculations += o.speculations;
+        self.peer_fetches += o.peer_fetches;
+        self.fetch_retries += o.fetch_retries;
+        self.repairs += o.repairs;
+    }
+}
+
+impl std::fmt::Display for Activity {
+    /// The nonzero counts, each prefixed with `", "`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (n, what) in [
+            (self.failovers, "failover(s)"),
+            (self.spills, "spill(s)"),
+            (self.churn, "churn event(s)"),
+            (self.speculations, "speculative launch(es)"),
+            (self.peer_fetches, "peer fetch(es)"),
+            (self.fetch_retries, "retry(ies)"),
+            (self.repairs, "repair(s)"),
+        ] {
+            if n > 0 {
+                write!(f, ", {n} {what}")?;
+            }
+        }
+        Ok(())
+    }
+}
+
 /// A fully-specified checker workload.
 #[derive(Debug, Clone)]
 pub struct Scenario {
-    /// Stable name for reports and `repro check` output.
+    /// Stable name for reports and `repro` output.
     pub name: &'static str,
     /// Which protocol runs it.
     pub protocol: Protocol,
-    /// Cluster size (homogeneous workers).
+    /// Cluster size — per shard when federated, *excluding* the churn
+    /// spare.
     pub workers: usize,
-    /// The workload. Job *indices* are stable identities: shrinking
-    /// passes a subset of indices, and each job keeps its payload.
-    pub jobs: Vec<JobDef>,
-    /// Crash/recovery schedule.
+    /// `(index, cpu multiple)` — the deliberate straggler, if any.
+    pub slow_worker: Option<(usize, f64)>,
+    /// Per-worker store capacity in GB. Small values create the
+    /// eviction pressure the pin discipline exists to survive.
+    pub storage_gb: f64,
+    /// The workload.
+    pub workload: Workload,
+    /// Crash/recovery schedule (of every shard when federated).
     pub faults: Vec<FaultDef>,
-    /// Whether every job is expected to complete by end of run (false
-    /// only for scenarios that legitimately end partial).
-    pub expect_all_complete: bool,
+    /// Replicated data plane, if armed.
+    pub replication: Option<Replication>,
+    /// Speculation knobs; only consulted for [`Workload::Dags`].
+    pub atomize: AtomizeConfig,
+    /// Sharded multi-master federation, if armed.
+    pub federation: Option<Federation>,
+    /// Activity a clean sweep of this scenario must show.
+    pub demands: &'static [Demand],
 }
 
-fn hot_repo_jobs(n: usize, object: u64) -> Vec<JobDef> {
+/// `n` 100 MB-class scan jobs, `spacing` seconds apart, cycling over
+/// `objects` repositories.
+fn spaced_jobs(n: usize, objects: u64, spacing: f64, bytes: u64) -> Vec<JobDef> {
     (0..n)
         .map(|i| JobDef {
-            at_secs: i as f64 * 0.5,
-            object,
-            bytes: 100_000_000,
+            at_secs: i as f64 * spacing,
+            object: 1 + (i as u64 % objects),
+            bytes,
         })
         .collect()
 }
 
+fn crash_recover(crash_secs: f64, recover_secs: f64) -> Vec<FaultDef> {
+    vec![
+        FaultDef {
+            at_secs: crash_secs,
+            worker: 0,
+            recovers: false,
+        },
+        FaultDef {
+            at_secs: recover_secs,
+            worker: 0,
+            recovers: true,
+        },
+    ]
+}
+
 impl Scenario {
-    /// The built-in scenario set `repro check` and the tier-1 suite
-    /// sweep. Together they exercise contests (ties, backlog), the
-    /// Baseline's reject-once routing, crash redistribution with
-    /// recovery, and multi-repository locality.
+    /// A fault-free scenario on `workers` homogeneous 10 GB workers
+    /// with every optional axis off.
+    pub fn new(name: &'static str, protocol: Protocol, workers: usize, workload: Workload) -> Self {
+        Scenario {
+            name,
+            protocol,
+            workers,
+            slow_worker: None,
+            storage_gb: 10.0,
+            workload,
+            faults: Vec::new(),
+            replication: None,
+            atomize: AtomizeConfig::default(),
+            federation: None,
+            demands: &[],
+        }
+    }
+
+    /// The built-in scenario set `repro` and the tier-1 suite sweep.
+    /// On one master: contests (ties, backlog), the Baseline's
+    /// reject-once routing, crash redistribution with recovery and
+    /// multi-repository locality. `fed_*`: shard count × spill
+    /// threshold × membership churn. `dag_*`: straggler rescue (push
+    /// scheduling onto a slow worker, speculation must fire) and a
+    /// skewed reducer (bidding over map outputs, gating under wide
+    /// fan-in). `repl_*`: factor × holder crash × peer loss × eviction
+    /// pressure. Both protocols are represented on every axis.
     pub fn builtins() -> Vec<Scenario> {
-        let crash_recover = vec![
-            FaultDef {
-                at_secs: 6.0,
-                worker: 0,
-                recovers: false,
-            },
-            FaultDef {
-                at_secs: 12.0,
-                worker: 0,
-                recovers: true,
-            },
-        ];
+        use Protocol::{Baseline, Bidding};
+        // Twelve scans of one hot repository on three workers.
+        let hot_repo = |name, protocol, faults| Scenario {
+            faults,
+            ..Scenario::new(
+                name,
+                protocol,
+                3,
+                Workload::Jobs(spaced_jobs(12, 1, 0.5, 100_000_000)),
+            )
+        };
+        // A `jobs`-long burst over three hot repositories at shard 0 of
+        // a federation of `workers`-wide shards.
+        let fed = |name, protocol, workers, jobs, federation, demands| Scenario {
+            federation: Some(federation),
+            demands,
+            ..Scenario::new(
+                name,
+                protocol,
+                workers,
+                Workload::Jobs(spaced_jobs(jobs, 3, 0.5, 100_000_000)),
+            )
+        };
+        let shards = |shards, spill_threshold_secs, gossip_loss, churn| Federation {
+            shards,
+            spill_threshold_secs,
+            gossip_loss,
+            churn,
+        };
+        // Twelve scans over two hot artifacts on four replicating workers.
+        let repl = |name, protocol, factor, peer_drop_prob, faults, demands| Scenario {
+            faults,
+            replication: Some(Replication {
+                factor,
+                peer_drop_prob,
+            }),
+            demands,
+            ..Scenario::new(
+                name,
+                protocol,
+                4,
+                Workload::Jobs(spaced_jobs(12, 2, 2.0, 100_000_000)),
+            )
+        };
         vec![
+            hot_repo("hot_repo_bidding", Bidding, Vec::new()),
+            hot_repo("reject_once_baseline", Baseline, Vec::new()),
+            hot_repo("crash_recovery_bidding", Bidding, crash_recover(6.0, 12.0)),
+            hot_repo(
+                "crash_recovery_baseline",
+                Baseline,
+                crash_recover(6.0, 12.0),
+            ),
+            Scenario::new(
+                "two_repos_bidding",
+                Bidding,
+                4,
+                Workload::Jobs(spaced_jobs(12, 2, 0.4, 60_000_000)),
+            ),
+            fed(
+                "fed_2shard_spill",
+                Bidding,
+                2,
+                16,
+                shards(2, 10.0, 0.0, false),
+                &[Demand::Spill],
+            ),
+            fed(
+                "fed_2shard_nospill",
+                Baseline,
+                2,
+                16,
+                shards(2, f64::INFINITY, 0.0, false),
+                &[Demand::NoSpill],
+            ),
+            fed(
+                "fed_4shard_spill",
+                Bidding,
+                2,
+                20,
+                shards(4, 8.0, 0.0, false),
+                &[Demand::Spill],
+            ),
+            fed(
+                "fed_4shard_churn",
+                Bidding,
+                3,
+                20,
+                shards(4, 8.0, 0.0, true),
+                &[Demand::Spill, Demand::Churn],
+            ),
+            fed(
+                "fed_2shard_lossy_gossip_churn",
+                Baseline,
+                3,
+                16,
+                shards(2, 10.0, 0.3, true),
+                &[Demand::Churn],
+            ),
             Scenario {
-                name: "hot_repo_bidding",
-                protocol: Protocol::Bidding,
-                workers: 3,
-                jobs: hot_repo_jobs(12, 1),
-                faults: Vec::new(),
-                expect_all_complete: true,
+                slow_worker: Some((2, 40.0)),
+                demands: &[Demand::Speculate],
+                ..Scenario::new(
+                    "dag_straggler",
+                    Baseline,
+                    3,
+                    Workload::Dags {
+                        config: DagConfig::RepoSplit {
+                            shards: 8,
+                            repo_mb: 100,
+                            tail_alpha: 1.5,
+                        },
+                        count: 2,
+                    },
+                )
             },
+            Scenario::new(
+                "dag_skewed_reduce",
+                Bidding,
+                4,
+                Workload::Dags {
+                    config: DagConfig::MapReduceSkew {
+                        maps: 6,
+                        reduces: 3,
+                        skew_factor: 8.0,
+                    },
+                    count: 2,
+                },
+            ),
+            repl(
+                "repl_f2_crash",
+                Bidding,
+                2,
+                0.0,
+                crash_recover(21.0, 40.0),
+                &[Demand::Repair],
+            ),
+            repl(
+                "repl_f3_lossy",
+                Bidding,
+                3,
+                0.5,
+                Vec::new(),
+                &[Demand::Retry],
+            ),
+            repl(
+                "repl_f2_lossy_crash_baseline",
+                Baseline,
+                2,
+                0.3,
+                crash_recover(21.0, 40.0),
+                &[],
+            ),
+            // One worker, factor 1, three 100 MB artifacts against a
+            // two-slot store: the third insert *must* pass through
+            // because both residents are pinned sole copies. With the
+            // pin discipline sabotaged (`EvictLastCopy`) the insert
+            // evicts a last copy instead — the oracle's
+            // `EvictedLastCopy` catcher.
             Scenario {
-                name: "reject_once_baseline",
-                protocol: Protocol::Baseline,
-                workers: 3,
-                jobs: hot_repo_jobs(12, 1),
-                faults: Vec::new(),
-                expect_all_complete: true,
-            },
-            Scenario {
-                name: "crash_recovery_bidding",
-                protocol: Protocol::Bidding,
-                workers: 3,
-                jobs: hot_repo_jobs(12, 1),
-                faults: crash_recover.clone(),
-                expect_all_complete: true,
-            },
-            Scenario {
-                name: "crash_recovery_baseline",
-                protocol: Protocol::Baseline,
-                workers: 3,
-                jobs: hot_repo_jobs(12, 1),
-                faults: crash_recover,
-                expect_all_complete: true,
-            },
-            Scenario {
-                name: "two_repos_bidding",
-                protocol: Protocol::Bidding,
-                workers: 4,
-                jobs: (0..12)
-                    .map(|i| JobDef {
-                        at_secs: i as f64 * 0.4,
-                        object: 1 + (i % 2) as u64,
-                        bytes: 60_000_000,
-                    })
-                    .collect(),
-                faults: Vec::new(),
-                expect_all_complete: true,
+                storage_gb: 0.21,
+                replication: Some(Replication {
+                    factor: 1,
+                    peer_drop_prob: 0.0,
+                }),
+                ..Scenario::new(
+                    "repl_f1_evict_pressure",
+                    Bidding,
+                    1,
+                    Workload::Jobs(spaced_jobs(3, 3, 2.0, 100_000_000)),
+                )
             },
         ]
     }
 
-    /// Oracle options matching this scenario.
-    pub fn oracle_options(&self, strict_reoffer: bool) -> OracleOptions {
-        OracleOptions {
-            expect_all_complete: self.expect_all_complete,
-            strict_reoffer,
-            workers: Some(self.workers as u32),
-            ..OracleOptions::default()
-        }
+    /// The built-in scenarios `pick` selects.
+    pub fn builtins_where(pick: impl Fn(&Scenario) -> bool) -> Vec<Scenario> {
+        let mut all = Scenario::builtins();
+        all.retain(pick);
+        all
+    }
+
+    /// The built-in scenario called `name`.
+    ///
+    /// # Panics
+    /// If there is none.
+    pub fn builtin(name: &str) -> Scenario {
+        Scenario::builtins_where(|s| s.name == name)
+            .pop()
+            .unwrap_or_else(|| panic!("no built-in scenario named {name}"))
+    }
+
+    /// A job list on one master with no optional axis armed — the
+    /// scenarios the `check`, `netfault` and `failover` sweeps cover.
+    pub fn is_plain(&self) -> bool {
+        self.shrinkable() && self.replication.is_none()
+    }
+
+    /// A job list on a single master: jobs and fault schedules can be
+    /// dropped independently, so a failing run can be minimized, and
+    /// the threaded runtime's conservation counters must equal the
+    /// simulation's.
+    pub fn shrinkable(&self) -> bool {
+        matches!(self.workload, Workload::Jobs(_)) && self.federation.is_none()
+    }
+
+    /// Workers listed per master (the churn spare is deferred but
+    /// listed).
+    pub fn shard_width(&self) -> usize {
+        self.workers + usize::from(self.federation.is_some_and(|f| f.churn))
+    }
+
+    /// Completions a clean run must produce: effective task
+    /// completions for DAGs, job completions otherwise (the kept jobs
+    /// plus, when federated, one warm-up per peer shard).
+    pub fn expected_completions(&self, keep_jobs: Option<&[usize]>) -> u64 {
+        let own = match &self.workload {
+            Workload::Jobs(jobs) => keep_jobs.map_or(jobs.len(), <[usize]>::len),
+            Workload::Dags { config, count } => config.tasks_per_dag() * count,
+        };
+        (own + self.federation.map_or(0, |f| f.shards - 1)) as u64
     }
 
     /// The fault plan, optionally restricted to the listed workers
@@ -207,479 +565,95 @@ impl Scenario {
         ws
     }
 
-    /// The arrival stream, optionally restricted to the listed job
-    /// indices. Payloads carry the original index so a shrunk run's
-    /// jobs remain identifiable.
-    pub fn arrivals(&self, task: TaskId, keep_jobs: Option<&[usize]>) -> Vec<Arrival> {
-        self.jobs
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| keep_jobs.is_none_or(|ks| ks.contains(i)))
-            .map(|(i, j)| Arrival {
-                at: SimTime::from_secs_f64(j.at_secs),
-                spec: JobSpec::scanning(
-                    task,
-                    ResourceRef {
-                        id: ObjectId(j.object),
-                        bytes: j.bytes,
-                    },
-                    Payload::Index(i as u64),
-                ),
-            })
-            .collect()
-    }
-
-    /// The [`RunSpec`] for this scenario: ideal control plane, no
-    /// noise, no speed learning — protocol behavior only, so the sim
-    /// run is exactly reproducible and the threaded run's variability
-    /// comes from thread scheduling (plus any chaos) alone.
-    pub fn spec(&self, seed: u64, keep_fault_workers: Option<&[u32]>) -> RunSpec {
-        RunSpec::builder()
-            .workers((0..self.workers).map(|i| {
-                WorkerSpec::builder(format!("w{i}"))
-                    .net_mbps(10.0)
-                    .rw_mbps(100.0)
-                    .storage_gb(10.0)
-                    .build()
-            }))
-            .engine(EngineConfig {
-                control: ControlPlane::instant(),
-                data_latency: SimDuration::ZERO,
-                noise: NoiseModel::None,
-                ..EngineConfig::default()
-            })
-            .speed_learning(false)
-            .faults(self.fault_plan(keep_fault_workers))
-            .trace(true)
-            .names("checker", self.name)
-            .seed(seed)
-            .time_scale(1e-3)
-            .build()
-    }
-
-    /// One deterministic run on the simulation engine.
-    pub fn run_sim(&self, seed: u64) -> RunOutput {
-        self.run_sim_with_net(seed, NetFaultPlan::none())
-    }
-
-    /// One deterministic run on the simulation engine with a
-    /// lossy-link plan armed. The engine samples the plan at its
-    /// virtual send instants, so the run — drops, retries, lease
-    /// bounces and all — replays exactly from `(seed, plan.seed)`.
-    pub fn run_sim_with_net(&self, seed: u64, net: NetFaultPlan) -> RunOutput {
-        self.run_sim_faulted(seed, net, MasterFaultPlan::none())
-    }
-
-    /// One deterministic run on the simulation engine with lossy links
-    /// and/or a master-crash schedule armed. Master crashes are keyed
-    /// to log append indices, so this replays exactly from
-    /// `(seed, net.seed, master.crash_at)`.
-    pub fn run_sim_faulted(
-        &self,
-        seed: u64,
-        net: NetFaultPlan,
-        master: MasterFaultPlan,
-    ) -> RunOutput {
-        let mut spec = self.spec(seed, None);
-        spec.engine.netfaults = net;
-        spec.engine.master_faults = master;
-        let mut session = spec.sim();
-        let mut wf = Workflow::new();
-        let task = wf.add_sink("scan");
-        let arrivals = self.arrivals(task, None);
-        session.run_iteration(&mut wf, self.protocol.allocator().as_ref(), arrivals)
-    }
-
-    /// One run on the threaded runtime under the given perturbations.
-    pub fn run_threaded(&self, run: &ThreadedRun) -> RunOutput {
-        let mut spec = self.spec(run.seed, run.keep_fault_workers.as_deref());
-        spec.chaos = run.chaos.clone();
-        spec.mutation = run.mutation;
-        if let Some(plan) = &run.netfault {
-            spec.engine.netfaults = plan.clone();
-        }
-        if let Some(plan) = &run.master {
-            spec.engine.master_faults = plan.clone();
-        }
-        let mut session = spec.threaded();
-        let mut wf = Workflow::new();
-        let task = wf.add_sink("scan");
-        let arrivals = self.arrivals(task, run.keep_jobs.as_deref());
-        session.run_iteration(&mut wf, self.protocol.allocator().as_ref(), arrivals)
-    }
-}
-
-/// The four independent seeds that replay one federation run exactly:
-/// the run seed (per-shard runtime seeds derive from it), the chaos
-/// seed (threaded intake perturbation; `None` = deterministic
-/// delivery), the net seed (the gossip-loss draw stream), and the
-/// membership seed (the churn schedule of every shard).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FedSeeds {
-    /// Per-shard runtime seeds derive from this.
-    pub run: u64,
-    /// Threaded intake chaos, if armed.
-    pub chaos: Option<u64>,
-    /// Gossip-loss draw stream.
-    pub net: u64,
-    /// Seeded membership-churn schedule.
-    pub membership: u64,
-}
-
-impl FedSeeds {
-    /// Deterministic delivery, one root for every axis.
-    pub fn plain(root: u64) -> Self {
-        FedSeeds {
-            run: root,
-            chaos: None,
-            net: root,
-            membership: root,
-        }
-    }
-}
-
-/// A fully-specified federation workload: N masters over disjoint
-/// shards, a burst aimed at shard 0 (the overload the spill protocol
-/// exists for), plus one warm-up job per peer shard. Like [`Scenario`]
-/// this is data — the explorer's federation axis sweeps it across
-/// `(run, chaos, net, membership)` seed tuples.
-#[derive(Debug, Clone)]
-pub struct FedScenario {
-    /// Stable name for reports and `repro federate` output.
-    pub name: &'static str,
-    /// Which protocol every shard master runs.
-    pub protocol: Protocol,
-    /// Number of shards (masters).
-    pub shards: usize,
-    /// Workers per shard, *excluding* the churn spare: when `churn` is
-    /// on, each shard gets one extra deferred worker that joins
-    /// mid-run.
-    pub workers_per_shard: usize,
-    /// Spill threshold in virtual seconds (`f64::INFINITY` = the
-    /// single-master baseline).
-    pub spill_threshold_secs: f64,
-    /// Seeded pairwise gossip-exchange loss probability.
-    pub gossip_loss: f64,
-    /// Jobs in the shard-0 burst.
-    pub jobs: usize,
-    /// Seeded elastic-membership churn (join + drain, and with enough
-    /// workers a removal) on every shard.
-    pub churn: bool,
-}
-
-impl FedScenario {
-    /// The built-in federation axis: shard count × spill threshold ×
-    /// membership churn, both protocols represented.
-    pub fn builtins() -> Vec<FedScenario> {
-        vec![
-            FedScenario {
-                name: "fed_2shard_spill",
-                protocol: Protocol::Bidding,
-                shards: 2,
-                workers_per_shard: 2,
-                spill_threshold_secs: 10.0,
-                gossip_loss: 0.0,
-                jobs: 16,
-                churn: false,
-            },
-            FedScenario {
-                name: "fed_2shard_nospill",
-                protocol: Protocol::Baseline,
-                shards: 2,
-                workers_per_shard: 2,
-                spill_threshold_secs: f64::INFINITY,
-                gossip_loss: 0.0,
-                jobs: 16,
-                churn: false,
-            },
-            FedScenario {
-                name: "fed_4shard_spill",
-                protocol: Protocol::Bidding,
-                shards: 4,
-                workers_per_shard: 2,
-                spill_threshold_secs: 8.0,
-                gossip_loss: 0.0,
-                jobs: 20,
-                churn: false,
-            },
-            FedScenario {
-                name: "fed_4shard_churn",
-                protocol: Protocol::Bidding,
-                shards: 4,
-                workers_per_shard: 3,
-                spill_threshold_secs: 8.0,
-                gossip_loss: 0.0,
-                jobs: 20,
-                churn: true,
-            },
-            FedScenario {
-                name: "fed_2shard_lossy_gossip_churn",
-                protocol: Protocol::Baseline,
-                shards: 2,
-                workers_per_shard: 3,
-                spill_threshold_secs: 10.0,
-                gossip_loss: 0.3,
-                jobs: 16,
-                churn: true,
-            },
-        ]
-    }
-
-    /// Workers actually present in one shard's list (the churn spare
-    /// is deferred but listed).
-    pub fn shard_width(&self) -> usize {
-        self.workers_per_shard + usize::from(self.churn)
-    }
-
     /// The seeded churn schedule of one shard: the spare (last) worker
     /// joins early, worker 0 drains mid-run, and with at least three
     /// base workers, worker 1 is administratively removed late. Event
     /// times derive from `membership_seed` and the shard index, so one
     /// seed replays the whole federation's churn.
     pub fn membership_plan(&self, shard: usize, membership_seed: u64) -> MembershipPlan {
-        if !self.churn {
+        if !self.federation.is_some_and(|f| f.churn) {
             return MembershipPlan::none();
         }
-        let mut rng = crossbid_simcore::SeedSequence::new(membership_seed).stream(shard as u64);
+        let mut rng = SeedSequence::new(membership_seed).stream(shard as u64);
         let spare = WorkerId((self.shard_width() - 1) as u32);
         let mut plan = MembershipPlan::new()
             .join_at(SimTime::from_secs_f64(rng.uniform(2.0, 6.0)), spare)
             .drain_at(SimTime::from_secs_f64(rng.uniform(6.0, 10.0)), WorkerId(0));
-        if self.workers_per_shard >= 3 {
+        if self.workers >= 3 {
             plan = plan.remove_at(SimTime::from_secs_f64(rng.uniform(10.0, 14.0)), WorkerId(1));
         }
         plan
     }
 
-    /// The federation spec for one seed tuple. Ideal control plane, no
-    /// noise, no speed learning — like [`Scenario::spec`], protocol
-    /// behavior only.
-    pub fn spec(&self, runtime: FedRuntimeKind, seeds: FedSeeds) -> FederationSpec {
-        let shards = (0..self.shards)
-            .map(|s| {
-                ShardSpec::new(
-                    (0..self.shard_width())
-                        .map(|i| {
-                            WorkerSpec::builder(format!("s{s}w{i}"))
-                                .net_mbps(10.0)
-                                .rw_mbps(100.0)
-                                .storage_gb(10.0)
-                                .build()
-                        })
-                        .collect(),
-                )
-                .faults(Faults::new().membership(self.membership_plan(s, seeds.membership)))
-            })
-            .collect();
-        let mut spec = FederationSpec::new(shards);
-        spec.spill_threshold_secs = self.spill_threshold_secs;
-        spec.gossip_period_secs = 2.0;
-        spec.gossip_loss = self.gossip_loss;
-        spec.spill_latency_secs = 0.5;
-        spec.seed = seeds.run;
-        spec.net_seed = seeds.net;
-        spec.runtime = runtime;
-        spec.chaos = seeds.chaos.map(ChaosConfig::aggressive);
-        spec.engine = EngineConfig {
-            control: ControlPlane::instant(),
-            data_latency: SimDuration::ZERO,
-            noise: NoiseModel::None,
-            ..EngineConfig::default()
+    /// The arrival stream at one master: the job list (optionally
+    /// restricted to the listed indices — payloads carry the original
+    /// index so a shrunk run's jobs remain identifiable), or the DAG
+    /// stream generated from `seed`.
+    pub fn arrivals(&self, seed: u64, task: TaskId, keep_jobs: Option<&[usize]>) -> Vec<Arrival> {
+        match &self.workload {
+            Workload::Jobs(jobs) => jobs
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| keep_jobs.is_none_or(|ks| ks.contains(i)))
+                .map(|(i, j)| Arrival {
+                    at: SimTime::from_secs_f64(j.at_secs),
+                    spec: JobSpec::scanning(
+                        task,
+                        ResourceRef {
+                            id: ObjectId(j.object),
+                            bytes: j.bytes,
+                        },
+                        Payload::Index(i as u64),
+                    ),
+                })
+                .collect(),
+            Workload::Dags { config, count } => config.generate(seed, *count, task, 5.0),
+        }
+    }
+
+    /// One master's fault aggregate under `run`.
+    fn shard_faults(&self, run: &Run, shard: usize) -> Faults {
+        Faults::new()
+            .workers(self.fault_plan(run.keep_fault_workers.as_deref()))
+            .net(run.net.clone().unwrap_or_else(NetFaultPlan::none))
+            .master(run.master.clone().unwrap_or_else(MasterFaultPlan::none))
+            .membership(self.membership_plan(shard, run.membership_seed))
+    }
+
+    /// The [`RunSpec`] of one master of this scenario under `run`
+    /// (*the* master unless federated): ideal control plane, no noise,
+    /// no speed learning — protocol behavior only, so a sim run is
+    /// exactly reproducible and a threaded run's variability comes
+    /// from thread scheduling (plus any chaos) alone.
+    ///
+    /// The sim engine is mutation-agnostic, so a data-plane or
+    /// atomizer mutation is armed here, on the config flags the engine
+    /// does read; the threaded runtime maps the mutation itself (under
+    /// the `protocol-mutation` feature).
+    pub fn spec(&self, run: &Run) -> RunSpec {
+        let mutation = match run.mutation {
+            Mutation::Protocol(m) => m,
+            _ => ProtocolMutation::None,
         };
-        spec
-    }
-
-    /// The arrival stream: the shard-0 burst over three hot
-    /// repositories, plus one warm-up job per peer shard so every
-    /// master has local activity to interleave with spill-ins.
-    pub fn fed_arrivals(&self) -> Vec<FedArrival> {
-        let mut arrivals: Vec<FedArrival> = (0..self.jobs)
-            .map(|i| FedArrival {
-                at: SimTime::from_secs_f64(i as f64 * 0.5),
-                home: ShardId(0),
-                spec: JobSpec::scanning(
-                    TaskId(0),
-                    ResourceRef {
-                        id: ObjectId(1 + (i % 3) as u64),
-                        bytes: 100_000_000,
-                    },
-                    Payload::Index(i as u64),
-                ),
-            })
-            .collect();
-        for s in 1..self.shards {
-            arrivals.push(FedArrival {
-                at: SimTime::from_secs(1),
-                home: ShardId(s as u16),
-                spec: JobSpec::scanning(
-                    TaskId(0),
-                    ResourceRef {
-                        id: ObjectId(100 + s as u64),
-                        bytes: 50_000_000,
-                    },
-                    Payload::Index(1000 + s as u64),
-                ),
+        let on_sim = |m| run.runtime == FedRuntimeKind::Sim && mutation == m;
+        let mut atomize = self.atomize;
+        atomize.release_all |= on_sim(ProtocolMutation::OfferBeforePredecessor);
+        atomize.double_speculate |= on_sim(ProtocolMutation::DoubleSpeculate);
+        let replication = self
+            .replication
+            .map_or_else(ReplicationConfig::default, |r| {
+                let mut c = ReplicationConfig::with_factor(r.factor);
+                c.peer_drop_prob = r.peer_drop_prob;
+                c.skip_repair |= on_sim(ProtocolMutation::SkipRepair);
+                c.evict_last_copy |= on_sim(ProtocolMutation::EvictLastCopy);
+                c
             });
-        }
-        arrivals
-    }
-
-    /// Total jobs across the federation.
-    pub fn total_jobs(&self) -> u64 {
-        (self.jobs + self.shards - 1) as u64
-    }
-
-    /// One federation run under the given seed tuple and mutation.
-    pub fn run(
-        &self,
-        runtime: FedRuntimeKind,
-        seeds: FedSeeds,
-        mutation: FederationMutation,
-    ) -> FederationOutput {
-        let mut spec = self.spec(runtime, seeds);
-        spec.mutation = mutation;
-        run_federation(
-            &spec,
-            self.fed_arrivals(),
-            self.protocol.allocator().as_ref(),
-            |_| {
-                let mut wf = Workflow::new();
-                wf.add_sink("scan");
-                wf
-            },
-        )
-    }
-
-    /// Oracle options for the merged federation-wide log (worker ids
-    /// are shard-qualified, so the per-shard bound does not apply).
-    pub fn merged_oracle_options(&self) -> OracleOptions {
-        OracleOptions {
-            expect_all_complete: true,
-            strict_reoffer: false,
-            workers: None,
-            federated: true,
-        }
-    }
-
-    /// Oracle options for one shard's own (augmented) log.
-    pub fn shard_oracle_options(&self) -> OracleOptions {
-        OracleOptions {
-            expect_all_complete: true,
-            strict_reoffer: false,
-            workers: Some(self.shard_width() as u32),
-            federated: false,
-        }
-    }
-}
-
-/// A fully-specified atomizer workload: a stream of structured DAG
-/// jobs (from [`DagConfig`]), an optional deliberately slow worker,
-/// and the speculation knobs. Like [`Scenario`] this is data — the
-/// DAG explorer sweeps it across run seeds on either runtime, and a
-/// failing seed *is* the repro (DAG runs have nothing to shrink:
-/// tasks are structurally entangled through their precedence edges).
-#[derive(Debug, Clone)]
-pub struct DagScenario {
-    /// Stable name for reports and `repro atomize` output.
-    pub name: &'static str,
-    /// Which allocation protocol places the task jobs.
-    pub protocol: Protocol,
-    /// Cluster size.
-    pub workers: usize,
-    /// `(index, cpu multiple)` — the deliberate straggler, if any.
-    pub slow_worker: Option<(usize, f64)>,
-    /// DAG shape generator.
-    pub config: DagConfig,
-    /// Number of DAG arrivals.
-    pub dags: usize,
-    /// Speculation knobs for the run.
-    pub atomize: AtomizeConfig,
-}
-
-impl DagScenario {
-    /// The built-in DAG axis: a straggler-rescue scenario (push
-    /// scheduling onto a slow worker, speculation must fire) and a
-    /// skewed-reducer scenario (bidding over map outputs, gating under
-    /// wide fan-in).
-    pub fn builtins() -> Vec<DagScenario> {
-        vec![
-            DagScenario {
-                name: "dag_straggler",
-                protocol: Protocol::Baseline,
-                workers: 3,
-                slow_worker: Some((2, 40.0)),
-                config: DagConfig::RepoSplit {
-                    shards: 8,
-                    repo_mb: 100,
-                    tail_alpha: 1.5,
-                },
-                dags: 2,
-                atomize: AtomizeConfig {
-                    spec_factor: 2.0,
-                    spec_check_secs: 2.0,
-                    min_completed_for_spec: 3,
-                    ..AtomizeConfig::default()
-                },
-            },
-            DagScenario {
-                name: "dag_skewed_reduce",
-                protocol: Protocol::Bidding,
-                workers: 4,
-                slow_worker: None,
-                config: DagConfig::MapReduceSkew {
-                    maps: 6,
-                    reduces: 3,
-                    skew_factor: 8.0,
-                },
-                dags: 2,
-                atomize: AtomizeConfig::default(),
-            },
-        ]
-    }
-
-    /// Effective task completions a clean run must produce.
-    pub fn expected_tasks(&self) -> u64 {
-        (self.config.tasks_per_dag() * self.dags) as u64
-    }
-
-    /// The DAG arrival stream (deterministic in `seed`).
-    pub fn arrivals(&self, seed: u64, task: TaskId) -> Vec<Arrival> {
-        self.config.generate(seed, self.dags, task, 5.0)
-    }
-
-    /// Oracle options matching this scenario. The DAG invariants
-    /// (gating, per-task conservation, at-most-one effective
-    /// completion, no orphaned stage) are always on — they arm
-    /// themselves on the first `TaskOffer` in the log.
-    pub fn oracle_options(&self) -> OracleOptions {
-        OracleOptions {
-            expect_all_complete: true,
-            strict_reoffer: false,
-            workers: Some(self.workers as u32),
-            ..OracleOptions::default()
-        }
-    }
-
-    /// Speculation knobs with a mutation's sabotage applied. The sim
-    /// engine is mutation-agnostic, so the scenario layer arms the
-    /// equivalent atomize flags directly; the threaded runtime maps
-    /// the mutation itself (under the `protocol-mutation` feature).
-    fn mutated_atomize(&self, mutation: ProtocolMutation) -> AtomizeConfig {
-        let mut a = self.atomize;
-        a.release_all |= mutation == ProtocolMutation::OfferBeforePredecessor;
-        a.double_speculate |= mutation == ProtocolMutation::DoubleSpeculate;
-        a
-    }
-
-    /// The [`RunSpec`]: ideal control plane, no noise, no speed
-    /// learning — like [`Scenario::spec`], protocol behavior only.
-    fn spec(&self, seed: u64, atomize: AtomizeConfig) -> RunSpec {
-        RunSpec::builder()
-            .workers((0..self.workers).map(|i| {
+        let mut spec = RunSpec::builder()
+            .workers((0..self.shard_width()).map(|i| {
                 let mut b = WorkerSpec::builder(format!("w{i}"))
                     .net_mbps(10.0)
                     .rw_mbps(100.0)
-                    .storage_gb(10.0);
+                    .storage_gb(self.storage_gb);
                 if let Some((slow, factor)) = self.slow_worker {
                     if slow == i {
                         b = b.cpu_factor(factor);
@@ -692,293 +666,272 @@ impl DagScenario {
                 data_latency: SimDuration::ZERO,
                 noise: NoiseModel::None,
                 atomize,
+                replication,
                 ..EngineConfig::default()
             })
             .speed_learning(false)
+            .faults(self.shard_faults(run, 0))
             .trace(true)
             .names("checker", self.name)
-            .seed(seed)
-            .time_scale(1e-3)
-            .build()
-    }
-
-    /// One deterministic run on the simulation engine.
-    pub fn run_sim(&self, seed: u64, mutation: ProtocolMutation) -> RunOutput {
-        let spec = self.spec(seed, self.mutated_atomize(mutation));
-        let mut session = spec.sim();
-        let mut wf = Workflow::new();
-        let task = wf.add_sink("scan");
-        let arrivals = self.arrivals(seed, task);
-        session.run_iteration(&mut wf, self.protocol.allocator().as_ref(), arrivals)
-    }
-
-    /// One run on the threaded runtime. The mutation rides the spec
-    /// (it maps onto the atomizer's flags inside the master, feature
-    /// permitting).
-    pub fn run_threaded(&self, seed: u64, mutation: ProtocolMutation) -> RunOutput {
-        let mut spec = self.spec(seed, self.atomize);
-        spec.mutation = mutation;
-        let mut session = spec.threaded();
-        let mut wf = Workflow::new();
-        let task = wf.add_sink("scan");
-        let arrivals = self.arrivals(seed, task);
-        session.run_iteration(&mut wf, self.protocol.allocator().as_ref(), arrivals)
-    }
-}
-
-/// A fully-specified replicated-data-plane workload: a cluster with a
-/// replication factor, a job stream over hot artifacts, an optional
-/// crash/recovery schedule and a seeded peer-transfer loss rate. Like
-/// [`Scenario`] this is data — the replication explorer sweeps it
-/// across `(run, net)` seed tuples on either runtime, and a failing
-/// tuple *is* the repro (replica state is globally entangled through
-/// the pin/repair protocol, so there is nothing to shrink).
-#[derive(Debug, Clone)]
-pub struct ReplScenario {
-    /// Stable name for reports and `repro replicate` output.
-    pub name: &'static str,
-    /// Which allocation protocol places the jobs.
-    pub protocol: Protocol,
-    /// Cluster size (homogeneous workers).
-    pub workers: usize,
-    /// Replication target factor.
-    pub factor: u32,
-    /// The workload.
-    pub jobs: Vec<JobDef>,
-    /// Crash/recovery schedule.
-    pub faults: Vec<FaultDef>,
-    /// Seeded peer data-transfer loss probability (drives the
-    /// retry → degraded-master-fallback path).
-    pub peer_drop_prob: f64,
-    /// Per-worker store capacity in GB. Small values create the
-    /// eviction pressure the pin discipline exists to survive.
-    pub storage_gb: f64,
-}
-
-fn spaced_jobs(n: usize, objects: u64, spacing: f64) -> Vec<JobDef> {
-    (0..n)
-        .map(|i| JobDef {
-            at_secs: i as f64 * spacing,
-            object: 1 + (i as u64 % objects),
-            bytes: 100_000_000,
-        })
-        .collect()
-}
-
-impl ReplScenario {
-    /// The built-in replication axis: factor × holder crash × peer
-    /// loss × eviction pressure, both protocols represented.
-    pub fn builtins() -> Vec<ReplScenario> {
-        let crash_recover = vec![
-            FaultDef {
-                at_secs: 21.0,
-                worker: 0,
-                recovers: false,
-            },
-            FaultDef {
-                at_secs: 40.0,
-                worker: 0,
-                recovers: true,
-            },
-        ];
-        vec![
-            ReplScenario {
-                name: "repl_f2_crash",
-                protocol: Protocol::Bidding,
-                workers: 4,
-                factor: 2,
-                jobs: spaced_jobs(12, 2, 2.0),
-                faults: crash_recover.clone(),
-                peer_drop_prob: 0.0,
-                storage_gb: 10.0,
-            },
-            ReplScenario {
-                name: "repl_f3_lossy",
-                protocol: Protocol::Bidding,
-                workers: 4,
-                factor: 3,
-                jobs: spaced_jobs(12, 2, 2.0),
-                faults: Vec::new(),
-                peer_drop_prob: 0.5,
-                storage_gb: 10.0,
-            },
-            ReplScenario {
-                name: "repl_f2_lossy_crash_baseline",
-                protocol: Protocol::Baseline,
-                workers: 4,
-                factor: 2,
-                jobs: spaced_jobs(12, 2, 2.0),
-                faults: crash_recover,
-                peer_drop_prob: 0.3,
-                storage_gb: 10.0,
-            },
-            // One worker, factor 1, three 100 MB artifacts against a
-            // two-slot store: the third insert *must* pass through
-            // because both residents are pinned sole copies. With the
-            // pin discipline sabotaged (`EvictLastCopy`) the insert
-            // evicts a last copy instead — the oracle's
-            // `EvictedLastCopy` catcher.
-            ReplScenario {
-                name: "repl_f1_evict_pressure",
-                protocol: Protocol::Bidding,
-                workers: 1,
-                factor: 1,
-                jobs: spaced_jobs(3, 3, 2.0),
-                faults: Vec::new(),
-                peer_drop_prob: 0.0,
-                storage_gb: 0.21,
-            },
-        ]
-    }
-
-    /// Oracle options matching this scenario (the replication
-    /// invariants arm themselves on the first replica event).
-    pub fn oracle_options(&self) -> OracleOptions {
-        OracleOptions {
-            expect_all_complete: true,
-            strict_reoffer: false,
-            workers: Some(self.workers as u32),
-            ..OracleOptions::default()
-        }
-    }
-
-    /// The crash/recovery plan.
-    pub fn fault_plan(&self) -> FaultPlan {
-        let mut plan = FaultPlan::new();
-        for f in &self.faults {
-            let at = SimTime::from_secs_f64(f.at_secs);
-            plan = if f.recovers {
-                plan.recover_at(at, WorkerId(f.worker))
-            } else {
-                plan.crash_at(at, WorkerId(f.worker))
-            };
-        }
-        plan.with_detection_delay(SimDuration::from_secs(2))
-    }
-
-    /// The replication knobs with a mutation's sabotage applied. The
-    /// sim engine is mutation-agnostic, so the scenario layer arms the
-    /// equivalent config flags directly; the threaded runtime maps the
-    /// mutation itself (under the `protocol-mutation` feature).
-    fn replication(&self, mutation: ProtocolMutation) -> ReplicationConfig {
-        let mut r = ReplicationConfig::with_factor(self.factor);
-        r.peer_drop_prob = self.peer_drop_prob;
-        r.skip_repair |= mutation == ProtocolMutation::SkipRepair;
-        r.evict_last_copy |= mutation == ProtocolMutation::EvictLastCopy;
-        r
-    }
-
-    /// The arrival stream.
-    pub fn arrivals(&self, task: TaskId) -> Vec<Arrival> {
-        self.jobs
-            .iter()
-            .enumerate()
-            .map(|(i, j)| Arrival {
-                at: SimTime::from_secs_f64(j.at_secs),
-                spec: JobSpec::scanning(
-                    task,
-                    ResourceRef {
-                        id: ObjectId(j.object),
-                        bytes: j.bytes,
-                    },
-                    Payload::Index(i as u64),
-                ),
-            })
-            .collect()
-    }
-
-    /// The [`RunSpec`]: ideal control plane, no noise, no speed
-    /// learning — like [`Scenario::spec`], protocol behavior only.
-    fn spec(&self, seed: u64, replication: ReplicationConfig, net: NetFaultPlan) -> RunSpec {
-        let mut spec = RunSpec::builder()
-            .workers((0..self.workers).map(|i| {
-                WorkerSpec::builder(format!("w{i}"))
-                    .net_mbps(10.0)
-                    .rw_mbps(100.0)
-                    .storage_gb(self.storage_gb)
-                    .build()
-            }))
-            .engine(EngineConfig {
-                control: ControlPlane::instant(),
-                data_latency: SimDuration::ZERO,
-                noise: NoiseModel::None,
-                ..EngineConfig::default()
-            })
-            .speed_learning(false)
-            .replication(replication)
-            .faults(Faults::new().workers(self.fault_plan()))
-            .trace(true)
-            .names("checker", self.name)
-            .seed(seed)
+            .seed(run.seed)
             .time_scale(1e-3)
             .build();
-        spec.engine.netfaults = net;
+        spec.chaos = run.chaos.clone();
+        spec.mutation = mutation;
         spec
     }
 
-    /// One deterministic run on the simulation engine.
-    pub fn run_sim(&self, seed: u64, mutation: ProtocolMutation, net: NetFaultPlan) -> RunOutput {
-        let spec = self.spec(seed, self.replication(mutation), net);
-        let mut session = spec.sim();
-        let mut wf = Workflow::new();
-        let task = wf.add_sink("scan");
-        let arrivals = self.arrivals(task);
-        session.run_iteration(&mut wf, self.protocol.allocator().as_ref(), arrivals)
-    }
+    /// Run the scenario once.
+    pub fn run(&self, run: &Run) -> Outcome {
+        let spec = self.spec(run);
+        let allocator = self.protocol.allocator();
+        let keep_jobs = run.keep_jobs.as_deref();
+        let expected = self.expected_completions(keep_jobs);
+        let shard_workers = self.shard_width() as u32;
+        let completed = |jobs: u64, log: &SchedLog| match self.workload {
+            Workload::Jobs(_) => jobs,
+            Workload::Dags { .. } => log.task_dones() as u64,
+        };
+        let Some(fed) = self.federation else {
+            let mut wf = Workflow::new();
+            let task = wf.add_sink("scan");
+            let arrivals = self.arrivals(run.seed, task, keep_jobs);
+            let mut runtime: Box<dyn Runtime> = match run.runtime {
+                FedRuntimeKind::Sim => Box::new(spec.sim()),
+                FedRuntimeKind::Threaded => Box::new(spec.threaded()),
+            };
+            let out = runtime.run_iteration(&mut wf, allocator.as_ref(), arrivals);
+            return Outcome {
+                completed: completed(out.record.jobs_completed, &out.sched_log),
+                expected,
+                makespan_secs: out.record.makespan_secs,
+                masters: vec![out],
+                merged: None,
+                spills: Vec::new(),
+                shard_workers,
+            };
+        };
 
-    /// One run on the threaded runtime. The mutation rides the spec
-    /// (it maps onto the replication flags inside the master, feature
-    /// permitting).
-    pub fn run_threaded(
-        &self,
-        seed: u64,
-        mutation: ProtocolMutation,
-        net: NetFaultPlan,
-    ) -> RunOutput {
-        let mut spec = self.spec(seed, self.replication(ProtocolMutation::None), net);
-        spec.mutation = mutation;
-        let mut session = spec.threaded();
-        let mut wf = Workflow::new();
-        let task = wf.add_sink("scan");
-        let arrivals = self.arrivals(task);
-        session.run_iteration(&mut wf, self.protocol.allocator().as_ref(), arrivals)
+        // Every shard is the one master `spec` describes, under its
+        // own membership schedule.
+        let shards = (0..fed.shards)
+            .map(|s| ShardSpec::new(spec.workers.clone()).faults(self.shard_faults(run, s)))
+            .collect();
+        let mut fspec = FederationSpec::new(shards);
+        fspec.spill_threshold_secs = fed.spill_threshold_secs;
+        fspec.gossip_period_secs = 2.0;
+        fspec.gossip_loss = fed.gossip_loss;
+        fspec.spill_latency_secs = 0.5;
+        fspec.seed = run.seed;
+        fspec.net_seed = run.net.as_ref().map_or(run.seed, |p| p.seed);
+        fspec.time_scale = spec.time_scale;
+        fspec.runtime = run.runtime;
+        fspec.chaos = spec.chaos;
+        fspec.engine = spec.engine;
+        if let Mutation::Federation(m) = run.mutation {
+            fspec.mutation = m;
+        }
+        let mut arrivals: Vec<FedArrival> = self
+            .arrivals(run.seed, TaskId(0), keep_jobs)
+            .into_iter()
+            .map(|a| FedArrival {
+                at: a.at,
+                home: ShardId(0),
+                spec: a.spec,
+            })
+            .collect();
+        arrivals.extend((1..fed.shards).map(|s| FedArrival {
+            at: SimTime::from_secs(1),
+            home: ShardId(s as u16),
+            spec: JobSpec::scanning(
+                TaskId(0),
+                ResourceRef {
+                    id: ObjectId(100 + s as u64),
+                    bytes: 50_000_000,
+                },
+                Payload::Index(1000 + s as u64),
+            ),
+        }));
+        let out = run_federation(&fspec, arrivals, allocator.as_ref(), |_| {
+            let mut wf = Workflow::new();
+            wf.add_sink("scan");
+            wf
+        });
+        Outcome {
+            completed: completed(out.jobs_completed, &out.merged),
+            expected,
+            makespan_secs: out.makespan_secs,
+            masters: out.shards,
+            merged: Some(out.merged),
+            spills: out.spills,
+            shard_workers,
+        }
     }
 }
 
-/// Everything that parameterizes one threaded run of a scenario. The
-/// explorer mutates `keep_jobs` / `keep_fault_workers` while shrinking
-/// and leaves the rest fixed.
+/// A reintroduced bug, for checker self-validation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Mutation {
+    /// The correct protocols.
+    #[default]
+    None,
+    /// A single-master protocol bug (requires the `protocol-mutation`
+    /// cargo feature of `crossbid-crossflow` on the threaded runtime).
+    Protocol(ProtocolMutation),
+    /// A broken cross-shard hand-off.
+    Federation(FederationMutation),
+}
+
+impl From<ProtocolMutation> for Mutation {
+    fn from(m: ProtocolMutation) -> Self {
+        match m {
+            ProtocolMutation::None => Mutation::None,
+            m => Mutation::Protocol(m),
+        }
+    }
+}
+
+impl From<FederationMutation> for Mutation {
+    fn from(m: FederationMutation) -> Self {
+        match m {
+            FederationMutation::None => Mutation::None,
+            m => Mutation::Federation(m),
+        }
+    }
+}
+
+/// Everything that parameterizes one run of a scenario. The explorer
+/// mutates `keep_jobs` / `keep_fault_workers` while shrinking and
+/// leaves the rest fixed.
 #[derive(Debug, Clone)]
-pub struct ThreadedRun {
-    /// Run seed (drives worker noise streams and bid-delay jitter).
+pub struct Run {
+    /// Which runtime executes the run.
+    pub runtime: FedRuntimeKind,
+    /// Run seed: worker noise streams, bid-delay jitter, the DAG
+    /// generator, and (federated) every shard's runtime seed.
     pub seed: u64,
-    /// Delivery-order perturbation, if any.
+    /// Delivery-order perturbation at every master's intake. Only the
+    /// threaded runtime reads it; the sim's event order is already
+    /// fully determined by the seed.
     pub chaos: Option<ChaosConfig>,
     /// Lossy-link plan (drop/duplicate/delay/partition with the
-    /// reliability countermeasures armed), if any.
-    pub netfault: Option<NetFaultPlan>,
-    /// Master-crash schedule (leader dies at these log append indices;
-    /// a standby takes over by log replay), if any.
+    /// reliability countermeasures armed), if any. Its seed also
+    /// drives a federation's gossip-loss draws (the run seed does when
+    /// there is no plan). The sim samples the plan at its virtual send
+    /// instants, so a sim run replays exactly from `(seed, net.seed)`.
+    pub net: Option<NetFaultPlan>,
+    /// Master-crash schedule (the leader dies at these log append
+    /// indices — a runtime-independent coordinate — and a standby
+    /// takes over by log replay), if any.
     pub master: Option<MasterFaultPlan>,
-    /// Reintroduced protocol bug, if any.
-    pub mutation: ProtocolMutation,
+    /// Seed of every shard's churn schedule.
+    pub membership_seed: u64,
+    /// Reintroduced bug, if any.
+    pub mutation: Mutation,
     /// `None` = all jobs; otherwise the job indices to keep.
     pub keep_jobs: Option<Vec<usize>>,
     /// `None` = all faults; otherwise keep only these workers' faults.
     pub keep_fault_workers: Option<Vec<u32>>,
 }
 
-impl ThreadedRun {
-    /// An unperturbed run of the correct protocol.
-    pub fn plain(seed: u64) -> Self {
-        ThreadedRun {
+impl Run {
+    /// An unperturbed run of the correct protocol on `runtime`, every
+    /// axis seeded from `seed`.
+    pub fn new(runtime: FedRuntimeKind, seed: u64) -> Self {
+        Run {
+            runtime,
             seed,
             chaos: None,
-            netfault: None,
+            net: None,
             master: None,
-            mutation: ProtocolMutation::None,
+            membership_seed: seed,
+            mutation: Mutation::None,
             keep_jobs: None,
             keep_fault_workers: None,
+        }
+    }
+
+    /// [`Run::new`] on the deterministic simulation engine.
+    pub fn sim(seed: u64) -> Self {
+        Run::new(FedRuntimeKind::Sim, seed)
+    }
+
+    /// [`Run::new`] on real threads.
+    pub fn threaded(seed: u64) -> Self {
+        Run::new(FedRuntimeKind::Threaded, seed)
+    }
+}
+
+/// What one run of a scenario produced.
+#[derive(Debug)]
+pub struct Outcome {
+    /// One output per master — a single one unless the scenario is
+    /// federated, in which case shard `i`'s scheduler log is already
+    /// augmented with its hand-off records.
+    pub masters: Vec<RunOutput>,
+    /// The federation-wide union log (`Some` iff federated).
+    pub merged: Option<SchedLog>,
+    /// Every cross-shard hand-off, in decision order.
+    pub spills: Vec<SpillRecord>,
+    /// Completions observed (see [`Scenario::expected_completions`]).
+    pub completed: u64,
+    /// Completions a clean run produces.
+    pub expected: u64,
+    /// Virtual instant of the last completion.
+    pub makespan_secs: f64,
+    /// Workers listed per master.
+    shard_workers: u32,
+}
+
+impl Outcome {
+    /// The whole run's scheduler log: the merged federation log, or
+    /// the single master's.
+    pub fn log(&self) -> &SchedLog {
+        self.merged.as_ref().unwrap_or(&self.masters[0].sched_log)
+    }
+
+    /// Feed every log to the oracle with the options that fit it: a
+    /// single master's log against its worker bound (optionally with
+    /// the Baseline's reject-once routing enforced), or — federated —
+    /// the merged log under the federated rules (worker ids are
+    /// shard-qualified, so the per-shard bound does not apply) *and*
+    /// each shard's own log as a single master's. Violations come
+    /// back tagged with the shard whose log showed them (`None` = the
+    /// whole run's log).
+    pub fn violations(&self, strict_reoffer: bool) -> Vec<(Option<usize>, Violation)> {
+        let single = OracleOptions {
+            expect_all_complete: true,
+            strict_reoffer,
+            workers: Some(self.shard_workers),
+            federated: false,
+        };
+        let tagged =
+            |shard, log, options| check_log(log, options).into_iter().map(move |v| (shard, v));
+        let Some(merged) = &self.merged else {
+            return tagged(None, &self.masters[0].sched_log, single).collect();
+        };
+        let federated = OracleOptions {
+            workers: None,
+            federated: true,
+            ..single
+        };
+        let shards = self.masters.iter().enumerate();
+        tagged(None, merged, federated)
+            .chain(shards.flat_map(|(s, m)| tagged(Some(s), &m.sched_log, single)))
+            .collect()
+    }
+
+    /// The activity the run showed.
+    pub fn activity(&self) -> Activity {
+        let log = self.log();
+        Activity {
+            failovers: log.failovers() as u64,
+            spills: self.spills.len() as u64,
+            churn: (log.worker_joins() + log.worker_drains() + log.worker_removals()) as u64,
+            speculations: log.spec_launches() as u64,
+            peer_fetches: log.fetch_oks() as u64,
+            fetch_retries: log.fetch_fails() as u64,
+            repairs: log.repair_dones() as u64,
         }
     }
 }
@@ -986,25 +939,38 @@ impl ThreadedRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::check_log;
+
+    fn assert_clean_on_the_sim(sc: &Scenario) -> Outcome {
+        let out = sc.run(&Run::sim(7));
+        assert_eq!(
+            out.completed, out.expected,
+            "{}: everything completes exactly once",
+            sc.name
+        );
+        let v = out.violations(false);
+        assert!(v.is_empty(), "{}: sim violations {v:?}", sc.name);
+        out
+    }
 
     #[test]
     fn builtins_cover_both_protocols_and_faults() {
         let all = Scenario::builtins();
-        assert!(all.iter().any(|s| s.protocol == Protocol::Bidding));
-        assert!(all.iter().any(|s| s.protocol == Protocol::Baseline));
-        assert!(all.iter().any(|s| !s.faults.is_empty()));
+        assert_eq!(all.len(), 16);
         let names: std::collections::HashSet<_> = all.iter().map(|s| s.name).collect();
         assert_eq!(names.len(), all.len(), "scenario names are unique");
+        let plain = Scenario::builtins_where(Scenario::is_plain);
+        assert_eq!(plain.len(), 5);
+        assert!(plain.iter().any(|s| s.protocol == Protocol::Bidding));
+        assert!(plain.iter().any(|s| s.protocol == Protocol::Baseline));
+        assert!(plain.iter().any(|s| !s.faults.is_empty()));
     }
 
     #[test]
     fn shrink_subsets_restrict_jobs_and_faults() {
-        let sc = &Scenario::builtins()[2]; // crash_recovery_bidding
-        let mut wf = Workflow::new();
-        let task = wf.add_sink("scan");
-        assert_eq!(sc.arrivals(task, None).len(), 12);
-        assert_eq!(sc.arrivals(task, Some(&[0, 5, 11])).len(), 3);
+        let sc = Scenario::builtin("crash_recovery_bidding");
+        assert_eq!(sc.arrivals(1, TaskId(0), None).len(), 12);
+        assert_eq!(sc.arrivals(1, TaskId(0), Some(&[0, 5, 11])).len(), 3);
+        assert_eq!(sc.expected_completions(Some(&[0, 5, 11])), 3);
         assert_eq!(sc.fault_plan(None).events().len(), 2);
         assert!(sc.fault_plan(Some(&[])).is_empty());
         assert_eq!(sc.faulted_workers(), vec![0]);
@@ -1012,113 +978,95 @@ mod tests {
 
     #[test]
     fn fed_builtins_cover_the_axis() {
-        let all = FedScenario::builtins();
-        assert!(all.iter().any(|s| s.shards == 2));
-        assert!(all.iter().any(|s| s.shards >= 4));
-        assert!(all.iter().any(|s| s.spill_threshold_secs.is_infinite()));
-        assert!(all.iter().any(|s| s.churn));
-        assert!(all.iter().any(|s| s.gossip_loss > 0.0));
+        let feds: Vec<Federation> = Scenario::builtins()
+            .iter()
+            .filter_map(|s| s.federation)
+            .collect();
+        assert_eq!(feds.len(), 5);
+        assert!(feds.iter().any(|f| f.shards == 2));
+        assert!(feds.iter().any(|f| f.shards >= 4));
+        assert!(feds.iter().any(|f| f.spill_threshold_secs.is_infinite()));
+        assert!(feds.iter().any(|f| f.churn));
+        assert!(feds.iter().any(|f| f.gossip_loss > 0.0));
+        let all = Scenario::builtins_where(|s| s.federation.is_some());
         assert!(all.iter().any(|s| s.protocol == Protocol::Bidding));
         assert!(all.iter().any(|s| s.protocol == Protocol::Baseline));
-        let names: std::collections::HashSet<_> = all.iter().map(|s| s.name).collect();
-        assert_eq!(names.len(), all.len(), "fed scenario names are unique");
     }
 
     #[test]
     fn every_fed_builtin_passes_both_oracles_on_the_sim_engine() {
-        for sc in FedScenario::builtins() {
-            let out = sc.run(
-                FedRuntimeKind::Sim,
-                FedSeeds::plain(7),
-                FederationMutation::None,
-            );
-            assert_eq!(
-                out.jobs_completed,
-                sc.total_jobs(),
-                "{}: every job completes exactly once",
-                sc.name
-            );
-            let merged = check_log(&out.merged, sc.merged_oracle_options());
-            assert!(
-                merged.is_empty(),
-                "{}: merged violations {merged:?}",
-                sc.name
-            );
-            for (s, shard) in out.shards.iter().enumerate() {
-                let v = check_log(&shard.sched_log, sc.shard_oracle_options());
-                assert!(v.is_empty(), "{}: shard {s} violations {v:?}", sc.name);
-            }
+        for sc in Scenario::builtins_where(|s| s.federation.is_some()) {
+            let out = assert_clean_on_the_sim(&sc);
+            assert_eq!(out.masters.len(), sc.federation.unwrap().shards);
+            assert!(out.merged.is_some());
         }
     }
 
     #[test]
     fn dag_builtins_pass_the_oracle_and_conserve_tasks_on_the_sim_engine() {
-        for sc in DagScenario::builtins() {
-            let out = sc.run_sim(7, ProtocolMutation::None);
-            assert_eq!(
-                out.sched_log.task_dones() as u64,
-                sc.expected_tasks(),
-                "{}: every task effectively completes exactly once",
-                sc.name
-            );
-            let v = check_log(&out.sched_log, sc.oracle_options());
-            assert!(v.is_empty(), "{}: sim violations {v:?}", sc.name);
+        let dags = Scenario::builtins_where(|s| matches!(s.workload, Workload::Dags { .. }));
+        assert_eq!(dags.len(), 2);
+        for sc in dags {
+            let out = assert_clean_on_the_sim(&sc);
+            assert_eq!(out.completed, out.log().task_dones() as u64);
         }
     }
 
     #[test]
     fn dag_straggler_builtin_actually_speculates() {
-        let sc = DagScenario::builtins()
-            .into_iter()
-            .find(|s| s.name == "dag_straggler")
-            .expect("known scenario");
-        let out = sc.run_sim(7, ProtocolMutation::None);
+        let out = Scenario::builtin("dag_straggler").run(&Run::sim(7));
         assert!(
-            out.sched_log.spec_launches() >= 1,
+            out.activity().speculations >= 1,
             "the straggler scenario must exercise speculation"
         );
     }
 
     #[test]
     fn repl_builtins_cover_the_axis() {
-        let all = ReplScenario::builtins();
+        let all = Scenario::builtins_where(|s| s.replication.is_some());
+        assert_eq!(all.len(), 4);
+        let factor = |s: &Scenario| s.replication.unwrap().factor;
         assert!(all.iter().any(|s| !s.faults.is_empty()));
-        assert!(all.iter().any(|s| s.peer_drop_prob > 0.0));
-        assert!(all.iter().any(|s| s.factor >= 3));
-        assert!(all.iter().any(|s| s.factor == 1 && s.storage_gb < 1.0));
+        assert!(all
+            .iter()
+            .any(|s| s.replication.unwrap().peer_drop_prob > 0.0));
+        assert!(all.iter().any(|s| factor(s) >= 3));
+        assert!(all.iter().any(|s| factor(s) == 1 && s.storage_gb < 1.0));
         assert!(all.iter().any(|s| s.protocol == Protocol::Bidding));
         assert!(all.iter().any(|s| s.protocol == Protocol::Baseline));
-        let names: std::collections::HashSet<_> = all.iter().map(|s| s.name).collect();
-        assert_eq!(names.len(), all.len(), "repl scenario names are unique");
     }
 
     #[test]
     fn every_repl_builtin_passes_the_oracle_on_the_sim_engine() {
-        for sc in ReplScenario::builtins() {
-            let out = sc.run_sim(7, ProtocolMutation::None, NetFaultPlan::none());
-            assert_eq!(
-                out.record.jobs_completed,
-                sc.jobs.len() as u64,
-                "{}: all jobs complete",
-                sc.name
-            );
-            let v = check_log(&out.sched_log, sc.oracle_options());
-            assert!(v.is_empty(), "{}: sim violations {v:?}", sc.name);
+        for sc in Scenario::builtins_where(|s| s.replication.is_some()) {
+            assert_clean_on_the_sim(&sc);
         }
     }
 
     #[test]
     fn every_builtin_passes_the_oracle_on_the_sim_engine() {
-        for sc in Scenario::builtins() {
-            let out = sc.run_sim(7);
-            assert_eq!(
-                out.record.jobs_completed,
-                sc.jobs.len() as u64,
-                "{}: all jobs complete",
-                sc.name
-            );
-            let v = check_log(&out.sched_log, sc.oracle_options(false));
-            assert!(v.is_empty(), "{}: sim violations {v:?}", sc.name);
+        for sc in Scenario::builtins_where(Scenario::is_plain) {
+            assert_clean_on_the_sim(&sc);
         }
+    }
+
+    #[test]
+    fn demands_read_the_activity_they_name() {
+        let quiet = Activity::default();
+        for d in [
+            Demand::Spill,
+            Demand::Churn,
+            Demand::Speculate,
+            Demand::Repair,
+            Demand::Retry,
+            Demand::Failover,
+        ] {
+            assert!(d.unmet(&quiet).is_some(), "{d:?} on a silent sweep");
+        }
+        assert!(Demand::NoSpill.unmet(&quiet).is_none());
+        let spilled = Activity { spills: 3, ..quiet };
+        assert!(Demand::Spill.unmet(&spilled).is_none());
+        assert!(Demand::NoSpill.unmet(&spilled).is_some());
+        assert_eq!(spilled.to_string(), ", 3 spill(s)");
     }
 }

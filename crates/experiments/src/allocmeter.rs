@@ -1,13 +1,11 @@
-//! Heap-allocation meter for the `repro bench` harness (compiled only
-//! with the `bench-alloc` feature).
+//! Heap-allocation meter for the allocation-budget regression test
+//! (compiled only with the `bench-alloc` feature).
 //!
 //! Installs a counting [`GlobalAlloc`] wrapper around the system
-//! allocator so a bench run can report *allocations per job* — the
-//! metric the hot-path work optimises for (slab reuse should hold it
-//! flat as worker counts grow). Counters are process-global relaxed
-//! atomics; the harness reads deltas around a run, so concurrent
-//! worker threads are attributed to whichever run is in flight (bench
-//! rows run one at a time).
+//! allocator so a test can count the allocations a region of code
+//! makes. Counters are process-global relaxed atomics; read deltas
+//! around the region, one measured region at a time (concurrent
+//! threads are attributed to whichever region is in flight).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -14,65 +14,24 @@
 //! Spark comparison; `tables` runs the threaded-runtime MSR
 //! experiment. `--smoke` shrinks everything for a fast check.
 //!
-//! The `check` artifact runs every built-in checker scenario through
-//! the protocol invariant oracle on both runtimes and exits nonzero
-//! on any violation:
+//! The six sweep artifacts (`check`, `netfault`, `failover`,
+//! `federate`, `atomize`, `replicate`) hold both runtimes to the
+//! protocol invariant oracle over the built-in checker scenarios —
+//! see [`crossbid_experiments::sweep`] for what each one covers. Each
+//! exits nonzero on any oracle violation, lost or duplicated job,
+//! sweep that never showed the activity it exists to exercise (no
+//! spill, no speculative re-bid, no repair, no master crash), or
+//! failed headline comparison:
 //!
 //! ```text
-//! repro check [--iters N] [--seed K]
+//! repro check|netfault|failover|federate|atomize|replicate
+//!       [--iters N] [--seed K] [--smoke]
 //! ```
 //!
-//! The `netfault` artifact sweeps a loss-rate × partition-length grid
-//! of lossy-link plans over the same scenarios on both runtimes and
-//! exits nonzero unless every run completes all jobs with
-//! exactly-once effects and zero violations:
-//!
-//! ```text
-//! repro netfault [--iters N] [--seed K]
-//! ```
-//!
-//! The `failover` artifact sweeps seeded master-crash indices over the
-//! same scenarios on both runtimes — the leader dies mid-protocol and
-//! an elected standby must finish every job exactly once by log
-//! replay — and exits nonzero on any violation, lost job, or sweep in
-//! which no crash actually fired:
-//!
-//! ```text
-//! repro failover [--iters N] [--seed K]
-//! ```
-//!
-//! The `federate` artifact sweeps the sharded multi-master federation
-//! axis (shard count × spill threshold × membership churn) on both
-//! runtimes, then runs the 1000-worker four-master headline scenario
-//! and its spilling-disabled control; it exits nonzero on any oracle
-//! violation, lost or duplicated hand-off, inert sweep, or if
-//! cross-shard spillover fails to beat the saturated single master:
-//!
-//! ```text
-//! repro federate [--iters N] [--seed K] [--smoke]
-//! ```
-//!
-//! The `atomize` artifact sweeps the task-level DAG axis (atomizer +
-//! speculative straggler re-bidding) on both runtimes, then runs the
-//! headline task-level vs whole-job vs Spark-static comparison; it
-//! exits nonzero on any oracle violation, lost task, sweep with no
-//! speculative re-bid, or if task-level fails to beat whole-job on
-//! the straggler scenario:
-//!
-//! ```text
-//! repro atomize [--iters N] [--seed K] [--smoke]
-//! ```
-//!
-//! The `replicate` artifact sweeps the replicated-data-plane axis
-//! (replication factor × holder crash × peer-transfer loss × eviction
-//! pressure) on both runtimes, then runs the factor {1,2,3} × crash ×
-//! loss headline product; it exits nonzero on any oracle violation,
-//! lost or duplicated job, sweep that never completed a
-//! re-replication, or headline row with no peer fetch retry:
-//!
-//! ```text
-//! repro replicate [--iters N] [--seed K] [--smoke]
-//! ```
+//! An explicit `--iters` always wins; `--smoke` only picks the smaller
+//! default and the reduced headline shape. A flag value that does not
+//! parse (`--seed 0xC0FFEE`: seeds are decimal) exits 2 before
+//! anything runs.
 //!
 //! The `trace` artifact runs one scenario with full observability on
 //! either runtime and prints the phase-breakdown table:
@@ -82,26 +41,8 @@
 //!             [--jobs J] [--n N] [--iterations I] [--seed K]
 //!             [--trace FILE]
 //! ```
-//!
-//! The `bench` artifact is the throughput harness: it sweeps worker
-//! counts on both runtimes, measures jobs/sec and contest-latency
-//! quantiles, and emits a versioned JSON document (see
-//! [`crossbid_experiments::bench`]):
-//!
-//! ```text
-//! repro bench [--smoke] [--jobs N] [--threaded-jobs N]
-//!             [--workers 7,64,256] [--runtime sim|threaded|both]
-//!             [--label STR] [--baseline FILE] [--json FILE]
-//! repro bench --check FILE     # schema-validate an existing document
-//! ```
 
-use crossbid_experiments::atomize::{self, AtomizeConfig};
-use crossbid_experiments::bench::{self, BenchConfig};
-use crossbid_experiments::check::{self, CheckConfig};
-use crossbid_experiments::failover::{self, FailoverConfig};
-use crossbid_experiments::federate::{self, FederateConfig};
-use crossbid_experiments::netfault::{self, NetFaultConfig};
-use crossbid_experiments::replicate::{self, ReplicateConfig};
+use crossbid_experiments::sweep::{self, SweepConfig};
 use crossbid_experiments::trace_run::{self, RuntimeChoice, TraceRunConfig};
 use crossbid_experiments::{
     crash_sweep, crossover, extensions, fig2, fig3, fig4, replication, summary, tables,
@@ -113,6 +54,27 @@ use crossbid_workload::{JobConfig, WorkerConfig};
 fn die(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(2);
+}
+
+/// The value following the flag `name`, if the flag is present.
+fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a String> {
+    args.iter()
+        .position(|a| a == name)
+        .and_then(|i| args.get(i + 1))
+}
+
+/// The value of the flag `name`, parsed. A value that does not parse
+/// exits 2: silently falling back to the default would run a
+/// different experiment than the one asked for — for a replay seed,
+/// report a failing tuple as fixed.
+fn parsed<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T>
+where
+    T::Err: std::fmt::Display,
+{
+    flag(args, name).map(|v| {
+        v.parse()
+            .unwrap_or_else(|e| die(&format!("{name} {v}: {e}")))
+    })
 }
 
 /// `JsonlWriter` already writes in large chunks; the `BufWriter` joins
@@ -131,24 +93,12 @@ fn main() {
         .unwrap_or("all")
         .to_string();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let seed = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<u64>().ok());
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let seed: Option<u64> = parsed(&args, "--seed");
+    let out_dir = flag(&args, "--out").cloned();
     if let Some(d) = &out_dir {
         std::fs::create_dir_all(d).expect("create --out directory");
     }
-    let trace_file = args
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let trace_file = flag(&args, "--trace").cloned();
     let emit_trace_records = |records: &[crossbid_metrics::RunRecord]| {
         if let Some(path) = &trace_file {
             let f = create_trace_file(path);
@@ -253,12 +203,7 @@ fn main() {
             emit("crossover", &crossover::render(&points));
         }
         "replication" => {
-            let reps = args
-                .iter()
-                .position(|a| a == "--reps")
-                .and_then(|i| args.get(i + 1))
-                .and_then(|s| s.parse::<u32>().ok())
-                .unwrap_or(5);
+            let reps: u32 = parsed(&args, "--reps").unwrap_or(5);
             let rs = replication::run(&cfg, reps);
             emit("replication", &replication::render(&rs));
         }
@@ -271,147 +216,20 @@ fn main() {
             let res = tables::run(&exp);
             emit("tables", &tables::render(&res));
         }
-        "check" => {
-            let mut ccfg = CheckConfig::default();
-            if let Some(v) = args
-                .iter()
-                .position(|a| a == "--iters")
-                .and_then(|i| args.get(i + 1))
-            {
-                ccfg.iters = v.parse().unwrap_or_else(|e| die(&format!("--iters: {e}")));
-            }
-            if let Some(s) = seed {
-                ccfg.seed = s;
-            }
-            if smoke {
-                ccfg.iters = ccfg.iters.min(2);
-            }
-            let report = check::run(&ccfg);
-            emit("check", &report.body);
-            if !report.ok {
-                eprintln!("[repro] check FAILED");
-                std::process::exit(1);
-            }
-        }
-        "netfault" => {
-            let mut ncfg = NetFaultConfig::default();
-            if let Some(v) = args
-                .iter()
-                .position(|a| a == "--iters")
-                .and_then(|i| args.get(i + 1))
-            {
-                ncfg.iters = v.parse().unwrap_or_else(|e| die(&format!("--iters: {e}")));
-            }
-            if let Some(s) = seed {
-                ncfg.seed = s;
-            }
-            if smoke {
-                ncfg.iters = ncfg.iters.min(1);
-            }
-            let report = netfault::run(&ncfg);
-            emit("netfault", &report.body);
-            if !report.ok {
-                eprintln!("[repro] netfault FAILED");
-                std::process::exit(1);
-            }
-        }
-        "failover" => {
-            let mut fcfg = FailoverConfig::default();
-            if let Some(v) = args
-                .iter()
-                .position(|a| a == "--iters")
-                .and_then(|i| args.get(i + 1))
-            {
-                fcfg.iters = v.parse().unwrap_or_else(|e| die(&format!("--iters: {e}")));
-            }
-            if let Some(s) = seed {
-                fcfg.seed = s;
-            }
-            if smoke {
-                fcfg.iters = fcfg.iters.min(2);
-            }
-            let report = failover::run(&fcfg);
-            emit("failover", &report.body);
-            if !report.ok {
-                eprintln!("[repro] failover FAILED");
-                std::process::exit(1);
-            }
-        }
-        "federate" => {
-            let mut fcfg = if smoke {
-                FederateConfig::smoke()
-            } else {
-                FederateConfig::default()
+        name if sweep::NAMES.contains(&name) => {
+            let scfg = SweepConfig {
+                iters: parsed(&args, "--iters"),
+                seed,
+                smoke,
             };
-            if let Some(v) = args
-                .iter()
-                .position(|a| a == "--iters")
-                .and_then(|i| args.get(i + 1))
-            {
-                fcfg.iters = v.parse().unwrap_or_else(|e| die(&format!("--iters: {e}")));
-            }
-            if let Some(s) = seed {
-                fcfg.seed = s;
-            }
-            let report = federate::run(&fcfg);
-            emit("federate", &report.body);
+            let report = sweep::run(name, &scfg).expect("every name in NAMES is a sweep");
+            emit(name, &report.body);
             if !report.ok {
-                eprintln!("[repro] federate FAILED");
-                std::process::exit(1);
-            }
-        }
-        "replicate" => {
-            let mut rcfg = if smoke {
-                ReplicateConfig::smoke()
-            } else {
-                ReplicateConfig::default()
-            };
-            if let Some(v) = args
-                .iter()
-                .position(|a| a == "--iters")
-                .and_then(|i| args.get(i + 1))
-            {
-                rcfg.iters = v.parse().unwrap_or_else(|e| die(&format!("--iters: {e}")));
-            }
-            if let Some(s) = seed {
-                rcfg.seed = s;
-            }
-            let report = replicate::run(&rcfg);
-            emit("replicate", &report.body);
-            if !report.ok {
-                eprintln!("[repro] replicate FAILED");
-                std::process::exit(1);
-            }
-        }
-        "atomize" => {
-            let mut acfg = if smoke {
-                AtomizeConfig::smoke()
-            } else {
-                AtomizeConfig::default()
-            };
-            if let Some(v) = args
-                .iter()
-                .position(|a| a == "--iters")
-                .and_then(|i| args.get(i + 1))
-            {
-                acfg.iters = v.parse().unwrap_or_else(|e| die(&format!("--iters: {e}")));
-            }
-            if let Some(s) = seed {
-                acfg.seed = s;
-            }
-            let report = atomize::run(&acfg);
-            emit("atomize", &report.body);
-            if !report.ok {
-                eprintln!("[repro] atomize FAILED");
+                eprintln!("[repro] {name} FAILED");
                 std::process::exit(1);
             }
         }
         "trace" => {
-            let flag = |name: &str| {
-                args.iter()
-                    .position(|a| a == name)
-                    .and_then(|i| args.get(i + 1))
-            };
             let mut tcfg = TraceRunConfig {
                 seed: seed.unwrap_or(0xC0FFEE),
                 ..TraceRunConfig::default()
@@ -419,33 +237,31 @@ fn main() {
             if smoke {
                 tcfg.n_jobs = 12;
             }
-            if let Some(v) = flag("--runtime") {
+            if let Some(v) = flag(&args, "--runtime") {
                 tcfg.runtime = RuntimeChoice::from_name(v)
                     .unwrap_or_else(|| die(&format!("unknown runtime '{v}' (sim|threaded)")));
             }
-            if let Some(v) = flag("--scheduler") {
+            if let Some(v) = flag(&args, "--scheduler") {
                 tcfg.scheduler = SchedulerKind::from_name(v)
                     .unwrap_or_else(|| die(&format!("unknown scheduler '{v}'")));
             }
-            if let Some(v) = flag("--workers") {
+            if let Some(v) = flag(&args, "--workers") {
                 tcfg.worker_config = WorkerConfig::ALL
                     .into_iter()
                     .find(|w| w.name() == v)
                     .unwrap_or_else(|| die(&format!("unknown worker config '{v}'")));
             }
-            if let Some(v) = flag("--jobs") {
+            if let Some(v) = flag(&args, "--jobs") {
                 tcfg.job_config = JobConfig::ALL
                     .into_iter()
                     .find(|j| j.name() == v)
                     .unwrap_or_else(|| die(&format!("unknown job config '{v}'")));
             }
-            if let Some(v) = flag("--n") {
-                tcfg.n_jobs = v.parse().unwrap_or_else(|e| die(&format!("--n: {e}")));
+            if let Some(n) = parsed(&args, "--n") {
+                tcfg.n_jobs = n;
             }
-            if let Some(v) = flag("--iterations") {
-                tcfg.iterations = v
-                    .parse()
-                    .unwrap_or_else(|e| die(&format!("--iterations: {e}")));
+            if let Some(n) = parsed(&args, "--iterations") {
+                tcfg.iterations = n;
             }
             let runs = trace_run::run(&tcfg).unwrap_or_else(|e| die(&e));
             emit("trace", &trace_run::render_phase_table(&runs));
@@ -486,80 +302,8 @@ fn main() {
             let points = crossover::run(&cfg);
             emit("crossover", &crossover::render(&points));
         }
-        "bench" => {
-            let flag = |name: &str| {
-                args.iter()
-                    .position(|a| a == name)
-                    .and_then(|i| args.get(i + 1))
-            };
-            if let Some(path) = flag("--check") {
-                let text = std::fs::read_to_string(path)
-                    .unwrap_or_else(|e| die(&format!("--check {path}: {e}")));
-                match bench::BenchDoc::parse(&text) {
-                    Ok(doc) => {
-                        eprintln!(
-                            "[repro] bench --check {path}: ok ({} current rows, speedup_sim_64={:?})",
-                            doc.current.rows.len(),
-                            doc.speedup_sim_64
-                        );
-                        return;
-                    }
-                    Err(e) => die(&format!("--check {path}: schema drift: {e}")),
-                }
-            }
-            let mut bcfg = if smoke {
-                BenchConfig::smoke()
-            } else {
-                BenchConfig::full()
-            };
-            if let Some(s) = seed {
-                bcfg.seed = s;
-            }
-            if let Some(v) = flag("--jobs") {
-                bcfg.sim_jobs = v.parse().unwrap_or_else(|e| die(&format!("--jobs: {e}")));
-            }
-            if let Some(v) = flag("--threaded-jobs") {
-                bcfg.threaded_jobs = v
-                    .parse()
-                    .unwrap_or_else(|e| die(&format!("--threaded-jobs: {e}")));
-            }
-            if let Some(v) = flag("--workers") {
-                bcfg.workers = v
-                    .split(',')
-                    .map(|w| w.trim().parse())
-                    .collect::<Result<Vec<usize>, _>>()
-                    .unwrap_or_else(|e| die(&format!("--workers: {e}")));
-            }
-            if let Some(v) = flag("--runtime") {
-                bcfg.runtimes = match v.as_str() {
-                    "sim" => vec![RuntimeChoice::Sim],
-                    "threaded" => vec![RuntimeChoice::Threaded],
-                    "both" => vec![RuntimeChoice::Sim, RuntimeChoice::Threaded],
-                    other => die(&format!("unknown runtime '{other}' (sim|threaded|both)")),
-                };
-            }
-            if let Some(v) = flag("--label") {
-                bcfg.label = v.clone();
-            }
-            let baseline = flag("--baseline").map(|path| {
-                let text = std::fs::read_to_string(path)
-                    .unwrap_or_else(|e| die(&format!("--baseline {path}: {e}")));
-                let doc = bench::BenchDoc::parse(&text)
-                    .unwrap_or_else(|e| die(&format!("--baseline {path}: {e}")));
-                doc.current
-            });
-            let current = bench::run_sweep(&bcfg);
-            let doc = bench::BenchDoc::assemble(baseline, current);
-            let body = doc.render();
-            if let Some(path) = flag("--json") {
-                std::fs::write(path, &body).expect("write --json file");
-                eprintln!("[repro] wrote {path}");
-            } else {
-                println!("{body}");
-            }
-        }
         other => {
-            eprintln!("unknown artifact '{other}'; use fig2|fig3|fig4|tables|summary|extensions|crash_sweep|crossover|replication|trace|check|netfault|failover|federate|atomize|replicate|bench|all");
+            eprintln!("unknown artifact '{other}'; use fig2|fig3|fig4|tables|summary|extensions|crash_sweep|crossover|replication|trace|check|netfault|failover|federate|atomize|replicate|all");
             std::process::exit(2);
         }
     }

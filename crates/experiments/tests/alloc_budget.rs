@@ -6,8 +6,8 @@
 //! cargo test -p crossbid-experiments --features bench-alloc --test alloc_budget --release
 //! ```
 //!
-//! The hot-path work behind `repro bench` took the sim engine from
-//! thousands of allocations per job (a fresh roster `Vec<WorkerHandle>`
+//! The hot-path work of PR 6 took the sim engine from thousands of
+//! allocations per job (a fresh roster `Vec<WorkerHandle>`
 //! with cloned name `String`s on every scheduler callback, plus heap
 //! churn in the event queue) down to single digits, flat across
 //! cluster sizes. This pins the budget so a stray per-event or
@@ -18,8 +18,10 @@
 
 use std::sync::Mutex;
 
-use crossbid_experiments::bench::run_row;
-use crossbid_experiments::trace_run::RuntimeChoice;
+use crossbid_core::BiddingAllocator;
+use crossbid_crossflow::{EngineConfig, RunOutput, RunSpec, Workflow};
+use crossbid_experiments::allocmeter::allocs;
+use crossbid_workload::{ArrivalProcess, JobConfig, WorkerConfig};
 
 /// The allocation counter is process-wide and `cargo test` runs the
 /// tests of one binary on parallel threads: each test holds this for
@@ -33,16 +35,42 @@ static METER: Mutex<()> = Mutex::new(());
 /// per job, i.e. 64+ here).
 const BUDGET_ALLOCS_PER_JOB: f64 = 48.0;
 
+/// One bidding run on the sim engine — ideal (no latency, no noise,
+/// so the run is pure scheduler + event loop), `AllEqual` workers,
+/// `AllDiffEqual` jobs arriving Poisson at 0.05 s — and the
+/// allocations it made. The event cap scales with the run: every job
+/// triggers a broadcast to all workers plus a bid from each, with
+/// generous slack.
+fn counted_sim_run(workers: usize, jobs: usize, seed: u64, trace: bool) -> (RunOutput, u64) {
+    let mut engine = EngineConfig::ideal();
+    engine.max_events = (jobs as u64) * (workers as u64 * 6 + 32) + 1_000_000;
+    let mut rt = RunSpec::builder()
+        .workers(WorkerConfig::AllEqual.specs(workers))
+        .seed(seed)
+        .engine(engine)
+        .trace(trace)
+        .build()
+        .sim();
+    let mut wf = Workflow::new();
+    let task = wf.add_sink("bench");
+    let process = ArrivalProcess::Poisson {
+        mean_interval_secs: 0.05,
+    };
+    let stream = JobConfig::AllDiffEqual.generate(seed, jobs, task, &process);
+    let a0 = allocs();
+    let out = rt.run_iteration(&mut wf, &BiddingAllocator::new(), stream.arrivals);
+    (out, allocs() - a0)
+}
+
 #[test]
 fn sim_hot_path_allocations_stay_within_budget() {
     let _alone = METER
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
-    let row = run_row(RuntimeChoice::Sim, 64, 10_000, 0xA110C);
-    assert_eq!(row.jobs, 10_000, "row must describe the run it measured");
-    let apj = row
-        .allocs_per_job
-        .expect("bench-alloc builds always measure allocations");
+    let jobs = 10_000;
+    let (out, spent) = counted_sim_run(64, jobs, 0xA110C, false);
+    assert_eq!(out.record.jobs_completed, jobs as u64);
+    let apj = spent as f64 / jobs as f64;
     assert!(
         apj > 0.0,
         "an all-zero measurement means the counting allocator is not installed"
@@ -62,33 +90,13 @@ const BUDGET_CODEC_ALLOCS_PER_LINE: f64 = 0.1;
 
 #[test]
 fn run_stream_codec_allocations_stay_within_budget() {
-    use crossbid_core::BiddingAllocator;
-    use crossbid_crossflow::{
-        run_stream_lines, write_run_stream, EngineConfig, RunSpec, RunStreamMeta, Workflow,
-    };
-    use crossbid_experiments::allocmeter::allocs;
-    use crossbid_workload::{ArrivalProcess, JobConfig, WorkerConfig};
+    use crossbid_crossflow::{run_stream_lines, write_run_stream, RunStreamMeta};
 
     let _alone = METER
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
-    let (workers, jobs, seed) = (32, 10_000, 0xA110C);
-    let mut engine = EngineConfig::ideal();
-    engine.max_events = 10_000_000;
-    let mut rt = RunSpec::builder()
-        .workers(WorkerConfig::AllEqual.specs(workers))
-        .seed(seed)
-        .engine(engine)
-        .trace(true)
-        .build()
-        .sim();
-    let mut wf = Workflow::new();
-    let task = wf.add_sink("bench");
-    let process = ArrivalProcess::Poisson {
-        mean_interval_secs: 0.05,
-    };
-    let stream = JobConfig::AllDiffEqual.generate(seed, jobs, task, &process);
-    let out = rt.run_iteration(&mut wf, &BiddingAllocator::new(), stream.arrivals);
+    let (jobs, seed) = (10_000, 0xA110C);
+    let (out, _) = counted_sim_run(32, jobs, seed, true);
     let meta = RunStreamMeta {
         runtime: "sim".to_string(),
         scheduler: "bidding".to_string(),
@@ -133,7 +141,6 @@ fn straggler_sweep_allocates_nothing() {
     use crossbid_crossflow::{
         AtomizeConfig, DagState, JobId, ResourceRef, TaskDag, TaskId, TaskNode,
     };
-    use crossbid_experiments::allocmeter::allocs;
     use crossbid_storage::ObjectId;
 
     let _alone = METER
@@ -184,7 +191,6 @@ fn straggler_sweep_allocates_nothing() {
 /// buffer stops growing at twice the resident count.
 #[test]
 fn evicting_inserts_allocate_only_their_result() {
-    use crossbid_experiments::allocmeter::allocs;
     use crossbid_simcore::SimTime;
     use crossbid_storage::{EvictionPolicy, LocalStore, ObjectId};
 

@@ -1,17 +1,25 @@
-//! Golden-file test pinning what the atomizer *decides* on the sim
-//! engine: on every seed the DAG explorer sweeps in CI (and on the
-//! same scenarios made longer), the straggler sweep launches the same
-//! speculative replicas at the same instants, and the whole scheduler
-//! log — offers, placements, evictions it caused, cancellations — is
-//! the one recorded.
+//! Golden-file test pinning what every built-in checker scenario
+//! *decides* on the sim engine, on the root seeds the CI sweeps use.
 //!
-//! `DagState`'s sweep and `LocalStore`'s eviction order are indexed
-//! structures standing in for a full walk and a full scan; the file
-//! was recorded with the walk and the scan, so it is the differential
-//! test of the two at the level of whole runs. The sim is
-//! deterministic in the seed, so any difference is a changed decision.
+//! `dag_decisions.txt` — the two DAG builtins (and the same scenarios
+//! made longer): the straggler sweep launches the same speculative
+//! replicas at the same instants, and the whole scheduler log —
+//! offers, placements, evictions it caused, cancellations — is the one
+//! recorded. `DagState`'s sweep and `LocalStore`'s eviction order are
+//! indexed structures standing in for a full walk and a full scan; the
+//! file was recorded with the walk and the scan, so it is the
+//! differential test of the two at the level of whole runs.
 //!
-//! To regenerate after an intentional protocol change:
+//! `builtin_decisions.txt` — the other 14 builtins, plain, under the
+//! explorer's lossy-link plan and under a seeded master crash, each on
+//! the seed tuple the explorer derives for that iteration (merged log
+//! for federated ones). It was recorded through the four per-axis
+//! scenario types that `Scenario` replaced, so it is the proof that
+//! the one type builds the same specs, arrivals and fault plans.
+//!
+//! The sim is deterministic in the seeds, so any difference is a
+//! changed decision. To regenerate after an intentional protocol
+//! change:
 //!
 //! ```text
 //! BLESS_GOLDEN=1 cargo test -p crossbid-integration --test dag_decisions_golden
@@ -19,67 +27,156 @@
 
 use std::fmt::Write;
 
-use crossbid_checker::DagScenario;
-use crossbid_crossflow::{ProtocolMutation, SchedEventKind};
+use crossbid_checker::{ExploreConfig, ReplayTuple, Run, Scenario, Workload};
+use crossbid_crossflow::{ProtocolMutation, SchedEventKind, SchedLog};
 use crossbid_simcore::SeedSequence;
 
-const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/dag_decisions.txt");
-const GOLDEN: &str = include_str!("../golden/dag_decisions.txt");
+const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/");
+const GOLDEN: [(&str, &str); 2] = [
+    (
+        "dag_decisions.txt",
+        include_str!("../golden/dag_decisions.txt"),
+    ),
+    (
+        "builtin_decisions.txt",
+        include_str!("../golden/builtin_decisions.txt"),
+    ),
+];
 
-/// The root seeds of the two CI sweeps: `schedule_space.rs` and
-/// `repro atomize`.
-const SWEEP_SEEDS: [u64; 2] = [0xDA61, 0xA70];
+/// The root seeds of the two CI sweeps over the DAG builtins:
+/// `schedule_space.rs` and `repro atomize`.
+const DAG_ROOTS: [u64; 2] = [0xDA61, 0xA70];
 
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for b in bytes {
-        *hash = (*hash ^ *b as u64).wrapping_mul(0x0100_0000_01b3);
+/// The root seeds of the CI sweeps over the other builtins:
+/// `repro check|netfault|failover|federate`, the lossy, federation and
+/// replication sweeps of `schedule_space.rs`, and `repro replicate`.
+const ROOTS: [u64; 5] = [0xC0FFEE, 0xFEED5EED, 0xFED5EED, 0x9E97, 0x9E11];
+
+/// Event count + FNV-1a over the log's debug rendering.
+fn digest(log: &SchedLog) -> String {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for e in log.events() {
+        for b in format!("{e:?}").bytes() {
+            hash = (hash ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    format!("{} events, fnv {hash:016x}", log.len())
+}
+
+fn dag_rows(actual: &mut String, builtin: &Scenario) {
+    let Workload::Dags { config, count } = builtin.workload else {
+        unreachable!("called on DAG builtins only");
+    };
+    for dags in [count, 12] {
+        let sc = Scenario {
+            workload: Workload::Dags {
+                config,
+                count: dags,
+            },
+            ..builtin.clone()
+        };
+        for mutation in [ProtocolMutation::None, ProtocolMutation::DoubleSpeculate] {
+            for base in DAG_ROOTS {
+                for i in 0..4 {
+                    let seed = SeedSequence::new(base).seed_for(i);
+                    let out = sc.run(&Run {
+                        mutation: mutation.into(),
+                        ..Run::sim(seed)
+                    });
+                    let mut launches = String::new();
+                    for e in out.log().events() {
+                        if let SchedEventKind::SpecLaunch { root, task } = e.kind {
+                            let job = e.job.expect("SpecLaunch names the replica");
+                            write!(launches, " {:?}/{}.{task}/{}", e.at, root.0, job.0).unwrap();
+                        }
+                    }
+                    writeln!(
+                        actual,
+                        "{} dags={dags} {mutation:?} seed={seed:#x}: {}, launches:{launches}",
+                        sc.name,
+                        digest(out.log()),
+                    )
+                    .unwrap();
+                }
+            }
+        }
+    }
+}
+
+/// The rows of one (root, iteration) for the non-DAG builtins, in the
+/// recorded order: single-master job lists first, then federations,
+/// then the replicated data plane. Each run is the one the explorer
+/// makes at that iteration: a net seed only where links are lossy or
+/// gossip is seeded, a crash index into the first half of a reference
+/// run's log.
+fn builtin_rows(actual: &mut String, builtins: &[Scenario], root: u64, i: u64) {
+    let seeds = SeedSequence::new(root);
+    let plain = ReplayTuple {
+        run: seeds.seed_for(i),
+        chaos: None,
+        net: None,
+        membership: Some(seeds.seed_for(0x4D42_0000 + i)),
+        crash_index: None,
+    };
+    let seeded_net = ReplayTuple {
+        net: Some(seeds.seed_for(0x4E37_0000 + i)),
+        ..plain
+    };
+    let reliable = ExploreConfig::sim(1, root);
+    let lossy = ExploreConfig::sim(1, root).lossy();
+    let mut row = |sc: &Scenario, variant: &str, run: Run| {
+        let out = sc.run(&run);
+        writeln!(
+            actual,
+            "{} {variant} root={root:#x} i={i}: {}",
+            sc.name,
+            digest(out.log())
+        )
+        .unwrap();
+    };
+    for sc in builtins.iter().filter(|s| s.is_plain()) {
+        row(sc, "plain", reliable.run(&plain));
+        row(sc, "lossy", lossy.run(&seeded_net));
+        let bound = (sc.run(&Run::sim(root)).log().len() as u64 / 2).max(2);
+        let crashed = ReplayTuple {
+            crash_index: Some(1 + seeds.seed_for(0xFA11_0000 + i) % bound),
+            ..plain
+        };
+        row(sc, "crash", reliable.run(&crashed));
+    }
+    for sc in builtins.iter().filter(|s| s.federation.is_some()) {
+        row(sc, "plain", reliable.run(&seeded_net));
+    }
+    for sc in builtins.iter().filter(|s| s.replication.is_some()) {
+        row(sc, "plain", reliable.run(&plain));
+        row(sc, "lossy", lossy.run(&seeded_net));
     }
 }
 
 #[test]
 fn sim_dag_decisions_match_golden() {
-    let mut actual = String::new();
-    for builtin in DagScenario::builtins() {
-        for dags in [builtin.dags, 12] {
-            let sc = DagScenario {
-                dags,
-                ..builtin.clone()
-            };
-            for mutation in [ProtocolMutation::None, ProtocolMutation::DoubleSpeculate] {
-                for base in SWEEP_SEEDS {
-                    for i in 0..4 {
-                        let seed = SeedSequence::new(base).seed_for(i);
-                        let log = sc.run_sim(seed, mutation).sched_log;
-                        let mut hash = 0xcbf2_9ce4_8422_2325;
-                        let mut launches = String::new();
-                        for e in log.events() {
-                            fnv1a(&mut hash, format!("{e:?}").as_bytes());
-                            if let SchedEventKind::SpecLaunch { root, task } = e.kind {
-                                let job = e.job.expect("SpecLaunch names the replica");
-                                write!(launches, " {:?}/{}.{task}/{}", e.at, root.0, job.0)
-                                    .unwrap();
-                            }
-                        }
-                        writeln!(
-                            actual,
-                            "{} dags={dags} {mutation:?} seed={seed:#x}: {} events, \
-                             fnv {hash:016x}, launches:{launches}",
-                            sc.name,
-                            log.len(),
-                        )
-                        .unwrap();
-                    }
-                }
-            }
+    let builtins = Scenario::builtins();
+    let mut dag = String::new();
+    for builtin in &builtins {
+        if matches!(builtin.workload, Workload::Dags { .. }) {
+            dag_rows(&mut dag, builtin);
         }
     }
-    if std::env::var_os("BLESS_GOLDEN").is_some() {
-        std::fs::write(GOLDEN_PATH, &actual).expect("bless golden file");
-        return;
+    let mut rest = String::new();
+    for root in ROOTS {
+        for i in 0..2 {
+            builtin_rows(&mut rest, &builtins, root, i);
+        }
     }
-    assert_eq!(
-        actual, GOLDEN,
-        "sim DAG runs diverged from tests/golden/dag_decisions.txt;\n\
-         re-bless with BLESS_GOLDEN=1 only if the protocol was meant to change."
-    );
+    for ((file, golden), actual) in GOLDEN.into_iter().zip([dag, rest]) {
+        if std::env::var_os("BLESS_GOLDEN").is_some() {
+            std::fs::write(format!("{GOLDEN_DIR}{file}"), &actual).expect("bless golden file");
+            continue;
+        }
+        assert_eq!(
+            actual, golden,
+            "sim runs diverged from tests/golden/{file};\n\
+             re-bless with BLESS_GOLDEN=1 only if the protocol was meant to change."
+        );
+    }
 }

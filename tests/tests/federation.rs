@@ -9,12 +9,14 @@
 
 use std::collections::BTreeMap;
 
-use crossbid_checker::{check_log, FedScenario, FedSeeds, OracleOptions, Protocol};
+use crossbid_checker::{
+    check_log, Federation, JobDef, OracleOptions, Protocol, Run, Scenario, Workload,
+};
 use crossbid_core::BiddingAllocator;
 use crossbid_crossflow::{
-    Arrival, EngineConfig, Faults, FedRuntimeKind, FederationMutation, JobSpec, MembershipPlan,
-    NetFaultPlan, Payload, ResourceRef, RunOutput, RunSpec, Runtime, SchedEventKind, SchedState,
-    ShardId, WorkerId, WorkerSpec, Workflow,
+    Arrival, EngineConfig, Faults, JobSpec, MembershipPlan, NetFaultPlan, Payload, ResourceRef,
+    RunOutput, RunSpec, Runtime, SchedEventKind, SchedState, ShardId, WorkerId, WorkerSpec,
+    Workflow,
 };
 use crossbid_net::{ControlPlane, NoiseModel};
 use crossbid_simcore::{SimDuration, SimTime};
@@ -35,16 +37,22 @@ fn specs(n: usize) -> Vec<WorkerSpec> {
 
 /// A scenario shaped like the checker built-ins but with every axis a
 /// proptest variable.
-fn prop_scenario(shards: usize, jobs: usize, threshold: f64, churn: bool) -> FedScenario {
-    FedScenario {
-        name: "prop_fed",
-        protocol: Protocol::Bidding,
-        shards,
-        workers_per_shard: 2,
-        spill_threshold_secs: threshold,
-        gossip_loss: 0.0,
-        jobs,
-        churn,
+fn prop_scenario(shards: usize, jobs: usize, threshold: f64, churn: bool) -> Scenario {
+    let burst = (0..jobs)
+        .map(|i| JobDef {
+            at_secs: i as f64 * 0.5,
+            object: 1 + (i % 3) as u64,
+            bytes: 100_000_000,
+        })
+        .collect();
+    Scenario {
+        federation: Some(Federation {
+            shards,
+            spill_threshold_secs: threshold,
+            gossip_loss: 0.0,
+            churn,
+        }),
+        ..Scenario::new("prop_fed", Protocol::Bidding, 2, Workload::Jobs(burst))
     }
 }
 
@@ -66,23 +74,18 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let sc = prop_scenario(shards, jobs, threshold, churn);
-        let out = sc.run(FedRuntimeKind::Sim, FedSeeds::plain(seed), FederationMutation::None);
+        let out = sc.run(&Run::sim(seed));
+        let total_jobs = sc.expected_completions(None);
 
-        prop_assert!(
-            check_log(&out.merged, sc.merged_oracle_options()).is_empty(),
-            "merged-log violations at seed {seed}"
-        );
-        for (s, shard) in out.shards.iter().enumerate() {
-            prop_assert!(
-                check_log(&shard.sched_log, sc.shard_oracle_options()).is_empty(),
-                "shard {s} violations at seed {seed}"
-            );
-        }
+        // The merged log under the federated oracle and every shard's
+        // own log under the single-master one.
+        let violations = out.violations(false);
+        prop_assert!(violations.is_empty(), "seed {}: {:?}", seed, violations);
 
         // Union of shard replays == merged replay, counter for counter.
-        let merged = SchedState::replay(out.merged.events().iter());
+        let merged = SchedState::replay(out.log().events().iter());
         let union: Vec<SchedState> = out
-            .shards
+            .masters
             .iter()
             .map(|o| SchedState::replay(o.sched_log.events().iter()))
             .collect();
@@ -91,7 +94,7 @@ proptest! {
         prop_assert_eq!(merged.completions, sum(|s| s.completions));
         prop_assert_eq!(merged.spill_outs, sum(|s| s.spill_outs));
         prop_assert_eq!(merged.spill_ins, sum(|s| s.spill_ins));
-        prop_assert_eq!(merged.completions, sc.total_jobs());
+        prop_assert_eq!(merged.completions, total_jobs);
         prop_assert_eq!(merged.spill_outs, out.spills.len() as u64);
         prop_assert_eq!(merged.spill_ins, out.spills.len() as u64);
 
@@ -99,14 +102,14 @@ proptest! {
         // hand-off was recorded, the home shard's otherwise.
         let spilled_to: BTreeMap<_, _> = out.spills.iter().map(|s| (s.job, s.to)).collect();
         let mut completions: BTreeMap<_, Vec<ShardId>> = BTreeMap::new();
-        for ev in out.merged.events() {
+        for ev in out.log().events() {
             if matches!(ev.kind, SchedEventKind::Completed) {
                 let job = ev.job.expect("completions carry a job id");
                 let worker = ev.worker.expect("completions carry a worker id");
                 completions.entry(job).or_default().push(worker.shard());
             }
         }
-        prop_assert_eq!(completions.len() as u64, sc.total_jobs());
+        prop_assert_eq!(completions.len() as u64, total_jobs);
         for (job, shards_seen) in completions {
             prop_assert_eq!(
                 shards_seen.len(),

@@ -7,9 +7,10 @@
 //!   re-offer advance);
 //! - determinism: a sim run under a lossy plan must replay
 //!   byte-identically from its `(run seed, net seed)` pair, because
-//!   that pair is the replay recipe every failure report prints.
+//!   that pair is the replay recipe every failure report prints. These
+//!   tests hand `Run` an arbitrary `NetFaultPlan` value, not a seed.
 
-use crossbid_checker::{check_log, Scenario, ThreadedRun};
+use crossbid_checker::{Outcome, Run, Scenario};
 use crossbid_crossflow::{LinkFault, NetFaultPlan};
 
 /// A plan that barely drops but duplicates aggressively in both
@@ -31,8 +32,24 @@ fn dup_heavy_plan(seed: u64) -> NetFaultPlan {
     }
 }
 
-fn counter(out: &crossbid_crossflow::RunOutput, name: &str) -> u64 {
-    out.metrics
+fn plain_builtins() -> Vec<Scenario> {
+    Scenario::builtins_where(Scenario::is_plain)
+}
+
+/// Every job completed exactly once and the oracle is clean.
+fn assert_exactly_once(sc: &Scenario, out: &Outcome, what: &str) {
+    assert_eq!(
+        out.completed, out.expected,
+        "{} {what}: {}/{} jobs completed",
+        sc.name, out.completed, out.expected
+    );
+    let violations = out.violations(false);
+    assert!(violations.is_empty(), "{} {what}: {violations:?}", sc.name);
+}
+
+fn counter(out: &Outcome, name: &str) -> u64 {
+    out.masters[0]
+        .metrics
         .counters
         .iter()
         .find(|(n, _)| n == name)
@@ -47,23 +64,13 @@ fn counter(out: &crossbid_crossflow::RunOutput, name: &str) -> u64 {
 /// completion count.
 #[test]
 fn dup_heavy_links_keep_sim_exactly_once() {
-    for sc in Scenario::builtins() {
+    for sc in plain_builtins() {
         for seed in [11u64, 12, 13] {
-            let out = sc.run_sim_with_net(seed, dup_heavy_plan(seed ^ 0xD0D0));
-            assert_eq!(
-                out.record.jobs_completed,
-                sc.jobs.len() as u64,
-                "{} seed {seed}: {}/{} jobs completed under dup-heavy links",
-                sc.name,
-                out.record.jobs_completed,
-                sc.jobs.len()
-            );
-            let violations = check_log(&out.sched_log, sc.oracle_options(false));
-            assert!(
-                violations.is_empty(),
-                "{} seed {seed}: {violations:?}",
-                sc.name
-            );
+            let out = sc.run(&Run {
+                net: Some(dup_heavy_plan(seed ^ 0xD0D0)),
+                ..Run::sim(seed)
+            });
+            assert_exactly_once(&sc, &out, &format!("seed {seed} under dup-heavy links"));
             assert!(
                 counter(&out, "net/duplicated") > 0,
                 "{} seed {seed}: the dup axis never fired, test proves nothing",
@@ -78,22 +85,13 @@ fn dup_heavy_links_keep_sim_exactly_once() {
 /// the work.
 #[test]
 fn dup_heavy_links_keep_threaded_exactly_once() {
-    for sc in Scenario::builtins() {
+    for sc in plain_builtins() {
         let run_seed = 0x1D1E;
-        let out = sc.run_threaded(&ThreadedRun {
-            netfault: Some(dup_heavy_plan(run_seed ^ 0x4E37)),
-            ..ThreadedRun::plain(run_seed)
+        let out = sc.run(&Run {
+            net: Some(dup_heavy_plan(run_seed ^ 0x4E37)),
+            ..Run::threaded(run_seed)
         });
-        assert_eq!(
-            out.record.jobs_completed,
-            sc.jobs.len() as u64,
-            "{}: {}/{} jobs completed under dup-heavy links",
-            sc.name,
-            out.record.jobs_completed,
-            sc.jobs.len()
-        );
-        let violations = check_log(&out.sched_log, sc.oracle_options(false));
-        assert!(violations.is_empty(), "{}: {violations:?}", sc.name);
+        assert_exactly_once(&sc, &out, "threaded under dup-heavy links");
     }
 }
 
@@ -119,41 +117,25 @@ fn constant_delay_links_stay_exactly_once() {
         seed: 0xDE1A,
         ..NetFaultPlan::none()
     };
-    for sc in Scenario::builtins() {
-        let sim = sc.run_sim_with_net(9, plan());
-        assert_eq!(
-            sim.record.jobs_completed,
-            sc.jobs.len() as u64,
-            "{}: sim under constant-delay links",
-            sc.name
-        );
-        let violations = check_log(&sim.sched_log, sc.oracle_options(false));
-        assert!(violations.is_empty(), "{}: sim {violations:?}", sc.name);
+    for sc in plain_builtins() {
+        let on = |run: Run| {
+            sc.run(&Run {
+                net: Some(plan()),
+                ..run
+            })
+        };
+        let sim = on(Run::sim(9));
+        assert_exactly_once(&sc, &sim, "sim under constant-delay links");
         // And the replay contract holds: the identical run again.
-        let again = sc.run_sim_with_net(9, plan());
+        let again = on(Run::sim(9));
         assert_eq!(
-            format!("{:?}", sim.sched_log.events()),
-            format!("{:?}", again.sched_log.events()),
+            format!("{:?}", sim.log().events()),
+            format!("{:?}", again.log().events()),
             "{}: constant-delay sim run did not replay",
             sc.name
         );
-
-        let thr = sc.run_threaded(&ThreadedRun {
-            netfault: Some(plan()),
-            ..ThreadedRun::plain(9)
-        });
-        assert_eq!(
-            thr.record.jobs_completed,
-            sc.jobs.len() as u64,
-            "{}: threaded under constant-delay links",
-            sc.name
-        );
-        let violations = check_log(&thr.sched_log, sc.oracle_options(false));
-        assert!(
-            violations.is_empty(),
-            "{}: threaded {violations:?}",
-            sc.name
-        );
+        let thr = on(Run::threaded(9));
+        assert_exactly_once(&sc, &thr, "threaded under constant-delay links");
     }
 }
 
@@ -163,24 +145,27 @@ fn constant_delay_links_stay_exactly_once() {
 /// worthless.
 #[test]
 fn lossy_sim_runs_replay_byte_identically() {
-    for sc in Scenario::builtins() {
-        let plan = || {
-            NetFaultPlan::lossy(0xACE, 0.3, 0.15).with_partition(
+    for sc in plain_builtins() {
+        let lossy = || {
+            let plan = NetFaultPlan::lossy(0xACE, 0.3, 0.15).with_partition(
                 None,
                 crossbid_simcore::SimTime::from_secs(2),
                 crossbid_simcore::SimTime::from_secs(4),
-            )
+            );
+            sc.run(&Run {
+                net: Some(plan),
+                ..Run::sim(42)
+            })
         };
-        let a = sc.run_sim_with_net(42, plan());
-        let b = sc.run_sim_with_net(42, plan());
+        let (a, b) = (lossy(), lossy());
         assert_eq!(
-            format!("{:?}", a.sched_log.events()),
-            format!("{:?}", b.sched_log.events()),
+            format!("{:?}", a.log().events()),
+            format!("{:?}", b.log().events()),
             "{}: two identical lossy runs diverged",
             sc.name
         );
         assert_eq!(
-            a.metrics.counters, b.metrics.counters,
+            a.masters[0].metrics.counters, b.masters[0].metrics.counters,
             "{}: reliability counters diverged between identical runs",
             sc.name
         );

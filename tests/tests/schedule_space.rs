@@ -1,23 +1,23 @@
-//! The checker's tier-1 suite: sweep message-delivery interleavings
-//! of the threaded runtime through the protocol invariant oracle, and
-//! prove the oracle actually catches bugs by reintroducing each PR 1
-//! protocol fix (via `crossbid-crossflow`'s test-only
-//! `protocol-mutation` feature) and asserting the explorer finds a
-//! violation, shrinks it, and prints a replayable repro (seed +
-//! delivery schedule).
+//! The checker's tier-1 suite: sweep every built-in scenario through
+//! the protocol invariant oracle on both runtimes, and prove the
+//! oracle actually catches bugs by reintroducing each protocol fix
+//! (via `crossbid-crossflow`'s test-only `protocol-mutation` feature,
+//! and the federation router's own mutation switch) and asserting the
+//! explorer finds a violation and prints a replayable repro — the full
+//! replay tuple, plus the shrunk scenario and the delivery schedule
+//! where the scenario has them.
 //!
 //! Seeds are fixed so CI runs are reproducible; the scheduled
 //! extended-exploration workflow sweeps fresh seeds.
 
-use crossbid_checker::{explore, explore_builtins, explore_federation, ExploreConfig, Protocol};
-use crossbid_checker::{explore_dag, explore_dag_builtins, DagExploreConfig, DagScenario};
-use crossbid_checker::{explore_replication, explore_replication_builtins};
-use crossbid_checker::{Failure, FedExploreConfig, FedScenario, JobDef, Scenario, Violation};
-use crossbid_checker::{ReplExploreConfig, ReplScenario};
+use crossbid_checker::{
+    explore, explore_builtins, ExploreConfig, ExploreReport, Failure, JobDef, Protocol, Run,
+    Scenario, Violation, Workload,
+};
 use crossbid_crossflow::{FederationMutation, ProtocolMutation};
 
-/// Chaos sweep over every built-in scenario. `CHECKER_ITERS` lets the
-/// scheduled CI job deepen the exploration without a code change.
+/// `CHECKER_ITERS` lets the scheduled CI job deepen the exploration
+/// without a code change.
 fn sweep_iters(default: u32) -> u32 {
     std::env::var("CHECKER_ITERS")
         .ok()
@@ -25,12 +25,17 @@ fn sweep_iters(default: u32) -> u32 {
         .unwrap_or(default)
 }
 
-#[test]
-fn correct_protocol_survives_chaos_on_every_builtin_scenario() {
-    let cfg = ExploreConfig::quick(sweep_iters(4), 0xC0FFEE);
-    for report in explore_builtins(&cfg) {
+fn assert_all_pass(reports: Vec<ExploreReport>) {
+    assert!(!reports.is_empty(), "the filter selected no builtin");
+    for report in reports {
         assert!(report.passed(), "{}", report.render());
     }
+}
+
+#[test]
+fn correct_protocol_survives_chaos_on_every_builtin_scenario() {
+    let cfg = ExploreConfig::threaded(sweep_iters(4), 0xC0FFEE).chaos();
+    assert_all_pass(explore_builtins(&cfg, Scenario::is_plain));
 }
 
 #[test]
@@ -40,61 +45,75 @@ fn correct_protocol_survives_lossy_links_on_every_builtin_scenario() {
     // full partition cuts both directions mid-run. The reliability
     // layer (acks + seeded retries + leases + dedup) must still land
     // every scenario with exactly-once effects and sim parity.
-    let cfg = ExploreConfig::netfault(sweep_iters(3), 0xFEED5EED);
-    for report in explore_builtins(&cfg) {
-        assert!(report.passed(), "{}", report.render());
+    let cfg = ExploreConfig::threaded(sweep_iters(3), 0xFEED5EED)
+        .chaos()
+        .lossy();
+    assert_all_pass(explore_builtins(&cfg, Scenario::is_plain));
+}
+
+/// A mutated sweep that must fail; returns the rendered report and
+/// the failure, after checking the report is a complete repro recipe:
+/// the whole replay tuple, with a seed printed for exactly the axes
+/// that were armed, the minimal scenario where there is one to
+/// shrink, and the recorded interleaving where chaos produced one.
+fn caught(sc: &Scenario, cfg: &ExploreConfig) -> (String, Failure) {
+    let report = explore(sc, cfg);
+    let text = report.render();
+    let Some(f) = report.failure else {
+        panic!("{}: the mutation must be caught: {text}", report.runtime);
+    };
+    assert!(text.contains("VIOLATION"), "{text}");
+    assert!(text.contains(&f.replay.to_string()), "{text}");
+    for label in [
+        "run seed",
+        "chaos seed",
+        "net seed",
+        "membership seed",
+        "crash index",
+    ] {
+        assert!(text.contains(label), "replay tuple lacks {label}: {text}");
     }
-}
-
-fn builtin(name: &str) -> Scenario {
-    Scenario::builtins()
-        .into_iter()
-        .find(|s| s.name == name)
-        .expect("known scenario")
-}
-
-fn mutated(mutation: ProtocolMutation, iters: u32, seed: u64) -> ExploreConfig {
-    ExploreConfig {
-        iters,
-        base_seed: seed,
-        mutation,
-        chaos: true,
-        netfault: false,
-        master_crash: false,
-        strict_reoffer: false,
-        parity: false,
-        repro_attempts: 2,
-    }
-}
-
-/// Like [`mutated`], but with lossy links + a partition window armed:
-/// the environment whose countermeasure the mutation removes.
-fn mutated_lossy(mutation: ProtocolMutation, iters: u32, seed: u64) -> ExploreConfig {
-    ExploreConfig {
-        netfault: true,
-        // Chaos off: the net-fault layer supplies the adversity, and
-        // keeping delivery otherwise faithful makes the causal chain
-        // from lost/duplicated messages to the violation crisp.
-        chaos: false,
-        ..mutated(mutation, iters, seed)
-    }
-}
-
-/// The failure report must be a complete repro recipe.
-fn assert_replayable(report_text: &str, f: &Failure, expect_schedule: bool) {
-    assert!(report_text.contains("VIOLATION"), "{report_text}");
-    assert!(report_text.contains("minimal repro"), "{report_text}");
-    assert!(
-        report_text.contains(&format!("run seed {}", f.run_seed)),
-        "{report_text}"
+    let threaded_chaos = cfg.chaos && report.runtime == "threaded";
+    assert_eq!(f.replay.chaos.is_some(), threaded_chaos, "{text}");
+    assert_eq!(
+        f.replay.net.is_some(),
+        cfg.net.is_some() || sc.federation.is_some(),
+        "{text}"
     );
-    assert!(!f.kept_jobs.is_empty());
-    if expect_schedule {
+    assert_eq!(
+        f.replay.membership.is_some(),
+        sc.federation.is_some_and(|fed| fed.churn),
+        "{text}"
+    );
+    assert_eq!(f.replay.crash_index.is_some(), cfg.master_crash, "{text}");
+    if sc.shrinkable() {
+        assert!(text.contains("minimal repro"), "{text}");
+        assert!(!f.kept_jobs.is_empty());
+    }
+    if threaded_chaos {
         assert!(
-            !f.schedule.is_empty() && report_text.contains("delivery schedule"),
-            "chaos failures must print the recorded interleaving: {report_text}"
+            !f.schedule.is_empty() && text.contains("delivery schedule"),
+            "chaos failures must print the recorded interleaving: {text}"
         );
     }
+    (text, f)
+}
+
+fn chaotic(mutation: ProtocolMutation, iters: u32, seed: u64) -> ExploreConfig {
+    ExploreConfig::threaded(iters, seed)
+        .chaos()
+        .mutated(mutation)
+}
+
+/// Lossy links + a partition window armed: the environment whose
+/// countermeasure the mutation removes. Chaos off: the net-fault
+/// layer supplies the adversity, and keeping delivery otherwise
+/// faithful makes the causal chain from lost/duplicated messages to
+/// the violation crisp.
+fn lossy(mutation: ProtocolMutation, iters: u32, seed: u64) -> ExploreConfig {
+    ExploreConfig::threaded(iters, seed)
+        .lossy()
+        .mutated(mutation)
 }
 
 #[test]
@@ -102,23 +121,16 @@ fn explorer_catches_reintroduced_nonfinite_bid_acceptance() {
     // PR 1 fix: the master drops NaN/∞ bid estimates at intake. The
     // chaos layer corrupts a seeded fraction of bids to NaN, so the
     // mutated master records them — a NonFiniteBid oracle violation.
-    let sc = builtin("hot_repo_bidding");
-    let report = explore(&sc, &mutated(ProtocolMutation::AcceptNonFiniteBids, 20, 11));
-    let text = report.render();
-    let f = report.failure.as_ref().unwrap_or_else(|| {
-        panic!("mutated scheduler must be caught: {text}");
-    });
+    let sc = Scenario::builtin("hot_repo_bidding");
+    let (text, f) = caught(&sc, &chaotic(ProtocolMutation::AcceptNonFiniteBids, 20, 11));
     assert!(
-        f.violations
-            .iter()
-            .any(|v| matches!(v, Violation::NonFiniteBid { .. })),
+        f.shows(|v| matches!(v, Violation::NonFiniteBid { .. })),
         "{text}"
     );
     assert!(
-        f.kept_jobs.len() < sc.jobs.len(),
+        f.kept_jobs.len() < 12,
         "shrinking must drop at least one job: {text}"
     );
-    assert_replayable(&text, f, true);
 }
 
 #[test]
@@ -126,20 +138,12 @@ fn explorer_catches_reintroduced_duplicate_bid_acceptance() {
     // PR 1 fix: a second bid from the same worker is ignored. Chaos
     // duplicates messages, so the mutated master records the copy —
     // a DuplicateBid oracle violation.
-    let sc = builtin("hot_repo_bidding");
-    let report = explore(&sc, &mutated(ProtocolMutation::AcceptDuplicateBids, 40, 13));
-    let text = report.render();
-    let f = report
-        .failure
-        .as_ref()
-        .unwrap_or_else(|| panic!("mutated scheduler must be caught: {text}"));
+    let sc = Scenario::builtin("hot_repo_bidding");
+    let (text, f) = caught(&sc, &chaotic(ProtocolMutation::AcceptDuplicateBids, 40, 13));
     assert!(
-        f.violations
-            .iter()
-            .any(|v| matches!(v, Violation::DuplicateBid { .. })),
+        f.shows(|v| matches!(v, Violation::DuplicateBid { .. })),
         "{text}"
     );
-    assert_replayable(&text, f, true);
 }
 
 #[test]
@@ -148,15 +152,10 @@ fn explorer_catches_reintroduced_late_bid_acceptance() {
     // The mutated master lets the late bidder steal the job — visible
     // to the oracle as a bid outside an open contest and/or a second
     // assignment without a contest close.
-    let sc = builtin("hot_repo_bidding");
-    let report = explore(&sc, &mutated(ProtocolMutation::AcceptLateBids, 40, 17));
-    let text = report.render();
-    let f = report
-        .failure
-        .as_ref()
-        .unwrap_or_else(|| panic!("mutated scheduler must be caught: {text}"));
+    let sc = Scenario::builtin("hot_repo_bidding");
+    let (text, f) = caught(&sc, &chaotic(ProtocolMutation::AcceptLateBids, 40, 17));
     assert!(
-        f.violations.iter().any(|v| matches!(
+        f.shows(|v| matches!(
             v,
             Violation::BidAfterClose { .. }
                 | Violation::AssignmentWithoutBid { .. }
@@ -164,26 +163,19 @@ fn explorer_catches_reintroduced_late_bid_acceptance() {
         )),
         "{text}"
     );
-    assert_replayable(&text, f, true);
 }
 
-/// One non-local job on a three-worker cluster: the correct Baseline
-/// walks the offer through w0 → w1 → w2 and only then returns to w0
-/// (reject-once), so a *direct* bounce back to the last rejector is
-/// unambiguous — no chaos, no racing jobs.
-fn lone_job_baseline() -> Scenario {
-    Scenario {
-        name: "lone_job_baseline",
-        protocol: Protocol::Baseline,
-        workers: 3,
-        jobs: vec![JobDef {
-            at_secs: 0.0,
-            object: 1,
-            bytes: 50_000_000,
-        }],
-        faults: Vec::new(),
-        expect_all_complete: true,
-    }
+fn small_jobs(at_secs: &[f64]) -> Workload {
+    Workload::Jobs(
+        at_secs
+            .iter()
+            .map(|&at_secs| JobDef {
+                at_secs,
+                object: 1,
+                bytes: 50_000_000,
+            })
+            .collect(),
+    )
 }
 
 #[test]
@@ -192,24 +184,12 @@ fn explorer_catches_removed_done_dedup() {
     // because a lost `AckDone` makes the worker retransmit and a lossy
     // link duplicates outright. With the dedup removed, the duplicate
     // delivery double-counts — a CompletedTwice oracle violation.
-    let sc = builtin("hot_repo_bidding");
-    let report = explore(&sc, &mutated_lossy(ProtocolMutation::DropDedup, 30, 23));
-    let text = report.render();
-    let f = report
-        .failure
-        .as_ref()
-        .unwrap_or_else(|| panic!("mutated scheduler must be caught: {text}"));
+    let sc = Scenario::builtin("hot_repo_bidding");
+    let (text, f) = caught(&sc, &lossy(ProtocolMutation::DropDedup, 30, 23));
     assert!(
-        f.violations
-            .iter()
-            .any(|v| matches!(v, Violation::CompletedTwice { .. })),
+        f.shows(|v| matches!(v, Violation::CompletedTwice { .. })),
         "{text}"
     );
-    assert!(
-        text.contains(&format!("net seed {}", f.net_seed.expect("netfault run"))),
-        "net-fault failures must print the replay triple: {text}"
-    );
-    assert_replayable(&text, f, false);
 }
 
 #[test]
@@ -219,20 +199,12 @@ fn explorer_catches_ignored_assign_acks() {
     // a *confirmed* placement expires while the job executes — a
     // LeaseExpiredAfterAck oracle violation (and typically bounces the
     // job into a double execution the Done dedup then has to absorb).
-    let sc = builtin("hot_repo_bidding");
-    let report = explore(&sc, &mutated_lossy(ProtocolMutation::IgnoreAcks, 10, 29));
-    let text = report.render();
-    let f = report
-        .failure
-        .as_ref()
-        .unwrap_or_else(|| panic!("mutated scheduler must be caught: {text}"));
+    let sc = Scenario::builtin("hot_repo_bidding");
+    let (text, f) = caught(&sc, &lossy(ProtocolMutation::IgnoreAcks, 10, 29));
     assert!(
-        f.violations
-            .iter()
-            .any(|v| matches!(v, Violation::LeaseExpiredAfterAck { .. })),
+        f.shows(|v| matches!(v, Violation::LeaseExpiredAfterAck { .. })),
         "{text}"
     );
-    assert_replayable(&text, f, false);
 }
 
 #[test]
@@ -253,28 +225,14 @@ fn missing_leases_lose_jobs_behind_a_partition() {
     // bounce/re-dispatch loop keeps the job alive until the partition
     // heals and the next dispatch lands it; with leases off, nothing
     // ever does.
-    use crossbid_checker::{check_log, ThreadedRun};
     use crossbid_crossflow::{NetFaultPlan, RetryPolicy};
     use crossbid_simcore::SimTime;
-    let sc = Scenario {
-        name: "partitioned_assign_bidding",
-        protocol: Protocol::Bidding,
-        workers: 2,
-        jobs: vec![
-            JobDef {
-                at_secs: 0.0,
-                object: 1,
-                bytes: 50_000_000,
-            },
-            JobDef {
-                at_secs: 0.2,
-                object: 1,
-                bytes: 50_000_000,
-            },
-        ],
-        faults: Vec::new(),
-        expect_all_complete: true,
-    };
+    let sc = Scenario::new(
+        "partitioned_assign_bidding",
+        Protocol::Bidding,
+        2,
+        small_jobs(&[0.0, 0.2]),
+    );
     let plan = |seed| {
         NetFaultPlan::lossy(seed, 0.0, 0.0)
             .with_partition(None, SimTime::ZERO, SimTime::from_secs_f64(30.0))
@@ -283,13 +241,13 @@ fn missing_leases_lose_jobs_behind_a_partition() {
                 ..RetryPolicy::default()
             })
     };
-    let run = |mutation, seed| {
-        let out = sc.run_threaded(&ThreadedRun {
-            netfault: Some(plan(seed)),
-            mutation,
-            ..ThreadedRun::plain(seed)
-        });
-        check_log(&out.sched_log, sc.oracle_options(false))
+    let run = |mutation: ProtocolMutation, seed| {
+        sc.run(&Run {
+            net: Some(plan(seed)),
+            mutation: mutation.into(),
+            ..Run::threaded(seed)
+        })
+        .violations(false)
     };
     // Contrast: with leases armed the same partition is survivable.
     let clean = run(ProtocolMutation::None, 31);
@@ -303,7 +261,7 @@ fn missing_leases_lose_jobs_behind_a_partition() {
     let caught = (0..5).any(|i| {
         run(ProtocolMutation::NoLeases, 37 + i)
             .iter()
-            .any(|v| matches!(v, Violation::JobLost { .. }))
+            .any(|(_, v)| matches!(v, Violation::JobLost { .. }))
     });
     assert!(caught, "removing leases must lose a partitioned job");
 }
@@ -313,124 +271,80 @@ fn explorer_catches_reintroduced_reoffer_to_rejector() {
     // PR 1 fix: a rejected job is re-offered to a *different* idle
     // worker. Strict mode is only sound without chaos, so this probe
     // runs deterministic delivery.
-    let strict = |mutation| ExploreConfig {
-        iters: 5,
-        base_seed: 19,
-        mutation,
-        chaos: false,
-        netfault: false,
-        master_crash: false,
-        strict_reoffer: true,
-        parity: true,
-        repro_attempts: 2,
-    };
-    let sc = lone_job_baseline();
+    //
+    // One non-local job on a three-worker cluster: the correct
+    // Baseline walks the offer through w0 → w1 → w2 and only then
+    // returns to w0 (reject-once), so a *direct* bounce back to the
+    // last rejector is unambiguous — no chaos, no racing jobs.
+    let sc = Scenario::new(
+        "lone_job_baseline",
+        Protocol::Baseline,
+        3,
+        small_jobs(&[0.0]),
+    );
+    let strict = ExploreConfig::threaded(5, 19).strict();
     // Contrast: the correct protocol passes the same strict probe.
-    let clean = explore(&sc, &strict(ProtocolMutation::None));
+    let clean = explore(&sc, &strict);
     assert!(clean.passed(), "{}", clean.render());
-    let report = explore(&sc, &strict(ProtocolMutation::ReofferToRejector));
-    let text = report.render();
-    let f = report
-        .failure
-        .as_ref()
-        .unwrap_or_else(|| panic!("mutated scheduler must be caught: {text}"));
+    let (text, f) = caught(&sc, &strict.mutated(ProtocolMutation::ReofferToRejector));
     assert!(
-        f.violations
-            .iter()
-            .any(|v| matches!(v, Violation::ReofferToRejector { .. })),
+        f.shows(|v| matches!(v, Violation::ReofferToRejector { .. })),
         "{text}"
     );
-    assert_replayable(&text, f, false);
 }
 
 // ---------------------------------------------------------------------------
 // Federation self-validation: each canonical way to break the
 // exactly-once cross-shard hand-off must be caught by the federated
-// oracle, with the failing (run, chaos, net, membership) tuple printed
-// as the repro.
+// oracle.
 // ---------------------------------------------------------------------------
-
-fn fed_builtin(name: &str) -> FedScenario {
-    FedScenario::builtins()
-        .into_iter()
-        .find(|s| s.name == name)
-        .expect("known federation scenario")
-}
-
-fn assert_fed_replay_tuple(text: &str) {
-    assert!(
-        text.contains("run seed") && text.contains("net seed") && text.contains("membership seed"),
-        "failure must print the replay tuple: {text}"
-    );
-}
 
 #[test]
 fn oracle_catches_a_lost_spill() {
-    let sc = fed_builtin("fed_2shard_spill");
+    let sc = Scenario::builtin("fed_2shard_spill");
     // Contrast: the correct hand-off passes the same sweep and spills.
-    let clean = explore_federation(&sc, &FedExploreConfig::quick(2, 0xFED5EED));
+    let clean = explore(&sc, &ExploreConfig::sim(2, 0xFED5EED));
     assert!(clean.passed(), "{}", clean.render());
-    assert!(clean.spills_observed > 0, "{}", clean.render());
+    assert!(clean.activity.spills > 0, "{}", clean.render());
 
-    let cfg = FedExploreConfig {
-        mutation: FederationMutation::LostSpill,
-        ..FedExploreConfig::quick(2, 0xFED5EED)
-    };
-    let report = explore_federation(&sc, &cfg);
-    let text = report.render();
-    let f = report
-        .failure
-        .as_ref()
-        .unwrap_or_else(|| panic!("a dropped hand-off must be caught: {text}"));
+    let cfg = ExploreConfig::sim(2, 0xFED5EED).mutated(FederationMutation::LostSpill);
+    let (text, f) = caught(&sc, &cfg);
     assert!(
-        f.merged_violations.iter().any(|v| matches!(
+        f.shows(|v| matches!(
             v,
             Violation::SpillOutWithoutSpillIn { .. } | Violation::JobLost { .. }
         )),
         "{text}"
     );
-    assert_fed_replay_tuple(&text);
 }
 
 #[test]
 fn oracle_catches_a_double_spill() {
-    let sc = fed_builtin("fed_2shard_spill");
-    let cfg = FedExploreConfig {
-        mutation: FederationMutation::DoubleSpill,
-        ..FedExploreConfig::quick(2, 0xFED5EED)
-    };
-    let report = explore_federation(&sc, &cfg);
-    let text = report.render();
-    let f = report
-        .failure
-        .as_ref()
-        .unwrap_or_else(|| panic!("a duplicated hand-off must be caught: {text}"));
+    let sc = Scenario::builtin("fed_2shard_spill");
+    let cfg = ExploreConfig::sim(2, 0xFED5EED).mutated(FederationMutation::DoubleSpill);
+    let (text, f) = caught(&sc, &cfg);
     assert!(
-        f.merged_violations.iter().any(|v| matches!(
+        f.shows(|v| matches!(
             v,
             Violation::CompletedTwice { .. } | Violation::CompletedAfterSpillOut { .. }
         )),
         "{text}"
     );
-    assert_fed_replay_tuple(&text);
 }
 
-fn dag_builtin(name: &str) -> DagScenario {
-    DagScenario::builtins()
-        .into_iter()
-        .find(|s| s.name == name)
-        .expect("known DAG scenario")
-}
+// ---------------------------------------------------------------------------
+// Atomizer self-validation.
+// ---------------------------------------------------------------------------
 
 #[test]
 fn correct_atomizer_survives_both_runtimes_on_every_dag_builtin() {
     for cfg in [
-        DagExploreConfig::quick(sweep_iters(2), 0xDA61),
-        DagExploreConfig::threaded(sweep_iters(2), 0xDA61),
+        ExploreConfig::sim(sweep_iters(2), 0xDA61),
+        ExploreConfig::threaded(sweep_iters(2), 0xDA61),
     ] {
-        for report in explore_dag_builtins(&cfg) {
-            assert!(report.passed(), "{}", report.render());
-        }
+        assert_all_pass(explore_builtins(&cfg, |s| {
+            matches!(s.workload, Workload::Dags { .. })
+        }));
     }
 }
 
@@ -440,24 +354,13 @@ fn explorer_catches_reintroduced_dag_gate_removal() {
     // removed every reducer is offered at registration, long before
     // its maps complete — an OfferBeforePredecessor violation on the
     // very first seed.
-    let sc = dag_builtin("dag_skewed_reduce");
-    let cfg = DagExploreConfig {
-        mutation: ProtocolMutation::OfferBeforePredecessor,
-        ..DagExploreConfig::threaded(4, 0xDA62)
-    };
-    let report = explore_dag(&sc, &cfg);
-    let text = report.render();
-    let f = report
-        .failure
-        .as_ref()
-        .unwrap_or_else(|| panic!("an ungated offer must be caught: {text}"));
+    let sc = Scenario::builtin("dag_skewed_reduce");
+    let cfg = ExploreConfig::threaded(4, 0xDA62).mutated(ProtocolMutation::OfferBeforePredecessor);
+    let (text, f) = caught(&sc, &cfg);
     assert!(
-        f.violations
-            .iter()
-            .any(|v| matches!(v, Violation::OfferBeforePredecessor { .. })),
+        f.shows(|v| matches!(v, Violation::OfferBeforePredecessor { .. })),
         "{text}"
     );
-    assert!(text.contains("run seed"), "replay tuple missing: {text}");
 }
 
 #[test]
@@ -465,50 +368,29 @@ fn explorer_catches_reintroduced_double_speculation() {
     // With the launched-once guard bypassed, every straggler sweep
     // re-replicates the same slow task — the second committed
     // SpecLaunch is a DuplicateSpeculation violation.
-    let sc = dag_builtin("dag_straggler");
-    let cfg = DagExploreConfig {
-        mutation: ProtocolMutation::DoubleSpeculate,
-        ..DagExploreConfig::threaded(4, 0xDA63)
-    };
-    let report = explore_dag(&sc, &cfg);
-    let text = report.render();
-    let f = report
-        .failure
-        .as_ref()
-        .unwrap_or_else(|| panic!("a double speculation must be caught: {text}"));
+    let sc = Scenario::builtin("dag_straggler");
+    let cfg = ExploreConfig::threaded(4, 0xDA63).mutated(ProtocolMutation::DoubleSpeculate);
+    let (text, f) = caught(&sc, &cfg);
     assert!(
-        f.violations
-            .iter()
-            .any(|v| matches!(v, Violation::DuplicateSpeculation { .. })),
+        f.shows(|v| matches!(v, Violation::DuplicateSpeculation { .. })),
         "{text}"
     );
-    assert!(text.contains("run seed"), "replay tuple missing: {text}");
 }
 
 // ---------------------------------------------------------------------------
 // Replicated-data-plane self-validation: the canonical ways to break
 // the self-healing promise (committing a repair and never copying;
-// evicting a sole surviving replica) must be caught on both runtimes,
-// with the failing (run, net) tuple printed as the repro.
+// evicting a sole surviving replica) must be caught on both runtimes.
 // ---------------------------------------------------------------------------
-
-fn repl_builtin(name: &str) -> ReplScenario {
-    ReplScenario::builtins()
-        .into_iter()
-        .find(|s| s.name == name)
-        .expect("known replication scenario")
-}
 
 #[test]
 fn correct_replication_survives_both_runtimes_on_every_repl_builtin() {
     for cfg in [
-        ReplExploreConfig::quick(sweep_iters(2), 0x9E97),
-        ReplExploreConfig::lossy(sweep_iters(2), 0x9E97),
-        ReplExploreConfig::threaded(sweep_iters(2), 0x9E97),
+        ExploreConfig::sim(sweep_iters(2), 0x9E97),
+        ExploreConfig::sim(sweep_iters(2), 0x9E97).lossy(),
+        ExploreConfig::threaded(sweep_iters(2), 0x9E97),
     ] {
-        for report in explore_replication_builtins(&cfg) {
-            assert!(report.passed(), "{}", report.render());
-        }
+        assert_all_pass(explore_builtins(&cfg, |s| s.replication.is_some()));
     }
 }
 
@@ -518,34 +400,15 @@ fn explorer_catches_reintroduced_skipped_repair() {
     // master must commit `repair_start` entries. With the copy step
     // sabotaged every committed repair dangles — the oracle's
     // end-of-log RepairNeverCompleted catcher.
-    let sc = repl_builtin("repl_f2_crash");
+    let sc = Scenario::builtin("repl_f2_crash");
     for cfg in [
-        ReplExploreConfig {
-            mutation: ProtocolMutation::SkipRepair,
-            ..ReplExploreConfig::quick(2, 0x9E98)
-        },
-        ReplExploreConfig {
-            mutation: ProtocolMutation::SkipRepair,
-            ..ReplExploreConfig::threaded(2, 0x9E98)
-        },
+        ExploreConfig::sim(2, 0x9E98),
+        ExploreConfig::threaded(2, 0x9E98),
     ] {
-        let report = explore_replication(&sc, &cfg);
-        let text = report.render();
-        let f = report.failure.as_ref().unwrap_or_else(|| {
-            panic!(
-                "{}: a skipped repair must be caught: {text}",
-                report.runtime
-            )
-        });
+        let (text, f) = caught(&sc, &cfg.mutated(ProtocolMutation::SkipRepair));
         assert!(
-            f.violations
-                .iter()
-                .any(|v| matches!(v, Violation::RepairNeverCompleted { .. })),
+            f.shows(|v| matches!(v, Violation::RepairNeverCompleted { .. })),
             "{text}"
-        );
-        assert!(
-            text.contains("run seed") && text.contains("net seed"),
-            "replay tuple missing: {text}"
         );
     }
 }
@@ -556,31 +419,15 @@ fn explorer_catches_reintroduced_last_copy_eviction() {
     // (both resident objects are pinned sole copies). With the pin
     // discipline sabotaged the store evicts a last copy instead — an
     // EvictedLastCopy violation at the drop event.
-    let sc = repl_builtin("repl_f1_evict_pressure");
+    let sc = Scenario::builtin("repl_f1_evict_pressure");
     for cfg in [
-        ReplExploreConfig {
-            mutation: ProtocolMutation::EvictLastCopy,
-            ..ReplExploreConfig::quick(2, 0x9E99)
-        },
-        ReplExploreConfig {
-            mutation: ProtocolMutation::EvictLastCopy,
-            ..ReplExploreConfig::threaded(2, 0x9E99)
-        },
+        ExploreConfig::sim(2, 0x9E99),
+        ExploreConfig::threaded(2, 0x9E99),
     ] {
-        let report = explore_replication(&sc, &cfg);
-        let text = report.render();
-        let f = report.failure.as_ref().unwrap_or_else(|| {
-            panic!(
-                "{}: a last-copy eviction must be caught: {text}",
-                report.runtime
-            )
-        });
+        let (text, f) = caught(&sc, &cfg.mutated(ProtocolMutation::EvictLastCopy));
         assert!(
-            f.violations
-                .iter()
-                .any(|v| matches!(v, Violation::EvictedLastCopy { .. })),
+            f.shows(|v| matches!(v, Violation::EvictedLastCopy { .. })),
             "{text}"
         );
-        assert!(text.contains("run seed"), "replay tuple missing: {text}");
     }
 }
