@@ -1,13 +1,11 @@
 //! Master-side contest management (Listing 1 of the paper).
 
-use std::collections::HashMap;
-
 use crossbid_crossflow::{
-    Allocator, Job, JobId, MasterScheduler, SchedCtx, SchedStats, WorkerId, WorkerPolicy,
+    Allocator, BidSet, Job, JobId, MasterScheduler, SchedCtx, SchedStats, WorkerId, WorkerPolicy,
     WorkerToMaster,
 };
 use crossbid_metrics::SchedulerKind;
-use crossbid_simcore::{SimDuration, SimTime};
+use crossbid_simcore::{IdMap, SimDuration, SimTime};
 
 use crate::estimator::BiddingPolicy;
 
@@ -59,8 +57,8 @@ pub enum ContestStatus {
 pub struct Contest {
     /// The job being contested (held by the master until assignment).
     pub job: Job,
-    /// Received bids: `(worker, estimate_secs)` in arrival order.
-    pub bids: Vec<(WorkerId, f64)>,
+    /// Received bids, at most one per worker, in arrival order.
+    pub bids: BidSet,
     /// Open/closed.
     pub status: ContestStatus,
     /// When the contest was opened.
@@ -74,21 +72,15 @@ impl Contest {
     /// (ties broken by worker id for determinism) and return the
     /// winner.
     pub fn preferred_worker(&self) -> Option<WorkerId> {
-        // total_cmp keeps the ordering total even if a non-finite
-        // estimate slips into the recorded set (NaN sorts above every
-        // finite value, so it can never displace a real bid).
-        self.bids
-            .iter()
-            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
-            .map(|(w, _)| *w)
+        self.bids.preferred()
     }
 }
 
 /// The bidding master (Listing 1).
 pub struct BiddingMaster {
     cfg: BiddingConfig,
-    contests: HashMap<JobId, Contest>,
-    timer_to_job: HashMap<u64, JobId>,
+    contests: IdMap<JobId, Contest>,
+    timer_to_job: IdMap<u64, JobId>,
     /// Jobs waiting for the current contest to close
     /// (serialize_contests mode only).
     pending: std::collections::VecDeque<Job>,
@@ -101,8 +93,8 @@ impl BiddingMaster {
     pub fn new(cfg: BiddingConfig) -> Self {
         BiddingMaster {
             cfg,
-            contests: HashMap::new(),
-            timer_to_job: HashMap::new(),
+            contests: IdMap::default(),
+            timer_to_job: IdMap::default(),
             pending: std::collections::VecDeque::new(),
             stats: SchedStats::default(),
             decided: 0,
@@ -118,7 +110,7 @@ impl BiddingMaster {
             id,
             Contest {
                 job,
-                bids: Vec::new(),
+                bids: BidSet::with_capacity(ctx.worker_count()),
                 status: ContestStatus::Open,
                 opened_at: ctx.now(),
                 timer_token: token,
@@ -223,8 +215,7 @@ impl MasterScheduler for BiddingMaster {
                         // duplicate is ignored entirely — in particular
                         // it must not re-trigger the short-circuit with
                         // an estimate that was never recorded.
-                        if !c.bids.iter().any(|(w, _)| *w == from) {
-                            c.bids.push((from, estimate_secs));
+                        if c.bids.record(from, estimate_secs) {
                             finished = c.bids.len() >= all_workers;
                             if let Some(th) = self.cfg.short_circuit_below {
                                 short_circuit = estimate_secs <= th;
@@ -606,7 +597,7 @@ mod tests {
     fn preferred_worker_on_empty_contest_is_none() {
         let c = Contest {
             job: mk_job(1),
-            bids: vec![],
+            bids: BidSet::default(),
             status: ContestStatus::Open,
             opened_at: SimTime::ZERO,
             timer_token: 0,
@@ -692,9 +683,12 @@ mod tests {
     fn preferred_worker_total_order_survives_nan_in_recorded_set() {
         // Defence in depth: even if a NaN were recorded, total_cmp
         // sorts it above every finite estimate so it cannot win.
+        let mut bids = BidSet::default();
+        bids.record(WorkerId(0), f64::NAN);
+        bids.record(WorkerId(1), 4.0);
         let c = Contest {
             job: mk_job(1),
-            bids: vec![(WorkerId(0), f64::NAN), (WorkerId(1), 4.0)],
+            bids,
             status: ContestStatus::Open,
             opened_at: SimTime::ZERO,
             timer_token: 0,

@@ -511,7 +511,7 @@ pub fn run_federation(
         spec.spill_latency_secs > 0.0,
         "spill latency must be positive so SpillIn strictly follows SpillOut"
     );
-    let plan = route(spec, arrivals);
+    let mut plan = route(spec, arrivals);
     let seeds = SeedSequence::new(spec.seed);
 
     let mut shards: Vec<RunOutput> = Vec::with_capacity(spec.shards.len());
@@ -529,14 +529,15 @@ pub fn run_federation(
         run_spec.engine.shard = ShardId(s as u16);
         run_spec.chaos = spec.chaos.clone();
         let mut wf = make_workflow(ShardId(s as u16));
+        let routed = std::mem::take(&mut plan.arrivals[s]);
         let mut out = match spec.runtime {
             FedRuntimeKind::Sim => {
                 let mut session = run_spec.sim();
-                session.run_iteration(&mut wf, allocator, plan.arrivals[s].clone())
+                session.run_iteration(&mut wf, allocator, routed)
             }
             FedRuntimeKind::Threaded => {
                 let mut session = run_spec.threaded();
-                session.run_iteration(&mut wf, allocator, plan.arrivals[s].clone())
+                session.run_iteration(&mut wf, allocator, routed)
             }
         };
         out.sched_log = augment(&out.sched_log, &plan.synthesized[s]);

@@ -62,6 +62,7 @@
 
 pub mod atomize;
 pub mod baseline;
+pub mod bids;
 pub mod engine;
 pub mod export;
 pub mod faults;
@@ -85,6 +86,7 @@ pub use atomize::{
     AtomizeConfig, DagError, DagState, DoneOutcome, Speculation, TaskDag, TaskNode, MAX_DAG_TASKS,
 };
 pub use baseline::BaselineAllocator;
+pub use bids::{BidSet, WorkerSet};
 pub use engine::{run_workflow, Cluster, EngineConfig, ReplicationConfig, RunMeta, RunOutput};
 pub use export::{
     parse_run_stream, run_stream_lines, sched_kind_name, write_run_stream, RunStreamLine,

@@ -15,6 +15,7 @@ use parking_lot::Mutex;
 use crossbid_storage::ObjectId;
 
 use crate::atomize::{AtomizeConfig, DagState, DoneOutcome};
+use crate::bids::BidSet;
 use crate::engine::{ReplicationConfig, RunMeta, RunOutput};
 use crate::faults::{
     FaultEvent, FaultPlan, MasterFaultPlan, MembershipAction, MembershipEvent, MembershipPlan,
@@ -144,7 +145,7 @@ impl Default for ThreadedConfig {
 
 struct Contest {
     job: Job,
-    bids: Vec<(u32, f64)>,
+    bids: BidSet,
     opened: Instant,
     deadline: Instant,
 }
@@ -686,7 +687,7 @@ pub(crate) fn run_threaded_with_shareds(
             job.id,
             Contest {
                 job,
-                bids: Vec::new(),
+                bids: BidSet::with_capacity(txs.len()),
                 opened,
                 deadline,
             },
@@ -827,17 +828,9 @@ pub(crate) fn run_threaded_with_shareds(
         let Some(c) = st.contests.remove(&id) else {
             return;
         };
-        // Total order over estimates (NaN cannot occur here — intake
-        // drops non-finite bids — but total_cmp keeps the comparison
-        // honest regardless); ties break on worker id.
-        let winner = c
-            .bids
-            .iter()
-            .filter(|(w, _)| st.eligible(*w))
-            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
-            .map(|(w, _)| *w);
+        let winner = c.bids.preferred_among(|w| st.eligible(w.0));
         let (w, fallback) = match winner {
-            Some(w) => (w, false),
+            Some(w) => (w.0, false),
             None => {
                 let live: Vec<u32> = (0..txs.len() as u32).filter(|w| st.eligible(*w)).collect();
                 if live.is_empty() {
@@ -1350,7 +1343,7 @@ pub(crate) fn run_threaded_with_shareds(
                     let elig = st.eligible_count();
                     let mut complete: Vec<JobId> = Vec::new();
                     for (id, c) in st.contests.iter_mut() {
-                        c.bids.retain(|(bw, _)| *bw != ev.worker.0);
+                        c.bids.remove(ev.worker);
                         if elig > 0 && c.bids.len() >= elig {
                             complete.push(*id);
                         }
@@ -1399,7 +1392,7 @@ pub(crate) fn run_threaded_with_shareds(
                     let elig = st.eligible_count();
                     let mut complete: Vec<JobId> = Vec::new();
                     for (id, c) in st.contests.iter_mut() {
-                        c.bids.retain(|(bw, _)| *bw != ev.worker.0);
+                        c.bids.remove(ev.worker);
                         if elig > 0 && c.bids.len() >= elig {
                             complete.push(*id);
                         }
@@ -1448,7 +1441,7 @@ pub(crate) fn run_threaded_with_shareds(
                 let live = st.eligible_count();
                 let mut complete: Vec<JobId> = Vec::new();
                 for (id, c) in st.contests.iter_mut() {
-                    c.bids.retain(|(bw, _)| *bw != dw);
+                    c.bids.remove(WorkerId(dw));
                     if live > 0 && c.bids.len() >= live {
                         complete.push(*id);
                     }
@@ -1787,11 +1780,13 @@ pub(crate) fn run_threaded_with_shareds(
                     // Duplicates are ignored entirely: only a freshly
                     // recorded bid may complete the set and trigger
                     // the short-circuit close.
-                    if cfg.mutation.accepts_duplicates()
-                        || !c.bids.iter().any(|(w, _)| *w == worker)
-                    {
-                        c.bids.push((worker, estimate_secs));
-                        recorded = true;
+                    recorded = if cfg.mutation.accepts_duplicates() {
+                        c.bids.record_unchecked(WorkerId(worker), estimate_secs);
+                        true
+                    } else {
+                        c.bids.record(WorkerId(worker), estimate_secs)
+                    };
+                    if recorded {
                         full = c.bids.len() >= live;
                         st.m.bids_received.inc();
                         st.m.bid_latency_secs

@@ -9,10 +9,10 @@
 //! the historic average of observed speeds after every transfer and
 //! scan.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use crossbid_net::{Bandwidth, Link, NoiseModel};
-use crossbid_simcore::{SimDuration, SimTime, TimeWeighted, Welford};
+use crossbid_simcore::{IdMap, IdSet, SimDuration, SimTime, TimeWeighted, Welford};
 use crossbid_storage::{EvictionPolicy, LocalStore, ObjectId};
 
 use crate::job::{Job, JobId};
@@ -191,10 +191,10 @@ pub struct WorkerNode {
     /// Jobs this worker has declined once (Baseline's reject-once
     /// bookkeeping: "workers are required to keep track of any jobs
     /// they have previously declined", §4).
-    pub declined: HashSet<JobId>,
+    pub declined: IdSet<JobId>,
     /// Estimated cost (seconds) of each unfinished job, keyed by id —
     /// `totalCostOfUnfinishedJobs()` from Listing 2.
-    pub unfinished_est: HashMap<JobId, f64>,
+    pub unfinished_est: IdMap<JobId, f64>,
     /// Running total of `unfinished_est` values, so a bid reads the
     /// backlog in O(1) instead of summing the whole queue (which made
     /// bidding quadratic once an overloaded cluster's queues grew).
@@ -202,7 +202,7 @@ pub struct WorkerNode {
     /// round-off can never accumulate across the run.
     backlog_est: f64,
     /// When each queued job was enqueued (for wait-time stats).
-    pub enqueued_at: HashMap<JobId, SimTime>,
+    pub enqueued_at: IdMap<JobId, SimTime>,
     /// Busy (fetching or processing) indicator over time.
     pub busy: TimeWeighted,
     /// Per-job queue-wait observations, seconds.
@@ -225,10 +225,10 @@ impl WorkerNode {
             rw_tracker: SpeedTracker::default(),
             queue: VecDeque::new(),
             activity: WorkerActivity::Idle,
-            declined: HashSet::new(),
-            unfinished_est: HashMap::new(),
+            declined: IdSet::default(),
+            unfinished_est: IdMap::default(),
             backlog_est: 0.0,
-            enqueued_at: HashMap::new(),
+            enqueued_at: IdMap::default(),
             busy: TimeWeighted::new(),
             wait: Welford::new(),
             spec,
@@ -273,13 +273,20 @@ impl WorkerNode {
     /// the local store, else latency + size / believed network speed
     /// (Listing 2 line 4).
     pub fn est_fetch_secs(&self, job: &Job, learning: bool) -> f64 {
+        self.locality(job, learning).1
+    }
+
+    /// [`has_data`](Self::has_data) and
+    /// [`est_fetch_secs`](Self::est_fetch_secs) from one look at the
+    /// store — a bid needs both.
+    pub fn locality(&self, job: &Job, learning: bool) -> (bool, f64) {
         match job.resource {
-            None => 0.0,
-            Some(r) if self.store.peek(r.id) => 0.0,
-            Some(r) => {
+            Some(r) if !self.store.peek(r.id) => {
                 let bw = self.believed_net(learning);
-                self.link.latency().as_secs_f64() + bw.time_for(r.bytes).as_secs_f64()
+                let secs = self.link.latency().as_secs_f64() + bw.time_for(r.bytes).as_secs_f64();
+                (false, secs)
             }
+            _ => (true, 0.0),
         }
     }
 

@@ -3,7 +3,7 @@
 
 use crossbid_crossflow::{
     run_workflow, Arrival, BaselineAllocator, Cluster, EngineConfig, JobSpec, Payload, ResourceRef,
-    RunMeta, WorkerId, WorkerSpec, Workflow,
+    RunMeta, SchedEventKind, WorkerId, WorkerSpec, Workflow,
 };
 use crossbid_simcore::SimTime;
 use crossbid_storage::{EvictionPolicy, ObjectId};
@@ -17,8 +17,15 @@ fn spec(name: &str) -> WorkerSpec {
 }
 
 fn run(specs: &[WorkerSpec], arrivals: Vec<Arrival>) -> crossbid_crossflow::RunOutput {
-    let cfg = EngineConfig::ideal();
-    let mut cluster = Cluster::new(specs, &cfg);
+    run_with(&EngineConfig::ideal(), specs, arrivals)
+}
+
+fn run_with(
+    cfg: &EngineConfig,
+    specs: &[WorkerSpec],
+    arrivals: Vec<Arrival>,
+) -> crossbid_crossflow::RunOutput {
+    let mut cluster = Cluster::new(specs, cfg);
     let mut wf = Workflow::new();
     wf.add_sink("scan");
     run_workflow(
@@ -26,7 +33,7 @@ fn run(specs: &[WorkerSpec], arrivals: Vec<Arrival>) -> crossbid_crossflow::RunO
         &mut wf,
         &BaselineAllocator,
         arrivals,
-        &cfg,
+        cfg,
         &RunMeta::default(),
     )
 }
@@ -113,6 +120,41 @@ fn same_instant_arrivals_are_processed_fifo() {
     let mut sorted = ids.clone();
     sorted.sort_unstable();
     assert_eq!(ids, sorted);
+}
+
+/// Arrival lists are not always sorted (a federation's spill-in at
+/// `t + latency` is routed before a later home arrival at an earlier
+/// instant), and whole-microsecond instants tie: an arrival due at the
+/// instant an in-flight `ProcDone` fires is still delivered first, as
+/// everything preloaded is.
+#[test]
+fn unsorted_arrivals_with_a_tie_run_as_if_sorted() {
+    let arrival = |at_ms: u64, i: u64| Arrival {
+        at: SimTime::from_millis(at_ms),
+        spec: JobSpec::compute(crossbid_crossflow::TaskId(0), 1.0, Payload::Index(i)),
+    };
+    let mut cfg = EngineConfig::ideal();
+    cfg.trace = true;
+    let traced = |arrivals| run_with(&cfg, &[spec("w0")], arrivals);
+    // Job 0 starts at 0 and its `ProcDone` is in flight for 1.000 s —
+    // the instant the out-of-place arrival is due.
+    let unsorted = traced(vec![arrival(0, 0), arrival(1_000, 2), arrival(500, 1)]);
+    let sorted = traced(vec![arrival(0, 0), arrival(500, 1), arrival(1_000, 2)]);
+    assert_eq!(unsorted.record.jobs_completed, 3);
+    assert_eq!(unsorted.sched_log.events(), sorted.sched_log.events());
+    assert_eq!(unsorted.events, sorted.events);
+
+    let tie = SimTime::from_secs(1);
+    let at_tie = |kind: SchedEventKind| {
+        let log = unsorted.sched_log.events();
+        log.iter()
+            .position(|e| e.at == tie && e.kind == kind)
+            .unwrap_or_else(|| panic!("no {kind:?} at {tie:?} in {log:?}"))
+    };
+    assert!(
+        at_tie(SchedEventKind::Submitted) < at_tie(SchedEventKind::Completed),
+        "the arrival due at 1 s is delivered before the completion due at 1 s"
+    );
 }
 
 #[test]

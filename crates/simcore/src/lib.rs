@@ -13,6 +13,8 @@
 //!   event ordering).
 //! * [`EventQueue`] — priority queue of timestamped events with a
 //!   deterministic FIFO tie-break for simultaneous events.
+//! * [`IdMap`] / [`IdSet`] — hash tables for the integer ids the
+//!   simulation mints itself, without SipHash's per-lookup cost.
 //! * [`rng`] — per-stream seeded random number generators so that
 //!   adding a consumer of randomness never perturbs other streams.
 //! * [`stats`] — online statistics (Welford mean/variance, time
@@ -44,11 +46,13 @@
 //! assert_eq!(q.now(), SimTime::from_secs(1));
 //! ```
 
+pub mod hash;
 pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
+pub use hash::{IdHasher, IdMap, IdSet};
 pub use queue::EventQueue;
 pub use rng::{RngStream, SeedSequence};
 pub use stats::{Ewma, Histogram, TimeWeighted, Welford};

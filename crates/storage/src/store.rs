@@ -2,9 +2,9 @@
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
-use crossbid_simcore::SimTime;
+use crossbid_simcore::{IdMap, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::eviction::EvictionPolicy;
@@ -113,7 +113,7 @@ pub struct LocalStore {
     /// "can this ever fit" check stays O(1).
     pinned_bytes: u64,
     policy: EvictionPolicy,
-    entries: HashMap<ObjectId, Entry>,
+    entries: IdMap<ObjectId, Entry>,
     /// The eviction order, kept so that an eviction costs O(log n)
     /// instead of a scan: a min-heap with lazy updates. Every unpinned
     /// entry has a row whose key is at most its current
@@ -135,7 +135,7 @@ impl LocalStore {
             used: 0,
             pinned_bytes: 0,
             policy,
-            entries: HashMap::new(),
+            entries: IdMap::default(),
             order: BinaryHeap::new(),
             seq: 0,
             stats: StoreStats::default(),
@@ -703,6 +703,7 @@ mod reference {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     proptest! {
         /// The indexed eviction order picks exactly the victims the
