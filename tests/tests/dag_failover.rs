@@ -1,0 +1,144 @@
+//! DAG scenarios × master failover: the axis no other golden crosses.
+//!
+//! `dag_failover_decisions.txt` pins, for both DAG builtins on seeds 1
+//! and 2, the whole scheduler log of a sim run whose leader dies at
+//! one append index — one row per index. It was recorded before the
+//! master's ledger was moved into `MasterCore`, over every index whose
+//! run then completed cleanly with no `TaskAssign` lost to the crash
+//! (a lost `TaskOffer` never completed cleanly), so it is the proof
+//! that neither the move nor the crash-recovery fix that followed
+//! touched a run in which neither of the two truncated. A row names
+//! its crash index and the test recomputes exactly the rows the file
+//! holds. To regenerate after an intentional protocol change (sweeps
+//! every index and keeps the rows just described; use `--release`):
+//!
+//! ```text
+//! BLESS_GOLDEN=1 cargo test --release -p crossbid-integration --test dag_failover
+//! ```
+
+use std::collections::HashSet;
+use std::fmt::Write;
+
+use crossbid_checker::{Outcome, Run, Scenario};
+use crossbid_crossflow::{MasterFaultPlan, SchedEventKind, SchedLog};
+
+const GOLDEN_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/golden/dag_failover_decisions.txt"
+);
+const GOLDEN: &str = include_str!("../golden/dag_failover_decisions.txt");
+
+const DAG_BUILTINS: [&str; 2] = ["dag_straggler", "dag_skewed_reduce"];
+const SEEDS: [u64; 2] = [1, 2];
+
+/// Event count + FNV-1a over the log's debug rendering.
+fn digest(log: &SchedLog) -> String {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for e in log.events() {
+        for b in format!("{e:?}").bytes() {
+            hash = (hash ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    format!("{} events, fnv {hash:016x}", log.len())
+}
+
+/// One sim run of `sc` whose leader dies at append index `crash`.
+fn crashed_run(sc: &Scenario, seed: u64, crash: u64) -> Outcome {
+    sc.run(&Run {
+        master: Some(MasterFaultPlan::new().crash_at(crash)),
+        ..Run::sim(seed)
+    })
+}
+
+fn row(sc: &Scenario, seed: u64, crash: u64, out: &Outcome) -> String {
+    format!(
+        "{} seed={seed} crash={crash}: {}",
+        sc.name,
+        digest(out.log())
+    )
+}
+
+/// Does every placement of a task job carry its `TaskAssign`? Entries
+/// about one job keep their emission order, so the annotation is the
+/// job's next entry — unless the leader died appending it.
+fn placements_annotated(log: &SchedLog) -> bool {
+    let mut task_jobs = HashSet::new();
+    let mut awaiting = HashSet::new();
+    for e in log.events() {
+        let Some(job) = e.job else { continue };
+        match e.kind {
+            SchedEventKind::TaskOffer { .. } | SchedEventKind::SpecLaunch { .. } => {
+                task_jobs.insert(job);
+            }
+            SchedEventKind::TaskAssign { .. } => {
+                awaiting.remove(&job);
+            }
+            _ if awaiting.contains(&job) => return false,
+            SchedEventKind::Offered | SchedEventKind::Assigned if task_jobs.contains(&job) => {
+                awaiting.insert(job);
+            }
+            _ => {}
+        }
+    }
+    awaiting.is_empty()
+}
+
+/// One row for every crash index of every (builtin, seed) whose run
+/// completes everything with zero violations and lost no `TaskAssign`
+/// — what `BLESS_GOLDEN` records.
+fn bless() -> String {
+    let mut rows = String::new();
+    for name in DAG_BUILTINS {
+        let sc = Scenario::builtin(name);
+        for seed in SEEDS {
+            let len = sc.run(&Run::sim(seed)).log().len() as u64;
+            for crash in 1..=len {
+                let run = std::panic::catch_unwind(|| crashed_run(&sc, seed, crash));
+                let Ok(out) = run else { continue };
+                if out.completed == out.expected
+                    && out.violations(false).is_empty()
+                    && placements_annotated(out.log())
+                {
+                    writeln!(rows, "{}", row(&sc, seed, crash, &out)).unwrap();
+                }
+            }
+        }
+    }
+    rows
+}
+
+#[test]
+fn dag_failover_decisions_match_golden() {
+    if std::env::var_os("BLESS_GOLDEN").is_some() {
+        std::fs::write(GOLDEN_PATH, bless()).expect("bless golden file");
+        return;
+    }
+    assert!(!GOLDEN.is_empty(), "the golden file pins no run");
+    for line in GOLDEN.lines() {
+        let (key, _) = line.split_once(':').expect("row is `key: digest`");
+        let mut fields = key.split(' ');
+        let name = fields.next().expect("scenario name");
+        let mut number = |prefix: &str| -> u64 {
+            let field = fields.next().expect("row names its seed and crash index");
+            let value = field.strip_prefix(prefix).expect("field prefix");
+            value.parse().expect("decimal field")
+        };
+        let (seed, crash) = (number("seed="), number("crash="));
+        let sc = Scenario::builtin(name);
+        let out = crashed_run(&sc, seed, crash);
+        assert_eq!(
+            row(&sc, seed, crash, &out),
+            line,
+            "a sim run under a master crash diverged from \
+             tests/golden/dag_failover_decisions.txt"
+        );
+        assert_eq!(out.log().failovers(), 1, "{key}: the crash fired");
+        assert_clean(key, &out);
+    }
+}
+
+fn assert_clean(what: &str, out: &Outcome) {
+    assert_eq!(out.completed, out.expected, "{what}: tasks lost");
+    let violations = out.violations(false);
+    assert!(violations.is_empty(), "{what}: {violations:?}");
+}
