@@ -22,27 +22,27 @@
 
 use std::collections::{HashMap, HashSet};
 
-use crossbid_metrics::{Registry, RegistrySnapshot, RunRecord, SchedulerKind};
+use crossbid_metrics::{Registry, RegistrySnapshot, RunRecord};
 use crossbid_net::{ControlPlane, NoiseModel};
-use crossbid_simcore::rng::splitmix64;
 use crossbid_simcore::{EventQueue, IdMap, RngStream, SeedSequence, SimDuration, SimTime, Welford};
 use crossbid_storage::{ObjectId, ReplicaMap};
 
-use crate::atomize::{AtomizeConfig, DagState, DoneOutcome};
+use crate::atomize::{AtomizeConfig, DoneOutcome};
 use crate::bids::WorkerSet;
 use crate::faults::{
     FaultEvent, FaultPlan, MasterFaultPlan, MembershipAction, MembershipEvent, MembershipPlan,
     NetFaultPlan,
 };
 use crate::job::{Arrival, Job, JobId, JobSpec, ShardId, WorkerId};
+use crate::master_core::{warm_seed, Admitted, Completion, MasterCore, RunTotals};
 use crate::obs::RuntimeMetrics;
-use crate::replog::{AppendOutcome, ReplicatedLog};
+use crate::replog::ReplicatedLog;
 use crate::scheduler::{
     Allocator, JobView, MasterScheduler, SchedAction, SchedCtx, WorkerHandle, WorkerPolicy,
     WorkerToMaster, WorkerView,
 };
 use crate::task::TaskCtx;
-use crate::trace::{SchedEvent, SchedEventKind, SchedLog, Trace, TraceEvent, TraceKind};
+use crate::trace::{SchedEventKind, SchedLog, Trace, TraceEvent, TraceKind};
 use crate::worker::{WorkerActivity, WorkerNode, WorkerSpec};
 use crate::workflow::Workflow;
 
@@ -242,6 +242,46 @@ impl ReplicationConfig {
         }
         Ok(())
     }
+
+    /// Attempt key separating repair-copy loss samples from
+    /// fetch-attempt samples of the same (object, worker) pair.
+    const REPAIR_ATTEMPT_KEY: u32 = 0x8000_0000;
+
+    /// How long one repair copy of `obj` to `dest` takes, given the
+    /// master-fetch time `full` of its bytes over `dest`'s link.
+    /// Peer-sourced at intra-cluster speed when the data plane
+    /// delivers it; a transfer the plane would lose degrades to a
+    /// master-sourced copy at nominal link speed, which always
+    /// succeeds — a committed repair always completes.
+    pub(crate) fn repair_copy(
+        &self,
+        net: &NetFaultPlan,
+        obj: ObjectId,
+        dest: WorkerId,
+        full: SimDuration,
+    ) -> SimDuration {
+        if net.peer_dropped(self.peer_drop_prob, obj, dest, Self::REPAIR_ATTEMPT_KEY) {
+            full
+        } else {
+            full.mul_f64(1.0 / self.peer_bandwidth_scale)
+        }
+    }
+
+    /// The preferred destination for a new copy of `obj`: among the
+    /// first `workers` ids, the `eligible` one with the most `free`
+    /// store bytes that does not already hold it (ties broken by
+    /// lowest id).
+    pub(crate) fn repair_dest(
+        map: &ReplicaMap,
+        obj: ObjectId,
+        workers: u32,
+        eligible: impl Fn(u32) -> bool,
+        free: impl Fn(u32) -> u64,
+    ) -> Option<u32> {
+        (0..workers)
+            .filter(|&w| eligible(w) && !map.holds(obj, w))
+            .max_by_key(|&w| (free(w), std::cmp::Reverse(w)))
+    }
 }
 
 /// The persistent cluster: worker nodes whose caches and learned
@@ -359,6 +399,16 @@ enum MasterToWorker {
         seq: u64,
     },
     BidRequest(Job),
+}
+
+impl MasterToWorker {
+    fn placement(offer: bool, job: Job, seq: u64) -> Self {
+        if offer {
+            MasterToWorker::Offer { job, seq }
+        } else {
+            MasterToWorker::Assign { job, seq }
+        }
+    }
 }
 
 #[derive(Clone)]
@@ -508,22 +558,17 @@ struct Engine<'a> {
     epochs: Vec<u64>,
     assignments: Vec<(JobId, WorkerId)>,
     trace: Option<Trace>,
-    /// The scheduler log behind the replication discipline. `Some`
-    /// when tracing *or* when master faults are armed (failover replays
-    /// it); `None` keeps the bench hot path free of any logging.
-    sched_log: Option<ReplicatedLog>,
+    /// The ledger shared with the threaded master: replicated log
+    /// (`Some` when tracing *or* when master faults are armed —
+    /// failover replays it; `None` keeps the bench hot path free of any
+    /// logging), ids, counts, DAG bookkeeping, retained payloads and
+    /// the metrics handle.
+    core: MasterCore,
     policies: Vec<Box<dyn WorkerPolicy>>,
     master: Box<dyn MasterScheduler>,
     /// The allocator that built `master` — failover drafts the standby
     /// replica's fresh scheduler from it.
     allocator: &'a dyn Allocator,
-    /// The leader crashed mid-run: master callbacks are suppressed
-    /// until the standby finishes its replay takeover.
-    failover_pending: bool,
-    /// Payloads of submitted-but-uncompleted jobs, kept only while
-    /// master faults are armed so an elected standby can re-enter
-    /// unplaced jobs (the log records ids, not payloads).
-    jobs_inflight: HashMap<JobId, Job>,
     /// Contest stats accumulated by crashed leaders (a fresh standby's
     /// `stats()` restarts from zero).
     stats_carry_timed_out: u64,
@@ -536,9 +581,6 @@ struct Engine<'a> {
     roster: Vec<WorkerHandle>,
     roster_dirty: bool,
     workflow: &'a mut Workflow,
-    /// Shared DAG bookkeeping for atomized jobs (gating, speculation,
-    /// output crediting); inert unless an arrival carried a DAG.
-    dag: DagState,
     /// A `SpecCheck` event is in flight — keeps exactly one straggler
     /// sweep armed at a time.
     spec_check_armed: bool,
@@ -547,19 +589,12 @@ struct Engine<'a> {
     rng_master: RngStream,
     rng_workers: Vec<RngStream>,
 
-    next_job_id: u64,
     next_token: u64,
-    created: u64,
-    completed: u64,
     arrivals_total: u64,
     arrivals_seen: u64,
     last_completion: SimTime,
     down_since: Vec<Option<SimTime>>,
     downtime_secs: f64,
-    /// Registry-backed tallies (control messages, crashes,
-    /// redistributions, phase histograms…), replacing the old
-    /// hand-rolled counters.
-    m: RuntimeMetrics,
     /// Contests opened but not yet decided: job → broadcast instant
     /// plus the workers whose bids were recorded. Lets the engine
     /// synthesize `ContestClosed` events and bid latencies around the
@@ -582,10 +617,6 @@ struct Engine<'a> {
     next_seq: u64,
     /// In-flight placements awaiting ack / completion, by job id.
     outstanding_net: HashMap<JobId, NetOutstanding>,
-    /// Jobs whose `Done` already reached the master: at-least-once
-    /// delivery and lease bounces may execute a job twice, but its
-    /// side effects (completion, downstream spawns) apply once.
-    done_ids: HashSet<JobId>,
     /// Per-worker: job ids already accepted, so a retransmitted
     /// Assign re-acks instead of re-enqueueing. Cleared on crash.
     accepted: Vec<HashSet<JobId>>,
@@ -625,119 +656,17 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Commit one scheduler event through the replicated log.
-    ///
-    /// Returns `true` when the caller may act on the event. Under the
-    /// commit-before-act discipline a `false` return means the leader
-    /// crashed *before* the entry reached a quorum: the decision was
-    /// truncated, so its side effects must not happen. A crash *after*
-    /// commit still returns `true` (the entry is durable and will
-    /// survive replay) but arms `failover_pending` so no further
-    /// decisions are taken by the dead leader.
-    fn note_sched(
-        &mut self,
-        worker: Option<WorkerId>,
-        job: Option<JobId>,
-        kind: SchedEventKind,
-    ) -> bool {
-        let at = self.q.now();
-        let Some(log) = &mut self.sched_log else {
-            return true;
-        };
-        match log.append(SchedEvent {
-            at,
-            worker,
-            job,
-            kind,
-        }) {
-            AppendOutcome::Committed => true,
-            AppendOutcome::LeaderCrashed { truncated } => {
-                self.failover_pending = true;
-                if truncated {
-                    self.m.replog_truncated.inc();
-                }
-                !truncated
-            }
-        }
-    }
-
-    /// Placement hook for DAG task jobs: commits the `TaskAssign`
-    /// decision alongside the `Assigned`/`Offered` entry and starts
-    /// the attempt's straggler clock. A no-op (`true`) for plain jobs.
-    fn note_task_assign(&mut self, worker: WorkerId, job: JobId) -> bool {
-        let Some((root, task, speculative)) = self.dag.task_of(job) else {
-            return true;
-        };
-        if !self.note_sched(
-            Some(worker),
-            Some(job),
-            SchedEventKind::TaskAssign {
-                root,
-                task,
-                speculative,
-            },
-        ) {
-            return false;
-        }
-        let now = self.q.now().as_secs_f64();
-        self.dag.on_placed(job, now);
-        true
-    }
-
-    fn alloc_job_id(&mut self) -> JobId {
-        let id = JobId::in_shard(self.cfg.shard, self.next_job_id);
-        self.next_job_id += 1;
-        id
-    }
-
-    /// The id a job enters allocation under: the pre-assigned
-    /// federation identity when the routing tier stamped one, a
-    /// locally allocated shard-qualified id otherwise. Honoring a
-    /// pre-assigned id reserves the local-spawn band so downstream
-    /// spawns can never collide with router-assigned sequence numbers.
-    fn intake_id(&mut self, spec: &JobSpec) -> JobId {
-        match spec.origin {
-            Some(o) => {
-                self.next_job_id = self.next_job_id.max(JobId::SPAWN_BAND);
-                o.id
-            }
-            None => self.alloc_job_id(),
-        }
-    }
-
-    /// Release one DAG task (or a speculative replica of one) into
-    /// allocation. Commit-before-act: the `TaskOffer`/`SpecLaunch`
-    /// decision is committed under the freshly allocated job id before
-    /// the job is submitted; a truncated append drops the submission
-    /// with the crashing leader.
+    /// Release one DAG task (or a speculative replica) and hand it to
+    /// the scheduler; a truncated release is dropped with the leader.
     fn submit_task_job(&mut self, root: JobId, idx: u32, spec: JobSpec, speculative: bool) {
-        let id = self.alloc_job_id();
-        let kind = if speculative {
-            SchedEventKind::SpecLaunch { root, task: idx }
-        } else {
-            let (preds, total) = self.dag.offer_payload(root, idx);
-            SchedEventKind::TaskOffer {
-                root,
-                task: idx,
-                preds,
-                total,
-            }
-        };
-        if !self.note_sched(None, Some(id), kind) {
-            return;
+        let now = self.q.now();
+        if let Some(job) = self.core.release_task(now, root, idx, spec, speculative) {
+            self.run_master(|m, ctx| m.on_job(job, ctx));
         }
-        self.created += 1;
-        self.note_sched(None, Some(id), SchedEventKind::Submitted);
-        self.dag.bind(root, idx, id, speculative);
-        let job = spec.into_job(id);
-        if !self.cfg.master_faults.is_empty() {
-            self.jobs_inflight.insert(id, job.clone());
-        }
-        self.run_master(|m, ctx| m.on_job(job, ctx));
     }
 
     fn send_to_worker(&mut self, worker: WorkerId, msg: MasterToWorker) {
-        self.m.control_messages.inc();
+        self.core.m.control_messages.inc();
         let d = self.cfg.control.delay(&mut self.rng_control);
         if self.net_active {
             self.deliver_lossy(true, worker, d, Ev::WorkerRecv { worker, msg });
@@ -747,7 +676,7 @@ impl<'a> Engine<'a> {
     }
 
     fn send_to_master(&mut self, from: WorkerId, msg: WorkerToMaster, extra: SimDuration) {
-        self.m.control_messages.inc();
+        self.core.m.control_messages.inc();
         let d = self.cfg.control.delay(&mut self.rng_control) + extra;
         if self.net_active {
             self.deliver_lossy(false, from, d, Ev::MasterRecv { from, msg });
@@ -770,7 +699,7 @@ impl<'a> Engine<'a> {
         if plan.partitioned(worker, self.q.now())
             || (link.drop_prob > 0.0 && self.rng_net.chance(link.drop_prob))
         {
-            self.m.net_dropped.inc();
+            self.core.m.net_dropped.inc();
             return;
         }
         let extra = |rng: &mut RngStream| {
@@ -783,7 +712,7 @@ impl<'a> Engine<'a> {
         let env = self.next_env;
         self.next_env += 1;
         if link.dup_prob > 0.0 && self.rng_net.chance(link.dup_prob) {
-            self.m.net_duplicated.inc();
+            self.core.m.net_duplicated.inc();
             let d = base + extra(&mut self.rng_net);
             self.q.schedule_in(
                 d,
@@ -803,15 +732,6 @@ impl<'a> Engine<'a> {
         );
     }
 
-    /// Per-(job, placement) retry jitter seed.
-    fn retry_seed(&self, job: JobId, seq: u64) -> u64 {
-        self.cfg
-            .netfaults
-            .seed
-            .wrapping_add(job.0.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(seq)
-    }
-
     /// Register an Assign/Offer placement with the reliability layer:
     /// remember it for retransmission, arm the first retry and the
     /// lease. Returns the placement seq to stamp on the message.
@@ -829,7 +749,7 @@ impl<'a> Engine<'a> {
             },
         );
         let retry = self.cfg.netfaults.retry;
-        if let Some(d) = retry.delay_secs(self.retry_seed(job.id, seq), 0) {
+        if let Some(d) = retry.delay_secs(self.cfg.netfaults.retry_seed(job.id, seq), 0) {
             self.q.schedule_in(
                 SimDuration::from_secs_f64(d),
                 Ev::AssignRetry {
@@ -846,11 +766,27 @@ impl<'a> Engine<'a> {
         seq
     }
 
+    /// Record the placement of `job` on `worker`, then — commit before
+    /// act — register it with the reliability layer and send it.
+    /// `false`: the record truncated and nothing went out.
+    fn place(&mut self, worker: WorkerId, job: Job, offer: bool) -> bool {
+        if !self.core.place(self.q.now(), worker, job.id, offer) {
+            return false;
+        }
+        let seq = if self.net_active {
+            self.arm_placement(&job, worker, offer)
+        } else {
+            0
+        };
+        self.send_to_worker(worker, MasterToWorker::placement(offer, job, seq));
+        true
+    }
+
     fn run_master<F: FnOnce(&mut dyn MasterScheduler, &mut SchedCtx)>(&mut self, f: F) {
         // A crashed leader takes no further decisions; its queued
         // callbacks are dropped and the elected standby rebuilds from
         // the committed log instead.
-        if self.failover_pending {
+        if self.core.failover_pending() {
             return;
         }
         // The master only sees the live roster ("activeWorkers");
@@ -881,16 +817,17 @@ impl<'a> Engine<'a> {
         let stats_after = self.master.stats();
         let mut timed_out_delta = stats_after.contests_timed_out - stats_before.contests_timed_out;
         let mut fallback_delta = stats_after.contests_fallback - stats_before.contests_fallback;
-        self.m.contests_timed_out.add(timed_out_delta);
-        self.m.contests_fallback.add(fallback_delta);
+        self.core.m.contests_timed_out.add(timed_out_delta);
+        self.core.m.contests_fallback.add(fallback_delta);
         // Commit-before-act: every decision is appended to the
         // replicated log and quorum-acked *before* its side effects
         // (metric bumps, contest bookkeeping, sends) run. A decision
         // whose append truncated with the crashing leader performs no
         // side effects — the loop breaks and the remaining actions are
         // dropped; the standby's replay re-derives the work instead.
+        let now = self.q.now();
         for action in actions {
-            if self.failover_pending {
+            if self.core.failover_pending() {
                 break;
             }
             match action {
@@ -902,53 +839,33 @@ impl<'a> Engine<'a> {
                         // master call in practice).
                         let timed_out = timed_out_delta > 0;
                         let fallback = fallback_delta > 0;
-                        if !self.note_sched(
-                            Some(worker),
-                            Some(job.id),
-                            SchedEventKind::ContestClosed {
-                                timed_out,
-                                fallback,
-                            },
-                        ) {
+                        if !self
+                            .core
+                            .close_contest(now, Some(worker), job.id, timed_out, fallback)
+                        {
                             break;
                         }
                         timed_out_delta = 0;
                         fallback_delta = 0;
                         self.open_contests.remove(&job.id);
-                        self.m.contests_closed.inc();
                     }
-                    if !self.note_sched(Some(worker), Some(job.id), SchedEventKind::Assigned) {
+                    if !self.place(worker, job, false) {
                         break;
                     }
-                    if !self.note_task_assign(worker, job.id) {
-                        break;
-                    }
-                    let seq = if self.net_active {
-                        self.arm_placement(&job, worker, false)
-                    } else {
-                        0
-                    };
-                    self.send_to_worker(worker, MasterToWorker::Assign { job, seq });
                 }
                 SchedAction::Offer { worker, job } => {
-                    if !self.note_sched(Some(worker), Some(job.id), SchedEventKind::Offered) {
+                    if !self.place(worker, job, true) {
                         break;
                     }
-                    if !self.note_task_assign(worker, job.id) {
-                        break;
-                    }
-                    let seq = if self.net_active {
-                        self.arm_placement(&job, worker, true)
-                    } else {
-                        0
-                    };
-                    self.send_to_worker(worker, MasterToWorker::Offer { job, seq });
                 }
                 SchedAction::BroadcastBidRequest { job } => {
-                    if !self.note_sched(None, Some(job.id), SchedEventKind::ContestOpened) {
+                    if !self
+                        .core
+                        .commit(now, None, Some(job.id), SchedEventKind::ContestOpened)
+                    {
                         break;
                     }
-                    self.m.contests_opened.inc();
+                    self.core.m.contests_opened.inc();
                     self.open_contests.insert(
                         job.id,
                         OpenContest {
@@ -1001,7 +918,7 @@ impl<'a> Engine<'a> {
     fn enqueue_on_worker(&mut self, w: WorkerId, job: Job) {
         let now = self.q.now();
         let learning = self.cfg.speed_learning;
-        self.m.assignments.inc();
+        self.core.m.assignments.inc();
         self.assignments.push((job.id, w));
         self.note_trace(job.id, w, TraceKind::Queued);
         let node = self.worker(w);
@@ -1022,7 +939,8 @@ impl<'a> Engine<'a> {
         self.note_trace(job.id, w, TraceKind::Started);
         let node = &mut self.nodes[w.0 as usize];
         if let Some(&t0) = node.enqueued_at.get(&job.id) {
-            self.m
+            self.core
+                .m
                 .queue_wait_secs
                 .record(now.saturating_since(t0).as_secs_f64());
         }
@@ -1073,7 +991,7 @@ impl<'a> Engine<'a> {
     /// Worker-side ack of an Assign (or accepted Offer): crosses the
     /// lossy worker→master link like any other control message.
     fn ack_assign(&mut self, worker: WorkerId, job: JobId, seq: u64) {
-        self.m.control_messages.inc();
+        self.core.m.control_messages.inc();
         let d = self.cfg.control.delay(&mut self.rng_control);
         self.deliver_lossy(false, worker, d, Ev::AssignAck { worker, job, seq });
     }
@@ -1094,30 +1012,6 @@ impl<'a> Engine<'a> {
             .filter(|&h| h != exclude.0 && self.active[h as usize])
             .map(WorkerId)
             .collect()
-    }
-
-    /// Deterministic data-plane loss for one peer transfer attempt.
-    ///
-    /// Sampled from a hash of (net seed, object, endpoint, attempt) —
-    /// not from an rng stream — so the decision is independent of
-    /// event timing and identical across both runtimes. Composes the
-    /// replication plane's own `peer_drop_prob` with any active
-    /// [`NetFaultPlan`] link loss as independent failures.
-    fn peer_dropped(&self, obj: ObjectId, w: WorkerId, attempt: u32) -> bool {
-        let keep = (1.0 - self.cfg.replication.peer_drop_prob)
-            * (1.0 - self.cfg.netfaults.to_worker.drop_prob);
-        let p = 1.0 - keep;
-        if p <= 0.0 {
-            return false;
-        }
-        let mut s = self
-            .cfg
-            .netfaults
-            .seed
-            .wrapping_add(obj.0.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(((w.0 as u64) << 32) | attempt as u64);
-        let u = (splitmix64(&mut s) >> 11) as f64 / (1u64 << 53) as f64;
-        u < p
     }
 
     /// Fall back to the master data plane for the worker's current
@@ -1150,6 +1044,7 @@ impl<'a> Engine<'a> {
             .as_ref()
             .expect("fetch without job");
         let (job_id, r) = (job.id, job.resource.expect("fetch without resource"));
+        let now = self.q.now();
         let sources = self.peer_sources(r.id, w);
         if sources.is_empty() || attempt >= self.cfg.replication.max_fetch_attempts {
             self.master_fetch(w);
@@ -1157,7 +1052,8 @@ impl<'a> Engine<'a> {
         }
         let from = sources[attempt as usize % sources.len()];
         self.slots[w.0 as usize].fetch_from = Some(from);
-        self.note_sched(
+        self.core.commit(
+            now,
             Some(w),
             Some(job_id),
             SchedEventKind::FetchReq {
@@ -1166,9 +1062,9 @@ impl<'a> Engine<'a> {
             },
         );
         let epoch = self.epochs[w.0 as usize];
-        let now = self.q.now();
         let blocked = self.cfg.netfaults.link_blocked(from, w, now);
-        if blocked || self.peer_dropped(r.id, w, attempt) {
+        let peer_drop_prob = self.cfg.replication.peer_drop_prob;
+        if blocked || (self.cfg.netfaults).peer_dropped(peer_drop_prob, r.id, w, attempt) {
             // The transfer is lost in flight; the worker notices via
             // timeout.
             let d = SimDuration::from_secs_f64(self.cfg.replication.fetch_timeout_secs);
@@ -1206,9 +1102,11 @@ impl<'a> Engine<'a> {
         if !self.repl_active {
             return;
         }
+        let now = self.q.now();
         for gone in evicted {
             if self.replicas.drop_replica(gone, w.0) {
-                self.note_sched(
+                self.core.commit(
+                    now,
                     Some(w),
                     None,
                     SchedEventKind::ReplicaDrop {
@@ -1222,7 +1120,12 @@ impl<'a> Engine<'a> {
         // An insert that passed through (pins or capacity blocked
         // admission) did not create a copy.
         if self.nodes[w.0 as usize].store.peek(obj) && self.replicas.add(obj, w.0, bytes) {
-            self.note_sched(Some(w), None, SchedEventKind::ReplicaAdd { object: obj.0 });
+            self.core.commit(
+                now,
+                Some(w),
+                None,
+                SchedEventKind::ReplicaAdd { object: obj.0 },
+            );
             self.sync_pins(obj);
             if self.replicas.count(obj) < self.replicas.factor() as usize {
                 // Proactive top-up: a fresh artifact is replicated to
@@ -1248,20 +1151,20 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// The preferred destination for a new copy of `obj`: the live,
-    /// non-draining worker with the most free store bytes that does
-    /// not already hold it (ties broken by lowest id).
+    /// The preferred destination for a new copy of `obj` among the
+    /// live, non-draining workers ([`ReplicationConfig::repair_dest`]).
     fn repair_dest(&self, obj: ObjectId) -> Option<WorkerId> {
-        (0..self.nodes.len())
-            .filter(|&i| self.active[i] && !self.draining[i] && !self.replicas.holds(obj, i as u32))
-            .max_by_key(|&i| {
-                let free = self.nodes[i]
-                    .store
-                    .capacity()
-                    .saturating_sub(self.nodes[i].store.used());
-                (free, std::cmp::Reverse(i))
-            })
-            .map(|i| WorkerId(i as u32))
+        ReplicationConfig::repair_dest(
+            &self.replicas,
+            obj,
+            self.nodes.len() as u32,
+            |w| self.active[w as usize] && !self.draining[w as usize],
+            |w| {
+                let store = &self.nodes[w as usize].store;
+                store.capacity().saturating_sub(store.used())
+            },
+        )
+        .map(WorkerId)
     }
 
     /// Begin one re-replication increment for `obj` under the
@@ -1292,7 +1195,9 @@ impl<'a> Engine<'a> {
         let Some(dest) = self.repair_dest(obj) else {
             return;
         };
-        if !self.note_sched(
+        let now = self.q.now();
+        if !self.core.commit(
+            now,
             Some(dest),
             None,
             SchedEventKind::RepairStart {
@@ -1302,7 +1207,7 @@ impl<'a> Engine<'a> {
         ) {
             return;
         }
-        self.m.repairs_started.inc();
+        self.core.m.repairs_started.inc();
         if self.cfg.replication.skip_repair {
             // Sabotage: the decision is committed but the copy never
             // happens — the oracle must flag the unmatched start.
@@ -1312,25 +1217,13 @@ impl<'a> Engine<'a> {
         self.queue_repair_copy(obj, bytes, dest);
     }
 
-    /// Schedule the physical copy of one repair. Peer-sourced at
-    /// intra-cluster speed when the data plane delivers it; a transfer
-    /// the plane would lose degrades to a master-sourced copy at
-    /// nominal link speed, which always succeeds — a committed repair
-    /// always completes (unless sabotaged).
+    /// Schedule the physical copy of one repair
+    /// ([`ReplicationConfig::repair_copy`]).
     fn queue_repair_copy(&mut self, obj: ObjectId, bytes: u64, dest: WorkerId) {
-        // Attempt key 0x8000_0000 separates repair-copy samples from
-        // fetch-attempt samples of the same (object, worker) pair.
-        let degraded = self.peer_dropped(obj, dest, 0x8000_0000);
         let node = &mut self.nodes[dest.0 as usize];
         let rng = &mut self.rng_workers[dest.0 as usize];
-        let outcome = node.link.transfer(bytes, rng);
-        let d = if degraded {
-            outcome.duration
-        } else {
-            outcome
-                .duration
-                .mul_f64(1.0 / self.cfg.replication.peer_bandwidth_scale)
-        };
+        let full = node.link.transfer(bytes, rng).duration;
+        let d = (self.cfg.replication).repair_copy(&self.cfg.netfaults, obj, dest, full);
         self.q
             .schedule_in(d, Ev::RepairArrive { object: obj, dest });
     }
@@ -1358,8 +1251,10 @@ impl<'a> Engine<'a> {
         if !self.repl_active {
             return;
         }
+        let now = self.q.now();
         for obj in self.replicas.drop_node(w.0) {
-            self.note_sched(
+            self.core.commit(
+                now,
                 Some(w),
                 None,
                 SchedEventKind::ReplicaDrop {
@@ -1373,43 +1268,23 @@ impl<'a> Engine<'a> {
     }
 
     fn handle(&mut self, ev: Ev) {
+        let now = self.q.now();
         match ev {
-            Ev::Arrival(mut spec) => {
-                if let Some(dag) = spec.dag.take() {
-                    // Atomization: the arriving job never enters
-                    // allocation itself. Its DAG is registered under a
-                    // root id (which appears only in Task* payloads)
-                    // and the gate-open tasks are released as ordinary
-                    // jobs through the unchanged bidding machinery.
-                    self.arrivals_seen += 1;
-                    let root = self.alloc_job_id();
-                    let released = self.dag.register(root, spec.task, dag);
-                    for (idx, tspec) in released {
-                        self.submit_task_job(root, idx, tspec, false);
-                    }
-                    if !self.spec_check_armed {
-                        self.spec_check_armed = true;
-                        let d = SimDuration::from_secs_f64(self.cfg.atomize.spec_check_secs);
-                        self.q.schedule_in(d, Ev::SpecCheck);
-                    }
-                    return;
-                }
+            Ev::Arrival(spec) => {
                 self.arrivals_seen += 1;
-                let id = self.intake_id(&spec);
-                self.created += 1;
-                // A job handed off from a peer shard enters the log as
-                // a `SpillIn` under its home-qualified id; everything
-                // else is a fresh local submission.
-                let intake = match spec.origin.and_then(|o| o.spilled_from) {
-                    Some(from_shard) => SchedEventKind::SpillIn { from_shard },
-                    None => SchedEventKind::Submitted,
-                };
-                self.note_sched(None, Some(id), intake);
-                let job = spec.into_job(id);
-                if !self.cfg.master_faults.is_empty() {
-                    self.jobs_inflight.insert(id, job.clone());
+                match self.core.admit(now, spec) {
+                    Admitted::Job(job) => self.run_master(|m, ctx| m.on_job(job, ctx)),
+                    Admitted::Dag { root, released } => {
+                        for (idx, tspec) in released {
+                            self.submit_task_job(root, idx, tspec, false);
+                        }
+                        if !self.spec_check_armed {
+                            self.spec_check_armed = true;
+                            let d = SimDuration::from_secs_f64(self.cfg.atomize.spec_check_secs);
+                            self.q.schedule_in(d, Ev::SpecCheck);
+                        }
+                    }
                 }
-                self.run_master(|m, ctx| m.on_job(job, ctx));
             }
             Ev::WorkerRecv { worker, msg } => match msg {
                 _ if !self.active[worker.0 as usize] => {
@@ -1554,7 +1429,8 @@ impl<'a> Engine<'a> {
                     // declined) so the replicated log reflects exactly
                     // what the master has seen; the stale-reject guard
                     // above already filtered duplicates.
-                    self.note_sched(Some(from), Some(job.id), SchedEventKind::Rejected);
+                    self.core
+                        .commit(now, Some(from), Some(job.id), SchedEventKind::Rejected);
                 }
                 if let WorkerToMaster::Bid { job, estimate_secs } = &msg {
                     // Mirror the threaded master's intake: only a bid
@@ -1567,31 +1443,9 @@ impl<'a> Engine<'a> {
                     if estimate_secs.is_finite() {
                         if let Some(c) = self.open_contests.get_mut(job) {
                             if c.bidders.insert(from) {
-                                self.m.bids_received.inc();
-                                let waited = self.q.now().saturating_since(c.opened);
-                                self.m.bid_latency_secs.record(waited.as_secs_f64());
-                                self.note_sched(
-                                    Some(from),
-                                    Some(*job),
-                                    SchedEventKind::BidReceived {
-                                        estimate_secs: *estimate_secs,
-                                    },
-                                );
-                                // A bid on a DAG task additionally
-                                // lands in the per-task vocabulary so
-                                // the oracle can tie pricing to the
-                                // DAG without joining on job ids.
-                                if let Some((root, task, _)) = self.dag.task_of(*job) {
-                                    self.note_sched(
-                                        Some(from),
-                                        Some(*job),
-                                        SchedEventKind::TaskBid {
-                                            root,
-                                            task,
-                                            estimate_secs: *estimate_secs,
-                                        },
-                                    );
-                                }
+                                let waited = now.saturating_since(c.opened).as_secs_f64();
+                                self.core
+                                    .record_bid(now, from, *job, *estimate_secs, waited);
                             }
                         }
                     }
@@ -1605,14 +1459,14 @@ impl<'a> Engine<'a> {
                 if !self.active[worker.0 as usize] || epoch != self.epochs[worker.0 as usize] {
                     return;
                 }
-                let now = self.q.now();
                 let job = self.slots[worker.0 as usize]
                     .current
                     .as_ref()
                     .expect("fetch without job");
                 let (job_id, r) = (job.id, job.resource.expect("fetch without resource"));
                 if let Some(started) = self.slots[worker.0 as usize].started {
-                    self.m
+                    self.core
+                        .m
                         .fetch_secs
                         .record(now.saturating_since(started).as_secs_f64());
                 }
@@ -1626,7 +1480,6 @@ impl<'a> Engine<'a> {
                 if !self.active[worker.0 as usize] || epoch != self.epochs[worker.0 as usize] {
                     return;
                 }
-                let now = self.q.now();
                 let job = self.slots[worker.0 as usize]
                     .current
                     .as_ref()
@@ -1636,7 +1489,8 @@ impl<'a> Engine<'a> {
                     .fetch_from
                     .take()
                     .expect("peer fetch without source");
-                self.note_sched(
+                self.core.commit(
+                    now,
                     Some(worker),
                     Some(job_id),
                     SchedEventKind::FetchOk {
@@ -1645,7 +1499,8 @@ impl<'a> Engine<'a> {
                     },
                 );
                 if let Some(started) = self.slots[worker.0 as usize].started {
-                    self.m
+                    self.core
+                        .m
                         .fetch_secs
                         .record(now.saturating_since(started).as_secs_f64());
                 }
@@ -1676,7 +1531,8 @@ impl<'a> Engine<'a> {
                     .fetch_from
                     .take()
                     .expect("peer fetch without source");
-                self.note_sched(
+                self.core.commit(
+                    now,
                     Some(worker),
                     Some(job_id),
                     SchedEventKind::FetchFail {
@@ -1685,7 +1541,7 @@ impl<'a> Engine<'a> {
                         attempt,
                     },
                 );
-                self.m.peer_retries.inc();
+                self.core.m.peer_retries.inc();
                 let next = attempt + 1;
                 if next >= self.cfg.replication.max_fetch_attempts {
                     // Every replica attempt is spent: degrade to the
@@ -1694,13 +1550,7 @@ impl<'a> Engine<'a> {
                     return;
                 }
                 // Seeded backoff before rotating to the next replica.
-                let seed = self.retry_seed(job_id, r.id.0);
-                let d = self
-                    .cfg
-                    .netfaults
-                    .retry
-                    .delay_secs(seed, attempt.min(self.cfg.netfaults.retry.max_attempts - 1))
-                    .unwrap_or(self.cfg.netfaults.retry.base_secs);
+                let d = (self.cfg.netfaults).fetch_backoff_secs(job_id, r.id, attempt);
                 self.q.schedule_in(
                     SimDuration::from_secs_f64(d),
                     Ev::PeerFetchRetry {
@@ -1749,15 +1599,15 @@ impl<'a> Engine<'a> {
                     return;
                 }
                 self.repairs.remove(&object);
-                let now = self.q.now();
                 let bytes = self.replicas.bytes(object).unwrap_or(0);
                 let evicted = self.worker(dest).store.insert(object, bytes, now);
-                self.note_sched(
+                self.core.commit(
+                    now,
                     Some(dest),
                     None,
                     SchedEventKind::RepairDone { object: object.0 },
                 );
-                self.m.repairs_completed.inc();
+                self.core.m.repairs_completed.inc();
                 self.note_replica_insert(dest, object, bytes, evicted);
                 if self.replicas.count(object) < self.replicas.factor() as usize {
                     self.start_repair(object);
@@ -1767,7 +1617,6 @@ impl<'a> Engine<'a> {
                 if !self.active[worker.0 as usize] || epoch != self.epochs[worker.0 as usize] {
                     return;
                 }
-                let now = self.q.now();
                 let job = self.slots[worker.0 as usize]
                     .current
                     .take()
@@ -1782,7 +1631,8 @@ impl<'a> Engine<'a> {
                     .fetch_done
                     .take()
                     .unwrap_or(started);
-                self.m
+                self.core
+                    .m
                     .proc_secs
                     .record(now.saturating_since(proc_from).as_secs_f64());
                 let est = self.nodes[worker.0 as usize]
@@ -1801,7 +1651,7 @@ impl<'a> Engine<'a> {
                 }
                 // Report the result to the master (Listing 2 line 14):
                 // one control message carrying the completed job.
-                self.m.control_messages.inc();
+                self.core.m.control_messages.inc();
                 let d = self.cfg.control.delay(&mut self.rng_control);
                 if self.net_active {
                     // `Done` crosses the lossy link; keep a copy for
@@ -1810,7 +1660,7 @@ impl<'a> Engine<'a> {
                     let job_id = job.id;
                     self.deliver_lossy(false, worker, d, Ev::Done { worker, job });
                     let retry = self.cfg.netfaults.retry;
-                    let seed = self.retry_seed(job_id, u64::MAX);
+                    let seed = self.cfg.netfaults.retry_seed(job_id, u64::MAX);
                     if let Some(rd) = retry.delay_secs(seed, 0) {
                         let due = self.epochs[worker.0 as usize];
                         self.q.schedule_in(
@@ -1848,12 +1698,11 @@ impl<'a> Engine<'a> {
                             job: job.id,
                         },
                     );
-                    if self.done_ids.contains(&job.id) {
+                    if self.core.is_done(job.id) {
                         // A lease bounce or duplicate delivery: the
                         // job's side effects were already applied.
                         return;
                     }
-                    self.done_ids.insert(job.id);
                     if self
                         .outstanding_net
                         .get(&job.id)
@@ -1865,11 +1714,11 @@ impl<'a> Engine<'a> {
                 self.complete_at_master(worker, job);
             }
             Ev::Redispatch(job) => {
-                if self.net_active && self.done_ids.contains(&job.id) {
+                if self.core.is_done(job.id) {
                     // A late bounce of a job that completed elsewhere.
                     return;
                 }
-                if self.dag.is_cancelled(job.id) {
+                if self.core.dag().is_cancelled(job.id) {
                     // A cancelled losing attempt stranded by a crash:
                     // its accounting happened at `SpecCancel`, so it
                     // must not re-enter allocation.
@@ -1877,8 +1726,9 @@ impl<'a> Engine<'a> {
                 }
                 let placeable = (0..self.active.len()).any(|i| self.active[i] && !self.draining[i]);
                 if placeable {
-                    self.m.jobs_redistributed.inc();
-                    self.note_sched(None, Some(job.id), SchedEventKind::Redistributed);
+                    self.core.m.jobs_redistributed.inc();
+                    self.core
+                        .commit(now, None, Some(job.id), SchedEventKind::Redistributed);
                     self.run_master(|m, ctx| m.on_job(job, ctx));
                 } else {
                     // Nobody alive: wait for a recovery.
@@ -1896,7 +1746,7 @@ impl<'a> Engine<'a> {
                 if self.seen_envs.insert(env) {
                     self.handle(*inner);
                 } else {
-                    self.m.net_dedup_hits.inc();
+                    self.core.m.net_dedup_hits.inc();
                 }
             }
             Ev::AssignAck { worker, job, seq } => {
@@ -1906,8 +1756,9 @@ impl<'a> Engine<'a> {
                     .is_some_and(|o| o.worker == worker && o.seq == seq && !o.acked);
                 if matches {
                     self.outstanding_net.get_mut(&job).unwrap().acked = true;
-                    self.m.acks_received.inc();
-                    self.note_sched(Some(worker), Some(job), SchedEventKind::AssignAcked);
+                    self.core.m.acks_received.inc();
+                    self.core
+                        .commit(now, Some(worker), Some(job), SchedEventKind::AssignAcked);
                 }
             }
             Ev::AssignRetry { job, seq, attempt } => {
@@ -1917,22 +1768,18 @@ impl<'a> Engine<'a> {
                     .filter(|o| o.seq == seq && !o.acked)
                     .map(|o| (o.worker, o.job.clone(), o.offer));
                 if let Some((worker, job_clone, offer)) = due {
-                    self.m.net_retries.inc();
-                    self.note_sched(Some(worker), Some(job), SchedEventKind::Resent { attempt });
-                    let msg = if offer {
-                        MasterToWorker::Offer {
-                            job: job_clone,
-                            seq,
-                        }
-                    } else {
-                        MasterToWorker::Assign {
-                            job: job_clone,
-                            seq,
-                        }
-                    };
-                    self.send_to_worker(worker, msg);
+                    self.core.m.net_retries.inc();
+                    self.core.commit(
+                        now,
+                        Some(worker),
+                        Some(job),
+                        SchedEventKind::Resent { attempt },
+                    );
+                    self.send_to_worker(worker, MasterToWorker::placement(offer, job_clone, seq));
                     let retry = self.cfg.netfaults.retry;
-                    if let Some(d) = retry.delay_secs(self.retry_seed(job, seq), attempt + 1) {
+                    if let Some(d) =
+                        retry.delay_secs(self.cfg.netfaults.retry_seed(job, seq), attempt + 1)
+                    {
                         self.q.schedule_in(
                             SimDuration::from_secs_f64(d),
                             Ev::AssignRetry {
@@ -1953,9 +1800,10 @@ impl<'a> Engine<'a> {
                     .map(|o| (o.worker, o.job.clone()));
                 if let Some((worker, job_clone)) = expired {
                     self.outstanding_net.remove(&job);
-                    self.m.lease_expired.inc();
-                    self.note_sched(Some(worker), Some(job), SchedEventKind::LeaseExpired);
-                    if !self.done_ids.contains(&job) && !self.dag.is_cancelled(job) {
+                    self.core.m.lease_expired.inc();
+                    self.core
+                        .commit(now, Some(worker), Some(job), SchedEventKind::LeaseExpired);
+                    if !self.core.is_done(job) && !self.core.dag().is_cancelled(job) {
                         self.run_master(|m, ctx| m.on_job(job_clone, ctx));
                     }
                 }
@@ -1979,9 +1827,14 @@ impl<'a> Engine<'a> {
                     return;
                 }
                 let job_clone = self.pending_done[worker.0 as usize][&job].clone();
-                self.m.net_retries.inc();
-                self.note_sched(Some(worker), Some(job), SchedEventKind::Resent { attempt });
-                self.m.control_messages.inc();
+                self.core.m.net_retries.inc();
+                self.core.commit(
+                    now,
+                    Some(worker),
+                    Some(job),
+                    SchedEventKind::Resent { attempt },
+                );
+                self.core.m.control_messages.inc();
                 let d = self.cfg.control.delay(&mut self.rng_control);
                 self.deliver_lossy(
                     false,
@@ -1994,9 +1847,8 @@ impl<'a> Engine<'a> {
                 );
                 // `Done` retransmits until acked — past the configured
                 // attempts the backoff just stays at its cap.
-                let retry = self.cfg.netfaults.retry;
-                let capped = (attempt + 1).min(retry.max_attempts.saturating_sub(1));
-                if let Some(d) = retry.delay_secs(self.retry_seed(job, u64::MAX), capped) {
+                let seed = self.cfg.netfaults.retry_seed(job, u64::MAX);
+                if let Some(d) = (self.cfg.netfaults.retry).capped_delay_secs(seed, attempt + 1) {
                     self.q.schedule_in(
                         SimDuration::from_secs_f64(d),
                         Ev::DoneRetry {
@@ -2025,15 +1877,14 @@ impl<'a> Engine<'a> {
                 }
             }
             Ev::SpecCheck => {
-                if !self.dag.is_active() {
+                if !self.core.dag().is_active() {
                     // Every DAG drained; a later atomized arrival
                     // re-arms the sweep.
                     self.spec_check_armed = false;
                     return;
                 }
-                let now_secs = self.q.now().as_secs_f64();
-                if let Some(sp) = self.dag.straggler(now_secs) {
-                    self.submit_task_job(sp.root, sp.task, sp.spec, true);
+                if let Some(job) = self.core.launch_straggler(now) {
+                    self.run_master(|m, ctx| m.on_job(job, ctx));
                 }
                 let d = SimDuration::from_secs_f64(self.cfg.atomize.spec_check_secs);
                 self.q.schedule_in(d, Ev::SpecCheck);
@@ -2049,9 +1900,9 @@ impl<'a> Engine<'a> {
         self.active[w.0 as usize] = false;
         self.roster_dirty = true;
         self.epochs[w.0 as usize] += 1;
-        self.m.worker_crashes.inc();
+        self.core.m.worker_crashes.inc();
         self.down_since[w.0 as usize] = Some(now);
-        self.note_sched(Some(w), None, SchedEventKind::Crash);
+        self.core.commit(now, Some(w), None, SchedEventKind::Crash);
         let mut stranded: Vec<Job> = Vec::new();
         if let Some(job) = self.slots[w.0 as usize].current.take() {
             stranded.push(job);
@@ -2114,11 +1965,12 @@ impl<'a> Engine<'a> {
         self.active[w.0 as usize] = true;
         self.roster_dirty = true;
         self.epochs[w.0 as usize] += 1;
-        self.m.worker_recoveries.inc();
+        self.core.m.worker_recoveries.inc();
         if let Some(since) = self.down_since[w.0 as usize].take() {
             self.downtime_secs += self.q.now().saturating_since(since).as_secs_f64();
         }
-        self.note_sched(Some(w), None, SchedEventKind::Recover);
+        self.core
+            .commit(self.q.now(), Some(w), None, SchedEventKind::Recover);
         self.run_master(|m, ctx| m.on_worker_recovered(w, ctx));
         // The fresh worker announces itself idle (the initial pull).
         self.send_to_master(w, WorkerToMaster::Idle, SimDuration::ZERO);
@@ -2141,7 +1993,8 @@ impl<'a> Engine<'a> {
         self.draining[i] = false;
         self.roster_dirty = true;
         self.epochs[i] += 1;
-        self.note_sched(Some(w), None, SchedEventKind::WorkerJoined);
+        self.core
+            .commit(self.q.now(), Some(w), None, SchedEventKind::WorkerJoined);
         self.run_master(|m, ctx| m.on_worker_recovered(w, ctx));
         self.send_to_master(w, WorkerToMaster::Idle, SimDuration::ZERO);
         if self.net_active {
@@ -2162,7 +2015,8 @@ impl<'a> Engine<'a> {
         }
         self.draining[i] = true;
         self.roster_dirty = true;
-        self.note_sched(Some(w), None, SchedEventKind::WorkerDraining);
+        self.core
+            .commit(self.q.now(), Some(w), None, SchedEventKind::WorkerDraining);
         self.maybe_finish_drain(w);
     }
 
@@ -2185,7 +2039,8 @@ impl<'a> Engine<'a> {
         self.active[i] = false;
         self.roster_dirty = true;
         self.epochs[i] += 1;
-        self.note_sched(Some(w), None, SchedEventKind::WorkerRemoved);
+        self.core
+            .commit(self.q.now(), Some(w), None, SchedEventKind::WorkerRemoved);
         // The departed worker's copies leave the cluster with it.
         self.drop_worker_replicas(w);
         self.run_master(|m, ctx| m.on_worker_failed(w, ctx));
@@ -2213,7 +2068,8 @@ impl<'a> Engine<'a> {
         if let Some(since) = self.down_since[i].take() {
             self.downtime_secs += now.saturating_since(since).as_secs_f64();
         }
-        self.note_sched(Some(w), None, SchedEventKind::WorkerRemoved);
+        self.core
+            .commit(now, Some(w), None, SchedEventKind::WorkerRemoved);
         let mut stranded: Vec<Job> = Vec::new();
         if was_active {
             if let Some(job) = self.slots[i].current.take() {
@@ -2260,21 +2116,13 @@ impl<'a> Engine<'a> {
 
     fn complete_at_master(&mut self, worker: WorkerId, job: Job) {
         let now = self.q.now();
-        if self.dag.take_cancelled(job.id) {
-            // The losing attempt of a decided speculation race: its
-            // accounting happened when `SpecCancel` committed, so the
-            // late completion report is swallowed — no `Completed`
-            // entry, no counter bump, no downstream effects. A
-            // duplicate delivery never gets here (`done_ids`).
-            self.jobs_inflight.remove(&job.id);
+        let Completion::Counted(outcome) = self.core.complete(now, worker, job.id) else {
+            // A cancelled loser's late report (a duplicate delivery
+            // never gets here): no downstream effects.
             return;
-        }
-        self.completed += 1;
-        self.note_sched(Some(worker), Some(job.id), SchedEventKind::Completed);
-        self.jobs_inflight.remove(&job.id);
-        self.m.jobs_completed.inc();
+        };
         self.last_completion = self.last_completion.max(now);
-        match self.dag.on_done(job.id, now.as_secs_f64()) {
+        match outcome {
             DoneOutcome::NotTask => {
                 // Run the task logic, spawning downstream jobs.
                 let mut out: Vec<JobSpec> = Vec::new();
@@ -2290,13 +2138,7 @@ impl<'a> Engine<'a> {
                         job.task,
                         spec.task
                     );
-                    let id = self.alloc_job_id();
-                    self.created += 1;
-                    self.note_sched(None, Some(id), SchedEventKind::Submitted);
-                    let new_job = spec.into_job(id);
-                    if !self.cfg.master_faults.is_empty() {
-                        self.jobs_inflight.insert(id, new_job.clone());
-                    }
+                    let new_job = self.core.spawn(now, spec);
                     self.run_master(|m, c| m.on_job(new_job, c));
                 }
             }
@@ -2313,13 +2155,6 @@ impl<'a> Engine<'a> {
                 released,
                 losers,
             } => {
-                if !self.note_sched(
-                    Some(worker),
-                    Some(job.id),
-                    SchedEventKind::TaskDone { root, task },
-                ) {
-                    return;
-                }
                 // The task's output artifact materializes on the
                 // executing worker — downstream bids price against it.
                 let evicted = self
@@ -2328,16 +2163,7 @@ impl<'a> Engine<'a> {
                     .insert(output.id, output.bytes, now);
                 self.note_replica_insert(worker, output.id, output.bytes, evicted);
                 for loser in losers {
-                    // The loser's `SpecCancel` is its terminal
-                    // accounting event: once committed, the attempt
-                    // counts as complete and its eventual report (or a
-                    // crash bounce) is swallowed.
-                    if self.note_sched(None, Some(loser), SchedEventKind::SpecCancel { root, task })
-                    {
-                        self.dag.cancel(loser);
-                        self.completed += 1;
-                        self.jobs_inflight.remove(&loser);
-                    }
+                    self.core.cancel_loser(now, loser, root, task);
                 }
                 for (idx, tspec) in released {
                     self.submit_task_job(root, idx, tspec, false);
@@ -2354,14 +2180,8 @@ impl<'a> Engine<'a> {
     /// scratch, unplaced jobs re-enter allocation, and idle workers
     /// re-announce themselves so pull-based schedulers resume.
     fn do_failover(&mut self) {
-        self.failover_pending = false;
         let now = self.q.now();
-        let Some(log) = &mut self.sched_log else {
-            unreachable!("failover without a replicated log");
-        };
-        let (_term, state, entries) = log.failover(now);
-        self.m.master_failovers.inc();
-        self.m.replay_entries.add(entries);
+        let (state, owed) = self.core.takeover(now);
         // The dead leader's contest tallies would vanish with its
         // scheduler instance; carry them into the run totals.
         let stats = self.master.stats();
@@ -2398,12 +2218,7 @@ impl<'a> Engine<'a> {
         // allocation exactly once. Placed jobs are left alone: their
         // worker (or the engine's lease/retry machinery) still owns
         // them, and completions route to the new leader unchanged.
-        for id in state.unplaced_jobs() {
-            let job = self
-                .jobs_inflight
-                .get(&id)
-                .cloned()
-                .expect("unplaced job without a retained payload");
+        for job in owed {
             self.run_master(|m, ctx| m.on_job(job, ctx));
         }
         // Resume the data-plane repair obligation. Copies already in
@@ -2495,37 +2310,34 @@ pub fn run_workflow(
         epochs: vec![0; n_workers],
         assignments: Vec::new(),
         trace: if cfg.trace { Some(Trace::new()) } else { None },
-        sched_log: if cfg.trace || !cfg.master_faults.is_empty() {
-            Some(ReplicatedLog::new(&cfg.master_faults))
-        } else {
-            None
-        },
+        core: MasterCore::new(
+            (cfg.trace || !cfg.master_faults.is_empty())
+                .then(|| ReplicatedLog::new(&cfg.master_faults)),
+            cfg.shard,
+            cfg.atomize,
+            !cfg.master_faults.is_empty(),
+            cfg.netfaults.is_active(),
+            RuntimeMetrics::from_sink(cfg.metrics.clone()),
+        ),
         policies: (0..n_workers).map(|_| allocator.worker_policy()).collect(),
         master: allocator.master(),
         allocator,
-        failover_pending: false,
-        jobs_inflight: HashMap::new(),
         stats_carry_timed_out: 0,
         stats_carry_fallback: 0,
         handles,
         roster: Vec::with_capacity(n_workers),
         roster_dirty: true,
         workflow,
-        dag: DagState::new(cfg.atomize),
         spec_check_armed: false,
         rng_control: seq.stream(0),
         rng_master: seq.stream(1),
         rng_workers: (0..n_workers).map(|i| seq.stream(100 + i as u64)).collect(),
-        next_job_id: 0,
         next_token: 0,
-        created: 0,
-        completed: 0,
         arrivals_total,
         arrivals_seen: 0,
         last_completion: SimTime::ZERO,
         down_since: vec![None; n_workers],
         downtime_secs: 0.0,
-        m: RuntimeMetrics::from_sink(cfg.metrics.clone()),
         open_contests: IdMap::default(),
         net_active: cfg.netfaults.is_active(),
         rng_net: SeedSequence::new(cfg.netfaults.seed).stream(0x4E37),
@@ -2533,7 +2345,6 @@ pub fn run_workflow(
         seen_envs: HashSet::new(),
         next_seq: 1,
         outstanding_net: HashMap::new(),
-        done_ids: HashSet::new(),
         accepted: vec![HashSet::new(); n_workers],
         offer_outcomes: vec![HashMap::new(); n_workers],
         pending_done: vec![HashMap::new(); n_workers],
@@ -2545,21 +2356,11 @@ pub fn run_workflow(
         // Warm caches from earlier iterations seed the registry (no
         // log events — this is pre-run state, not a decision), and
         // sole copies are pinned from the start.
-        let mut seeded: Vec<ObjectId> = Vec::new();
-        for i in 0..n_workers {
-            let resident: Vec<(ObjectId, u64)> = engine.nodes[i]
-                .store
-                .resident()
-                .map(|o| (o, engine.nodes[i].store.size_of(o).unwrap_or(0)))
-                .collect();
-            for (obj, bytes) in resident {
-                engine.replicas.add(obj, i as u32, bytes);
-                seeded.push(obj);
-            }
-        }
-        seeded.sort_unstable();
-        seeded.dedup();
-        for obj in seeded {
+        let resident = engine.nodes.iter().enumerate().flat_map(|(i, n)| {
+            let sized = move |o| (i as u32, o, n.store.size_of(o).unwrap_or(0));
+            n.store.resident().map(sized)
+        });
+        for obj in warm_seed(&mut engine.replicas, resident) {
             engine.sync_pins(obj);
         }
     }
@@ -2575,24 +2376,18 @@ pub fn run_workflow(
         }
     }
 
-    // A shared sink accumulates across iterations; the per-run record
-    // reports deltas from these baselines.
-    let base_control = engine.m.control_messages.get();
-    let base_redistributed = engine.m.jobs_redistributed.get();
-    let base_crashes = engine.m.worker_crashes.get();
-
     while let Some((_t, ev)) = engine.q.pop() {
         engine.handle(ev);
         // A leader crash observed while handling `ev` elects a standby
         // before the next event is delivered (the election happens
         // "between" engine events; its virtual cost is the control
         // latency of the re-announcements it schedules).
-        if engine.failover_pending {
+        if engine.core.failover_pending() {
             engine.do_failover();
         }
         if engine.arrivals_seen == engine.arrivals_total
-            && engine.created > 0
-            && engine.completed == engine.created
+            && engine.core.created() > 0
+            && engine.core.completed() == engine.core.created()
             && engine.repairs.is_empty()
         {
             // A committed repair must complete before the run ends —
@@ -2608,9 +2403,11 @@ pub fn run_workflow(
         }
     }
     assert_eq!(
-        engine.completed, engine.created,
+        engine.core.completed(),
+        engine.core.created(),
         "conservation violated: {} created vs {} completed",
-        engine.created, engine.completed
+        engine.core.created(),
+        engine.core.completed()
     );
 
     let makespan = engine.last_completion;
@@ -2620,88 +2417,50 @@ pub fn run_workflow(
     // but its timing cannot be trusted. Count it and report it as an
     // anomaly instead of letting release builds hide it.
     let clamped = engine.q.clamped();
-    engine.m.sim_clamped_events.add(clamped);
+    engine.core.m.sim_clamped_events.add(clamped);
     let mut anomalies = Vec::new();
     if clamped > 0 {
         anomalies.push(format!(
             "event queue clamped {clamped} past-time event(s) to `now`; virtual timing is suspect"
         ));
     }
-    let completed = engine.completed;
     let mut sched_stats = engine.master.stats();
     sched_stats.contests_timed_out += engine.stats_carry_timed_out;
     sched_stats.contests_fallback += engine.stats_carry_fallback;
     let assignments = std::mem::take(&mut engine.assignments);
     let trace = engine.trace.take().unwrap_or_default();
-    let sched_log = engine
-        .sched_log
-        .take()
-        .map(ReplicatedLog::into_log)
-        .unwrap_or_default();
-    let m = engine.m.clone();
     // Workers still down when the run ends are charged until the
     // makespan (or until their crash instant, whichever is later).
     let mut recovery_secs = engine.downtime_secs;
     for since in engine.down_since.iter().flatten() {
         recovery_secs += makespan.saturating_since(*since).as_secs_f64();
     }
-    let kind: SchedulerKind = allocator.kind();
     let replicas = engine.repl_active.then(|| engine.replicas.clone());
-    drop(engine);
+    let mut core = engine.core;
 
-    let mut misses = 0;
-    let mut hits = 0;
-    let mut peer_fetches = 0;
-    let mut evictions = 0;
-    let mut bytes = 0u64;
     let mut wait = Welford::new();
-    let mut busy = Vec::with_capacity(n_workers);
-    for (i, n) in cluster.nodes.iter().enumerate() {
-        let s = n.store.stats();
-        misses += s.misses;
-        hits += s.hits;
-        peer_fetches += s.peer_fetches;
-        evictions += s.evictions;
-        bytes += s.bytes_admitted;
+    for n in &cluster.nodes {
         wait.merge(&n.wait);
-        let frac = n.busy.average(makespan);
-        m.set_worker_busy_frac(i, frac);
-        busy.push(frac);
     }
-    m.cache_misses.add(misses);
-    m.cache_hits.add(hits);
-    m.peer_fetches.add(peer_fetches);
-    m.cache_evictions.add(evictions);
-    m.set_makespan_secs(makespan.as_secs_f64());
-    m.set_data_load_mb(bytes as f64 / 1e6);
-
+    let totals = RunTotals {
+        scheduler: allocator.kind(),
+        makespan_secs: makespan.as_secs_f64(),
+        contests_timed_out: sched_stats.contests_timed_out,
+        contests_fallback: sched_stats.contests_fallback,
+        mean_queue_wait_secs: wait.mean(),
+        recovery_secs,
+    };
+    let workers = cluster
+        .nodes
+        .iter()
+        .map(|n| (*n.store.stats(), n.busy.average(makespan)));
     RunOutput {
-        record: RunRecord {
-            scheduler: kind,
-            worker_config: meta.worker_config.clone(),
-            job_config: meta.job_config.clone(),
-            iteration: meta.iteration,
-            seed: meta.seed,
-            makespan_secs: makespan.as_secs_f64(),
-            data_load_mb: bytes as f64 / 1e6,
-            cache_misses: misses,
-            cache_hits: hits,
-            evictions,
-            jobs_completed: completed,
-            control_messages: m.control_messages.get() - base_control,
-            contests_timed_out: sched_stats.contests_timed_out,
-            contests_fallback: sched_stats.contests_fallback,
-            mean_queue_wait_secs: wait.mean(),
-            worker_busy_frac: busy,
-            jobs_redistributed: m.jobs_redistributed.get() - base_redistributed,
-            worker_crashes: m.worker_crashes.get() - base_crashes,
-            recovery_secs,
-        },
+        record: core.record(meta, totals, workers),
         events,
         assignments,
         trace,
-        sched_log,
-        metrics: m.snapshot(),
+        sched_log: core.take_log(),
+        metrics: core.m.snapshot(),
         anomalies,
         replicas,
     }

@@ -45,7 +45,9 @@ use std::fmt;
 use crossbid_simcore::rng::splitmix64;
 use crossbid_simcore::{SimDuration, SimTime};
 
-use crate::job::WorkerId;
+use crossbid_storage::ObjectId;
+
+use crate::job::{JobId, WorkerId};
 
 /// One scheduled fault event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -382,6 +384,22 @@ impl RetryPolicy {
         Some(capped * (1.0 + self.jitter_frac * (u - 0.5)))
     }
 
+    /// [`delay_secs`](Self::delay_secs) for a series that never gives
+    /// up (`Done` reports, peer fetches): past the configured attempts
+    /// the backoff stays at its last step.
+    pub(crate) fn capped_delay_secs(&self, seed: u64, attempt: u32) -> Option<f64> {
+        self.delay_secs(seed, attempt.min(self.max_attempts.saturating_sub(1)))
+    }
+
+    /// The jitter seed of one retransmission series: `base` mixed with
+    /// the job and a salt naming the series (a placement seq, an
+    /// object id). Both runtimes must agree on it for a replay tuple
+    /// to mean anything.
+    pub(crate) fn series_seed(base: u64, job: JobId, salt: u64) -> u64 {
+        base.wrapping_add(job.0.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .wrapping_add(salt)
+    }
+
     fn validate(&self) -> Result<(), FaultPlanError> {
         for (field, value, min) in [
             ("base_secs", self.base_secs, f64::MIN_POSITIVE),
@@ -502,6 +520,47 @@ impl NetFaultPlan {
     /// send time like [`Self::partitioned`].
     pub fn link_blocked(&self, a: WorkerId, b: WorkerId, at: SimTime) -> bool {
         self.partitioned(a, at) || self.partitioned(b, at)
+    }
+
+    /// Per-(job, series) retry jitter seed under this plan's net seed.
+    pub(crate) fn retry_seed(&self, job: JobId, salt: u64) -> u64 {
+        RetryPolicy::series_seed(self.seed, job, salt)
+    }
+
+    /// Seeded backoff before a worker rotates to the next replica
+    /// after a lost peer fetch, keyed on (net seed, job, object,
+    /// attempt).
+    pub(crate) fn fetch_backoff_secs(&self, job: JobId, obj: ObjectId, attempt: u32) -> f64 {
+        self.retry
+            .capped_delay_secs(self.retry_seed(job, obj.0), attempt)
+            .unwrap_or(self.retry.base_secs)
+    }
+
+    /// Deterministic data-plane loss for one peer transfer attempt.
+    ///
+    /// Sampled from a hash of (net seed, object, endpoint, attempt) —
+    /// not from an rng stream — so the decision is independent of
+    /// event timing and identical across both runtimes. Composes the
+    /// replication plane's own `peer_drop_prob` with this plan's link
+    /// loss as independent failures.
+    pub(crate) fn peer_dropped(
+        &self,
+        peer_drop_prob: f64,
+        obj: ObjectId,
+        w: WorkerId,
+        attempt: u32,
+    ) -> bool {
+        let keep = (1.0 - peer_drop_prob) * (1.0 - self.to_worker.drop_prob);
+        let p = 1.0 - keep;
+        if p <= 0.0 {
+            return false;
+        }
+        let mut s = self
+            .seed
+            .wrapping_add(obj.0.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .wrapping_add(((w.0 as u64) << 32) | attempt as u64);
+        let u = (splitmix64(&mut s) >> 11) as f64 / (1u64 << 53) as f64;
+        u < p
     }
 
     /// The instant the last partition window ends ([`SimTime::ZERO`]

@@ -69,6 +69,7 @@ pub mod faults;
 pub mod federation;
 pub mod idle;
 pub mod job;
+mod master_core;
 pub mod obs;
 pub mod prelude;
 pub mod replog;

@@ -2,19 +2,19 @@
 //! and — mirroring the simulation engine — fault injection with
 //! detection-delayed redistribution.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use crossbid_metrics::{Registry, RunRecord, SchedulerKind};
+use crossbid_metrics::{Registry, SchedulerKind};
 use crossbid_net::NoiseModel;
 use crossbid_simcore::{RngStream, SeedSequence, SimDuration, SimTime, Welford};
 use parking_lot::Mutex;
 
 use crossbid_storage::ObjectId;
 
-use crate::atomize::{AtomizeConfig, DagState, DoneOutcome};
+use crate::atomize::{AtomizeConfig, DoneOutcome};
 use crate::bids::BidSet;
 use crate::engine::{ReplicationConfig, RunMeta, RunOutput};
 use crate::faults::{
@@ -23,15 +23,16 @@ use crate::faults::{
 };
 use crate::idle::IdlePool;
 use crate::job::{Arrival, Job, JobId, JobSpec, ShardId, WorkerId};
+use crate::master_core::{warm_seed, Admitted, Completion, MasterCore, RunTotals};
 use crate::obs::RuntimeMetrics;
-use crate::replog::{AppendOutcome, ReplicatedLog};
+use crate::replog::ReplicatedLog;
 use crate::task::TaskCtx;
-use crate::trace::{SchedEvent, SchedEventKind, Trace, TraceEvent, TraceKind};
+use crate::trace::{SchedEventKind, Trace, TraceEvent, TraceKind};
 use crate::worker::WorkerSpec;
 use crate::workflow::Workflow;
 
 use super::chaos::{ChaosConfig, Intake, NetIntake, ProtocolMutation};
-use super::repl::{peer_dropped, ReplState, REPAIR_ATTEMPT_KEY};
+use super::repl::ReplState;
 use super::worker::{spawn_worker, Protocol, WorkerShared};
 use super::{ToMaster, ToWorker};
 
@@ -214,59 +215,20 @@ struct MasterState {
     departed: Vec<bool>,
     /// Assigned-but-unfinished jobs, for redistribution on failure.
     outstanding: HashMap<JobId, Outstanding>,
-    /// Completed job ids: de-duplicates a redistribution racing a
-    /// completion that was already in flight.
-    done_ids: HashSet<JobId>,
-    /// The scheduler log behind the replication discipline: every
-    /// entry is quorum-committed before the master acts on it, and an
-    /// elected standby rebuilds from it after a leader crash.
-    log: ReplicatedLog,
-    /// The leader crashed: decision closures stand down until the
-    /// main loop runs the election + replay takeover.
-    failover_pending: bool,
-    /// Payloads of submitted-but-uncompleted jobs, kept only while
-    /// master faults are armed so an elected standby can re-enter
-    /// unplaced jobs (the log records ids, not payloads).
-    job_payloads: HashMap<JobId, Job>,
-    // Common.
-    created: u64,
-    completed: u64,
-    /// Home shard stamped into freshly allocated job ids.
-    shard: ShardId,
-    next_job_id: u64,
+    /// The ledger shared with the simulation engine: the replicated
+    /// log (every entry is quorum-committed before the master acts on
+    /// it; an elected standby rebuilds from it), ids, counts, DAG
+    /// bookkeeping, completed-id dedup, retained payloads and the
+    /// metrics handle shared with the worker threads.
+    core: MasterCore,
     /// Next placement sequence number (reliability layer; starts at 1
     /// so 0 unambiguously means "layer off").
     next_seq: u64,
     /// Lossy-link state; `None` leaves every send untouched.
     net: Option<NetMaster>,
-    /// Shared DAG bookkeeping for atomized jobs (gating, speculation,
-    /// output crediting); inert unless an arrival carried a DAG.
-    dag: DagState,
-    /// Registry-backed tallies shared with the worker threads.
-    m: RuntimeMetrics,
 }
 
 impl MasterState {
-    fn alloc_id(&mut self) -> JobId {
-        let id = JobId::in_shard(self.shard, self.next_job_id);
-        self.next_job_id += 1;
-        id
-    }
-
-    /// Id for an arriving spec: a router-preassigned federation id is
-    /// honoured verbatim (local allocation moves to the spawn band so
-    /// downstream jobs can never collide with it); otherwise a fresh
-    /// shard-qualified id.
-    fn intake_id(&mut self, spec: &JobSpec) -> JobId {
-        match spec.origin {
-            Some(o) => {
-                self.next_job_id = self.next_job_id.max(JobId::SPAWN_BAND);
-                o.id
-            }
-            None => self.alloc_id(),
-        }
-    }
-
     fn live_count(&self) -> usize {
         self.known_live.iter().filter(|l| **l).count()
     }
@@ -280,59 +242,6 @@ impl MasterState {
         (0..self.known_live.len() as u32)
             .filter(|w| self.eligible(*w))
             .count()
-    }
-
-    /// Commit one scheduler event through the replicated log; returns
-    /// `true` when the caller may act on it. A `false` return means
-    /// the entry was truncated with the crashing leader — the decision
-    /// must perform no side effects. Either crash outcome arms
-    /// `failover_pending`.
-    fn commit(&mut self, ev: SchedEvent) -> bool {
-        match self.log.append(ev) {
-            AppendOutcome::Committed => true,
-            AppendOutcome::LeaderCrashed { truncated } => {
-                self.failover_pending = true;
-                if truncated {
-                    self.m.replog_truncated.inc();
-                }
-                !truncated
-            }
-        }
-    }
-
-    /// Placement hook for DAG task jobs: commits the `TaskAssign`
-    /// decision alongside the `Assigned`/`Offered` entry and starts
-    /// the attempt's straggler clock (`at` is the virtual placement
-    /// instant). A no-op (`true`) for plain jobs.
-    fn commit_task_assign(&mut self, at: SimTime, w: u32, job: JobId) -> bool {
-        let Some((root, task, speculative)) = self.dag.task_of(job) else {
-            return true;
-        };
-        if !self.commit(SchedEvent {
-            at,
-            worker: Some(WorkerId(w)),
-            job: Some(job),
-            kind: SchedEventKind::TaskAssign {
-                root,
-                task,
-                speculative,
-            },
-        }) {
-            return false;
-        }
-        self.dag.on_placed(job, at.as_secs_f64());
-        true
-    }
-
-    /// Per-(job, placement) retry jitter seed — same recipe as the
-    /// simulation engine's.
-    fn retry_seed(&self, job: JobId, seq: u64) -> u64 {
-        self.net
-            .as_ref()
-            .map(|n| n.plan.seed)
-            .unwrap_or(0)
-            .wrapping_add(job.0.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(seq)
     }
 }
 
@@ -354,11 +263,11 @@ fn send_worker(
     };
     let link = net.plan.to_worker;
     if net.plan.partitioned(WorkerId(w), vnow) || net.rng.chance(link.drop_prob) {
-        st.m.net_dropped.inc();
+        st.core.m.net_dropped.inc();
         return;
     }
     let copies = if net.rng.chance(link.dup_prob) {
-        st.m.net_duplicated.inc();
+        st.core.m.net_duplicated.inc();
         2
     } else {
         1
@@ -376,27 +285,6 @@ fn send_worker(
             let _ = txs[w as usize].send(msg.clone());
         }
     }
-}
-
-/// Allocate a placement seq and arm the retry + lease timers for a
-/// fresh Assign/Offer. Inert (seq 0, acked) when the net layer is off.
-fn arm_outstanding(
-    st: &mut MasterState,
-    id: JobId,
-    now: Instant,
-    virt: &impl Fn(f64) -> Duration,
-) -> (u64, bool, u32, Option<Instant>, Option<Instant>) {
-    let retry = match &st.net {
-        Some(n) => n.plan.retry,
-        None => return (0, true, 0, None, None),
-    };
-    let seq = st.next_seq;
-    st.next_seq += 1;
-    let next_retry = retry
-        .delay_secs(st.retry_seed(id, seq), 0)
-        .map(|d| now + virt(d));
-    let lease = Some(now + virt(retry.lease_secs));
-    (seq, false, 0, next_retry, lease)
 }
 
 /// Run `arrivals` through `workflow` on real threads — the one entry
@@ -450,11 +338,6 @@ pub(crate) fn run_threaded_with_shareds(
     let mut rng_master = seq.stream(1);
     let net_active = cfg.netfaults.is_active();
     let metrics = RuntimeMetrics::from_sink(cfg.metrics.clone());
-    // A shared sink accumulates across iterations; the per-run record
-    // reports deltas from these baselines.
-    let base_control = metrics.control_messages.get();
-    let base_redistributed = metrics.jobs_redistributed.get();
-    let base_crashes = metrics.worker_crashes.get();
 
     // Replicated data plane, shared with every worker thread when
     // armed. The mutation sabotage flags fold into the effective
@@ -471,20 +354,12 @@ pub(crate) fn run_threaded_with_shareds(
             // Warm seeding: copies persisted by earlier iterations of
             // the session enter the registry without log events (the
             // log narrates this run only), then pins are re-derived.
-            let mut seeded: Vec<ObjectId> = Vec::new();
-            for (i, shared) in shareds.iter().enumerate() {
+            let resident = shareds.iter().enumerate().flat_map(|(i, shared)| {
                 let s = shared.lock();
-                let resident: Vec<ObjectId> = s.store.resident().collect();
-                for obj in resident {
-                    let bytes = s.store.size_of(obj).unwrap_or(0);
-                    if rs.map.add(obj, i as u32, bytes) {
-                        seeded.push(obj);
-                    }
-                }
-            }
-            seeded.sort_unstable();
-            seeded.dedup();
-            for obj in seeded {
+                let sized = |o| (i as u32, o, s.store.size_of(o).unwrap_or(0));
+                s.store.resident().map(sized).collect::<Vec<_>>()
+            });
+            for obj in warm_seed(&mut rs.map, resident) {
                 rs.sync_pins(obj);
             }
             Arc::new(Mutex::new(rs))
@@ -606,29 +481,30 @@ pub(crate) fn run_threaded_with_shareds(
         draining: vec![false; n],
         departed: vec![false; n],
         outstanding: HashMap::new(),
-        done_ids: HashSet::new(),
-        log: ReplicatedLog::new(&cfg.master_faults),
-        failover_pending: false,
-        job_payloads: HashMap::new(),
-        created: 0,
-        completed: 0,
-        shard: cfg.shard,
-        next_job_id: 0,
+        core: {
+            // The protocol mutations route through the shared DAG
+            // config and the core's dedup switch so both runtimes
+            // misbehave identically.
+            let mut acfg = cfg.atomize;
+            acfg.release_all |= cfg.mutation.ignores_dag_gating();
+            acfg.double_speculate |= cfg.mutation.double_speculates();
+            let mut core = MasterCore::new(
+                Some(ReplicatedLog::new(&cfg.master_faults)),
+                cfg.shard,
+                acfg,
+                !cfg.master_faults.is_empty(),
+                true,
+                metrics.clone(),
+            );
+            core.drops_dedup = cfg.mutation.drops_dedup();
+            core
+        },
         next_seq: 1,
         net: net_active.then(|| NetMaster {
             plan: cfg.netfaults.clone(),
             rng: SeedSequence::new(cfg.netfaults.seed).stream(0x4E37),
             delayed: Vec::new(),
         }),
-        dag: {
-            // The protocol mutations route through the shared DAG
-            // config so both runtimes misbehave identically.
-            let mut acfg = cfg.atomize;
-            acfg.release_all |= cfg.mutation.ignores_dag_gating();
-            acfg.double_speculate |= cfg.mutation.double_speculates();
-            DagState::new(acfg)
-        },
-        m: metrics.clone(),
     };
     let mut wait_stats = Welford::new();
     let mut last_completion = start;
@@ -644,7 +520,7 @@ pub(crate) fn run_threaded_with_shareds(
     // believed-live workers there is no one to ask: the job stays
     // queued until a recovery re-populates the roster.
     let open_next_contest = |st: &mut MasterState, txs: &[Sender<ToWorker>], window_secs: f64| {
-        if st.failover_pending || !st.contests.is_empty() || st.eligible_count() == 0 {
+        if st.core.failover_pending() || !st.contests.is_empty() || st.eligible_count() == 0 {
             return;
         }
         let Some(job) = st.contest_queue.pop_front() else {
@@ -653,23 +529,21 @@ pub(crate) fn run_threaded_with_shareds(
         // Commit-before-act: the contest opens only once the log entry
         // reached a quorum. A truncated append performs no side effect
         // — the job goes back to the queue for the elected standby.
-        if !st.commit(SchedEvent {
-            at: vnow(),
-            worker: None,
-            job: Some(job.id),
-            kind: SchedEventKind::ContestOpened,
-        }) {
+        if !st
+            .core
+            .commit(vnow(), None, Some(job.id), SchedEventKind::ContestOpened)
+        {
             st.contest_queue.push_front(job);
             return;
         }
         let opened = Instant::now();
         let deadline = opened + virt(window_secs).max(cfg.min_real_window);
-        st.m.contests_opened.inc();
+        st.core.m.contests_opened.inc();
         for w in 0..txs.len() as u32 {
             if !st.eligible(w) {
                 continue;
             }
-            st.m.control_messages.inc();
+            st.core.m.control_messages.inc();
             // Bid requests are fire-and-forget even on a lossy link: a
             // lost one costs only optimality (the contest resolves by
             // timeout or fallback), so there is no ack or retry.
@@ -708,53 +582,58 @@ pub(crate) fn run_threaded_with_shareds(
         }
     };
 
-    // Release one DAG task (or a speculative replica) into allocation.
-    // Commit-before-act: the `TaskOffer`/`SpecLaunch` decision commits
-    // under the freshly allocated job id before the job is dispatched.
+    // Release one DAG task into allocation; a truncated release is
+    // dropped with the leader.
     let submit_task_job = |st: &mut MasterState,
                            txs: &[Sender<ToWorker>],
                            cfg: &ThreadedConfig,
                            root: JobId,
                            idx: u32,
-                           spec: JobSpec,
-                           speculative: bool| {
-        let id = st.alloc_id();
-        let kind = if speculative {
-            SchedEventKind::SpecLaunch { root, task: idx }
-        } else {
-            let (preds, total) = st.dag.offer_payload(root, idx);
-            SchedEventKind::TaskOffer {
-                root,
-                task: idx,
-                preds,
-                total,
-            }
+                           spec: JobSpec| {
+        if let Some(job) = st.core.release_task(vnow(), root, idx, spec, false) {
+            dispatch(st, txs, cfg, job);
+        }
+    };
+
+    // Record the placement of `job` on `w`, then — commit before act —
+    // put it on the books and send it. A record that truncated hands
+    // the job back and nothing goes out.
+    let place = |st: &mut MasterState, txs: &[Sender<ToWorker>], w: u32, job: Job, offer: bool| {
+        if !st.core.place(vnow(), WorkerId(w), job.id, offer) {
+            return Some(job);
+        }
+        st.core.m.control_messages.inc();
+        let now = Instant::now();
+        let mut o = Outstanding {
+            job: job.clone(),
+            worker: w,
+            assigned_at: now,
+            seq: 0,
+            offer,
+            acked: true,
+            attempt: 0,
+            next_retry: None,
+            lease_deadline: None,
         };
-        if !st.commit(SchedEvent {
-            at: vnow(),
-            worker: None,
-            job: Some(id),
-            kind,
-        }) {
-            return;
+        if let Some(plan) = st.net.as_ref().map(|n| &n.plan) {
+            // Reliability layer: stamp a placement seq, arm the first
+            // retransmission and the lease.
+            o.seq = st.next_seq;
+            o.acked = false;
+            let first = plan.retry.delay_secs(plan.retry_seed(job.id, o.seq), 0);
+            o.next_retry = first.map(|d| now + virt(d));
+            o.lease_deadline = Some(now + virt(plan.retry.lease_secs));
+            st.next_seq += 1;
         }
-        st.created += 1;
-        st.commit(SchedEvent {
-            at: vnow(),
-            worker: None,
-            job: Some(id),
-            kind: SchedEventKind::Submitted,
-        });
-        st.dag.bind(root, idx, id, speculative);
-        let job = spec.into_job(id);
-        if !cfg.master_faults.is_empty() {
-            st.job_payloads.insert(id, job.clone());
-        }
-        dispatch(st, txs, cfg, job);
+        let (id, seq) = (job.id, o.seq);
+        st.outstanding.insert(id, o);
+        let msg = ToWorker::placement(offer, job, seq);
+        send_worker(st, txs, w, msg, now, vnow(), cfg.time_scale);
+        None
     };
 
     let baseline_pump = |st: &mut MasterState, txs: &[Sender<ToWorker>]| {
-        while !st.failover_pending && !st.ready.is_empty() && !st.idle.is_empty() {
+        while !st.core.failover_pending() && !st.ready.is_empty() && !st.idle.is_empty() {
             let job = st.ready.pop_front().expect("non-empty");
             // A worker that just rejected this job would accept it on
             // the rebound (reject-once); prefer any *other* idle
@@ -772,48 +651,11 @@ pub(crate) fn run_threaded_with_shareds(
             // Commit-before-act: an offer whose log entry died with
             // the leader never goes out; worker and job return to
             // their pools for the standby to re-place.
-            if !st.commit(SchedEvent {
-                at: vnow(),
-                worker: Some(WorkerId(w)),
-                job: Some(job.id),
-                kind: SchedEventKind::Offered,
-            }) {
+            if let Some(job) = place(st, txs, w, job, true) {
                 st.idle.push(w);
                 st.ready.push_front(job);
                 break;
             }
-            if !st.commit_task_assign(vnow(), w, job.id) {
-                st.idle.push(w);
-                st.ready.push_front(job);
-                break;
-            }
-            st.m.control_messages.inc();
-            let now = Instant::now();
-            let (seq, acked, attempt, next_retry, lease_deadline) =
-                arm_outstanding(st, job.id, now, &virt);
-            st.outstanding.insert(
-                job.id,
-                Outstanding {
-                    job: job.clone(),
-                    worker: w,
-                    assigned_at: now,
-                    seq,
-                    offer: true,
-                    acked,
-                    attempt,
-                    next_retry,
-                    lease_deadline,
-                },
-            );
-            send_worker(
-                st,
-                txs,
-                w,
-                ToWorker::Offer { job, seq },
-                now,
-                vnow(),
-                cfg.time_scale,
-            );
         }
     };
 
@@ -822,7 +664,7 @@ pub(crate) fn run_threaded_with_shareds(
                          rng: &mut RngStream,
                          id: JobId,
                          timed_out: bool| {
-        if st.failover_pending {
+        if st.core.failover_pending() {
             return;
         }
         let Some(c) = st.contests.remove(&id) else {
@@ -845,66 +687,21 @@ pub(crate) fn run_threaded_with_shareds(
         // entries reached a quorum. A truncated close leaves the job
         // contest-open in the state, a truncated assignment leaves it
         // unplaced — either way the elected standby re-enters it.
-        if !st.commit(SchedEvent {
-            at: vnow(),
-            worker: None,
-            job: Some(id),
-            kind: SchedEventKind::ContestClosed {
-                timed_out,
-                fallback,
-            },
-        }) {
+        if !st.core.close_contest(vnow(), None, id, timed_out, fallback) {
             st.contest_queue.push_front(c.job);
             return;
         }
         if timed_out {
             st.timed_out += 1;
-            st.m.contests_timed_out.inc();
+            st.core.m.contests_timed_out.inc();
         }
         if fallback {
             st.fallback += 1;
-            st.m.contests_fallback.inc();
+            st.core.m.contests_fallback.inc();
         }
-        st.m.contests_closed.inc();
-        if !st.commit(SchedEvent {
-            at: vnow(),
-            worker: Some(WorkerId(w)),
-            job: Some(id),
-            kind: SchedEventKind::Assigned,
-        }) {
-            st.contest_queue.push_front(c.job);
-            return;
+        if let Some(job) = place(st, txs, w, c.job, false) {
+            st.contest_queue.push_front(job);
         }
-        if !st.commit_task_assign(vnow(), w, id) {
-            st.contest_queue.push_front(c.job);
-            return;
-        }
-        st.m.control_messages.inc();
-        let now = Instant::now();
-        let (seq, acked, attempt, next_retry, lease_deadline) = arm_outstanding(st, id, now, &virt);
-        st.outstanding.insert(
-            id,
-            Outstanding {
-                job: c.job.clone(),
-                worker: w,
-                assigned_at: now,
-                seq,
-                offer: false,
-                acked,
-                attempt,
-                next_retry,
-                lease_deadline,
-            },
-        );
-        send_worker(
-            st,
-            txs,
-            w,
-            ToWorker::Assign { job: c.job, seq },
-            now,
-            vnow(),
-            cfg.time_scale,
-        );
     };
 
     let window_secs = match cfg.scheduler {
@@ -924,12 +721,12 @@ pub(crate) fn run_threaded_with_shareds(
         if st.outstanding.values().any(|o| o.worker == w) {
             return;
         }
-        st.commit(SchedEvent {
-            at: vnow(),
-            worker: Some(WorkerId(w)),
-            job: None,
-            kind: SchedEventKind::WorkerRemoved,
-        });
+        st.core.commit(
+            vnow(),
+            Some(WorkerId(w)),
+            None,
+            SchedEventKind::WorkerRemoved,
+        );
         st.draining[i] = false;
         st.departed[i] = true;
         st.known_live[i] = false;
@@ -939,6 +736,14 @@ pub(crate) fn run_threaded_with_shareds(
             // store survives on disk but the cluster cannot reach it).
             r.lock().drop_worker(w);
         }
+    };
+
+    // Real duration of one repair copy of `bytes` to `dest`
+    // ([`ReplicationConfig::repair_copy`]).
+    let repair_copy = |rs: &ReplState, obj: ObjectId, dest: u32, bytes: u64| {
+        let full = specs[dest as usize].net.time_for(bytes);
+        let copy = (rs.cfg).repair_copy(&rs.netfaults, obj, WorkerId(dest), full);
+        virt(copy.as_secs_f64())
     };
 
     // Drain the data plane's journal into the replicated log, in the
@@ -955,12 +760,7 @@ pub(crate) fn run_threaded_with_shareds(
                 kind,
                 SchedEventKind::ReplicaAdd { .. } | SchedEventKind::ReplicaDrop { .. }
             );
-            st.commit(SchedEvent {
-                at: vnow(),
-                worker: Some(WorkerId(w)),
-                job,
-                kind,
-            });
+            st.core.commit(vnow(), Some(WorkerId(w)), job, kind);
         }
         changed
     };
@@ -975,7 +775,7 @@ pub(crate) fn run_threaded_with_shareds(
         let Some(r) = &repl else {
             return;
         };
-        if st.failover_pending {
+        if st.core.failover_pending() {
             return;
         }
         let free: Vec<u64> = shareds
@@ -994,26 +794,30 @@ pub(crate) fn run_threaded_with_shareds(
                 .filter_map(|obj| {
                     let src = rs.map.replicas(obj).find(|&h| rs.alive[h as usize])?;
                     let bytes = rs.map.bytes(obj)?;
-                    let dest = (0..n as u32)
-                        .filter(|&w| st.eligible(w) && !rs.map.holds(obj, w))
-                        .max_by_key(|&w| (free[w as usize], std::cmp::Reverse(w)))?;
+                    let dest = ReplicationConfig::repair_dest(
+                        &rs.map,
+                        obj,
+                        n as u32,
+                        |w| st.eligible(w),
+                        |w| free[w as usize],
+                    )?;
                     Some((obj, src, dest, bytes))
                 })
                 .collect()
         };
         for (obj, src, dest, bytes) in picks {
-            if !st.commit(SchedEvent {
-                at: vnow(),
-                worker: Some(WorkerId(dest)),
-                job: None,
-                kind: SchedEventKind::RepairStart {
+            if !st.core.commit(
+                vnow(),
+                Some(WorkerId(dest)),
+                None,
+                SchedEventKind::RepairStart {
                     object: obj.0,
                     from: WorkerId(src),
                 },
-            }) {
+            ) {
                 continue;
             }
-            st.m.repairs_started.inc();
+            st.core.m.repairs_started.inc();
             let mut rs = r.lock();
             if rs.cfg.skip_repair {
                 // Sabotage: the decision is committed but the copy
@@ -1022,17 +826,12 @@ pub(crate) fn run_threaded_with_shareds(
                 continue;
             }
             rs.repairs.insert(obj, dest);
-            // A copy the data plane would lose degrades to a
-            // master-sourced transfer at nominal link speed: a
-            // committed repair always completes.
-            let lost = peer_dropped(&rs.cfg, &rs.netfaults, obj, dest, REPAIR_ATTEMPT_KEY);
-            let full = specs[dest as usize].net.time_for(bytes).as_secs_f64();
-            let secs = if lost {
-                full
-            } else {
-                full / rs.cfg.peer_bandwidth_scale
-            };
-            timers.push((Instant::now() + virt(secs), obj, dest, bytes));
+            timers.push((
+                Instant::now() + repair_copy(&rs, obj, dest, bytes),
+                obj,
+                dest,
+                bytes,
+            ));
         }
     };
 
@@ -1047,10 +846,7 @@ pub(crate) fn run_threaded_with_shareds(
                        txs: &[Sender<ToWorker>],
                        down: &[Option<Instant>],
                        timers: &mut Vec<(Instant, ObjectId, u32, u64)>| {
-        st.failover_pending = false;
-        let (_term, state, entries) = st.log.failover(vnow());
-        st.m.master_failovers.inc();
-        st.m.replay_entries.add(entries);
+        let (state, owed) = st.core.takeover(vnow());
         let pause = virt(cfg.master_faults.election_timeout_secs);
         if !pause.is_zero() {
             std::thread::sleep(pause);
@@ -1074,12 +870,7 @@ pub(crate) fn run_threaded_with_shareds(
         // Jobs the log proves submitted-but-unplaced (queued, mid-
         // contest, or whose assignment truncated) re-enter allocation
         // exactly once each.
-        for id in state.unplaced_jobs() {
-            let job = st
-                .job_payloads
-                .get(&id)
-                .cloned()
-                .expect("unplaced job without a retained payload");
+        for job in owed {
             dispatch(st, txs, cfg, job);
         }
         // The retain above may have emptied a draining worker's
@@ -1105,14 +896,12 @@ pub(crate) fn run_threaded_with_shareds(
                         continue;
                     };
                     rs.repairs.insert(obj, dest);
-                    let lost = peer_dropped(&rs.cfg, &rs.netfaults, obj, dest, REPAIR_ATTEMPT_KEY);
-                    let full = specs[dest as usize].net.time_for(bytes).as_secs_f64();
-                    let secs = if lost {
-                        full
-                    } else {
-                        full / rs.cfg.peer_bandwidth_scale
-                    };
-                    timers.push((Instant::now() + virt(secs), obj, dest, bytes));
+                    timers.push((
+                        Instant::now() + repair_copy(&rs, obj, dest, bytes),
+                        obj,
+                        dest,
+                        bytes,
+                    ));
                 }
             }
         }
@@ -1168,47 +957,22 @@ pub(crate) fn run_threaded_with_shareds(
         while pending_arrivals.front().is_some_and(|(at, _)| *at <= now) {
             let (_, spec) = pending_arrivals.pop_front().expect("non-empty");
             arrivals_seen += 1;
-            if let Some(dag) = spec.dag.clone() {
-                // Atomization: the arriving job never enters allocation
-                // itself — its DAG is registered under a root id and
-                // the gate-open tasks are released as ordinary jobs.
-                let root = st.alloc_id();
-                let released = st.dag.register(root, spec.task, dag);
-                for (idx, tspec) in released {
-                    submit_task_job(&mut st, &worker_txs, cfg, root, idx, tspec, false);
+            match st.core.admit(vnow(), spec) {
+                Admitted::Job(job) => dispatch(&mut st, &worker_txs, cfg, job),
+                Admitted::Dag { root, released } => {
+                    for (idx, tspec) in released {
+                        submit_task_job(&mut st, &worker_txs, cfg, root, idx, tspec);
+                    }
                 }
-                continue;
             }
-            let id = st.intake_id(&spec);
-            st.created += 1;
-            // A job spilled here from another shard enters as SpillIn
-            // under its federation-wide id; everything else is a plain
-            // submission.
-            let intake = match spec.origin.and_then(|o| o.spilled_from) {
-                Some(from_shard) => SchedEventKind::SpillIn { from_shard },
-                None => SchedEventKind::Submitted,
-            };
-            st.commit(SchedEvent {
-                at: vnow(),
-                worker: None,
-                job: Some(id),
-                kind: intake,
-            });
-            let job = spec.into_job(id);
-            if !cfg.master_faults.is_empty() {
-                st.job_payloads.insert(id, job.clone());
-            }
-            dispatch(&mut st, &worker_txs, cfg, job);
         }
 
         // Straggler sweep: replicate the slowest in-flight task once
         // enough siblings have completed to price "slow" (the sweep is
         // committed as SpecLaunch before the replica exists).
         if now >= next_spec_check {
-            if st.dag.is_active() {
-                if let Some(sp) = st.dag.straggler(vnow().as_secs_f64()) {
-                    submit_task_job(&mut st, &worker_txs, cfg, sp.root, sp.task, sp.spec, true);
-                }
+            if let Some(job) = st.core.launch_straggler(vnow()) {
+                dispatch(&mut st, &worker_txs, cfg, job);
             }
             next_spec_check = now + spec_check_real;
         }
@@ -1234,14 +998,10 @@ pub(crate) fn run_threaded_with_shareds(
                         s.committed_secs = 0.0;
                         s.declined.clear();
                     }
-                    st.m.worker_crashes.inc();
+                    st.core.m.worker_crashes.inc();
                     down_since[w] = Some(now);
-                    st.commit(SchedEvent {
-                        at: vnow(),
-                        worker: Some(wid),
-                        job: None,
-                        kind: SchedEventKind::Crash,
-                    });
+                    st.core
+                        .commit(vnow(), Some(wid), None, SchedEventKind::Crash);
                     if let Some(r) = &repl {
                         // The disk dies with the instance: diff its
                         // resident set out of the registry. The
@@ -1260,7 +1020,7 @@ pub(crate) fn run_threaded_with_shareds(
                         s.alive = true;
                         s.epoch += 1;
                     }
-                    st.m.worker_recoveries.inc();
+                    st.core.m.worker_recoveries.inc();
                     if let Some(since) = down_since[w].take() {
                         downtime_real += now.saturating_duration_since(since).as_secs_f64();
                     }
@@ -1272,12 +1032,8 @@ pub(crate) fn run_threaded_with_shareds(
                         // destination and peer endpoint again.
                         r.lock().alive[w] = true;
                     }
-                    st.commit(SchedEvent {
-                        at: vnow(),
-                        worker: Some(wid),
-                        job: None,
-                        kind: SchedEventKind::Recover,
-                    });
+                    st.core
+                        .commit(vnow(), Some(wid), None, SchedEventKind::Recover);
                     if st.draining[w] {
                         // A drainer that crashed mid-drain: its queue
                         // died with the instance, so once its stranded
@@ -1308,12 +1064,8 @@ pub(crate) fn run_threaded_with_shareds(
                     if st.known_live[w] || st.departed[w] || down_since[w].is_some() {
                         continue;
                     }
-                    st.commit(SchedEvent {
-                        at: vnow(),
-                        worker: Some(ev.worker),
-                        job: None,
-                        kind: SchedEventKind::WorkerJoined,
-                    });
+                    st.core
+                        .commit(vnow(), Some(ev.worker), None, SchedEventKind::WorkerJoined);
                     st.known_live[w] = true;
                     st.draining[w] = false;
                     if let Some(r) = &repl {
@@ -1330,12 +1082,12 @@ pub(crate) fn run_threaded_with_shareds(
                     if st.draining[w] || st.departed[w] {
                         continue;
                     }
-                    st.commit(SchedEvent {
-                        at: vnow(),
-                        worker: Some(ev.worker),
-                        job: None,
-                        kind: SchedEventKind::WorkerDraining,
-                    });
+                    st.core.commit(
+                        vnow(),
+                        Some(ev.worker),
+                        None,
+                        SchedEventKind::WorkerDraining,
+                    );
                     st.draining[w] = true;
                     st.idle.remove(ev.worker.0);
                     // Purge its bids from open contests — the shrunken
@@ -1363,12 +1115,8 @@ pub(crate) fn run_threaded_with_shareds(
                     // on the spot — queue and store die with it, its
                     // unfinished jobs re-enter allocation immediately
                     // (no detection delay), and it never returns.
-                    st.commit(SchedEvent {
-                        at: vnow(),
-                        worker: Some(ev.worker),
-                        job: None,
-                        kind: SchedEventKind::WorkerRemoved,
-                    });
+                    st.core
+                        .commit(vnow(), Some(ev.worker), None, SchedEventKind::WorkerRemoved);
                     st.draining[w] = false;
                     st.departed[w] = true;
                     st.known_live[w] = false;
@@ -1409,13 +1157,13 @@ pub(crate) fn run_threaded_with_shareds(
                     stranded.sort_unstable();
                     for id in stranded {
                         let o = st.outstanding.remove(&id).expect("present");
-                        st.m.jobs_redistributed.inc();
-                        st.commit(SchedEvent {
-                            at: vnow(),
-                            worker: Some(ev.worker),
-                            job: Some(id),
-                            kind: SchedEventKind::Redistributed,
-                        });
+                        st.core.m.jobs_redistributed.inc();
+                        st.core.commit(
+                            vnow(),
+                            Some(ev.worker),
+                            Some(id),
+                            SchedEventKind::Redistributed,
+                        );
                         dispatch(&mut st, &worker_txs, cfg, o.job);
                     }
                     baseline_pump(&mut st, &worker_txs);
@@ -1464,13 +1212,13 @@ pub(crate) fn run_threaded_with_shareds(
                 .collect();
             for id in stranded {
                 let o = st.outstanding.remove(&id).expect("present");
-                st.m.jobs_redistributed.inc();
-                st.commit(SchedEvent {
-                    at: vnow(),
-                    worker: Some(WorkerId(dw)),
-                    job: Some(id),
-                    kind: SchedEventKind::Redistributed,
-                });
+                st.core.m.jobs_redistributed.inc();
+                st.core.commit(
+                    vnow(),
+                    Some(WorkerId(dw)),
+                    Some(id),
+                    SchedEventKind::Redistributed,
+                );
                 dispatch(&mut st, &worker_txs, cfg, o.job);
             }
             // Reclaiming may have emptied a recovered drainer's
@@ -1504,34 +1252,22 @@ pub(crate) fn run_threaded_with_shareds(
                 .collect();
             for id in due_retries {
                 let retry = st.net.as_ref().expect("net active").plan.retry;
-                let seed = st.retry_seed(id, st.outstanding[&id].seq);
+                let seed = cfg.netfaults.retry_seed(id, st.outstanding[&id].seq);
                 let o = st.outstanding.get_mut(&id).expect("present");
                 let attempt = o.attempt;
                 o.attempt += 1;
                 // Exhaustion is not an error: the lease decides.
                 o.next_retry = retry.delay_secs(seed, attempt + 1).map(|d| now + virt(d));
-                let (w, msg) = (
-                    o.worker,
-                    if o.offer {
-                        ToWorker::Offer {
-                            job: o.job.clone(),
-                            seq: o.seq,
-                        }
-                    } else {
-                        ToWorker::Assign {
-                            job: o.job.clone(),
-                            seq: o.seq,
-                        }
-                    },
+                let w = o.worker;
+                let msg = ToWorker::placement(o.offer, o.job.clone(), o.seq);
+                st.core.m.net_retries.inc();
+                st.core.m.control_messages.inc();
+                st.core.commit(
+                    vnow(),
+                    Some(WorkerId(w)),
+                    Some(id),
+                    SchedEventKind::Resent { attempt },
                 );
-                st.m.net_retries.inc();
-                st.m.control_messages.inc();
-                st.commit(SchedEvent {
-                    at: vnow(),
-                    worker: Some(WorkerId(w)),
-                    job: Some(id),
-                    kind: SchedEventKind::Resent { attempt },
-                });
                 send_worker(&mut st, &worker_txs, w, msg, now, vnow(), cfg.time_scale);
             }
             // ...and bounce placements whose lease expired unacked
@@ -1546,14 +1282,14 @@ pub(crate) fn run_threaded_with_shareds(
                     .collect();
                 for id in expired {
                     let o = st.outstanding.remove(&id).expect("present");
-                    st.m.lease_expired.inc();
-                    st.commit(SchedEvent {
-                        at: vnow(),
-                        worker: Some(WorkerId(o.worker)),
-                        job: Some(id),
-                        kind: SchedEventKind::LeaseExpired,
-                    });
-                    if !st.done_ids.contains(&id) {
+                    st.core.m.lease_expired.inc();
+                    st.core.commit(
+                        vnow(),
+                        Some(WorkerId(o.worker)),
+                        Some(id),
+                        SchedEventKind::LeaseExpired,
+                    );
+                    if !st.core.is_done(id) {
                         dispatch(&mut st, &worker_txs, cfg, o.job);
                     }
                     finish_drain(&mut st, &down_since, o.worker);
@@ -1591,22 +1327,19 @@ pub(crate) fn run_threaded_with_shareds(
                         })
                         .collect();
                     let mut rs = r.lock();
-                    let nd = (0..n as u32)
-                        .filter(|&w| st.eligible(w) && !rs.map.holds(obj, w))
-                        .max_by_key(|&w| (free[w as usize], std::cmp::Reverse(w)));
+                    let nd = ReplicationConfig::repair_dest(
+                        &rs.map,
+                        obj,
+                        n as u32,
+                        |w| st.eligible(w),
+                        |w| free[w as usize],
+                    );
                     match nd {
                         Some(nd) => {
                             rs.repairs.insert(obj, nd);
-                            let lost =
-                                peer_dropped(&rs.cfg, &rs.netfaults, obj, nd, REPAIR_ATTEMPT_KEY);
-                            let full = specs[nd as usize].net.time_for(bytes).as_secs_f64();
-                            let secs = if lost {
-                                full
-                            } else {
-                                full / rs.cfg.peer_bandwidth_scale
-                            };
+                            let copy = repair_copy(&rs, obj, nd, bytes);
                             drop(rs);
-                            repair_timers.push((now + virt(secs), obj, nd, bytes));
+                            repair_timers.push((now + copy, obj, nd, bytes));
                         }
                         None => {
                             let wait = rs.cfg.fetch_timeout_secs;
@@ -1626,7 +1359,7 @@ pub(crate) fn run_threaded_with_shareds(
                 let evicted = s.store.insert(obj, bytes, vnow());
                 rs.journal
                     .push((dest, None, SchedEventKind::RepairDone { object: obj.0 }));
-                st.m.repairs_completed.inc();
+                st.core.m.repairs_completed.inc();
                 rs.note_insert(dest, &s.store, obj, bytes, evicted);
             }
             if drain_repl(&mut st) {
@@ -1638,7 +1371,7 @@ pub(crate) fn run_threaded_with_shareds(
         // the previous message) elects a standby before the loop can
         // block, break, or take further decisions. Each iteration
         // handles at most one message, so one check per pass suffices.
-        if st.failover_pending {
+        if st.core.failover_pending() {
             do_failover(&mut st, &worker_txs, &down_since, &mut repair_timers);
         }
 
@@ -1646,8 +1379,8 @@ pub(crate) fn run_threaded_with_shareds(
         // a completion past `created`; the run must still terminate so
         // the oracle can flag it.)
         if arrivals_seen == total_arrivals
-            && st.created > 0
-            && st.completed >= st.created
+            && st.core.created() > 0
+            && st.core.completed() >= st.core.created()
             && repl.as_ref().is_none_or(|r| {
                 // The run does not end while a committed repair is in
                 // flight or a data-plane event awaits commit.
@@ -1681,8 +1414,8 @@ pub(crate) fn run_threaded_with_shareds(
         // completion can still fire — report the partial run and let
         // the oracle name the lost jobs.
         if let Some(limit) = stall_limit {
-            if st.log.log().events().len() != seen_log_len {
-                seen_log_len = st.log.log().events().len();
+            if st.core.log_len() != seen_log_len {
+                seen_log_len = st.core.log_len();
                 last_progress = now;
             } else if arrivals_seen == total_arrivals
                 && now.saturating_duration_since(last_progress) > limit
@@ -1720,7 +1453,7 @@ pub(crate) fn run_threaded_with_shareds(
                         .flatten(),
                 )
                 .chain(stall_limit.map(|l| last_progress + l))
-                .chain(st.dag.is_active().then_some(next_spec_check))
+                .chain(st.core.dag().is_active().then_some(next_spec_check))
                 .chain(repair_timers.iter().map(|t| t.0))
                 .min();
             match intake.recv(next_deadline) {
@@ -1766,7 +1499,7 @@ pub(crate) fn run_threaded_with_shareds(
                 job,
                 estimate_secs,
             } => {
-                st.m.control_messages.inc();
+                st.core.m.control_messages.inc();
                 // Intake guard: a non-finite estimate is protocol
                 // garbage — never record it, never let it count
                 // toward the bid set.
@@ -1788,29 +1521,9 @@ pub(crate) fn run_threaded_with_shareds(
                     };
                     if recorded {
                         full = c.bids.len() >= live;
-                        st.m.bids_received.inc();
-                        st.m.bid_latency_secs
-                            .record(c.opened.elapsed().as_secs_f64() / cfg.time_scale);
-                    }
-                }
-                if recorded {
-                    st.commit(SchedEvent {
-                        at: vnow(),
-                        worker: Some(WorkerId(worker)),
-                        job: Some(job),
-                        kind: SchedEventKind::BidReceived { estimate_secs },
-                    });
-                    if let Some((root, task, _)) = st.dag.task_of(job) {
-                        st.commit(SchedEvent {
-                            at: vnow(),
-                            worker: Some(WorkerId(worker)),
-                            job: Some(job),
-                            kind: SchedEventKind::TaskBid {
-                                root,
-                                task,
-                                estimate_secs,
-                            },
-                        });
+                        let waited = c.opened.elapsed().as_secs_f64() / cfg.time_scale;
+                        st.core
+                            .record_bid(vnow(), WorkerId(worker), job, estimate_secs, waited);
                     }
                 }
                 if !recorded && cfg.mutation.accepts_late_bids() {
@@ -1823,19 +1536,19 @@ pub(crate) fn run_threaded_with_shareds(
                         (o.job.clone(), o.seq)
                     });
                     if let Some((j, seq)) = stolen {
-                        st.commit(SchedEvent {
-                            at: vnow(),
-                            worker: Some(WorkerId(worker)),
-                            job: Some(job),
-                            kind: SchedEventKind::BidReceived { estimate_secs },
-                        });
-                        st.commit(SchedEvent {
-                            at: vnow(),
-                            worker: Some(WorkerId(worker)),
-                            job: Some(job),
-                            kind: SchedEventKind::Assigned,
-                        });
-                        st.m.control_messages.inc();
+                        st.core.commit(
+                            vnow(),
+                            Some(WorkerId(worker)),
+                            Some(job),
+                            SchedEventKind::BidReceived { estimate_secs },
+                        );
+                        st.core.commit(
+                            vnow(),
+                            Some(WorkerId(worker)),
+                            Some(job),
+                            SchedEventKind::Assigned,
+                        );
+                        st.core.m.control_messages.inc();
                         send_worker(
                             &mut st,
                             &worker_txs,
@@ -1853,7 +1566,7 @@ pub(crate) fn run_threaded_with_shareds(
                 }
             }
             ToMaster::Reject { worker, job, seq } => {
-                st.m.control_messages.inc();
+                st.core.m.control_messages.inc();
                 // At-least-once tolerance: a reject acts only while
                 // the *exact* offer it answers (worker AND placement
                 // seq) is still outstanding. A duplicate delivery, or
@@ -1870,12 +1583,12 @@ pub(crate) fn run_threaded_with_shareds(
                     continue;
                 }
                 st.outstanding.remove(&job.id);
-                st.commit(SchedEvent {
-                    at: vnow(),
-                    worker: Some(WorkerId(worker)),
-                    job: Some(job.id),
-                    kind: SchedEventKind::Rejected,
-                });
+                st.core.commit(
+                    vnow(),
+                    Some(WorkerId(worker)),
+                    Some(job.id),
+                    SchedEventKind::Rejected,
+                );
                 st.rejected_by.insert(job.id, worker);
                 // A drainer bouncing its last offer must not re-enter
                 // the pull pool — it completes its drain instead.
@@ -1888,7 +1601,7 @@ pub(crate) fn run_threaded_with_shareds(
                 baseline_pump(&mut st, &worker_txs);
             }
             ToMaster::Idle { worker } => {
-                st.m.control_messages.inc();
+                st.core.m.control_messages.inc();
                 st.idle.push(worker);
                 baseline_pump(&mut st, &worker_txs);
             }
@@ -1899,12 +1612,12 @@ pub(crate) fn run_threaded_with_shareds(
                 fetch_secs,
                 proc_secs,
             } => {
-                st.m.control_messages.inc();
+                st.core.m.control_messages.inc();
                 if st.net.is_some() {
                     // Ack *every* delivery — retransmitted and
                     // duplicated copies included — so the worker stops
                     // resending even when the first ack was lost.
-                    st.m.control_messages.inc();
+                    st.core.m.control_messages.inc();
                     send_worker(
                         &mut st,
                         &worker_txs,
@@ -1918,31 +1631,21 @@ pub(crate) fn run_threaded_with_shareds(
                 st.outstanding.remove(&job.id);
                 st.rejected_by.remove(&job.id);
                 finish_drain(&mut st, &down_since, worker);
-                if st.dag.take_cancelled(job.id) {
+                let outcome = match st.core.complete(vnow(), WorkerId(worker), job.id) {
+                    // A redistributed copy already finished elsewhere,
+                    // or an at-least-once duplicate of a completion
+                    // already applied: side effects happen once.
+                    Completion::Duplicate => continue,
                     // Losing speculation replica: its cancellation was
                     // already committed and accounted — the eventual
                     // completion is swallowed without side effects,
                     // and so is any at-least-once duplicate of it.
-                    st.done_ids.insert(job.id);
-                    st.job_payloads.remove(&job.id);
-                    baseline_pump(&mut st, &worker_txs);
-                    continue;
-                }
-                if !st.done_ids.insert(job.id) && !cfg.mutation.drops_dedup() {
-                    // A redistributed copy already finished elsewhere,
-                    // or an at-least-once duplicate of a completion
-                    // already applied: side effects happen once.
-                    continue;
-                }
-                st.completed += 1;
-                st.commit(SchedEvent {
-                    at: vnow(),
-                    worker: Some(WorkerId(worker)),
-                    job: Some(job.id),
-                    kind: SchedEventKind::Completed,
-                });
-                st.job_payloads.remove(&job.id);
-                st.m.jobs_completed.inc();
+                    Completion::Cancelled => {
+                        baseline_pump(&mut st, &worker_txs);
+                        continue;
+                    }
+                    Completion::Counted(outcome) => outcome,
+                };
                 last_completion = Instant::now();
                 wait_stats.push(wait_secs.max(0.0));
                 assignments.push((job.id, WorkerId(worker)));
@@ -1982,7 +1685,7 @@ pub(crate) fn run_threaded_with_shareds(
                         at: finished,
                     });
                 }
-                match st.dag.on_done(job.id, vnow().as_secs_f64()) {
+                match outcome {
                     DoneOutcome::NotTask => {
                         let mut out: Vec<JobSpec> = Vec::new();
                         let ctx = TaskCtx {
@@ -1991,18 +1694,7 @@ pub(crate) fn run_threaded_with_shareds(
                         };
                         workflow.logic_mut(job.task).process(&job, &ctx, &mut out);
                         for spec in out {
-                            let id = st.alloc_id();
-                            st.created += 1;
-                            st.commit(SchedEvent {
-                                at: vnow(),
-                                worker: None,
-                                job: Some(id),
-                                kind: SchedEventKind::Submitted,
-                            });
-                            let spawned = spec.into_job(id);
-                            if !cfg.master_faults.is_empty() {
-                                st.job_payloads.insert(id, spawned.clone());
-                            }
+                            let spawned = st.core.spawn(vnow(), spec);
                             dispatch(&mut st, &worker_txs, cfg, spawned);
                         }
                     }
@@ -2014,15 +1706,6 @@ pub(crate) fn run_threaded_with_shareds(
                         released,
                         losers,
                     } => {
-                        if !st.commit(SchedEvent {
-                            at: vnow(),
-                            worker: Some(WorkerId(worker)),
-                            job: Some(job.id),
-                            kind: SchedEventKind::TaskDone { root, task },
-                        }) {
-                            baseline_pump(&mut st, &worker_txs);
-                            continue;
-                        }
                         // The winner's output is born on its executor:
                         // downstream task bids see it as local state —
                         // and, under replication, as a fresh replica.
@@ -2041,27 +1724,19 @@ pub(crate) fn run_threaded_with_shareds(
                             // Exactly-once accounting: the loser is
                             // retired at cancellation, and its eventual
                             // Done is swallowed at intake above.
-                            if st.commit(SchedEvent {
-                                at: vnow(),
-                                worker: None,
-                                job: Some(loser),
-                                kind: SchedEventKind::SpecCancel { root, task },
-                            }) {
-                                st.dag.cancel(loser);
-                                st.completed += 1;
-                                st.job_payloads.remove(&loser);
+                            if st.core.cancel_loser(vnow(), loser, root, task) {
                                 st.outstanding.remove(&loser);
                             }
                         }
                         for (idx, tspec) in released {
-                            submit_task_job(&mut st, &worker_txs, cfg, root, idx, tspec, false);
+                            submit_task_job(&mut st, &worker_txs, cfg, root, idx, tspec);
                         }
                     }
                 }
                 baseline_pump(&mut st, &worker_txs);
             }
             ToMaster::AckAssign { worker, job, seq } => {
-                st.m.control_messages.inc();
+                st.core.m.control_messages.inc();
                 // The ack must match the *current* placement: a stale
                 // ack for a placement that was since bounced and
                 // re-made elsewhere must not stand down the new
@@ -2071,13 +1746,13 @@ pub(crate) fn run_threaded_with_shareds(
                     .get(&job)
                     .is_some_and(|o| o.worker == worker && o.seq == seq && !o.acked);
                 if matches {
-                    st.m.acks_received.inc();
-                    st.commit(SchedEvent {
-                        at: vnow(),
-                        worker: Some(WorkerId(worker)),
-                        job: Some(job),
-                        kind: SchedEventKind::AssignAcked,
-                    });
+                    st.core.m.acks_received.inc();
+                    st.core.commit(
+                        vnow(),
+                        Some(WorkerId(worker)),
+                        Some(job),
+                        SchedEventKind::AssignAcked,
+                    );
                     if !cfg.mutation.ignores_acks() {
                         let o = st.outstanding.get_mut(&job).expect("present");
                         o.acked = true;
@@ -2107,7 +1782,7 @@ pub(crate) fn run_threaded_with_shareds(
 
     // A run that completed nothing has no makespan: report explicit
     // zeros instead of clock residue.
-    let makespan_secs = if st.completed > 0 {
+    let makespan_secs = if st.core.completed() > 0 {
         last_completion
             .saturating_duration_since(start)
             .as_secs_f64()
@@ -2119,65 +1794,32 @@ pub(crate) fn run_threaded_with_shareds(
     for since in down_since.iter().flatten() {
         downtime_real += end.saturating_duration_since(*since).as_secs_f64();
     }
-    let mut misses = 0;
-    let mut hits = 0;
-    let mut peer_fetches = 0;
-    let mut evictions = 0;
-    let mut bytes = 0u64;
-    let mut busy = Vec::with_capacity(n);
-    for (i, s) in shareds.iter().enumerate() {
+    let totals = RunTotals {
+        scheduler: match cfg.scheduler {
+            ThreadedScheduler::Bidding { .. } => SchedulerKind::Bidding,
+            ThreadedScheduler::Baseline => SchedulerKind::Baseline,
+        },
+        makespan_secs,
+        contests_timed_out: st.timed_out,
+        contests_fallback: st.fallback,
+        mean_queue_wait_secs: wait_stats.mean(),
+        recovery_secs: downtime_real / cfg.time_scale,
+    };
+    let workers = shareds.iter().map(|s| {
         let s = s.lock();
-        let st2 = s.store.stats();
-        misses += st2.misses;
-        hits += st2.hits;
-        peer_fetches += st2.peer_fetches;
-        evictions += st2.evictions;
-        bytes += st2.bytes_admitted;
         let frac = if makespan_secs > 0.0 {
             (s.busy_secs / makespan_secs).min(1.0)
         } else {
             0.0
         };
-        metrics.set_worker_busy_frac(i, frac);
-        busy.push(frac);
-    }
-    metrics.cache_misses.add(misses);
-    metrics.cache_hits.add(hits);
-    metrics.peer_fetches.add(peer_fetches);
-    metrics.cache_evictions.add(evictions);
-    metrics.set_makespan_secs(makespan_secs);
-    metrics.set_data_load_mb(bytes as f64 / 1e6);
-
-    let record = RunRecord {
-        scheduler: match cfg.scheduler {
-            ThreadedScheduler::Bidding { .. } => SchedulerKind::Bidding,
-            ThreadedScheduler::Baseline => SchedulerKind::Baseline,
-        },
-        worker_config: meta.worker_config.clone(),
-        job_config: meta.job_config.clone(),
-        iteration: meta.iteration,
-        seed: meta.seed,
-        makespan_secs,
-        data_load_mb: bytes as f64 / 1e6,
-        cache_misses: misses,
-        cache_hits: hits,
-        evictions,
-        jobs_completed: st.completed,
-        control_messages: metrics.control_messages.get() - base_control,
-        contests_timed_out: st.timed_out,
-        contests_fallback: st.fallback,
-        mean_queue_wait_secs: wait_stats.mean(),
-        worker_busy_frac: busy,
-        jobs_redistributed: metrics.jobs_redistributed.get() - base_redistributed,
-        worker_crashes: metrics.worker_crashes.get() - base_crashes,
-        recovery_secs: downtime_real / cfg.time_scale,
-    };
+        (*s.store.stats(), frac)
+    });
     RunOutput {
-        record,
+        record: st.core.record(meta, totals, workers),
         events: 0,
         assignments,
         trace: trace.take().unwrap_or_default(),
-        sched_log: st.log.into_log(),
+        sched_log: st.core.take_log(),
         metrics: metrics.snapshot(),
         anomalies: Vec::new(),
         replicas: repl.as_ref().map(|r| r.lock().map.clone()),

@@ -118,3 +118,14 @@ pub(crate) enum ToWorker {
     /// Run terminated; exit threads.
     Shutdown,
 }
+
+impl ToWorker {
+    /// The message that delivers a placement.
+    fn placement(offer: bool, job: Job, seq: u64) -> Self {
+        if offer {
+            ToWorker::Offer { job, seq }
+        } else {
+            ToWorker::Assign { job, seq }
+        }
+    }
+}

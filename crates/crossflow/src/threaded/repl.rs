@@ -22,7 +22,6 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use crossbid_simcore::rng::splitmix64;
 use crossbid_simcore::SimTime;
 use crossbid_storage::{LocalStore, ObjectId, ReplicaMap};
 
@@ -34,36 +33,6 @@ use crate::trace::SchedEventKind;
 /// One journaled data-plane event awaiting commit by the master:
 /// `(worker, job, kind)`.
 pub(crate) type JournalEntry = (u32, Option<JobId>, SchedEventKind);
-
-/// Deterministic data-plane loss for one peer transfer attempt — the
-/// exact sampler the simulation engine uses (hash of net seed, object,
-/// endpoint, attempt), so a (seed, plan) pair replays the same drops
-/// on both runtimes. Composes the replication plane's own
-/// `peer_drop_prob` with any active link loss as independent failures.
-pub(crate) fn peer_dropped(
-    cfg: &ReplicationConfig,
-    net: &NetFaultPlan,
-    obj: ObjectId,
-    w: u32,
-    attempt: u32,
-) -> bool {
-    let keep = (1.0 - cfg.peer_drop_prob) * (1.0 - net.to_worker.drop_prob);
-    let p = 1.0 - keep;
-    if p <= 0.0 {
-        return false;
-    }
-    let mut s = net
-        .seed
-        .wrapping_add(obj.0.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(((w as u64) << 32) | attempt as u64);
-    let u = (splitmix64(&mut s) >> 11) as f64 / (1u64 << 53) as f64;
-    u < p
-}
-
-/// Attempt key separating repair-copy loss samples from fetch-attempt
-/// samples of the same (object, worker) pair — same constant as the
-/// engine's.
-pub(crate) const REPAIR_ATTEMPT_KEY: u32 = 0x8000_0000;
 
 pub(crate) struct ReplState {
     /// Effective config (mutation sabotage flags already folded in).
@@ -125,7 +94,7 @@ impl ReplState {
 
     /// Deterministic loss sample for one peer transfer attempt.
     pub fn peer_lost(&self, obj: ObjectId, w: u32, attempt: u32) -> bool {
-        peer_dropped(&self.cfg, &self.netfaults, obj, w, attempt)
+        (self.netfaults).peer_dropped(self.cfg.peer_drop_prob, obj, WorkerId(w), attempt)
     }
 
     /// Live peers currently holding `obj` (ascending id), excluding
@@ -135,20 +104,6 @@ impl ReplState {
             .replicas(obj)
             .filter(|&h| h != exclude && self.alive[h as usize])
             .collect()
-    }
-
-    /// Seeded backoff before rotating to the next replica — the
-    /// engine's recipe, keyed on (net seed, job, object, attempt).
-    pub fn fetch_backoff_secs(&self, job: JobId, obj: ObjectId, attempt: u32) -> f64 {
-        let retry = self.netfaults.retry;
-        let seed = self
-            .netfaults
-            .seed
-            .wrapping_add(job.0.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(obj.0);
-        retry
-            .delay_secs(seed, attempt.min(retry.max_attempts.saturating_sub(1)))
-            .unwrap_or(retry.base_secs)
     }
 
     /// Apply every pending pin directive for worker `me` to its store.

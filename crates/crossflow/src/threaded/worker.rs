@@ -168,11 +168,6 @@ struct DoneRelay {
     pending: Arc<Mutex<Vec<PendingDone>>>,
 }
 
-/// Per-(worker, job) jitter seed for `Done` retransmission backoff.
-fn done_retry_seed(seed: u64, job: JobId) -> u64 {
-    seed.wrapping_add(job.0.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
 /// Spawn one worker's bidder + executor threads.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn spawn_worker(
@@ -255,10 +250,9 @@ pub(crate) fn spawn_worker(
                                 proc_secs: d.proc_secs,
                             });
                             d.attempt += 1;
-                            let capped = d.attempt.min(r.max_attempts.saturating_sub(1));
-                            let delay = r
-                                .delay_secs(done_retry_seed(seed, d.job.id), capped)
-                                .unwrap_or(r.cap_secs);
+                            let series = RetryPolicy::series_seed(seed, d.job.id, 0);
+                            let delay =
+                                r.capped_delay_secs(series, d.attempt).unwrap_or(r.cap_secs);
                             d.next = now + virt(delay);
                         }
                     }
@@ -651,7 +645,7 @@ fn execute_one(
         // completion: the `Done` below crosses a lossy link.
         let d = rel
             .retry
-            .delay_secs(done_retry_seed(rel.seed, job.id), 0)
+            .delay_secs(RetryPolicy::series_seed(rel.seed, job.id, 0), 0)
             .unwrap_or(rel.retry.base_secs);
         rel.pending.lock().push(PendingDone {
             job: job.clone(),
@@ -798,7 +792,7 @@ fn peer_fetch(
                                 attempt,
                             },
                         ));
-                        rp.fetch_backoff_secs(job.id, r.id, attempt)
+                        rp.netfaults.fetch_backoff_secs(job.id, r.id, attempt)
                     };
                     sleep_virtual(backoff, time_scale);
                     total += backoff;

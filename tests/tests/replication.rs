@@ -19,8 +19,9 @@
 use crossbid_checker::{check_log, OracleOptions};
 use crossbid_core::BiddingAllocator;
 use crossbid_crossflow::{
-    Arrival, EngineConfig, FaultPlan, Faults, JobSpec, NetFaultPlan, Payload, ReplicationConfig,
-    ResourceRef, RunOutput, RunSpec, SchedState, WorkerId, WorkerSpec, Workflow,
+    run_workflow, Arrival, Cluster, EngineConfig, FaultPlan, Faults, JobSpec, NetFaultPlan,
+    Payload, ReplicationConfig, ResourceRef, RetryPolicy, RunMeta, RunOutput, RunSpec, SchedState,
+    WorkerId, WorkerSpec, Workflow,
 };
 use crossbid_net::{ControlPlane, NoiseModel};
 use crossbid_simcore::{SimDuration, SimTime};
@@ -225,6 +226,60 @@ fn peer_loss_retries_then_degrades_to_master_fetch() {
     let violations = check_log(log, oracle_options(3));
     assert!(violations.is_empty(), "{violations:?}");
     assert_replay_matches(&out);
+}
+
+/// `run_workflow` takes its config as given: a retry policy that never
+/// went through `NetFaultPlan::validate` may say `max_attempts: 0`.
+/// The peer-fetch backoff then falls back to the base delay — it used
+/// to compute `max_attempts - 1` and underflow.
+#[test]
+fn peer_fetch_backoff_tolerates_an_unvalidated_zero_attempt_policy() {
+    let cfg = EngineConfig {
+        control: ControlPlane::instant(),
+        data_latency: SimDuration::ZERO,
+        noise: NoiseModel::None,
+        replication: ReplicationConfig {
+            peer_drop_prob: 1.0,
+            fetch_timeout_secs: 0.5,
+            ..ReplicationConfig::with_factor(2)
+        },
+        netfaults: NetFaultPlan {
+            retry: RetryPolicy {
+                max_attempts: 0,
+                ..RetryPolicy::default()
+            },
+            ..NetFaultPlan::none()
+        },
+        trace: true,
+        ..EngineConfig::default()
+    };
+    let mut cluster = Cluster::new(&specs(3), &cfg);
+    let mut wf = Workflow::new();
+    let task = wf.add_sink("scan");
+    // The burst of `peer_loss_retries_then_degrades_to_master_fetch`:
+    // it pushes placements onto the data-less third worker.
+    let mut arr = arrivals_spaced(task, 1, 1, 0.0);
+    arr.extend(
+        arrivals_spaced(task, 9, 1, 0.25)
+            .into_iter()
+            .map(|a| Arrival {
+                at: a.at + SimDuration::from_secs(30),
+                ..a
+            }),
+    );
+    let out = run_workflow(
+        &mut cluster,
+        &mut wf,
+        &BiddingAllocator::new(),
+        arr,
+        &cfg,
+        &RunMeta::default(),
+    );
+    assert_eq!(out.record.jobs_completed, 10);
+    assert!(
+        out.sched_log.fetch_fails() >= 1,
+        "the backoff under test only runs after a lost peer transfer"
+    );
 }
 
 /// A crash of a replica holder triggers a committed re-replication:

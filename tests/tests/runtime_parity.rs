@@ -247,3 +247,54 @@ fn threaded_session_keeps_caches_warm_across_iterations() {
         );
     }
 }
+
+#[test]
+fn ledger_shapes_agree_across_runtimes() {
+    // Both masters write their intake, placement and completion entries
+    // through one `MasterCore`, so what the log says happened to each
+    // job — bids, contests, acks and data-plane traffic projected out —
+    // must be the same multiset of shapes whichever runtime drove it.
+    // (Baseline re-offers and speculation depend on timing and stay out
+    // of this.)
+    use crossbid_checker::{Run, Scenario};
+    use crossbid_crossflow::{sched_kind_name, SchedEventKind as K, SchedLog};
+    use std::collections::BTreeMap;
+
+    fn shapes(log: &SchedLog) -> Vec<String> {
+        let mut per_job: BTreeMap<u64, String> = BTreeMap::new();
+        for e in log.events() {
+            let ledger = matches!(
+                e.kind,
+                K::Submitted
+                    | K::SpillIn { .. }
+                    | K::Assigned
+                    | K::Offered
+                    | K::Rejected
+                    | K::Redistributed
+                    | K::Completed
+            );
+            if let (true, Some(job)) = (ledger, e.job) {
+                let shape = per_job.entry(job.0).or_default();
+                shape.push_str(sched_kind_name(&e.kind));
+                shape.push(' ');
+            }
+        }
+        let mut all: Vec<String> = per_job.into_values().collect();
+        all.sort();
+        all
+    }
+
+    for name in ["hot_repo_bidding", "two_repos_bidding", "repl_f3_lossy"] {
+        let sc = Scenario::builtin(name);
+        for seed in 1..=3 {
+            let sim = sc.run(&Run::sim(seed));
+            let thr = sc.run(&Run::threaded(seed));
+            assert_eq!(
+                shapes(sim.log()),
+                shapes(thr.log()),
+                "{name} seed {seed}: per-job ledger shapes differ between runtimes"
+            );
+            assert_eq!(sim.completed, thr.completed, "{name} seed {seed}");
+        }
+    }
+}
