@@ -492,6 +492,34 @@ impl DagState {
         released
     }
 
+    /// The `TaskOffer` of a task that [`register`](Self::register) or
+    /// [`on_done`](Self::on_done) released never committed: the task
+    /// is owed a release again ([`reopen_frontier`](Self::reopen_frontier)).
+    pub(crate) fn unoffer(&mut self, root: JobId, task: u32) {
+        if let Some(d) = self.dags.get_mut(&root) {
+            d.offered &= !(1 << task);
+        }
+    }
+
+    /// Every task of an in-flight DAG that is releasable — gate open,
+    /// not done — and not offered, in `(root, task)` order, marked
+    /// offered again: what a standby releases at takeover. Empty
+    /// unless a release was [`unoffer`](Self::unoffer)ed.
+    pub(crate) fn reopen_frontier(&mut self) -> Vec<(JobId, u32, JobSpec)> {
+        let mut owed = Vec::new();
+        for (&root, d) in &mut self.dags {
+            for i in 0..d.dag.len() as u32 {
+                let bit = 1u64 << i;
+                let gate_open = d.dag.tasks[i as usize].preds & !d.done == 0;
+                if (d.offered | d.done) & bit == 0 && (gate_open || self.cfg.release_all) {
+                    d.offered |= bit;
+                    owed.push((root, i, d.dag.task_spec(d.stage, i)));
+                }
+            }
+        }
+        owed
+    }
+
     /// Bind the job id the caller allocated for a released task (or a
     /// speculative replica, after its `SpecLaunch` committed) of an
     /// incomplete DAG.

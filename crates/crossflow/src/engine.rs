@@ -34,7 +34,7 @@ use crate::faults::{
     NetFaultPlan,
 };
 use crate::job::{Arrival, Job, JobId, JobSpec, ShardId, WorkerId};
-use crate::master_core::{warm_seed, Admitted, Completion, MasterCore, RunTotals};
+use crate::master_core::{warm_seed, Admitted, Completion, MasterCore, RunTotals, Takeover};
 use crate::obs::RuntimeMetrics;
 use crate::replog::ReplicatedLog;
 use crate::scheduler::{
@@ -2181,7 +2181,11 @@ impl<'a> Engine<'a> {
     /// re-announce themselves so pull-based schedulers resume.
     fn do_failover(&mut self) {
         let now = self.q.now();
-        let (state, owed) = self.core.takeover(now);
+        let Takeover {
+            state,
+            unplaced,
+            frontier,
+        } = self.core.takeover(now);
         // The dead leader's contest tallies would vanish with its
         // scheduler instance; carry them into the run totals.
         let stats = self.master.stats();
@@ -2218,8 +2222,13 @@ impl<'a> Engine<'a> {
         // allocation exactly once. Placed jobs are left alone: their
         // worker (or the engine's lease/retry machinery) still owns
         // them, and completions route to the new leader unchanged.
-        for job in owed {
+        for job in unplaced {
             self.run_master(|m, ctx| m.on_job(job, ctx));
+        }
+        // Tasks whose release truncated with the dead leader are
+        // released afresh (new term, fresh ids).
+        for (root, idx, spec) in frontier {
+            self.submit_task_job(root, idx, spec, false);
         }
         // Resume the data-plane repair obligation. Copies already in
         // flight stay in `repairs` (commit-before-copy: their
@@ -2408,6 +2417,10 @@ pub fn run_workflow(
         "conservation violated: {} created vs {} completed",
         engine.core.created(),
         engine.core.completed()
+    );
+    assert!(
+        !engine.core.dag().is_active(),
+        "conservation violated: the run drained with a DAG still in flight"
     );
 
     let makespan = engine.last_completion;

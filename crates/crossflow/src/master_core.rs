@@ -69,6 +69,13 @@ pub(crate) enum Completion {
     Counted(DoneOutcome),
 }
 
+/// What a standby inherits ([`MasterCore::takeover`]).
+pub(crate) struct Takeover {
+    pub state: SchedState,
+    pub unplaced: Vec<Job>,
+    pub frontier: Vec<(JobId, u32, JobSpec)>,
+}
+
 /// The per-run figures of a [`RunRecord`] only the driver knows.
 pub(crate) struct RunTotals {
     pub scheduler: SchedulerKind,
@@ -277,7 +284,11 @@ impl MasterCore {
     /// Release one DAG task (or a speculative replica of one) into
     /// allocation: the `TaskOffer`/`SpecLaunch` decision is committed
     /// under a freshly allocated job id before the job exists. `None`:
-    /// the append truncated and the submission died with the leader.
+    /// the append truncated and the submission died with the leader —
+    /// a task is then owed its release again at [`takeover`]
+    /// (a straggler is simply found again by a later sweep).
+    ///
+    /// [`takeover`]: Self::takeover
     pub(crate) fn release_task(
         &mut self,
         now: SimTime,
@@ -299,6 +310,10 @@ impl MasterCore {
             }
         };
         if !self.commit(now, None, Some(id), kind) {
+            if !speculative {
+                // Not offered after all: the takeover re-derives it.
+                self.dag.unoffer(root, task);
+            }
             return None;
         }
         let job = self.submit(now, id, spec, SchedEventKind::Submitted);
@@ -456,11 +471,16 @@ impl MasterCore {
     }
 
     /// Elect a standby after a leader crash: replay the committed log
-    /// into a [`SchedState`] and hand back the work the log proves
-    /// owed — every submitted-but-unplaced job, by id, with its
-    /// retained payload. Placed jobs are left alone: their worker (or
-    /// the driver's lease machinery) still owns them.
-    pub(crate) fn takeover(&mut self, now: SimTime) -> (SchedState, Vec<Job>) {
+    /// into a [`SchedState`] and hand back the work that is owed, for
+    /// the driver to re-enter in this order — every
+    /// submitted-but-unplaced job, by id, with its retained payload,
+    /// then every releasable task whose `TaskOffer` never committed,
+    /// by `(root, task)`, for [`release_task`](Self::release_task)
+    /// (this includes a DAG none of whose tasks was ever offered, which
+    /// the log does not know exists). Placed jobs are left alone:
+    /// their worker (or the driver's lease machinery) still owns them.
+    /// Pending repairs are read off the state by the driver.
+    pub(crate) fn takeover(&mut self, now: SimTime) -> Takeover {
         self.failover_pending = false;
         let log = self
             .log
@@ -473,7 +493,7 @@ impl MasterCore {
             .payloads
             .as_ref()
             .expect("failover without retained payloads");
-        let owed = state
+        let unplaced = state
             .unplaced_jobs()
             .into_iter()
             .map(|id| {
@@ -483,7 +503,11 @@ impl MasterCore {
                     .expect("unplaced job without a retained payload")
             })
             .collect();
-        (state, owed)
+        Takeover {
+            state,
+            unplaced,
+            frontier: self.dag.reopen_frontier(),
+        }
     }
 
     /// End of run: fold each worker's store accounting and busy
@@ -551,4 +575,376 @@ pub(crate) fn warm_seed(
     seeded.sort_unstable();
     seeded.dedup();
     seeded
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::{BTreeSet, VecDeque};
+
+    use crossbid_simcore::SimDuration;
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::atomize::{TaskDag, TaskNode};
+    use crate::faults::MasterFaultPlan;
+    use crate::job::{FedIdentity, Payload, ResourceRef, TaskId};
+
+    const W: WorkerId = WorkerId(0);
+
+    fn task(preds: u64, out: u64) -> TaskNode {
+        TaskNode {
+            preds,
+            input: None,
+            output: ResourceRef {
+                id: ObjectId(out),
+                bytes: 1000,
+            },
+            work_bytes: 0,
+            cpu_secs: 1.0,
+        }
+    }
+
+    /// t0 → {t1, t2} → t3.
+    fn diamond() -> TaskDag {
+        TaskDag::new(vec![task(0, 10), task(1, 11), task(1, 12), task(6, 13)]).unwrap()
+    }
+
+    fn core(shard: ShardId, crash_at: Option<u64>) -> MasterCore {
+        let mut plan = MasterFaultPlan::new();
+        if let Some(k) = crash_at {
+            plan = plan.crash_at(k);
+        }
+        // An eager detector: one completed task prices "slow", and any
+        // task a step older than a tenth of it is a straggler.
+        let atomize = AtomizeConfig {
+            spec_factor: 0.1,
+            min_completed_for_spec: 1,
+            ..AtomizeConfig::default()
+        };
+        let m = RuntimeMetrics::from_sink(None);
+        MasterCore::new(
+            Some(ReplicatedLog::new(&plan)),
+            shard,
+            atomize,
+            true,
+            true,
+            m,
+        )
+    }
+
+    /// What a truncated append must leave untouched.
+    #[derive(Debug, PartialEq)]
+    struct Ledger {
+        created: u64,
+        completed: u64,
+        retained: usize,
+        committed: usize,
+        bound: Vec<Option<(JobId, u32, bool)>>,
+    }
+
+    /// A driver with no runtime: one worker's worth of bookkeeping
+    /// around a [`MasterCore`], shadowing what is owed so every
+    /// takeover can be checked against it.
+    struct Mini {
+        core: MasterCore,
+        now: SimTime,
+        /// Submitted, awaiting placement.
+        queue: VecDeque<Job>,
+        /// Placement sent, report not yet delivered.
+        running: Vec<Job>,
+        /// Submitted and not accounted complete.
+        open: BTreeSet<JobId>,
+        /// Jobs whose placement message went out.
+        sent: BTreeSet<JobId>,
+        /// Released by the DAG layer, release truncated.
+        unreleased: BTreeSet<(JobId, u32)>,
+        /// Every id ever handed out by the core.
+        ids: Vec<JobId>,
+        swallowed: Vec<JobId>,
+        takeovers: u32,
+    }
+
+    impl Mini {
+        fn new(crash_at: Option<u64>) -> Self {
+            Mini {
+                core: core(ShardId(0), crash_at),
+                now: SimTime::ZERO,
+                queue: VecDeque::new(),
+                running: Vec::new(),
+                open: BTreeSet::new(),
+                sent: BTreeSet::new(),
+                unreleased: BTreeSet::new(),
+                ids: Vec::new(),
+                swallowed: Vec::new(),
+                takeovers: 0,
+            }
+        }
+
+        fn ledger(&self) -> Ledger {
+            Ledger {
+                created: self.core.created(),
+                completed: self.core.completed(),
+                retained: self.core.payloads.as_ref().map_or(0, HashMap::len),
+                committed: self.core.log_len(),
+                bound: self
+                    .ids
+                    .iter()
+                    .map(|&j| self.core.dag().task_of(j))
+                    .collect(),
+            }
+        }
+
+        fn enter(&mut self, job: Job) {
+            self.ids.push(job.id);
+            assert!(self.open.insert(job.id), "{:?} submitted twice", job.id);
+            self.queue.push_back(job);
+        }
+
+        fn release(&mut self, root: JobId, task: u32, spec: JobSpec) {
+            let before = self.ledger();
+            match self.core.release_task(self.now, root, task, spec, false) {
+                Some(job) => self.enter(job),
+                None => {
+                    assert_eq!(self.ledger(), before, "a truncated release left a mark");
+                    assert!(self.core.failover_pending());
+                    self.unreleased.insert((root, task));
+                }
+            }
+        }
+
+        fn arrive(&mut self, spec: JobSpec) {
+            match self.core.admit(self.now, spec) {
+                Admitted::Job(job) => self.enter(job),
+                Admitted::Dag { root, released } => {
+                    for (task, spec) in released {
+                        self.release(root, task, spec);
+                    }
+                }
+            }
+            self.settle();
+        }
+
+        /// Run the takeover if the leader died, then place what waits.
+        fn settle(&mut self) {
+            while self.core.failover_pending() {
+                self.takeovers += 1;
+                let Takeover {
+                    unplaced, frontier, ..
+                } = self.core.takeover(self.now);
+                // The log, the payload table and the DAG frontier
+                // re-derive exactly the work that is owed.
+                let owed: Vec<JobId> = self.open.difference(&self.sent).copied().collect();
+                let unplaced_ids: Vec<JobId> = unplaced.iter().map(|j| j.id).collect();
+                assert_eq!(unplaced_ids, owed);
+                let frontier_ids: Vec<(JobId, u32)> =
+                    frontier.iter().map(|(r, t, _)| (*r, *t)).collect();
+                let unreleased: Vec<(JobId, u32)> = self.unreleased.iter().copied().collect();
+                assert_eq!(frontier_ids, unreleased);
+                self.unreleased.clear();
+                self.queue = unplaced.into();
+                for (root, task, spec) in frontier {
+                    self.release(root, task, spec);
+                }
+            }
+            while let Some(job) = self.queue.pop_front() {
+                let before = self.ledger();
+                if self.core.place(self.now, W, job.id, false) {
+                    self.sent.insert(job.id);
+                    self.running.push(job);
+                } else {
+                    // Dropped with the leader; the standby re-enters it.
+                    assert_eq!(self.ledger(), before, "a truncated placement left a mark");
+                    return self.settle();
+                }
+                if self.core.failover_pending() {
+                    return self.settle();
+                }
+            }
+        }
+
+        /// `job`'s worker reports it done — twice, as a lossy link would.
+        fn report(&mut self, job: Job) {
+            self.now += SimDuration::from_secs(1);
+            if let Some(replica) = self.core.launch_straggler(self.now) {
+                self.enter(replica);
+            }
+            match self.core.complete(self.now, W, job.id) {
+                Completion::Duplicate => panic!("{:?}: first report taken for a duplicate", job.id),
+                Completion::Cancelled => {
+                    assert!(
+                        !self.open.contains(&job.id),
+                        "swallowed but never accounted"
+                    );
+                    self.swallowed.push(job.id);
+                }
+                Completion::Counted(outcome) => {
+                    assert!(self.open.remove(&job.id), "{:?} counted twice", job.id);
+                    match outcome {
+                        DoneOutcome::NotTask if job.payload == Payload::Index(0) => {
+                            let child = JobSpec::compute(job.task, 1.0, Payload::Index(1));
+                            let child = self.core.spawn(self.now, child);
+                            self.enter(child);
+                        }
+                        DoneOutcome::NotTask | DoneOutcome::Swallowed => {}
+                        DoneOutcome::Effective {
+                            root,
+                            task,
+                            released,
+                            losers,
+                            ..
+                        } => {
+                            for loser in losers {
+                                let before = self.ledger();
+                                if self.core.cancel_loser(self.now, loser, root, task) {
+                                    assert!(self.open.remove(&loser));
+                                } else {
+                                    assert_eq!(self.ledger(), before);
+                                }
+                            }
+                            for (task, spec) in released {
+                                self.release(root, task, spec);
+                            }
+                        }
+                    }
+                }
+            }
+            assert!(matches!(
+                self.core.complete(self.now, W, job.id),
+                Completion::Duplicate
+            ));
+            self.check_conservation();
+            self.settle();
+            self.check_conservation();
+        }
+
+        fn check_conservation(&self) {
+            assert_eq!(
+                self.core.created(),
+                self.core.completed() + self.open.len() as u64,
+                "created == completed + open"
+            );
+        }
+
+        /// One plain job that spawns a child, one diamond DAG; reports
+        /// come back in the order `picks` chooses. Returns the append
+        /// count.
+        fn run(crash_at: Option<u64>, picks: &[usize]) -> (Mini, u64) {
+            let mut mini = Mini::new(crash_at);
+            mini.arrive(JobSpec::compute(TaskId(0), 1.0, Payload::Index(0)));
+            mini.arrive(JobSpec::atomized(TaskId(0), diamond()));
+            let mut picks = picks.iter().copied().cycle();
+            while !mini.running.is_empty() {
+                let i = picks.next().unwrap_or(0) % mini.running.len();
+                let job = mini.running.remove(i);
+                mini.report(job);
+            }
+            let appends = mini.core.log.as_ref().expect("logged").appends();
+            (mini, appends)
+        }
+    }
+
+    fn assert_drained(mini: &Mini) {
+        assert!(mini.queue.is_empty() && mini.open.is_empty());
+        assert_eq!(mini.core.created(), mini.core.completed());
+        assert!(!mini.core.dag().is_active(), "a DAG is still in flight");
+        let log = mini.core.log.as_ref().expect("logged").log();
+        assert_eq!(
+            log.task_dones(),
+            4,
+            "every task of the diamond decided once"
+        );
+        let state = SchedState::replay(log.events());
+        assert!(state.unplaced_jobs().is_empty());
+        // A cancelled loser's report is swallowed once.
+        let once: BTreeSet<JobId> = mini.swallowed.iter().copied().collect();
+        assert_eq!(once.len(), mini.swallowed.len());
+    }
+
+    #[test]
+    fn the_script_drains_and_speculates_without_a_crash() {
+        let (mini, appends) = Mini::run(None, &[0]);
+        assert_drained(&mini);
+        assert_eq!(mini.takeovers, 0);
+        assert!(
+            appends > 30,
+            "the script is long enough to be worth crashing"
+        );
+        let log = mini.core.log.as_ref().unwrap().log();
+        assert!(log.spec_launches() >= 1, "the eager detector fired");
+    }
+
+    #[test]
+    fn every_crash_index_of_the_script_recovers_what_is_owed() {
+        let (_, appends) = Mini::run(None, &[0]);
+        for crash in 1..=appends {
+            let (mini, _) = Mini::run(Some(crash), &[0]);
+            assert_eq!(mini.takeovers, 1, "crash index {crash} fired once");
+            assert_drained(&mini);
+        }
+    }
+
+    proptest! {
+        /// The same, with reports arriving in any order.
+        #[test]
+        fn any_crash_index_under_any_report_order_recovers_what_is_owed(
+            crash in 1u64..80,
+            picks in proptest::collection::vec(0usize..4, 1..12),
+        ) {
+            let (mini, appends) = Mini::run(Some(crash), &picks);
+            prop_assert_eq!(mini.takeovers, u32::from(crash <= appends));
+            assert_drained(&mini);
+        }
+    }
+
+    #[test]
+    fn a_router_assigned_id_moves_local_allocation_to_the_spawn_band() {
+        let shard = ShardId(2);
+        let mut core = core(shard, None);
+        let local = |core: &mut MasterCore| {
+            core.spawn(
+                SimTime::ZERO,
+                JobSpec::compute(TaskId(0), 1.0, Payload::None),
+            )
+        };
+        assert_eq!(local(&mut core).id, JobId::in_shard(shard, 0));
+        let routed = FedIdentity {
+            id: JobId::in_shard(shard, 7),
+            spilled_from: Some(ShardId(0)),
+        };
+        let spec = JobSpec::compute(TaskId(0), 1.0, Payload::None).with_origin(routed);
+        let Admitted::Job(job) = core.admit(SimTime::ZERO, spec) else {
+            panic!("a plain spec is admitted as a job");
+        };
+        assert_eq!(job.id, routed.id, "the federation id is honoured verbatim");
+        for n in 0..3 {
+            let id = local(&mut core).id;
+            assert_eq!(id, JobId::in_shard(shard, JobId::SPAWN_BAND + n));
+            assert_eq!(id.shard(), shard);
+        }
+        let log = core.take_log();
+        assert_eq!(log.spills_in(), 1, "a spilled job enters as SpillIn");
+        assert_eq!(log.submissions(), 4);
+    }
+
+    #[test]
+    fn no_log_means_no_entries_and_no_retention() {
+        let m = RuntimeMetrics::from_sink(None);
+        let mut core = MasterCore::new(None, ShardId(0), AtomizeConfig::default(), false, false, m);
+        let spec = JobSpec::compute(TaskId(0), 1.0, Payload::None);
+        let Admitted::Job(job) = core.admit(SimTime::ZERO, spec) else {
+            panic!("a plain spec is admitted as a job");
+        };
+        assert!(core.place(SimTime::ZERO, W, job.id, false));
+        assert!(matches!(
+            core.complete(SimTime::ZERO, W, job.id),
+            Completion::Counted(DoneOutcome::NotTask)
+        ));
+        // Without dedup a second report is the caller's problem.
+        assert!(!core.is_done(job.id));
+        assert_eq!(
+            (core.created(), core.completed(), core.log_len()),
+            (1, 1, 0)
+        );
+        assert!(core.payloads.is_none() && core.take_log().is_empty());
+    }
 }

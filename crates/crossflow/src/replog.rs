@@ -43,6 +43,10 @@ use crate::trace::{SchedEvent, SchedEventKind, SchedLog};
 /// decision: the hand-off must not leave the shard unless the entry is
 /// quorum-committed, or a leader crash could double-run the job (the
 /// successor would re-offer it locally while the peer also runs it).
+/// `TaskAssign` is *not* one: it annotates an `Assigned`/`Offered`
+/// that is already durable, so it must stand with it — were it
+/// truncated, a standby would believe in a placement whose message
+/// never went out.
 pub fn is_decision(kind: &SchedEventKind) -> bool {
     matches!(
         kind,
@@ -52,7 +56,6 @@ pub fn is_decision(kind: &SchedEventKind) -> bool {
             | SchedEventKind::Offered
             | SchedEventKind::SpillOut { .. }
             | SchedEventKind::TaskOffer { .. }
-            | SchedEventKind::TaskAssign { .. }
             | SchedEventKind::SpecLaunch { .. }
             | SchedEventKind::SpecCancel { .. }
     )

@@ -23,7 +23,7 @@ use crate::faults::{
 };
 use crate::idle::IdlePool;
 use crate::job::{Arrival, Job, JobId, JobSpec, ShardId, WorkerId};
-use crate::master_core::{warm_seed, Admitted, Completion, MasterCore, RunTotals};
+use crate::master_core::{warm_seed, Admitted, Completion, MasterCore, RunTotals, Takeover};
 use crate::obs::RuntimeMetrics;
 use crate::replog::ReplicatedLog;
 use crate::task::TaskCtx;
@@ -846,7 +846,11 @@ pub(crate) fn run_threaded_with_shareds(
                        txs: &[Sender<ToWorker>],
                        down: &[Option<Instant>],
                        timers: &mut Vec<(Instant, ObjectId, u32, u64)>| {
-        let (state, owed) = st.core.takeover(vnow());
+        let Takeover {
+            state,
+            unplaced,
+            frontier,
+        } = st.core.takeover(vnow());
         let pause = virt(cfg.master_faults.election_timeout_secs);
         if !pause.is_zero() {
             std::thread::sleep(pause);
@@ -870,8 +874,13 @@ pub(crate) fn run_threaded_with_shareds(
         // Jobs the log proves submitted-but-unplaced (queued, mid-
         // contest, or whose assignment truncated) re-enter allocation
         // exactly once each.
-        for job in owed {
+        for job in unplaced {
             dispatch(st, txs, cfg, job);
+        }
+        // Tasks whose release truncated with the dead leader are
+        // released afresh (new term, fresh ids).
+        for (root, idx, spec) in frontier {
+            submit_task_job(st, txs, cfg, root, idx, spec);
         }
         // The retain above may have emptied a draining worker's
         // outstanding set; the takeover must notice the drain is done.

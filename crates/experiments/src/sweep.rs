@@ -20,7 +20,7 @@
 //! |---|---|---|---|
 //! | `check` | single-master job lists | sim; threaded + chaos (with sim parity) | — |
 //! | `netfault` | same | loss rate × partition window, each on sim and threaded | — |
-//! | `failover` | same | seeded master crashes on sim; × lossy links × chaos on threaded | — |
+//! | `failover` | same, plus `dag_*` on the sim | seeded master crashes on sim; × lossy links × chaos on threaded | — |
 //! | `federate` | `fed_*` | sim; threaded + chaos | 1000 workers under four masters with churn: spillover must beat the saturated single master |
 //! | `atomize` | `dag_*` | sim; threaded | task-level vs whole-job vs Spark-static: atomization must win on the straggler |
 //! | `replicate` | `repl_*` | sim; sim + lossy links; threaded | factor {1,2,3} × holder crash × peer loss on both runtimes |
@@ -101,6 +101,8 @@ struct Sweep {
     title: &'static str,
     /// Which built-in scenarios the sweep covers.
     pick: fn(&Scenario) -> bool,
+    /// Further scenarios that only its simulation-engine sections cover.
+    sim_only: fn(&Scenario) -> bool,
     seed: u64,
     /// Default iteration count: `(full, --smoke)`.
     iters: (u32, u32),
@@ -165,6 +167,7 @@ fn sweeps() -> Vec<Sweep> {
             name: "check",
             title: "Protocol invariant check",
             pick: Scenario::is_plain,
+            sim_only: |_| false,
             seed: 0xC0FFEE,
             iters: (8, 2),
             sections: vec![
@@ -180,6 +183,7 @@ fn sweeps() -> Vec<Sweep> {
             name: "netfault",
             title: "Lossy-network survival sweep",
             pick: Scenario::is_plain,
+            sim_only: |_| false,
             seed: 0xC0FFEE,
             iters: (4, 1),
             sections: netfault_sections(),
@@ -189,6 +193,9 @@ fn sweeps() -> Vec<Sweep> {
             name: "failover",
             title: "Master failover check",
             pick: Scenario::is_plain,
+            // The DAG half of the ledger — task release, placement
+            // annotation, frontier recovery — under the same crashes.
+            sim_only: |s| matches!(s.workload, Workload::Dags { .. }),
             seed: 0xC0FFEE,
             iters: (8, 2),
             sections: vec![
@@ -207,6 +214,7 @@ fn sweeps() -> Vec<Sweep> {
             name: "federate",
             title: "Federation sweep",
             pick: |s| s.federation.is_some(),
+            sim_only: |_| false,
             seed: 0xC0FFEE,
             iters: (4, 1),
             sections: vec![
@@ -225,6 +233,7 @@ fn sweeps() -> Vec<Sweep> {
             name: "atomize",
             title: "Atomizer sweep",
             pick: |s| matches!(s.workload, Workload::Dags { .. }),
+            sim_only: |_| false,
             seed: 0xA70,
             iters: (4, 2),
             sections: vec![
@@ -237,6 +246,7 @@ fn sweeps() -> Vec<Sweep> {
             name: "replicate",
             title: "Replication sweep",
             pick: |s| s.replication.is_some(),
+            sim_only: |_| false,
             seed: 0x9E11,
             iters: (4, 2),
             sections: vec![
@@ -320,11 +330,16 @@ pub fn run(name: &str, cfg: &SweepConfig) -> Option<SweepReport> {
         sweep.iters.0
     });
     let seed = cfg.seed.unwrap_or(sweep.seed);
-    let scenarios = Scenario::builtins_where(sweep.pick);
+    let everywhere = Scenario::builtins_where(sweep.pick);
+    let on_sim = Scenario::builtins_where(|s| (sweep.pick)(s) || (sweep.sim_only)(s));
     let mut body = format!("# {} (iters={iters}, seed={seed})\n", sweep.title);
     let mut ok = true;
     for section in &sweep.sections {
-        ok &= run_section(&mut body, &scenarios, section, iters, seed);
+        let scenarios = match section.axes.runtime {
+            FedRuntimeKind::Sim => &on_sim,
+            FedRuntimeKind::Threaded => &everywhere,
+        };
+        ok &= run_section(&mut body, scenarios, section, iters, seed);
     }
     if let Some(headline) = sweep.headline {
         ok &= headline(&mut body, seed, cfg.smoke);
