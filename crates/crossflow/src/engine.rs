@@ -1063,8 +1063,9 @@ impl<'a> Engine<'a> {
         );
         let epoch = self.epochs[w.0 as usize];
         let blocked = self.cfg.netfaults.link_blocked(from, w, now);
-        let peer_drop_prob = self.cfg.replication.peer_drop_prob;
-        if blocked || (self.cfg.netfaults).peer_dropped(peer_drop_prob, r.id, w, attempt) {
+        let cfg = self.cfg;
+        let peer_drop_prob = cfg.replication.peer_drop_prob;
+        if blocked || cfg.netfaults.peer_dropped(peer_drop_prob, r.id, w, attempt) {
             // The transfer is lost in flight; the worker notices via
             // timeout.
             let d = SimDuration::from_secs_f64(self.cfg.replication.fetch_timeout_secs);
@@ -1223,7 +1224,10 @@ impl<'a> Engine<'a> {
         let node = &mut self.nodes[dest.0 as usize];
         let rng = &mut self.rng_workers[dest.0 as usize];
         let full = node.link.transfer(bytes, rng).duration;
-        let d = (self.cfg.replication).repair_copy(&self.cfg.netfaults, obj, dest, full);
+        let d = self
+            .cfg
+            .replication
+            .repair_copy(&self.cfg.netfaults, obj, dest, full);
         self.q
             .schedule_in(d, Ev::RepairArrive { object: obj, dest });
     }
@@ -1550,7 +1554,7 @@ impl<'a> Engine<'a> {
                     return;
                 }
                 // Seeded backoff before rotating to the next replica.
-                let d = (self.cfg.netfaults).fetch_backoff_secs(job_id, r.id, attempt);
+                let d = self.cfg.netfaults.fetch_backoff_secs(job_id, r.id, attempt);
                 self.q.schedule_in(
                     SimDuration::from_secs_f64(d),
                     Ev::PeerFetchRetry {
@@ -1847,8 +1851,9 @@ impl<'a> Engine<'a> {
                 );
                 // `Done` retransmits until acked — past the configured
                 // attempts the backoff just stays at its cap.
-                let seed = self.cfg.netfaults.retry_seed(job, u64::MAX);
-                if let Some(d) = (self.cfg.netfaults.retry).capped_delay_secs(seed, attempt + 1) {
+                let net = &self.cfg.netfaults;
+                let seed = net.retry_seed(job, u64::MAX);
+                if let Some(d) = net.retry.capped_delay_secs(seed, attempt + 1) {
                     self.q.schedule_in(
                         SimDuration::from_secs_f64(d),
                         Ev::DoneRetry {

@@ -742,7 +742,7 @@ pub(crate) fn run_threaded_with_shareds(
     // ([`ReplicationConfig::repair_copy`]).
     let repair_copy = |rs: &ReplState, obj: ObjectId, dest: u32, bytes: u64| {
         let full = specs[dest as usize].net.time_for(bytes);
-        let copy = (rs.cfg).repair_copy(&rs.netfaults, obj, WorkerId(dest), full);
+        let copy = rs.cfg.repair_copy(&rs.netfaults, obj, WorkerId(dest), full);
         virt(copy.as_secs_f64())
     };
 

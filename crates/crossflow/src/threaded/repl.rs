@@ -94,7 +94,8 @@ impl ReplState {
 
     /// Deterministic loss sample for one peer transfer attempt.
     pub fn peer_lost(&self, obj: ObjectId, w: u32, attempt: u32) -> bool {
-        (self.netfaults).peer_dropped(self.cfg.peer_drop_prob, obj, WorkerId(w), attempt)
+        self.netfaults
+            .peer_dropped(self.cfg.peer_drop_prob, obj, WorkerId(w), attempt)
     }
 
     /// Live peers currently holding `obj` (ascending id), excluding

@@ -28,7 +28,8 @@
 use std::fmt::Write;
 
 use crossbid_checker::{ExploreConfig, ReplayTuple, Run, Scenario, Workload};
-use crossbid_crossflow::{ProtocolMutation, SchedEventKind, SchedLog};
+use crossbid_crossflow::{ProtocolMutation, SchedEventKind};
+use crossbid_integration::log_digest;
 use crossbid_simcore::SeedSequence;
 
 const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/");
@@ -51,17 +52,6 @@ const DAG_ROOTS: [u64; 2] = [0xDA61, 0xA70];
 /// `repro check|netfault|failover|federate`, the lossy, federation and
 /// replication sweeps of `schedule_space.rs`, and `repro replicate`.
 const ROOTS: [u64; 5] = [0xC0FFEE, 0xFEED5EED, 0xFED5EED, 0x9E97, 0x9E11];
-
-/// Event count + FNV-1a over the log's debug rendering.
-fn digest(log: &SchedLog) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for e in log.events() {
-        for b in format!("{e:?}").bytes() {
-            hash = (hash ^ b as u64).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    format!("{} events, fnv {hash:016x}", log.len())
-}
 
 fn dag_rows(actual: &mut String, builtin: &Scenario) {
     let Workload::Dags { config, count } = builtin.workload else {
@@ -94,7 +84,7 @@ fn dag_rows(actual: &mut String, builtin: &Scenario) {
                         actual,
                         "{} dags={dags} {mutation:?} seed={seed:#x}: {}, launches:{launches}",
                         sc.name,
-                        digest(out.log()),
+                        log_digest(out.log()),
                     )
                     .unwrap();
                 }
@@ -130,7 +120,7 @@ fn builtin_rows(actual: &mut String, builtins: &[Scenario], root: u64, i: u64) {
             actual,
             "{} {variant} root={root:#x} i={i}: {}",
             sc.name,
-            digest(out.log())
+            log_digest(out.log())
         )
         .unwrap();
     };

@@ -26,6 +26,7 @@ use std::time::Duration;
 
 use crossbid_checker::{ExploreConfig, Outcome, ReplayTuple, Run, Scenario};
 use crossbid_crossflow::{MasterFaultPlan, SchedEventKind, SchedLog};
+use crossbid_integration::log_digest;
 
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -35,17 +36,6 @@ const GOLDEN: &str = include_str!("../golden/dag_failover_decisions.txt");
 
 const DAG_BUILTINS: [&str; 2] = ["dag_straggler", "dag_skewed_reduce"];
 const SEEDS: [u64; 2] = [1, 2];
-
-/// Event count + FNV-1a over the log's debug rendering.
-fn digest(log: &SchedLog) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for e in log.events() {
-        for b in format!("{e:?}").bytes() {
-            hash = (hash ^ b as u64).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    format!("{} events, fnv {hash:016x}", log.len())
-}
 
 /// One sim run of `sc` whose leader dies at append index `crash`.
 fn crashed_run(sc: &Scenario, seed: u64, crash: u64) -> Outcome {
@@ -59,7 +49,7 @@ fn row(sc: &Scenario, seed: u64, crash: u64, out: &Outcome) -> String {
     format!(
         "{} seed={seed} crash={crash}: {}",
         sc.name,
-        digest(out.log())
+        log_digest(out.log())
     )
 }
 
