@@ -31,6 +31,7 @@ pub use master::{run_threaded_output, ThreadedConfig, ThreadedScheduler};
 pub(crate) use worker::WorkerShared;
 
 use crate::job::Job;
+use crate::master_core::Delivery;
 
 /// Messages workers send to the threaded master. `Clone` exists for
 /// the chaos layer's duplicate-delivery injection.
@@ -121,7 +122,10 @@ pub(crate) enum ToWorker {
 
 impl ToWorker {
     /// The message that delivers a placement.
-    fn placement(offer: bool, job: Job, seq: u64) -> Self {
+    fn placement(d: Delivery) -> Self {
+        let Delivery {
+            offer, job, seq, ..
+        } = d;
         if offer {
             ToWorker::Offer { job, seq }
         } else {
