@@ -22,7 +22,8 @@
 //!    lossy-link reliability layer, a placement lease may expire only
 //!    while the placement is unacknowledged and the job incomplete;
 //!    expiring an acked or completed placement means the master
-//!    discarded state the protocol had already confirmed.
+//!    discarded state the protocol had already confirmed. Nor is a
+//!    completed job ever placed again.
 //!
 //! The oracle is runtime-agnostic: both the discrete-event engine and
 //! the threaded runtime emit the same vocabulary (pinned by
@@ -145,6 +146,15 @@ pub enum Violation {
     LeaseExpiredAfterCompletion {
         /// Offending job.
         job: JobId,
+    },
+    /// A job was assigned or offered after its completion was logged —
+    /// e.g. a lease bounce re-queued it just before its original
+    /// holder's report landed, and the queue placed it anyway.
+    PlacedAfterCompletion {
+        /// Offending job.
+        job: JobId,
+        /// The worker it was placed on.
+        worker: WorkerId,
     },
     /// A worker's placement ledger went negative: more rejections +
     /// completions than placements.
@@ -389,6 +399,11 @@ impl std::fmt::Display for Violation {
             Violation::LeaseExpiredAfterCompletion { job } => {
                 write!(f, "lease on job {} expired after it completed", job.0)
             }
+            Violation::PlacedAfterCompletion { job, worker } => write!(
+                f,
+                "job {} placed on w{} after it completed",
+                job.0, worker.0
+            ),
             Violation::NegativeQueue { worker, depth } => {
                 write!(f, "w{} placement ledger went negative ({depth})", worker.0)
             }
@@ -707,6 +722,10 @@ impl Oracle {
                         previous: WorkerId(prev),
                     });
                 }
+                if js.completed {
+                    self.violations
+                        .push(Violation::PlacedAfterCompletion { job, worker: w });
+                }
                 if js.had_contest {
                     match js.closed.take() {
                         Some((bidders, fallback)) => {
@@ -735,6 +754,10 @@ impl Oracle {
                         worker: w,
                         previous: WorkerId(prev),
                     });
+                }
+                if js.completed {
+                    self.violations
+                        .push(Violation::PlacedAfterCompletion { job, worker: w });
                 }
                 if self.opts.strict_reoffer && js.last_rejector == Some(w.0) {
                     // A bounce straight back is only a routing bug if
@@ -1544,6 +1567,32 @@ mod tests {
         log.push(ev(SchedEventKind::LeaseExpired, Some(0), Some(0)));
         let v = check_log(&log, OracleOptions::default());
         assert!(v.contains(&Violation::LeaseExpiredAfterCompletion { job: JobId(0) }));
+    }
+
+    #[test]
+    fn placement_after_completion_is_flagged() {
+        // A lease bounce re-queues job 0; its first holder's report
+        // lands; the queue then places the completed job again — as
+        // an offer or an assignment, the protocol's one completion is
+        // being run twice.
+        for place in [SchedEventKind::Offered, SchedEventKind::Assigned] {
+            let mut log = SchedLog::new();
+            log.push(ev(SchedEventKind::Submitted, None, Some(0)));
+            log.push(ev(SchedEventKind::Offered, Some(0), Some(0)));
+            log.push(ev(SchedEventKind::LeaseExpired, Some(0), Some(0)));
+            log.push(ev(SchedEventKind::Completed, Some(0), Some(0)));
+            let clean = check_log(&log, OracleOptions::default());
+            assert_eq!(clean, vec![], "completing after a bounce is legal");
+            log.push(ev(place, Some(1), Some(0)));
+            let v = check_log(&log, OracleOptions::default());
+            assert_eq!(
+                v,
+                vec![Violation::PlacedAfterCompletion {
+                    job: JobId(0),
+                    worker: WorkerId(1)
+                }]
+            );
+        }
     }
 
     #[test]
