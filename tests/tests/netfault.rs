@@ -10,7 +10,7 @@
 //!   that pair is the replay recipe every failure report prints. These
 //!   tests hand `Run` an arbitrary `NetFaultPlan` value, not a seed.
 
-use crossbid_checker::{Outcome, Run, Scenario};
+use crossbid_checker::{ExploreConfig, Outcome, ReplayTuple, Run, Scenario};
 use crossbid_crossflow::{LinkFault, NetFaultPlan};
 
 /// A plan that barely drops but duplicates aggressively in both
@@ -136,6 +136,60 @@ fn constant_delay_links_stay_exactly_once() {
         );
         let thr = on(Run::threaded(9));
         assert_exactly_once(&sc, &thr, "threaded under constant-delay links");
+    }
+}
+
+/// Lossy links × a worker crash, as the explorer's lossy sweep found
+/// them failing on the sim (run seed, net seed; no membership seed):
+/// a completed job placed again after a lease bounce, its lease then
+/// expiring after the completion (`crash_recovery_baseline`, first
+/// tuple); a crash bouncing a queued copy the lease had already
+/// re-placed, so the job sat on two workers (second tuple); an acked
+/// job whose `Done` was lost before its worker crashed, reclaimed by
+/// nothing, spinning on idle beats until `max_events` (the other
+/// five). Each must now finish exactly once with a clean oracle.
+#[test]
+fn explorer_found_lossy_crash_tuples_stay_fixed() {
+    let lossy = ExploreConfig::sim(1, 0).lossy();
+    for (name, run, net) in [
+        (
+            "crash_recovery_baseline",
+            13419059136936964865,
+            13362142782195284432,
+        ),
+        (
+            "crash_recovery_baseline",
+            7601735556280002719,
+            14830660613283658897,
+        ),
+        ("repl_f2_crash", 2892873845875221695, 14224035449882349672),
+        ("repl_f2_crash", 3888498697243097527, 12451952596161833397),
+        (
+            "repl_f2_lossy_crash_baseline",
+            1567157793109054806,
+            6929787012774430079,
+        ),
+        (
+            "repl_f2_lossy_crash_baseline",
+            17160485084056317092,
+            975373179738077847,
+        ),
+        (
+            "repl_f2_lossy_crash_baseline",
+            4589412138215233771,
+            6567106407877835467,
+        ),
+    ] {
+        let sc = Scenario::builtin(name);
+        let tuple = ReplayTuple {
+            run,
+            chaos: None,
+            net: Some(net),
+            membership: None,
+            crash_index: None,
+        };
+        let out = sc.run(&lossy.run(&tuple));
+        assert_exactly_once(&sc, &out, &tuple.to_string());
     }
 }
 
