@@ -275,12 +275,17 @@ fn explorer_catches_reintroduced_reoffer_to_rejector() {
     // One non-local job on a three-worker cluster: the correct
     // Baseline walks the offer through w0 → w1 → w2 and only then
     // returns to w0 (reject-once), so a *direct* bounce back to the
-    // last rejector is unambiguous — no chaos, no racing jobs.
+    // last rejector is unambiguous — no chaos, no racing jobs. The job
+    // arrives once every worker has had time to announce itself idle
+    // (20 virtual seconds are 20 real ms at the checker's time scale):
+    // a reject that beat another worker's first `Idle` would leave the
+    // rejector the only idle worker, and the strict oracle would flag
+    // that legal re-offer (ROADMAP 1(e)).
     let sc = Scenario::new(
         "lone_job_baseline",
         Protocol::Baseline,
         3,
-        small_jobs(&[0.0]),
+        small_jobs(&[20.0]),
     );
     let strict = ExploreConfig::threaded(5, 19).strict();
     // Contrast: the correct protocol passes the same strict probe.
