@@ -1,69 +1,17 @@
 //! Worker-side bid estimation (Listing 2 of the paper).
+//!
+//! The Listing 2 policy lives beside the [`WorkerPolicy`] trait in
+//! `crossbid-crossflow`, so both runtimes can run it without an
+//! allocator from this crate; it is re-exported here unchanged.
+//!
+//! [`WorkerPolicy`]: crossbid_crossflow::WorkerPolicy
 
-use crossbid_crossflow::{JobView, WorkerPolicy, WorkerView};
-
-/// The three components of a bid, kept separate for inspection and
-/// ablation benches.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BidBreakdown {
-    /// `totalCostOfUnfinishedJobs()` — queued + in-flight work,
-    /// seconds (Listing 2 line 2).
-    pub backlog_secs: f64,
-    /// `estimateDataTransferTime(job)` — zero when the resource is in
-    /// the local store (Listing 2 line 4).
-    pub transfer_secs: f64,
-    /// `estimateProcessingTime(job)` (Listing 2 line 5).
-    pub processing_secs: f64,
-}
-
-impl BidBreakdown {
-    /// The bid amount transmitted to the master.
-    pub fn total(&self) -> f64 {
-        self.backlog_secs + self.transfer_secs + self.processing_secs
-    }
-
-    /// True iff this bid reflects a fully local job (no transfer).
-    pub fn is_local(&self) -> bool {
-        self.transfer_secs == 0.0
-    }
-}
-
-/// Compute the bid for a job given the worker's current view. The
-/// engine precomputes all estimates with *believed* speeds (nominal
-/// spec speeds, or §6.4 historic averages when speed learning is on) —
-/// the noise applied during actual execution is invisible here, which
-/// is exactly why "bidding costs differed from actual execution
-/// times" in the paper's evaluation.
-pub fn estimate_bid(view: &WorkerView) -> BidBreakdown {
-    BidBreakdown {
-        backlog_secs: view.backlog_secs,
-        transfer_secs: view.est_fetch_secs,
-        processing_secs: view.est_proc_secs,
-    }
-}
-
-/// The worker-side policy of the Bidding Scheduler: always bids, never
-/// receives plain offers (the bidding master assigns unconditionally),
-/// but accepts them defensively if one arrives.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct BiddingPolicy;
-
-impl WorkerPolicy for BiddingPolicy {
-    fn accept_offer(&mut self, _view: &WorkerView, _job: &JobView) -> bool {
-        // The bidding protocol assigns jobs after a won contest; an
-        // assigned job must be taken ("it is bound to accept").
-        true
-    }
-
-    fn bid(&mut self, view: &WorkerView, _job: &JobView) -> Option<f64> {
-        Some(estimate_bid(view).total())
-    }
-}
+pub use crossbid_crossflow::scheduler::{estimate_bid, BidBreakdown, BiddingPolicy};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbid_crossflow::{JobId, WorkerId};
+    use crossbid_crossflow::{JobId, JobView, WorkerId, WorkerPolicy, WorkerView};
     use crossbid_simcore::SimTime;
 
     fn view(backlog: f64, fetch: f64, proc: f64) -> WorkerView {

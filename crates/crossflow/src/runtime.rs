@@ -20,7 +20,8 @@ use crate::job::Arrival;
 use crate::scheduler::Allocator;
 use crate::session::Session;
 use crate::spec::RunSpec;
-use crate::threaded::{run_threaded_with_shareds, ThreadedConfig, ThreadedScheduler, WorkerShared};
+use crate::threaded::{fresh_nodes, run_threaded_with_nodes, ThreadedConfig, ThreadedScheduler};
+use crate::worker::WorkerNode;
 use crate::workflow::Workflow;
 
 /// A stateful executor of workflow iterations.
@@ -68,26 +69,22 @@ impl Runtime for Session {
 
 /// A persistent-cache session on the threaded runtime — the
 /// counterpart of [`Session`]. Worker caches, learned speeds and
-/// cache statistics live in shared state that survives across
+/// cache statistics live in worker cores that survive across
 /// iterations; each [`run_iteration`](Runtime::run_iteration) spins
-/// up fresh threads over that state.
+/// up fresh threads over them.
 pub struct ThreadedSession {
     spec: RunSpec,
-    shareds: Vec<Arc<Mutex<WorkerShared>>>,
+    nodes: Vec<Arc<Mutex<WorkerNode>>>,
     iteration: u32,
 }
 
 impl ThreadedSession {
     /// Create a session over fresh (cold-cache) workers.
     pub fn from_spec(spec: RunSpec) -> Self {
-        let shareds = spec
-            .workers
-            .iter()
-            .map(|s| Arc::new(Mutex::new(WorkerShared::new(s.clone()))))
-            .collect();
+        let nodes = fresh_nodes(&spec.workers, &spec.engine.noise);
         ThreadedSession {
             spec,
-            shareds,
+            nodes,
             iteration: 0,
         }
     }
@@ -153,10 +150,11 @@ impl ThreadedSession {
             seed: iter_seed,
         };
         self.iteration += 1;
-        run_threaded_with_shareds(
+        run_threaded_with_nodes(
             &self.spec.workers,
-            &self.shareds,
+            &self.nodes,
             &cfg,
+            &|| allocator.worker_policy(),
             workflow,
             arrivals,
             &meta,

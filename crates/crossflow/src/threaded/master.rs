@@ -15,6 +15,7 @@ use parking_lot::Mutex;
 use crossbid_storage::ObjectId;
 
 use crate::atomize::{AtomizeConfig, DoneOutcome};
+use crate::baseline::BaselinePolicy;
 use crate::bids::BidSet;
 use crate::engine::{ReplicationConfig, RunMeta, RunOutput};
 use crate::faults::{
@@ -28,15 +29,16 @@ use crate::master_core::{
 };
 use crate::obs::RuntimeMetrics;
 use crate::replog::ReplicatedLog;
+use crate::scheduler::{BiddingPolicy, WorkerPolicy};
 use crate::task::TaskCtx;
 use crate::trace::{SchedEventKind, Trace, TraceEvent, TraceKind};
-use crate::worker::WorkerSpec;
+use crate::worker::{WorkerNode, WorkerRules, WorkerSpec};
 use crate::workflow::Workflow;
 
 use super::chaos::{ChaosConfig, Intake, NetIntake, ProtocolMutation};
 use super::repl::ReplState;
-use super::worker::{spawn_worker, Protocol, WorkerShared};
-use super::{ToMaster, ToWorker};
+use super::worker::spawn_worker;
+use super::{Clock, ToMaster, ToWorker};
 
 /// Which allocation protocol the threaded runtime runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -267,7 +269,9 @@ fn send_worker(
 /// point of the threaded runtime. Returns the same [`RunOutput`] shape
 /// as the simulation engine: record, scheduler log, synthesized trace
 /// (when [`ThreadedConfig::trace`] is set), per-job placements (in
-/// completion order) and a metrics snapshot.
+/// completion order) and a metrics snapshot. Workers run the
+/// protocol's stock policy: Listing 2's bid, or the Baseline's
+/// reject-once.
 ///
 /// Unlike the simulated engine this function is *not* deterministic:
 /// thread interleavings, late bids and real queueing are part of what
@@ -279,37 +283,53 @@ pub fn run_threaded_output(
     arrivals: Vec<Arrival>,
     meta: &RunMeta,
 ) -> RunOutput {
-    let shareds: Vec<Arc<Mutex<WorkerShared>>> = specs
-        .iter()
-        .map(|spec| Arc::new(Mutex::new(WorkerShared::new(spec.clone()))))
-        .collect();
-    run_threaded_with_shareds(specs, &shareds, cfg, workflow, arrivals, meta)
+    let nodes = fresh_nodes(specs, &cfg.noise);
+    let policy = || -> Box<dyn WorkerPolicy> {
+        match cfg.scheduler {
+            ThreadedScheduler::Bidding { .. } => Box::new(BiddingPolicy),
+            ThreadedScheduler::Baseline => Box::new(BaselinePolicy),
+        }
+    };
+    run_threaded_with_nodes(specs, &nodes, cfg, &policy, workflow, arrivals, meta)
 }
 
-/// Core of the threaded runtime, over caller-owned worker state.
-/// [`crate::runtime::ThreadedSession`] passes the same `shareds`
-/// across iterations so caches and learned speeds stay warm, exactly
-/// like the engine's persistent [`crate::engine::Cluster`].
-pub(crate) fn run_threaded_with_shareds(
+/// Cold worker cores for the threaded runtime, which prices no
+/// per-transfer setup latency.
+pub(crate) fn fresh_nodes(specs: &[WorkerSpec], noise: &NoiseModel) -> Vec<Arc<Mutex<WorkerNode>>> {
+    specs
+        .iter()
+        .map(|s| {
+            Arc::new(Mutex::new(WorkerNode::new(
+                s.clone(),
+                SimDuration::ZERO,
+                noise,
+            )))
+        })
+        .collect()
+}
+
+/// Core of the threaded runtime, over caller-owned worker cores whose
+/// bids and accepts go through a fresh `policy` each.
+/// [`crate::runtime::ThreadedSession`] passes the same `nodes` across
+/// iterations so caches and learned speeds stay warm, exactly like the
+/// engine's persistent [`crate::engine::Cluster`].
+pub(crate) fn run_threaded_with_nodes(
     specs: &[WorkerSpec],
-    shareds: &[Arc<Mutex<WorkerShared>>],
+    nodes: &[Arc<Mutex<WorkerNode>>],
     cfg: &ThreadedConfig,
+    policy: &dyn Fn() -> Box<dyn WorkerPolicy>,
     workflow: &mut Workflow,
     arrivals: Vec<Arrival>,
     meta: &RunMeta,
 ) -> RunOutput {
     assert!(!specs.is_empty(), "need at least one worker");
-    assert_eq!(specs.len(), shareds.len(), "one shared state per spec");
+    assert_eq!(specs.len(), nodes.len(), "one worker core per spec");
     assert!(cfg.time_scale > 0.0, "time_scale must be positive");
     assert!(
         cfg.mutation.is_none() || cfg!(feature = "protocol-mutation"),
         "protocol mutations require the `protocol-mutation` cargo feature"
     );
     let n = specs.len();
-    let protocol = match cfg.scheduler {
-        ThreadedScheduler::Bidding { .. } => Protocol::Bidding,
-        ThreadedScheduler::Baseline => Protocol::Baseline,
-    };
     let seq = SeedSequence::new(cfg.seed);
     let mut rng_master = seq.stream(1);
     let net_active = cfg.netfaults.is_active();
@@ -323,15 +343,15 @@ pub(crate) fn run_threaded_with_shareds(
         rcfg.skip_repair |= cfg.mutation.skips_repair();
         rcfg.evict_last_copy |= cfg.mutation.evicts_last_copy();
         rcfg.enabled.then(|| {
-            let mut rs = ReplState::new(rcfg, cfg.netfaults.clone(), n, cfg.time_scale);
+            let mut rs = ReplState::new(rcfg, cfg.netfaults.clone(), n);
             for i in 0..n {
                 rs.alive[i] = !cfg.membership.is_deferred(WorkerId(i as u32));
             }
             // Warm seeding: copies persisted by earlier iterations of
             // the session enter the registry without log events (the
             // log narrates this run only), then pins are re-derived.
-            let resident = shareds.iter().enumerate().flat_map(|(i, shared)| {
-                let s = shared.lock();
+            let resident = nodes.iter().enumerate().flat_map(|(i, node)| {
+                let s = node.lock();
                 let sized = |o| (i as u32, o, s.store.size_of(o).unwrap_or(0));
                 s.store.resident().map(sized).collect::<Vec<_>>()
             });
@@ -345,28 +365,37 @@ pub(crate) fn run_threaded_with_shareds(
     let (to_master_tx, to_master_rx): (Sender<ToMaster>, Receiver<ToMaster>) = unbounded();
     let mut worker_txs: Vec<Sender<ToWorker>> = Vec::with_capacity(n);
     let mut handles = Vec::with_capacity(n);
-    for (i, (spec, shared)) in specs.iter().zip(shareds).enumerate() {
-        shared.lock().reset_for_run();
+    // Workers and master share one virtual clock.
+    let start = Instant::now();
+    let clock = Clock {
+        start,
+        scale: cfg.time_scale,
+    };
+    let rules = WorkerRules {
+        learning: cfg.speed_learning,
+        reliable: net_active,
+        net: cfg.netfaults.clone(),
+        repl: cfg.replication,
+    };
+    let bid_delay = cfg
+        .chaos
+        .as_ref()
+        .map(|c| c.max_bid_delay)
+        .unwrap_or(Duration::ZERO);
+    for (i, node) in nodes.iter().enumerate() {
+        let id = WorkerId(i as u32);
+        let worker_seed = seq.seed_for(100 + i as u64);
+        let rng = RngStream::from_seed(worker_seed);
+        node.lock()
+            .begin_run(id, rules.clone(), policy(), rng, true);
         let (tx, rx) = unbounded::<ToWorker>();
-        let worker_noise = spec
-            .noise_override
-            .clone()
-            .unwrap_or_else(|| cfg.noise.clone());
-        let bid_delay = cfg
-            .chaos
-            .as_ref()
-            .map(|c| c.max_bid_delay)
-            .unwrap_or(Duration::ZERO);
         let threads = spawn_worker(
-            i as u32,
-            Arc::clone(shared),
+            id.0,
+            Arc::clone(node),
             rx,
             to_master_tx.clone(),
-            protocol,
-            cfg.time_scale,
-            worker_noise,
-            cfg.speed_learning,
-            seq.seed_for(100 + i as u64),
+            clock,
+            worker_seed,
             metrics.clone(),
             bid_delay,
             net_active.then_some(cfg.netfaults.retry),
@@ -376,13 +405,6 @@ pub(crate) fn run_threaded_with_shareds(
         handles.push(threads);
     }
     drop(to_master_tx);
-
-    let start = Instant::now();
-    if let Some(r) = &repl {
-        // Anchor the data plane's virtual clock (partition windows) to
-        // the run start the master uses, not the construction instant.
-        r.lock().start = start;
-    }
     // In-flight re-replication copies: `(due, object, dest, bytes)`.
     // One entry per `ReplState::repairs` entry; fired by the main loop.
     let mut repair_timers: Vec<(Instant, ObjectId, u32, u64)> = Vec::new();
@@ -397,16 +419,10 @@ pub(crate) fn run_threaded_with_shareds(
         )
     });
     let mut intake = Intake::new(to_master_rx, cfg.chaos.clone(), net_intake);
-    let virt = |v: f64| Duration::from_secs_f64((v * cfg.time_scale).max(0.0));
-    let vat = move |t: Instant| {
-        let real = t.saturating_duration_since(start).as_secs_f64();
-        SimTime::from_secs_f64(real / cfg.time_scale)
-    };
-    let vnow = move || vat(Instant::now());
     // Arrival schedule in real time.
     let mut pending_arrivals: VecDeque<(Instant, JobSpec)> = arrivals
         .into_iter()
-        .map(|a| (start + virt(a.at.as_secs_f64()), a.spec))
+        .map(|a| (start + clock.real(a.at.as_secs_f64()), a.spec))
         .collect();
     let total_arrivals = pending_arrivals.len() as u64;
     let mut arrivals_seen = 0u64;
@@ -420,12 +436,12 @@ pub(crate) fn run_threaded_with_shareds(
             .faults
             .events()
             .iter()
-            .map(|(at, ev)| (start + virt(at.as_secs_f64()), *ev))
+            .map(|(at, ev)| (start + clock.real(at.as_secs_f64()), *ev))
             .collect();
         evs.sort_by_key(|(at, _)| *at);
         evs.into()
     };
-    let detection_real = virt(cfg.faults.detection_delay.as_secs_f64());
+    let detection_real = clock.real(cfg.faults.detection_delay.as_secs_f64());
     // Elastic-membership schedule in real time, same treatment as the
     // fault schedule.
     let mut membership_events: VecDeque<(Instant, MembershipEvent)> = {
@@ -433,7 +449,7 @@ pub(crate) fn run_threaded_with_shareds(
             .membership
             .events()
             .iter()
-            .map(|e| (start + virt(e.at.as_secs_f64()), *e))
+            .map(|e| (start + clock.real(e.at.as_secs_f64()), *e))
             .collect();
         evs.sort_by_key(|(at, _)| *at);
         evs.into()
@@ -512,15 +528,17 @@ pub(crate) fn run_threaded_with_shareds(
         // Commit-before-act: the contest opens only once the log entry
         // reached a quorum. A truncated append performs no side effect
         // — the job goes back to the queue for the elected standby.
-        if !st
-            .core
-            .commit(vnow(), None, Some(job.id), SchedEventKind::ContestOpened)
-        {
+        if !st.core.commit(
+            clock.now(),
+            None,
+            Some(job.id),
+            SchedEventKind::ContestOpened,
+        ) {
             st.contest_queue.push_front(job);
             return;
         }
         let opened = Instant::now();
-        let deadline = opened + virt(window_secs).max(cfg.min_real_window);
+        let deadline = opened + clock.real(window_secs).max(cfg.min_real_window);
         st.core.m.contests_opened.inc();
         for w in 0..txs.len() as u32 {
             if !st.eligible(w) {
@@ -536,7 +554,7 @@ pub(crate) fn run_threaded_with_shareds(
                 w,
                 ToWorker::BidRequest(job.clone()),
                 Instant::now(),
-                vnow(),
+                clock.now(),
                 cfg.time_scale,
             );
         }
@@ -573,7 +591,7 @@ pub(crate) fn run_threaded_with_shareds(
                            root: JobId,
                            idx: u32,
                            spec: JobSpec| {
-        if let Some(job) = st.core.release_task(vnow(), root, idx, spec, false) {
+        if let Some(job) = st.core.release_task(clock.now(), root, idx, spec, false) {
             dispatch(st, txs, cfg, job);
         }
     };
@@ -584,7 +602,7 @@ pub(crate) fn run_threaded_with_shareds(
         for job in st.core.reclaim(w, cut) {
             st.core.m.jobs_redistributed.inc();
             let kind = SchedEventKind::Redistributed;
-            st.core.commit(vnow(), Some(w), Some(job.id), kind);
+            st.core.commit(clock.now(), Some(w), Some(job.id), kind);
             dispatch(st, txs, cfg, job);
         }
     };
@@ -593,7 +611,7 @@ pub(crate) fn run_threaded_with_shareds(
     let deliver = |st: &mut MasterState, txs: &[Sender<ToWorker>], d: Delivery| {
         st.core.m.control_messages.inc();
         let (w, msg) = (d.worker.0, ToWorker::placement(d));
-        send_worker(st, txs, w, msg, Instant::now(), vnow(), cfg.time_scale);
+        send_worker(st, txs, w, msg, Instant::now(), clock.now(), cfg.time_scale);
     };
 
     let baseline_pump = |st: &mut MasterState, txs: &[Sender<ToWorker>]| {
@@ -612,7 +630,7 @@ pub(crate) fn run_threaded_with_shareds(
                 st.idle.pop_preferring_not(rejector)
             }
             .expect("checked non-empty");
-            match st.core.place(vnow(), WorkerId(w), job, true) {
+            match st.core.place(clock.now(), WorkerId(w), job, true) {
                 Placed::Send(d) => deliver(st, txs, d),
                 // Commit-before-act: an offer whose log entry died
                 // with the leader never goes out; worker and job return
@@ -657,7 +675,10 @@ pub(crate) fn run_threaded_with_shareds(
         // entries reached a quorum. A truncated close leaves the job
         // contest-open in the state, a truncated assignment leaves it
         // unplaced — either way the elected standby re-enters it.
-        if !st.core.close_contest(vnow(), None, id, timed_out, fallback) {
+        if !st
+            .core
+            .close_contest(clock.now(), None, id, timed_out, fallback)
+        {
             st.contest_queue.push_front(c.job);
             return;
         }
@@ -669,7 +690,7 @@ pub(crate) fn run_threaded_with_shareds(
             st.fallback += 1;
             st.core.m.contests_fallback.inc();
         }
-        match st.core.place(vnow(), WorkerId(w), c.job, false) {
+        match st.core.place(clock.now(), WorkerId(w), c.job, false) {
             Placed::Send(d) => deliver(st, txs, d),
             Placed::Truncated(job) => st.contest_queue.push_front(job),
             Placed::Completed => {}
@@ -694,7 +715,7 @@ pub(crate) fn run_threaded_with_shareds(
             return;
         }
         st.core.commit(
-            vnow(),
+            clock.now(),
             Some(WorkerId(w)),
             None,
             SchedEventKind::WorkerRemoved,
@@ -715,7 +736,7 @@ pub(crate) fn run_threaded_with_shareds(
     let repair_copy = |rs: &ReplState, obj: ObjectId, dest: u32, bytes: u64| {
         let full = specs[dest as usize].net.time_for(bytes);
         let copy = rs.cfg.repair_copy(&rs.netfaults, obj, WorkerId(dest), full);
-        virt(copy.as_secs_f64())
+        clock.real(copy.as_secs_f64())
     };
 
     // Drain the data plane's journal into the replicated log, in the
@@ -732,7 +753,7 @@ pub(crate) fn run_threaded_with_shareds(
                 kind,
                 SchedEventKind::ReplicaAdd { .. } | SchedEventKind::ReplicaDrop { .. }
             );
-            st.core.commit(vnow(), Some(WorkerId(w)), job, kind);
+            st.core.commit(clock.now(), Some(WorkerId(w)), job, kind);
         }
         changed
     };
@@ -750,7 +771,7 @@ pub(crate) fn run_threaded_with_shareds(
         if st.core.failover_pending() {
             return;
         }
-        let free: Vec<u64> = shareds
+        let free: Vec<u64> = nodes
             .iter()
             .map(|s| {
                 let s = s.lock();
@@ -779,7 +800,7 @@ pub(crate) fn run_threaded_with_shareds(
         };
         for (obj, src, dest, bytes) in picks {
             if !st.core.commit(
-                vnow(),
+                clock.now(),
                 Some(WorkerId(dest)),
                 None,
                 SchedEventKind::RepairStart {
@@ -822,8 +843,8 @@ pub(crate) fn run_threaded_with_shareds(
             state,
             unplaced,
             frontier,
-        } = st.core.takeover(vnow());
-        let pause = virt(cfg.master_faults.election_timeout_secs);
+        } = st.core.takeover(clock.now());
+        let pause = clock.real(cfg.master_faults.election_timeout_secs);
         if !pause.is_zero() {
             std::thread::sleep(pause);
         }
@@ -896,14 +917,16 @@ pub(crate) fn run_threaded_with_shareds(
     let stall_limit: Option<Duration> = net_active.then(|| {
         let plan = &cfg.netfaults;
         let horizon = plan.partitions_end().as_secs_f64() + plan.retry.lease_secs * 10.0 + 120.0;
-        virt(horizon).max(Duration::from_secs(2))
+        clock.real(horizon).max(Duration::from_secs(2))
     });
     let mut last_progress = start;
     let mut seen_log_len = 0usize;
     // Straggler sweep cadence (real time). The clock keeps advancing
     // while no DAG is active so the first sweep after an atomized
     // arrival is at most one interval away.
-    let spec_check_real = virt(cfg.atomize.spec_check_secs).max(Duration::from_millis(1));
+    let spec_check_real = clock
+        .real(cfg.atomize.spec_check_secs)
+        .max(Duration::from_millis(1));
     let mut next_spec_check = start + spec_check_real;
     // Reused across wakeups: one blocking receive drains the whole
     // channel into this batch, so the deadline scan runs once per
@@ -933,7 +956,7 @@ pub(crate) fn run_threaded_with_shareds(
         while pending_arrivals.front().is_some_and(|(at, _)| *at <= now) {
             let (_, spec) = pending_arrivals.pop_front().expect("non-empty");
             arrivals_seen += 1;
-            match st.core.admit(vnow(), spec) {
+            match st.core.admit(clock.now(), spec) {
                 Admitted::Job(job) => dispatch(&mut st, &worker_txs, cfg, job),
                 Admitted::Dag { root, released } => {
                     for (idx, tspec) in released {
@@ -947,7 +970,7 @@ pub(crate) fn run_threaded_with_shareds(
         // enough siblings have completed to price "slow" (the sweep is
         // committed as SpecLaunch before the replica exists).
         if now >= next_spec_check {
-            if let Some(job) = st.core.launch_straggler(vnow()) {
+            if let Some(job) = st.core.launch_straggler(clock.now()) {
                 dispatch(&mut st, &worker_txs, cfg, job);
             }
             next_spec_check = now + spec_check_real;
@@ -963,21 +986,14 @@ pub(crate) fn run_threaded_with_shareds(
                     if w >= n || down_since[w].is_some() || st.departed[w] {
                         continue;
                     }
-                    {
-                        // The instance dies: queue, in-flight job and
-                        // local store go with it. The epoch bump makes
-                        // the executor abandon whatever it was doing.
-                        let mut s = shareds[w].lock();
-                        s.alive = false;
-                        s.epoch += 1;
-                        s.store.clear();
-                        s.committed_secs = 0.0;
-                        s.declined.clear();
-                    }
+                    // The instance dies, and everything it remembered
+                    // with it; its threads drop whatever they were
+                    // doing. The ledger reclaims its jobs at detection.
+                    nodes[w].lock().crash(clock.now());
                     st.core.m.worker_crashes.inc();
                     down_since[w] = Some(now);
                     st.core
-                        .commit(vnow(), Some(wid), None, SchedEventKind::Crash);
+                        .commit(clock.now(), Some(wid), None, SchedEventKind::Crash);
                     if let Some(r) = &repl {
                         // The disk dies with the instance: diff its
                         // resident set out of the registry. The
@@ -991,11 +1007,7 @@ pub(crate) fn run_threaded_with_shareds(
                     if w >= n || down_since[w].is_none() {
                         continue;
                     }
-                    {
-                        let mut s = shareds[w].lock();
-                        s.alive = true;
-                        s.epoch += 1;
-                    }
+                    nodes[w].lock().recover();
                     st.core.m.worker_recoveries.inc();
                     if let Some(since) = down_since[w].take() {
                         downtime_real += now.saturating_duration_since(since).as_secs_f64();
@@ -1009,7 +1021,7 @@ pub(crate) fn run_threaded_with_shareds(
                         r.lock().alive[w] = true;
                     }
                     st.core
-                        .commit(vnow(), Some(wid), None, SchedEventKind::Recover);
+                        .commit(clock.now(), Some(wid), None, SchedEventKind::Recover);
                     if st.draining[w] {
                         // A drainer that crashed mid-drain: its queue
                         // died with the instance, so once its stranded
@@ -1040,8 +1052,12 @@ pub(crate) fn run_threaded_with_shareds(
                     if st.known_live[w] || st.departed[w] || down_since[w].is_some() {
                         continue;
                     }
-                    st.core
-                        .commit(vnow(), Some(ev.worker), None, SchedEventKind::WorkerJoined);
+                    st.core.commit(
+                        clock.now(),
+                        Some(ev.worker),
+                        None,
+                        SchedEventKind::WorkerJoined,
+                    );
                     st.known_live[w] = true;
                     st.draining[w] = false;
                     if let Some(r) = &repl {
@@ -1059,7 +1075,7 @@ pub(crate) fn run_threaded_with_shareds(
                         continue;
                     }
                     st.core.commit(
-                        vnow(),
+                        clock.now(),
                         Some(ev.worker),
                         None,
                         SchedEventKind::WorkerDraining,
@@ -1091,20 +1107,17 @@ pub(crate) fn run_threaded_with_shareds(
                     // on the spot — queue and store die with it, its
                     // unfinished jobs re-enter allocation immediately
                     // (no detection delay), and it never returns.
-                    st.core
-                        .commit(vnow(), Some(ev.worker), None, SchedEventKind::WorkerRemoved);
+                    st.core.commit(
+                        clock.now(),
+                        Some(ev.worker),
+                        None,
+                        SchedEventKind::WorkerRemoved,
+                    );
                     st.draining[w] = false;
                     st.departed[w] = true;
                     st.known_live[w] = false;
                     st.idle.remove(ev.worker.0);
-                    {
-                        let mut s = shareds[w].lock();
-                        s.alive = false;
-                        s.epoch += 1;
-                        s.store.clear();
-                        s.committed_secs = 0.0;
-                        s.declined.clear();
-                    }
+                    nodes[w].lock().crash(clock.now());
                     if let Some(r) = &repl {
                         // Reclaimed disk and all: same data-plane diff
                         // as a crash, but the worker never returns.
@@ -1161,7 +1174,12 @@ pub(crate) fn run_threaded_with_shareds(
             // before its latest recovery — or everything, if it has
             // not recovered. (Jobs placed after a recovery live on the
             // rejoined worker and stay put.)
-            reclaim(&mut st, &worker_txs, WorkerId(dw), recovered_since.map(vat));
+            reclaim(
+                &mut st,
+                &worker_txs,
+                WorkerId(dw),
+                recovered_since.map(|t| clock.at(t)),
+            );
             // Reclaiming may have emptied a recovered drainer's
             // ledger entries.
             finish_drain(&mut st, &down_since, dw);
@@ -1173,7 +1191,7 @@ pub(crate) fn run_threaded_with_shareds(
         // backoff, and bounce those whose lease expired back to the
         // scheduler — *not* `Redistributed`: the worker may be alive,
         // the link is suspect.
-        let v = vat(now);
+        let v = clock.at(now);
         for (id, seq) in st.core.due(v) {
             if let Some(d) = st.core.resend(v, id, seq) {
                 deliver(&mut st, &worker_txs, d);
@@ -1219,7 +1237,7 @@ pub(crate) fn run_threaded_with_shareds(
                     // committed repair to a fresh destination — no
                     // second `repair_start` (that would double-count
                     // the decision) — or park until somebody recovers.
-                    let free: Vec<u64> = shareds
+                    let free: Vec<u64> = nodes
                         .iter()
                         .map(|s| {
                             let s = s.lock();
@@ -1244,7 +1262,7 @@ pub(crate) fn run_threaded_with_shareds(
                         None => {
                             let wait = rs.cfg.fetch_timeout_secs;
                             drop(rs);
-                            repair_timers.push((now + virt(wait), obj, dest, bytes));
+                            repair_timers.push((now + clock.real(wait), obj, dest, bytes));
                         }
                     }
                     continue;
@@ -1252,11 +1270,11 @@ pub(crate) fn run_threaded_with_shareds(
                 // The copy lands: insert on the destination (its pins
                 // applied first), journal `repair_done` before the
                 // replica bookkeeping, and let the scan below top up.
-                let mut s = shareds[d].lock();
+                let mut s = nodes[d].lock();
                 let mut rs = r.lock();
                 rs.apply_pin_ops(dest, &mut s.store);
                 rs.repairs.remove(&obj);
-                let evicted = s.store.insert(obj, bytes, vnow());
+                let evicted = s.store.insert(obj, bytes, clock.now());
                 rs.journal
                     .push((dest, None, SchedEventKind::RepairDone { object: obj.0 }));
                 st.core.m.repairs_completed.inc();
@@ -1341,7 +1359,7 @@ pub(crate) fn run_threaded_with_shareds(
                 .chain(
                     st.core
                         .next_deadline()
-                        .map(|t| start + virt(t.as_secs_f64())),
+                        .map(|t| start + clock.real(t.as_secs_f64())),
                 )
                 .chain(stall_limit.map(|l| last_progress + l))
                 .chain(st.core.dag().is_active().then_some(next_spec_check))
@@ -1413,8 +1431,13 @@ pub(crate) fn run_threaded_with_shareds(
                     if recorded {
                         full = c.bids.len() >= live;
                         let waited = c.opened.elapsed().as_secs_f64() / cfg.time_scale;
-                        st.core
-                            .record_bid(vnow(), WorkerId(worker), job, estimate_secs, waited);
+                        st.core.record_bid(
+                            clock.now(),
+                            WorkerId(worker),
+                            job,
+                            estimate_secs,
+                            waited,
+                        );
                     }
                 }
                 if !recorded && cfg.mutation.accepts_late_bids() {
@@ -1424,8 +1447,10 @@ pub(crate) fn run_threaded_with_shareds(
                     if let Some(j) = st.core.placed_job(job) {
                         let bid = SchedEventKind::BidReceived { estimate_secs };
                         st.core
-                            .commit(vnow(), Some(WorkerId(worker)), Some(job), bid);
-                        if let Placed::Send(d) = st.core.place(vnow(), WorkerId(worker), j, false) {
+                            .commit(clock.now(), Some(WorkerId(worker)), Some(job), bid);
+                        if let Placed::Send(d) =
+                            st.core.place(clock.now(), WorkerId(worker), j, false)
+                        {
                             deliver(&mut st, &worker_txs, d);
                         }
                     }
@@ -1450,7 +1475,7 @@ pub(crate) fn run_threaded_with_shareds(
                     continue;
                 }
                 st.core.commit(
-                    vnow(),
+                    clock.now(),
                     Some(WorkerId(worker)),
                     Some(job.id),
                     SchedEventKind::Rejected,
@@ -1490,14 +1515,14 @@ pub(crate) fn run_threaded_with_shareds(
                         worker,
                         ToWorker::AckDone(job.id),
                         Instant::now(),
-                        vnow(),
+                        clock.now(),
                         cfg.time_scale,
                     );
                 }
                 st.core.settle(job.id, Settle::Done);
                 st.rejected_by.remove(&job.id);
                 finish_drain(&mut st, &down_since, worker);
-                let outcome = match st.core.complete(vnow(), WorkerId(worker), job.id) {
+                let outcome = match st.core.complete(clock.now(), WorkerId(worker), job.id) {
                     // A redistributed copy already finished elsewhere,
                     // or an at-least-once duplicate of a completion
                     // already applied: side effects happen once.
@@ -1519,7 +1544,7 @@ pub(crate) fn run_threaded_with_shareds(
                     // Reconstruct the lifecycle from the phase
                     // breakdown: the completion instant is authoritative
                     // and the phases are laid out backwards from it.
-                    let finished = vnow();
+                    let finished = clock.now();
                     let total = (wait_secs + fetch_secs + proc_secs).max(0.0);
                     let queued = SimTime::from_secs_f64((finished.as_secs_f64() - total).max(0.0));
                     let started = queued + SimDuration::from_secs_f64(wait_secs.max(0.0));
@@ -1555,12 +1580,12 @@ pub(crate) fn run_threaded_with_shareds(
                     DoneOutcome::NotTask => {
                         let mut out: Vec<JobSpec> = Vec::new();
                         let ctx = TaskCtx {
-                            now: vnow(),
+                            now: clock.now(),
                             worker: WorkerId(worker),
                         };
                         workflow.logic_mut(job.task).process(&job, &ctx, &mut out);
                         for spec in out {
-                            let spawned = st.core.spawn(vnow(), spec);
+                            let spawned = st.core.spawn(clock.now(), spec);
                             dispatch(&mut st, &worker_txs, cfg, spawned);
                         }
                     }
@@ -1576,21 +1601,21 @@ pub(crate) fn run_threaded_with_shareds(
                         // downstream task bids see it as local state —
                         // and, under replication, as a fresh replica.
                         {
-                            let mut s = shareds[worker as usize].lock();
+                            let mut s = nodes[worker as usize].lock();
                             if let Some(r) = &repl {
                                 let mut rs = r.lock();
                                 rs.apply_pin_ops(worker, &mut s.store);
-                                let evicted = s.store.insert(output.id, output.bytes, vnow());
+                                let evicted = s.store.insert(output.id, output.bytes, clock.now());
                                 rs.note_insert(worker, &s.store, output.id, output.bytes, evicted);
                             } else {
-                                s.store.insert(output.id, output.bytes, vnow());
+                                s.store.insert(output.id, output.bytes, clock.now());
                             }
                         }
                         for loser in losers {
                             // Exactly-once accounting: the loser is
                             // retired at cancellation, and its eventual
                             // Done is swallowed at intake above.
-                            st.core.cancel_loser(vnow(), loser, root, task);
+                            st.core.cancel_loser(clock.now(), loser, root, task);
                         }
                         for (idx, tspec) in released {
                             submit_task_job(&mut st, &worker_txs, cfg, root, idx, tspec);
@@ -1601,7 +1626,7 @@ pub(crate) fn run_threaded_with_shareds(
             }
             ToMaster::AckAssign { worker, job, seq } => {
                 st.core.m.control_messages.inc();
-                st.core.ack(vnow(), WorkerId(worker), job, seq);
+                st.core.ack(clock.now(), WorkerId(worker), job, seq);
             }
         }
     }
@@ -1647,10 +1672,11 @@ pub(crate) fn run_threaded_with_shareds(
         mean_queue_wait_secs: wait_stats.mean(),
         recovery_secs: downtime_real / cfg.time_scale,
     };
-    let workers = shareds.iter().map(|s| {
+    let makespan = SimTime::from_secs_f64(makespan_secs);
+    let workers = nodes.iter().map(|s| {
         let s = s.lock();
         let frac = if makespan_secs > 0.0 {
-            (s.busy_secs / makespan_secs).min(1.0)
+            s.busy.average(makespan).min(1.0)
         } else {
             0.0
         };

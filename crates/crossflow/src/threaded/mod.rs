@@ -26,12 +26,45 @@ mod repl;
 mod worker;
 
 pub use chaos::{ChaosConfig, DeliveryEntry, DeliveryLog, DeliveryLogHandle, ProtocolMutation};
-pub(crate) use master::run_threaded_with_shareds;
+pub(crate) use master::{fresh_nodes, run_threaded_with_nodes};
 pub use master::{run_threaded_output, ThreadedConfig, ThreadedScheduler};
-pub(crate) use worker::WorkerShared;
+
+use std::time::{Duration, Instant};
+
+use crossbid_simcore::{SimDuration, SimTime};
 
 use crate::job::Job;
 use crate::master_core::Delivery;
+
+/// The run's virtual clock: seconds since `start`, scaled.
+#[derive(Clone, Copy)]
+pub(crate) struct Clock {
+    pub start: Instant,
+    /// Real seconds per virtual second.
+    pub scale: f64,
+}
+
+impl Clock {
+    pub fn now(&self) -> SimTime {
+        self.at(Instant::now())
+    }
+
+    pub fn at(&self, t: Instant) -> SimTime {
+        let real = t.saturating_duration_since(self.start).as_secs_f64();
+        SimTime::from_secs_f64(real / self.scale)
+    }
+
+    pub fn real(&self, virtual_secs: f64) -> Duration {
+        Duration::from_secs_f64((virtual_secs * self.scale).max(0.0))
+    }
+
+    pub fn sleep(&self, d: SimDuration) {
+        let real = d.as_secs_f64() * self.scale;
+        if real > 0.0 {
+            std::thread::sleep(Duration::from_secs_f64(real.min(30.0)));
+        }
+    }
+}
 
 /// Messages workers send to the threaded master. `Clone` exists for
 /// the chaos layer's duplicate-delivery injection.

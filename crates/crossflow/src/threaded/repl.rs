@@ -7,7 +7,7 @@
 //! its own store, and the in-flight repair set.
 //!
 //! **Lock order** (deadlock freedom): a thread that needs both locks
-//! takes its own `WorkerShared` *first*, then `ReplState`. The master
+//! takes its own `WorkerNode` *first*, then `ReplState`. The master
 //! only ever holds one worker's shared state at a time and never takes
 //! a shared lock while holding the repl lock — free-byte snapshots for
 //! repair-destination choice are collected before locking `ReplState`.
@@ -20,9 +20,7 @@
 //! replay property both ride on that order being exact.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
-use crossbid_simcore::SimTime;
 use crossbid_storage::{LocalStore, ObjectId, ReplicaMap};
 
 use crate::engine::ReplicationConfig;
@@ -55,19 +53,13 @@ pub(crate) struct ReplState {
     /// Liveness mirror maintained by the master (crashes, recoveries,
     /// joins, removals) for source filtering on the worker side.
     pub alive: Vec<bool>,
-    /// Net-fault plan: partition windows block peer links, link loss
-    /// composes into the drop sampler, and the retry policy paces the
-    /// fetch backoff.
+    /// Net-fault plan: its link loss composes into a repair copy's
+    /// loss sample.
     pub netfaults: NetFaultPlan,
-    /// Run-start instant mapping wall time onto the virtual clock the
-    /// partition windows are expressed in.
-    pub start: Instant,
-    /// Real seconds per virtual second.
-    pub time_scale: f64,
 }
 
 impl ReplState {
-    pub fn new(cfg: ReplicationConfig, netfaults: NetFaultPlan, n: usize, time_scale: f64) -> Self {
+    pub fn new(cfg: ReplicationConfig, netfaults: NetFaultPlan, n: usize) -> Self {
         ReplState {
             map: ReplicaMap::new(cfg.factor),
             cfg,
@@ -76,39 +68,21 @@ impl ReplState {
             repairs: HashMap::new(),
             alive: vec![true; n],
             netfaults,
-            start: Instant::now(),
-            time_scale,
         }
-    }
-
-    /// Current virtual time, for partition-window checks.
-    fn vnow(&self) -> SimTime {
-        SimTime::from_secs_f64(self.start.elapsed().as_secs_f64() / self.time_scale)
-    }
-
-    /// Is the `a`↔`b` peer link cut by a partition right now?
-    pub fn link_blocked(&self, a: u32, b: u32) -> bool {
-        self.netfaults
-            .link_blocked(WorkerId(a), WorkerId(b), self.vnow())
-    }
-
-    /// Deterministic loss sample for one peer transfer attempt.
-    pub fn peer_lost(&self, obj: ObjectId, w: u32, attempt: u32) -> bool {
-        self.netfaults
-            .peer_dropped(self.cfg.peer_drop_prob, obj, WorkerId(w), attempt)
     }
 
     /// Live peers currently holding `obj` (ascending id), excluding
     /// `exclude` — the candidate sources for a peer fetch.
-    pub fn peer_sources(&self, obj: ObjectId, exclude: u32) -> Vec<u32> {
+    pub fn peer_sources(&self, obj: ObjectId, exclude: u32) -> Vec<WorkerId> {
         self.map
             .replicas(obj)
             .filter(|&h| h != exclude && self.alive[h as usize])
+            .map(WorkerId)
             .collect()
     }
 
     /// Apply every pending pin directive for worker `me` to its store.
-    /// Callers hold `me`'s `WorkerShared` lock and this lock together,
+    /// Callers hold `me`'s `WorkerNode` lock and this lock together,
     /// and call this *before* the insert the directives must protect.
     pub fn apply_pin_ops(&mut self, me: u32, store: &mut LocalStore) {
         for (obj, pin) in self.pin_ops[me as usize].drain(..) {
