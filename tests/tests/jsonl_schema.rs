@@ -138,17 +138,20 @@ fn atomized_spec() -> RunSpec {
         .build()
 }
 
-/// Replicated data plane under a holder crash (same workload shape as
-/// `tests/replication.rs`): the first fetch of each artifact draws
-/// `sched/replica_add` and the factor-2 top-up draws
-/// `sched/repair_start` / `sched/repair_done`; queue pressure pushes
-/// later jobs onto data-less workers whose transfers come from peers
-/// (`sched/fetch_req` / `sched/fetch_ok`); and the mid-run crash of
-/// worker 0 drops its copies (`sched/replica_drop`) and re-replicates
-/// them.
+/// Replicated data plane around a draining holder. Worker 0 is alone
+/// until workers 1 and 2 join at t = 30, so it fetches the artifact
+/// from the master (`sched/replica_add`, with no top-up: nobody else
+/// is eligible) and then takes a long CPU job. From t = 20 it drains:
+/// alive, still a replica holder, but out of the roster. The job on
+/// the artifact at t = 35 therefore goes to a worker that lacks it and
+/// fetches it from worker 0 (`sched/fetch_req` / `sched/fetch_ok`) —
+/// inevitably, whatever the thread timing. When worker 0 finishes its
+/// CPU job and leaves, its copy drops (`sched/replica_drop`) and the
+/// factor-2 repair copies the artifact again (`sched/repair_start` /
+/// `sched/repair_done`).
 fn replicated_spec() -> RunSpec {
     RunSpec::builder()
-        .workers(specs(4))
+        .workers(specs(3))
         .engine(EngineConfig {
             control: ControlPlane::instant(),
             data_latency: SimDuration::ZERO,
@@ -158,10 +161,11 @@ fn replicated_spec() -> RunSpec {
         .speed_learning(false)
         .replication(ReplicationConfig::with_factor(2))
         .faults(
-            Faults::new().workers(
-                FaultPlan::new()
-                    .crash_at(SimTime::from_secs(21), WorkerId(0))
-                    .recover_at(SimTime::from_secs(40), WorkerId(0)),
+            Faults::new().membership(
+                MembershipPlan::new()
+                    .drain_at(SimTime::from_secs(20), WorkerId(0))
+                    .join_at(SimTime::from_secs(30), WorkerId(1))
+                    .join_at(SimTime::from_secs(30), WorkerId(2)),
             ),
         )
         .trace(true)
@@ -272,27 +276,34 @@ fn stream_vocabulary(rt: &mut dyn Runtime, alloc: &dyn Allocator) -> (String, BT
     stream_and_vocab(rt.name(), alloc.kind().name(), &out)
 }
 
-/// Stream one [`replicated_spec`] run: twelve jobs alternating over
-/// two hot artifacts, so the v7 data-plane kinds (peer fetches,
-/// replica bookkeeping, crash-triggered repair) all appear.
+/// Stream one [`replicated_spec`] run: the artifact's first job, the
+/// holder's 300-second CPU job, and the artifact's second job once
+/// the holder drains, so the v7 data-plane kinds (a peer fetch,
+/// replica bookkeeping, departure-triggered repair) all appear.
 fn repl_stream_vocabulary(rt: &mut dyn Runtime) -> (String, BTreeSet<String>) {
     let mut wf = Workflow::new();
     let task = wf.add_sink("scan");
-    let arrivals = (0..12)
-        .map(|i| Arrival {
-            at: SimTime::from_secs_f64(i as f64 * 2.0),
-            spec: JobSpec::scanning(
-                task,
-                ResourceRef {
-                    id: ObjectId(1 + (i % 2)),
-                    bytes: 100_000_000,
-                },
-                Payload::Index(i),
-            ),
-        })
-        .collect();
+    let repo = ResourceRef {
+        id: ObjectId(1),
+        bytes: 100_000_000,
+    };
+    let at = SimTime::from_secs;
+    let arrivals = vec![
+        Arrival {
+            at: at(0),
+            spec: JobSpec::scanning(task, repo, Payload::Index(0)),
+        },
+        Arrival {
+            at: at(1),
+            spec: JobSpec::compute(task, 300.0, Payload::Index(1)),
+        },
+        Arrival {
+            at: at(35),
+            spec: JobSpec::scanning(task, repo, Payload::Index(2)),
+        },
+    ];
     let out = rt.run_iteration(&mut wf, &BiddingAllocator::new(), arrivals);
-    assert_eq!(out.record.jobs_completed, 12, "{}", rt.name());
+    assert_eq!(out.record.jobs_completed, 3, "{}", rt.name());
     stream_and_vocab(rt.name(), "bidding", &out)
 }
 
@@ -530,8 +541,8 @@ fn both_runtimes_emit_the_golden_event_vocabulary() {
     // the v6 task kinds — Baseline for the speculation race (under
     // bidding the slow worker prices itself out), bidding for
     // `sched/task_bid` — and two replicated runs for the v7
-    // data-plane kinds (a holder crash for the repair cycle, total
-    // peer loss for `sched/fetch_fail`).
+    // data-plane kinds (a draining holder for the peer fetch and the
+    // repair cycle, total peer loss for `sched/fetch_fail`).
     let faulted = faulted_spec();
     let lossy = netfault_spec();
     let atomized = atomized_spec();
