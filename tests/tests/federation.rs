@@ -15,8 +15,8 @@ use crossbid_checker::{
 use crossbid_core::BiddingAllocator;
 use crossbid_crossflow::{
     Arrival, EngineConfig, Faults, JobSpec, MembershipPlan, NetFaultPlan, Payload, ResourceRef,
-    RunOutput, RunSpec, Runtime, SchedEventKind, SchedState, ShardId, WorkerId, WorkerSpec,
-    Workflow,
+    RunOutput, RunSpec, Runtime, SchedEvent, SchedEventKind, SchedLog, SchedState, ShardId,
+    WorkerId, WorkerSpec, Workflow,
 };
 use crossbid_net::{ControlPlane, NoiseModel};
 use crossbid_simcore::{SimDuration, SimTime};
@@ -120,6 +120,98 @@ proptest! {
             );
             let expected = spilled_to.get(&job).copied().unwrap_or_else(|| job.shard());
             prop_assert_eq!(shards_seen[0], expected, "job {:?} completed off-shard", job);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The merged log of every federation built-in, both runtimes.
+// ---------------------------------------------------------------------------
+
+/// Rebuild a log the way the federation first did: push a runtime log
+/// and its time-sorted hand-off records through `SchedLog::push` in
+/// time order, runtime events first within an instant.
+fn re_augment(run: &[SchedEvent], synthesized: &[SchedEvent]) -> SchedLog {
+    let mut log = SchedLog::new();
+    let (mut i, mut j) = (0, 0);
+    while i < run.len() || j < synthesized.len() {
+        if j == synthesized.len() || (i < run.len() && run[i].at <= synthesized[j].at) {
+            log.push(run[i]);
+            i += 1;
+        } else {
+            log.push(synthesized[j]);
+            j += 1;
+        }
+    }
+    log
+}
+
+/// The federation's first merge: every shard-qualified event, stable-
+/// sorted by `(time, shard)`, pushed into a fresh log.
+fn sorted_union(shards: &[RunOutput]) -> SchedLog {
+    let mut all: Vec<(SimTime, usize, SchedEvent)> = Vec::new();
+    for (s, out) in shards.iter().enumerate() {
+        for ev in out.sched_log.events() {
+            let mut q = *ev;
+            q.worker = q.worker.map(|w| WorkerId::in_shard(ShardId(s as u16), w.0));
+            all.push((q.at, s, q));
+        }
+    }
+    all.sort_by_key(|(at, s, _)| (*at, *s));
+    let mut merged = SchedLog::new();
+    for (_, _, ev) in all {
+        merged.push(ev);
+    }
+    merged
+}
+
+/// Every shard log a federation run hands to its merge is time-sorted,
+/// is exactly what re-augmenting its runtime events with its hand-off
+/// records gives, and the merged log and makespan are exactly what the
+/// sort-based merge gives.
+#[test]
+fn every_fed_builtin_merges_like_the_sort_based_reference_on_both_runtimes() {
+    for run in [Run::sim(1), Run::threaded(1)] {
+        for sc in Scenario::builtins_where(|s| s.federation.is_some()) {
+            let out = sc.run(&run);
+            let ctx = format!("{} on {:?}", sc.name, run.runtime);
+            for (h, shard) in out.masters.iter().enumerate() {
+                let events = shard.sched_log.events();
+                assert!(
+                    events.windows(2).all(|w| w[0].at <= w[1].at),
+                    "{ctx}: shard {h}'s log is not time-sorted"
+                );
+                // Without a mutation the home runtime never sees a job
+                // it forwarded: every event about one is a hand-off record.
+                let forwarded: Vec<_> = out
+                    .spills
+                    .iter()
+                    .filter(|s| s.from.0 as usize == h)
+                    .map(|s| s.job)
+                    .collect();
+                let (synthesized, runtime): (Vec<SchedEvent>, Vec<SchedEvent>) = events
+                    .iter()
+                    .partition(|e| e.job.is_some_and(|j| forwarded.contains(&j)));
+                assert_eq!(synthesized.len(), 2 * forwarded.len(), "{ctx}: shard {h}");
+                assert_eq!(
+                    re_augment(&runtime, &synthesized).events(),
+                    events,
+                    "{ctx}: shard {h}'s augmented log"
+                );
+            }
+            let merged = out.merged.as_ref().expect("a federation run merges");
+            assert_eq!(
+                merged.events(),
+                sorted_union(&out.masters).events(),
+                "{ctx}: merged log"
+            );
+            let last_done = merged
+                .events()
+                .iter()
+                .filter(|e| matches!(e.kind, SchedEventKind::Completed))
+                .map(|e| e.at.as_secs_f64())
+                .fold(0.0, f64::max);
+            assert_eq!(out.makespan_secs.to_bits(), last_done.to_bits(), "{ctx}");
         }
     }
 }
