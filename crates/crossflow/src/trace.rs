@@ -564,6 +564,13 @@ impl SchedLog {
         Self::default()
     }
 
+    /// Empty log with room for `n` events.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        SchedLog {
+            events: Vec::with_capacity(n),
+        }
+    }
+
     /// Append one event (runtime-internal).
     ///
     /// Same-instant events are kept in a deterministic order across

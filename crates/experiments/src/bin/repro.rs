@@ -45,7 +45,7 @@
 use crossbid_experiments::sweep::{self, SweepConfig};
 use crossbid_experiments::trace_run::{self, RuntimeChoice, TraceRunConfig};
 use crossbid_experiments::{
-    crash_sweep, crossover, extensions, fig2, fig3, fig4, replication, summary, tables,
+    crash_sweep, crossover, extensions, fig2, fig3, fig4, seed_study, summary, tables,
     ExperimentConfig,
 };
 use crossbid_metrics::SchedulerKind;
@@ -204,8 +204,8 @@ fn main() {
         }
         "replication" => {
             let reps: u32 = parsed(&args, "--reps").unwrap_or(5);
-            let rs = replication::run(&cfg, reps);
-            emit("replication", &replication::render(&rs));
+            let rs = seed_study::run(&cfg, reps);
+            emit("replication", &seed_study::render(&rs));
         }
         "tables" => {
             let exp = if smoke {

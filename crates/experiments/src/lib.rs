@@ -30,8 +30,8 @@ pub mod extensions;
 pub mod fig2;
 pub mod fig3;
 pub mod fig4;
-pub mod replication;
 pub mod runner;
+pub mod seed_study;
 pub mod summary;
 pub mod sweep;
 pub mod tables;
