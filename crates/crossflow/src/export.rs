@@ -18,15 +18,36 @@
 //! [`SCHEMA_VERSION`] on the `run_meta` line; consumers should reject
 //! newer versions rather than misread them.
 //!
-//! There is one codec per line type, chosen by `"type"`. The two event
-//! types are all but three of a stream's lines: their bytes go straight
-//! into the output buffer and come back from a [`FlatObject`] scan, with
-//! no [`Json`] tree either way (DESIGN.md §4d has the line grammar).
+//! The two event types are all but three of a stream's lines, and
+//! neither builds a [`Json`] tree. Their bytes go straight into the
+//! output buffer. Reading one back first tries the writer's own layout
+//! with one cursor over the line: the `"type"` prefix, each field's
+//! `,"key":` in wire order, values as the writer spells them (no
+//! whitespace, no escapes, no exponent, no sign on an id or instant,
+//! no leading zero), and `}` right after the last field. A line that
+//! differs anywhere goes to a [`FlatObject`] scan, which reads every
+//! spelling the tree parser reads and raises every error. The line's
+//! own bytes pick the path, and where both accept a line they give the
+//! same event. The scan stays because it is the only reader of foreign
+//! input; the cursor read exists because on a 32-worker stream (41
+//! lines per job, 32 of them bids) the scan's ≈ 300 ns/line set the
+//! pipeline's pace, and the cursor read is under half of that.
+//!
+//! An instant below 10¹⁵ µs ticks is written and read from its ticks,
+//! as `secs.frac` with the fraction's trailing zeros trimmed (`.0` when
+//! whole). That is exact: such a decimal has at most 15 significant
+//! digits, so it is the shortest round-trip string of its nearest
+//! double (the bytes equal [`render_f64`] of the seconds), and
+//! [`SimTime::from_secs_f64`] of that double is within 0.23 tick before
+//! rounding (the ticks equal what the float path reads). At or above
+//! 10¹⁵ ticks both sides take the float path. DESIGN.md §4d has the
+//! line grammar.
 
 use std::io::{self, Write};
 
 use crossbid_metrics::json::{render_f64, render_str, render_u64, FlatObject, Scalar};
 use crossbid_metrics::{Json, JsonError, JsonlWriter, RegistrySnapshot, RunRecord};
+use crossbid_simcore::time::TICKS_PER_SEC;
 use crossbid_simcore::SimTime;
 
 use crate::engine::RunOutput;
@@ -140,12 +161,79 @@ pub enum RunStreamLine {
     Metrics(Box<RegistrySnapshot>),
 }
 
-/// A field type of the event lines: how it is written and how it is
-/// read back. Reading is strict — an integer wider than the type is an
-/// error naming the field, never a wrap.
+/// A field type of the event lines: how it is written, how it is taken
+/// from a [`FlatObject`], and how it is read back from exactly the
+/// bytes `put` writes. Taking is strict — an integer wider than the
+/// type is an error naming the field, never a wrap. Reading is stricter
+/// still: any other spelling is `None`, and the whole line then goes to
+/// the `FlatObject` decode, which takes the same value or names the
+/// error.
 trait Wire: Sized {
     fn put(self, out: &mut String);
     fn take(obj: &FlatObject<'_>, key: &str) -> Result<Self, JsonError>;
+    fn read(cur: &mut Cursor<'_>) -> Option<Self>;
+}
+
+/// `,"key":`, the one spelling of a field key that both the writer and
+/// the canonical read use.
+macro_rules! key {
+    ($($key:tt)*) => {
+        concat!(",\"", $($key)*, "\":")
+    };
+}
+
+/// A cursor over one event line that accepts only what the writer lays
+/// down. On `None` the line is decoded afresh, so what was consumed
+/// does not matter.
+struct Cursor<'a>(&'a str);
+
+impl<'a> Cursor<'a> {
+    fn lit(&mut self, s: &str) -> Option<()> {
+        self.0 = self.0.strip_prefix(s)?;
+        Some(())
+    }
+
+    /// The value after the literal `key` (a [`key!`]).
+    fn field<T: Wire>(&mut self, key: &str) -> Option<T> {
+        self.lit(key)?;
+        T::read(self)
+    }
+
+    /// A run of ASCII digits, possibly empty.
+    fn digits(&mut self) -> &'a str {
+        let n = self.0.bytes().position(|b| !b.is_ascii_digit());
+        let (digits, rest) = self.0.split_at(n.unwrap_or(self.0.len()));
+        self.0 = rest;
+        digits
+    }
+
+    /// Integer digits as [`render_u64`] writes them: no leading zero.
+    fn int_digits(&mut self) -> Option<&'a str> {
+        let digits = self.digits();
+        match digits.as_bytes() {
+            [] | [b'0', _, ..] => None,
+            _ => Some(digits),
+        }
+    }
+
+    fn uint(&mut self) -> Option<u64> {
+        self.int_digits()?.parse().ok()
+    }
+
+    /// A point and at least one digit.
+    fn fraction(&mut self) -> Option<&'a str> {
+        self.lit(".")?;
+        Some(self.digits()).filter(|d| !d.is_empty())
+    }
+
+    /// The text of a string up to the next quote. No schema name holds
+    /// an escape, so an escaped name matches none of them.
+    fn str(&mut self) -> Option<&'a str> {
+        let rest = self.0.strip_prefix('"')?;
+        let (text, rest) = rest.split_once('"')?;
+        self.0 = rest;
+        Some(text)
+    }
 }
 
 /// Unsigned integers and the id newtypes around them.
@@ -157,6 +245,9 @@ macro_rules! wire_uint {
             }
             fn take(obj: &FlatObject<'_>, key: &str) -> Result<Self, JsonError> {
                 obj.req_uint(key).map($wrap)
+            }
+            fn read(cur: &mut Cursor<'_>) -> Option<Self> {
+                cur.uint()?.try_into().ok().map($wrap)
             }
         }
     )*};
@@ -176,6 +267,12 @@ impl Wire for bool {
     fn take(obj: &FlatObject<'_>, key: &str) -> Result<Self, JsonError> {
         obj.req_bool(key)
     }
+    fn read(cur: &mut Cursor<'_>) -> Option<Self> {
+        match cur.lit("true") {
+            Some(()) => Some(true),
+            None => cur.lit("false").map(|()| false),
+        }
+    }
 }
 
 /// Non-finite renders as `null` and `null` reads back as NaN: a
@@ -187,20 +284,63 @@ impl Wire for f64 {
     fn take(obj: &FlatObject<'_>, key: &str) -> Result<Self, JsonError> {
         obj.req_f64(key)
     }
+    /// `{}` never writes an exponent, so a float is `-?int.frac`.
+    fn read(cur: &mut Cursor<'_>) -> Option<Self> {
+        if cur.lit("null").is_some() {
+            return Some(f64::NAN);
+        }
+        let start = cur.0;
+        let _ = cur.lit("-");
+        cur.int_digits()?;
+        cur.fraction()?;
+        start[..start.len() - cur.0.len()].parse().ok()
+    }
 }
 
-/// Unlike a bare `f64`, an instant must be a number: `null` would
-/// otherwise read as t = 0.
+/// Instants below this many ticks are written and read from their
+/// ticks; the module docs say why that is exact.
+const EXACT_TICKS: u64 = 1_000_000_000_000_000;
+
+/// Unlike a bare `f64`, an instant must be a finite, non-negative
+/// number: `null`, `-3.0` and `1e999` would otherwise read as t = 0.
 impl Wire for SimTime {
     fn put(self, out: &mut String) {
-        render_f64(self.as_secs_f64(), out);
+        let ticks = self.ticks();
+        if ticks >= EXACT_TICKS {
+            return render_f64(self.as_secs_f64(), out);
+        }
+        render_u64(ticks / TICKS_PER_SEC, out);
+        let mut frac = *b".000000";
+        let mut rest = ticks % TICKS_PER_SEC;
+        for digit in frac[1..].iter_mut().rev() {
+            *digit += (rest % 10) as u8;
+            rest /= 10;
+        }
+        // Trim trailing zeros, down to `.0` for a whole second.
+        let len = frac.iter().rposition(|&b| b != b'0').unwrap_or(0) + 1;
+        out.push_str(std::str::from_utf8(&frac[..len.max(2)]).expect("ascii digits"));
     }
     fn take(obj: &FlatObject<'_>, key: &str) -> Result<Self, JsonError> {
         let secs = obj.req_f64(key)?;
         if secs.is_nan() {
             return Err(JsonError(format!("field `{key}` is null")));
         }
+        if secs < 0.0 || secs.is_infinite() {
+            return Err(JsonError(format!("field `{key}` is out of range: {secs}")));
+        }
         Ok(SimTime::from_secs_f64(secs))
+    }
+    /// `int.frac` with one to six (µs) fraction digits, straight to ticks.
+    fn read(cur: &mut Cursor<'_>) -> Option<Self> {
+        let secs = cur.uint()?;
+        let frac = cur.fraction()?;
+        if frac.len() > 6 {
+            return None;
+        }
+        let scale = 10u64.pow(6 - frac.len() as u32);
+        let frac: u64 = frac.parse().ok()?;
+        let ticks = secs.checked_mul(TICKS_PER_SEC)?.checked_add(frac * scale)?;
+        (ticks < EXACT_TICKS).then_some(SimTime::from_ticks(ticks))
     }
 }
 
@@ -218,6 +358,12 @@ impl<T: Wire> Wire for Option<T> {
             Some(_) => T::take(obj, key).map(Some),
         }
     }
+    fn read(cur: &mut Cursor<'_>) -> Option<Self> {
+        match cur.lit("null") {
+            Some(()) => Some(None),
+            None => T::read(cur).map(Some),
+        }
+    }
 }
 
 const TRACE_KINDS: [(TraceKind, &str); 4] = [
@@ -227,6 +373,11 @@ const TRACE_KINDS: [(TraceKind, &str); 4] = [
     (TraceKind::Finished, "finished"),
 ];
 
+fn trace_kind(name: &str) -> Option<TraceKind> {
+    let kind = TRACE_KINDS.iter().find(|(_, n)| *n == name);
+    kind.map(|(k, _)| *k)
+}
+
 impl Wire for TraceKind {
     fn put(self, out: &mut String) {
         let name = TRACE_KINDS.iter().find(|(k, _)| *k == self);
@@ -234,42 +385,56 @@ impl Wire for TraceKind {
     }
     fn take(obj: &FlatObject<'_>, key: &str) -> Result<Self, JsonError> {
         let name = obj.req_str(key)?;
-        let kind = TRACE_KINDS.iter().find(|(_, n)| *n == name);
-        kind.map(|(k, _)| *k)
-            .ok_or_else(|| JsonError(format!("unknown trace kind {name:?}")))
+        trace_kind(name).ok_or_else(|| JsonError(format!("unknown trace kind {name:?}")))
+    }
+    fn read(cur: &mut Cursor<'_>) -> Option<Self> {
+        trace_kind(cur.str()?)
     }
 }
 
-/// Append `,"key":value`. Keys are schema names and need no escaping.
-fn put_field(out: &mut String, key: &str, value: impl Wire) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":");
-    value.put(out);
+/// An event line: its `"type"` tag and its fields in wire order, each
+/// as `event_field: "wire_key"`, from which its encoder, its
+/// `FlatObject` decoder and its canonical read are all generated.
+macro_rules! event_line {
+    ($ty:ident $tag:literal { $($field:ident: $key:literal),* }
+        => $put:ident, $take:ident, $read:ident) => {
+        fn $put(ev: &$ty, out: &mut String) {
+            out.push_str(concat!("{\"type\":\"", $tag, "\""));
+            $(
+                out.push_str(key!($key));
+                Wire::put(ev.$field, out);
+            )*
+            out.push('}');
+        }
+
+        fn $take(obj: &FlatObject<'_>) -> Result<$ty, JsonError> {
+            Ok($ty { $($field: Wire::take(obj, $key)?),* })
+        }
+
+        /// `line` read in the writer's layout, or `None` if it differs.
+        fn $read(line: &str) -> Option<$ty> {
+            let mut cur = Cursor(line.strip_prefix(concat!("{\"type\":\"", $tag, "\""))?);
+            let ev = $ty { $($field: cur.field(key!($key))?),* };
+            (cur.0 == "}").then_some(ev)
+        }
+    };
 }
 
-fn put_trace(ev: &TraceEvent, out: &mut String) {
-    out.push_str("{\"type\":\"trace\"");
-    put_field(out, "job", ev.job);
-    put_field(out, "worker", ev.worker);
-    put_field(out, "kind", ev.kind);
-    put_field(out, "at_secs", ev.at);
-    out.push('}');
+event_line! {
+    TraceEvent "trace" { job: "job", worker: "worker", kind: "kind", at: "at_secs" }
+        => put_trace, take_trace, read_trace
 }
 
-fn take_trace(obj: &FlatObject<'_>) -> Result<TraceEvent, JsonError> {
-    Ok(TraceEvent {
-        job: Wire::take(obj, "job")?,
-        worker: Wire::take(obj, "worker")?,
-        kind: Wire::take(obj, "kind")?,
-        at: Wire::take(obj, "at_secs")?,
-    })
+event_line! {
+    SchedEvent "sched" { at: "at_secs", worker: "worker", job: "job", kind: "kind" }
+        => put_sched, take_sched, read_sched
 }
 
 /// The scheduler vocabulary: each kind's wire name and its payload
-/// fields in wire order, from which the name lookup, the encoder and
-/// the decoder are all generated. A field's key is its name in
-/// [`SchedEventKind`] and its encoding is its type's [`Wire`].
+/// fields in wire order, from which the name lookup and the kind's
+/// [`Wire`] encoding, decoding and canonical read are all generated. A
+/// field's key is its name in [`SchedEventKind`] and its encoding is
+/// its type's [`Wire`].
 macro_rules! sched_kinds {
     ($($name:literal => $kind:ident { $($field:ident),* }),* $(,)?) => {
         /// The stable wire name of a scheduler event kind.
@@ -279,24 +444,38 @@ macro_rules! sched_kinds {
             }
         }
 
-        /// Append `,"kind":"<name>"` and the kind's payload fields.
-        fn put_sched_kind(kind: SchedEventKind, out: &mut String) {
-            out.push_str(",\"kind\":");
-            render_str(sched_kind_name(&kind), out);
-            match kind {
-                $(SchedEventKind::$kind { $($field),* } => {
-                    $(put_field(out, stringify!($field), $field);)*
-                })*
+        /// A kind's value is its name; its payload fields follow it as
+        /// fields of the line.
+        impl Wire for SchedEventKind {
+            fn put(self, out: &mut String) {
+                match self {
+                    $(SchedEventKind::$kind { $($field),* } => {
+                        out.push_str(concat!("\"", $name, "\""));
+                        $(
+                            out.push_str(key!(stringify!($field)));
+                            Wire::put($field, out);
+                        )*
+                    })*
+                }
             }
-        }
 
-        fn take_sched_kind(obj: &FlatObject<'_>) -> Result<SchedEventKind, JsonError> {
-            Ok(match obj.req_str("kind")? {
-                $($name => SchedEventKind::$kind {
-                    $($field: Wire::take(obj, stringify!($field))?),*
-                },)*
-                other => return Err(JsonError(format!("unknown sched kind {other:?}"))),
-            })
+            fn take(obj: &FlatObject<'_>, key: &str) -> Result<Self, JsonError> {
+                Ok(match obj.req_str(key)? {
+                    $($name => SchedEventKind::$kind {
+                        $($field: Wire::take(obj, stringify!($field))?),*
+                    },)*
+                    other => return Err(JsonError(format!("unknown sched kind {other:?}"))),
+                })
+            }
+
+            fn read(cur: &mut Cursor<'_>) -> Option<Self> {
+                Some(match cur.str()? {
+                    $($name => SchedEventKind::$kind {
+                        $($field: cur.field(key!(stringify!($field)))?),*
+                    },)*
+                    _ => return None,
+                })
+            }
         }
     };
 }
@@ -338,24 +517,6 @@ sched_kinds! {
     "repair_done" => RepairDone { object },
 }
 
-fn put_sched(ev: &SchedEvent, out: &mut String) {
-    out.push_str("{\"type\":\"sched\"");
-    put_field(out, "at_secs", ev.at);
-    put_field(out, "worker", ev.worker);
-    put_field(out, "job", ev.job);
-    put_sched_kind(ev.kind, out);
-    out.push('}');
-}
-
-fn take_sched(obj: &FlatObject<'_>) -> Result<SchedEvent, JsonError> {
-    Ok(SchedEvent {
-        at: Wire::take(obj, "at_secs")?,
-        worker: Wire::take(obj, "worker")?,
-        job: Wire::take(obj, "job")?,
-        kind: take_sched_kind(obj)?,
-    })
-}
-
 fn record_line(record: &RunRecord) -> Json {
     let mut fields = vec![("type".to_string(), Json::str("record"))];
     if let Json::Obj(inner) = record.to_json() {
@@ -392,6 +553,22 @@ impl RunStreamLine {
 
     /// Decode one line; `obj` is scratch space reused from line to line.
     fn decode<'a>(line: &'a str, obj: &mut FlatObject<'a>) -> Result<Self, JsonError> {
+        match Self::read_canonical(line) {
+            Some(line) => Ok(line),
+            None => Self::scan(line, obj),
+        }
+    }
+
+    /// An event line in exactly the writer's layout, or `None`.
+    fn read_canonical(line: &str) -> Option<Self> {
+        match read_sched(line) {
+            Some(ev) => Some(RunStreamLine::Sched(ev)),
+            None => read_trace(line).map(RunStreamLine::Trace),
+        }
+    }
+
+    /// Decode a line of any spelling the tree parser reads.
+    fn scan<'a>(line: &'a str, obj: &mut FlatObject<'a>) -> Result<Self, JsonError> {
         obj.scan(line)?;
         match obj.req_str("type")? {
             "trace" => take_trace(obj).map(RunStreamLine::Trace),
@@ -476,6 +653,10 @@ mod tests {
             match parse_run_stream(&line).unwrap()[..] {
                 [RunStreamLine::Trace(back)] => assert_eq!(back, ev, "{line}"),
                 ref other => panic!("{line} parsed as {other:?}"),
+            }
+            match read_both_ways(&line) {
+                RunStreamLine::Trace(back) => assert_eq!(back, ev, "{line}"),
+                other => panic!("{line} read as {other:?}"),
             }
         }
     }
@@ -565,9 +746,13 @@ mod tests {
             },
             SchedEventKind::RepairDone { object: 42 },
         ];
-        for (i, kind) in kinds.into_iter().enumerate() {
+        let nan_bid = SchedEventKind::BidReceived {
+            estimate_secs: f64::NAN,
+        };
+        for (i, kind) in kinds.into_iter().chain([nan_bid]).enumerate() {
             let ev = SchedEvent {
-                at: t(i as f64),
+                // Whole seconds and one to six fraction digits.
+                at: SimTime::from_ticks(i as u64 * 1_250_125),
                 worker: if i % 2 == 0 { Some(WorkerId(1)) } else { None },
                 job: if i % 3 == 0 {
                     None
@@ -577,9 +762,72 @@ mod tests {
                 kind,
             };
             let line = RunStreamLine::Sched(ev).render();
-            match parse_run_stream(&line).unwrap()[..] {
-                [RunStreamLine::Sched(back)] => assert_eq!(back, ev, "{line}"),
-                ref other => panic!("{line} parsed as {other:?}"),
+            let expected = format!("{:?}", [RunStreamLine::Sched(ev)]);
+            assert_eq!(format!("{:?}", [read_both_ways(&line)]), expected);
+            assert_eq!(format!("{:?}", parse_run_stream(&line).unwrap()), expected);
+        }
+    }
+
+    /// Both readers take the writer's `line`, to the same event (by
+    /// `Debug`, so that a NaN estimate is equal to itself).
+    fn read_both_ways(line: &str) -> RunStreamLine {
+        let read = RunStreamLine::read_canonical(line)
+            .unwrap_or_else(|| panic!("the canonical read refused {line}"));
+        let scanned = RunStreamLine::scan(line, &mut FlatObject::default()).unwrap();
+        assert_eq!(format!("{read:?}"), format!("{scanned:?}"), "{line}");
+        read
+    }
+
+    /// The instant `ticks` is written as the float path writes it, and
+    /// below 10^15 ticks the canonical read takes it back exactly, as
+    /// the float path does; at or above, the canonical read leaves it
+    /// to the float path.
+    fn check_instant(ticks: u64) {
+        let at = SimTime::from_ticks(ticks);
+        let mut bytes = String::new();
+        at.put(&mut bytes);
+        let mut float = String::new();
+        render_f64(at.as_secs_f64(), &mut float);
+        assert_eq!(bytes, float, "{ticks} ticks");
+
+        let line = format!("{{\"at_secs\":{bytes}}}");
+        let mut obj = FlatObject::default();
+        obj.scan(&line).unwrap();
+        let taken = SimTime::take(&obj, "at_secs").unwrap();
+        let mut cur = Cursor(&bytes);
+        let read = SimTime::read(&mut cur).filter(|_| cur.0.is_empty());
+        let exact = ticks < 1_000_000_000_000_000;
+        assert_eq!(read, exact.then_some(at), "{bytes}");
+        if exact {
+            assert_eq!(taken, at, "{bytes}");
+        }
+    }
+
+    #[test]
+    fn instants_at_the_corners_of_the_tick_codec() {
+        for ticks in [
+            0,
+            1,
+            999_999,
+            1_000_000,
+            999_999_999_999_999,
+            1_000_000_000_000_000,
+            u64::MAX,
+        ] {
+            check_instant(ticks);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn instants_are_written_and_read_from_ticks_as_through_floats(
+            short in 0u64..100_000_000,
+            below in 0u64..1_000_000_000_000_000,
+            above in 1_000_000_000_000_000u64..10_000_000_000_000_000,
+            wide: u64,
+        ) {
+            for ticks in [short, below, above, wide] {
+                check_instant(ticks);
             }
         }
     }
@@ -690,6 +938,11 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.0.contains("`at_secs` is null"), "{err}");
+        // Nor is an instant that would saturate to t = 0.
+        for at in ["-3.0", "-0.5", "1e999", "-1e999"] {
+            let err = parse_run_stream(&line(at, "1.0")).unwrap_err();
+            assert!(err.0.contains("`at_secs` is out of range"), "{at}: {err}");
+        }
     }
 
     #[test]

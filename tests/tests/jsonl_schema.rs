@@ -1081,6 +1081,8 @@ fn event_decoder_matches_the_tree_parser_on_foreign_spellings() {
         "{\"type\":\"trace\",\"job\":1,\"worker\":null,\"kind\":\"queued\",\"at_secs\":1.0}",
         "{\"type\":\"trace\",\"job\":1,\"worker\":0,\"kind\":\"paused\",\"at_secs\":1.0}",
         "{\"type\":\"trace\",\"job\":1,\"worker\":0,\"kind\":\"queued\",\"at_secs\":\"1.0\"}",
+        "{\"type\":\"trace\",\"job\":1,\"worker\":0,\"kind\":\"queued\",\"at_secs\":-3.0}",
+        "{\"type\":\"sched\",\"at_secs\":1e999,\"worker\":0,\"job\":1,\"kind\":\"crash\"}",
         "{\"type\":\"trace\",\"job\":1,\"worker\":0,\"kind\":\"queued\",\"at_secs\":1.0} x",
         "{\"type\":\"trace\",\"job\":1,\"worker\":0,\"kind\":\"queued\",\"at_secs\":1.0,}",
         "{\"type\":\"trace\",\"job\":1,\"worker\":0,\"kind\":\"queued\",\"at_secs\":1.0",
