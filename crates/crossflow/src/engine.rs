@@ -101,7 +101,8 @@ pub struct EngineConfig {
     pub replication: ReplicationConfig,
     /// Record a per-job lifecycle trace (see [`crate::trace`]).
     pub trace: bool,
-    /// Shared metrics sink. When `None` the engine collects into a
+    /// Shared metrics sink: receives the run's instruments when the
+    /// run ends, not live. When `None` the engine collects into a
     /// private [`Registry`] — a snapshot is returned in
     /// [`RunOutput::metrics`] either way.
     pub metrics: Option<Registry>,

@@ -186,11 +186,9 @@ pub(crate) struct MasterCore {
     /// report can arrive twice: side effects happen once.
     ledger: Option<Ledger>,
     failover_pending: bool,
+    /// This run's tallies: the record reads them before they are
+    /// published.
     pub(crate) m: RuntimeMetrics,
-    /// A shared sink accumulates across iterations; the run's record
-    /// reports deltas from these (control messages, redistributions,
-    /// worker crashes).
-    base: [u64; 3],
     /// Sabotage (`ProtocolMutation::DropDedup`): apply duplicates too.
     pub(crate) drops_dedup: bool,
     /// Sabotage (`IgnoreAcks`): log an ack, keep its timers running.
@@ -228,11 +226,6 @@ impl MasterCore {
                 next_seq: 1,
             }),
             failover_pending: false,
-            base: [
-                m.control_messages.get(),
-                m.jobs_redistributed.get(),
-                m.worker_crashes.get(),
-            ],
             m,
             drops_dedup: false,
             ignores_acks: false,
@@ -786,8 +779,9 @@ impl MasterCore {
         }
     }
 
-    /// End of run: fold each worker's store accounting and busy
-    /// fraction into the metrics sink and write the run's record.
+    /// End of run, before [`Self::m`] is flushed: fold each worker's
+    /// store accounting and busy fraction into the metrics and write
+    /// the run's record, whose counts are this run's tallies.
     pub(crate) fn record(
         &self,
         meta: &RunMeta,
@@ -809,7 +803,6 @@ impl MasterCore {
         m.cache_evictions.add(sum.evictions);
         m.set_makespan_secs(totals.makespan_secs);
         m.set_data_load_mb(data_load_mb);
-        let [control, redistributed, crashes] = self.base;
         RunRecord {
             scheduler: totals.scheduler,
             worker_config: meta.worker_config.clone(),
@@ -822,13 +815,13 @@ impl MasterCore {
             cache_hits: sum.hits,
             evictions: sum.evictions,
             jobs_completed: self.completed,
-            control_messages: m.control_messages.get() - control,
+            control_messages: m.control_messages.get(),
             contests_timed_out: totals.contests_timed_out,
             contests_fallback: totals.contests_fallback,
             mean_queue_wait_secs: totals.mean_queue_wait_secs,
             worker_busy_frac: busy,
-            jobs_redistributed: m.jobs_redistributed.get() - redistributed,
-            worker_crashes: m.worker_crashes.get() - crashes,
+            jobs_redistributed: m.jobs_redistributed.get(),
+            worker_crashes: m.worker_crashes.get(),
             recovery_secs: totals.recovery_secs,
         }
     }

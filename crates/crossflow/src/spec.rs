@@ -186,7 +186,9 @@ impl RunSpecBuilder {
         self
     }
 
-    /// Share a metrics registry with the caller (both runtimes).
+    /// Publish each run's metrics into the caller's registry (both
+    /// runtimes). A run records into tallies of its own and the sink
+    /// receives them when the run ends, not while it runs.
     pub fn metrics(mut self, sink: Registry) -> Self {
         self.engine.metrics = Some(sink);
         self

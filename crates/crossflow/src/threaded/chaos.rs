@@ -290,6 +290,13 @@ impl Intake {
         }
     }
 
+    /// Publish the net link's tallies.
+    pub fn flush_metrics(&self) {
+        if let Some(net) = &self.net {
+            net.metrics.flush();
+        }
+    }
+
     /// Chaos admission of one link-delivered message: corrupt,
     /// duplicate or park it per the chaos scheme. `None` = parked in
     /// the hold buffer, to surface later.

@@ -84,7 +84,8 @@ pub struct ThreadedConfig {
     /// engine's trace vocabulary. The scheduler event log is always
     /// collected regardless.
     pub trace: bool,
-    /// Shared metrics sink. When `None` the runtime collects into a
+    /// Shared metrics sink: receives the run's instruments when the
+    /// run ends, not live. When `None` the runtime collects into a
     /// private [`Registry`]; a snapshot is returned in
     /// [`RunOutput::metrics`] either way.
     pub metrics: Option<Registry>,
@@ -199,8 +200,8 @@ struct MasterState {
     /// log (every entry is quorum-committed before the master acts on
     /// it; an elected standby rebuilds from it), ids, counts, DAG
     /// bookkeeping, the placement ledger with its retry and lease
-    /// deadlines, retained payloads and the metrics handle shared with
-    /// the worker threads.
+    /// deadlines, retained payloads and the master's metrics tallies
+    /// (the worker threads and the net intake record into forks).
     core: MasterCore,
     /// Lossy-link state; `None` leaves every send untouched.
     net: Option<NetMaster>,
@@ -333,6 +334,8 @@ pub(crate) fn run_threaded_with_nodes(
     let seq = SeedSequence::new(cfg.seed);
     let mut rng_master = seq.stream(1);
     let net_active = cfg.netfaults.is_active();
+    // The master core owns these tallies; every other recording thread
+    // owns a fork.
     let metrics = RuntimeMetrics::from_sink(cfg.metrics.clone());
 
     // Replicated data plane, shared with every worker thread when
@@ -489,7 +492,7 @@ pub(crate) fn run_threaded_with_nodes(
                 acfg,
                 !cfg.master_faults.is_empty(),
                 Some(&cfg.netfaults),
-                metrics.clone(),
+                metrics,
             );
             core.drops_dedup = cfg.mutation.drops_dedup();
             core.ignores_acks = cfg.mutation.ignores_acks();
@@ -1637,10 +1640,16 @@ pub(crate) fn run_threaded_with_nodes(
         let _ = tx.send(ToWorker::Shutdown);
     }
     drop(worker_txs);
+    // A worker thread's panic is re-raised here with its payload; a
+    // thread that returned has flushed its tallies.
     for h in handles {
-        let _ = h.bidder.join();
-        let _ = h.executor.join();
+        for thread in [h.bidder, h.executor] {
+            thread
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        }
     }
+    intake.flush_metrics();
     // A partial run (stall or all-dead break) can exit the loop with
     // data-plane events still journaled; commit them so the log stays
     // a complete serialization of the plane. Workers are joined — no
@@ -1688,7 +1697,7 @@ pub(crate) fn run_threaded_with_nodes(
         assignments,
         trace: trace.take().unwrap_or_default(),
         sched_log: st.core.take_log(),
-        metrics: metrics.snapshot(),
+        metrics: st.core.m.snapshot(),
         anomalies: Vec::new(),
         replicas: repl.as_ref().map(|r| r.lock().map.clone()),
     }

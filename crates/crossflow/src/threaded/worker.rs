@@ -37,6 +37,8 @@ struct Worker {
     node: Arc<Mutex<WorkerNode>>,
     to_master: Sender<ToMaster>,
     clock: Clock,
+    /// The owning thread's tallies (a clone forks them), flushed
+    /// before the thread returns.
     metrics: RuntimeMetrics,
     /// Replicated data plane: peer sources, pins, the journal.
     repl: Option<Arc<Mutex<ReplState>>>,
@@ -260,6 +262,7 @@ pub(crate) fn spawn_worker(
                         }),
                     }
                 }
+                w.metrics.flush();
             })
             .expect("spawn bidder")
     };
@@ -300,6 +303,7 @@ pub(crate) fn spawn_worker(
                     _ => {}
                 }
             }
+            w.metrics.flush();
         })
         .expect("spawn executor");
 

@@ -33,5 +33,8 @@ pub use aggregate::{percent_reduction, speedup, Aggregate, Aggregator};
 pub use json::{Json, JsonError};
 pub use jsonl::JsonlWriter;
 pub use record::{RunRecord, SchedulerKind};
-pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, RegistrySnapshot};
+pub use registry::{
+    Counter, Gauge, Histogram, HistogramSnapshot, LocalCounter, LocalHistogram, Registry,
+    RegistrySnapshot,
+};
 pub use table::{render_csv, Table};
