@@ -24,24 +24,21 @@ use std::collections::{HashMap, HashSet};
 
 use crossbid_metrics::{Registry, RegistrySnapshot, RunRecord};
 use crossbid_net::{ControlPlane, NoiseModel};
-use crossbid_simcore::{EventQueue, IdMap, RngStream, SeedSequence, SimDuration, SimTime, Welford};
+use crossbid_simcore::{EventQueue, RngStream, SeedSequence, SimDuration, SimTime, Welford};
 use crossbid_storage::{ObjectId, ReplicaMap};
 
 use crate::atomize::{AtomizeConfig, DoneOutcome};
-use crate::bids::WorkerSet;
 use crate::faults::{
     FaultEvent, FaultPlan, MasterFaultPlan, MembershipAction, MembershipEvent, MembershipPlan,
     NetFaultPlan,
 };
 use crate::job::{Arrival, Job, JobId, JobSpec, ShardId, WorkerId};
 use crate::master_core::{
-    warm_seed, Admitted, Completion, Delivery, MasterCore, Placed, RunTotals, Settle, Takeover,
+    warm_seed, Admitted, Completion, Delivery, Effect, MasterCore, RunTotals, Settle, Takeover,
 };
 use crate::obs::RuntimeMetrics;
 use crate::replog::ReplicatedLog;
-use crate::scheduler::{
-    Allocator, MasterScheduler, SchedAction, SchedCtx, WorkerHandle, WorkerToMaster,
-};
+use crate::scheduler::{Allocator, MasterScheduler, SchedCtx, WorkerHandle, WorkerToMaster};
 use crate::task::TaskCtx;
 use crate::trace::{SchedEventKind, SchedLog, Trace, TraceEvent, TraceKind};
 use crate::worker::{Intake, WorkerNode, WorkerRules, WorkerSpec};
@@ -505,14 +502,6 @@ enum Ev {
     },
 }
 
-/// Engine-side view of one undecided bidding contest.
-struct OpenContest {
-    /// Broadcast instant (bid latencies are measured from here).
-    opened: SimTime,
-    /// Workers whose bids were recorded — duplicates are not re-logged.
-    bidders: WorkerSet,
-}
-
 struct Engine<'a> {
     cfg: &'a EngineConfig,
     q: EventQueue<Ev>,
@@ -527,51 +516,29 @@ struct Engine<'a> {
     departed: Vec<bool>,
     assignments: Vec<(JobId, WorkerId)>,
     trace: Option<Trace>,
-    /// The ledger shared with the threaded master: replicated log
+    /// The master shared with the threaded runtime: the scheduler and
+    /// its roster (alive, non-draining workers), the replicated log
     /// (`Some` when tracing *or* when master faults are armed —
     /// failover replays it; `None` keeps the bench hot path free of any
     /// logging), ids, counts, DAG bookkeeping, the placement ledger
     /// (under an active net-fault plan), retained payloads and the
     /// metrics handle.
     core: MasterCore,
-    master: Box<dyn MasterScheduler>,
-    /// The allocator that built `master` — failover drafts the standby
-    /// replica's fresh scheduler from it.
+    /// The allocator that built the scheduler — failover drafts the
+    /// standby replica's fresh one from it.
     allocator: &'a dyn Allocator,
-    /// Contest stats accumulated by crashed leaders (a fresh standby's
-    /// `stats()` restarts from zero).
-    stats_carry_timed_out: u64,
-    stats_carry_fallback: u64,
-    handles: Vec<WorkerHandle>,
-    /// Cached live roster ("activeWorkers") handed to every master
-    /// callback. Rebuilding this on each callback used to clone every
-    /// handle per bid — the dominant allocation cost at scale — so it
-    /// is now invalidated only on crash/recover.
-    roster: Vec<WorkerHandle>,
-    roster_dirty: bool,
     workflow: &'a mut Workflow,
     /// A `SpecCheck` event is in flight — keeps exactly one straggler
     /// sweep armed at a time.
     spec_check_armed: bool,
 
     rng_control: RngStream,
-    rng_master: RngStream,
 
-    next_token: u64,
     arrivals_total: u64,
     arrivals_seen: u64,
     last_completion: SimTime,
     down_since: Vec<Option<SimTime>>,
     downtime_secs: f64,
-    /// Contests opened but not yet decided: job → broadcast instant
-    /// plus the workers whose bids were recorded. Lets the engine
-    /// synthesize `ContestClosed` events and bid latencies around the
-    /// master's internal contest state, and gate `BidReceived` logging
-    /// the same way the threaded master does: late bids (after close)
-    /// and duplicates — e.g. a stale in-flight bid from a pre-failover
-    /// contest arriving next to the re-solicited one — are never
-    /// committed.
-    open_contests: IdMap<JobId, OpenContest>,
 
     // Net-fault layer state. All of it is inert (and none of it costs
     // an rng draw) when `net_active` is false.
@@ -694,25 +661,6 @@ impl<'a> Engine<'a> {
         );
     }
 
-    /// Place `job` on `worker` through the ledger, then — commit
-    /// before act — deliver it. `false`: the record truncated and
-    /// nothing went out.
-    fn place(&mut self, worker: WorkerId, job: Job, offer: bool) -> bool {
-        match self.core.place(self.q.now(), worker, job, offer) {
-            Placed::Send(d) => self.deliver(d),
-            Placed::Truncated(_) => return false,
-            // An offer's worker goes back to the pull pool, as if it
-            // had announced itself idle.
-            Placed::Completed if offer => self.q.schedule_now(Ev::MasterRecv {
-                from: worker,
-                msg: WorkerToMaster::Idle,
-                seq: 0,
-            }),
-            Placed::Completed => {}
-        }
-        true
-    }
-
     /// Put a placement on the wire, with its deadlines on the clock.
     fn deliver(&mut self, d: Delivery) {
         let (job, seq) = (d.job.id, d.seq);
@@ -723,111 +671,38 @@ impl<'a> Engine<'a> {
         self.send_to_worker(worker, msg);
     }
 
+    /// Run one scheduler callback through the core, then turn what it
+    /// decided into events.
     fn run_master<F: FnOnce(&mut dyn MasterScheduler, &mut SchedCtx)>(&mut self, f: F) {
-        // A crashed leader takes no further decisions; its queued
-        // callbacks are dropped and the elected standby rebuilds from
-        // the committed log instead.
-        if self.core.failover_pending() {
-            return;
-        }
-        // The master only sees the live roster ("activeWorkers");
-        // refresh the cached copy only after a crash or recovery.
-        if self.roster_dirty {
-            self.roster.clear();
-            self.roster.extend(
-                self.handles
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| self.nodes[*i].alive() && !self.draining[*i])
-                    .map(|(_, h)| h.clone()),
-            );
-            self.roster_dirty = false;
-        }
-        // Contest decisions (timeout / fallback) happen inside the
-        // master; diff its stats around the call so the closures can
-        // be attributed to the assignments it emits.
-        let stats_before = self.master.stats();
-        let mut ctx = SchedCtx::new(
-            self.q.now(),
-            &self.roster,
-            &mut self.rng_master,
-            &mut self.next_token,
-        );
-        f(self.master.as_mut(), &mut ctx);
-        let actions = ctx.take_actions();
-        let stats_after = self.master.stats();
-        let mut timed_out_delta = stats_after.contests_timed_out - stats_before.contests_timed_out;
-        let mut fallback_delta = stats_after.contests_fallback - stats_before.contests_fallback;
-        self.core.m.contests_timed_out.add(timed_out_delta);
-        self.core.m.contests_fallback.add(fallback_delta);
-        // Commit-before-act: every decision is appended to the
-        // replicated log and quorum-acked *before* its side effects
-        // (metric bumps, contest bookkeeping, sends) run. A decision
-        // whose append truncated with the crashing leader performs no
-        // side effects — the loop breaks and the remaining actions are
-        // dropped; the standby's replay re-derives the work instead.
-        let now = self.q.now();
-        for action in actions {
-            if self.core.failover_pending() {
-                break;
-            }
-            match action {
-                SchedAction::Assign { worker, job } => {
-                    if self.open_contests.contains_key(&job.id) {
-                        // This assignment decides a bidding contest.
-                        // The stats deltas belong to the first contest
-                        // closed in this batch (at most one closes per
-                        // master call in practice).
-                        let timed_out = timed_out_delta > 0;
-                        let fallback = fallback_delta > 0;
-                        if !self
-                            .core
-                            .close_contest(now, Some(worker), job.id, timed_out, fallback)
-                        {
-                            break;
-                        }
-                        timed_out_delta = 0;
-                        fallback_delta = 0;
-                        self.open_contests.remove(&job.id);
-                    }
-                    if !self.place(worker, job, false) {
-                        break;
-                    }
+        self.core.decide(self.q.now(), f);
+        self.apply();
+    }
+
+    /// Carry out the core's effects, in order.
+    fn apply(&mut self) {
+        let mut fx = self.core.take_effects();
+        for e in fx.drain(..) {
+            match e {
+                Effect::Send(d) => self.deliver(d),
+                Effect::Solicit { worker, job } => {
+                    self.send_to_worker(worker, MasterToWorker::BidRequest(job));
                 }
-                SchedAction::Offer { worker, job } => {
-                    if !self.place(worker, job, true) {
-                        break;
-                    }
-                }
-                SchedAction::BroadcastBidRequest { job } => {
-                    if !self
-                        .core
-                        .commit(now, None, Some(job.id), SchedEventKind::ContestOpened)
-                    {
-                        break;
-                    }
-                    self.core.m.contests_opened.inc();
-                    self.open_contests.insert(
-                        job.id,
-                        OpenContest {
-                            opened: self.q.now(),
-                            bidders: WorkerSet::with_capacity(self.handles.len()),
-                        },
-                    );
-                    for i in 0..self.handles.len() {
-                        if self.nodes[i].alive() && !self.draining[i] {
-                            self.send_to_worker(
-                                WorkerId(i as u32),
-                                MasterToWorker::BidRequest(job.clone()),
-                            );
-                        }
-                    }
-                }
-                SchedAction::Timer { delay, token } => {
-                    self.q.schedule_in(delay, Ev::Timer(token));
-                }
+                Effect::Timer { delay, token } => self.q.schedule_in(delay, Ev::Timer(token)),
+                Effect::Repool(worker) => self.q.schedule_now(Ev::MasterRecv {
+                    from: worker,
+                    msg: WorkerToMaster::Idle,
+                    seq: 0,
+                }),
             }
         }
+        self.core.put_effects(fx);
+    }
+
+    /// Put `w` on the roster while it is alive and not draining.
+    fn sync_roster(&mut self, w: WorkerId) {
+        let i = w.0 as usize;
+        let on = self.nodes[i].alive() && !self.draining[i];
+        self.core.set_eligible(w, on);
     }
 
     /// Take placement `seq` of `job` in at `worker` (see
@@ -1171,39 +1046,11 @@ impl<'a> Engine<'a> {
                         _ => {}
                     }
                 }
-                if let WorkerToMaster::Reject { job } = &msg {
-                    // A Reject is the nack of an offer: it settles the
-                    // placement. One that does not match it is a stale
-                    // or duplicate delivery — forwarding it would
-                    // double-advance the Baseline's re-offer routing.
-                    // Logged at the receipt site (not when the worker
-                    // declined) so the replicated log reflects exactly
-                    // what the master has seen.
-                    if !self.core.settle(job.id, Settle::Bounced(from, seq)) {
-                        return;
-                    }
-                    self.core
-                        .commit(now, Some(from), Some(job.id), SchedEventKind::Rejected);
-                }
-                if let WorkerToMaster::Bid { job, estimate_secs } = &msg {
-                    // Mirror the threaded master's intake: only a bid
-                    // freshly recorded into an open contest is logged.
-                    // A late bid (the contest already closed) or a
-                    // duplicate — e.g. a stale in-flight bid solicited
-                    // by a pre-failover leader arriving next to the
-                    // re-solicited one — is received but never
-                    // committed, matching what the master counts.
-                    if estimate_secs.is_finite() {
-                        if let Some(c) = self.open_contests.get_mut(job) {
-                            if c.bidders.insert(from) {
-                                let waited = now.saturating_since(c.opened).as_secs_f64();
-                                self.core
-                                    .record_bid(now, from, *job, *estimate_secs, waited);
-                            }
-                        }
-                    }
-                }
-                self.run_master(|m, ctx| m.on_worker_message(from, msg, ctx));
+                // A Reject is the nack of an offer; only a fresh, finite
+                // bid into an open contest is logged (see
+                // `MasterCore::receive`).
+                self.core.receive(now, from, msg, seq);
+                self.apply();
             }
             Ev::Timer(token) => {
                 self.run_master(|m, ctx| m.on_timer(token, ctx));
@@ -1336,9 +1183,7 @@ impl<'a> Engine<'a> {
                 if self.core.is_done(job.id) || self.core.dag().is_cancelled(job.id) {
                     return;
                 }
-                let placeable =
-                    (0..self.nodes.len()).any(|i| self.nodes[i].alive() && !self.draining[i]);
-                if placeable {
+                if self.core.any_eligible() {
                     self.core.m.jobs_redistributed.inc();
                     self.core
                         .commit(now, None, Some(job.id), SchedEventKind::Redistributed);
@@ -1434,11 +1279,11 @@ impl<'a> Engine<'a> {
             return;
         }
         let now = self.q.now();
-        self.roster_dirty = true;
         self.core.m.worker_crashes.inc();
         self.down_since[w.0 as usize] = Some(now);
         self.core.commit(now, Some(w), None, SchedEventKind::Crash);
         let stranded = self.nodes[w.0 as usize].crash(now);
+        self.sync_roster(w);
         self.lose(w, stranded, self.cfg.faults.detection_delay);
     }
 
@@ -1513,7 +1358,7 @@ impl<'a> Engine<'a> {
     /// initial pull).
     fn revive(&mut self, w: WorkerId, kind: SchedEventKind) {
         self.nodes[w.0 as usize].recover();
-        self.roster_dirty = true;
+        self.sync_roster(w);
         self.core.commit(self.q.now(), Some(w), None, kind);
         self.run_master(|m, ctx| m.on_worker_recovered(w, ctx));
         self.send_to_master(w, WorkerToMaster::Idle, 0, SimDuration::ZERO);
@@ -1530,7 +1375,7 @@ impl<'a> Engine<'a> {
             return;
         }
         self.draining[i] = true;
-        self.roster_dirty = true;
+        self.sync_roster(w);
         self.core
             .commit(self.q.now(), Some(w), None, SchedEventKind::WorkerDraining);
         self.maybe_finish_drain(w);
@@ -1550,7 +1395,7 @@ impl<'a> Engine<'a> {
         self.draining[i] = false;
         self.departed[i] = true;
         self.nodes[i].depart();
-        self.roster_dirty = true;
+        self.sync_roster(w);
         self.core
             .commit(self.q.now(), Some(w), None, SchedEventKind::WorkerRemoved);
         // The departed worker's copies leave the cluster with it.
@@ -1571,7 +1416,6 @@ impl<'a> Engine<'a> {
         let now = self.q.now();
         self.departed[i] = true;
         self.draining[i] = false;
-        self.roster_dirty = true;
         // Removal ends any crash-recovery wait; the downtime clock
         // stops here rather than running to the makespan.
         if let Some(since) = self.down_since[i].take() {
@@ -1584,6 +1428,7 @@ impl<'a> Engine<'a> {
         } else {
             Vec::new()
         };
+        self.sync_roster(w);
         self.lose(w, stranded, SimDuration::ZERO);
     }
 
@@ -1647,33 +1492,16 @@ impl<'a> Engine<'a> {
     }
 
     /// Elect a standby replica after a leader crash: replay the
-    /// committed log into a [`crate::replog::SchedState`], draft a
-    /// fresh scheduler from the allocator, and re-enter everything the
-    /// state says is unfinished — open contests are re-offered from
+    /// committed log into a [`crate::replog::SchedState`], seat a fresh
+    /// scheduler drafted from the allocator, and re-enter everything
+    /// the state says is unfinished — open contests are re-offered from
     /// scratch, unplaced jobs re-enter allocation, and idle workers
     /// re-announce themselves so pull-based schedulers resume.
     fn do_failover(&mut self) {
         let now = self.q.now();
         let Takeover {
-            state,
-            unplaced,
-            frontier,
-        } = self.core.takeover(now);
-        // The dead leader's contest tallies would vanish with its
-        // scheduler instance; carry them into the run totals.
-        let stats = self.master.stats();
-        self.stats_carry_timed_out += stats.contests_timed_out;
-        self.stats_carry_fallback += stats.contests_fallback;
-        self.master = self.allocator.master();
-        // Contests open at crash time were decided by nobody: the
-        // engine forgets them and the standby re-opens contests for
-        // the jobs when they re-enter allocation below.
-        self.open_contests.clear();
-        // Replayed rejection routing (Baseline's "avoid the rejector
-        // on re-offer") survives the failover.
-        for (job, w) in state.rejections() {
-            self.master.restore_rejection(job, w);
-        }
+            unplaced, frontier, ..
+        } = self.core.takeover(now, self.allocator.master());
         // Live, drained workers re-announce themselves so the pull
         // loop restarts under the new leader.
         for i in 0..self.nodes.len() {
@@ -1799,25 +1627,19 @@ pub fn run_workflow(
             !cfg.master_faults.is_empty(),
             cfg.netfaults.is_active().then_some(&cfg.netfaults),
             RuntimeMetrics::from_sink(cfg.metrics.clone()),
+            allocator.master(),
+            handles,
+            seq.stream(1),
         ),
-        master: allocator.master(),
         allocator,
-        stats_carry_timed_out: 0,
-        stats_carry_fallback: 0,
-        handles,
-        roster: Vec::with_capacity(n_workers),
-        roster_dirty: true,
         workflow,
         spec_check_armed: false,
         rng_control: seq.stream(0),
-        rng_master: seq.stream(1),
-        next_token: 0,
         arrivals_total,
         arrivals_seen: 0,
         last_completion: SimTime::ZERO,
         down_since: vec![None; n_workers],
         downtime_secs: 0.0,
-        open_contests: IdMap::default(),
         net_active: cfg.netfaults.is_active(),
         rng_net: SeedSequence::new(cfg.netfaults.seed).stream(0x4E37),
         next_env: 0,
@@ -1826,6 +1648,9 @@ pub fn run_workflow(
         replicas: ReplicaMap::new(cfg.replication.factor),
         repairs: HashMap::new(),
     };
+    for i in 0..n_workers {
+        engine.sync_roster(WorkerId(i as u32));
+    }
     if engine.repl_active {
         // Warm caches from earlier iterations seed the registry (no
         // log events — this is pre-run state, not a decision), and
@@ -1902,9 +1727,7 @@ pub fn run_workflow(
             "event queue clamped {clamped} past-time event(s) to `now`; virtual timing is suspect"
         ));
     }
-    let mut sched_stats = engine.master.stats();
-    sched_stats.contests_timed_out += engine.stats_carry_timed_out;
-    sched_stats.contests_fallback += engine.stats_carry_fallback;
+    let sched_stats = engine.core.sched_stats();
     let assignments = std::mem::take(&mut engine.assignments);
     let trace = engine.trace.take().unwrap_or_default();
     // Workers still down when the run ends are charged until the

@@ -62,6 +62,7 @@
 
 pub mod atomize;
 pub mod baseline;
+pub mod bidding;
 pub mod bids;
 pub mod engine;
 pub mod export;
@@ -114,10 +115,7 @@ pub use scheduler::{
 pub use session::Session;
 pub use spec::{RunSpec, RunSpecBuilder, SpecError};
 pub use task::{CollectedOutputs, SinkTask, TaskCtx, TaskLogic};
-pub use threaded::{
-    run_threaded_output, ChaosConfig, DeliveryEntry, DeliveryLog, DeliveryLogHandle,
-    ProtocolMutation, ThreadedConfig, ThreadedScheduler,
-};
+pub use threaded::{ChaosConfig, DeliveryEntry, DeliveryLog, DeliveryLogHandle, ProtocolMutation};
 pub use trace::{JobPhases, SchedEvent, SchedEventKind, SchedLog, Trace, TraceEvent, TraceKind};
 pub use worker::{WorkerSpec, WorkerSpecBuilder};
 pub use workflow::{Workflow, WorkflowError};

@@ -29,7 +29,7 @@ pub use crate::runtime::{Runtime, ThreadedSession};
 pub use crate::scheduler::Allocator;
 pub use crate::session::Session;
 pub use crate::spec::{RunSpec, RunSpecBuilder};
-pub use crate::threaded::{ChaosConfig, ThreadedConfig, ThreadedScheduler};
+pub use crate::threaded::ChaosConfig;
 pub use crate::trace::{
     JobPhases, SchedEvent, SchedEventKind, SchedLog, Trace, TraceEvent, TraceKind,
 };

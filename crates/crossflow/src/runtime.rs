@@ -11,7 +11,6 @@
 
 use std::sync::Arc;
 
-use crossbid_metrics::SchedulerKind;
 use crossbid_simcore::SeedSequence;
 use parking_lot::Mutex;
 
@@ -20,7 +19,7 @@ use crate::job::Arrival;
 use crate::scheduler::Allocator;
 use crate::session::Session;
 use crate::spec::RunSpec;
-use crate::threaded::{fresh_nodes, run_threaded_with_nodes, ThreadedConfig, ThreadedScheduler};
+use crate::threaded::{fresh_nodes, run_threaded};
 use crate::worker::WorkerNode;
 use crate::workflow::Workflow;
 
@@ -99,11 +98,9 @@ impl ThreadedSession {
         self.iteration
     }
 
-    /// Run one iteration (see [`Runtime::run_iteration`]).
-    ///
-    /// # Panics
-    /// The threaded runtime implements the bidding and Baseline
-    /// protocols only; any other [`Allocator`] kind panics.
+    /// Run one iteration (see [`Runtime::run_iteration`]): the
+    /// allocator's scheduler, or Listing 1 with serialized contests and
+    /// the spec's window for a bidding allocator, on real threads.
     pub fn run_iteration(
         &mut self,
         workflow: &mut Workflow,
@@ -113,48 +110,17 @@ impl ThreadedSession {
         if let Err(e) = workflow.validate() {
             panic!("{}", crate::spec::SpecError::Workflow(e));
         }
-        let iter_seed = SeedSequence::new(self.spec.seed).seed_for(1000 + self.iteration as u64);
-        let scheduler = match allocator.kind() {
-            SchedulerKind::Bidding => ThreadedScheduler::Bidding {
-                window_secs: self.spec.contest_window_secs,
-            },
-            SchedulerKind::Baseline => ThreadedScheduler::Baseline,
-            other => panic!(
-                "the threaded runtime implements bidding and baseline, not {}",
-                other.name()
-            ),
-        };
-        let cfg = ThreadedConfig {
-            time_scale: self.spec.time_scale,
-            noise: self.spec.engine.noise.clone(),
-            speed_learning: self.spec.engine.speed_learning,
-            scheduler,
-            seed: iter_seed,
-            min_real_window: self.spec.min_real_window,
-            faults: self.spec.engine.faults.clone(),
-            trace: self.spec.engine.trace,
-            metrics: self.spec.engine.metrics.clone(),
-            chaos: self.spec.chaos.clone(),
-            mutation: self.spec.mutation,
-            netfaults: self.spec.engine.netfaults.clone(),
-            master_faults: self.spec.engine.master_faults.clone(),
-            membership: self.spec.engine.membership.clone(),
-            shard: self.spec.engine.shard,
-            atomize: self.spec.engine.atomize,
-            replication: self.spec.engine.replication,
-        };
         let meta = RunMeta {
             worker_config: self.spec.worker_config.clone(),
             job_config: self.spec.job_config.clone(),
             iteration: self.iteration,
-            seed: iter_seed,
+            seed: SeedSequence::new(self.spec.seed).seed_for(1000 + self.iteration as u64),
         };
         self.iteration += 1;
-        run_threaded_with_nodes(
-            &self.spec.workers,
+        run_threaded(
+            &self.spec,
             &self.nodes,
-            &cfg,
-            &|| allocator.worker_policy(),
+            allocator,
             workflow,
             arrivals,
             &meta,

@@ -81,11 +81,25 @@ impl<'a> SchedCtx<'a> {
         rng: &'a mut RngStream,
         next_token: &'a mut u64,
     ) -> Self {
+        Self::reusing(now, workers, rng, next_token, Vec::new())
+    }
+
+    /// [`new`](Self::new), collecting into `actions` (emptied first),
+    /// so a driver can hand the buffer [`take_actions`](Self::take_actions)
+    /// returned to the next callback instead of allocating one each.
+    pub(crate) fn reusing(
+        now: SimTime,
+        workers: &'a [WorkerHandle],
+        rng: &'a mut RngStream,
+        next_token: &'a mut u64,
+        mut actions: Vec<SchedAction>,
+    ) -> Self {
+        actions.clear();
         SchedCtx {
             now,
             workers,
             rng,
-            actions: Vec::new(),
+            actions,
             next_token,
         }
     }

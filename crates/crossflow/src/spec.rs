@@ -1,11 +1,9 @@
 //! One specification for both runtimes.
 //!
-//! [`RunSpec`] replaces the old twin construction paths — the
-//! positional arguments of `Session::new` and the hand-assembled
-//! `ThreadedConfig` — with a single builder covering the engine
-//! configuration, the cluster shape, the run names, the seed, the
-//! fault plan and the trace/metrics sinks.  From one spec you get
-//! either runtime:
+//! [`RunSpec`] is the one way to configure a run: a single builder
+//! covering the engine configuration, the cluster shape, the run
+//! names, the seed, the fault plan and the trace/metrics sinks.  From
+//! one spec you get either runtime:
 //!
 //! ```
 //! use crossbid_crossflow::prelude::*;
@@ -52,12 +50,17 @@ pub struct RunSpec {
     pub seed: u64,
     /// Threaded runtime: real seconds per virtual second.
     pub time_scale: f64,
-    /// Threaded runtime: floor on the real duration of a bidding
-    /// window (see [`crate::threaded::ThreadedConfig`]).
+    /// Threaded runtime: floor on the real duration of every scheduler
+    /// timer, the bidding window included. Aggressive time compression
+    /// can shrink a scaled window below OS scheduling jitter, making
+    /// every contest "time out" before the bids physically arrive; the
+    /// floor keeps the contest mechanism meaningful. Contests still
+    /// normally close on the full bid set long before it.
     pub min_real_window: Duration,
     /// Threaded runtime: contest window in virtual seconds (the
-    /// paper's 1 s). The sim engine takes its window from the
-    /// allocator instead.
+    /// paper's 1 s) of the Listing 1 master it runs for a bidding
+    /// allocator, with serialized contests. The sim engine takes the
+    /// allocator's own master, window included.
     pub contest_window_secs: f64,
     /// Threaded runtime, test-only: seeded delivery-order perturbation
     /// at the master's intake. The sim engine ignores it (its event

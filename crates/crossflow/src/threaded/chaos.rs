@@ -23,12 +23,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam_channel::{Receiver, RecvTimeoutError};
+use crossbid_metrics::SchedulerKind;
 use crossbid_simcore::{RngStream, SeedSequence, SimTime};
 use parking_lot::Mutex;
 
 use crate::faults::NetFaultPlan;
-use crate::job::WorkerId;
+use crate::job::{Job, JobId, WorkerId};
 use crate::obs::RuntimeMetrics;
+use crate::scheduler::{MasterScheduler, SchedCtx, SchedStats, WorkerToMaster};
 
 use super::ToMaster;
 
@@ -618,6 +620,53 @@ impl ProtocolMutation {
 
     pub(crate) fn evicts_last_copy(self) -> bool {
         cfg!(feature = "protocol-mutation") && self == ProtocolMutation::EvictLastCopy
+    }
+}
+
+/// The reintroduced `ReofferToRejector` bug, wrapped around any
+/// scheduler: a rejected job goes straight back to the worker that
+/// rejected it, without the inner scheduler ever seeing the reject.
+/// Everything else passes through.
+pub(crate) struct ReofferToRejector(pub Box<dyn MasterScheduler>);
+
+impl MasterScheduler for ReofferToRejector {
+    fn kind(&self) -> SchedulerKind {
+        self.0.kind()
+    }
+
+    fn on_job(&mut self, job: Job, ctx: &mut SchedCtx) {
+        self.0.on_job(job, ctx);
+    }
+
+    fn on_worker_message(&mut self, from: WorkerId, msg: WorkerToMaster, ctx: &mut SchedCtx) {
+        match msg {
+            WorkerToMaster::Reject { job } => ctx.offer(from, job),
+            msg => self.0.on_worker_message(from, msg, ctx),
+        }
+    }
+
+    fn on_timer(&mut self, token: u64, ctx: &mut SchedCtx) {
+        self.0.on_timer(token, ctx);
+    }
+
+    fn on_job_done(&mut self, worker: WorkerId, job: &Job, ctx: &mut SchedCtx) {
+        self.0.on_job_done(worker, job, ctx);
+    }
+
+    fn on_worker_failed(&mut self, worker: WorkerId, ctx: &mut SchedCtx) {
+        self.0.on_worker_failed(worker, ctx);
+    }
+
+    fn on_worker_recovered(&mut self, worker: WorkerId, ctx: &mut SchedCtx) {
+        self.0.on_worker_recovered(worker, ctx);
+    }
+
+    fn restore_rejection(&mut self, job: JobId, worker: WorkerId) {
+        self.0.restore_rejection(job, worker);
+    }
+
+    fn stats(&self) -> SchedStats {
+        self.0.stats()
     }
 }
 

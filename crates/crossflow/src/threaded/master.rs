@@ -1,160 +1,42 @@
-//! The threaded master: job injection, scheduling, completion routing,
-//! and — mirroring the simulation engine — fault injection with
-//! detection-delayed redistribution.
+//! The threaded master: the sim's decision path — [`MasterCore`]
+//! driving the run's `dyn MasterScheduler` — carried over channels and
+//! real deadlines, plus job injection, completion routing, and fault
+//! injection with detection-delayed redistribution.
 
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use crossbid_metrics::{Registry, SchedulerKind};
+use crossbid_metrics::SchedulerKind;
 use crossbid_net::NoiseModel;
 use crossbid_simcore::{RngStream, SeedSequence, SimDuration, SimTime, Welford};
 use parking_lot::Mutex;
 
 use crossbid_storage::ObjectId;
 
-use crate::atomize::{AtomizeConfig, DoneOutcome};
-use crate::baseline::BaselinePolicy;
-use crate::bids::BidSet;
+use crate::atomize::DoneOutcome;
+use crate::bidding::{BiddingConfig, BiddingMaster};
 use crate::engine::{ReplicationConfig, RunMeta, RunOutput};
-use crate::faults::{
-    FaultEvent, FaultPlan, MasterFaultPlan, MembershipAction, MembershipEvent, MembershipPlan,
-    NetFaultPlan,
-};
-use crate::idle::IdlePool;
-use crate::job::{Arrival, Job, JobId, JobSpec, ShardId, WorkerId};
+use crate::faults::{FaultEvent, MembershipAction, MembershipEvent, NetFaultPlan};
+use crate::job::{Arrival, Job, JobId, JobSpec, WorkerId};
 use crate::master_core::{
-    warm_seed, Admitted, Completion, Delivery, MasterCore, Placed, RunTotals, Settle, Takeover,
+    warm_seed, Admitted, Completion, Delivery, Effect, MasterCore, RunTotals, Settle, Takeover,
 };
 use crate::obs::RuntimeMetrics;
 use crate::replog::ReplicatedLog;
-use crate::scheduler::{BiddingPolicy, WorkerPolicy};
+use crate::scheduler::{Allocator, MasterScheduler, SchedCtx, WorkerHandle, WorkerToMaster};
+use crate::spec::RunSpec;
 use crate::task::TaskCtx;
 use crate::trace::{SchedEventKind, Trace, TraceEvent, TraceKind};
 use crate::worker::{WorkerNode, WorkerRules, WorkerSpec};
 use crate::workflow::Workflow;
 
-use super::chaos::{ChaosConfig, Intake, NetIntake, ProtocolMutation};
+use super::chaos::{Intake, NetIntake, ReofferToRejector};
 use super::repl::ReplState;
 use super::worker::spawn_worker;
 use super::{Clock, ToMaster, ToWorker};
-
-/// Which allocation protocol the threaded runtime runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ThreadedScheduler {
-    /// The Bidding Scheduler with the given contest window in
-    /// *virtual* seconds (the paper's 1 s).
-    Bidding {
-        /// Contest window, virtual seconds.
-        window_secs: f64,
-    },
-    /// The Crossflow Baseline (pull + reject-once).
-    Baseline,
-}
-
-/// Configuration of the threaded runtime.
-#[derive(Debug, Clone)]
-pub struct ThreadedConfig {
-    /// Real seconds per virtual second. The default `1e-3` compresses
-    /// the paper's ~3500 s MSR runs into a few real seconds.
-    pub time_scale: f64,
-    /// Noise scheme on actual speeds.
-    pub noise: NoiseModel,
-    /// §6.4 speed learning (historic averages); the non-simulated
-    /// experiments have it on.
-    pub speed_learning: bool,
-    /// The protocol under test.
-    pub scheduler: ThreadedScheduler,
-    /// Root seed (workload noise etc.).
-    pub seed: u64,
-    /// Floor on the *real* duration of a bidding window. Aggressive
-    /// time compression can shrink the scaled window below OS
-    /// scheduling jitter, making every contest "time out" before the
-    /// bids physically arrive; the floor keeps the contest mechanism
-    /// meaningful under compression. Contests still normally close on
-    /// the full bid set long before either limit.
-    pub min_real_window: Duration,
-    /// Scheduled worker crashes/recoveries, with the monitoring
-    /// layer's detection delay. Instants are virtual seconds from run
-    /// start, like arrivals. Default: no faults.
-    pub faults: FaultPlan,
-    /// Synthesize a per-job lifecycle [`Trace`] from the phase
-    /// breakdowns workers report with each completion, matching the
-    /// engine's trace vocabulary. The scheduler event log is always
-    /// collected regardless.
-    pub trace: bool,
-    /// Shared metrics sink: receives the run's instruments when the
-    /// run ends, not live. When `None` the runtime collects into a
-    /// private [`Registry`]; a snapshot is returned in
-    /// [`RunOutput::metrics`] either way.
-    pub metrics: Option<Registry>,
-    /// Test-only seeded delivery-order perturbation of the master's
-    /// intake (hold/reorder/duplicate). `None` delivers in arrival
-    /// order, as before.
-    pub chaos: Option<ChaosConfig>,
-    /// Test-only reintroduction of one PR 1 protocol bug, for checker
-    /// self-validation. Only effective under the `protocol-mutation`
-    /// cargo feature; selecting a mutation without it panics at run
-    /// start.
-    pub mutation: ProtocolMutation,
-    /// Lossy-link fault plan on the master↔worker channels. When
-    /// inactive (the default) the reliability layer — acks, retries,
-    /// leases, heartbeats — is fully disabled and the runtime behaves
-    /// exactly as before.
-    pub netfaults: NetFaultPlan,
-    /// Scheduled *master* crashes at replicated-log append indices; an
-    /// elected standby rebuilds the scheduler state in place by log
-    /// replay (workers and channels keep running). Empty by default.
-    pub master_faults: MasterFaultPlan,
-    /// Elastic-membership schedule: deferred joins, graceful drains
-    /// and administrative removals, mirroring the engine's semantics.
-    /// Empty by default.
-    pub membership: MembershipPlan,
-    /// Home shard of this master: freshly allocated job ids carry it
-    /// in their top bits. `ShardId(0)` reproduces the historical
-    /// single-master ids bit-for-bit.
-    pub shard: ShardId,
-    /// Job atomization (task DAGs, per-task bidding, speculative
-    /// straggler re-bidding — see [`crate::atomize`]). Consulted only
-    /// for arrivals whose [`JobSpec::dag`] is set.
-    pub atomize: AtomizeConfig,
-    /// Replicated, self-healing data plane (replica registry, peer
-    /// fetch, crash-triggered re-replication), mirroring the engine's
-    /// semantics. Disabled by default.
-    pub replication: ReplicationConfig,
-}
-
-impl Default for ThreadedConfig {
-    fn default() -> Self {
-        ThreadedConfig {
-            time_scale: 1e-3,
-            noise: NoiseModel::evaluation_default(),
-            speed_learning: true,
-            scheduler: ThreadedScheduler::Bidding { window_secs: 1.0 },
-            seed: 0,
-            min_real_window: Duration::from_millis(2),
-            faults: FaultPlan::none(),
-            trace: false,
-            metrics: None,
-            chaos: None,
-            mutation: ProtocolMutation::None,
-            netfaults: NetFaultPlan::none(),
-            master_faults: MasterFaultPlan::none(),
-            membership: MembershipPlan::none(),
-            shard: ShardId(0),
-            atomize: AtomizeConfig::default(),
-            replication: ReplicationConfig::default(),
-        }
-    }
-}
-
-struct Contest {
-    job: Job,
-    bids: BidSet,
-    opened: Instant,
-    deadline: Instant,
-}
 
 /// Master→worker half of the lossy link plus the reliability-layer
 /// sequencing state. Present only while a [`NetFaultPlan`] is active.
@@ -167,22 +49,6 @@ struct NetMaster {
 }
 
 struct MasterState {
-    // Bidding. Contests run one at a time: a burst of simultaneous
-    // contests would let one worker win them all with the same stale
-    // backlog (its bids cannot reflect wins it has not learned about
-    // yet). Serializing matches Listing 1's per-job contest and lets
-    // each Assign reach the winner's bidder (FIFO channel) before the
-    // next contest's bid request does.
-    contests: HashMap<JobId, Contest>,
-    contest_queue: VecDeque<Job>,
-    timed_out: u64,
-    fallback: u64,
-    // Baseline.
-    ready: VecDeque<Job>,
-    idle: IdlePool,
-    /// Who rejected a job last (Baseline): the next offer prefers a
-    /// different idle worker when one exists.
-    rejected_by: HashMap<JobId, u32>,
     // Fault masking. `known_live` is the master's *belief*: it only
     // flips to `false` once the detection delay has elapsed after a
     // crash, so for a while the master keeps scheduling against a
@@ -196,7 +62,8 @@ struct MasterState {
     /// Permanently departed (drain completed, or removed outright):
     /// never returns, unlike a crashed worker awaiting recovery.
     departed: Vec<bool>,
-    /// The ledger shared with the simulation engine: the replicated
+    /// The master shared with the simulation engine: the scheduler and
+    /// its roster (believed-live, non-draining workers), the replicated
     /// log (every entry is quorum-committed before the master acts on
     /// it; an elected standby rebuilds from it), ids, counts, DAG
     /// bookkeeping, the placement ledger with its retry and lease
@@ -205,6 +72,17 @@ struct MasterState {
     core: MasterCore,
     /// Lossy-link state; `None` leaves every send untouched.
     net: Option<NetMaster>,
+    txs: Vec<Sender<ToWorker>>,
+    clock: Clock,
+    /// Floor on the real duration of a scheduler timer. Aggressive
+    /// time compression can shrink a scaled bidding window below OS
+    /// scheduling jitter, making every contest "time out" before the
+    /// bids physically arrive; the floor keeps the contest mechanism
+    /// meaningful under compression. Contests still normally close on
+    /// the full bid set long before it.
+    min_window: Duration,
+    /// The scheduler's armed timers, earliest first: `(due, token)`.
+    timers: BinaryHeap<Reverse<(Instant, u64)>>,
 }
 
 impl MasterState {
@@ -212,86 +90,141 @@ impl MasterState {
         self.known_live.iter().filter(|l| **l).count()
     }
 
-    /// May this worker be *allocated to*? Live and not draining.
-    fn eligible(&self, w: u32) -> bool {
-        self.known_live[w as usize] && !self.draining[w as usize]
+    /// Put `w` on the roster while it is believed live and not
+    /// draining.
+    fn sync_roster(&mut self, w: usize) {
+        let on = self.known_live[w] && !self.draining[w];
+        self.core.set_eligible(WorkerId(w as u32), on);
     }
 
-    fn eligible_count(&self) -> usize {
-        (0..self.known_live.len() as u32)
-            .filter(|w| self.eligible(*w))
-            .count()
-    }
-}
-
-/// Send `msg` to worker `w` across the (possibly lossy) link: the
-/// message can be eaten by a partition or a drop, duplicated, or
-/// parked in the delay queue the main loop drains.
-fn send_worker(
-    st: &mut MasterState,
-    txs: &[Sender<ToWorker>],
-    w: u32,
-    msg: ToWorker,
-    now: Instant,
-    vnow: SimTime,
-    time_scale: f64,
-) {
-    let Some(net) = &mut st.net else {
-        let _ = txs[w as usize].send(msg);
-        return;
-    };
-    let link = net.plan.to_worker;
-    if net.plan.partitioned(WorkerId(w), vnow) || net.rng.chance(link.drop_prob) {
-        st.core.m.net_dropped.inc();
-        return;
-    }
-    let copies = if net.rng.chance(link.dup_prob) {
-        st.core.m.net_duplicated.inc();
-        2
-    } else {
-        1
-    };
-    for _ in 0..copies {
-        let d = if link.delay_max_secs > 0.0 {
-            net.rng.uniform(link.delay_min_secs, link.delay_max_secs)
-        } else {
-            0.0
+    /// Send `msg` to worker `w` across the (possibly lossy) link: the
+    /// message can be eaten by a partition or a drop, duplicated, or
+    /// parked in the delay queue the main loop drains.
+    fn send_worker(&mut self, w: u32, msg: ToWorker) {
+        let Some(net) = &mut self.net else {
+            let _ = self.txs[w as usize].send(msg);
+            return;
         };
-        if d > 0.0 {
-            let due = now + Duration::from_secs_f64((d * time_scale).max(0.0));
-            net.delayed.push((due, w, msg.clone()));
+        let link = net.plan.to_worker;
+        if net.plan.partitioned(WorkerId(w), self.clock.now()) || net.rng.chance(link.drop_prob) {
+            self.core.m.net_dropped.inc();
+            return;
+        }
+        let copies = if net.rng.chance(link.dup_prob) {
+            self.core.m.net_duplicated.inc();
+            2
         } else {
-            let _ = txs[w as usize].send(msg.clone());
+            1
+        };
+        for _ in 0..copies {
+            let d = if link.delay_max_secs > 0.0 {
+                net.rng.uniform(link.delay_min_secs, link.delay_max_secs)
+            } else {
+                0.0
+            };
+            if d > 0.0 {
+                let due = Instant::now() + self.clock.real(d);
+                net.delayed.push((due, w, msg.clone()));
+            } else {
+                let _ = self.txs[w as usize].send(msg.clone());
+            }
         }
     }
-}
 
-/// Run `arrivals` through `workflow` on real threads — the one entry
-/// point of the threaded runtime. Returns the same [`RunOutput`] shape
-/// as the simulation engine: record, scheduler log, synthesized trace
-/// (when [`ThreadedConfig::trace`] is set), per-job placements (in
-/// completion order) and a metrics snapshot. Workers run the
-/// protocol's stock policy: Listing 2's bid, or the Baseline's
-/// reject-once.
-///
-/// Unlike the simulated engine this function is *not* deterministic:
-/// thread interleavings, late bids and real queueing are part of what
-/// it measures (§6.4's role in the paper).
-pub fn run_threaded_output(
-    specs: &[WorkerSpec],
-    cfg: &ThreadedConfig,
-    workflow: &mut Workflow,
-    arrivals: Vec<Arrival>,
-    meta: &RunMeta,
-) -> RunOutput {
-    let nodes = fresh_nodes(specs, &cfg.noise);
-    let policy = || -> Box<dyn WorkerPolicy> {
-        match cfg.scheduler {
-            ThreadedScheduler::Bidding { .. } => Box::new(BiddingPolicy),
-            ThreadedScheduler::Baseline => Box::new(BaselinePolicy),
+    /// Put a placement on the wire.
+    fn deliver(&mut self, d: Delivery) {
+        self.core.m.control_messages.inc();
+        let (w, msg) = (d.worker.0, ToWorker::placement(d));
+        self.send_worker(w, msg);
+    }
+
+    /// Run one scheduler callback through the core and carry out what
+    /// it decided.
+    fn decide<F: FnOnce(&mut dyn MasterScheduler, &mut SchedCtx)>(&mut self, f: F) {
+        self.core.decide(self.clock.now(), f);
+        self.apply();
+    }
+
+    /// One worker message through the core's intake.
+    fn receive(&mut self, w: u32, msg: WorkerToMaster, seq: u64) {
+        self.core.receive(self.clock.now(), WorkerId(w), msg, seq);
+        self.apply();
+    }
+
+    /// A new (or reclaimed) job enters allocation.
+    fn submit(&mut self, job: Job) {
+        self.decide(|m, ctx| m.on_job(job, ctx));
+    }
+
+    /// Release one DAG task into allocation; a truncated release is
+    /// dropped with the leader.
+    fn release(&mut self, root: JobId, idx: u32, spec: JobSpec) {
+        let now = self.clock.now();
+        if let Some(job) = self.core.release_task(now, root, idx, spec, false) {
+            self.submit(job);
         }
-    };
-    run_threaded_with_nodes(specs, &nodes, cfg, &policy, workflow, arrivals, meta)
+    }
+
+    /// `job` comes back from `owner` (`None`: from the monitoring
+    /// layer) and re-enters allocation.
+    fn redistribute(&mut self, owner: Option<WorkerId>, job: Job) {
+        self.core.m.jobs_redistributed.inc();
+        let kind = SchedEventKind::Redistributed;
+        self.core
+            .commit(self.clock.now(), owner, Some(job.id), kind);
+        self.submit(job);
+    }
+
+    /// A crashed or removed worker's placements made before `cut` (all
+    /// of them on `None`) come off the ledger and re-enter allocation.
+    fn reclaim(&mut self, w: WorkerId, cut: Option<SimTime>) {
+        for job in self.core.reclaim(w, cut) {
+            self.redistribute(Some(w), job);
+        }
+    }
+
+    /// Carry out the core's effects: channel sends, and timers with
+    /// real deadlines. A placement for a worker the master believes
+    /// dead bounces back into allocation, as the sim's monitoring layer
+    /// returns one; a repooled worker announces itself idle. Both feed
+    /// the scheduler again, so they wait until the buffer is handed
+    /// back.
+    fn apply(&mut self) {
+        let mut fx = self.core.take_effects();
+        let mut later = Vec::new();
+        for e in fx.drain(..) {
+            match e {
+                Effect::Send(d) if !self.known_live[d.worker.0 as usize] => {
+                    later.push(Effect::Send(d))
+                }
+                Effect::Send(d) => self.deliver(d),
+                Effect::Solicit { worker, job } => {
+                    // Bid requests are fire-and-forget even on a lossy
+                    // link: a lost one costs only optimality (the
+                    // contest resolves by timeout or fallback).
+                    self.core.m.control_messages.inc();
+                    self.send_worker(worker.0, ToWorker::BidRequest(job));
+                }
+                Effect::Timer { delay, token } => {
+                    let real = self.clock.real(delay.as_secs_f64()).max(self.min_window);
+                    self.timers.push(Reverse((Instant::now() + real, token)));
+                }
+                Effect::Repool(w) => later.push(Effect::Repool(w)),
+            }
+        }
+        self.core.put_effects(fx);
+        for e in later {
+            match e {
+                Effect::Send(d) => {
+                    if self.core.settle(d.job.id, Settle::Bounced(d.worker, d.seq)) {
+                        self.redistribute(None, d.job);
+                    }
+                }
+                Effect::Repool(w) => self.receive(w.0, WorkerToMaster::Idle, 0),
+                Effect::Solicit { .. } | Effect::Timer { .. } => unreachable!("carried out above"),
+            }
+        }
+    }
 }
 
 /// Cold worker cores for the threaded runtime, which prices no
@@ -309,30 +242,57 @@ pub(crate) fn fresh_nodes(specs: &[WorkerSpec], noise: &NoiseModel) -> Vec<Arc<M
         .collect()
 }
 
-/// Core of the threaded runtime, over caller-owned worker cores whose
-/// bids and accepts go through a fresh `policy` each.
-/// [`crate::runtime::ThreadedSession`] passes the same `nodes` across
-/// iterations so caches and learned speeds stay warm, exactly like the
-/// engine's persistent [`crate::engine::Cluster`].
-pub(crate) fn run_threaded_with_nodes(
-    specs: &[WorkerSpec],
+/// The scheduler a threaded run (or its elected standby) drafts:
+/// Listing 1 with serialized contests and the spec's window for a
+/// bidding allocator, the allocator's own master for any other.
+fn draft(spec: &RunSpec, allocator: &dyn Allocator) -> Box<dyn MasterScheduler> {
+    let master: Box<dyn MasterScheduler> = match allocator.kind() {
+        SchedulerKind::Bidding => Box::new(BiddingMaster::new(BiddingConfig {
+            window: SimDuration::from_secs_f64(spec.contest_window_secs),
+            serialize_contests: true,
+            ..BiddingConfig::default()
+        })),
+        _ => allocator.master(),
+    };
+    if spec.mutation.reoffers_to_rejector() {
+        Box::new(ReofferToRejector(master))
+    } else {
+        master
+    }
+}
+
+/// Run `arrivals` through `workflow` on real threads, over caller-owned
+/// worker cores whose bids and accepts go through a fresh
+/// `allocator.worker_policy()` each. [`crate::runtime::ThreadedSession`]
+/// passes the same `nodes` across iterations so caches and learned
+/// speeds stay warm, exactly like the engine's persistent
+/// [`crate::engine::Cluster`]. Returns the same [`RunOutput`] shape as
+/// the simulation engine: record, scheduler log, synthesized trace
+/// (when the spec traces), per-job placements (in completion order)
+/// and a metrics snapshot. `meta.seed` seeds the run.
+///
+/// Unlike the simulated engine this function is *not* deterministic:
+/// thread interleavings, late bids and real queueing are part of what
+/// it measures (§6.4's role in the paper).
+pub(crate) fn run_threaded(
+    spec: &RunSpec,
     nodes: &[Arc<Mutex<WorkerNode>>],
-    cfg: &ThreadedConfig,
-    policy: &dyn Fn() -> Box<dyn WorkerPolicy>,
+    allocator: &dyn Allocator,
     workflow: &mut Workflow,
     arrivals: Vec<Arrival>,
     meta: &RunMeta,
 ) -> RunOutput {
+    let (specs, cfg) = (&spec.workers, &spec.engine);
     assert!(!specs.is_empty(), "need at least one worker");
     assert_eq!(specs.len(), nodes.len(), "one worker core per spec");
-    assert!(cfg.time_scale > 0.0, "time_scale must be positive");
+    assert!(spec.time_scale > 0.0, "time_scale must be positive");
+    let mutation = spec.mutation;
     assert!(
-        cfg.mutation.is_none() || cfg!(feature = "protocol-mutation"),
+        mutation.is_none() || cfg!(feature = "protocol-mutation"),
         "protocol mutations require the `protocol-mutation` cargo feature"
     );
     let n = specs.len();
-    let seq = SeedSequence::new(cfg.seed);
-    let mut rng_master = seq.stream(1);
+    let seq = SeedSequence::new(meta.seed);
     let net_active = cfg.netfaults.is_active();
     // The master core owns these tallies; every other recording thread
     // owns a fork.
@@ -343,8 +303,8 @@ pub(crate) fn run_threaded_with_nodes(
     // config so both runtimes misbehave identically under test.
     let repl: Option<Arc<Mutex<ReplState>>> = {
         let mut rcfg = cfg.replication;
-        rcfg.skip_repair |= cfg.mutation.skips_repair();
-        rcfg.evict_last_copy |= cfg.mutation.evicts_last_copy();
+        rcfg.skip_repair |= mutation.skips_repair();
+        rcfg.evict_last_copy |= mutation.evicts_last_copy();
         rcfg.enabled.then(|| {
             let mut rs = ReplState::new(rcfg, cfg.netfaults.clone(), n);
             for i in 0..n {
@@ -372,7 +332,7 @@ pub(crate) fn run_threaded_with_nodes(
     let start = Instant::now();
     let clock = Clock {
         start,
-        scale: cfg.time_scale,
+        scale: spec.time_scale,
     };
     let rules = WorkerRules {
         learning: cfg.speed_learning,
@@ -380,7 +340,7 @@ pub(crate) fn run_threaded_with_nodes(
         net: cfg.netfaults.clone(),
         repl: cfg.replication,
     };
-    let bid_delay = cfg
+    let bid_delay = spec
         .chaos
         .as_ref()
         .map(|c| c.max_bid_delay)
@@ -390,7 +350,7 @@ pub(crate) fn run_threaded_with_nodes(
         let worker_seed = seq.seed_for(100 + i as u64);
         let rng = RngStream::from_seed(worker_seed);
         node.lock()
-            .begin_run(id, rules.clone(), policy(), rng, true);
+            .begin_run(id, rules.clone(), allocator.worker_policy(), rng, true);
         let (tx, rx) = unbounded::<ToWorker>();
         let threads = spawn_worker(
             id.0,
@@ -417,11 +377,11 @@ pub(crate) fn run_threaded_with_nodes(
         NetIntake::new(
             cfg.netfaults.clone(),
             start,
-            cfg.time_scale,
+            spec.time_scale,
             metrics.clone(),
         )
     });
-    let mut intake = Intake::new(to_master_rx, cfg.chaos.clone(), net_intake);
+    let mut intake = Intake::new(to_master_rx, spec.chaos.clone(), net_intake);
     // Arrival schedule in real time.
     let mut pending_arrivals: VecDeque<(Instant, JobSpec)> = arrivals
         .into_iter()
@@ -463,14 +423,15 @@ pub(crate) fn run_threaded_with_nodes(
     let mut last_recover: Vec<Option<Instant>> = vec![None; n];
     let mut downtime_real = 0.0f64;
 
+    let roster: Vec<WorkerHandle> = specs
+        .iter()
+        .enumerate()
+        .map(|(i, s)| WorkerHandle {
+            id: WorkerId(i as u32),
+            name: s.name.clone(),
+        })
+        .collect();
     let mut st = MasterState {
-        contests: HashMap::new(),
-        contest_queue: VecDeque::new(),
-        timed_out: 0,
-        fallback: 0,
-        ready: VecDeque::new(),
-        idle: IdlePool::new(),
-        rejected_by: HashMap::new(),
         // A deferred worker is dormant until its join fires: its
         // initial Idle announcement is dropped by the liveness filter
         // and no bid request reaches it.
@@ -481,11 +442,11 @@ pub(crate) fn run_threaded_with_nodes(
         departed: vec![false; n],
         core: {
             // The protocol mutations route through the shared DAG
-            // config and the core's dedup switch so both runtimes
+            // config and the core's sabotage switches so both runtimes
             // misbehave identically.
             let mut acfg = cfg.atomize;
-            acfg.release_all |= cfg.mutation.ignores_dag_gating();
-            acfg.double_speculate |= cfg.mutation.double_speculates();
+            acfg.release_all |= mutation.ignores_dag_gating();
+            acfg.double_speculate |= mutation.double_speculates();
             let mut core = MasterCore::new(
                 Some(ReplicatedLog::new(&cfg.master_faults)),
                 cfg.shard,
@@ -493,10 +454,16 @@ pub(crate) fn run_threaded_with_nodes(
                 !cfg.master_faults.is_empty(),
                 Some(&cfg.netfaults),
                 metrics,
+                draft(spec, allocator),
+                roster,
+                seq.stream(1),
             );
-            core.drops_dedup = cfg.mutation.drops_dedup();
-            core.ignores_acks = cfg.mutation.ignores_acks();
-            core.no_leases = cfg.mutation.no_leases();
+            core.drops_dedup = mutation.drops_dedup();
+            core.ignores_acks = mutation.ignores_acks();
+            core.no_leases = mutation.no_leases();
+            core.accepts_non_finite = mutation.accepts_non_finite();
+            core.accepts_duplicates = mutation.accepts_duplicates();
+            core.accepts_late = mutation.accepts_late_bids();
             core
         },
         net: net_active.then(|| NetMaster {
@@ -504,7 +471,14 @@ pub(crate) fn run_threaded_with_nodes(
             rng: SeedSequence::new(cfg.netfaults.seed).stream(0x4E37),
             delayed: Vec::new(),
         }),
+        txs: worker_txs,
+        clock,
+        min_window: spec.min_real_window,
+        timers: BinaryHeap::new(),
     };
+    for w in 0..n {
+        st.sync_roster(w);
+    }
     let mut wait_stats = Welford::new();
     let mut last_completion = start;
     // Per-job lifecycle trace, synthesized from the phase breakdown
@@ -515,200 +489,11 @@ pub(crate) fn run_threaded_with_nodes(
     // a placement authoritatively when the worker reports it done).
     let mut assignments: Vec<(JobId, WorkerId)> = Vec::new();
 
-    // Open the next queued contest if none is running. With no
-    // believed-live workers there is no one to ask: the job stays
-    // queued until a recovery re-populates the roster.
-    let open_next_contest = |st: &mut MasterState, txs: &[Sender<ToWorker>], window_secs: f64| {
-        if st.core.failover_pending() || !st.contests.is_empty() || st.eligible_count() == 0 {
-            return;
-        }
-        // A job whose completion committed while it queued is never
-        // placed again, so it gets no contest either.
-        let mut queued = std::iter::from_fn(|| st.contest_queue.pop_front());
-        let Some(job) = queued.find(|j| !st.core.is_done(j.id)) else {
-            return;
-        };
-        // Commit-before-act: the contest opens only once the log entry
-        // reached a quorum. A truncated append performs no side effect
-        // — the job goes back to the queue for the elected standby.
-        if !st.core.commit(
-            clock.now(),
-            None,
-            Some(job.id),
-            SchedEventKind::ContestOpened,
-        ) {
-            st.contest_queue.push_front(job);
-            return;
-        }
-        let opened = Instant::now();
-        let deadline = opened + clock.real(window_secs).max(cfg.min_real_window);
-        st.core.m.contests_opened.inc();
-        for w in 0..txs.len() as u32 {
-            if !st.eligible(w) {
-                continue;
-            }
-            st.core.m.control_messages.inc();
-            // Bid requests are fire-and-forget even on a lossy link: a
-            // lost one costs only optimality (the contest resolves by
-            // timeout or fallback), so there is no ack or retry.
-            send_worker(
-                st,
-                txs,
-                w,
-                ToWorker::BidRequest(job.clone()),
-                Instant::now(),
-                clock.now(),
-                cfg.time_scale,
-            );
-        }
-        st.contests.insert(
-            job.id,
-            Contest {
-                job,
-                bids: BidSet::with_capacity(txs.len()),
-                opened,
-                deadline,
-            },
-        );
-    };
-
-    // Dispatch a new (or reclaimed) job according to the protocol.
-    let dispatch = |st: &mut MasterState,
-                    txs: &[Sender<ToWorker>],
-                    cfg: &ThreadedConfig,
-                    job: Job| match cfg.scheduler {
-        ThreadedScheduler::Bidding { window_secs } => {
-            st.contest_queue.push_back(job);
-            open_next_contest(st, txs, window_secs);
-        }
-        ThreadedScheduler::Baseline => {
-            st.ready.push_back(job);
-        }
-    };
-
-    // Release one DAG task into allocation; a truncated release is
-    // dropped with the leader.
-    let submit_task_job = |st: &mut MasterState,
-                           txs: &[Sender<ToWorker>],
-                           cfg: &ThreadedConfig,
-                           root: JobId,
-                           idx: u32,
-                           spec: JobSpec| {
-        if let Some(job) = st.core.release_task(clock.now(), root, idx, spec, false) {
-            dispatch(st, txs, cfg, job);
-        }
-    };
-
-    // A crashed or removed worker's placements made before `cut` (all
-    // of them on `None`) come off the ledger and re-enter allocation.
-    let reclaim = |st: &mut MasterState, txs: &[Sender<ToWorker>], w: WorkerId, cut| {
-        for job in st.core.reclaim(w, cut) {
-            st.core.m.jobs_redistributed.inc();
-            let kind = SchedEventKind::Redistributed;
-            st.core.commit(clock.now(), Some(w), Some(job.id), kind);
-            dispatch(st, txs, cfg, job);
-        }
-    };
-
-    // Put a placement on the wire.
-    let deliver = |st: &mut MasterState, txs: &[Sender<ToWorker>], d: Delivery| {
-        st.core.m.control_messages.inc();
-        let (w, msg) = (d.worker.0, ToWorker::placement(d));
-        send_worker(st, txs, w, msg, Instant::now(), clock.now(), cfg.time_scale);
-    };
-
-    let baseline_pump = |st: &mut MasterState, txs: &[Sender<ToWorker>]| {
-        while !st.core.failover_pending() && !st.ready.is_empty() && !st.idle.is_empty() {
-            let job = st.ready.pop_front().expect("non-empty");
-            // A worker that just rejected this job would accept it on
-            // the rebound (reject-once); prefer any *other* idle
-            // worker first so the rejection can actually route the
-            // job somewhere better.
-            let rejector = st.rejected_by.get(&job.id).copied();
-            let w = if cfg.mutation.reoffers_to_rejector() {
-                // The reintroduced bug: bounce the job straight back
-                // to whoever just rejected it.
-                st.idle.pop_exact_or_front(rejector)
-            } else {
-                st.idle.pop_preferring_not(rejector)
-            }
-            .expect("checked non-empty");
-            match st.core.place(clock.now(), WorkerId(w), job, true) {
-                Placed::Send(d) => deliver(st, txs, d),
-                // Commit-before-act: an offer whose log entry died
-                // with the leader never goes out; worker and job return
-                // to their pools for the standby to re-place.
-                Placed::Truncated(job) => {
-                    st.idle.push(w);
-                    st.ready.push_front(job);
-                    break;
-                }
-                Placed::Completed => {
-                    st.idle.push(w);
-                }
-            }
-        }
-    };
-
-    let close_contest = |st: &mut MasterState,
-                         txs: &[Sender<ToWorker>],
-                         rng: &mut RngStream,
-                         id: JobId,
-                         timed_out: bool| {
-        if st.core.failover_pending() {
-            return;
-        }
-        let Some(c) = st.contests.remove(&id) else {
-            return;
-        };
-        let winner = c.bids.preferred_among(|w| st.eligible(w.0));
-        let (w, fallback) = match winner {
-            Some(w) => (w.0, false),
-            None => {
-                let live: Vec<u32> = (0..txs.len() as u32).filter(|w| st.eligible(*w)).collect();
-                if live.is_empty() {
-                    // Nobody to draft: park the job until a recovery.
-                    st.contest_queue.push_front(c.job);
-                    return;
-                }
-                (live[rng.below(live.len() as u64) as usize], true)
-            }
-        };
-        // Commit-before-act: the decision stands only once both
-        // entries reached a quorum. A truncated close leaves the job
-        // contest-open in the state, a truncated assignment leaves it
-        // unplaced — either way the elected standby re-enters it.
-        if !st
-            .core
-            .close_contest(clock.now(), None, id, timed_out, fallback)
-        {
-            st.contest_queue.push_front(c.job);
-            return;
-        }
-        if timed_out {
-            st.timed_out += 1;
-            st.core.m.contests_timed_out.inc();
-        }
-        if fallback {
-            st.fallback += 1;
-            st.core.m.contests_fallback.inc();
-        }
-        match st.core.place(clock.now(), WorkerId(w), c.job, false) {
-            Placed::Send(d) => deliver(st, txs, d),
-            Placed::Truncated(job) => st.contest_queue.push_front(job),
-            Placed::Completed => {}
-        }
-    };
-
-    let window_secs = match cfg.scheduler {
-        ThreadedScheduler::Bidding { window_secs } => window_secs,
-        ThreadedScheduler::Baseline => 0.0,
-    };
-
     // Graceful-drain completion: once a draining worker has nothing
-    // outstanding it departs for good (`WorkerRemoved`). A drainer
-    // that is currently crashed departs at its recovery instead — its
-    // stranded jobs must be reclaimed first.
+    // outstanding it departs for good (`WorkerRemoved`) and leaves the
+    // scheduler's bookkeeping. A drainer that is currently crashed
+    // departs at its recovery instead — its stranded jobs must be
+    // reclaimed first.
     let finish_drain = |st: &mut MasterState, down_since: &[Option<Instant>], w: u32| {
         let i = w as usize;
         if !st.draining[i] || st.departed[i] || down_since[i].is_some() {
@@ -726,12 +511,13 @@ pub(crate) fn run_threaded_with_nodes(
         st.draining[i] = false;
         st.departed[i] = true;
         st.known_live[i] = false;
-        st.idle.remove(w);
+        st.sync_roster(i);
         if let Some(r) = &repl {
             // The departed worker's copies leave the replica set (its
             // store survives on disk but the cluster cannot reach it).
             r.lock().drop_worker(w);
         }
+        st.decide(|m, ctx| m.on_worker_failed(WorkerId(w), ctx));
     };
 
     // Real duration of one repair copy of `bytes` to `dest`
@@ -761,12 +547,23 @@ pub(crate) fn run_threaded_with_nodes(
         changed
     };
 
+    // Free store bytes per worker, one shared lock at a time — taken
+    // *before* the repl lock, per the lock order.
+    let free_bytes = || -> Vec<u64> {
+        nodes
+            .iter()
+            .map(|s| {
+                let s = s.lock();
+                s.store.capacity().saturating_sub(s.store.used())
+            })
+            .collect()
+    };
+
     // Under-replication scan: for every artifact below its factor with
     // no repair in flight, pick the live source and the eligible
     // destination with the most free store bytes, commit the
     // `repair_start` decision (commit-before-copy), and arm the copy
-    // timer. Free-byte snapshots are collected one shared lock at a
-    // time *before* the repl lock, per the lock order.
+    // timer.
     let scan_repairs = |st: &mut MasterState, timers: &mut Vec<(Instant, ObjectId, u32, u64)>| {
         let Some(r) = &repl else {
             return;
@@ -774,13 +571,7 @@ pub(crate) fn run_threaded_with_nodes(
         if st.core.failover_pending() {
             return;
         }
-        let free: Vec<u64> = nodes
-            .iter()
-            .map(|s| {
-                let s = s.lock();
-                s.store.capacity().saturating_sub(s.store.used())
-            })
-            .collect();
+        let free = free_bytes();
         let picks: Vec<(ObjectId, u32, u32, u64)> = {
             let rs = r.lock();
             rs.map
@@ -794,7 +585,7 @@ pub(crate) fn run_threaded_with_nodes(
                         &rs.map,
                         obj,
                         n as u32,
-                        |w| st.eligible(w),
+                        |w| st.core.eligible(WorkerId(w)),
                         |w| free[w as usize],
                     )?;
                     Some((obj, src, dest, bytes))
@@ -833,49 +624,37 @@ pub(crate) fn run_threaded_with_nodes(
 
     // Leader crash takeover: an elected standby replays the committed
     // log into a pure state, pauses for the (scaled) election timeout,
-    // and rebuilds every scheduler-owned structure from the replay.
-    // The transport substrate — worker threads, channels, the idle
-    // pool, liveness beliefs, net-layer sequencing and exactly-once
-    // memory — survives in place: it models the replica group's shared
-    // view of the cluster, not the leader's private decisions.
+    // seats a fresh scheduler and re-enters what the replay says is
+    // owed. The transport substrate — worker threads, channels,
+    // liveness beliefs, net-layer sequencing and exactly-once memory —
+    // survives in place: it models the replica group's shared view of
+    // the cluster, not the leader's private decisions.
     let do_failover = |st: &mut MasterState,
-                       txs: &[Sender<ToWorker>],
                        down: &[Option<Instant>],
                        timers: &mut Vec<(Instant, ObjectId, u32, u64)>| {
         let Takeover {
             state,
             unplaced,
             frontier,
-        } = st.core.takeover(clock.now());
+        } = st.core.takeover(clock.now(), draft(spec, allocator));
         let pause = clock.real(cfg.master_faults.election_timeout_secs);
         if !pause.is_zero() {
             std::thread::sleep(pause);
-        }
-        // Decisions the dead leader had staged but never committed are
-        // forgotten; the committed log is the only source of truth.
-        st.contests.clear();
-        st.contest_queue.clear();
-        st.ready.clear();
-        // Rejection routing survives through the committed log, not
-        // the dead leader's memory.
-        st.rejected_by.clear();
-        for (job, w) in state.rejections() {
-            st.rejected_by.insert(job, w.0);
         }
         // Jobs the log proves submitted-but-unplaced (queued, mid-
         // contest, or whose assignment truncated) re-enter allocation
         // exactly once each.
         for job in unplaced {
-            dispatch(st, txs, cfg, job);
+            st.submit(job);
         }
         // Tasks whose release truncated with the dead leader are
         // released afresh (new term, fresh ids).
-        for (root, idx, spec) in frontier {
-            submit_task_job(st, txs, cfg, root, idx, spec);
+        for (root, idx, tspec) in frontier {
+            st.release(root, idx, tspec);
         }
         // The takeover may have emptied a draining worker's ledger
         // entries; it must notice the drain is done.
-        for w in 0..txs.len() as u32 {
+        for w in 0..n as u32 {
             finish_drain(st, down, w);
         }
         // Commit-before-copy pays off here: repairs the log proves
@@ -905,8 +684,13 @@ pub(crate) fn run_threaded_with_nodes(
                 }
             }
         }
-        baseline_pump(st, txs);
-        open_next_contest(st, txs, window_secs);
+        // Idle live workers re-announce themselves to the fresh
+        // scheduler, so the pull loop restarts under the new leader.
+        for w in 0..n {
+            if st.core.eligible(WorkerId(w as u32)) && nodes[w].lock().idle() {
+                st.receive(w as u32, WorkerToMaster::Idle, 0);
+            }
+        }
     };
 
     // Stall detection, armed only under an active net-fault plan: a
@@ -937,7 +721,6 @@ pub(crate) fn run_threaded_with_nodes(
     let mut batch: VecDeque<ToMaster> = VecDeque::new();
 
     loop {
-        // Fire due arrivals.
         let now = Instant::now();
 
         // Deliver matured link-delayed master→worker messages.
@@ -950,20 +733,21 @@ pub(crate) fn run_threaded_with_nodes(
             while i < net.delayed.len() {
                 if net.delayed[i].0 <= now {
                     let (_, w, msg) = net.delayed.remove(i);
-                    let _ = worker_txs[w as usize].send(msg);
+                    let _ = st.txs[w as usize].send(msg);
                 } else {
                     i += 1;
                 }
             }
         }
+        // Fire due arrivals.
         while pending_arrivals.front().is_some_and(|(at, _)| *at <= now) {
-            let (_, spec) = pending_arrivals.pop_front().expect("non-empty");
+            let (_, arriving) = pending_arrivals.pop_front().expect("non-empty");
             arrivals_seen += 1;
-            match st.core.admit(clock.now(), spec) {
-                Admitted::Job(job) => dispatch(&mut st, &worker_txs, cfg, job),
+            match st.core.admit(clock.now(), arriving) {
+                Admitted::Job(job) => st.submit(job),
                 Admitted::Dag { root, released } => {
                     for (idx, tspec) in released {
-                        submit_task_job(&mut st, &worker_txs, cfg, root, idx, tspec);
+                        st.release(root, idx, tspec);
                     }
                 }
             }
@@ -974,7 +758,7 @@ pub(crate) fn run_threaded_with_nodes(
         // committed as SpecLaunch before the replica exists).
         if now >= next_spec_check {
             if let Some(job) = st.core.launch_straggler(clock.now()) {
-                dispatch(&mut st, &worker_txs, cfg, job);
+                st.submit(job);
             }
             next_spec_check = now + spec_check_real;
         }
@@ -1017,6 +801,7 @@ pub(crate) fn run_threaded_with_nodes(
                     }
                     last_recover[w] = Some(now);
                     st.known_live[w] = true;
+                    st.sync_roster(w);
                     if let Some(r) = &repl {
                         // Back in the data plane: an empty store (the
                         // crash cleared it), but a valid repair
@@ -1033,10 +818,9 @@ pub(crate) fn run_threaded_with_nodes(
                     } else {
                         // The rejoined worker's queue is empty but its
                         // executor has no reason to say so; the master
-                        // re-seats it.
-                        st.idle.push(wid.0);
-                        baseline_pump(&mut st, &worker_txs);
-                        open_next_contest(&mut st, &worker_txs, window_secs);
+                        // announces it.
+                        st.decide(|m, ctx| m.on_worker_recovered(wid, ctx));
+                        st.receive(wid.0, WorkerToMaster::Idle, 0);
                     }
                 }
             }
@@ -1063,15 +847,16 @@ pub(crate) fn run_threaded_with_nodes(
                     );
                     st.known_live[w] = true;
                     st.draining[w] = false;
+                    st.sync_roster(w);
                     if let Some(r) = &repl {
                         r.lock().alive[w] = true;
                     }
                     // The dormant worker's initial Idle announcement
-                    // was dropped by the liveness filter; re-seat it
-                    // the way a recovery does.
-                    st.idle.push(ev.worker.0);
-                    baseline_pump(&mut st, &worker_txs);
-                    open_next_contest(&mut st, &worker_txs, window_secs);
+                    // was dropped by the liveness filter; to the
+                    // scheduler a join is a fresh worker's first
+                    // appearance, announced the way a recovery is.
+                    st.decide(|m, ctx| m.on_worker_recovered(ev.worker, ctx));
+                    st.receive(ev.worker.0, WorkerToMaster::Idle, 0);
                 }
                 MembershipAction::Drain => {
                     if st.draining[w] || st.departed[w] {
@@ -1084,23 +869,8 @@ pub(crate) fn run_threaded_with_nodes(
                         SchedEventKind::WorkerDraining,
                     );
                     st.draining[w] = true;
-                    st.idle.remove(ev.worker.0);
-                    // Purge its bids from open contests — the shrunken
-                    // roster may complete a bid set.
-                    let elig = st.eligible_count();
-                    let mut complete: Vec<JobId> = Vec::new();
-                    for (id, c) in st.contests.iter_mut() {
-                        c.bids.remove(ev.worker);
-                        if elig > 0 && c.bids.len() >= elig {
-                            complete.push(*id);
-                        }
-                    }
-                    for id in complete {
-                        close_contest(&mut st, &worker_txs, &mut rng_master, id, false);
-                    }
+                    st.sync_roster(w);
                     finish_drain(&mut st, &down_since, ev.worker.0);
-                    baseline_pump(&mut st, &worker_txs);
-                    open_next_contest(&mut st, &worker_txs, window_secs);
                 }
                 MembershipAction::Remove => {
                     if st.departed[w] {
@@ -1119,7 +889,7 @@ pub(crate) fn run_threaded_with_nodes(
                     st.draining[w] = false;
                     st.departed[w] = true;
                     st.known_live[w] = false;
-                    st.idle.remove(ev.worker.0);
+                    st.sync_roster(w);
                     nodes[w].lock().crash(clock.now());
                     if let Some(r) = &repl {
                         // Reclaimed disk and all: same data-plane diff
@@ -1129,20 +899,8 @@ pub(crate) fn run_threaded_with_nodes(
                     if let Some(since) = down_since[w].take() {
                         downtime_real += now.saturating_duration_since(since).as_secs_f64();
                     }
-                    let elig = st.eligible_count();
-                    let mut complete: Vec<JobId> = Vec::new();
-                    for (id, c) in st.contests.iter_mut() {
-                        c.bids.remove(ev.worker);
-                        if elig > 0 && c.bids.len() >= elig {
-                            complete.push(*id);
-                        }
-                    }
-                    for id in complete {
-                        close_contest(&mut st, &worker_txs, &mut rng_master, id, false);
-                    }
-                    reclaim(&mut st, &worker_txs, ev.worker, None);
-                    baseline_pump(&mut st, &worker_txs);
-                    open_next_contest(&mut st, &worker_txs, window_secs);
+                    st.decide(|m, ctx| m.on_worker_failed(ev.worker, ctx));
+                    st.reclaim(ev.worker, None);
                 }
             }
         }
@@ -1155,39 +913,21 @@ pub(crate) fn run_threaded_with_nodes(
             // Did the worker come back between the crash and now?
             let recovered_since = last_recover[w].filter(|r| *r >= crashed_at);
             if recovered_since.is_none() {
-                // Still down: declare it dead. It leaves the idle
-                // pool, its recorded bids can no longer win, and the
-                // affected contests re-check completeness against the
-                // shrunken roster.
+                // Still down: declare it dead. It leaves the roster
+                // and the scheduler's bookkeeping; its recorded bids
+                // stay, and a placement it wins bounces back.
                 st.known_live[w] = false;
-                st.idle.remove(dw);
-                let live = st.eligible_count();
-                let mut complete: Vec<JobId> = Vec::new();
-                for (id, c) in st.contests.iter_mut() {
-                    c.bids.remove(WorkerId(dw));
-                    if live > 0 && c.bids.len() >= live {
-                        complete.push(*id);
-                    }
-                }
-                for id in complete {
-                    close_contest(&mut st, &worker_txs, &mut rng_master, id, false);
-                }
+                st.sync_roster(w);
+                st.decide(|m, ctx| m.on_worker_failed(WorkerId(dw), ctx));
             }
             // Reclaim what the worker lost: everything placed on it
             // before its latest recovery — or everything, if it has
             // not recovered. (Jobs placed after a recovery live on the
             // rejoined worker and stay put.)
-            reclaim(
-                &mut st,
-                &worker_txs,
-                WorkerId(dw),
-                recovered_since.map(|t| clock.at(t)),
-            );
+            st.reclaim(WorkerId(dw), recovered_since.map(|t| clock.at(t)));
             // Reclaiming may have emptied a recovered drainer's
             // ledger entries.
             finish_drain(&mut st, &down_since, dw);
-            baseline_pump(&mut st, &worker_txs);
-            open_next_contest(&mut st, &worker_txs, window_secs);
         }
 
         // The ledger's timers: retransmit unacked placements on their
@@ -1197,28 +937,24 @@ pub(crate) fn run_threaded_with_nodes(
         let v = clock.at(now);
         for (id, seq) in st.core.due(v) {
             if let Some(d) = st.core.resend(v, id, seq) {
-                deliver(&mut st, &worker_txs, d);
+                st.deliver(d);
             }
             if let Some((w, job)) = st.core.expire(v, id, seq) {
                 if let Some(job) = job {
-                    dispatch(&mut st, &worker_txs, cfg, job);
+                    st.submit(job);
                 }
                 finish_drain(&mut st, &down_since, w.0);
             }
         }
 
-        baseline_pump(&mut st, &worker_txs);
-        // Close expired contests.
-        let due: Vec<JobId> = st
-            .contests
-            .iter()
-            .filter(|(_, c)| c.deadline <= now)
-            .map(|(id, _)| *id)
-            .collect();
-        for id in due {
-            close_contest(&mut st, &worker_txs, &mut rng_master, id, true);
+        // The scheduler's timers (contest windows).
+        while let Some(&Reverse((at, token))) = st.timers.peek() {
+            if at > now {
+                break;
+            }
+            st.timers.pop();
+            st.decide(|m, ctx| m.on_timer(token, ctx));
         }
-        open_next_contest(&mut st, &worker_txs, window_secs);
 
         // Replicated data plane: land matured repair copies, commit
         // the journal, and re-scan whenever a replica set changed.
@@ -1240,19 +976,13 @@ pub(crate) fn run_threaded_with_nodes(
                     // committed repair to a fresh destination — no
                     // second `repair_start` (that would double-count
                     // the decision) — or park until somebody recovers.
-                    let free: Vec<u64> = nodes
-                        .iter()
-                        .map(|s| {
-                            let s = s.lock();
-                            s.store.capacity().saturating_sub(s.store.used())
-                        })
-                        .collect();
+                    let free = free_bytes();
                     let mut rs = r.lock();
                     let nd = ReplicationConfig::repair_dest(
                         &rs.map,
                         obj,
                         n as u32,
-                        |w| st.eligible(w),
+                        |w| st.core.eligible(WorkerId(w)),
                         |w| free[w as usize],
                     );
                     match nd {
@@ -1293,7 +1023,7 @@ pub(crate) fn run_threaded_with_nodes(
         // block, break, or take further decisions. Each iteration
         // handles at most one message, so one check per pass suffices.
         if st.core.failover_pending() {
-            do_failover(&mut st, &worker_txs, &down_since, &mut repair_timers);
+            do_failover(&mut st, &down_since, &mut repair_timers);
         }
 
         // Are we done? (`>=`: the DropDedup mutation can double-count
@@ -1354,7 +1084,7 @@ pub(crate) fn run_threaded_with_nodes(
                 .front()
                 .map(|(at, _)| *at)
                 .into_iter()
-                .chain(st.contests.values().map(|c| c.deadline))
+                .chain(st.timers.peek().map(|Reverse((at, _))| *at))
                 .chain(fault_events.front().map(|(at, _)| *at))
                 .chain(membership_events.front().map(|(at, _)| *at))
                 .chain(detections.front().map(|(at, _, _)| *at))
@@ -1405,100 +1135,19 @@ pub(crate) fn run_threaded_with_nodes(
         {
             continue;
         }
+        st.core.m.control_messages.inc();
         match msg {
             ToMaster::Bid {
                 worker,
                 job,
                 estimate_secs,
-            } => {
-                st.core.m.control_messages.inc();
-                // Intake guard: a non-finite estimate is protocol
-                // garbage — never record it, never let it count
-                // toward the bid set.
-                if !estimate_secs.is_finite() && !cfg.mutation.accepts_non_finite() {
-                    continue;
-                }
-                let live = st.eligible_count();
-                let mut recorded = false;
-                let mut full = false;
-                if let Some(c) = st.contests.get_mut(&job) {
-                    // Duplicates are ignored entirely: only a freshly
-                    // recorded bid may complete the set and trigger
-                    // the short-circuit close.
-                    recorded = if cfg.mutation.accepts_duplicates() {
-                        c.bids.record_unchecked(WorkerId(worker), estimate_secs);
-                        true
-                    } else {
-                        c.bids.record(WorkerId(worker), estimate_secs)
-                    };
-                    if recorded {
-                        full = c.bids.len() >= live;
-                        let waited = c.opened.elapsed().as_secs_f64() / cfg.time_scale;
-                        st.core.record_bid(
-                            clock.now(),
-                            WorkerId(worker),
-                            job,
-                            estimate_secs,
-                            waited,
-                        );
-                    }
-                }
-                if !recorded && cfg.mutation.accepts_late_bids() {
-                    // The reintroduced bug: a bid arriving after its
-                    // contest closed reopens the decision — the late
-                    // bidder steals the still-running job.
-                    if let Some(j) = st.core.placed_job(job) {
-                        let bid = SchedEventKind::BidReceived { estimate_secs };
-                        st.core
-                            .commit(clock.now(), Some(WorkerId(worker)), Some(job), bid);
-                        if let Placed::Send(d) =
-                            st.core.place(clock.now(), WorkerId(worker), j, false)
-                        {
-                            deliver(&mut st, &worker_txs, d);
-                        }
-                    }
-                }
-                if full {
-                    close_contest(&mut st, &worker_txs, &mut rng_master, job, false);
-                    open_next_contest(&mut st, &worker_txs, window_secs);
-                }
-            }
+            } => st.receive(worker, WorkerToMaster::Bid { job, estimate_secs }, 0),
             ToMaster::Reject { worker, job, seq } => {
-                st.core.m.control_messages.inc();
-                // At-least-once tolerance: a reject acts only while
-                // the *exact* offer it answers (worker AND placement
-                // seq) is still on the ledger. A duplicate delivery,
-                // or a stale reject arriving after the job was
-                // redistributed, completed, lease-bounced or
-                // re-offered elsewhere, would otherwise re-queue the
-                // job for a second execution (or cancel someone
-                // else's offer).
-                let bounced = Settle::Bounced(WorkerId(worker), seq);
-                if !st.core.settle(job.id, bounced) {
-                    continue;
-                }
-                st.core.commit(
-                    clock.now(),
-                    Some(WorkerId(worker)),
-                    Some(job.id),
-                    SchedEventKind::Rejected,
-                );
-                st.rejected_by.insert(job.id, worker);
-                // A drainer bouncing its last offer must not re-enter
-                // the pull pool — it completes its drain instead.
-                if st.draining[worker as usize] {
-                    finish_drain(&mut st, &down_since, worker);
-                } else {
-                    st.idle.push(worker);
-                }
-                st.ready.push_front(job);
-                baseline_pump(&mut st, &worker_txs);
+                st.receive(worker, WorkerToMaster::Reject { job }, seq);
+                // A drainer that bounced its last offer departs.
+                finish_drain(&mut st, &down_since, worker);
             }
-            ToMaster::Idle { worker } => {
-                st.core.m.control_messages.inc();
-                st.idle.push(worker);
-                baseline_pump(&mut st, &worker_txs);
-            }
+            ToMaster::Idle { worker } => st.receive(worker, WorkerToMaster::Idle, 0),
             ToMaster::Done {
                 worker,
                 job,
@@ -1506,24 +1155,14 @@ pub(crate) fn run_threaded_with_nodes(
                 fetch_secs,
                 proc_secs,
             } => {
-                st.core.m.control_messages.inc();
                 if st.net.is_some() {
                     // Ack *every* delivery — retransmitted and
                     // duplicated copies included — so the worker stops
                     // resending even when the first ack was lost.
                     st.core.m.control_messages.inc();
-                    send_worker(
-                        &mut st,
-                        &worker_txs,
-                        worker,
-                        ToWorker::AckDone(job.id),
-                        Instant::now(),
-                        clock.now(),
-                        cfg.time_scale,
-                    );
+                    st.send_worker(worker, ToWorker::AckDone(job.id));
                 }
                 st.core.settle(job.id, Settle::Done);
-                st.rejected_by.remove(&job.id);
                 finish_drain(&mut st, &down_since, worker);
                 let outcome = match st.core.complete(clock.now(), WorkerId(worker), job.id) {
                     // A redistributed copy already finished elsewhere,
@@ -1534,10 +1173,7 @@ pub(crate) fn run_threaded_with_nodes(
                     // already committed and accounted — the eventual
                     // completion is swallowed without side effects,
                     // and so is any at-least-once duplicate of it.
-                    Completion::Cancelled => {
-                        baseline_pump(&mut st, &worker_txs);
-                        continue;
-                    }
+                    Completion::Cancelled => continue,
                     Completion::Counted(outcome) => outcome,
                 };
                 last_completion = Instant::now();
@@ -1589,7 +1225,7 @@ pub(crate) fn run_threaded_with_nodes(
                         workflow.logic_mut(job.task).process(&job, &ctx, &mut out);
                         for spec in out {
                             let spawned = st.core.spawn(clock.now(), spec);
-                            dispatch(&mut st, &worker_txs, cfg, spawned);
+                            st.submit(spawned);
                         }
                     }
                     DoneOutcome::Swallowed => {}
@@ -1621,14 +1257,13 @@ pub(crate) fn run_threaded_with_nodes(
                             st.core.cancel_loser(clock.now(), loser, root, task);
                         }
                         for (idx, tspec) in released {
-                            submit_task_job(&mut st, &worker_txs, cfg, root, idx, tspec);
+                            st.release(root, idx, tspec);
                         }
                     }
                 }
-                baseline_pump(&mut st, &worker_txs);
+                st.decide(|m, ctx| m.on_job_done(WorkerId(worker), &job, ctx));
             }
             ToMaster::AckAssign { worker, job, seq } => {
-                st.core.m.control_messages.inc();
                 st.core.ack(clock.now(), WorkerId(worker), job, seq);
             }
         }
@@ -1636,10 +1271,10 @@ pub(crate) fn run_threaded_with_nodes(
     let end = Instant::now();
 
     // Shutdown and join.
-    for tx in &worker_txs {
+    for tx in &st.txs {
         let _ = tx.send(ToWorker::Shutdown);
     }
-    drop(worker_txs);
+    st.txs.clear();
     // A worker thread's panic is re-raised here with its payload; a
     // thread that returned has flushed its tallies.
     for h in handles {
@@ -1662,7 +1297,7 @@ pub(crate) fn run_threaded_with_nodes(
         last_completion
             .saturating_duration_since(start)
             .as_secs_f64()
-            / cfg.time_scale
+            / spec.time_scale
     } else {
         0.0
     };
@@ -1670,16 +1305,14 @@ pub(crate) fn run_threaded_with_nodes(
     for since in down_since.iter().flatten() {
         downtime_real += end.saturating_duration_since(*since).as_secs_f64();
     }
+    let stats = st.core.sched_stats();
     let totals = RunTotals {
-        scheduler: match cfg.scheduler {
-            ThreadedScheduler::Bidding { .. } => SchedulerKind::Bidding,
-            ThreadedScheduler::Baseline => SchedulerKind::Baseline,
-        },
+        scheduler: allocator.kind(),
         makespan_secs,
-        contests_timed_out: st.timed_out,
-        contests_fallback: st.fallback,
+        contests_timed_out: stats.contests_timed_out,
+        contests_fallback: stats.contests_fallback,
         mean_queue_wait_secs: wait_stats.mean(),
-        recovery_secs: downtime_real / cfg.time_scale,
+        recovery_secs: downtime_real / spec.time_scale,
     };
     let makespan = SimTime::from_secs_f64(makespan_secs);
     let workers = nodes.iter().map(|s| {

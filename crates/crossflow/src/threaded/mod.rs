@@ -4,8 +4,9 @@
 //! Where [`engine`](crate::engine) replays the distributed system on a
 //! virtual clock, this runtime actually *is* a concurrent system:
 //!
-//! * one **master thread** running the scheduler (bidding contests
-//!   with real wall-clock deadlines, or the Baseline's pull protocol);
+//! * one **master thread** running the sim's decision path — the
+//!   run's `MasterScheduler` behind the shared master core — with real
+//!   wall-clock deadlines for its timers;
 //! * per worker, an **executor thread** that processes jobs serially
 //!   (transfer and scan durations are realized as scaled
 //!   `thread::sleep`s) and a **bidder thread** that answers bid
@@ -14,7 +15,8 @@
 //! * crossbeam channels as the messaging fabric.
 //!
 //! Durations are *virtual seconds* scaled by
-//! [`ThreadedConfig::time_scale`] into real sleeps, so a 3000-virtual-
+//! [`RunSpec::time_scale`](crate::RunSpec::time_scale) into real
+//! sleeps, so a 3000-virtual-
 //! second MSR run takes ~3 real seconds at the default scale. Races,
 //! message interleavings and late bids are real, which is exactly what
 //! this runtime exists to exercise; workers learn their speeds from
@@ -26,8 +28,7 @@ mod repl;
 mod worker;
 
 pub use chaos::{ChaosConfig, DeliveryEntry, DeliveryLog, DeliveryLogHandle, ProtocolMutation};
-pub(crate) use master::{fresh_nodes, run_threaded_with_nodes};
-pub use master::{run_threaded_output, ThreadedConfig, ThreadedScheduler};
+pub(crate) use master::{fresh_nodes, run_threaded};
 
 use std::time::{Duration, Instant};
 

@@ -263,7 +263,7 @@ fn main() {
             if let Some(n) = parsed(&args, "--iterations") {
                 tcfg.iterations = n;
             }
-            let runs = trace_run::run(&tcfg).unwrap_or_else(|e| die(&e));
+            let runs = trace_run::run(&tcfg);
             emit("trace", &trace_run::render_phase_table(&runs));
             if let Some(path) = &trace_file {
                 let f = create_trace_file(path);

@@ -7,9 +7,8 @@
 //! backlog. Reported per cell: makespan, jobs completed, jobs
 //! redistributed, accumulated downtime.
 
-use crossbid_crossflow::{
-    run_threaded_output, FaultPlan, RunMeta, ThreadedConfig, ThreadedScheduler, WorkerId, Workflow,
-};
+use crossbid_core::BiddingAllocator;
+use crossbid_crossflow::{Allocator, BaselineAllocator, FaultPlan, RunSpec, WorkerId, Workflow};
 use crossbid_metrics::table::{f2, fpct};
 use crossbid_metrics::{percent_reduction, RunRecord, Table};
 use crossbid_net::NoiseModel;
@@ -82,21 +81,18 @@ impl CrashCell {
     }
 }
 
-fn one_run(
-    exp: &CrashSweepExperiment,
-    scheduler: ThreadedScheduler,
-    faults: FaultPlan,
-) -> RunRecord {
-    let cfg = ThreadedConfig {
-        time_scale: exp.time_scale,
-        noise: NoiseModel::None,
-        speed_learning: true,
-        scheduler,
-        seed: exp.seed,
-        faults,
-        ..ThreadedConfig::default()
-    };
-    let specs = WorkerConfig::AllEqual.specs(exp.n_workers);
+fn one_run(exp: &CrashSweepExperiment, allocator: &dyn Allocator, faults: FaultPlan) -> RunRecord {
+    // A fresh session per run: every run starts cold.
+    let spec = RunSpec::builder()
+        .workers(WorkerConfig::AllEqual.specs(exp.n_workers))
+        .names("all-equal", "80pct_large")
+        .seed(exp.seed)
+        .time_scale(exp.time_scale)
+        .contest_window_secs(exp.window_secs)
+        .noise(NoiseModel::None)
+        .speed_learning(true)
+        .faults(faults)
+        .build();
     let mut wf = Workflow::new();
     let task = wf.add_sink("scan");
     let stream = JobConfig::Pct80Large.generate(
@@ -105,13 +101,9 @@ fn one_run(
         task,
         &ArrivalProcess::evaluation_default(),
     );
-    let meta = RunMeta {
-        worker_config: "all-equal".into(),
-        job_config: "80pct_large".into(),
-        seed: exp.seed,
-        ..RunMeta::default()
-    };
-    run_threaded_output(&specs, &cfg, &mut wf, stream.arrivals, &meta).record
+    spec.threaded()
+        .run_iteration(&mut wf, allocator, stream.arrivals)
+        .record
 }
 
 /// Run the sweep for Bidding and Baseline. Crash times are anchored
@@ -122,14 +114,9 @@ pub fn run(exp: &CrashSweepExperiment) -> Vec<CrashCell> {
         exp.crash_counts.iter().all(|k| *k < exp.n_workers),
         "at least one worker must survive every cell"
     );
-    let schedulers = [
-        (
-            "bidding",
-            ThreadedScheduler::Bidding {
-                window_secs: exp.window_secs,
-            },
-        ),
-        ("baseline", ThreadedScheduler::Baseline),
+    let schedulers: [(&str, &dyn Allocator); 2] = [
+        ("bidding", &BiddingAllocator::new()),
+        ("baseline", &BaselineAllocator),
     ];
     let mut cells = Vec::new();
     for (name, sched) in schedulers {

@@ -6,11 +6,10 @@
 
 use std::sync::Arc;
 
-use crossbid_crossflow::{
-    run_threaded_output, RunMeta, ThreadedConfig, ThreadedScheduler, Workflow,
-};
+use crossbid_core::BiddingAllocator;
+use crossbid_crossflow::{Allocator, BaselineAllocator, RunSpec, Workflow};
 use crossbid_metrics::table::f2;
-use crossbid_metrics::{RunRecord, SchedulerKind, Table};
+use crossbid_metrics::{RunRecord, Table};
 use crossbid_msr::github::GitHubParams;
 use crossbid_msr::{build_pipeline, library_arrivals, SyntheticGitHub};
 use crossbid_simcore::SeedSequence;
@@ -89,7 +88,7 @@ pub struct MsrResults {
 /// downloaded repositories") and §6.4 speed learning enabled.
 pub fn run(exp: &MsrExperiment) -> MsrResults {
     let seq = SeedSequence::new(exp.seed);
-    let do_runs = |scheduler: ThreadedScheduler, kind: SchedulerKind| -> Vec<RunRecord> {
+    let do_runs = |allocator: &dyn Allocator| -> Vec<RunRecord> {
         (0..exp.runs)
             .map(|i| {
                 let run_seed = seq.seed_for(500 + i as u64);
@@ -100,35 +99,30 @@ pub fn run(exp: &MsrExperiment) -> MsrResults {
                 let pipe = build_pipeline(&mut wf, gh, exp.seed, exp.false_positive_rate);
                 let arrivals =
                     library_arrivals(&pipe, exp.github.n_libraries, exp.library_interval_secs);
-                let cfg = ThreadedConfig {
-                    time_scale: exp.time_scale,
-                    speed_learning: true,
-                    scheduler,
-                    seed: run_seed,
-                    ..ThreadedConfig::default()
-                };
                 let mut specs = WorkerConfig::AllEqual.paper_specs();
                 for s in &mut specs {
                     s.storage_bytes = (exp.storage_gb * 1e9) as u64;
                 }
-                let meta = RunMeta {
-                    worker_config: "aws-t3-like".into(),
-                    job_config: "msr".into(),
-                    iteration: i,
-                    seed: run_seed,
-                };
-                let mut r = run_threaded_output(&specs, &cfg, &mut wf, arrivals, &meta).record;
-                r.scheduler = kind;
+                // A fresh session per run: every run starts cold.
+                let spec = RunSpec::builder()
+                    .workers(specs)
+                    .names("aws-t3-like", "msr")
+                    .seed(run_seed)
+                    .time_scale(exp.time_scale)
+                    .speed_learning(true)
+                    .build();
+                let mut r = spec
+                    .threaded()
+                    .run_iteration(&mut wf, allocator, arrivals)
+                    .record;
+                r.iteration = i;
                 r
             })
             .collect()
     };
     MsrResults {
-        bidding: do_runs(
-            ThreadedScheduler::Bidding { window_secs: 1.0 },
-            SchedulerKind::Bidding,
-        ),
-        baseline: do_runs(ThreadedScheduler::Baseline, SchedulerKind::Baseline),
+        bidding: do_runs(&BiddingAllocator::new()),
+        baseline: do_runs(&BaselineAllocator),
     }
 }
 

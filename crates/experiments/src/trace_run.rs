@@ -72,22 +72,7 @@ impl Default for TraceRunConfig {
 
 /// Run the scenario: one warm-cache session, traces and metrics on.
 /// Returns `(stream header, run output)` per iteration.
-///
-/// # Errors
-/// The threaded runtime implements only the bidding and Baseline
-/// protocols; other scheduler kinds are rejected.
-pub fn run(cfg: &TraceRunConfig) -> Result<Vec<(RunStreamMeta, RunOutput)>, String> {
-    if cfg.runtime == RuntimeChoice::Threaded
-        && !matches!(
-            cfg.scheduler,
-            SchedulerKind::Bidding | SchedulerKind::Baseline
-        )
-    {
-        return Err(format!(
-            "the threaded runtime implements bidding and baseline, not {}",
-            cfg.scheduler.name()
-        ));
-    }
+pub fn run(cfg: &TraceRunConfig) -> Vec<(RunStreamMeta, RunOutput)> {
     // No shared metrics sink: each iteration snapshots its own
     // private registry, so the phase table is per-iteration rather
     // than cumulative.
@@ -124,7 +109,7 @@ pub fn run(cfg: &TraceRunConfig) -> Result<Vec<(RunStreamMeta, RunOutput)>, Stri
         };
         runs.push((meta, out));
     }
-    Ok(runs)
+    runs
 }
 
 /// Render the per-iteration phase breakdown from the metrics
@@ -222,7 +207,7 @@ mod tests {
 
     #[test]
     fn sim_trace_run_streams_and_parses() {
-        let runs = run(&smoke_cfg(RuntimeChoice::Sim)).unwrap();
+        let runs = run(&smoke_cfg(RuntimeChoice::Sim));
         assert_eq!(runs.len(), 2);
         let mut buf = Vec::new();
         let lines = write_streams(&mut buf, &runs).unwrap();
@@ -246,7 +231,7 @@ mod tests {
 
     #[test]
     fn threaded_trace_run_streams_and_parses() {
-        let runs = run(&smoke_cfg(RuntimeChoice::Threaded)).unwrap();
+        let runs = run(&smoke_cfg(RuntimeChoice::Threaded));
         let mut buf = Vec::new();
         write_streams(&mut buf, &runs).unwrap();
         let parsed = parse_run_stream(&String::from_utf8(buf).unwrap()).unwrap();
@@ -262,12 +247,13 @@ mod tests {
     }
 
     #[test]
-    fn threaded_rejects_unsupported_schedulers() {
+    fn threaded_trace_run_takes_any_scheduler() {
         let cfg = TraceRunConfig {
-            runtime: RuntimeChoice::Threaded,
             scheduler: SchedulerKind::Random,
-            ..TraceRunConfig::default()
+            ..smoke_cfg(RuntimeChoice::Threaded)
         };
-        assert!(run(&cfg).is_err());
+        let runs = run(&cfg);
+        assert_eq!(runs.len(), 2);
+        assert!(runs.iter().all(|(_, out)| out.record.jobs_completed == 12));
     }
 }

@@ -5,9 +5,8 @@
 
 use std::sync::Arc;
 
-use crossbid_crossflow::{
-    run_threaded_output, RunMeta, ThreadedConfig, ThreadedScheduler, Workflow,
-};
+use crossbid_core::BiddingAllocator;
+use crossbid_crossflow::{Allocator, BaselineAllocator, RunSpec, Workflow};
 use crossbid_examples::metric_line;
 use crossbid_msr::github::GitHubParams;
 use crossbid_msr::{build_pipeline, library_arrivals, SyntheticGitHub};
@@ -22,31 +21,28 @@ fn main() {
     };
     let github = Arc::new(SyntheticGitHub::generate(11, &params));
 
-    for (label, scheduler) in [
-        ("bidding", ThreadedScheduler::Bidding { window_secs: 1.0 }),
-        ("baseline", ThreadedScheduler::Baseline),
-    ] {
+    let allocators: [(&str, &dyn Allocator); 2] = [
+        ("bidding", &BiddingAllocator::new()),
+        ("baseline", &BaselineAllocator),
+    ];
+    for (label, allocator) in allocators {
         let mut wf = Workflow::new();
         let pipe = build_pipeline(&mut wf, Arc::clone(&github), 11, 0.1);
         let arrivals = library_arrivals(&pipe, params.n_libraries, 10.0);
-        let cfg = ThreadedConfig {
+        let spec = RunSpec::builder()
+            .workers(WorkerConfig::AllEqual.paper_specs())
+            .names("all-equal", "msr-threaded")
+            .seed(3)
             // 1 virtual second = 0.1 ms real: a ~2500 s run finishes in
             // ~0.3 s of wall-clock time.
-            time_scale: 1e-4,
-            speed_learning: true,
-            scheduler,
-            seed: 3,
-            ..ThreadedConfig::default()
-        };
-        let specs = WorkerConfig::AllEqual.paper_specs();
-        let meta = RunMeta {
-            worker_config: "all-equal".into(),
-            job_config: "msr-threaded".into(),
-            seed: 3,
-            ..RunMeta::default()
-        };
+            .time_scale(1e-4)
+            .speed_learning(true)
+            .build();
         let t0 = std::time::Instant::now();
-        let record = run_threaded_output(&specs, &cfg, &mut wf, arrivals, &meta).record;
+        let record = spec
+            .threaded()
+            .run_iteration(&mut wf, allocator, arrivals)
+            .record;
         println!(
             "{}   (virtual; {:.2}s real, {} jobs)",
             metric_line(label, &record),

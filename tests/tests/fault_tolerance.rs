@@ -4,9 +4,8 @@
 
 use crossbid_core::BiddingAllocator;
 use crossbid_crossflow::{
-    run_threaded_output, run_workflow, Arrival, BaselineAllocator, Cluster, EngineConfig,
-    FaultPlan, JobSpec, Payload, ResourceRef, RunMeta, ThreadedConfig, ThreadedScheduler, WorkerId,
-    WorkerSpec, Workflow,
+    run_workflow, Arrival, BaselineAllocator, Cluster, EngineConfig, FaultPlan, JobSpec, Payload,
+    ResourceRef, RunMeta, RunSpec, WorkerId, WorkerSpec, Workflow,
 };
 use crossbid_simcore::{SimDuration, SimTime};
 use crossbid_storage::ObjectId;
@@ -266,17 +265,19 @@ fn both_runtimes_mask_the_same_crash() {
         &RunMeta::default(),
     );
 
-    let thr_cfg = ThreadedConfig {
-        time_scale: 1e-3,
-        noise: crossbid_net::NoiseModel::None,
-        scheduler: ThreadedScheduler::Bidding { window_secs: 1.0 },
-        seed: 5,
-        faults: FaultPlan::new().crash_at(crash_at, WorkerId(0)),
-        ..ThreadedConfig::default()
-    };
+    let thr_spec = RunSpec::builder()
+        .workers(specs(3))
+        .time_scale(1e-3)
+        .noise(crossbid_net::NoiseModel::None)
+        .speed_learning(true)
+        .seed(5)
+        .faults(FaultPlan::new().crash_at(crash_at, WorkerId(0)))
+        .build();
     let mut wf2 = Workflow::new();
     wf2.add_sink("scan");
-    let thr = run_threaded_output(&specs(3), &thr_cfg, &mut wf2, hot, &RunMeta::default());
+    let thr = thr_spec
+        .threaded()
+        .run_iteration(&mut wf2, &BiddingAllocator::new(), hot);
 
     for (label, rec, log) in [
         ("sim", &sim.record, &sim.sched_log),

@@ -40,7 +40,7 @@ fn phase_table_matches_golden() {
         iterations: 2,
         seed: 0xC0FFEE,
     };
-    let runs = trace_run::run(&cfg).expect("sim trace run");
+    let runs = trace_run::run(&cfg);
     let table = trace_run::render_phase_table(&runs);
     let actual = normalize(&table);
     if std::env::var_os("BLESS_GOLDEN").is_some() {
