@@ -1,15 +1,13 @@
 //! The bids of one contest.
 //!
-//! Three tables record who bid on an open contest — the bidding
-//! master's, the sim engine's log gate and the threaded master's —
-//! and each must refuse a second bid from the same worker (at-least-
+//! Two tables record who bid on an open contest — the bidding
+//! master's and the master core's log gate, which both runtimes share
+//! — and each must refuse a second bid from the same worker (at-least-
 //! once delivery and failover re-solicitation both repeat bids). They
-//! share this one set, as the two baseline masters share
-//! [`crate::idle::IdlePool`]: the duplicate test is a bit of a
-//! membership bitmap over dense worker ids, not a scan of the bids,
-//! which at 256 bidders was most of a contest's cost. The engine's
-//! gate needs only who bid, so it holds the bitmap ([`WorkerSet`])
-//! without the bids.
+//! share this one set: the duplicate test is a bit of a membership
+//! bitmap over dense worker ids, not a scan of the bids, which at 256
+//! bidders was most of a contest's cost. The gate needs only who bid,
+//! so it holds the bitmap ([`WorkerSet`]) without the bids.
 
 use crate::job::WorkerId;
 
@@ -103,14 +101,6 @@ impl BidSet {
             self.bids.push((worker, estimate_secs));
         }
         fresh
-    }
-
-    /// The reintroduced-bug record used by mutation testing
-    /// (`AcceptDuplicateBids`): no duplicate test, so one worker can
-    /// fill the set alone.
-    pub fn record_unchecked(&mut self, worker: WorkerId, estimate_secs: f64) {
-        self.bidders.insert(worker);
-        self.bids.push((worker, estimate_secs));
     }
 
     /// Forget `worker`'s bid (it crashed or left the roster; it may
@@ -212,15 +202,5 @@ mod tests {
         assert_eq!(b.bids(), [(WorkerId(0), 2.0)]);
         assert!(b.record(WorkerId(1), 9.0), "bids again after recovering");
         assert_eq!(b.preferred(), Some(WorkerId(0)));
-    }
-
-    #[test]
-    fn unchecked_record_lets_one_worker_fill_the_set() {
-        let mut b = BidSet::with_capacity(2);
-        b.record_unchecked(WorkerId(0), 3.0);
-        b.record_unchecked(WorkerId(0), 2.0);
-        assert_eq!(b.len(), 2);
-        b.remove(WorkerId(0));
-        assert!(b.is_empty(), "every copy goes with the worker");
     }
 }

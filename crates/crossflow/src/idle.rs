@@ -1,20 +1,14 @@
 //! Shared idle-worker pool.
 //!
-//! Both masters — the sim [`crate::baseline::BaselineMaster`] and the
-//! threaded runtime's baseline pump — keep a FIFO of idle workers and
-//! re-offer a rejected job to the *next* idle worker, preferring any
-//! worker other than the one that just rejected it (reject-once,
-//! §4). The two used to duplicate that logic with subtly different
-//! pick rules, which let their placements drift apart under
-//! duplicated `Idle` messages; this pool is now the single
-//! implementation.
+//! The Baseline master ([`crate::baseline::BaselineMaster`], which
+//! both runtimes run) keeps a FIFO of idle workers and re-offers a
+//! rejected job to the *next* idle worker, preferring any worker other
+//! than the one that just rejected it (reject-once, §4).
 //!
 //! Operations are O(1) (`push`, `contains`, [`IdlePool::pop_preferring_not`])
 //! via a membership bitmap over dense worker ids, replacing the
 //! linear `iter().position(..)` scans that sat on the offer hot path.
-//! Only crash handling ([`IdlePool::remove`]) and the
-//! mutation-testing pick ([`IdlePool::pop_exact_or_front`]) walk the
-//! queue.
+//! Only crash handling ([`IdlePool::remove`]) walks the queue.
 
 use std::collections::VecDeque;
 
@@ -75,19 +69,6 @@ impl IdlePool {
         }
         self.member[first as usize] = false;
         Some(first)
-    }
-
-    /// The reintroduced-bug pick used by mutation testing
-    /// (`ReofferToRejector`): pop exactly `prefer` if it is idle, else
-    /// the front. O(n), acceptable off the healthy path.
-    pub fn pop_exact_or_front(&mut self, prefer: Option<u32>) -> Option<u32> {
-        let pos = prefer
-            .filter(|r| self.contains(*r))
-            .and_then(|r| self.order.iter().position(|w| *w == r))
-            .unwrap_or(0);
-        let w = self.order.remove(pos)?;
-        self.member[w as usize] = false;
-        Some(w)
     }
 
     /// Remove `w` wherever it is (crash handling). O(n).
@@ -154,17 +135,6 @@ mod tests {
         p.push(2);
         assert_eq!(p.pop_preferring_not(Some(2)), Some(1));
         assert_eq!(p.pop_preferring_not(Some(2)), Some(2), "lone fallback");
-    }
-
-    #[test]
-    fn exact_pick_takes_the_rejector_from_mid_queue() {
-        let mut p = IdlePool::new();
-        p.push(1);
-        p.push(2);
-        p.push(3);
-        assert_eq!(p.pop_exact_or_front(Some(2)), Some(2));
-        assert_eq!(p.pop_exact_or_front(None), Some(1));
-        assert_eq!(p.pop_exact_or_front(Some(7)), Some(3), "absent → front");
     }
 
     #[test]
