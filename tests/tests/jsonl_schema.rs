@@ -40,7 +40,11 @@ fn specs(n: usize) -> Vec<WorkerSpec> {
 /// unfinished work to strand. The recovery at t=12 exercises the
 /// remaining fault event kinds, and the master crash at log append 20
 /// forces an election so both runtimes emit `sched/leader_elected`
-/// and `sched/failover_replayed`.
+/// and `sched/failover_replayed`. On threads the stranding is a
+/// real-time premise: at a time scale of 1e-2 the master has 60 ms to
+/// run the burst's serialized contests before the crash, room enough
+/// on a loaded host (at 1e-3 a starved master sometimes placed nothing
+/// on worker 0 in time, and no `sched/redistributed` followed).
 fn faulted_spec() -> RunSpec {
     RunSpec::builder()
         .workers(specs(3))
@@ -62,7 +66,7 @@ fn faulted_spec() -> RunSpec {
         )
         .trace(true)
         .seed(7)
-        .time_scale(1e-3)
+        .time_scale(1e-2)
         .build()
 }
 
@@ -71,7 +75,10 @@ fn faulted_spec() -> RunSpec {
 /// a fault-free one), but the [1 s, 10 s) full partition swallows the
 /// mid-run assignments — forcing retransmissions (`sched/resent`),
 /// lease bounces (`sched/lease_expired`) and, once healed, placement
-/// acknowledgements (`sched/assign_acked`) on both runtimes.
+/// acknowledgements (`sched/assign_acked`) on both runtimes. The
+/// threaded run needs the window to last in real time while placements
+/// are made: 90 ms at a time scale of 1e-2 (9 ms at 1e-3 could pass
+/// entirely while a loaded host starved the master).
 fn netfault_spec() -> RunSpec {
     RunSpec::builder()
         .workers(specs(3))
@@ -89,7 +96,7 @@ fn netfault_spec() -> RunSpec {
         ))
         .trace(true)
         .seed(7)
-        .time_scale(1e-3)
+        .time_scale(1e-2)
         .build()
 }
 
@@ -176,7 +183,13 @@ fn replicated_spec() -> RunSpec {
 
 /// Total data-plane loss: every peer transfer attempt times out, so a
 /// data-less worker's fetch burns its attempt budget (`sched/
-/// fetch_fail`) before degrading to the master path.
+/// fetch_fail`) before degrading to the master path. The placement on
+/// a data-less worker is made inevitable, not left to timing: workers
+/// 0 and 1 are the only members until worker 2 joins, so both end up
+/// holding the artifact (its first copy and the factor-2 top-up), and
+/// both drain before the burst — one of them still busy with a long
+/// CPU job, so a live copy remains to fetch from while worker 2 is the
+/// only worker on the roster.
 fn replicated_lossy_spec() -> RunSpec {
     RunSpec::builder()
         .workers(specs(3))
@@ -192,6 +205,14 @@ fn replicated_lossy_spec() -> RunSpec {
             fetch_timeout_secs: 0.5,
             ..ReplicationConfig::with_factor(2)
         })
+        .faults(
+            Faults::new().membership(
+                MembershipPlan::new()
+                    .drain_at(SimTime::from_secs(28), WorkerId(0))
+                    .drain_at(SimTime::from_secs(28), WorkerId(1))
+                    .join_at(SimTime::from_secs(29), WorkerId(2)),
+            ),
+        )
         .trace(true)
         .seed(11)
         .time_scale(1e-3)
@@ -307,9 +328,10 @@ fn repl_stream_vocabulary(rt: &mut dyn Runtime) -> (String, BTreeSet<String>) {
     stream_and_vocab(rt.name(), "bidding", &out)
 }
 
-/// Stream one [`replicated_lossy_spec`] run: a seeding job establishes
-/// the artifact and its factor-2 copies, then a burst forces a
-/// placement onto the data-less third worker, whose peer attempts all
+/// Stream one [`replicated_lossy_spec`] run: a seeding job
+/// establishes the artifact and its factor-2 copies, two 100-second
+/// CPU jobs keep at least one holder busy through its drain, then a
+/// burst lands on the data-less third worker, whose peer attempts all
 /// drop (`sched/fetch_fail`) before the degraded master fetch.
 fn repl_lossy_stream_vocabulary(rt: &mut dyn Runtime) -> (String, BTreeSet<String>) {
     let mut wf = Workflow::new();
@@ -325,10 +347,14 @@ fn repl_lossy_stream_vocabulary(rt: &mut dyn Runtime) -> (String, BTreeSet<Strin
             Payload::Index(i),
         ),
     };
-    let mut arrivals = vec![mk(0, 0.0)];
+    let cpu = |i: u64, at: u64| Arrival {
+        at: SimTime::from_secs(at),
+        spec: JobSpec::compute(task, 100.0, Payload::Index(i)),
+    };
+    let mut arrivals = vec![mk(0, 0.0), cpu(10, 1), cpu(11, 2)];
     arrivals.extend((1..10).map(|i| mk(i, 30.0 + i as f64 * 0.25)));
     let out = rt.run_iteration(&mut wf, &BiddingAllocator::new(), arrivals);
-    assert_eq!(out.record.jobs_completed, 10, "{}", rt.name());
+    assert_eq!(out.record.jobs_completed, 12, "{}", rt.name());
     stream_and_vocab(rt.name(), "bidding", &out)
 }
 

@@ -16,6 +16,7 @@ use crossbid_crossflow::{
 use crossbid_net::{ControlPlane, NoiseModel};
 use crossbid_simcore::{SimDuration, SimTime};
 use crossbid_storage::ObjectId;
+use std::time::Duration;
 
 fn specs(n: usize) -> Vec<WorkerSpec> {
     (0..n)
@@ -29,6 +30,13 @@ fn specs(n: usize) -> Vec<WorkerSpec> {
         .collect()
 }
 
+/// One spec for both runtimes. The threaded tests' premises are
+/// real-time ones — a worker is idle again when the next job arrives,
+/// and its bid lands before the contest closes — so the time scale
+/// leaves the sparse arrivals 30 ms or more of real time apart against
+/// ~11 ms of fetch and scan, and a contest waits up to 50 ms for a
+/// late bid (it closes as soon as every bid is in): sibling tests
+/// starving the worker threads cannot break them.
 fn parity_spec(n_workers: usize) -> RunSpec {
     RunSpec::builder()
         .workers(specs(n_workers))
@@ -41,7 +49,8 @@ fn parity_spec(n_workers: usize) -> RunSpec {
         .speed_learning(false)
         .trace(true)
         .seed(5)
-        .time_scale(1e-4)
+        .time_scale(1e-3)
+        .min_real_window(Duration::from_millis(50))
         .build()
 }
 
@@ -198,7 +207,7 @@ fn baseline_reoffer_prefers_a_different_idle_worker() {
         // workers are idle when each job arrives.
         let jobs: Vec<Arrival> = (0..6)
             .map(|i| Arrival {
-                at: SimTime::from_secs(i * 40),
+                at: SimTime::from_secs(i * 100),
                 spec: JobSpec::scanning(
                     task,
                     ResourceRef {
