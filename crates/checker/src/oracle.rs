@@ -156,6 +156,15 @@ pub enum Violation {
         /// The worker it was placed on.
         worker: WorkerId,
     },
+    /// Atomization: a job was assigned or offered after its
+    /// `SpecCancel` committed — a losing replica still queued when its
+    /// race was decided was placed (and would run) anyway.
+    PlacedAfterCancel {
+        /// The cancelled attempt's job id.
+        job: JobId,
+        /// The worker it was placed on.
+        worker: WorkerId,
+    },
     /// A worker's placement ledger went negative: more rejections +
     /// completions than placements.
     NegativeQueue {
@@ -404,6 +413,9 @@ impl std::fmt::Display for Violation {
                 "job {} placed on w{} after it completed",
                 job.0, worker.0
             ),
+            Violation::PlacedAfterCancel { job, worker } => {
+                write!(f, "cancelled attempt {} placed on w{}", job.0, worker.0)
+            }
             Violation::NegativeQueue { worker, depth } => {
                 write!(f, "w{} placement ledger went negative ({depth})", worker.0)
             }
@@ -726,6 +738,10 @@ impl Oracle {
                     self.violations
                         .push(Violation::PlacedAfterCompletion { job, worker: w });
                 }
+                if js.cancelled {
+                    self.violations
+                        .push(Violation::PlacedAfterCancel { job, worker: w });
+                }
                 if js.had_contest {
                     match js.closed.take() {
                         Some((bidders, fallback)) => {
@@ -758,6 +774,10 @@ impl Oracle {
                 if js.completed {
                     self.violations
                         .push(Violation::PlacedAfterCompletion { job, worker: w });
+                }
+                if js.cancelled {
+                    self.violations
+                        .push(Violation::PlacedAfterCancel { job, worker: w });
                 }
                 if self.opts.strict_reoffer && js.last_rejector == Some(w.0) {
                     // A bounce straight back is only a routing bug if
@@ -1719,6 +1739,28 @@ mod tests {
         c.push(ev(SchedEventKind::Completed, Some(0), Some(9)));
         let v = check_log(&c, OracleOptions::default());
         assert!(v.contains(&Violation::CompletedAfterCancel { job: JobId(9) }));
+
+        // A loser still queued when its race was decided must not be
+        // placed: as an offer or an assignment, it would run for
+        // nothing.
+        for place in [SchedEventKind::Offered, SchedEventKind::Assigned] {
+            let mut q = SchedLog::new();
+            q.push(ev(SchedEventKind::Submitted, None, Some(9)));
+            q.push(ev(
+                SchedEventKind::SpecCancel { root, task: 3 },
+                None,
+                Some(9),
+            ));
+            q.push(ev(place, Some(1), Some(9)));
+            let v = check_log(&q, OracleOptions::default());
+            assert_eq!(
+                v,
+                vec![Violation::PlacedAfterCancel {
+                    job: JobId(9),
+                    worker: WorkerId(1)
+                }]
+            );
+        }
     }
 
     #[test]
