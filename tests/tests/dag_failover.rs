@@ -7,8 +7,10 @@
 //! run then completed cleanly with no `TaskAssign` lost to the crash
 //! (a lost `TaskOffer` never completed cleanly), so it is the proof
 //! that neither the move nor the crash-recovery fix that followed
-//! touched a run in which neither of the two truncated. The 42 clean
-//! runs left out lost a `TaskAssign` and were rescued by speculation;
+//! touched a run in which neither of the two truncated; it was
+//! re-blessed by the same rule when a cancelled speculative replica
+//! stopped being placed. The clean runs left out lost a `TaskAssign`
+//! and were rescued by speculation;
 //! they are among the runs the fix exists to change, and
 //! `every_single_master_crash_completes_every_dag` holds them — and
 //! every other index — to the oracle. A row names its crash index and
