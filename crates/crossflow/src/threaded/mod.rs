@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 use crossbid_simcore::{SimDuration, SimTime};
 
 use crate::job::Job;
-use crate::master_core::Delivery;
+pub(crate) use crate::master_core::ToWorker;
 
 /// The run's virtual clock: seconds since `start`, scaled.
 #[derive(Clone, Copy)]
@@ -123,47 +123,4 @@ pub(crate) enum ToMaster {
         /// Placement sequence number being confirmed.
         seq: u64,
     },
-}
-
-/// Messages the threaded master sends to a worker's bidder thread.
-/// `Clone` exists for the net-fault layer's duplicate/retransmit
-/// delivery; `seq` is the placement sequence number the reliability
-/// layer acks and dedups on (0 when the layer is off).
-#[derive(Debug, Clone)]
-pub(crate) enum ToWorker {
-    /// Estimate and bid on this job.
-    BidRequest(Job),
-    /// Baseline: consider this job (may reject once).
-    Offer {
-        /// The offered job.
-        job: Job,
-        /// Placement sequence number (reliability layer).
-        seq: u64,
-    },
-    /// You won / were assigned: queue it for execution.
-    Assign {
-        /// The assigned job.
-        job: Job,
-        /// Placement sequence number (reliability layer).
-        seq: u64,
-    },
-    /// Reliability layer: the master saw this job's `Done` — stop
-    /// resending it.
-    AckDone(crate::job::JobId),
-    /// Run terminated; exit threads.
-    Shutdown,
-}
-
-impl ToWorker {
-    /// The message that delivers a placement.
-    fn placement(d: Delivery) -> Self {
-        let Delivery {
-            offer, job, seq, ..
-        } = d;
-        if offer {
-            ToWorker::Offer { job, seq }
-        } else {
-            ToWorker::Assign { job, seq }
-        }
-    }
 }
