@@ -869,6 +869,37 @@ impl MembershipPlan {
     }
 }
 
+/// A scheduled change to one worker: a fault or a membership event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Change {
+    Crash,
+    Recover,
+    Join,
+    Drain,
+    Remove,
+}
+
+/// Every scheduled change to a worker, as one timeline both runtimes
+/// fire: `faults`' events, then `membership`'s, each in plan order.
+pub(crate) fn changes<'a>(
+    faults: &'a FaultPlan,
+    membership: &'a MembershipPlan,
+) -> impl Iterator<Item = (SimTime, (WorkerId, Change))> + 'a {
+    let crashes = faults.events().iter().map(|&(at, e)| match e {
+        FaultEvent::Crash(w) => (at, (w, Change::Crash)),
+        FaultEvent::Recover(w) => (at, (w, Change::Recover)),
+    });
+    let members = membership.events().iter().map(|e| {
+        let change = match e.action {
+            MembershipAction::Join => Change::Join,
+            MembershipAction::Drain => Change::Drain,
+            MembershipAction::Remove => Change::Remove,
+        };
+        (e.at, (e.worker, change))
+    });
+    crashes.chain(members)
+}
+
 /// Every fault axis of one run — worker crashes, lossy links and
 /// master crashes — behind a single builder and a single `validate()`.
 ///
