@@ -70,6 +70,8 @@ pub struct ExploreConfig {
     /// without chaos (reordering legitimizes re-offers), so the
     /// explorer ignores it whenever `chaos` is on.
     pub strict_reoffer: bool,
+    /// Arm each scenario's [`Forcing`](crate::Forcing) plan.
+    pub forced: bool,
 }
 
 impl ExploreConfig {
@@ -84,6 +86,7 @@ impl ExploreConfig {
             net: None,
             master_crash: false,
             strict_reoffer: false,
+            forced: false,
         }
     }
 
@@ -139,6 +142,12 @@ impl ExploreConfig {
         self
     }
 
+    /// Arm the scenarios' forcing plans.
+    pub fn forced(mut self) -> Self {
+        self.forced = true;
+        self
+    }
+
     /// Enforce the Baseline re-offer routing invariant.
     pub fn strict(mut self) -> Self {
         self.strict_reoffer = true;
@@ -158,6 +167,7 @@ impl ExploreConfig {
                 .map(|ix| MasterFaultPlan::new().crash_at(ix)),
             membership_seed: tuple.membership.unwrap_or(tuple.run),
             mutation: self.mutation,
+            forced: self.forced,
             ..Run::new(self.runtime, tuple.run)
         }
     }

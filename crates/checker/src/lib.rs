@@ -47,6 +47,6 @@ pub mod scenario;
 pub use explorer::{explore, explore_builtins, ExploreConfig, ExploreReport, Failure, ReplayTuple};
 pub use oracle::{check_log, Oracle, OracleOptions, Violation};
 pub use scenario::{
-    Activity, Demand, FaultDef, Federation, JobDef, Mutation, Outcome, Protocol, Replication, Run,
-    Scenario, Workload,
+    Activity, Demand, FaultDef, Federation, Forcing, JobDef, Mutation, Outcome, Protocol,
+    Replication, Run, Scenario, Workload,
 };

@@ -32,7 +32,9 @@
 
 use std::collections::{HashMap, HashSet};
 
-use crossbid_crossflow::{JobId, SchedEvent, SchedEventKind, SchedLog, ShardId, WorkerId};
+use crossbid_crossflow::{
+    JobId, SchedEvent, SchedEventKind, SchedLog, ShardId, WorkerId, WorkerSet,
+};
 
 /// One invariant violation, with enough context to debug it.
 #[derive(Debug, Clone, PartialEq)]
@@ -551,11 +553,15 @@ struct JobState {
     /// bidding protocol from direct-assignment schedulers).
     had_contest: bool,
     contest_open: bool,
-    /// Bids recorded in the currently open contest.
-    bids: HashSet<u32>,
-    /// Set at `ContestClosed`, consumed by the next `Assigned`:
-    /// `(bidders at close, fallback)`.
-    closed: Option<(HashSet<u32>, bool)>,
+    /// Bids recorded in the currently open contest, by the bidders'
+    /// dense slots: up to 64 workers the set allocates nothing.
+    bids: WorkerSet,
+    /// Set at `ContestClosed` (its fallback flag), consumed by the next
+    /// `Assigned`, which must go to one of `closed_bids`.
+    closed: Option<bool>,
+    /// The bidders at the last close: `bids`, swapped out (and `bids`
+    /// emptied) so both sets keep their words.
+    closed_bids: WorkerSet,
     /// Where the job currently sits, per the log.
     placed: Option<u32>,
     /// The current placement was acknowledged (`AssignAcked`); reset
@@ -606,7 +612,9 @@ pub struct Oracle {
     /// Per worker: net placements (placements − rejections −
     /// completions − reclaims).
     depth: HashMap<u32, i64>,
-    n_workers_seen: HashSet<u32>,
+    /// Every worker id in the log → its dense slot, in order of first
+    /// sight (federated ids carry their shard in the top bits).
+    workers_seen: HashMap<u32, u32>,
     /// Atomized DAGs seen in the log, keyed by root id.
     dags: HashMap<JobId, DagCheck>,
     /// Replicated data plane: live holders per object, from
@@ -637,7 +645,7 @@ impl Oracle {
             draining: HashSet::new(),
             removed: HashSet::new(),
             depth: HashMap::new(),
-            n_workers_seen: HashSet::new(),
+            workers_seen: HashMap::new(),
             dags: HashMap::new(),
             replica_holders: HashMap::new(),
             replica_dropped: HashMap::new(),
@@ -679,9 +687,11 @@ impl Oracle {
     pub fn observe(&mut self, ev: &SchedEvent) {
         let job = ev.job;
         let worker = ev.worker;
-        if let Some(w) = worker {
-            self.n_workers_seen.insert(w.0);
-        }
+        // The worker's dense slot, which indexes the bidder sets.
+        let slot = worker.map(|w| {
+            let next = self.workers_seen.len() as u32;
+            WorkerId(*self.workers_seen.entry(w.0).or_insert(next))
+        });
         match &ev.kind {
             SchedEventKind::Submitted => {
                 let job = job.expect("submitted carries a job");
@@ -708,11 +718,12 @@ impl Oracle {
                     self.violations
                         .push(Violation::NonFiniteBid { job, worker: w });
                 }
+                let slot = slot.expect("bid carries a worker");
                 let js = self.jobs.entry(job).or_default();
                 if !js.contest_open {
                     self.violations
                         .push(Violation::BidAfterClose { job, worker: w });
-                } else if !js.bids.insert(w.0) {
+                } else if !js.bids.insert(slot) {
                     self.violations
                         .push(Violation::DuplicateBid { job, worker: w });
                 }
@@ -721,11 +732,13 @@ impl Oracle {
                 let job = job.expect("contest_closed carries a job");
                 let js = self.jobs.entry(job).or_default();
                 js.contest_open = false;
-                js.closed = Some((std::mem::take(&mut js.bids), *fallback));
+                js.closed = Some(*fallback);
+                std::mem::swap(&mut js.bids, &mut js.closed_bids);
+                js.bids.clear();
             }
             SchedEventKind::Assigned => {
                 let job = job.expect("assigned carries a job");
-                let w = worker.expect("assigned carries a worker");
+                let (w, slot) = worker.zip(slot).expect("assigned carries a worker");
                 let js = self.jobs.entry(job).or_default();
                 if let Some(prev) = js.placed {
                     self.violations.push(Violation::AssignedWhilePlaced {
@@ -744,8 +757,8 @@ impl Oracle {
                 }
                 if js.had_contest {
                     match js.closed.take() {
-                        Some((bidders, fallback)) => {
-                            if !fallback && !bidders.contains(&w.0) {
+                        Some(fallback) => {
+                            if !fallback && !js.closed_bids.contains(slot) {
                                 self.violations
                                     .push(Violation::AssignmentWithoutBid { job, worker: w });
                             }
@@ -791,7 +804,7 @@ impl Oracle {
                     };
                     let had_alternative = match self.opts.workers {
                         Some(n) => (0..n).any(other_idle),
-                        None => self.n_workers_seen.iter().copied().any(other_idle),
+                        None => self.workers_seen.keys().copied().any(other_idle),
                     };
                     if had_alternative {
                         self.violations

@@ -178,6 +178,23 @@ impl Demand {
     }
 }
 
+/// A plan that makes a scenario's demanded activity inevitable where it
+/// would otherwise be the likely outcome of a race (on real threads): the
+/// `newcomer` stays off the roster until `at_secs`, so it holds no data,
+/// and from then on every other worker is cut off for `window_secs`. The
+/// newcomer alone bids for the jobs arriving in the window, so it fetches
+/// their input from a peer, and that transfer is lost to the cut. A run
+/// arms it when [`Run::forced`] is set.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Forcing {
+    /// The worker that joins at `at_secs`.
+    pub newcomer: u32,
+    /// Join instant, and start of the others' partition window.
+    pub at_secs: f64,
+    /// Length of the others' partition window.
+    pub window_secs: f64,
+}
+
 /// Activity counts read off a run's scheduler log (summed over a
 /// sweep by the explorer).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -257,6 +274,8 @@ pub struct Scenario {
     pub federation: Option<Federation>,
     /// Activity a clean sweep of this scenario must show.
     pub demands: &'static [Demand],
+    /// The plan that forces those demands, for runs that arm it.
+    pub forcing: Option<Forcing>,
 }
 
 /// `n` 100 MB-class scan jobs, `spacing` seconds apart, cycling over
@@ -302,6 +321,7 @@ impl Scenario {
             atomize: AtomizeConfig::default(),
             federation: None,
             demands: &[],
+            forcing: None,
         }
     }
 
@@ -452,14 +472,24 @@ impl Scenario {
                 crash_recover(21.0, 40.0),
                 &[Demand::Repair],
             ),
-            repl(
-                "repl_f3_lossy",
-                Bidding,
-                3,
-                0.5,
-                Vec::new(),
-                &[Demand::Retry],
-            ),
+            // Forced: worker 3 joins just before the job at 16 s, when
+            // the first artifact sits on the other three (factor 3), and
+            // they stay cut off while it takes the last jobs alone.
+            Scenario {
+                forcing: Some(Forcing {
+                    newcomer: 3,
+                    at_secs: 15.5,
+                    window_secs: 20.0,
+                }),
+                ..repl(
+                    "repl_f3_lossy",
+                    Bidding,
+                    3,
+                    0.5,
+                    Vec::new(),
+                    &[Demand::Retry],
+                )
+            },
             repl(
                 "repl_f2_lossy_crash_baseline",
                 Baseline,
@@ -613,11 +643,21 @@ impl Scenario {
 
     /// One master's fault aggregate under `run`.
     fn shard_faults(&self, run: &Run, shard: usize) -> Faults {
+        let mut net = run.net.clone().unwrap_or_else(NetFaultPlan::none);
+        let mut membership = self.membership_plan(shard, run.membership_seed);
+        if let Some(f) = self.forcing.filter(|_| run.forced) {
+            let from = SimTime::from_secs_f64(f.at_secs);
+            let until = SimTime::from_secs_f64(f.at_secs + f.window_secs);
+            membership = membership.join_at(from, WorkerId(f.newcomer));
+            for w in (0..self.shard_width() as u32).filter(|&w| w != f.newcomer) {
+                net = net.with_partition(Some(WorkerId(w)), from, until);
+            }
+        }
         Faults::new()
             .workers(self.fault_plan(run.keep_fault_workers.as_deref()))
-            .net(run.net.clone().unwrap_or_else(NetFaultPlan::none))
+            .net(net)
             .master(run.master.clone().unwrap_or_else(MasterFaultPlan::none))
-            .membership(self.membership_plan(shard, run.membership_seed))
+            .membership(membership)
     }
 
     /// The [`RunSpec`] of one master of this scenario under `run`
@@ -832,6 +872,8 @@ pub struct Run {
     pub keep_jobs: Option<Vec<usize>>,
     /// `None` = all faults; otherwise keep only these workers' faults.
     pub keep_fault_workers: Option<Vec<u32>>,
+    /// Arm the scenario's [`Forcing`] plan, if it has one.
+    pub forced: bool,
 }
 
 impl Run {
@@ -848,6 +890,7 @@ impl Run {
             mutation: Mutation::None,
             keep_jobs: None,
             keep_fault_workers: None,
+            forced: false,
         }
     }
 

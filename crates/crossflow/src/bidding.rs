@@ -88,6 +88,9 @@ pub struct BiddingMaster {
     /// Jobs waiting for the current contest to close
     /// (serialize_contests mode only).
     pending: std::collections::VecDeque<Job>,
+    /// The emptied bid tables of closed contests, reused by the next
+    /// ones so that opening a contest allocates nothing.
+    spare: Vec<BidSet>,
     stats: SchedStats,
     decided: u64,
 }
@@ -100,6 +103,7 @@ impl BiddingMaster {
             contests: IdMap::default(),
             timer_to_job: IdMap::default(),
             pending: std::collections::VecDeque::new(),
+            spare: Vec::new(),
             stats: SchedStats::default(),
             decided: 0,
         }
@@ -110,11 +114,15 @@ impl BiddingMaster {
         let token = ctx.set_timer(self.cfg.window);
         ctx.broadcast_bid_request(job.clone());
         self.timer_to_job.insert(token, id);
+        let bids = self
+            .spare
+            .pop()
+            .unwrap_or_else(|| BidSet::with_capacity(ctx.worker_count()));
         self.contests.insert(
             id,
             Contest {
                 job,
-                bids: BidSet::with_capacity(ctx.worker_count()),
+                bids,
                 status: ContestStatus::Open,
                 opened_at: ctx.now(),
                 timer_token: token,
@@ -165,9 +173,11 @@ impl BiddingMaster {
             return;
         }
         contest.status = ContestStatus::Closed;
-        // Take the job out; the contest record is dropped to keep the
-        // map small over long streams.
-        let contest = self.contests.remove(&job_id).expect("present above");
+        // Take the job out; the contest record leaves the map to keep
+        // it small over long streams, and its bid table is kept.
+        let mut contest = self.contests.remove(&job_id).expect("present above");
+        contest.bids.clear();
+        self.spare.push(contest.bids);
         self.timer_to_job.remove(&contest.timer_token);
         self.decided += 1;
         if timed_out {

@@ -61,6 +61,21 @@ impl WorkerSet {
         *word &= !bit;
         present
     }
+
+    /// Is `worker` in the set?
+    pub fn contains(&self, worker: WorkerId) -> bool {
+        let word = match (worker.0 / 64) as usize {
+            0 => self.low,
+            word => self.high.get(word - 1).copied().unwrap_or(0),
+        };
+        word & (1 << (worker.0 % 64)) != 0
+    }
+
+    /// Empty the set, keeping its words for the next use.
+    pub fn clear(&mut self) {
+        self.low = 0;
+        self.high.fill(0);
+    }
 }
 
 /// Bids in arrival order, at most one per worker.
@@ -101,6 +116,12 @@ impl BidSet {
             self.bids.push((worker, estimate_secs));
         }
         fresh
+    }
+
+    /// Empty the set, keeping its storage for the next contest.
+    pub fn clear(&mut self) {
+        self.bids.clear();
+        self.bidders.clear();
     }
 
     /// Forget `worker`'s bid (it crashed or left the roster; it may
@@ -190,6 +211,24 @@ mod tests {
         }
         assert!((0..256).all(|id| !b.record(WorkerId(id), 0.0)));
         assert_eq!(b.len(), 256);
+    }
+
+    #[test]
+    fn a_cleared_set_is_empty_and_keeps_its_storage() {
+        let mut b = BidSet::with_capacity(200);
+        for id in [0, 63, 64, 199, 300] {
+            b.record(WorkerId(id), 1.0);
+        }
+        assert!(b.bidders.contains(WorkerId(300)));
+        assert!(!b.bidders.contains(WorkerId(301)));
+        let (bids, words) = (b.bids.capacity(), b.bidders.high.len());
+        b.clear();
+        assert!(b.is_empty());
+        assert!([0, 63, 64, 199, 300, 4_000]
+            .iter()
+            .all(|&id| !b.bidders.contains(WorkerId(id))));
+        assert_eq!((b.bids.capacity(), b.bidders.high.len()), (bids, words));
+        assert!(b.record(WorkerId(64), 2.0), "bids again after the clear");
     }
 
     #[test]

@@ -506,6 +506,9 @@ struct Engine<'a> {
     /// Committed (`repair_start`) before the copy begins, removed on
     /// `repair_done`; the run does not end while one is in flight.
     repairs: HashMap<ObjectId, WorkerId>,
+    /// The live peers of the fetch being started (reused, so a fetch
+    /// allocates nothing).
+    peers: Vec<WorkerId>,
 }
 
 impl<'a> Engine<'a> {
@@ -695,12 +698,15 @@ impl<'a> Engine<'a> {
     /// live peers holding it or from the master ([`WorkerNode::fetch`]).
     fn fetch(&mut self, w: WorkerId, epoch: u64) {
         let now = self.q.now();
+        self.peers.clear();
         let missing = self.nodes[w.0 as usize].missing();
-        let sources = match missing.filter(|_| self.repl_active) {
-            Some(obj) => self.peer_sources(obj, w),
-            None => Vec::new(),
-        };
-        let Some(step) = self.nodes[w.0 as usize].fetch(now, epoch, &sources) else {
+        if let Some(obj) = missing.filter(|_| self.repl_active) {
+            let nodes = &*self.nodes;
+            let live = |h: u32| nodes[h as usize].alive();
+            self.peers
+                .extend(self.replicas.live_peers(obj, w.0, live).map(WorkerId));
+        }
+        let Some(step) = self.nodes[w.0 as usize].fetch(now, epoch, &self.peers) else {
             return;
         };
         if let Some((job, req)) = step.req {
@@ -722,41 +728,30 @@ impl<'a> Engine<'a> {
             .schedule_in(self.cfg.faults.detection_delay, Ev::Redispatch(job));
     }
 
-    /// Live peers currently holding `obj` (ascending id), excluding
-    /// `exclude` — the candidate sources for a peer fetch.
-    fn peer_sources(&self, obj: ObjectId, exclude: WorkerId) -> Vec<WorkerId> {
-        self.replicas
-            .replicas(obj)
-            .filter(|&h| h != exclude.0 && self.nodes[h as usize].alive())
-            .map(WorkerId)
-            .collect()
-    }
-
     /// Would `w` fetch `job`'s input from a live peer? Then it prices
     /// the peer transfer ([`WorkerNode::bid`]).
     fn peer_priced(&self, w: WorkerId, job: &Job) -> bool {
         self.repl_active
             && job.resource.is_some_and(|r| {
-                !self.nodes[w.0 as usize].holds(r.id) && !self.peer_sources(r.id, w).is_empty()
+                let live = |h: u32| self.nodes[h as usize].alive();
+                !self.nodes[w.0 as usize].holds(r.id)
+                    && self.replicas.has_live_peer(r.id, w.0, live)
             })
     }
 
     /// Post-insert replica bookkeeping: commit a `replica_drop` for
-    /// every eviction the insert caused, a `replica_add` if the object
-    /// was retained and is a new copy, re-derive pins, and top up
-    /// toward the target factor. A no-op when replication is off.
-    fn note_replica_insert(
-        &mut self,
-        w: WorkerId,
-        obj: ObjectId,
-        bytes: u64,
-        evicted: Vec<ObjectId>,
-    ) {
+    /// every eviction `w`'s last insert caused, a `replica_add` if the
+    /// object was retained and is a new copy, re-derive pins, and top
+    /// up toward the target factor. A no-op when replication is off.
+    fn note_replica_insert(&mut self, w: WorkerId, obj: ObjectId, bytes: u64) {
         if !self.repl_active {
             return;
         }
         let now = self.q.now();
-        for gone in evicted {
+        // By index: `sync_pins` pins other stores, and only an insert
+        // rewrites this one's victims.
+        for i in 0..self.nodes[w.0 as usize].store.evicted().len() {
+            let gone = self.nodes[w.0 as usize].store.evicted()[i];
             if self.replicas.drop_replica(gone, w.0) {
                 self.core.commit(
                     now,
@@ -792,14 +787,15 @@ impl<'a> Engine<'a> {
     /// pinned (eviction must never destroy data the cluster cannot
     /// re-create); once a second copy exists the pin is released.
     fn sync_pins(&mut self, obj: ObjectId) {
-        let holders: Vec<u32> = self.replicas.replicas(obj).collect();
-        if holders.len() == 1 {
-            if !self.cfg.replication.evict_last_copy {
-                self.nodes[holders[0] as usize].store.pin(obj);
+        match self.replicas.sole_holder(obj) {
+            Some(h) if !self.cfg.replication.evict_last_copy => {
+                self.nodes[h as usize].store.pin(obj);
             }
-        } else {
-            for h in holders {
-                self.nodes[h as usize].store.unpin(obj);
+            Some(_) => {}
+            None => {
+                for h in self.replicas.replicas(obj) {
+                    self.nodes[h as usize].store.unpin(obj);
+                }
             }
         }
     }
@@ -834,12 +830,9 @@ impl<'a> Engine<'a> {
         let Some(bytes) = self.replicas.bytes(obj) else {
             return;
         };
-        let Some(&src) = self
+        let Some(src) = self
             .replicas
-            .replicas(obj)
-            .filter(|&h| self.nodes[h as usize].alive())
-            .collect::<Vec<_>>()
-            .first()
+            .first_live(obj, |h| self.nodes[h as usize].alive())
         else {
             // No live source: the copy cannot be made. If a fetch or
             // repair was in flight the oracle reports the loss.
@@ -992,7 +985,7 @@ impl<'a> Engine<'a> {
                     self.core.commit(now, Some(worker), Some(job), ok);
                 }
                 self.core.m.fetch_secs.record(f.secs);
-                self.note_replica_insert(worker, f.object, f.bytes, f.evicted);
+                self.note_replica_insert(worker, f.object, f.bytes);
                 self.note_trace(f.job, worker, TraceKind::Fetched);
                 self.q.schedule_in(f.proc, Ev::ProcDone { worker, epoch });
             }
@@ -1039,7 +1032,7 @@ impl<'a> Engine<'a> {
                 }
                 self.repairs.remove(&object);
                 let bytes = self.replicas.bytes(object).unwrap_or(0);
-                let evicted = self.nodes[dest.0 as usize].store.insert(object, bytes, now);
+                self.nodes[dest.0 as usize].store.insert(object, bytes, now);
                 self.core.commit(
                     now,
                     Some(dest),
@@ -1047,7 +1040,7 @@ impl<'a> Engine<'a> {
                     SchedEventKind::RepairDone { object: object.0 },
                 );
                 self.core.m.repairs_completed.inc();
-                self.note_replica_insert(dest, object, bytes, evicted);
+                self.note_replica_insert(dest, object, bytes);
                 if self.replicas.count(object) < self.replicas.factor() as usize {
                     self.start_repair(object);
                 }
@@ -1305,8 +1298,8 @@ impl<'a> Engine<'a> {
             // The task's output artifact materializes on the executing
             // worker — downstream bids price against it.
             let store = &mut self.nodes[worker.0 as usize].store;
-            let evicted = store.insert(output.id, output.bytes, now);
-            self.note_replica_insert(worker, output.id, output.bytes, evicted);
+            store.insert(output.id, output.bytes, now);
+            self.note_replica_insert(worker, output.id, output.bytes);
         }
         self.core
             .follow_up(now, worker, &job, outcome, self.workflow);
@@ -1465,6 +1458,7 @@ pub fn run_workflow(
         repl_active: cfg.replication.enabled,
         replicas: ReplicaMap::new(cfg.replication.factor),
         repairs: HashMap::new(),
+        peers: Vec::new(),
     };
     engine.core.defer(&cfg.membership);
     if engine.repl_active {

@@ -330,6 +330,8 @@ pub(crate) struct MasterCore {
     rng: RngStream,
     next_token: u64,
     open_contests: IdMap<JobId, OpenContest>,
+    /// The emptied bidder sets of decided contests, reused by the next.
+    spare_bidders: Vec<WorkerSet>,
     /// Reused across callbacks: the scheduler's actions and the
     /// effects they leave for the driver.
     actions: Vec<SchedAction>,
@@ -404,6 +406,7 @@ impl MasterCore {
             rng,
             next_token: 0,
             open_contests: IdMap::default(),
+            spare_bidders: Vec::new(),
             actions: Vec::new(),
             effects: Vec::new(),
             m,
@@ -630,7 +633,10 @@ impl MasterCore {
                         return false;
                     }
                     (*timed_out, *fallback) = (0, 0);
-                    self.open_contests.remove(&job.id);
+                    if let Some(mut c) = self.open_contests.remove(&job.id) {
+                        c.bidders.clear();
+                        self.spare_bidders.push(c.bidders);
+                    }
                 }
                 self.place_effect(now, worker, job, false)
             }
@@ -640,7 +646,10 @@ impl MasterCore {
                     return false;
                 }
                 self.m.contests_opened.inc();
-                let bidders = WorkerSet::with_capacity(self.workers.len());
+                let bidders = self
+                    .spare_bidders
+                    .pop()
+                    .unwrap_or_else(|| WorkerSet::with_capacity(self.workers.len()));
                 let contest = OpenContest {
                     opened: now,
                     bidders,

@@ -177,7 +177,8 @@ struct MasterState<'r> {
     /// One entry per `ReplState::repairs` entry; fired by the loop.
     repair_timers: Vec<RepairTimer>,
     sched: Schedule,
-    /// When each worker's instance died, while it is down.
+    /// When each worker's instance died (the planned instant), while it
+    /// is down.
     down_since: Vec<Option<Instant>>,
     /// When each worker's latest incarnation came up.
     last_recover: Vec<Option<Instant>>,
@@ -335,7 +336,7 @@ impl MasterState<'_> {
             }
             self.sched.changes.pop_front();
             if (w.0 as usize) < self.nodes.len() {
-                self.change(w, change, now);
+                self.change(w, change, now, at);
             }
         }
         while self.sched.detections.front().is_some_and(|d| d.due <= now) {
@@ -389,10 +390,12 @@ impl MasterState<'_> {
 
     /// Joins open the roster, drains close it gracefully, removals
     /// reclaim on the spot; a crash is acted on only at its detection.
-    fn change(&mut self, w: WorkerId, change: Change, now: Instant) {
+    /// Downtime runs between the planned instants (`at`), as in the sim,
+    /// however late the loop gets to them.
+    fn change(&mut self, w: WorkerId, change: Change, now: Instant, at: Instant) {
         match change {
-            Change::Crash => self.crash(w, now),
-            Change::Recover => self.recover(w, now),
+            Change::Crash => self.crash(w, now, at),
+            Change::Recover => self.recover(w, now, at),
             Change::Join => self.join(w),
             Change::Drain => {
                 if self.core.drain(self.clock.now(), w) {
@@ -400,20 +403,20 @@ impl MasterState<'_> {
                     self.finish_drain(w);
                 }
             }
-            Change::Remove => self.remove(w, now),
+            Change::Remove => self.remove(w, at),
         }
     }
 
     /// The instance dies, and everything it remembered with it; its
     /// threads drop whatever they were doing. The master notices, and
     /// reclaims what it held, only at detection.
-    fn crash(&mut self, w: WorkerId, now: Instant) {
+    fn crash(&mut self, w: WorkerId, now: Instant, at: Instant) {
         let i = w.0 as usize;
         if self.down_since[i].is_some() || !self.core.crash(self.clock.now(), w) {
             return;
         }
         let stranded = self.nodes[i].lock().crash(self.clock.now());
-        self.down_since[i] = Some(now);
+        self.down_since[i] = Some(at);
         if let Some(r) = &self.repl {
             // The disk dies with the instance: diff its resident set
             // out of the registry. The under-replication scan
@@ -428,13 +431,13 @@ impl MasterState<'_> {
         });
     }
 
-    fn recover(&mut self, w: WorkerId, now: Instant) {
+    fn recover(&mut self, w: WorkerId, now: Instant, at: Instant) {
         let i = w.0 as usize;
         if self.down_since[i].is_none() || !self.core.recover(self.clock.now(), w) {
             return;
         }
         self.nodes[i].lock().recover();
-        self.stop_downtime(i, now);
+        self.stop_downtime(i, at);
         self.last_recover[i] = Some(now);
         if let Some(r) = &self.repl {
             // Back in the data plane: an empty store (the crash cleared
@@ -495,7 +498,7 @@ impl MasterState<'_> {
     /// queue and store die with it, its unfinished jobs re-enter
     /// allocation immediately (no detection delay), and it never
     /// returns.
-    fn remove(&mut self, w: WorkerId, now: Instant) {
+    fn remove(&mut self, w: WorkerId, at: Instant) {
         if !self.core.remove(self.clock.now(), w) {
             return;
         }
@@ -505,7 +508,7 @@ impl MasterState<'_> {
             // but the worker never returns.
             r.lock().drop_worker(w.0);
         }
-        self.stop_downtime(w.0 as usize, now);
+        self.stop_downtime(w.0 as usize, at);
         self.apply();
         self.reclaim(w, None, stranded);
     }
@@ -628,11 +631,11 @@ impl MasterState<'_> {
             let mut rs = r.lock();
             rs.apply_pin_ops(dest, &mut s.store);
             rs.repairs.remove(&obj);
-            let evicted = s.store.insert(obj, bytes, self.clock.now());
+            s.store.insert(obj, bytes, self.clock.now());
             rs.journal
                 .push((dest, None, SchedEventKind::RepairDone { object: obj.0 }));
             self.core.m.repairs_completed.inc();
-            rs.note_insert(dest, &s.store, obj, bytes, evicted);
+            rs.note_insert(dest, &s.store, obj, bytes);
         }
         if self.commit_journal() {
             self.scan_repairs();
@@ -679,7 +682,7 @@ impl MasterState<'_> {
                 .into_iter()
                 .filter(|obj| !rs.repairs.contains_key(obj))
                 .filter_map(|obj| {
-                    let src = rs.map.replicas(obj).find(|&h| rs.alive[h as usize])?;
+                    let src = rs.map.first_live(obj, |h| rs.alive[h as usize])?;
                     let bytes = rs.map.bytes(obj)?;
                     let dest = self.repair_dest(&rs, obj, &free)?;
                     Some((obj, src, dest, bytes))
@@ -935,8 +938,8 @@ impl MasterState<'_> {
             if let Some(r) = &self.repl {
                 let mut rs = r.lock();
                 rs.apply_pin_ops(worker.0, &mut s.store);
-                let evicted = s.store.insert(output.id, output.bytes, now);
-                rs.note_insert(worker.0, &s.store, output.id, output.bytes, evicted);
+                s.store.insert(output.id, output.bytes, now);
+                rs.note_insert(worker.0, &s.store, output.id, output.bytes);
             } else {
                 s.store.insert(output.id, output.bytes, now);
             }

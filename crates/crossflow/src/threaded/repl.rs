@@ -25,7 +25,7 @@ use crossbid_storage::{LocalStore, ObjectId, ReplicaMap};
 
 use crate::engine::ReplicationConfig;
 use crate::faults::NetFaultPlan;
-use crate::job::{JobId, WorkerId};
+use crate::job::JobId;
 use crate::trace::SchedEventKind;
 
 /// One journaled data-plane event awaiting commit by the master:
@@ -71,16 +71,6 @@ impl ReplState {
         }
     }
 
-    /// Live peers currently holding `obj` (ascending id), excluding
-    /// `exclude` — the candidate sources for a peer fetch.
-    pub fn peer_sources(&self, obj: ObjectId, exclude: u32) -> Vec<WorkerId> {
-        self.map
-            .replicas(obj)
-            .filter(|&h| h != exclude && self.alive[h as usize])
-            .map(WorkerId)
-            .collect()
-    }
-
     /// Apply every pending pin directive for worker `me` to its store.
     /// Callers hold `me`'s `WorkerNode` lock and this lock together,
     /// and call this *before* the insert the directives must protect.
@@ -100,33 +90,25 @@ impl ReplState {
     /// Directives are queued per holder and land before that holder's
     /// next insert — its earliest eviction opportunity.
     pub fn sync_pins(&mut self, obj: ObjectId) {
-        let holders: Vec<u32> = self.map.replicas(obj).collect();
-        if holders.len() == 1 {
-            if !self.cfg.evict_last_copy {
-                self.pin_ops[holders[0] as usize].push((obj, true));
-            }
-        } else {
-            for h in holders {
-                self.pin_ops[h as usize].push((obj, false));
+        match self.map.sole_holder(obj) {
+            Some(h) if !self.cfg.evict_last_copy => self.pin_ops[h as usize].push((obj, true)),
+            Some(_) => {}
+            None => {
+                for h in self.map.replicas(obj) {
+                    self.pin_ops[h as usize].push((obj, false));
+                }
             }
         }
     }
 
     /// Post-insert replica bookkeeping, mirroring the engine's
     /// `note_replica_insert`: journal a `replica_drop` for every
-    /// eviction the insert caused, a `replica_add` if the object was
-    /// retained and is a new copy, and re-derive pins. Top-up repairs
-    /// are the master's job — its under-replication scan runs after
-    /// every journal drain that changed a replica set.
-    pub fn note_insert(
-        &mut self,
-        me: u32,
-        store: &LocalStore,
-        obj: ObjectId,
-        bytes: u64,
-        evicted: Vec<ObjectId>,
-    ) {
-        for gone in evicted {
+    /// eviction `store`'s last insert caused, a `replica_add` if the
+    /// object was retained and is a new copy, and re-derive pins.
+    /// Top-up repairs are the master's job — its under-replication scan
+    /// runs after every journal drain that changed a replica set.
+    pub fn note_insert(&mut self, me: u32, store: &LocalStore, obj: ObjectId, bytes: u64) {
+        for &gone in store.evicted() {
             if self.map.drop_replica(gone, me) {
                 self.journal.push((
                     me,

@@ -18,7 +18,7 @@ use crossbid_simcore::{RngStream, SimDuration};
 use parking_lot::Mutex;
 
 use crate::faults::RetryPolicy;
-use crate::job::Job;
+use crate::job::{Job, WorkerId};
 use crate::obs::RuntimeMetrics;
 use crate::worker::{Finished, Intake, Report, Started, Step, WorkerNode};
 
@@ -65,24 +65,30 @@ impl Worker {
         let (Some(rp), Some(r)) = (&self.repl, job.resource) else {
             return false;
         };
-        !node.holds(r.id) && !rp.lock().peer_sources(r.id, self.id).is_empty()
+        if node.holds(r.id) {
+            return false;
+        }
+        let rp = rp.lock();
+        rp.map
+            .has_live_peer(r.id, self.id, |h| rp.alive[h as usize])
     }
 
-    /// One transfer attempt for the job in hand. The source choice and
-    /// its `fetch_req` journal entry happen in one critical section, so
-    /// the committed log never shows a fetch from a source that was
-    /// already dropped.
-    fn fetch(&self, node: &mut WorkerNode, epoch: u64) -> Option<Step> {
+    /// One transfer attempt for the job in hand, its live peer sources
+    /// gathered into `peers`. The source choice and its `fetch_req`
+    /// journal entry happen in one critical section, so the committed
+    /// log never shows a fetch from a source that was already dropped.
+    fn fetch(&self, node: &mut WorkerNode, epoch: u64, peers: &mut Vec<WorkerId>) -> Option<Step> {
         let now = self.clock.now();
         let Some(rp) = &self.repl else {
             return node.fetch(now, epoch, &[]);
         };
         let mut rp = rp.lock();
-        let sources = match node.missing() {
-            Some(obj) => rp.peer_sources(obj, self.id),
-            None => Vec::new(),
-        };
-        let step = node.fetch(now, epoch, &sources)?;
+        peers.clear();
+        if let Some(obj) = node.missing() {
+            let live = |h: u32| rp.alive[h as usize];
+            peers.extend(rp.map.live_peers(obj, self.id, live).map(WorkerId));
+        }
+        let step = node.fetch(now, epoch, peers)?;
         if let Some((job, req)) = step.req {
             rp.journal.push((self.id, Some(job), req));
         }
@@ -90,15 +96,16 @@ impl Worker {
     }
 
     /// Run the job just started to completion, sleeping through its
-    /// transfer and processing. `None`: the worker crashed on the way —
-    /// the job dies with the instance and the master's detection
-    /// machinery redistributes it.
-    fn run(&self, s: Started) -> Option<Finished> {
+    /// transfer and processing (`peers`: [`fetch`](Self::fetch)'s
+    /// buffer). `None`: the worker crashed on the way — the job dies
+    /// with the instance and the master's detection machinery
+    /// redistributes it.
+    fn run(&self, s: Started, peers: &mut Vec<WorkerId>) -> Option<Finished> {
         let epoch = s.epoch;
         let proc = match s.proc {
             Some(d) => d,
             None => {
-                let mut step = self.fetch(&mut self.node.lock(), epoch)?;
+                let mut step = self.fetch(&mut self.node.lock(), epoch, peers)?;
                 while step.lost {
                     self.clock.sleep(step.d);
                     let backoff = {
@@ -113,7 +120,7 @@ impl Worker {
                     if let Some(b) = backoff {
                         self.clock.sleep(b);
                     }
-                    step = self.fetch(&mut self.node.lock(), epoch)?;
+                    step = self.fetch(&mut self.node.lock(), epoch, peers)?;
                 }
                 self.clock.sleep(step.d);
                 self.land(epoch)?
@@ -139,7 +146,7 @@ impl Worker {
             if let Some((job, ok)) = f.ok {
                 rp.journal.push((self.id, Some(job), ok));
             }
-            rp.note_insert(self.id, &node.store, f.object, f.bytes, f.evicted);
+            rp.note_insert(self.id, &node.store, f.object, f.bytes);
         }
         self.metrics.fetch_secs.record(f.secs);
         Some(f.proc)
@@ -277,12 +284,13 @@ pub(crate) fn spawn_worker(
                 reliability.map(|r| clock.real(r.heartbeat_secs).max(Duration::from_millis(5)));
             // Announce initial idleness (the first pull).
             w.send(ToMaster::Idle { worker: id });
+            let mut peers = Vec::new();
             loop {
                 loop {
                     let started = w.node.lock().start(clock.now());
                     let Some(s) = started else { break };
                     w.metrics.queue_wait_secs.record(s.waited);
-                    if let Some(f) = w.run(s) {
+                    if let Some(f) = w.run(s, &mut peers) {
                         w.done(f.report);
                         if f.idle {
                             w.send(ToMaster::Idle { worker: id });

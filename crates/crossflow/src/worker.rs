@@ -236,7 +236,8 @@ pub(crate) struct Step {
     pub lost: bool,
 }
 
-/// An input that landed ([`WorkerNode::fetched`]).
+/// An input that landed ([`WorkerNode::fetched`]); what its insert
+/// evicted is the store's [`evicted`](LocalStore::evicted).
 pub(crate) struct Fetched {
     pub job: JobId,
     pub object: ObjectId,
@@ -246,8 +247,6 @@ pub(crate) struct Fetched {
     /// Seconds since the job started: the fetch phase, lost attempts
     /// and backoffs included.
     pub secs: f64,
-    /// What the insert evicted.
-    pub evicted: Vec<ObjectId>,
     /// Processing time, now that the input is local.
     pub proc: SimDuration,
 }
@@ -700,14 +699,13 @@ impl WorkerNode {
             self.store.note_peer_fetch();
             (job, SchedEventKind::FetchOk { object, from })
         });
-        let evicted = self.store.insert(r.id, r.bytes, now);
+        self.store.insert(r.id, r.bytes, now);
         Some(Fetched {
             job,
             object: r.id,
             bytes: r.bytes,
             ok,
             secs,
-            evicted,
             proc: self.process(),
         })
     }

@@ -5,12 +5,19 @@
 //! allocator so a test can count the allocations a region of code
 //! makes. Counters are process-global relaxed atomics; read deltas
 //! around the region, one measured region at a time (concurrent
-//! threads are attributed to whichever region is in flight).
+//! threads are attributed to whichever region is in flight), or count
+//! only the calling thread's allocations with [`thread_allocs`].
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor: touching it from
+    // inside the allocator never allocates.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 static CURRENT_BYTES: AtomicU64 = AtomicU64::new(0);
 static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 
@@ -23,6 +30,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn on_alloc(size: usize) {
     ALLOCS.fetch_add(1, Ordering::Relaxed);
+    let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
     let live = CURRENT_BYTES.fetch_add(size as u64, Ordering::Relaxed) + size as u64;
     // Lossy peak update is fine: a stale read can only under-report
     // by another thread's in-flight delta, never corrupt the counter.
@@ -73,6 +81,12 @@ pub fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
+/// Allocation events of the calling thread since it started: a region
+/// measured by this is blind to what other threads allocate meanwhile.
+pub fn thread_allocs() -> u64 {
+    THREAD_ALLOCS.with(Cell::get)
+}
+
 /// Bytes currently live on the heap.
 pub fn current_bytes() -> u64 {
     CURRENT_BYTES.load(Ordering::Relaxed)
@@ -92,7 +106,14 @@ mod tests {
         let a0 = allocs();
         let v: Vec<u64> = (0..4096).collect();
         assert!(v.len() == 4096);
+        let t0 = thread_allocs();
+        let w: Vec<u64> = (0..16).collect();
         assert!(allocs() > a0, "a fresh Vec must register");
+        assert_eq!(
+            thread_allocs() - t0,
+            1,
+            "{w:?} is this thread's only allocation"
+        );
         assert!(peak_bytes() >= 4096 * 8);
         drop(v);
         // current_bytes is shared across threads; just check it reads.

@@ -2,13 +2,15 @@
 //! counterpart of [`extensions`](crate::extensions)' simulated
 //! fault-tolerance table. For each scheduler we first run a healthy
 //! reference, then re-run the same workload while crashing 1, 2, …
-//! workers at 25 % of the healthy makespan — real threads going
+//! workers at 25 % of the simulated healthy makespan — real threads going
 //! silent, the master detecting them and redistributing the stranded
 //! backlog. Reported per cell: makespan, jobs completed, jobs
 //! redistributed, accumulated downtime.
 
 use crossbid_core::BiddingAllocator;
-use crossbid_crossflow::{Allocator, BaselineAllocator, FaultPlan, RunSpec, WorkerId, Workflow};
+use crossbid_crossflow::{
+    Allocator, BaselineAllocator, FaultPlan, RunSpec, Runtime, WorkerId, Workflow,
+};
 use crossbid_metrics::table::{f2, fpct};
 use crossbid_metrics::{percent_reduction, RunRecord, Table};
 use crossbid_net::NoiseModel;
@@ -81,7 +83,13 @@ impl CrashCell {
     }
 }
 
-fn one_run(exp: &CrashSweepExperiment, allocator: &dyn Allocator, faults: FaultPlan) -> RunRecord {
+/// One run on real threads, or on the sim engine when `sim`.
+fn one_run(
+    exp: &CrashSweepExperiment,
+    allocator: &dyn Allocator,
+    faults: FaultPlan,
+    sim: bool,
+) -> RunRecord {
     // A fresh session per run: every run starts cold.
     let spec = RunSpec::builder()
         .workers(WorkerConfig::AllEqual.specs(exp.n_workers))
@@ -101,14 +109,21 @@ fn one_run(exp: &CrashSweepExperiment, allocator: &dyn Allocator, faults: FaultP
         task,
         &ArrivalProcess::evaluation_default(),
     );
-    spec.threaded()
-        .run_iteration(&mut wf, allocator, stream.arrivals)
-        .record
+    let mut rt: Box<dyn Runtime> = if sim {
+        Box::new(spec.sim())
+    } else {
+        Box::new(spec.threaded())
+    };
+    rt.run_iteration(&mut wf, allocator, stream.arrivals).record
 }
 
 /// Run the sweep for Bidding and Baseline. Crash times are anchored
 /// to each scheduler's own healthy makespan (25 %), so every crashed
-/// run dies mid-backlog regardless of how fast the scheduler is.
+/// run dies mid-backlog regardless of how fast the scheduler is. The
+/// anchor is the sim's makespan: a threaded one carries the host's
+/// stalls, and one stall in the healthy run could push the crash past
+/// the end of the crashed run, which only ever takes longer than the
+/// sim's.
 pub fn run(exp: &CrashSweepExperiment) -> Vec<CrashCell> {
     assert!(
         exp.crash_counts.iter().all(|k| *k < exp.n_workers),
@@ -120,8 +135,9 @@ pub fn run(exp: &CrashSweepExperiment) -> Vec<CrashCell> {
     ];
     let mut cells = Vec::new();
     for (name, sched) in schedulers {
-        let healthy = one_run(exp, sched, FaultPlan::none());
-        let crash_at = SimTime::from_secs_f64(healthy.makespan_secs * 0.25);
+        let healthy = one_run(exp, sched, FaultPlan::none(), false);
+        let anchor = one_run(exp, sched, FaultPlan::none(), true).makespan_secs;
+        let crash_at = SimTime::from_secs_f64(anchor * 0.25);
         let healthy_makespan = healthy.makespan_secs;
         for &k in &exp.crash_counts {
             let record = if k == 0 {
@@ -131,7 +147,7 @@ pub fn run(exp: &CrashSweepExperiment) -> Vec<CrashCell> {
                 for w in 0..k as u32 {
                     plan = plan.crash_at(crash_at, WorkerId(w));
                 }
-                one_run(exp, sched, plan)
+                one_run(exp, sched, plan, false)
             };
             cells.push(CrashCell {
                 scheduler: name,
@@ -147,7 +163,7 @@ pub fn run(exp: &CrashSweepExperiment) -> Vec<CrashCell> {
 /// Render the sweep as one table.
 pub fn render(cells: &[CrashCell]) -> String {
     let mut t = Table::new(
-        "Threaded crash sweep — workers crashed at 25% of healthy makespan (80pct_large, all-equal)",
+        "Threaded crash sweep — workers crashed at 25% of the simulated healthy makespan (80pct_large, all-equal)",
         &[
             "scheduler",
             "crashed",

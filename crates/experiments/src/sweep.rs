@@ -27,8 +27,8 @@
 
 use crossbid_baselines::SparkStaticAllocator;
 use crossbid_checker::{
-    check_log, explore, Demand, ExploreConfig, OracleOptions, Protocol, Replication, Run, Scenario,
-    Workload,
+    check_log, explore, Demand, ExploreConfig, Forcing, OracleOptions, Protocol, Replication, Run,
+    Scenario, Workload,
 };
 use crossbid_core::BiddingAllocator;
 use crossbid_crossflow::prelude::*;
@@ -258,7 +258,10 @@ fn sweeps() -> Vec<Sweep> {
                     "Simulation engine — the same axis under lossy links",
                     sim().lossy(),
                 ),
-                capped("Threaded runtime — the same axis", threaded()),
+                capped(
+                    "Threaded runtime — the same axis, demanded activity forced",
+                    threaded().forced(),
+                ),
             ],
             headline: Some(replicate_headline),
         },
@@ -642,7 +645,10 @@ fn atomize_headline(body: &mut String, seed: u64, smoke: bool) -> bool {
 // ---------------------------------------------------------------------------
 
 /// The built-in crash scenario at replication factor `factor` with
-/// half of all peer transfers lost.
+/// half of all peer transfers lost. Its forcing plan makes a lost peer
+/// transfer inevitable: worker 3 joins just before the job at 16 s
+/// while the other three, among them the first artifact's holders, are
+/// cut off (worker 0 crashes only at 21 s).
 fn replicate_headline_scenario(factor: u32) -> Scenario {
     Scenario {
         name: match factor {
@@ -654,6 +660,11 @@ fn replicate_headline_scenario(factor: u32) -> Scenario {
         replication: Some(Replication {
             factor,
             peer_drop_prob: 0.5,
+        }),
+        forcing: Some(Forcing {
+            newcomer: 3,
+            at_secs: 15.5,
+            window_secs: 20.0,
         }),
         ..Scenario::builtin("repl_f2_crash")
     }
@@ -673,7 +684,11 @@ fn replicate_headline(body: &mut String, seed: u64, _smoke: bool) -> bool {
     ] {
         let mut retries = 0;
         for factor in [1, 2, 3] {
-            let out = replicate_headline_scenario(factor).run(&Run::new(runtime, seed ^ 0x9E1));
+            let run = Run {
+                forced: true,
+                ..Run::new(runtime, seed ^ 0x9E1)
+            };
+            let out = replicate_headline_scenario(factor).run(&run);
             let violations = out.violations(false);
             let seen = out.activity();
             retries += seen.fetch_retries;

@@ -90,7 +90,7 @@ mod tests {
         }
         // Recency now 0 < 1 < 2; touch 0 so the order becomes 1 < 2 < 0.
         s.lookup(ObjectId(0), t(3));
-        let mut gone = Vec::new();
+        let mut gone = Vec::<ObjectId>::new();
         gone.extend(s.insert(ObjectId(10), 10, t(4)));
         gone.extend(s.insert(ObjectId(11), 10, t(5)));
         gone.extend(s.insert(ObjectId(12), 10, t(6)));

@@ -85,6 +85,28 @@ impl ReplicaMap {
         self.replicas.get(&id).into_iter().flatten().copied()
     }
 
+    /// Holders of `id` other than `node` that are `live`, in ascending
+    /// node order: the sources a peer fetch by `node` may use.
+    pub fn live_peers<'a>(
+        &'a self,
+        id: ObjectId,
+        node: u32,
+        live: impl Fn(u32) -> bool + 'a,
+    ) -> impl Iterator<Item = u32> + 'a {
+        self.replicas(id).filter(move |&h| h != node && live(h))
+    }
+
+    /// True iff a `live` node other than `node` holds `id`.
+    pub fn has_live_peer(&self, id: ObjectId, node: u32, live: impl Fn(u32) -> bool) -> bool {
+        self.live_peers(id, node, live).next().is_some()
+    }
+
+    /// The `live` holder of `id` with the lowest node id: a repair's
+    /// source.
+    pub fn first_live(&self, id: ObjectId, live: impl Fn(u32) -> bool) -> Option<u32> {
+        self.replicas(id).find(|&h| live(h))
+    }
+
     /// Number of live copies of `id`.
     pub fn count(&self, id: ObjectId) -> usize {
         self.replicas.get(&id).map_or(0, |s| s.len())
@@ -108,20 +130,6 @@ impl ReplicaMap {
         } else {
             None
         }
-    }
-
-    /// True iff `node` holds the last surviving copy of `id`.
-    pub fn is_sole_copy(&self, id: ObjectId, node: u32) -> bool {
-        self.sole_holder(id) == Some(node)
-    }
-
-    /// Artifacts `node` currently holds, sorted by id.
-    pub fn on_node(&self, node: u32) -> Vec<ObjectId> {
-        self.replicas
-            .iter()
-            .filter(|(_, s)| s.contains(&node))
-            .map(|(id, _)| *id)
-            .collect()
     }
 
     /// Artifacts with at least one live copy but fewer than the target
@@ -166,7 +174,6 @@ mod tests {
         assert!(m.drop_replica(ObjectId(1), 0));
         assert!(!m.drop_replica(ObjectId(1), 0), "double drop is a no-op");
         assert_eq!(m.sole_holder(ObjectId(1)), Some(3));
-        assert!(m.is_sole_copy(ObjectId(1), 3));
     }
 
     #[test]
@@ -201,7 +208,26 @@ mod tests {
         m.add(ObjectId(7), 3, 1);
         let nodes: Vec<u32> = m.replicas(ObjectId(7)).collect();
         assert_eq!(nodes, vec![1, 3, 5]);
-        assert_eq!(m.on_node(3), vec![ObjectId(7)]);
+    }
+
+    #[test]
+    fn holder_queries_skip_the_asker_and_the_dead() {
+        let mut m = ReplicaMap::new(3);
+        for node in [4, 1, 3, 6] {
+            m.add(ObjectId(7), node, 1);
+        }
+        let live = |h: u32| h != 3;
+        let peers: Vec<u32> = m.live_peers(ObjectId(7), 1, live).collect();
+        assert_eq!(peers, vec![4, 6]);
+        assert!(m.has_live_peer(ObjectId(7), 1, live));
+        assert!(
+            !m.has_live_peer(ObjectId(7), 1, |h| h == 1),
+            "only the asker is up"
+        );
+        assert!(!m.has_live_peer(ObjectId(8), 1, live), "never registered");
+        assert_eq!(m.first_live(ObjectId(7), live), Some(1));
+        assert_eq!(m.first_live(ObjectId(7), |h| h > 4), Some(6));
+        assert_eq!(m.first_live(ObjectId(7), |_| false), None);
     }
 
     #[test]

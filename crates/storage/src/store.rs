@@ -125,6 +125,9 @@ pub struct LocalStore {
     order: BinaryHeap<Reverse<(OrderKey, ObjectId)>>,
     seq: u64,
     stats: StoreStats,
+    /// The victims of the last insert, in eviction order; the buffer
+    /// is kept so an evicting insert allocates nothing.
+    evicted: Vec<ObjectId>,
 }
 
 impl LocalStore {
@@ -139,6 +142,7 @@ impl LocalStore {
             order: BinaryHeap::new(),
             seq: 0,
             stats: StoreStats::default(),
+            evicted: Vec::new(),
         }
     }
 
@@ -209,9 +213,11 @@ impl LocalStore {
     }
 
     /// Admit `id` with `size` bytes at time `now`, evicting as needed.
-    /// Returns the evicted object ids (possibly empty). Re-inserting a
-    /// resident object only refreshes its metadata.
-    pub fn insert(&mut self, id: ObjectId, size: u64, now: SimTime) -> Vec<ObjectId> {
+    /// Returns the evicted object ids (possibly empty), which stay
+    /// readable as [`evicted`](Self::evicted) until the next insert.
+    /// Re-inserting a resident object only refreshes its metadata.
+    pub fn insert(&mut self, id: ObjectId, size: u64, now: SimTime) -> &[ObjectId] {
+        self.evicted.clear();
         self.seq += 1;
         self.stats.bytes_admitted += size;
         if let Some(e) = self.entries.get_mut(&id) {
@@ -220,7 +226,7 @@ impl LocalStore {
             e.last_used = now;
             e.last_seq = self.seq;
             e.uses += 1;
-            return Vec::new();
+            return &self.evicted;
         }
         if size > self.capacity.saturating_sub(self.pinned_bytes) {
             // Pass-through: downloaded but cannot be retained, either
@@ -228,9 +234,8 @@ impl LocalStore {
             // pinned last-copy entries leave too little evictable
             // room. Evicting nothing (rather than partially) keeps the
             // resident set intact when admission is impossible.
-            return Vec::new();
+            return &self.evicted;
         }
-        let mut evicted = Vec::new();
         while self.used + size > self.capacity {
             let victim = self
                 .pop_victim()
@@ -239,7 +244,7 @@ impl LocalStore {
             self.used -= e.size;
             self.stats.evictions += 1;
             self.stats.bytes_evicted += e.size;
-            evicted.push(victim);
+            self.evicted.push(victim);
         }
         self.used += size;
         let e = Entry {
@@ -253,7 +258,12 @@ impl LocalStore {
         let key = order_key(self.policy, &e);
         self.entries.insert(id, e);
         self.push_order(key, id);
-        evicted
+        &self.evicted
+    }
+
+    /// What the last [`insert`](Self::insert) evicted.
+    pub fn evicted(&self) -> &[ObjectId] {
+        &self.evicted
     }
 
     /// Remove an object explicitly (fault injection / manual cache
