@@ -10,10 +10,10 @@
 //! file was recorded with the walk and the scan, so it is the
 //! differential test of the two at the level of whole runs.
 //!
-//! `builtin_decisions.txt` — the other 14 builtins, plain, under the
-//! explorer's lossy-link plan and under a seeded master crash, each on
-//! the seed tuple the explorer derives for that iteration (merged log
-//! for federated ones). It was recorded through the four per-axis
+//! `builtin_decisions.txt` — the other 14 builtins, plain and under the
+//! explorer's lossy-link plan, and all but the federated ones under a
+//! seeded master crash, each on the seed tuple the explorer derives for
+//! that iteration (merged log for federated ones). It was recorded through the four per-axis
 //! scenario types that `Scenario` replaced, so it is the proof that
 //! the one type builds the same specs, arrivals and fault plans.
 //!
@@ -124,15 +124,17 @@ fn builtin_rows(actual: &mut String, builtins: &[Scenario], root: u64, i: u64) {
         )
         .unwrap();
     };
+    let crashed = |sc: &Scenario| {
+        let bound = (sc.run(&Run::sim(root)).log().len() as u64 / 2).max(2);
+        reliable.run(&ReplayTuple {
+            crash_index: Some(1 + seeds.seed_for(0xFA11_0000 + i) % bound),
+            ..plain
+        })
+    };
     for sc in builtins.iter().filter(|s| s.is_plain()) {
         row(sc, "plain", reliable.run(&plain));
         row(sc, "lossy", lossy.run(&seeded_net));
-        let bound = (sc.run(&Run::sim(root)).log().len() as u64 / 2).max(2);
-        let crashed = ReplayTuple {
-            crash_index: Some(1 + seeds.seed_for(0xFA11_0000 + i) % bound),
-            ..plain
-        };
-        row(sc, "crash", reliable.run(&crashed));
+        row(sc, "crash", crashed(sc));
     }
     for sc in builtins.iter().filter(|s| s.federation.is_some()) {
         row(sc, "plain", reliable.run(&seeded_net));
@@ -140,6 +142,7 @@ fn builtin_rows(actual: &mut String, builtins: &[Scenario], root: u64, i: u64) {
     for sc in builtins.iter().filter(|s| s.replication.is_some()) {
         row(sc, "plain", reliable.run(&plain));
         row(sc, "lossy", lossy.run(&seeded_net));
+        row(sc, "crash", crashed(sc));
     }
 }
 

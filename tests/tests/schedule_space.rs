@@ -390,10 +390,14 @@ fn explorer_catches_reintroduced_double_speculation() {
 
 #[test]
 fn correct_replication_survives_both_runtimes_on_every_repl_builtin() {
+    // The master-crash rows: repairs committed before a takeover must
+    // still land exactly once under the elected standby.
     for cfg in [
         ExploreConfig::sim(sweep_iters(2), 0x9E97),
         ExploreConfig::sim(sweep_iters(2), 0x9E97).lossy(),
+        ExploreConfig::sim(sweep_iters(2), 0x9E97).master_crash(),
         ExploreConfig::threaded(sweep_iters(2), 0x9E97),
+        ExploreConfig::threaded(sweep_iters(2), 0x9E97).master_crash(),
     ] {
         assert_all_pass(explore_builtins(&cfg, |s| s.replication.is_some()));
     }
