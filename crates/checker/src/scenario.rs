@@ -666,10 +666,11 @@ impl Scenario {
     /// exactly reproducible and a threaded run's variability comes
     /// from thread scheduling (plus any chaos) alone.
     ///
-    /// The sim engine is mutation-agnostic, so a data-plane or
-    /// atomizer mutation is armed here, on the config flags the engine
-    /// does read; the threaded runtime maps the mutation itself (under
-    /// the `protocol-mutation` feature).
+    /// A data-plane mutation is armed here for both runtimes, on the
+    /// replication flags the replica plane reads. The sim engine is
+    /// otherwise mutation-agnostic, so an atomizer mutation is armed
+    /// here on its config flags too; the threaded runtime maps that
+    /// one itself (under the `protocol-mutation` feature).
     pub fn spec(&self, run: &Run) -> RunSpec {
         let mutation = match run.mutation {
             Mutation::Protocol(m) => m,
@@ -684,8 +685,8 @@ impl Scenario {
             .map_or_else(ReplicationConfig::default, |r| {
                 let mut c = ReplicationConfig::with_factor(r.factor);
                 c.peer_drop_prob = r.peer_drop_prob;
-                c.skip_repair |= on_sim(ProtocolMutation::SkipRepair);
-                c.evict_last_copy |= on_sim(ProtocolMutation::EvictLastCopy);
+                c.skip_repair = mutation == ProtocolMutation::SkipRepair;
+                c.evict_last_copy = mutation == ProtocolMutation::EvictLastCopy;
                 c
             });
         let mut spec = RunSpec::builder()

@@ -73,6 +73,7 @@ pub mod job;
 mod master_core;
 pub mod obs;
 pub mod prelude;
+mod replica;
 pub mod replog;
 pub mod runtime;
 pub mod scheduler;

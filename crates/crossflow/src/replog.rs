@@ -140,10 +140,6 @@ pub struct SchedState {
     /// exact. (Warm-cache seeding predates the log, so replay starts
     /// from the first logged add.)
     pub replicas: BTreeMap<u64, BTreeSet<WorkerId>>,
-    /// Re-replications committed (`RepairStart`) but not yet landed
-    /// (`RepairDone`): object → destination worker. A successor
-    /// resumes exactly these without double-copying.
-    pub repairs_pending: BTreeMap<u64, WorkerId>,
 }
 
 impl SchedState {
@@ -307,11 +303,13 @@ impl SchedState {
                     j.contest_open = false;
                 }
             }
-            // Peer-fetch traffic is an observed fact about the data
-            // plane; placement state is untouched.
+            // Peer-fetch and repair traffic are observed facts about
+            // the data plane; placement state is untouched.
             SchedEventKind::FetchReq { .. }
             | SchedEventKind::FetchOk { .. }
-            | SchedEventKind::FetchFail { .. } => {}
+            | SchedEventKind::FetchFail { .. }
+            | SchedEventKind::RepairStart { .. }
+            | SchedEventKind::RepairDone { .. } => {}
             SchedEventKind::ReplicaAdd { object } => {
                 if let Some(w) = worker {
                     self.replicas.entry(object).or_default().insert(w);
@@ -326,14 +324,6 @@ impl SchedState {
                         }
                     }
                 }
-            }
-            SchedEventKind::RepairStart { object, .. } => {
-                if let Some(dest) = worker {
-                    self.repairs_pending.insert(object, dest);
-                }
-            }
-            SchedEventKind::RepairDone { object } => {
-                self.repairs_pending.remove(&object);
             }
         }
     }

@@ -613,14 +613,6 @@ impl ProtocolMutation {
     pub(crate) fn double_speculates(self) -> bool {
         cfg!(feature = "protocol-mutation") && self == ProtocolMutation::DoubleSpeculate
     }
-
-    pub(crate) fn skips_repair(self) -> bool {
-        cfg!(feature = "protocol-mutation") && self == ProtocolMutation::SkipRepair
-    }
-
-    pub(crate) fn evicts_last_copy(self) -> bool {
-        cfg!(feature = "protocol-mutation") && self == ProtocolMutation::EvictLastCopy
-    }
 }
 
 /// The reintroduced `ReofferToRejector` bug, wrapped around any

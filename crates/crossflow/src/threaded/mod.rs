@@ -24,7 +24,6 @@
 
 mod chaos;
 mod master;
-mod repl;
 mod worker;
 
 pub use chaos::{ChaosConfig, DeliveryEntry, DeliveryLog, DeliveryLogHandle, ProtocolMutation};

@@ -20,9 +20,9 @@ use parking_lot::Mutex;
 use crate::faults::RetryPolicy;
 use crate::job::{Job, WorkerId};
 use crate::obs::RuntimeMetrics;
+use crate::replica::ReplicaPlane;
 use crate::worker::{Finished, Intake, Report, Started, Step, WorkerNode};
 
-use super::repl::ReplState;
 use super::{Clock, ToMaster, ToWorker};
 
 pub(crate) struct WorkerThreads {
@@ -40,8 +40,8 @@ struct Worker {
     /// The owning thread's tallies (a clone forks them), flushed
     /// before the thread returns.
     metrics: RuntimeMetrics,
-    /// Replicated data plane: peer sources, pins, the journal.
-    repl: Option<Arc<Mutex<ReplState>>>,
+    /// The replica plane: peer sources, pins, the event buffer.
+    repl: Option<Arc<Mutex<ReplicaPlane>>>,
 }
 
 impl Worker {
@@ -68,15 +68,13 @@ impl Worker {
         if node.holds(r.id) {
             return false;
         }
-        let rp = rp.lock();
-        rp.map
-            .has_live_peer(r.id, self.id, |h| rp.alive[h as usize])
+        rp.lock().has_peer(r.id, WorkerId(self.id))
     }
 
     /// One transfer attempt for the job in hand, its live peer sources
     /// gathered into `peers`. The source choice and its `fetch_req`
-    /// journal entry happen in one critical section, so the committed
-    /// log never shows a fetch from a source that was already dropped.
+    /// event happen in one critical section, so the committed log never
+    /// shows a fetch from a source that was already dropped.
     fn fetch(&self, node: &mut WorkerNode, epoch: u64, peers: &mut Vec<WorkerId>) -> Option<Step> {
         let now = self.clock.now();
         let Some(rp) = &self.repl else {
@@ -85,12 +83,11 @@ impl Worker {
         let mut rp = rp.lock();
         peers.clear();
         if let Some(obj) = node.missing() {
-            let live = |h: u32| rp.alive[h as usize];
-            peers.extend(rp.map.live_peers(obj, self.id, live).map(WorkerId));
+            rp.peers(obj, WorkerId(self.id), peers);
         }
         let step = node.fetch(now, epoch, peers)?;
         if let Some((job, req)) = step.req {
-            rp.journal.push((self.id, Some(job), req));
+            rp.fact(WorkerId(self.id), job, req);
         }
         Some(step)
     }
@@ -113,7 +110,7 @@ impl Worker {
                         let lost = node.fetch_lost(epoch)?;
                         let (job, fail) = lost.fail;
                         let rp = self.repl.as_ref().expect("only a peer attempt is lost");
-                        rp.lock().journal.push((self.id, Some(job), fail));
+                        rp.lock().fact(WorkerId(self.id), job, fail);
                         lost.backoff
                     };
                     self.metrics.peer_retries.inc();
@@ -132,21 +129,22 @@ impl Worker {
         Some(f)
     }
 
-    /// The attempt in flight delivered: the input lands — pins queued
-    /// for this store applied first, the insert journaled — and the
-    /// processing time comes back.
+    /// The attempt in flight delivered: the input lands — this
+    /// store's pins first, the plane told after — and the processing
+    /// time comes back.
     fn land(&self, epoch: u64) -> Option<SimDuration> {
+        let me = WorkerId(self.id);
         let mut node = self.node.lock();
         let mut rp = self.repl.as_ref().map(|r| r.lock());
         if let Some(rp) = rp.as_mut() {
-            rp.apply_pin_ops(self.id, &mut node.store);
+            rp.pin(me, &mut node.store);
         }
         let f = node.fetched(self.clock.now(), epoch)?;
         if let Some(rp) = rp.as_mut() {
             if let Some((job, ok)) = f.ok {
-                rp.journal.push((self.id, Some(job), ok));
+                rp.fact(me, job, ok);
             }
-            rp.note_insert(self.id, &node.store, f.object, f.bytes);
+            rp.inserted(me, &node.store, f.object, f.bytes);
         }
         self.metrics.fetch_secs.record(f.secs);
         Some(f.proc)
@@ -169,7 +167,7 @@ pub(crate) fn spawn_worker(
     // Reliability layer (net-fault runs): the bidder's resend tick and
     // the executor's idle heartbeat. `None` leaves both off.
     reliability: Option<RetryPolicy>,
-    repl: Option<Arc<Mutex<ReplState>>>,
+    repl: Option<Arc<Mutex<ReplicaPlane>>>,
 ) -> WorkerThreads {
     let w = Worker {
         id,
