@@ -6,8 +6,8 @@
 
 use crossbid_core::BiddingAllocator;
 use crossbid_crossflow::{
-    Allocator, Arrival, BaselineAllocator, FaultPlan, JobSpec, Payload, ResourceRef, RunSpec,
-    SchedLog, TaskId, WorkerId, WorkerSpec, Workflow,
+    Allocator, Arrival, BaselineAllocator, FaultPlan, Faults, JobSpec, MembershipPlan, Payload,
+    ResourceRef, RunSpec, SchedLog, TaskId, WorkerId, WorkerSpec, Workflow,
 };
 use crossbid_metrics::RunRecord;
 use crossbid_net::NoiseModel;
@@ -18,7 +18,7 @@ use crossbid_storage::ObjectId;
 fn run_threaded_traced(
     n: usize,
     allocator: &dyn Allocator,
-    faults: FaultPlan,
+    faults: impl Into<Faults>,
     wf: &mut Workflow,
     arrivals: Vec<Arrival>,
 ) -> (RunRecord, SchedLog) {
@@ -66,26 +66,35 @@ fn specs(n: usize) -> Vec<WorkerSpec> {
         .collect()
 }
 
-/// `jobs` arrivals, all over the same hot repo so the warm worker's
-/// zero-transfer bids concentrate the queue on it — the worker we
-/// then crash.
-fn hot_repo_arrivals(task: TaskId, jobs: usize, spacing_secs: f64) -> Vec<Arrival> {
+/// `jobs` arrivals, all over the same hot repo of `mb` MB so the warm
+/// worker's zero-transfer bids concentrate the queue on it — the
+/// worker we then crash.
+fn hot_repo_arrivals(task: TaskId, jobs: usize, spacing_secs: f64, mb: u64) -> Vec<Arrival> {
     (0..jobs)
         .map(|i| Arrival {
             at: SimTime::from_secs_f64(i as f64 * spacing_secs),
-            spec: JobSpec::scanning(task, res(1, 100), Payload::Index(i as u64)),
+            spec: JobSpec::scanning(task, res(1, mb), Payload::Index(i as u64)),
         })
         .collect()
 }
 
 #[test]
 fn crash_mid_run_redistributes_and_completes_everything() {
-    // All twelve jobs chase repo 1 and arrive within 5.5 virtual
-    // seconds — far faster than the ~10 s fetch — so by the crash at
-    // t=6 every worker (worker 0 included: it wins the all-equal
-    // first-contest tie on lowest id) is holding assigned,
-    // unfinished work to strand.
-    let faults = FaultPlan::new().crash_at(SimTime::from_secs(6), WorkerId(0));
+    // Workers 1 and 2 join only at t=7, so worker 0 is alone on the
+    // roster for every arrival (t ≤ 5.5) and takes each job it is
+    // placed: a 100 s fetch of repo 1, then 10 s per scan. At the
+    // crash at t=6 it holds about 200 virtual seconds of that work
+    // (0.2 s real), so only a master stalled that long could find it
+    // drained. Detection at t=8 hands the stranded jobs to the
+    // newcomers.
+    let at = SimTime::from_secs;
+    let faults = Faults::new()
+        .workers(FaultPlan::new().crash_at(at(6), WorkerId(0)))
+        .membership(
+            MembershipPlan::new()
+                .join_at(at(7), WorkerId(1))
+                .join_at(at(7), WorkerId(2)),
+        );
     let mut wf = Workflow::new();
     let task = wf.add_sink("scan");
     let (r, log) = run_threaded_traced(
@@ -93,7 +102,7 @@ fn crash_mid_run_redistributes_and_completes_everything() {
         &BiddingAllocator::new(),
         faults,
         &mut wf,
-        hot_repo_arrivals(task, 12, 0.5),
+        hot_repo_arrivals(task, 12, 0.5, 1000),
     );
     assert_eq!(r.jobs_completed, 12, "every created job must complete");
     assert_eq!(r.worker_crashes, 1);
@@ -125,7 +134,7 @@ fn crash_and_recovery_completes_everything() {
         &BiddingAllocator::new(),
         faults,
         &mut wf,
-        hot_repo_arrivals(task, 12, 0.5),
+        hot_repo_arrivals(task, 12, 0.5, 100),
     );
     assert_eq!(r.jobs_completed, 12);
     assert_eq!(r.worker_crashes, 1);
@@ -151,7 +160,7 @@ fn baseline_survives_crash_too() {
         &BaselineAllocator,
         faults,
         &mut wf,
-        hot_repo_arrivals(task, 10, 1.0),
+        hot_repo_arrivals(task, 10, 1.0, 100),
     );
     assert_eq!(r.jobs_completed, 10);
     assert_eq!(r.worker_crashes, 1);
@@ -172,7 +181,7 @@ fn all_workers_dead_without_recovery_terminates() {
         &BiddingAllocator::new(),
         faults,
         &mut wf,
-        hot_repo_arrivals(task, 8, 1.0),
+        hot_repo_arrivals(task, 8, 1.0, 100),
     );
     assert!(
         r.jobs_completed < 8,
@@ -198,7 +207,7 @@ fn all_workers_down_waits_for_recovery() {
         &BiddingAllocator::new(),
         faults,
         &mut wf,
-        hot_repo_arrivals(task, 4, 1.0),
+        hot_repo_arrivals(task, 4, 1.0, 100),
     );
     assert_eq!(r.jobs_completed, 4);
     assert!(
@@ -224,7 +233,7 @@ fn crash_before_any_arrival_yields_zero_metrics() {
         &BiddingAllocator::new(),
         faults,
         &mut wf,
-        hot_repo_arrivals(task, 3, 1.0),
+        hot_repo_arrivals(task, 3, 1.0, 100),
     );
     assert_eq!(r.jobs_completed, 0);
     assert_eq!(r.makespan_secs, 0.0);
