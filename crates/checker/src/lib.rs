@@ -45,7 +45,7 @@ pub mod oracle;
 pub mod scenario;
 
 pub use explorer::{explore, explore_builtins, ExploreConfig, ExploreReport, Failure, ReplayTuple};
-pub use oracle::{check_log, Oracle, OracleOptions, Violation};
+pub use oracle::{check_events, check_log, Oracle, OracleOptions, Violation};
 pub use scenario::{
     Activity, Demand, FaultDef, Federation, Forcing, JobDef, Mutation, Outcome, Protocol,
     Replication, Run, Scenario, Workload,

@@ -30,6 +30,7 @@
 //! `tests/golden/event_vocabulary.txt`), and the same `SchedLog` can be
 //! reconstructed from an exported JSONL stream.
 
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 
 use crossbid_crossflow::{
@@ -1216,9 +1217,18 @@ impl Oracle {
 
 /// Run the oracle over a complete log.
 pub fn check_log(log: &SchedLog, opts: OracleOptions) -> Vec<Violation> {
+    check_events(log.events(), opts)
+}
+
+/// Run the oracle over every event of a complete run, from any source
+/// (a stored log, a parsed stream).
+pub fn check_events<E: Borrow<SchedEvent>>(
+    events: impl IntoIterator<Item = E>,
+    opts: OracleOptions,
+) -> Vec<Violation> {
     let mut o = Oracle::new(opts);
-    for ev in log.events() {
-        o.observe(ev);
+    for ev in events {
+        o.observe(ev.borrow());
     }
     o.finish()
 }

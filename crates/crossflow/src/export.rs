@@ -598,7 +598,7 @@ pub fn write_run_stream<W: Write>(
         w.write_with(|line| put_trace(ev, line))?;
     }
     for ev in run.sched_log.events() {
-        w.write_with(|line| put_sched(ev, line))?;
+        w.write_with(|line| put_sched(&ev, line))?;
     }
     w.write(&record_line(&run.record))?;
     w.write(&metrics_line(&run.metrics))?;

@@ -2316,7 +2316,7 @@ mod tests {
         /// and take over after a crash.
         fn carry_out(&mut self, before: usize) -> Result<(), String> {
             let log = self.core.log.as_ref().expect("logged").log();
-            let committed = log.events()[before..].to_vec();
+            let committed: Vec<SchedEvent> = log.events().skip(before).collect();
             let placed = |job: JobId, w: WorkerId, offer: bool| {
                 let kind = if offer {
                     SchedEventKind::Offered

@@ -555,7 +555,7 @@ mod tests {
         /// replica events rebuild the plane's map.
         fn check(&mut self) -> Result<(), String> {
             let log = self.core.log();
-            for e in &log.events()[self.seen..] {
+            for e in log.events().skip(self.seen) {
                 match e.kind {
                     SchedEventKind::RepairStart { object, .. } if !self.open.insert(object) => {
                         return Err(format!("a second repair_start of object {object}"));

@@ -29,6 +29,7 @@
 //! leader dies* — is exact: crashes are keyed to 1-based append
 //! indices, which both runtimes share bit-for-bit.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 
 use crossbid_simcore::SimTime;
@@ -149,10 +150,10 @@ impl SchedState {
     }
 
     /// Fold the committed log into a state.
-    pub fn replay<'a>(events: impl IntoIterator<Item = &'a SchedEvent>) -> Self {
+    pub fn replay<E: Borrow<SchedEvent>>(events: impl IntoIterator<Item = E>) -> Self {
         let mut st = Self::new();
         for ev in events {
-            st.apply(ev);
+            st.apply(ev.borrow());
         }
         st
     }
@@ -495,7 +496,8 @@ impl ReplicatedLog {
     }
 
     /// Take the committed log out (end of run).
-    pub fn into_log(self) -> SchedLog {
+    pub fn into_log(mut self) -> SchedLog {
+        self.log.shrink_to_fit();
         self.log
     }
 }

@@ -141,13 +141,13 @@ fn unsorted_arrivals_with_a_tie_run_as_if_sorted() {
     let unsorted = traced(vec![arrival(0, 0), arrival(1_000, 2), arrival(500, 1)]);
     let sorted = traced(vec![arrival(0, 0), arrival(500, 1), arrival(1_000, 2)]);
     assert_eq!(unsorted.record.jobs_completed, 3);
-    assert_eq!(unsorted.sched_log.events(), sorted.sched_log.events());
+    assert_eq!(unsorted.sched_log, sorted.sched_log);
     assert_eq!(unsorted.events, sorted.events);
 
     let tie = SimTime::from_secs(1);
     let at_tie = |kind: SchedEventKind| {
-        let log = unsorted.sched_log.events();
-        log.iter()
+        let log = &unsorted.sched_log;
+        log.events()
             .position(|e| e.at == tie && e.kind == kind)
             .unwrap_or_else(|| panic!("no {kind:?} at {tie:?} in {log:?}"))
     };

@@ -17,7 +17,6 @@ fn fnv(hash: u64, text: &str) -> u64 {
 pub fn log_digest(log: &SchedLog) -> String {
     let hash = log
         .events()
-        .iter()
         .fold(FNV_OFFSET, |h, e| fnv(h, &format!("{e:?}")));
     format!("{} events, fnv {hash:016x}", log.len())
 }

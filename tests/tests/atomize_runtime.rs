@@ -360,7 +360,7 @@ fn assert_late_losers_are_swallowed(log: &crossbid_crossflow::SchedLog) -> Vec<J
         12,
         "a swallowed report is not a completion"
     );
-    let events = log.events();
+    let events: Vec<_> = log.events().collect();
     let mut losers = Vec::new();
     for (i, e) in events.iter().enumerate() {
         if let SchedEventKind::SpecCancel { .. } = e.kind {

@@ -103,7 +103,7 @@ proptest! {
             "oracle violations at crash index {}",
             crash_index
         );
-        let events = out.sched_log.events();
+        let events: Vec<_> = out.sched_log.events().collect();
         let whole = SchedState::replay(events.iter());
         let split = ((events.len() as f64) * split_frac) as usize;
         let split = split.min(events.len());
@@ -141,7 +141,6 @@ fn failover_with_unacked_assign_in_flight() {
     let first_unacked = reference
         .sched_log
         .events()
-        .iter()
         .position(|ev| {
             matches!(ev.kind, SchedEventKind::Assigned) && ev.at >= SimTime::from_secs(1)
         })
@@ -159,7 +158,6 @@ fn failover_with_unacked_assign_in_flight() {
     let elections: Vec<u32> = out
         .sched_log
         .events()
-        .iter()
         .filter_map(|ev| match ev.kind {
             SchedEventKind::LeaderElected { term } => Some(term),
             _ => None,

@@ -83,11 +83,11 @@ proptest! {
         prop_assert!(violations.is_empty(), "seed {}: {:?}", seed, violations);
 
         // Union of shard replays == merged replay, counter for counter.
-        let merged = SchedState::replay(out.log().events().iter());
+        let merged = SchedState::replay(out.log().events());
         let union: Vec<SchedState> = out
             .masters
             .iter()
-            .map(|o| SchedState::replay(o.sched_log.events().iter()))
+            .map(|o| SchedState::replay(o.sched_log.events()))
             .collect();
         let sum = |f: fn(&SchedState) -> u64| union.iter().map(f).sum::<u64>();
         prop_assert_eq!(merged.submissions, sum(|s| s.submissions));
@@ -151,8 +151,7 @@ fn re_augment(run: &[SchedEvent], synthesized: &[SchedEvent]) -> SchedLog {
 fn sorted_union(shards: &[RunOutput]) -> SchedLog {
     let mut all: Vec<(SimTime, usize, SchedEvent)> = Vec::new();
     for (s, out) in shards.iter().enumerate() {
-        for ev in out.sched_log.events() {
-            let mut q = *ev;
+        for mut q in out.sched_log.events() {
             q.worker = q.worker.map(|w| WorkerId::in_shard(ShardId(s as u16), w.0));
             all.push((q.at, s, q));
         }
@@ -176,7 +175,7 @@ fn every_fed_builtin_merges_like_the_sort_based_reference_on_both_runtimes() {
             let out = sc.run(&run);
             let ctx = format!("{} on {:?}", sc.name, run.runtime);
             for (h, shard) in out.masters.iter().enumerate() {
-                let events = shard.sched_log.events();
+                let events: Vec<SchedEvent> = shard.sched_log.events().collect();
                 assert!(
                     events.windows(2).all(|w| w[0].at <= w[1].at),
                     "{ctx}: shard {h}'s log is not time-sorted"
@@ -194,20 +193,17 @@ fn every_fed_builtin_merges_like_the_sort_based_reference_on_both_runtimes() {
                     .partition(|e| e.job.is_some_and(|j| forwarded.contains(&j)));
                 assert_eq!(synthesized.len(), 2 * forwarded.len(), "{ctx}: shard {h}");
                 assert_eq!(
-                    re_augment(&runtime, &synthesized).events(),
+                    re_augment(&runtime, &synthesized)
+                        .events()
+                        .collect::<Vec<_>>(),
                     events,
                     "{ctx}: shard {h}'s augmented log"
                 );
             }
             let merged = out.merged.as_ref().expect("a federation run merges");
-            assert_eq!(
-                merged.events(),
-                sorted_union(&out.masters).events(),
-                "{ctx}: merged log"
-            );
+            assert_eq!(*merged, sorted_union(&out.masters), "{ctx}: merged log");
             let last_done = merged
                 .events()
-                .iter()
                 .filter(|e| matches!(e.kind, SchedEventKind::Completed))
                 .map(|e| e.at.as_secs_f64())
                 .fold(0.0, f64::max);
@@ -299,11 +295,12 @@ fn drain_mid_contest_completes_exactly_once_and_stops_new_placements() {
         let drain_pos = out
             .sched_log
             .events()
-            .iter()
             .position(|ev| matches!(ev.kind, SchedEventKind::WorkerDraining))
             .expect("drain event in the log");
-        let late_placements = out.sched_log.events()[drain_pos..]
-            .iter()
+        let late_placements = out
+            .sched_log
+            .events()
+            .skip(drain_pos)
             .filter(|ev| {
                 ev.worker == Some(WorkerId(0))
                     && matches!(ev.kind, SchedEventKind::Assigned | SchedEventKind::Offered)
@@ -349,12 +346,12 @@ fn remove_with_unacked_assignment_reassigns_exactly_once() {
         let removal_pos = out
             .sched_log
             .events()
-            .iter()
             .position(|ev| matches!(ev.kind, SchedEventKind::WorkerRemoved))
             .expect("removal event in the log");
         assert!(
-            out.sched_log.events()[removal_pos..]
-                .iter()
+            out.sched_log
+                .events()
+                .skip(removal_pos)
                 .all(|ev| !(ev.worker == Some(WorkerId(0))
                     && matches!(ev.kind, SchedEventKind::Completed))),
             "{label}: a removed worker completed work"
@@ -390,7 +387,6 @@ fn join_during_partition_lands_work_on_the_newcomer() {
         let newcomer_completions = out
             .sched_log
             .events()
-            .iter()
             .filter(|ev| {
                 ev.worker == Some(WorkerId(2)) && matches!(ev.kind, SchedEventKind::Completed)
             })

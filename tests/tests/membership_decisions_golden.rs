@@ -42,7 +42,6 @@ const JOBS: usize = 60;
 /// Index of the first `kind` event about `w`.
 fn first(log: &SchedLog, w: u32, kind: &SchedEventKind) -> usize {
     log.events()
-        .iter()
         .position(|e| e.worker == Some(WorkerId(w)) && e.kind == *kind)
         .unwrap_or_else(|| panic!("no {kind:?} of w{w} in the log"))
 }

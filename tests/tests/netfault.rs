@@ -129,8 +129,8 @@ fn constant_delay_links_stay_exactly_once() {
         // And the replay contract holds: the identical run again.
         let again = on(Run::sim(9));
         assert_eq!(
-            format!("{:?}", sim.log().events()),
-            format!("{:?}", again.log().events()),
+            format!("{:?}", sim.log()),
+            format!("{:?}", again.log()),
             "{}: constant-delay sim run did not replay",
             sc.name
         );
@@ -213,8 +213,8 @@ fn lossy_sim_runs_replay_byte_identically() {
         };
         let (a, b) = (lossy(), lossy());
         assert_eq!(
-            format!("{:?}", a.log().events()),
-            format!("{:?}", b.log().events()),
+            format!("{:?}", a.log()),
+            format!("{:?}", b.log()),
             "{}: two identical lossy runs diverged",
             sc.name
         );

@@ -112,7 +112,7 @@ fn assert_replay_matches(out: &RunOutput) {
         .replicas
         .as_ref()
         .expect("replication armed but RunOutput.replicas missing");
-    let replayed = SchedState::replay(out.sched_log.events().iter());
+    let replayed = SchedState::replay(out.sched_log.events());
     let live_sets: Vec<(u64, Vec<u32>)> = live
         .objects()
         .map(|obj| (obj.0, live.replicas(obj).collect()))

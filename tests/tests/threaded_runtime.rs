@@ -89,7 +89,8 @@ fn a_fault_free_bidding_run_has_the_serialised_log_shape() {
     // log orders commuting events by kind, not by emission, so a close
     // and the next open in one instant count closes first.
     let mut open = 0i32;
-    for instant in out.sched_log.events().chunk_by(|a, b| a.at == b.at) {
+    let events: Vec<_> = out.sched_log.events().collect();
+    for instant in events.chunk_by(|a, b| a.at == b.at) {
         let (mut opened, mut closed) = (0, 0);
         for e in instant {
             let Some(job) = e.job else { continue };
