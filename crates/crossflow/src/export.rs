@@ -430,13 +430,17 @@ event_line! {
         => put_sched, take_sched, read_sched
 }
 
-/// The scheduler vocabulary: each kind's wire name and its payload
-/// fields in wire order, from which the name lookup and the kind's
-/// [`Wire`] encoding, decoding and canonical read are all generated. A
-/// field's key is its name in [`SchedEventKind`] and its encoding is
-/// its type's [`Wire`].
-macro_rules! sched_kinds {
-    ($($name:literal => $kind:ident { $($field:ident),* }),* $(,)?) => {
+/// Makes, from [`sched_vocabulary!`](crate::trace::sched_vocabulary)'s
+/// rows, the name lookup and the kind's [`Wire`] encoding, decoding and
+/// canonical read. A field's key is its name in [`SchedEventKind`] and
+/// its encoding is its type's [`Wire`].
+macro_rules! sched_wire {
+    ($(
+        $(#[$doc:meta])*
+        $kind:ident $name:literal $({
+            $($(#[$field_doc:meta])* $field:ident: $ty:ty,)*
+        })?,
+    )*) => {
         /// The stable wire name of a scheduler event kind.
         pub fn sched_kind_name(kind: &SchedEventKind) -> &'static str {
             match kind {
@@ -449,12 +453,12 @@ macro_rules! sched_kinds {
         impl Wire for SchedEventKind {
             fn put(self, out: &mut String) {
                 match self {
-                    $(SchedEventKind::$kind { $($field),* } => {
+                    $(SchedEventKind::$kind { $($($field),*)? } => {
                         out.push_str(concat!("\"", $name, "\""));
-                        $(
+                        $($(
                             out.push_str(key!(stringify!($field)));
                             Wire::put($field, out);
-                        )*
+                        )*)?
                     })*
                 }
             }
@@ -462,7 +466,7 @@ macro_rules! sched_kinds {
             fn take(obj: &FlatObject<'_>, key: &str) -> Result<Self, JsonError> {
                 Ok(match obj.req_str(key)? {
                     $($name => SchedEventKind::$kind {
-                        $($field: Wire::take(obj, stringify!($field))?),*
+                        $($($field: Wire::take(obj, stringify!($field))?),*)?
                     },)*
                     other => return Err(JsonError(format!("unknown sched kind {other:?}"))),
                 })
@@ -471,7 +475,7 @@ macro_rules! sched_kinds {
             fn read(cur: &mut Cursor<'_>) -> Option<Self> {
                 Some(match cur.str()? {
                     $($name => SchedEventKind::$kind {
-                        $($field: cur.field(key!(stringify!($field)))?),*
+                        $($($field: cur.field(key!(stringify!($field)))?),*)?
                     },)*
                     _ => return None,
                 })
@@ -480,42 +484,7 @@ macro_rules! sched_kinds {
     };
 }
 
-sched_kinds! {
-    "submitted" => Submitted {},
-    "contest_opened" => ContestOpened {},
-    "bid_received" => BidReceived { estimate_secs },
-    "assigned" => Assigned {},
-    "contest_closed" => ContestClosed { timed_out, fallback },
-    "offered" => Offered {},
-    "rejected" => Rejected {},
-    "completed" => Completed {},
-    "crash" => Crash {},
-    "recover" => Recover {},
-    "redistributed" => Redistributed {},
-    "assign_acked" => AssignAcked {},
-    "lease_expired" => LeaseExpired {},
-    "resent" => Resent { attempt },
-    "leader_elected" => LeaderElected { term },
-    "failover_replayed" => FailoverReplayed { entries },
-    "spill_out" => SpillOut { to_shard },
-    "spill_in" => SpillIn { from_shard },
-    "worker_joined" => WorkerJoined {},
-    "worker_draining" => WorkerDraining {},
-    "worker_removed" => WorkerRemoved {},
-    "task_done" => TaskDone { root, task },
-    "task_offer" => TaskOffer { root, task, preds, total },
-    "task_bid" => TaskBid { root, task, estimate_secs },
-    "task_assign" => TaskAssign { root, task, speculative },
-    "spec_launch" => SpecLaunch { root, task },
-    "spec_cancel" => SpecCancel { root, task },
-    "fetch_req" => FetchReq { object, from },
-    "fetch_ok" => FetchOk { object, from },
-    "fetch_fail" => FetchFail { object, from, attempt },
-    "replica_add" => ReplicaAdd { object },
-    "replica_drop" => ReplicaDrop { object, evicted },
-    "repair_start" => RepairStart { object, from },
-    "repair_done" => RepairDone { object },
-}
+crate::trace::sched_vocabulary!(sched_wire);
 
 fn record_line(record: &RunRecord) -> Json {
     let mut fields = vec![("type".to_string(), Json::str("record"))];

@@ -252,290 +252,316 @@ impl Trace {
     }
 }
 
-/// A scheduler-level protocol event. Where [`TraceKind`] records the
-/// *data plane* (a job's physical lifecycle on a worker), this records
-/// the *control plane*: contest arbitration, failures, and the
-/// redistribution machinery. Both runtimes emit the same shape so
-/// parity and fault-tolerance tests can assert identical invariants on
-/// the simulated and the threaded scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum SchedEventKind {
-    /// A job entered allocation for the first time (external arrival
-    /// or downstream spawn). Redistribution re-entries are *not*
-    /// re-submitted — they keep their original submission.
-    Submitted,
-    /// A bidding contest was opened (bid requests broadcast).
-    ContestOpened,
-    /// A (finite) bid was received and recorded.
-    BidReceived {
-        /// The worker's completion-time estimate.
-        estimate_secs: f64,
-    },
-    /// The job was assigned to a worker.
-    Assigned,
-    /// The contest was decided.
-    ContestClosed {
-        /// Closed by window expiry rather than a complete bid set.
-        timed_out: bool,
-        /// No usable bids: an arbitrary live worker was drafted.
-        fallback: bool,
-    },
-    /// Baseline: the job was offered to a worker (pull protocol).
-    Offered,
-    /// Baseline: the worker declined the offered job (reject-once).
-    Rejected,
-    /// The master accepted a completion report for the job — its
-    /// terminal event. A duplicate completion racing a redistribution
-    /// is de-duplicated *before* this is logged, so a correct run
-    /// logs exactly one `Completed` per submitted job.
-    Completed,
-    /// The worker failed (fault injection).
-    Crash,
-    /// The worker came back with an empty store and queue.
-    Recover,
-    /// A job stranded on a failed worker was taken back by the master
-    /// for re-placement.
-    Redistributed,
-    /// The worker acknowledged holding the assignment (or accepted
-    /// offer) — the at-least-once layer stops retransmitting and the
-    /// lease no longer bounces the job.
-    AssignAcked,
-    /// An assignment's lease ran out with neither an ack nor a
-    /// completion: the master took the job back for re-offer. Unlike
-    /// [`Redistributed`](Self::Redistributed) the worker may be alive —
-    /// the *link* is the suspect.
-    LeaseExpired,
-    /// A reliability-layer retransmission (of an unacked
-    /// Assign/Offer, or of an unacked `Done`).
-    Resent {
-        /// 0-based retransmission attempt.
-        attempt: u32,
-    },
-    /// A standby master won the election after the leader crashed and
-    /// now owns the replicated log (see [`crate::replog`]).
-    LeaderElected {
-        /// The new leadership term (the first leader is term 1).
-        term: u32,
-    },
-    /// The elected master finished rebuilding scheduler state by
-    /// replaying the committed log.
-    FailoverReplayed {
-        /// Committed entries replayed into the state machine.
-        entries: u64,
-    },
-    /// Federation: the home master handed the job off to a less-loaded
-    /// peer shard. A *decision* event (committed before the hand-off
-    /// is sent); the job's terminal event in the home shard's log —
-    /// exactly one `SpillIn` in the target shard must follow in the
-    /// federation-wide union.
-    SpillOut {
-        /// The shard the job was forwarded to.
-        to_shard: ShardId,
-    },
-    /// Federation: the job arrived from a peer shard and entered local
-    /// allocation. Takes the place of `Submitted` in the receiving
-    /// shard's log; the job keeps its home-qualified federation id.
-    SpillIn {
-        /// The home shard that spilled the job here.
-        from_shard: ShardId,
-    },
-    /// Elastic membership: the worker joined the shard at runtime
-    /// (autoscale-up) and is now eligible for contests and placements.
-    WorkerJoined,
-    /// Elastic membership: the worker was told to drain — it accepts
-    /// no new placements but finishes its queue.
-    WorkerDraining,
-    /// Elastic membership: the worker left the roster for good (drain
-    /// completed, or an administrative removal reclaimed its queue).
-    WorkerRemoved,
-    /// Atomization: the task completed *effectively* — the first
-    /// completion wins; a speculative loser is cancelled and never
-    /// logs a second `TaskDone`. Exactly one per task in a clean run.
-    ///
-    /// Declared (and ranked) before [`TaskOffer`](Self::TaskOffer):
-    /// a completion releases successor tasks *at the same instant*,
-    /// and the two events concern different jobs, so the same-instant
-    /// tiebreak in [`SchedLog::push`] orders them by rank — the
-    /// predecessor's `TaskDone` must sort before the successor's
-    /// `TaskOffer` for the gate invariant to read causally.
-    TaskDone {
-        /// Root id of the DAG.
-        root: JobId,
-        /// Task index within the DAG.
-        task: u32,
-    },
-    /// Atomization: a DAG task was released into allocation — every
-    /// predecessor named in `preds` has a committed
-    /// [`TaskDone`](Self::TaskDone). A *decision* event (committed
-    /// before the task's job is submitted). `job` is the task's job
-    /// id; `root` the parent DAG's root id.
-    TaskOffer {
-        /// Root id of the DAG this task belongs to.
-        root: JobId,
-        /// Task index within the DAG (0-based).
-        task: u32,
-        /// Bitmask of predecessor task indices (DAGs are capped at 64
-        /// tasks so the mask is self-describing in the log).
-        preds: u64,
-        /// Total tasks in the DAG — lets a log consumer detect
-        /// orphaned stages without out-of-band knowledge.
-        total: u32,
-    },
-    /// Atomization: a worker bid on a task's job. Logged alongside the
-    /// generic [`BidReceived`](Self::BidReceived) so task-level
-    /// contests are identifiable without a job→task join.
-    TaskBid {
-        /// Root id of the DAG.
-        root: JobId,
-        /// Task index within the DAG.
-        task: u32,
-        /// The worker's completion-time estimate.
-        estimate_secs: f64,
-    },
-    /// Atomization: a task's job was placed on a worker. A *decision*
-    /// event committed right after the placement it annotates.
-    TaskAssign {
-        /// Root id of the DAG.
-        root: JobId,
-        /// Task index within the DAG.
-        task: u32,
-        /// True iff this placement is a speculative replica.
-        speculative: bool,
-    },
-    /// Atomization: the straggler detector launched a speculative
-    /// replica of an in-flight task. A *decision* event (committed
-    /// before the replica's job is submitted). `job` is the replica's
-    /// fresh job id.
-    SpecLaunch {
-        /// Root id of the DAG.
-        root: JobId,
-        /// Task index within the DAG.
-        task: u32,
-    },
-    /// Atomization: the losing attempt of a speculated task was
-    /// cancelled after the winner's [`TaskDone`](Self::TaskDone)
-    /// committed. A *decision* event; `job` is the cancelled attempt's
-    /// job id — its terminal accounting event (a later completion
-    /// report from the loser is swallowed, never logged).
-    SpecCancel {
-        /// Root id of the DAG.
-        root: JobId,
-        /// Task index within the DAG.
-        task: u32,
-    },
-    /// Data plane: the worker (`worker`) started fetching an artifact
-    /// from a peer replica instead of the master. `job` is the driving
-    /// job, or `None` for a repair copy.
-    FetchReq {
-        /// The artifact being fetched.
-        object: u64,
-        /// The peer replica holder serving the transfer.
-        from: WorkerId,
-    },
-    /// Data plane: the peer transfer completed and the artifact is now
-    /// resident on `worker`.
-    FetchOk {
-        /// The artifact fetched.
-        object: u64,
-        /// The peer that served it.
-        from: WorkerId,
-    },
-    /// Data plane: a peer fetch attempt timed out or was lost by the
-    /// network; the requester retries (next replica, seeded backoff)
-    /// or falls back to a degraded master fetch.
-    FetchFail {
-        /// The artifact whose transfer failed.
-        object: u64,
-        /// The peer that failed to serve it.
-        from: WorkerId,
-        /// 0-based attempt number that failed.
-        attempt: u32,
-    },
-    /// Data plane: `worker` now holds a live copy of the artifact
-    /// (master fetch, peer fetch, DAG output, or completed repair).
-    ReplicaAdd {
-        /// The artifact admitted.
-        object: u64,
-    },
-    /// Data plane: `worker` no longer holds a copy — evicted under
-    /// cache pressure (`evicted: true`) or destroyed by a crash /
-    /// removal (`evicted: false`). The distinction matters to the
-    /// oracle: an eviction that destroys the last live copy means the
-    /// pin protocol failed ([`EvictedLastCopy`]); a crash doing the
-    /// same is data loss the repair path exists to prevent.
-    ///
-    /// [`EvictedLastCopy`]: SchedEventKind::ReplicaDrop
-    ReplicaDrop {
-        /// The artifact dropped.
-        object: u64,
-        /// True iff dropped by eviction rather than crash/removal.
-        evicted: bool,
-    },
-    /// Data plane repair: the master committed its intent to restore
-    /// the artifact's replication factor by copying from `from` to
-    /// `worker`. A *decision* event (commit-before-copy): after a
-    /// failover the elected master resumes every `RepairStart` without
-    /// a matching [`RepairDone`](Self::RepairDone) instead of
-    /// re-committing it.
-    RepairStart {
-        /// The under-replicated artifact.
-        object: u64,
-        /// The surviving replica serving as copy source.
-        from: WorkerId,
-    },
-    /// Data plane repair: the copy landed and the artifact is back at
-    /// (or closer to) its target replication factor. `worker` is the
-    /// destination that now holds the new replica — it may differ from
-    /// the `RepairStart` destination if the original target died
-    /// mid-copy and the repair was re-routed.
-    RepairDone {
-        /// The repaired artifact.
-        object: u64,
-    },
+/// The scheduler event vocabulary, written once: one row per kind, in
+/// rank order. A row is the variant's docs, its name, its wire name,
+/// and its payload fields in order, each with its docs and type. The
+/// rows are handed to the generator `$then`: `sched_kinds!` here
+/// makes [`SchedEventKind`], its rank and the stored log's payload
+/// codec, and `sched_wire!` in `export.rs` makes the JSONL names and
+/// fields. Adding a kind is adding a row.
+///
+/// The row order is the rank, which breaks same-instant ties in
+/// [`SchedLog::push`] and heads every stored event.
+macro_rules! sched_vocabulary {
+    ($then:ident) => {
+        $then! {
+            /// A job entered allocation for the first time (external arrival
+            /// or downstream spawn). Redistribution re-entries are *not*
+            /// re-submitted — they keep their original submission.
+            Submitted "submitted",
+            /// A bidding contest was opened (bid requests broadcast).
+            ContestOpened "contest_opened",
+            /// A (finite) bid was received and recorded.
+            BidReceived "bid_received" {
+                /// The worker's completion-time estimate.
+                estimate_secs: f64,
+            },
+            /// The job was assigned to a worker.
+            Assigned "assigned",
+            /// The contest was decided.
+            ContestClosed "contest_closed" {
+                /// Closed by window expiry rather than a complete bid set.
+                timed_out: bool,
+                /// No usable bids: an arbitrary live worker was drafted.
+                fallback: bool,
+            },
+            /// Baseline: the job was offered to a worker (pull protocol).
+            Offered "offered",
+            /// Baseline: the worker declined the offered job (reject-once).
+            Rejected "rejected",
+            /// The master accepted a completion report for the job — its
+            /// terminal event. A duplicate completion racing a redistribution
+            /// is de-duplicated *before* this is logged, so a correct run
+            /// logs exactly one `Completed` per submitted job.
+            Completed "completed",
+            /// The worker failed (fault injection).
+            Crash "crash",
+            /// The worker came back with an empty store and queue.
+            Recover "recover",
+            /// A job stranded on a failed worker was taken back by the master
+            /// for re-placement.
+            Redistributed "redistributed",
+            /// The worker acknowledged holding the assignment (or accepted
+            /// offer) — the at-least-once layer stops retransmitting and the
+            /// lease no longer bounces the job.
+            AssignAcked "assign_acked",
+            /// An assignment's lease ran out with neither an ack nor a
+            /// completion: the master took the job back for re-offer. Unlike
+            /// [`Redistributed`](Self::Redistributed) the worker may be alive —
+            /// the *link* is the suspect.
+            LeaseExpired "lease_expired",
+            /// A reliability-layer retransmission (of an unacked
+            /// Assign/Offer, or of an unacked `Done`).
+            Resent "resent" {
+                /// 0-based retransmission attempt.
+                attempt: u32,
+            },
+            /// A standby master won the election after the leader crashed and
+            /// now owns the replicated log (see [`crate::replog`]).
+            LeaderElected "leader_elected" {
+                /// The new leadership term (the first leader is term 1).
+                term: u32,
+            },
+            /// The elected master finished rebuilding scheduler state by
+            /// replaying the committed log.
+            FailoverReplayed "failover_replayed" {
+                /// Committed entries replayed into the state machine.
+                entries: u64,
+            },
+            /// Federation: the home master handed the job off to a less-loaded
+            /// peer shard. A *decision* event (committed before the hand-off
+            /// is sent); the job's terminal event in the home shard's log —
+            /// exactly one `SpillIn` in the target shard must follow in the
+            /// federation-wide union.
+            SpillOut "spill_out" {
+                /// The shard the job was forwarded to.
+                to_shard: ShardId,
+            },
+            /// Federation: the job arrived from a peer shard and entered local
+            /// allocation. Takes the place of `Submitted` in the receiving
+            /// shard's log; the job keeps its home-qualified federation id.
+            SpillIn "spill_in" {
+                /// The home shard that spilled the job here.
+                from_shard: ShardId,
+            },
+            /// Elastic membership: the worker joined the shard at runtime
+            /// (autoscale-up) and is now eligible for contests and placements.
+            WorkerJoined "worker_joined",
+            /// Elastic membership: the worker was told to drain — it accepts
+            /// no new placements but finishes its queue.
+            WorkerDraining "worker_draining",
+            /// Elastic membership: the worker left the roster for good (drain
+            /// completed, or an administrative removal reclaimed its queue).
+            WorkerRemoved "worker_removed",
+            /// Atomization: the task completed *effectively* — the first
+            /// completion wins; a speculative loser is cancelled and never
+            /// logs a second `TaskDone`. Exactly one per task in a clean run.
+            ///
+            /// Declared (and ranked) before [`TaskOffer`](Self::TaskOffer):
+            /// a completion releases successor tasks *at the same instant*,
+            /// and the two events concern different jobs, so the same-instant
+            /// tiebreak in [`SchedLog::push`] orders them by rank — the
+            /// predecessor's `TaskDone` must sort before the successor's
+            /// `TaskOffer` for the gate invariant to read causally.
+            TaskDone "task_done" {
+                /// Root id of the DAG.
+                root: JobId,
+                /// Task index within the DAG.
+                task: u32,
+            },
+            /// Atomization: a DAG task was released into allocation — every
+            /// predecessor named in `preds` has a committed
+            /// [`TaskDone`](Self::TaskDone). A *decision* event (committed
+            /// before the task's job is submitted). `job` is the task's job
+            /// id; `root` the parent DAG's root id.
+            TaskOffer "task_offer" {
+                /// Root id of the DAG this task belongs to.
+                root: JobId,
+                /// Task index within the DAG (0-based).
+                task: u32,
+                /// Bitmask of predecessor task indices (DAGs are capped at 64
+                /// tasks so the mask is self-describing in the log).
+                preds: u64,
+                /// Total tasks in the DAG — lets a log consumer detect
+                /// orphaned stages without out-of-band knowledge.
+                total: u32,
+            },
+            /// Atomization: a worker bid on a task's job. Logged alongside the
+            /// generic [`BidReceived`](Self::BidReceived) so task-level
+            /// contests are identifiable without a job→task join.
+            TaskBid "task_bid" {
+                /// Root id of the DAG.
+                root: JobId,
+                /// Task index within the DAG.
+                task: u32,
+                /// The worker's completion-time estimate.
+                estimate_secs: f64,
+            },
+            /// Atomization: a task's job was placed on a worker. A *decision*
+            /// event committed right after the placement it annotates.
+            TaskAssign "task_assign" {
+                /// Root id of the DAG.
+                root: JobId,
+                /// Task index within the DAG.
+                task: u32,
+                /// True iff this placement is a speculative replica.
+                speculative: bool,
+            },
+            /// Atomization: the straggler detector launched a speculative
+            /// replica of an in-flight task. A *decision* event (committed
+            /// before the replica's job is submitted). `job` is the replica's
+            /// fresh job id.
+            SpecLaunch "spec_launch" {
+                /// Root id of the DAG.
+                root: JobId,
+                /// Task index within the DAG.
+                task: u32,
+            },
+            /// Atomization: the losing attempt of a speculated task was
+            /// cancelled after the winner's [`TaskDone`](Self::TaskDone)
+            /// committed. A *decision* event; `job` is the cancelled attempt's
+            /// job id — its terminal accounting event (a later completion
+            /// report from the loser is swallowed, never logged).
+            SpecCancel "spec_cancel" {
+                /// Root id of the DAG.
+                root: JobId,
+                /// Task index within the DAG.
+                task: u32,
+            },
+            /// Data plane: the worker (`worker`) started fetching an artifact
+            /// from a peer replica instead of the master. `job` is the driving
+            /// job, or `None` for a repair copy.
+            FetchReq "fetch_req" {
+                /// The artifact being fetched.
+                object: u64,
+                /// The peer replica holder serving the transfer.
+                from: WorkerId,
+            },
+            /// Data plane: the peer transfer completed and the artifact is now
+            /// resident on `worker`.
+            FetchOk "fetch_ok" {
+                /// The artifact fetched.
+                object: u64,
+                /// The peer that served it.
+                from: WorkerId,
+            },
+            /// Data plane: a peer fetch attempt timed out or was lost by the
+            /// network; the requester retries (next replica, seeded backoff)
+            /// or falls back to a degraded master fetch.
+            FetchFail "fetch_fail" {
+                /// The artifact whose transfer failed.
+                object: u64,
+                /// The peer that failed to serve it.
+                from: WorkerId,
+                /// 0-based attempt number that failed.
+                attempt: u32,
+            },
+            /// Data plane: `worker` now holds a live copy of the artifact
+            /// (master fetch, peer fetch, DAG output, or completed repair).
+            ReplicaAdd "replica_add" {
+                /// The artifact admitted.
+                object: u64,
+            },
+            /// Data plane: `worker` no longer holds a copy — evicted under
+            /// cache pressure (`evicted: true`) or destroyed by a crash /
+            /// removal (`evicted: false`). The distinction matters to the
+            /// oracle: an eviction that destroys the last live copy means the
+            /// pin protocol failed (the checker's `EvictedLastCopy`); a crash
+            /// doing the same is data loss the repair path exists to prevent.
+            ReplicaDrop "replica_drop" {
+                /// The artifact dropped.
+                object: u64,
+                /// True iff dropped by eviction rather than crash/removal.
+                evicted: bool,
+            },
+            /// Data plane repair: the master committed its intent to restore
+            /// the artifact's replication factor by copying from `from` to
+            /// `worker`. A *decision* event (commit-before-copy): after a
+            /// failover the elected master resumes every `RepairStart` without
+            /// a matching [`RepairDone`](Self::RepairDone) instead of
+            /// re-committing it.
+            RepairStart "repair_start" {
+                /// The under-replicated artifact.
+                object: u64,
+                /// The surviving replica serving as copy source.
+                from: WorkerId,
+            },
+            /// Data plane repair: the copy landed and the artifact is back at
+            /// (or closer to) its target replication factor. `worker` is the
+            /// destination that now holds the new replica — it may differ from
+            /// the `RepairStart` destination if the original target died
+            /// mid-copy and the repair was re-routed.
+            RepairDone "repair_done" {
+                /// The repaired artifact.
+                object: u64,
+            },
+        }
+    };
+}
+pub(crate) use sched_vocabulary;
+
+/// Makes, from [`sched_vocabulary!`]'s rows: [`SchedEventKind`]; its
+/// rank (`Rank`, `KINDS`, `rank()`); and its payload in the stored log,
+/// each field `Packed` in row order.
+macro_rules! sched_kinds {
+    ($(
+        $(#[$doc:meta])*
+        $kind:ident $name:literal $({
+            $($(#[$field_doc:meta])* $field:ident: $ty:ty,)*
+        })?,
+    )*) => {
+        /// A scheduler-level protocol event. Where [`TraceKind`] records the
+        /// *data plane* (a job's physical lifecycle on a worker), this records
+        /// the *control plane*: contest arbitration, failures, and the
+        /// redistribution machinery. Both runtimes emit the same shape so
+        /// parity and fault-tolerance tests can assert identical invariants on
+        /// the simulated and the threaded scheduler.
+        #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+        pub enum SchedEventKind {
+            $($(#[$doc])* $kind $({ $($(#[$field_doc])* $field: $ty,)* })?,)*
+        }
+
+        /// The kinds without their payloads, in rank order.
+        enum Rank {
+            $($kind,)*
+        }
+
+        /// Number of [`SchedEventKind`] variants: ranks run `0..KINDS`.
+        const KINDS: usize = [$(Rank::$kind),*].len();
+
+        impl SchedEventKind {
+            /// Stable rank for the same-instant ordering tiebreak
+            /// ([`SchedLog::push`]): the row order of the vocabulary.
+            fn rank(&self) -> u8 {
+                match self {
+                    $(SchedEventKind::$kind { .. } => Rank::$kind as u8,)*
+                }
+            }
+
+            /// Append the payload's fields to `out`.
+            fn put(self, out: &mut Vec<u8>) {
+                match self {
+                    $(SchedEventKind::$kind { $($($field),*)? } => {
+                        $($(Packed::put($field, out);)*)?
+                    })*
+                }
+            }
+
+            /// The kind of rank `rank`, its payload taken from the front
+            /// of `input`: one dense match, each rank a named constant.
+            #[allow(non_upper_case_globals)]
+            fn get(rank: u8, input: &mut &[u8]) -> Self {
+                $(const $kind: u8 = Rank::$kind as u8;)*
+                match rank {
+                    $($kind => SchedEventKind::$kind { $($($field: Packed::get(input)),*)? },)*
+                    rank => unreachable!("no kind has rank {rank}"),
+                }
+            }
+        }
+    };
 }
 
-impl SchedEventKind {
-    /// Stable rank for the same-instant ordering tiebreak
-    /// ([`SchedLog::push`]): declaration order of the variants.
-    fn rank(&self) -> u8 {
-        match self {
-            SchedEventKind::Submitted => 0,
-            SchedEventKind::ContestOpened => 1,
-            SchedEventKind::BidReceived { .. } => 2,
-            SchedEventKind::Assigned => 3,
-            SchedEventKind::ContestClosed { .. } => 4,
-            SchedEventKind::Offered => 5,
-            SchedEventKind::Rejected => 6,
-            SchedEventKind::Completed => 7,
-            SchedEventKind::Crash => 8,
-            SchedEventKind::Recover => 9,
-            SchedEventKind::Redistributed => 10,
-            SchedEventKind::AssignAcked => 11,
-            SchedEventKind::LeaseExpired => 12,
-            SchedEventKind::Resent { .. } => 13,
-            SchedEventKind::LeaderElected { .. } => 14,
-            SchedEventKind::FailoverReplayed { .. } => 15,
-            SchedEventKind::SpillOut { .. } => 16,
-            SchedEventKind::SpillIn { .. } => 17,
-            SchedEventKind::WorkerJoined => 18,
-            SchedEventKind::WorkerDraining => 19,
-            SchedEventKind::WorkerRemoved => 20,
-            SchedEventKind::TaskDone { .. } => 21,
-            SchedEventKind::TaskOffer { .. } => 22,
-            SchedEventKind::TaskBid { .. } => 23,
-            SchedEventKind::TaskAssign { .. } => 24,
-            SchedEventKind::SpecLaunch { .. } => 25,
-            SchedEventKind::SpecCancel { .. } => 26,
-            SchedEventKind::FetchReq { .. } => 27,
-            SchedEventKind::FetchOk { .. } => 28,
-            SchedEventKind::FetchFail { .. } => 29,
-            SchedEventKind::ReplicaAdd { .. } => 30,
-            SchedEventKind::ReplicaDrop { .. } => 31,
-            SchedEventKind::RepairStart { .. } => 32,
-            SchedEventKind::RepairDone { .. } => 33,
-        }
-    }
-}
+sched_vocabulary!(sched_kinds);
 
 /// One scheduler event. `worker`/`job` are filled where meaningful:
 /// crash/recover events carry no job, contest-opened events carry no
@@ -551,9 +577,6 @@ pub struct SchedEvent {
     /// What happened.
     pub kind: SchedEventKind,
 }
-
-/// Number of [`SchedEventKind`] variants: ranks run `0..KINDS`.
-const KINDS: usize = 34;
 
 /// The collected scheduler event log of one run.
 ///
@@ -726,68 +749,68 @@ impl SchedLog {
         self.stream.capacity() + self.open.capacity() * std::mem::size_of::<SchedEvent>()
     }
 
-    fn count(&self, kind: SchedEventKind) -> usize {
-        self.tally[kind.rank() as usize]
+    fn count(&self, rank: Rank) -> usize {
+        self.tally[rank as usize]
     }
 
     /// Number of crash events.
     pub fn crashes(&self) -> usize {
-        self.count(SchedEventKind::Crash)
+        self.count(Rank::Crash)
     }
 
     /// Number of recovery events.
     pub fn recoveries(&self) -> usize {
-        self.count(SchedEventKind::Recover)
+        self.count(Rank::Recover)
     }
 
     /// Number of jobs pulled back from failed workers.
     pub fn redistributions(&self) -> usize {
-        self.count(SchedEventKind::Redistributed)
+        self.count(Rank::Redistributed)
     }
 
     /// Number of jobs submitted into allocation.
     pub fn submissions(&self) -> usize {
-        self.count(SchedEventKind::Submitted)
+        self.count(Rank::Submitted)
     }
 
     /// Number of completions accepted by the master.
     pub fn completions(&self) -> usize {
-        self.count(SchedEventKind::Completed)
+        self.count(Rank::Completed)
     }
 
     /// Number of Baseline offers issued.
     pub fn offers(&self) -> usize {
-        self.count(SchedEventKind::Offered)
+        self.count(Rank::Offered)
     }
 
     /// Number of Baseline rejections received.
     pub fn rejections(&self) -> usize {
-        self.count(SchedEventKind::Rejected)
+        self.count(Rank::Rejected)
     }
 
     /// Number of contests opened.
     pub fn contests_opened(&self) -> usize {
-        self.count(SchedEventKind::ContestOpened)
+        self.count(Rank::ContestOpened)
     }
 
     /// Number of assignments issued.
     pub fn assignments(&self) -> usize {
-        self.count(SchedEventKind::Assigned)
+        self.count(Rank::Assigned)
     }
 
     /// Number of assignment/offer acks received by the master.
     pub fn assign_acks(&self) -> usize {
-        self.count(SchedEventKind::AssignAcked)
+        self.count(Rank::AssignAcked)
     }
 
     /// Number of lease expiries (jobs bounced back for re-offer).
     pub fn lease_expiries(&self) -> usize {
-        self.count(SchedEventKind::LeaseExpired)
+        self.count(Rank::LeaseExpired)
     }
 
     /// Number of reliability-layer retransmissions.
     pub fn resends(&self) -> usize {
-        self.count(SchedEventKind::Resent { attempt: 0 })
+        self.count(Rank::Resent)
     }
 
     /// Number of contests closed by window expiry.
@@ -802,154 +825,104 @@ impl SchedLog {
 
     /// Number of leader elections after the initial one (failovers).
     pub fn failovers(&self) -> usize {
-        self.count(SchedEventKind::LeaderElected { term: 0 })
+        self.count(Rank::LeaderElected)
     }
 
     /// Number of jobs spilled out to peer shards.
     pub fn spills_out(&self) -> usize {
-        self.count(SchedEventKind::SpillOut {
-            to_shard: ShardId(0),
-        })
+        self.count(Rank::SpillOut)
     }
 
     /// Number of jobs accepted from peer shards.
     pub fn spills_in(&self) -> usize {
-        self.count(SchedEventKind::SpillIn {
-            from_shard: ShardId(0),
-        })
+        self.count(Rank::SpillIn)
     }
 
     /// Number of workers that joined at runtime.
     pub fn worker_joins(&self) -> usize {
-        self.count(SchedEventKind::WorkerJoined)
+        self.count(Rank::WorkerJoined)
     }
 
     /// Number of workers put into draining.
     pub fn worker_drains(&self) -> usize {
-        self.count(SchedEventKind::WorkerDraining)
+        self.count(Rank::WorkerDraining)
     }
 
     /// Number of workers removed from the roster.
     pub fn worker_removals(&self) -> usize {
-        self.count(SchedEventKind::WorkerRemoved)
+        self.count(Rank::WorkerRemoved)
     }
 
     /// Number of DAG tasks released into allocation.
     pub fn task_offers(&self) -> usize {
-        self.count(SchedEventKind::TaskOffer {
-            root: JobId(0),
-            task: 0,
-            preds: 0,
-            total: 0,
-        })
+        self.count(Rank::TaskOffer)
     }
 
     /// Number of task-level bids received.
     pub fn task_bids(&self) -> usize {
-        self.count(SchedEventKind::TaskBid {
-            root: JobId(0),
-            task: 0,
-            estimate_secs: 0.0,
-        })
+        self.count(Rank::TaskBid)
     }
 
     /// Number of task placements (including speculative replicas).
     pub fn task_assigns(&self) -> usize {
-        self.count(SchedEventKind::TaskAssign {
-            root: JobId(0),
-            task: 0,
-            speculative: false,
-        })
+        self.count(Rank::TaskAssign)
     }
 
     /// Number of effective task completions.
     pub fn task_dones(&self) -> usize {
-        self.count(SchedEventKind::TaskDone {
-            root: JobId(0),
-            task: 0,
-        })
+        self.count(Rank::TaskDone)
     }
 
     /// Number of speculative replicas launched by the straggler
     /// detector.
     pub fn spec_launches(&self) -> usize {
-        self.count(SchedEventKind::SpecLaunch {
-            root: JobId(0),
-            task: 0,
-        })
+        self.count(Rank::SpecLaunch)
     }
 
     /// Number of speculative losers cancelled.
     pub fn spec_cancels(&self) -> usize {
-        self.count(SchedEventKind::SpecCancel {
-            root: JobId(0),
-            task: 0,
-        })
+        self.count(Rank::SpecCancel)
     }
 
     /// Number of peer-to-peer fetches started.
     pub fn fetch_reqs(&self) -> usize {
-        self.count(SchedEventKind::FetchReq {
-            object: 0,
-            from: WorkerId(0),
-        })
+        self.count(Rank::FetchReq)
     }
 
     /// Number of peer-to-peer fetches completed.
     pub fn fetch_oks(&self) -> usize {
-        self.count(SchedEventKind::FetchOk {
-            object: 0,
-            from: WorkerId(0),
-        })
+        self.count(Rank::FetchOk)
     }
 
     /// Number of peer fetch attempts that failed (and were retried or
     /// degraded to a master fetch).
     pub fn fetch_fails(&self) -> usize {
-        self.count(SchedEventKind::FetchFail {
-            object: 0,
-            from: WorkerId(0),
-            attempt: 0,
-        })
+        self.count(Rank::FetchFail)
     }
 
     /// Number of replicas admitted into worker stores.
     pub fn replica_adds(&self) -> usize {
-        self.count(SchedEventKind::ReplicaAdd { object: 0 })
+        self.count(Rank::ReplicaAdd)
     }
 
     /// Number of replicas dropped (eviction or crash).
     pub fn replica_drops(&self) -> usize {
-        self.count(SchedEventKind::ReplicaDrop {
-            object: 0,
-            evicted: false,
-        })
+        self.count(Rank::ReplicaDrop)
     }
 
     /// Number of re-replication repairs committed.
     pub fn repair_starts(&self) -> usize {
-        self.count(SchedEventKind::RepairStart {
-            object: 0,
-            from: WorkerId(0),
-        })
+        self.count(Rank::RepairStart)
     }
 
     /// Number of re-replication repairs completed.
     pub fn repair_dones(&self) -> usize {
-        self.count(SchedEventKind::RepairDone { object: 0 })
+        self.count(Rank::RepairDone)
     }
 
     /// Total committed entries replayed across all failovers.
     pub fn replayed_entries(&self) -> u64 {
         self.replayed
-    }
-
-    /// Jobs assigned to `worker`, in order.
-    pub fn assignments_to(&self, worker: WorkerId) -> Vec<JobId> {
-        self.events()
-            .filter(|e| e.worker == Some(worker) && matches!(e.kind, SchedEventKind::Assigned))
-            .filter_map(|e| e.job)
-            .collect()
     }
 
     /// True iff no [`SchedEventKind::Assigned`] event for `worker`
@@ -996,8 +969,8 @@ impl SchedLog {
 /// worker, bit 7 iff it has a job); then zigzag-varint deltas of
 /// `at.ticks()`, of the worker's id and of the job's id, each against
 /// the last event that had one (an absent worker or job writes
-/// nothing); then the kind's payload: an estimate as its raw `f64`
-/// bits, a flag set as one byte, anything else as a varint.
+/// nothing); then the kind's payload, each field [`Packed`] in row
+/// order.
 #[derive(Debug, Clone, Copy, Default)]
 struct Base {
     ticks: u64,
@@ -1007,6 +980,8 @@ struct Base {
 
 const HAS_WORKER: u8 = 1 << 6;
 const HAS_JOB: u8 = 1 << 7;
+// Every rank fits below the header's flag bits.
+const _: () = assert!(KINDS <= HAS_WORKER as usize);
 
 fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
@@ -1027,7 +1002,6 @@ fn unzigzag(v: u64) -> i64 {
 impl Base {
     /// Append `ev` to `out` and make it the base of the next event.
     fn put(&mut self, out: &mut Vec<u8>, ev: &SchedEvent) {
-        use SchedEventKind as K;
         let worker = ev.worker.map_or(0, |_| HAS_WORKER);
         let job = ev.job.map_or(0, |_| HAS_JOB);
         out.push(ev.kind.rank() | worker | job);
@@ -1042,93 +1016,12 @@ impl Base {
             put_varint(out, zigzag(j.0.wrapping_sub(self.job) as i64));
             self.job = j.0;
         }
-        match ev.kind {
-            K::Submitted
-            | K::ContestOpened
-            | K::Assigned
-            | K::Offered
-            | K::Rejected
-            | K::Completed
-            | K::Crash
-            | K::Recover
-            | K::Redistributed
-            | K::AssignAcked
-            | K::LeaseExpired
-            | K::WorkerJoined
-            | K::WorkerDraining
-            | K::WorkerRemoved => {}
-            K::BidReceived { estimate_secs } => out.extend(estimate_secs.to_le_bytes()),
-            K::ContestClosed {
-                timed_out,
-                fallback,
-            } => out.push(u8::from(timed_out) | u8::from(fallback) << 1),
-            K::Resent { attempt: n } | K::LeaderElected { term: n } => put_varint(out, n.into()),
-            K::FailoverReplayed { entries } => put_varint(out, entries),
-            K::SpillOut { to_shard: s } | K::SpillIn { from_shard: s } => {
-                put_varint(out, s.0.into())
-            }
-            K::TaskDone { root, task }
-            | K::SpecLaunch { root, task }
-            | K::SpecCancel { root, task } => {
-                put_varint(out, root.0);
-                put_varint(out, task.into());
-            }
-            K::TaskOffer {
-                root,
-                task,
-                preds,
-                total,
-            } => {
-                put_varint(out, root.0);
-                put_varint(out, task.into());
-                put_varint(out, preds);
-                put_varint(out, total.into());
-            }
-            K::TaskBid {
-                root,
-                task,
-                estimate_secs,
-            } => {
-                put_varint(out, root.0);
-                put_varint(out, task.into());
-                out.extend(estimate_secs.to_le_bytes());
-            }
-            K::TaskAssign {
-                root,
-                task,
-                speculative,
-            } => {
-                put_varint(out, root.0);
-                put_varint(out, task.into());
-                out.push(u8::from(speculative));
-            }
-            K::FetchReq { object, from }
-            | K::FetchOk { object, from }
-            | K::RepairStart { object, from } => {
-                put_varint(out, object);
-                put_varint(out, from.0.into());
-            }
-            K::FetchFail {
-                object,
-                from,
-                attempt,
-            } => {
-                put_varint(out, object);
-                put_varint(out, from.0.into());
-                put_varint(out, attempt.into());
-            }
-            K::ReplicaAdd { object } | K::RepairDone { object } => put_varint(out, object),
-            K::ReplicaDrop { object, evicted } => {
-                put_varint(out, object);
-                out.push(u8::from(evicted));
-            }
-        }
+        ev.kind.put(out);
     }
 
     /// Decode the event at the front of `input`, consume it and make it
     /// the base of the next event.
     fn get(&mut self, input: &mut &[u8]) -> SchedEvent {
-        use SchedEventKind as K;
         let head = byte(input);
         self.ticks = self.ticks.wrapping_add(unzigzag(varint(input)) as u64);
         let worker = (head & HAS_WORKER != 0).then(|| {
@@ -1141,103 +1034,7 @@ impl Base {
             self.job = self.job.wrapping_add(unzigzag(varint(input)) as u64);
             JobId(self.job)
         });
-        let kind = match head & !(HAS_WORKER | HAS_JOB) {
-            0 => K::Submitted,
-            1 => K::ContestOpened,
-            2 => K::BidReceived {
-                estimate_secs: estimate(input),
-            },
-            3 => K::Assigned,
-            4 => {
-                let f = byte(input);
-                K::ContestClosed {
-                    timed_out: f & 1 != 0,
-                    fallback: f & 2 != 0,
-                }
-            }
-            5 => K::Offered,
-            6 => K::Rejected,
-            7 => K::Completed,
-            8 => K::Crash,
-            9 => K::Recover,
-            10 => K::Redistributed,
-            11 => K::AssignAcked,
-            12 => K::LeaseExpired,
-            13 => K::Resent {
-                attempt: varint32(input),
-            },
-            14 => K::LeaderElected {
-                term: varint32(input),
-            },
-            15 => K::FailoverReplayed {
-                entries: varint(input),
-            },
-            16 => K::SpillOut {
-                to_shard: ShardId(varint(input) as u16),
-            },
-            17 => K::SpillIn {
-                from_shard: ShardId(varint(input) as u16),
-            },
-            18 => K::WorkerJoined,
-            19 => K::WorkerDraining,
-            20 => K::WorkerRemoved,
-            21 => K::TaskDone {
-                root: JobId(varint(input)),
-                task: varint32(input),
-            },
-            22 => K::TaskOffer {
-                root: JobId(varint(input)),
-                task: varint32(input),
-                preds: varint(input),
-                total: varint32(input),
-            },
-            23 => K::TaskBid {
-                root: JobId(varint(input)),
-                task: varint32(input),
-                estimate_secs: estimate(input),
-            },
-            24 => K::TaskAssign {
-                root: JobId(varint(input)),
-                task: varint32(input),
-                speculative: byte(input) & 1 != 0,
-            },
-            25 => K::SpecLaunch {
-                root: JobId(varint(input)),
-                task: varint32(input),
-            },
-            26 => K::SpecCancel {
-                root: JobId(varint(input)),
-                task: varint32(input),
-            },
-            27 => K::FetchReq {
-                object: varint(input),
-                from: WorkerId(varint32(input)),
-            },
-            28 => K::FetchOk {
-                object: varint(input),
-                from: WorkerId(varint32(input)),
-            },
-            29 => K::FetchFail {
-                object: varint(input),
-                from: WorkerId(varint32(input)),
-                attempt: varint32(input),
-            },
-            30 => K::ReplicaAdd {
-                object: varint(input),
-            },
-            31 => K::ReplicaDrop {
-                object: varint(input),
-                evicted: byte(input) & 1 != 0,
-            },
-            32 => K::RepairStart {
-                object: varint(input),
-                from: WorkerId(varint32(input)),
-            },
-            33 => K::RepairDone {
-                object: varint(input),
-            },
-            rank => unreachable!("no kind has rank {rank}"),
-        };
+        let kind = SchedEventKind::get(head & !(HAS_WORKER | HAS_JOB), input);
         SchedEvent {
             at: SimTime::from_ticks(self.ticks),
             worker,
@@ -1266,14 +1063,51 @@ fn varint(input: &mut &[u8]) -> u64 {
     }
 }
 
-fn varint32(input: &mut &[u8]) -> u32 {
-    varint(input) as u32
+/// A payload field's encoding in the stored log: a varint for integers
+/// and ids, the raw bits for an estimate, one byte for a flag.
+trait Packed {
+    fn put(self, out: &mut Vec<u8>);
+    fn get(input: &mut &[u8]) -> Self;
 }
 
-fn estimate(input: &mut &[u8]) -> f64 {
-    let (bits, rest) = input.split_first_chunk().expect("a whole estimate");
-    *input = rest;
-    f64::from_le_bytes(*bits)
+macro_rules! packed_varint {
+    ($($t:ty: $raw:expr, $wrap:expr;)*) => {$(
+        impl Packed for $t {
+            fn put(self, out: &mut Vec<u8>) {
+                put_varint(out, u64::from($raw(self)));
+            }
+            fn get(input: &mut &[u8]) -> Self {
+                $wrap(varint(input))
+            }
+        }
+    )*};
+}
+packed_varint! {
+    u64: |n| n, |n| n;
+    u32: |n| n, |n| n as u32;
+    JobId: |id: JobId| id.0, JobId;
+    WorkerId: |id: WorkerId| id.0, |n| WorkerId(n as u32);
+    ShardId: |id: ShardId| id.0, |n| ShardId(n as u16);
+}
+
+impl Packed for f64 {
+    fn put(self, out: &mut Vec<u8>) {
+        out.extend(self.to_le_bytes());
+    }
+    fn get(input: &mut &[u8]) -> Self {
+        let (bits, rest) = input.split_first_chunk().expect("a whole estimate");
+        *input = rest;
+        f64::from_le_bytes(*bits)
+    }
+}
+
+impl Packed for bool {
+    fn put(self, out: &mut Vec<u8>) {
+        out.push(u8::from(self));
+    }
+    fn get(input: &mut &[u8]) -> Self {
+        byte(input) & 1 != 0
+    }
 }
 
 /// The events of a [`SchedLog`]: its stream decoded, then its open
@@ -1484,7 +1318,6 @@ mod tests {
         assert_eq!(log.recoveries(), 1);
         assert_eq!(log.redistributions(), 1);
         assert_eq!(log.assignments(), 1);
-        assert_eq!(log.assignments_to(WorkerId(0)), vec![JobId(1)]);
         assert_eq!(log.len(), 7);
         assert!(!log.is_empty());
     }
@@ -1918,9 +1751,13 @@ mod tests {
 
     #[test]
     fn every_rank_has_a_kind() {
+        let mut names = std::collections::HashSet::new();
         for r in 0..KINDS as u8 {
-            assert_eq!(kind_of(r, 1, 2, 3).rank(), r);
+            let kind = kind_of(r, 1, 2, 3);
+            assert_eq!(kind.rank(), r);
+            names.insert(crate::export::sched_kind_name(&kind));
         }
+        assert_eq!(names.len(), KINDS, "wire names are distinct: {names:?}");
     }
 
     proptest::proptest! {
