@@ -274,6 +274,43 @@ impl MasterScheduler for BiddingMaster {
     }
 }
 
+/// The bidding master, with workers that bid their backlog plus their
+/// estimated fetch and processing time: an in-crate stand-in for the
+/// allocator `crossbid-core` builds on this crate, so test logs hold
+/// bids as its do.
+#[cfg(test)]
+pub(crate) mod stand_in {
+    use crate::scheduler::{Allocator, JobView, MasterScheduler, WorkerPolicy, WorkerView};
+
+    pub(crate) struct Bidding;
+
+    impl Allocator for Bidding {
+        fn kind(&self) -> crossbid_metrics::SchedulerKind {
+            crossbid_metrics::SchedulerKind::Bidding
+        }
+
+        fn master(&self) -> Box<dyn MasterScheduler> {
+            Box::new(super::BiddingMaster::new(Default::default()))
+        }
+
+        fn worker_policy(&self) -> Box<dyn WorkerPolicy> {
+            Box::new(Bidder)
+        }
+    }
+
+    struct Bidder;
+
+    impl WorkerPolicy for Bidder {
+        fn accept_offer(&mut self, _: &WorkerView, _: &JobView) -> bool {
+            true
+        }
+
+        fn bid(&mut self, view: &WorkerView, _: &JobView) -> Option<f64> {
+            Some(view.backlog_secs + view.est_fetch_secs + view.est_proc_secs)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -653,6 +653,7 @@ mod tests {
 
     use super::*;
     use crate::baseline::BaselineAllocator;
+    use crate::bidding::stand_in::Bidding;
     use crate::job::{Payload, ResourceRef, TaskId};
 
     fn workers(n: usize, tag: &str) -> Vec<WorkerSpec> {
@@ -1161,37 +1162,6 @@ mod tests {
                 let got = run_in_lanes(&spec, arrivals.clone(), &BaselineAllocator, sink, lanes);
                 assert_same_federation(&got, &want, &format!("{name} in {lanes} lane(s)"));
             }
-        }
-    }
-
-    /// The bidding master, with workers that bid their backlog plus
-    /// their estimated fetch and processing time: an in-crate stand-in
-    /// for `sim-fed`'s allocator, so the logs hold bids as its do.
-    struct Bidding;
-
-    impl Allocator for Bidding {
-        fn kind(&self) -> crossbid_metrics::SchedulerKind {
-            crossbid_metrics::SchedulerKind::Bidding
-        }
-
-        fn master(&self) -> Box<dyn crate::MasterScheduler> {
-            Box::new(crate::bidding::BiddingMaster::new(Default::default()))
-        }
-
-        fn worker_policy(&self) -> Box<dyn crate::WorkerPolicy> {
-            Box::new(Bidder)
-        }
-    }
-
-    struct Bidder;
-
-    impl crate::WorkerPolicy for Bidder {
-        fn accept_offer(&mut self, _: &crate::WorkerView, _: &crate::JobView) -> bool {
-            true
-        }
-
-        fn bid(&mut self, view: &crate::WorkerView, _: &crate::JobView) -> Option<f64> {
-            Some(view.backlog_secs + view.est_fetch_secs + view.est_proc_secs)
         }
     }
 

@@ -20,8 +20,8 @@
 //! before act: `ContestOpened`, `ContestClosed` (attributed timed-out
 //! or fallback from the scheduler's stats), `Assigned` and `Offered`
 //! each commit before the [`Effect`] that acts on them is queued for
-//! the driver — a placement to send, a bid request for each worker on
-//! the roster, a timer to arm, a worker back in the pull pool.
+//! the driver — a placement to send, one bid round (the job and the
+//! roster it goes to), a timer to arm, a worker back in the pull pool.
 //! [`receive`](MasterCore::receive) is the master's intake: a reject
 //! settles its placement, and only a fresh, finite bid into an open
 //! contest commits `BidReceived`. The sim turns effects into events,
@@ -63,6 +63,7 @@
 //! the jobs still owed a placement, the core hands back their payloads.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use crossbid_metrics::{RunRecord, SchedulerKind};
 use crossbid_simcore::{IdMap, IdSet, RngStream, SimDuration, SimTime};
@@ -241,8 +242,10 @@ fn after(now: SimTime, secs: Option<f64>) -> Option<SimTime> {
 pub(crate) enum Effect {
     /// Deliver this placement: its `Assigned` or `Offered` committed.
     Send(Delivery),
-    /// Ask `worker` to bid on `job`: its `ContestOpened` committed.
-    Solicit { worker: WorkerId, job: Job },
+    /// Ask every worker in [`solicited()[to]`](MasterCore::solicited) —
+    /// the roster the decision saw — to bid on `job`: its
+    /// `ContestOpened` committed.
+    Solicit { job: Job, to: Range<usize> },
     /// Call the scheduler's `on_timer(token)` after `delay`.
     Timer { delay: SimDuration, token: u64 },
     /// An offer's job completed before it could be placed: `worker`
@@ -336,6 +339,9 @@ pub(crate) struct MasterCore {
     /// effects they leave for the driver.
     actions: Vec<SchedAction>,
     effects: Vec<Effect>,
+    /// The recipients of every `Solicit` in `effects`, each a range of
+    /// it; cleared when the buffer is handed back.
+    solicited: Vec<WorkerId>,
     /// This run's tallies: the record reads them before they are
     /// published.
     pub(crate) m: RuntimeMetrics,
@@ -409,6 +415,7 @@ impl MasterCore {
             spare_bidders: Vec::new(),
             actions: Vec::new(),
             effects: Vec::new(),
+            solicited: Vec::new(),
             m,
             drops_dedup: false,
             ignores_acks: false,
@@ -565,6 +572,13 @@ impl MasterCore {
     pub(crate) fn put_effects(&mut self, fx: Vec<Effect>) {
         debug_assert!(fx.is_empty() && self.effects.is_empty());
         self.effects = fx;
+        self.solicited.clear();
+    }
+
+    /// The recipients of the [`Effect::Solicit`]s taken and not yet
+    /// handed back, each at its `to` range.
+    pub(crate) fn solicited(&self) -> &[WorkerId] {
+        &self.solicited
     }
 
     /// Run one scheduler callback at `now` over the roster and carry
@@ -655,10 +669,10 @@ impl MasterCore {
                     bidders,
                 };
                 self.open_contests.insert(job.id, contest);
-                for h in &self.roster {
-                    let (worker, job) = (h.id, job.clone());
-                    self.effects.push(Effect::Solicit { worker, job });
-                }
+                let start = self.solicited.len();
+                self.solicited.extend(self.roster.iter().map(|h| h.id));
+                let to = start..self.solicited.len();
+                self.effects.push(Effect::Solicit { job, to });
                 true
             }
             SchedAction::Timer { delay, token } => {
@@ -2343,8 +2357,11 @@ mod tests {
                         self.placed.retain(|(j, _, _)| j.id != d.job.id);
                         self.placed.push((d.job, d.worker, d.seq));
                     }
-                    Effect::Solicit { worker, job } => {
-                        if !opened(job.id) || !self.core.eligible(worker) {
+                    Effect::Solicit { job, to } => {
+                        let on = self.core.solicited()[to]
+                            .iter()
+                            .all(|&w| self.core.eligible(w));
+                        if !opened(job.id) || !on {
                             return Err(format!("{:?} solicited off a contest", job.id));
                         }
                     }
@@ -2959,15 +2976,17 @@ mod tests {
                                 self.held[w.0 as usize].push(d.job);
                             }
                         }
-                        Effect::Solicit { worker, job } => {
+                        Effect::Solicit { job, to } => {
                             if !self.jobs.contains(&job.id) {
                                 self.jobs.push(job.id);
                             }
-                            if self.shadow[worker.0 as usize].stage != Stage::Serving {
-                                return Err(format!(
-                                    "bid request for {:?} sent to w{} off the roster",
-                                    job.id, worker.0
-                                ));
+                            for &w in &self.core.solicited()[to] {
+                                if self.shadow[w.0 as usize].stage != Stage::Serving {
+                                    return Err(format!(
+                                        "bid request for {:?} sent to w{} off the roster",
+                                        job.id, w.0
+                                    ));
+                                }
                             }
                         }
                         Effect::Timer { token, .. } => self.tokens.push(token),

@@ -284,12 +284,15 @@ impl MasterState<'_> {
             match e {
                 Effect::Send(d) if !self.core.member(d.worker).live => later.push(Effect::Send(d)),
                 Effect::Send(d) => self.deliver(d),
-                Effect::Solicit { worker, job } => {
+                Effect::Solicit { job, to } => {
                     // Bid requests are fire-and-forget even on a lossy
                     // link: a lost one costs only optimality (the
                     // contest resolves by timeout or fallback).
-                    self.core.m.control_messages.inc();
-                    self.send_worker(worker.0, ToWorker::BidRequest(job));
+                    for i in to {
+                        let worker = self.core.solicited()[i];
+                        self.core.m.control_messages.inc();
+                        self.send_worker(worker.0, ToWorker::BidRequest(job.clone()));
+                    }
                 }
                 Effect::Timer { delay, token } => {
                     let real = self.clock.real(delay.as_secs_f64());

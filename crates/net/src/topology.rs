@@ -62,11 +62,16 @@ impl ControlPlane {
 
     /// Sample a one-way message delay.
     pub fn delay(&self, rng: &mut RngStream) -> SimDuration {
-        if self.jitter.is_zero() {
-            self.base
-        } else {
-            self.base + SimDuration::from_ticks(rng.below(self.jitter.ticks().max(1)))
+        match self.fixed() {
+            Some(d) => d,
+            None => self.base + SimDuration::from_ticks(rng.below(self.jitter.ticks().max(1))),
         }
+    }
+
+    /// The one delay every message takes when there is no jitter:
+    /// [`delay`](Self::delay) then draws nothing and returns it.
+    pub fn fixed(&self) -> Option<SimDuration> {
+        self.jitter.is_zero().then_some(self.base)
     }
 
     /// Base one-way latency (no jitter component).
@@ -155,6 +160,23 @@ mod tests {
         let cp = ControlPlane::instant();
         let mut r = RngStream::from_seed(2);
         assert_eq!(cp.delay(&mut r), SimDuration::ZERO);
+        assert_eq!(cp.fixed(), Some(SimDuration::ZERO));
+    }
+
+    #[test]
+    fn only_a_jitter_free_plane_is_fixed() {
+        let d = SimDuration::from_millis(40);
+        let fixed = ControlPlane::new(d, SimDuration::ZERO);
+        let mut r = RngStream::from_seed(2);
+        let mut untouched = RngStream::from_seed(2);
+        assert_eq!(fixed.fixed(), Some(d));
+        assert_eq!(fixed.delay(&mut r), d);
+        assert_eq!(
+            r.below(1 << 40),
+            untouched.below(1 << 40),
+            "a fixed delay draws nothing"
+        );
+        assert_eq!(ControlPlane::evaluation_default().fixed(), None);
     }
 
     #[test]
