@@ -30,11 +30,13 @@
 
 use std::collections::BTreeMap;
 
-use crossbid_crossflow::{ChaosConfig, FedRuntimeKind, MasterFaultPlan, NetFaultPlan, WorkerId};
+use crossbid_crossflow::{
+    ChaosConfig, FedRuntimeKind, MasterFaultPlan, NetFaultPlan, ProtocolMutation, WorkerId,
+};
 use crossbid_simcore::{SeedSequence, SimTime};
 
 use crate::oracle::Violation;
-use crate::scenario::{Activity, Mutation, Outcome, Run, Scenario, Workload};
+use crate::scenario::{Activity, Outcome, Run, Scenario, Workload};
 
 /// Shrink attempts per removal candidate on the threaded runtime (a
 /// violation counts as reproduced if any attempt shows one; the sim is
@@ -54,7 +56,7 @@ pub struct ExploreConfig {
     /// Reintroduced bug, if any (checker self-validation). Turns the
     /// conservation checks off — a mutated run may legitimately lose
     /// or duplicate work, and the oracle is what must notice.
-    pub mutation: Mutation,
+    pub mutation: ProtocolMutation,
     /// Perturb message delivery at every master's intake
     /// (hold/reorder/duplicate/corrupt). Threaded runtime only.
     pub chaos: bool,
@@ -81,7 +83,7 @@ impl ExploreConfig {
             iters,
             base_seed,
             runtime,
-            mutation: Mutation::None,
+            mutation: ProtocolMutation::None,
             chaos: false,
             net: None,
             master_crash: false,
@@ -137,8 +139,8 @@ impl ExploreConfig {
     }
 
     /// Reintroduce one bug.
-    pub fn mutated(mut self, mutation: impl Into<Mutation>) -> Self {
-        self.mutation = mutation.into();
+    pub fn mutated(mut self, mutation: ProtocolMutation) -> Self {
+        self.mutation = mutation;
         self
     }
 
@@ -380,7 +382,7 @@ fn shrink(sc: &Scenario, cfg: &ExploreConfig, seed_run: &Run) -> (Vec<usize>, Ve
 /// scenario allows, shrinks) the first violation.
 pub fn explore(sc: &Scenario, cfg: &ExploreConfig) -> ExploreReport {
     let threaded = cfg.runtime == FedRuntimeKind::Threaded;
-    let clean = cfg.mutation == Mutation::None;
+    let clean = cfg.mutation.is_none();
     let mut report = ExploreReport {
         scenario: sc.name.to_string(),
         protocol: sc.protocol.name().to_string(),

@@ -32,12 +32,13 @@
 //!   failure reports the [`ReplayTuple`] — plus, for a job list on one
 //!   master, the shrunk scenario and the recorded delivery schedule.
 //!
-//! The checker validates *itself* through [`Mutation`]: each
+//! The checker validates *itself*: each
 //! [`crossbid_crossflow::ProtocolMutation`] variant re-introduces one
-//! single-master protocol bug (behind the `protocol-mutation` cargo
-//! feature of `crossbid-crossflow`), each
-//! [`crossbid_crossflow::FederationMutation`] breaks the cross-shard
-//! hand-off, and the test suite asserts the explorer finds a
+//! protocol bug — in the master core, the DAG state, the replica plane
+//! or the federation's hand-off — on whichever runtime
+//! [`Run::mutation`] names it for (a run refuses one unless
+//! `crossbid-crossflow` is built with its `protocol-mutation` cargo
+//! feature), and the test suite asserts the explorer finds a
 //! violation for every one.
 
 pub mod explorer;
@@ -47,6 +48,6 @@ pub mod scenario;
 pub use explorer::{explore, explore_builtins, ExploreConfig, ExploreReport, Failure, ReplayTuple};
 pub use oracle::{check_events, check_log, Oracle, OracleOptions, Violation};
 pub use scenario::{
-    Activity, Demand, FaultDef, Federation, Forcing, JobDef, Mutation, Outcome, Protocol,
-    Replication, Run, Scenario, Workload,
+    Activity, Demand, FaultDef, Federation, Forcing, JobDef, Outcome, Protocol, Replication, Run,
+    Scenario, Workload,
 };

@@ -34,6 +34,7 @@ use crate::job::{Arrival, Job, JobId, JobSpec, ShardId, WorkerId};
 use crate::master_core::{
     Completion, Delivery, Effect, MasterCore, RunTotals, Settle, Stage, Takeover, ToWorker,
 };
+use crate::mutation::{self, ProtocolMutation};
 use crate::obs::RuntimeMetrics;
 use crate::replica::{Landing, ReplicaPlane};
 use crate::replog::ReplicatedLog;
@@ -102,6 +103,10 @@ pub struct EngineConfig {
     /// private [`Registry`] — a snapshot is returned in
     /// [`RunOutput::metrics`] either way.
     pub metrics: Option<Registry>,
+    /// Test-only: reintroduce one protocol bug on either runtime and in
+    /// a federation's router (the run entries refuse one without the
+    /// `protocol-mutation` cargo feature).
+    pub mutation: ProtocolMutation,
 }
 
 impl Default for EngineConfig {
@@ -122,6 +127,7 @@ impl Default for EngineConfig {
             replication: ReplicationConfig::default(),
             trace: false,
             metrics: None,
+            mutation: ProtocolMutation::None,
         }
     }
 }
@@ -176,14 +182,6 @@ pub struct ReplicationConfig {
     /// attempt) so both runtimes replay identically; composed with any
     /// active [`NetFaultPlan`] link loss and partition windows.
     pub peer_drop_prob: f64,
-    /// Sabotage (protocol-mutation testing): commit `repair_start`
-    /// but never perform the copy — the oracle must report
-    /// [`RepairNeverCompleted`](crate::trace::SchedLog).
-    pub skip_repair: bool,
-    /// Sabotage (protocol-mutation testing): never pin sole surviving
-    /// copies, so eviction may destroy the last replica — the oracle
-    /// must report an `EvictedLastCopy` violation.
-    pub evict_last_copy: bool,
 }
 
 impl Default for ReplicationConfig {
@@ -195,8 +193,6 @@ impl Default for ReplicationConfig {
             max_fetch_attempts: 3,
             peer_bandwidth_scale: 4.0,
             peer_drop_prob: 0.0,
-            skip_repair: false,
-            evict_last_copy: false,
         }
     }
 }
@@ -1319,6 +1315,10 @@ fn per_round(cfg: &EngineConfig) -> Option<SimDuration> {
 /// Execute `arrivals` through `workflow` on `cluster` under
 /// `allocator`. Per-run worker state is reset first; caches and
 /// learned speeds persist (use a fresh [`Cluster`] for a cold run).
+///
+/// # Panics
+/// On an empty cluster, or on a [`EngineConfig::mutation`] in a build
+/// without the `protocol-mutation` feature.
 pub fn run_workflow(
     cluster: &mut Cluster,
     workflow: &mut Workflow,
@@ -1327,6 +1327,7 @@ pub fn run_workflow(
     cfg: &EngineConfig,
     meta: &RunMeta,
 ) -> RunOutput {
+    mutation::assert_armable(cfg.mutation);
     assert!(!cluster.is_empty(), "cannot run on an empty cluster");
     let seq = SeedSequence::new(meta.seed);
     let rules = WorkerRules {
@@ -1391,7 +1392,7 @@ pub fn run_workflow(
     // Warm caches from earlier iterations seed the replica plane.
     let plane = cfg.replication.enabled.then(|| {
         let stores = cluster.nodes.iter().map(|n| (&n.store, n.alive()));
-        ReplicaPlane::new(cfg.replication, stores)
+        ReplicaPlane::new(cfg.replication, cfg.mutation, stores)
     });
     let mut engine = Engine {
         cfg,
@@ -1410,6 +1411,7 @@ pub fn run_workflow(
             allocator.master(),
             handles,
             seq.stream(1),
+            cfg.mutation,
         ),
         allocator,
         workflow,

@@ -71,6 +71,7 @@ pub mod federation;
 pub mod idle;
 pub mod job;
 mod master_core;
+mod mutation;
 pub mod obs;
 pub mod prelude;
 mod replica;
@@ -100,12 +101,13 @@ pub use faults::{
     MembershipEvent, MembershipPlan, NetFaultPlan, Partition, RetryPolicy,
 };
 pub use federation::{
-    run_federation, FedArrival, FedRuntimeKind, FederationMutation, FederationOutput,
-    FederationSpec, ShardSpec, SpillRecord,
+    run_federation, FedArrival, FedRuntimeKind, FederationOutput, FederationSpec, ShardSpec,
+    SpillRecord,
 };
 pub use job::{
     Arrival, FedIdentity, Job, JobId, JobSpec, Payload, ResourceRef, ShardId, TaskId, WorkerId,
 };
+pub use mutation::ProtocolMutation;
 pub use obs::RuntimeMetrics;
 pub use replog::{AppendOutcome, ReplicatedLog, SchedState};
 pub use runtime::{Runtime, ThreadedSession};
@@ -116,7 +118,7 @@ pub use scheduler::{
 pub use session::Session;
 pub use spec::{RunSpec, RunSpecBuilder, SpecError};
 pub use task::{CollectedOutputs, SinkTask, TaskCtx, TaskLogic};
-pub use threaded::{ChaosConfig, DeliveryEntry, DeliveryLog, DeliveryLogHandle, ProtocolMutation};
+pub use threaded::{ChaosConfig, DeliveryEntry, DeliveryLog, DeliveryLogHandle};
 pub use trace::{JobPhases, SchedEvent, SchedEventKind, SchedLog, Trace, TraceEvent, TraceKind};
 pub use worker::{WorkerSpec, WorkerSpecBuilder};
 pub use workflow::{Workflow, WorkflowError};

@@ -18,8 +18,8 @@ pub use crate::faults::{
     MembershipPlan, NetFaultPlan,
 };
 pub use crate::federation::{
-    run_federation, FedArrival, FedRuntimeKind, FederationMutation, FederationOutput,
-    FederationSpec, ShardSpec, SpillRecord,
+    run_federation, FedArrival, FedRuntimeKind, FederationOutput, FederationSpec, ShardSpec,
+    SpillRecord,
 };
 pub use crate::job::{
     Arrival, FedIdentity, Job, JobId, JobSpec, Payload, ResourceRef, ShardId, TaskId, WorkerId,

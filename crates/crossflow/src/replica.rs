@@ -3,7 +3,7 @@
 //! A bid prices where a job's input lives, so the rules that keep
 //! those copies are protocol, not transport. [`ReplicaPlane`] owns the
 //! cluster-wide [`ReplicaMap`], the repairs in flight, the pins each
-//! holder's store must carry and the two sabotage flags. Like
+//! holder's store must carry and the run's mutation. Like
 //! [`MasterCore`] it owns no clock and performs no I/O: each rule is
 //! one method, and what the driver must do comes back as a small value
 //! ([`Landing`], a dirty holder) or through the callback that makes a
@@ -27,6 +27,7 @@ use crossbid_storage::{LocalStore, ObjectId, ReplicaMap};
 use crate::engine::ReplicationConfig;
 use crate::job::{JobId, WorkerId};
 use crate::master_core::MasterCore;
+use crate::mutation::ProtocolMutation;
 use crate::trace::SchedEventKind;
 
 /// What a repair copy reaching its destination means
@@ -69,8 +70,9 @@ pub(crate) struct ReplicaPlane {
     events: Vec<(WorkerId, Option<JobId>, SchedEventKind)>,
     /// Objects to consider for a repair at the next [`repair`](Self::repair).
     wanted: Vec<ObjectId>,
-    skip_repair: bool,
-    evict_last_copy: bool,
+    /// `SkipRepair` commits a repair and never copies; `EvictLastCopy`
+    /// pins no sole copy.
+    mutation: ProtocolMutation,
 }
 
 impl ReplicaPlane {
@@ -80,6 +82,7 @@ impl ReplicaPlane {
     /// state, not a decision — and every sole copy is pinned.
     pub(crate) fn new<'a>(
         cfg: ReplicationConfig,
+        mutation: ProtocolMutation,
         stores: impl IntoIterator<Item = (&'a LocalStore, bool)>,
     ) -> Self {
         let mut plane = ReplicaPlane {
@@ -92,8 +95,7 @@ impl ReplicaPlane {
             held: Vec::new(),
             events: Vec::new(),
             wanted: Vec::new(),
-            skip_repair: cfg.skip_repair,
-            evict_last_copy: cfg.evict_last_copy,
+            mutation,
         };
         for (w, (store, alive)) in (0..).zip(stores) {
             plane.pins.push(Vec::new());
@@ -269,7 +271,7 @@ impl ReplicaPlane {
                 continue;
             }
             core.m.repairs_started.inc();
-            if self.skip_repair {
+            if self.mutation == ProtocolMutation::SkipRepair {
                 // Sabotage: the start is committed, the copy never
                 // made — the oracle must flag the unmatched start.
                 continue;
@@ -323,7 +325,7 @@ impl ReplicaPlane {
     }
 
     /// Re-derive the pins of `obj`: its sole copy is pinned (unless
-    /// `evict_last_copy`), and once it has two copies none is.
+    /// `EvictLastCopy`), and once it has two copies none is.
     fn sync_pins(&mut self, obj: ObjectId) {
         let (pins, dirty) = (&mut self.pins, &mut self.dirty);
         let mut direct = |h: u32, pin| {
@@ -333,7 +335,7 @@ impl ReplicaPlane {
             pins[h as usize].push((obj, pin));
         };
         match self.map.sole_holder(obj) {
-            Some(h) if !self.evict_last_copy => direct(h, true),
+            Some(h) if self.mutation != ProtocolMutation::EvictLastCopy => direct(h, true),
             Some(_) => {}
             None => self.map.replicas(obj).for_each(|h| direct(h, false)),
         }
@@ -424,15 +426,18 @@ mod tests {
                 Box::new(BaselineMaster::new()),
                 roster,
                 RngStream::from_seed(3),
+                ProtocolMutation::None,
             );
             let stores: Vec<LocalStore> = (0..WORKERS)
                 .map(|_| LocalStore::new(4000, EvictionPolicy::Lru))
                 .collect();
-            let cfg = ReplicationConfig {
-                evict_last_copy,
-                ..ReplicationConfig::with_factor(factor)
+            let mutation = if evict_last_copy {
+                ProtocolMutation::EvictLastCopy
+            } else {
+                ProtocolMutation::None
             };
-            let plane = ReplicaPlane::new(cfg, stores.iter().map(|s| (s, true)));
+            let cfg = ReplicationConfig::with_factor(factor);
+            let plane = ReplicaPlane::new(cfg, mutation, stores.iter().map(|s| (s, true)));
             Rig {
                 core,
                 plane,

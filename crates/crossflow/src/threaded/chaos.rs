@@ -10,27 +10,18 @@
 //! late-bid / duplicate-delivery races the bidding protocol must
 //! tolerate. Every delivery decision is recorded in a [`DeliveryLog`]
 //! so a failing exploration can print the exact interleaving.
-//!
-//! [`ProtocolMutation`] is the second half of the checker story: each
-//! variant re-introduces one protocol bug fixed in PR 1, behind the
-//! `protocol-mutation` cargo feature, so the test suite can prove the
-//! invariant oracle actually detects that class of bug. Without the
-//! feature the mutations are inert and the runtime refuses to run with
-//! one selected.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam_channel::{Receiver, RecvTimeoutError};
-use crossbid_metrics::SchedulerKind;
 use crossbid_simcore::{RngStream, SeedSequence, SimTime};
 use parking_lot::Mutex;
 
 use crate::faults::NetFaultPlan;
-use crate::job::{Job, JobId, WorkerId};
+use crate::job::WorkerId;
 use crate::obs::RuntimeMetrics;
-use crate::scheduler::{MasterScheduler, SchedCtx, SchedStats, WorkerToMaster};
 
 use super::ToMaster;
 
@@ -518,150 +509,6 @@ fn release_random(chaos: &mut ChaosState) -> ToMaster {
     release(chaos, pos)
 }
 
-/// One reintroduced PR 1 protocol bug, for checker self-validation.
-///
-/// The variants exist unconditionally so configuration code compiles
-/// everywhere, but their *effects* are only compiled under the
-/// `protocol-mutation` cargo feature; without it the threaded runtime
-/// panics on any selection other than [`ProtocolMutation::None`]
-/// rather than silently running unmutated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ProtocolMutation {
-    /// The correct protocol.
-    #[default]
-    None,
-    /// Drop the intake guard on non-finite bid estimates: a NaN/∞ bid
-    /// is recorded into the contest like any other.
-    AcceptNonFiniteBids,
-    /// Drop the duplicate-bid short-circuit: a second bid from the
-    /// same worker is recorded again and can close the contest.
-    AcceptDuplicateBids,
-    /// Honor bids that arrive after their contest closed: the late
-    /// bidder steals the job with a second assignment.
-    AcceptLateBids,
-    /// Baseline: re-offer a rejected job straight back to the worker
-    /// that just rejected it even when another idle worker exists.
-    ReofferToRejector,
-    /// Reliability layer: drop the master's completed-job dedup — a
-    /// duplicated `Done` delivery counts (and runs the workflow's
-    /// downstream logic) twice.
-    DropDedup,
-    /// Reliability layer: the master records incoming placement acks
-    /// but its retry/lease machinery ignores them — leases expire and
-    /// bounce placements the worker already confirmed.
-    IgnoreAcks,
-    /// Reliability layer: disable the placement lease — a lost,
-    /// retries-exhausted Assign/Offer is never bounced back to the
-    /// scheduler and its job is silently lost.
-    NoLeases,
-    /// Atomization: release every DAG task at registration, ignoring
-    /// predecessor gating — successors are offered before the tasks
-    /// they depend on have completed.
-    OfferBeforePredecessor,
-    /// Atomization: drop the launched-once guard on the straggler
-    /// detector — a task that already has a speculative replica is
-    /// speculated again on every sweep.
-    DoubleSpeculate,
-    /// Replicated data plane: commit `repair_start` but never perform
-    /// the copy — the oracle must flag the unmatched start as
-    /// `RepairNeverCompleted`.
-    SkipRepair,
-    /// Replicated data plane: never pin sole surviving copies, so
-    /// cache pressure may destroy the last live replica — the oracle
-    /// must flag an `EvictedLastCopy` violation.
-    EvictLastCopy,
-}
-
-impl ProtocolMutation {
-    /// Is this the unmutated protocol?
-    pub fn is_none(self) -> bool {
-        self == ProtocolMutation::None
-    }
-
-    pub(crate) fn accepts_non_finite(self) -> bool {
-        cfg!(feature = "protocol-mutation") && self == ProtocolMutation::AcceptNonFiniteBids
-    }
-
-    pub(crate) fn accepts_duplicates(self) -> bool {
-        cfg!(feature = "protocol-mutation") && self == ProtocolMutation::AcceptDuplicateBids
-    }
-
-    pub(crate) fn accepts_late_bids(self) -> bool {
-        cfg!(feature = "protocol-mutation") && self == ProtocolMutation::AcceptLateBids
-    }
-
-    pub(crate) fn reoffers_to_rejector(self) -> bool {
-        cfg!(feature = "protocol-mutation") && self == ProtocolMutation::ReofferToRejector
-    }
-
-    pub(crate) fn drops_dedup(self) -> bool {
-        cfg!(feature = "protocol-mutation") && self == ProtocolMutation::DropDedup
-    }
-
-    pub(crate) fn ignores_acks(self) -> bool {
-        cfg!(feature = "protocol-mutation") && self == ProtocolMutation::IgnoreAcks
-    }
-
-    pub(crate) fn no_leases(self) -> bool {
-        cfg!(feature = "protocol-mutation") && self == ProtocolMutation::NoLeases
-    }
-
-    pub(crate) fn ignores_dag_gating(self) -> bool {
-        cfg!(feature = "protocol-mutation") && self == ProtocolMutation::OfferBeforePredecessor
-    }
-
-    pub(crate) fn double_speculates(self) -> bool {
-        cfg!(feature = "protocol-mutation") && self == ProtocolMutation::DoubleSpeculate
-    }
-}
-
-/// The reintroduced `ReofferToRejector` bug, wrapped around any
-/// scheduler: a rejected job goes straight back to the worker that
-/// rejected it, without the inner scheduler ever seeing the reject.
-/// Everything else passes through.
-pub(crate) struct ReofferToRejector(pub Box<dyn MasterScheduler>);
-
-impl MasterScheduler for ReofferToRejector {
-    fn kind(&self) -> SchedulerKind {
-        self.0.kind()
-    }
-
-    fn on_job(&mut self, job: Job, ctx: &mut SchedCtx) {
-        self.0.on_job(job, ctx);
-    }
-
-    fn on_worker_message(&mut self, from: WorkerId, msg: WorkerToMaster, ctx: &mut SchedCtx) {
-        match msg {
-            WorkerToMaster::Reject { job } => ctx.offer(from, job),
-            msg => self.0.on_worker_message(from, msg, ctx),
-        }
-    }
-
-    fn on_timer(&mut self, token: u64, ctx: &mut SchedCtx) {
-        self.0.on_timer(token, ctx);
-    }
-
-    fn on_job_done(&mut self, worker: WorkerId, job: &Job, ctx: &mut SchedCtx) {
-        self.0.on_job_done(worker, job, ctx);
-    }
-
-    fn on_worker_failed(&mut self, worker: WorkerId, ctx: &mut SchedCtx) {
-        self.0.on_worker_failed(worker, ctx);
-    }
-
-    fn on_worker_recovered(&mut self, worker: WorkerId, ctx: &mut SchedCtx) {
-        self.0.on_worker_recovered(worker, ctx);
-    }
-
-    fn restore_rejection(&mut self, job: JobId, worker: WorkerId) {
-        self.0.restore_rejection(job, worker);
-    }
-
-    fn stats(&self) -> SchedStats {
-        self.0.stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -751,17 +598,5 @@ mod tests {
         assert!(text.contains("[reordered]"), "{text}");
         assert!(text.contains("[dup]"), "{text}");
         assert!(text.contains("[held]"), "{text}");
-    }
-
-    #[test]
-    fn mutations_are_inert_without_the_feature_flag() {
-        let m = ProtocolMutation::AcceptDuplicateBids;
-        assert_eq!(
-            m.accepts_duplicates(),
-            cfg!(feature = "protocol-mutation"),
-            "mutation effects must track the cargo feature"
-        );
-        assert!(ProtocolMutation::None.is_none());
-        assert!(!ProtocolMutation::default().accepts_late_bids());
     }
 }

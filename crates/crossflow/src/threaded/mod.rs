@@ -26,7 +26,7 @@ mod chaos;
 mod master;
 mod worker;
 
-pub use chaos::{ChaosConfig, DeliveryEntry, DeliveryLog, DeliveryLogHandle, ProtocolMutation};
+pub use chaos::{ChaosConfig, DeliveryEntry, DeliveryLog, DeliveryLogHandle};
 pub(crate) use master::{fresh_nodes, run_threaded};
 
 use std::time::{Duration, Instant};

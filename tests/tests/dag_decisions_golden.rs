@@ -70,7 +70,7 @@ fn dag_rows(actual: &mut String, builtin: &Scenario) {
                 for i in 0..4 {
                     let seed = SeedSequence::new(base).seed_for(i);
                     let out = sc.run(&Run {
-                        mutation: mutation.into(),
+                        mutation,
                         ..Run::sim(seed)
                     });
                     let mut launches = String::new();
