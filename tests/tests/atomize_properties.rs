@@ -183,7 +183,6 @@ proptest! {
             spec_factor: 1.2,
             spec_check_secs: 0.5,
             min_completed_for_spec: 1,
-            ..AtomizeConfig::default()
         };
         let out = run(&dags, 3, slow_deci as f64 / 10.0, atomize);
         let total: usize = dags.iter().map(Vec::len).sum();
