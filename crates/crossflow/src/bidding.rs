@@ -282,7 +282,9 @@ impl MasterScheduler for BiddingMaster {
 pub(crate) mod stand_in {
     use crate::scheduler::{Allocator, JobView, MasterScheduler, WorkerPolicy, WorkerView};
 
-    pub(crate) struct Bidding;
+    /// Listing 1 under this configuration.
+    #[derive(Default)]
+    pub(crate) struct Bidding(pub(crate) super::BiddingConfig);
 
     impl Allocator for Bidding {
         fn kind(&self) -> crossbid_metrics::SchedulerKind {
@@ -290,7 +292,7 @@ pub(crate) mod stand_in {
         }
 
         fn master(&self) -> Box<dyn MasterScheduler> {
-            Box::new(super::BiddingMaster::new(Default::default()))
+            Box::new(super::BiddingMaster::new(self.0.clone()))
         }
 
         fn worker_policy(&self) -> Box<dyn WorkerPolicy> {

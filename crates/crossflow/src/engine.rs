@@ -511,6 +511,9 @@ struct Engine<'a> {
     /// the next ones, so a contest allocates nothing.
     spare_to: Vec<Vec<WorkerId>>,
     spare_bids: Vec<Vec<(WorkerId, f64)>>,
+    /// `IdleBeat` events in the queue: when they are all it holds,
+    /// nothing but a heartbeat can still happen.
+    beats: usize,
 }
 
 impl<'a> Engine<'a> {
@@ -693,15 +696,21 @@ impl<'a> Engine<'a> {
         self.q.schedule_in(d + self.cfg.bid_compute_delay, bids);
     }
 
-    /// A round's bids land: the master takes each in turn, electing a
-    /// standby before the next one if a bid's commit crashed the
-    /// leader — as the main loop does between two events.
+    /// A round's bids land: the master takes them in as few intakes as
+    /// its decisions allow ([`MasterCore::take_bids`]) — the bids up
+    /// to the one that decides, then the late ones — carrying out each
+    /// intake's effects before the next, and electing a standby before
+    /// the next if one crashed the leader, as the main loop does
+    /// between two events.
     fn take_bids(&mut self, job: JobId, mut bids: Vec<(WorkerId, f64)>) {
-        for &(from, estimate_secs) in &bids {
+        let mut rest = &bids[..];
+        while !rest.is_empty() {
             if self.core.failover_pending() {
                 self.do_failover();
             }
-            self.master_recv(from, WorkerToMaster::Bid { job, estimate_secs }, 0);
+            let taken = self.core.take_bids(self.q.now(), job, rest);
+            self.apply();
+            rest = &rest[taken..];
         }
         bids.clear();
         self.spare_bids.push(bids);
@@ -927,7 +936,10 @@ impl<'a> Engine<'a> {
                 }
             }
             Ev::DoneRetry { worker, job, epoch } => self.resend_done(worker, job, epoch),
-            Ev::IdleBeat(worker) => self.idle_beat(worker),
+            Ev::IdleBeat(worker) => {
+                self.beats -= 1;
+                self.idle_beat(worker);
+            }
             Ev::SpecCheck => {
                 if !self.core.dag().is_active() {
                     // Every DAG drained; a later atomized arrival
@@ -1091,9 +1103,15 @@ impl<'a> Engine<'a> {
         // A departed worker never comes back — let its beat die.
         let departed = self.core.member(worker).stage == Stage::Departed;
         if !departed && (self.nodes[w].alive() || !self.cfg.faults.is_empty()) {
-            let beat = SimDuration::from_secs_f64(self.cfg.netfaults.retry.heartbeat_secs);
-            self.q.schedule_in(beat, Ev::IdleBeat(worker));
+            self.beat_later(worker);
         }
+    }
+
+    /// Arm `worker`'s next idle heartbeat.
+    fn beat_later(&mut self, worker: WorkerId) {
+        let beat = SimDuration::from_secs_f64(self.cfg.netfaults.retry.heartbeat_secs);
+        self.q.schedule_in(beat, Ev::IdleBeat(worker));
+        self.beats += 1;
     }
 
     /// A scheduled crash: the instance dies, and the sim's monitoring
@@ -1155,8 +1173,7 @@ impl<'a> Engine<'a> {
         }
         self.apply();
         if self.net_active {
-            let beat = SimDuration::from_secs_f64(self.cfg.netfaults.retry.heartbeat_secs);
-            self.q.schedule_in(beat, Ev::IdleBeat(w));
+            self.beat_later(w);
         }
     }
 
@@ -1431,6 +1448,7 @@ pub fn run_workflow(
         rounds: per_round(cfg),
         spare_to: Vec::new(),
         spare_bids: Vec::new(),
+        beats: 0,
     };
     engine.core.defer(&cfg.membership);
     // The warm copies' pins.
@@ -1438,16 +1456,25 @@ pub fn run_workflow(
     if engine.net_active {
         // Idle heartbeats: a dropped `Idle` must only delay the pull
         // loop, never wedge it.
-        let beat = SimDuration::from_secs_f64(cfg.netfaults.retry.heartbeat_secs);
         for i in 0..n_workers {
-            if cfg.membership.is_deferred(WorkerId(i as u32)) {
-                continue;
+            if !cfg.membership.is_deferred(WorkerId(i as u32)) {
+                engine.beat_later(WorkerId(i as u32));
             }
-            engine.q.schedule_in(beat, Ev::IdleBeat(WorkerId(i as u32)));
         }
     }
 
-    while let Some((_t, ev)) = engine.q.pop() {
+    // The threaded master's stall horizon: under an active net plan a
+    // job can be lost for good (a mutated ledger arms no lease) while
+    // the heartbeats keep the queue from draining. Once every arrival
+    // is in, only heartbeats are left to fire and the log — untraced,
+    // the completion count — has not moved for the horizon, the run is
+    // over, and its losses are reported.
+    let horizon = engine
+        .net_active
+        .then(|| SimDuration::from_secs_f64(cfg.netfaults.stall_horizon_secs()));
+    let (mut progress, mut progressed) = (0, SimTime::ZERO);
+    let mut stalled = false;
+    while let Some((t, ev)) = engine.q.pop() {
         engine.handle(ev);
         // A leader crash observed while handling `ev` elects a standby
         // before the next event is delivered (the election happens
@@ -1466,6 +1493,18 @@ pub fn run_workflow(
             // oracle holds the log to that promise.
             break;
         }
+        if let Some(horizon) = horizon {
+            let seen = engine.core.log_len() as u64 + engine.core.completed();
+            if seen != progress {
+                (progress, progressed) = (seen, t);
+            } else if engine.arrivals_seen == engine.arrivals_total
+                && engine.q.len() == engine.beats
+                && t.saturating_since(progressed) > horizon
+            {
+                stalled = true;
+                break;
+            }
+        }
         if engine.q.events_delivered() >= cfg.max_events {
             panic!(
                 "engine exceeded max_events={} (scheduler livelock?)",
@@ -1473,17 +1512,23 @@ pub fn run_workflow(
             );
         }
     }
-    assert_eq!(
-        engine.core.completed(),
-        engine.core.created(),
-        "conservation violated: {} created vs {} completed",
-        engine.core.created(),
-        engine.core.completed()
-    );
-    assert!(
-        !engine.core.dag().is_active(),
-        "conservation violated: the run drained with a DAG still in flight"
-    );
+    let mut anomalies = Vec::new();
+    let (created, completed) = (engine.core.created(), engine.core.completed());
+    if stalled {
+        anomalies.push(format!(
+            "run stalled: {completed} of {created} jobs completed, and nothing but idle \
+             heartbeats could still happen"
+        ));
+    } else {
+        assert_eq!(
+            completed, created,
+            "conservation violated: {created} created vs {completed} completed"
+        );
+        assert!(
+            !engine.core.dag().is_active(),
+            "conservation violated: the run drained with a DAG still in flight"
+        );
+    }
 
     let makespan = engine.last_completion;
     let events = engine.q.events_delivered();
@@ -1493,7 +1538,6 @@ pub fn run_workflow(
     // anomaly instead of letting release builds hide it.
     let clamped = engine.q.clamped();
     engine.core.m.sim_clamped_events.add(clamped);
-    let mut anomalies = Vec::new();
     if clamped > 0 {
         anomalies.push(format!(
             "event queue clamped {clamped} past-time event(s) to `now`; virtual timing is suspect"
@@ -1549,6 +1593,7 @@ mod tests {
     use super::*;
     use crate::atomize::{TaskDag, TaskNode};
     use crate::bidding::stand_in::Bidding;
+    use crate::bidding::BiddingConfig;
     use crate::job::{Payload, ResourceRef, TaskId};
 
     /// One random run on a fixed-latency control plane.
@@ -1570,6 +1615,12 @@ mod tests {
         remove: Option<(u32, At)>,
         /// The append index the leader dies at.
         master: Option<u64>,
+        /// Listing 1's options: a contest closes on the first bid of at
+        /// most this many seconds — often before its round's last bid,
+        /// so the rest of the round is late — and contests run one at a
+        /// time, so a decision opens the next queued one.
+        short_circuit: Option<u16>,
+        serialize: bool,
     }
 
     /// A fault instant: arrival `k`'s contest opens (phase 0), its
@@ -1601,7 +1652,9 @@ mod tests {
             proptest::option::of((0u32..64, at())),
             proptest::option::of(1u64..600),
         );
-        (shape, jobs, faults).prop_map(|((n, link, ms, slow_bid), jobs, faults)| {
+        let listing = (proptest::option::of(1u16..40), proptest::bool::ANY);
+        let all = (shape, jobs, faults, listing);
+        all.prop_map(|((n, link, ms, slow_bid), jobs, faults, listing)| {
             let (crash, drain, remove, master) = faults;
             let leaver = |(w, at): (u32, At)| (1 + w % (n - 1), at);
             let drain = drain.map(leaver);
@@ -1618,6 +1671,8 @@ mod tests {
                 drain,
                 remove,
                 master,
+                short_circuit: listing.0,
+                serialize: listing.1,
             }
         })
     }
@@ -1705,8 +1760,13 @@ mod tests {
             seed: 7,
             ..RunMeta::default()
         };
+        let bidding = Bidding(BiddingConfig {
+            short_circuit_below: case.short_circuit.map(f64::from),
+            serialize_contests: case.serialize,
+            ..BiddingConfig::default()
+        });
         PER_MESSAGE.set(per_message);
-        let out = run_workflow(&mut cluster, &mut wf, &Bidding, arrivals, &cfg, &meta);
+        let out = run_workflow(&mut cluster, &mut wf, &bidding, arrivals, &cfg, &meta);
         PER_MESSAGE.set(false);
         out
     }
@@ -1721,30 +1781,143 @@ mod tests {
         })
     }
 
+    /// Run `case` both ways and hold every observable of the round
+    /// path to the per-message one; the per-message run comes back.
+    fn differential(case: &Case) -> RunOutput {
+        let want = run(case, true);
+        let got = run(case, false);
+        let bits = |v: &dyn Debug| format!("{v:?}");
+        let ctx = format!("{case:?}");
+        assert_eq!(&got.sched_log, &want.sched_log, "{}", ctx);
+        assert_eq!(bits(&got.record), bits(&want.record), "{}", ctx);
+        assert_eq!(bits(&got.trace), bits(&want.trace), "{}", ctx);
+        assert_eq!(&got.assignments, &want.assignments, "{}", ctx);
+        assert_eq!(bits(&got.metrics), bits(&want.metrics), "{}", ctx);
+        assert_eq!(&got.anomalies, &want.anomalies, "{}", ctx);
+        assert!(got.events <= want.events, "{}", ctx);
+        if a_round_had_two_bids(&want.sched_log) {
+            assert!(got.events < want.events, "{}", ctx);
+        }
+        want
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(40))]
         /// A bid round delivered as one event each way leaves every
         /// observable of a run exactly as one event per request and per
         /// bid does — on instant and fixed-latency control planes,
         /// under worker crashes, drains, removals, a leader crash at
-        /// any append index and DAG arrivals — and costs fewer queue
-        /// events wherever a round carried two bids.
+        /// any append index and DAG arrivals, with concurrent or
+        /// serialized contests, short-circuited or not — and costs
+        /// fewer queue events wherever a round carried two bids.
         #[test]
         fn a_bid_round_is_delivered_as_its_messages_would_be(case in case()) {
-            let want = run(&case, true);
-            let got = run(&case, false);
-            let bits = |v: &dyn Debug| format!("{v:?}");
-            let ctx = format!("{case:?}");
-            prop_assert_eq!(&got.sched_log, &want.sched_log, "{}", ctx);
-            prop_assert_eq!(bits(&got.record), bits(&want.record), "{}", ctx);
-            prop_assert_eq!(bits(&got.trace), bits(&want.trace), "{}", ctx);
-            prop_assert_eq!(&got.assignments, &want.assignments, "{}", ctx);
-            prop_assert_eq!(bits(&got.metrics), bits(&want.metrics), "{}", ctx);
-            prop_assert_eq!(&got.anomalies, &want.anomalies, "{}", ctx);
-            prop_assert!(got.events <= want.events, "{}", ctx);
-            if a_round_had_two_bids(&want.sched_log) {
-                prop_assert!(got.events < want.events, "{}", ctx);
+            differential(&case);
+        }
+    }
+
+    /// Every contest of `log` a bid closed: its job, how many bids it
+    /// committed and whether another contest opened at the instant it
+    /// closed.
+    fn contests(log: &SchedLog) -> Vec<(JobId, usize, bool)> {
+        let events: Vec<_> = log.events().collect();
+        let mut out = Vec::new();
+        for (i, e) in events.iter().enumerate() {
+            let (
+                Some(job),
+                SchedEventKind::ContestClosed {
+                    timed_out: false, ..
+                },
+            ) = (e.job, e.kind)
+            else {
+                continue;
+            };
+            let bids = events[..i]
+                .iter()
+                .filter(|b| b.job == Some(job))
+                .filter(|b| matches!(b.kind, SchedEventKind::BidReceived { .. }))
+                .count();
+            // The log keeps one instant's commuting events in its own
+            // order, so the next contest may be stored before the close.
+            let next = events
+                .iter()
+                .filter(|n| n.at == e.at && n.job != Some(job))
+                .any(|n| n.kind == SchedEventKind::ContestOpened);
+            out.push((job, bids, next));
+        }
+        out
+    }
+
+    /// Did a drain or a removal land while a contest was open?
+    fn left_mid_contest(log: &SchedLog, kind: SchedEventKind) -> bool {
+        let mut open = 0i64;
+        log.events().any(|e| match e.kind {
+            SchedEventKind::ContestOpened => {
+                open += 1;
+                false
             }
+            SchedEventKind::ContestClosed { .. } => {
+                open -= 1;
+                false
+            }
+            k => k == kind && open > 0,
+        })
+    }
+
+    /// The round shapes the differential test must reach, each on one
+    /// pinned case that shows it in its log: a short-circuited contest
+    /// decided before its round's last bid — the rest of the round
+    /// late — that opens the next queued contest, on an instant and on
+    /// a fixed-latency control plane; and rounds holding a bid of a
+    /// worker that drained or was removed after its request landed.
+    #[test]
+    fn the_differential_test_reaches_every_round_shape() {
+        let base = Case {
+            workers: 8,
+            link_ms: 0,
+            bid_ms: 0,
+            jobs: vec![(0, 1), (0, 2), (0, 3), (0, 0), (0, 4), (500, 5), (0, 1)],
+            crash: None,
+            drain: None,
+            remove: None,
+            master: None,
+            short_circuit: Some(30),
+            serialize: true,
+        };
+        for link_ms in [0, 40] {
+            let case = Case {
+                link_ms,
+                bid_ms: 25,
+                ..base.clone()
+            };
+            let log = differential(&case).sched_log;
+            let early = contests(&log)
+                .into_iter()
+                .any(|(_, bids, next)| bids < case.workers as usize && next);
+            assert!(
+                early,
+                "no early decision opened the next contest: {:?}",
+                case
+            );
+        }
+        let leaving = Case {
+            link_ms: 40,
+            bid_ms: 25,
+            drain: Some((3, At(1, 2))),
+            remove: Some((5, At(4, 2))),
+            short_circuit: None,
+            serialize: false,
+            ..base
+        };
+        let log = differential(&leaving).sched_log;
+        for kind in [
+            SchedEventKind::WorkerDraining,
+            SchedEventKind::WorkerRemoved,
+        ] {
+            assert!(
+                left_mid_contest(&log, kind),
+                "{kind:?} mid-round: {leaving:?}"
+            );
         }
     }
 }

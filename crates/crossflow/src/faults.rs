@@ -573,6 +573,15 @@ impl NetFaultPlan {
             .unwrap_or(SimTime::ZERO)
     }
 
+    /// How long, in virtual seconds, a run may go without progress
+    /// before both runtimes call it stalled: past the last partition
+    /// window plus ten leases, plus two minutes. Any live placement
+    /// shows progress (a retry, an ack, a completion, a bounce) well
+    /// within it.
+    pub(crate) fn stall_horizon_secs(&self) -> f64 {
+        self.partitions_end().as_secs_f64() + self.retry.lease_secs * 10.0 + 120.0
+    }
+
     /// Check every probability, delay bound, partition window and
     /// retry parameter; returns the first problem found.
     pub fn validate(&self) -> Result<(), FaultPlanError> {

@@ -1203,7 +1203,7 @@ mod tests {
     #[test]
     fn shard_logs_take_at_most_12_bytes_an_event() {
         let (spec, arrivals) = sim_fed_shape();
-        let out = run_federation(&spec, arrivals, &Bidding, sink);
+        let out = run_federation(&spec, arrivals, &Bidding::default(), sink);
         for (s, shard) in out.shards.iter().enumerate() {
             let log = &shard.sched_log;
             assert!(!log.is_empty(), "shard {s} logged nothing");

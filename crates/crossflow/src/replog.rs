@@ -490,6 +490,13 @@ impl ReplicatedLog {
         self.appends
     }
 
+    /// How many appends commit before the next armed crash: 0 when the
+    /// very next one crashes, `None` when no crash is left to come.
+    pub fn appends_before_crash(&self) -> Option<u64> {
+        let at = *self.crash_at.get(self.next_crash)?;
+        (at > self.appends).then(|| at - self.appends - 1)
+    }
+
     /// The committed log.
     pub fn log(&self) -> &SchedLog {
         &self.log
@@ -570,6 +577,37 @@ mod tests {
         assert_eq!(rlog.log().replayed_entries(), 1);
         // Election markers don't consume crash-schedule indices.
         assert_eq!(rlog.appends(), 2);
+    }
+
+    #[test]
+    fn appends_before_crash_counts_down_to_each_armed_index() {
+        let submit = || sev(0, None, Some(1), SchedEventKind::Submitted);
+        let mut plain = ReplicatedLog::plain();
+        assert_eq!(plain.appends_before_crash(), None, "none armed");
+        plain.append(submit());
+        assert_eq!(plain.appends_before_crash(), None);
+
+        let plan = MasterFaultPlan::new().crash_at(1).crash_at(4);
+        let mut rlog = ReplicatedLog::new(&plan);
+        assert_eq!(rlog.appends_before_crash(), Some(0), "the very next append");
+        rlog.append(submit());
+        assert_eq!(rlog.appends_before_crash(), Some(2));
+        rlog.append(submit());
+        rlog.append(submit());
+        assert_eq!(rlog.appends_before_crash(), Some(0));
+        rlog.failover(SimTime::from_secs(1));
+        assert_eq!(
+            rlog.appends_before_crash(),
+            Some(0),
+            "markers count nothing"
+        );
+        assert!(matches!(
+            rlog.append(submit()),
+            AppendOutcome::LeaderCrashed { .. }
+        ));
+        assert_eq!(rlog.appends_before_crash(), None, "every crash passed");
+        rlog.append(submit());
+        assert_eq!(rlog.appends_before_crash(), None);
     }
 
     #[test]

@@ -155,6 +155,11 @@ impl<'a> SchedCtx<'a> {
         token
     }
 
+    /// Has a callback through this context emitted an action yet?
+    pub(crate) fn holds_actions(&self) -> bool {
+        !self.actions.is_empty()
+    }
+
     /// Drain collected actions (engine-internal).
     pub fn take_actions(self) -> Vec<SchedAction> {
         self.actions

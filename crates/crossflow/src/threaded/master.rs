@@ -126,9 +126,10 @@ struct Stall {
 impl Stall {
     fn new(cfg: &EngineConfig, clock: Clock) -> Option<Self> {
         let plan = &cfg.netfaults;
-        let horizon = plan.partitions_end().as_secs_f64() + plan.retry.lease_secs * 10.0 + 120.0;
         plan.is_active().then(|| Stall {
-            limit: clock.real(horizon).max(Duration::from_secs(2)),
+            limit: clock
+                .real(plan.stall_horizon_secs())
+                .max(Duration::from_secs(2)),
             last_progress: clock.start,
             seen_log_len: 0,
         })

@@ -32,21 +32,31 @@ use crossbid_workload::{
 /// its whole body so it counts only its own allocations.
 static METER: Mutex<()> = Mutex::new(());
 
-/// `(workers, jobs, budget in allocs/job)`. Measured 0.19 at 64 workers
-/// and 1.66 at 256 (per-worker state growing, spread over few jobs)
-/// once closed contests handed their bid tables to the next; the
+/// `(workers, jobs, traced, budget in allocs/job)`. Measured 0.19 at 64
+/// workers and 1.66 at 256 (per-worker state growing, spread over few
+/// jobs) once closed contests handed their bid tables to the next; the
 /// budgets leave ≈ 0.1 and ≈ 0.35 of headroom. A table allocated per
 /// contest again (≥ 1 per job, 3 at 256 workers) fails both rows, and
 /// any per-bid or per-event allocation (≥ `workers` per job) fails
-/// them by far.
-const BUDGET_ROWS: [(usize, usize, f64); 2] = [(64, 10_000, 0.3), (256, 2_000, 2.0)];
+/// them by far. The traced row runs the logged path — the scheduler
+/// log and the trace on, every bid committed through the gate — and
+/// measured 1.68: the log's byte stream and the trace grow by
+/// doubling, a few dozen allocations a run, so the same budget holds
+/// and a per-bid allocation on the logged round path (≥ 256 per job)
+/// fails it.
+const BUDGET_ROWS: [(usize, usize, bool, f64); 3] = [
+    (64, 10_000, false, 0.3),
+    (256, 2_000, false, 2.0),
+    (256, 2_000, true, 2.0),
+];
 
 /// One bidding run on the sim engine — ideal (no latency, no noise,
 /// so the run is pure scheduler + event loop), `AllEqual` workers,
 /// `AllDiffEqual` jobs arriving Poisson at 0.05 s — and the
-/// allocations it made. The event cap scales with the run: every job
-/// triggers a broadcast to all workers plus a bid from each, with
-/// generous slack.
+/// allocations it made. The event cap scales with the run. On this
+/// jitter-free control plane a job costs a few events — a bid round
+/// travels as one event each way — and the cap would still hold
+/// if every request and every bid were an event of its own.
 fn counted_sim_run(workers: usize, jobs: usize, seed: u64, trace: bool) -> (RunOutput, u64) {
     let mut engine = EngineConfig::ideal();
     engine.max_events = (jobs as u64) * (workers as u64 * 6 + 32) + 1_000_000;
@@ -93,8 +103,8 @@ fn sim_hot_path_allocations_stay_within_budget() {
     let _alone = METER
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
-    for (workers, jobs, budget) in BUDGET_ROWS {
-        let (out, spent) = counted_sim_run(workers, jobs, 0xA110C, false);
+    for (workers, jobs, trace, budget) in BUDGET_ROWS {
+        let (out, spent) = counted_sim_run(workers, jobs, 0xA110C, trace);
         assert_eq!(out.record.jobs_completed, jobs as u64);
         let apj = spent as f64 / jobs as f64;
         assert!(
@@ -103,9 +113,9 @@ fn sim_hot_path_allocations_stay_within_budget() {
         );
         assert!(
             apj <= budget,
-            "sim hot path regressed to {apj:.1} allocs/job at {workers} workers (budget \
-             {budget}); something on the per-contest, per-bid or per-event path is \
-             allocating again"
+            "sim hot path regressed to {apj:.1} allocs/job at {workers} workers, traced \
+             {trace} (budget {budget}); something on the per-contest, per-bid or \
+             per-event path is allocating again"
         );
     }
 }

@@ -7,7 +7,7 @@
 //! tuple, plus the shrunk scenario and the delivery schedule where the
 //! scenario has them. A mutation is checked on the sim wherever the sim
 //! can provoke it: chaos (a corrupted or duplicated bid) exists only on
-//! threads, and without leases a sim run never ends.
+//! threads.
 //!
 //! Seeds are fixed so CI runs are reproducible; the scheduled
 //! extended-exploration workflow sweeps fresh seeds.
@@ -221,7 +221,7 @@ fn missing_leases_lose_jobs_behind_a_partition() {
     // push a retransmission past the heal). With leases on, the
     // bounce/re-dispatch loop keeps the job alive until the partition
     // heals and the next dispatch lands it; with leases off, nothing
-    // ever does.
+    // ever does, and each runtime ends the run at its stall horizon.
     use crossbid_crossflow::{NetFaultPlan, RetryPolicy};
     use crossbid_simcore::SimTime;
     let sc = Scenario::new(
@@ -238,28 +238,36 @@ fn missing_leases_lose_jobs_behind_a_partition() {
                 ..RetryPolicy::default()
             })
     };
-    let run = |mutation: ProtocolMutation, seed| {
+    let run = |mutation: ProtocolMutation, on: Run| {
         sc.run(&Run {
-            net: Some(plan(seed)),
+            net: Some(plan(on.seed)),
             mutation,
-            ..Run::threaded(seed)
+            ..on
         })
         .violations(false)
     };
+    let lost = |v: Vec<(Option<usize>, Violation)>| {
+        v.iter()
+            .any(|(_, v)| matches!(v, Violation::JobLost { .. }))
+    };
     // Contrast: with leases armed the same partition is survivable.
-    let clean = run(ProtocolMutation::None, 31);
+    for on in [Run::sim(31), Run::threaded(31)] {
+        let clean = run(ProtocolMutation::None, on);
+        assert!(
+            clean.is_empty(),
+            "leases must ride out the partition: {clean:?}"
+        );
+    }
+    // The sim is deterministic: one run shows the loss.
+    let sim = run(ProtocolMutation::NoLeases, Run::sim(37));
     assert!(
-        clean.is_empty(),
-        "leases must ride out the partition: {clean:?}"
+        lost(sim),
+        "removing leases must lose a partitioned job on the sim"
     );
     // The threaded runtime is nondeterministic; a lucky interleaving
     // could sneak a message around the partition edge, so probe a few
     // seeds and require the loss to show somewhere.
-    let caught = (0..5).any(|i| {
-        run(ProtocolMutation::NoLeases, 37 + i)
-            .iter()
-            .any(|(_, v)| matches!(v, Violation::JobLost { .. }))
-    });
+    let caught = (0..5).any(|i| lost(run(ProtocolMutation::NoLeases, Run::threaded(37 + i))));
     assert!(caught, "removing leases must lose a partitioned job");
 }
 
