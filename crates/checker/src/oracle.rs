@@ -1030,12 +1030,6 @@ impl Oracle {
                 }
                 d.offered |= 1 << task;
             }
-            // Task bids annotate the generic `BidReceived` the bid
-            // invariants already cover.
-            SchedEventKind::TaskBid { .. } => {}
-            // Placements are checked through the generic
-            // `Assigned`/`Offered` rules on the task's job.
-            SchedEventKind::TaskAssign { .. } => {}
             SchedEventKind::TaskDone { root, task } => {
                 let d = self.dags.entry(*root).or_default();
                 let bit = 1u64 << task;

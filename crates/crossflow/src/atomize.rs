@@ -373,9 +373,9 @@ pub struct DagState {
     mutation: ProtocolMutation,
     /// Incomplete DAGs by root id.
     dags: BTreeMap<JobId, DagRun>,
-    /// job → (root, task index, speculative), for attempts of
-    /// incomplete DAGs and for attempts that outlived theirs.
-    task_of_job: HashMap<JobId, (JobId, u32, bool)>,
+    /// job → (root, task index), for attempts of incomplete DAGs and
+    /// for attempts that outlived theirs.
+    task_of_job: HashMap<JobId, (JobId, u32)>,
     /// Losing attempts whose `SpecCancel` committed and whose
     /// completion report has not arrived yet: it will be swallowed.
     cancelled: HashSet<JobId>,
@@ -431,7 +431,7 @@ impl DagState {
         if !self.cancelled.remove(&job) {
             return false;
         }
-        if let Some(&(root, _, _)) = self.task_of_job.get(&job) {
+        if let Some(&(root, _)) = self.task_of_job.get(&job) {
             self.settle(root, job);
         }
         true
@@ -453,9 +453,9 @@ impl DagState {
         }
     }
 
-    /// `(root, task, speculative)` for a task job, `None` for plain
-    /// jobs (and for settled attempts of a retired DAG).
-    pub fn task_of(&self, job: JobId) -> Option<(JobId, u32, bool)> {
+    /// `(root, task)` for a task job, `None` for plain jobs (and for
+    /// settled attempts of a retired DAG).
+    pub fn task_of(&self, job: JobId) -> Option<(JobId, u32)> {
         self.task_of_job.get(&job).copied()
     }
 
@@ -543,14 +543,14 @@ impl DagState {
                 }
             }
         }
-        self.task_of_job.insert(job, (root, task, speculative));
+        self.task_of_job.insert(job, (root, task));
     }
 
     /// Record a placement instant — the straggler clock for this
     /// attempt (re-placements after failover restart it). Instants
-    /// need not be monotone.
+    /// need not be monotone; a plain job's placement is ignored.
     pub fn on_placed(&mut self, job: JobId, now_secs: f64) {
-        let Some(&(root, task, _)) = self.task_of_job.get(&job) else {
+        let Some(&(root, task)) = self.task_of_job.get(&job) else {
             return;
         };
         // Nothing reads the clock of a decided task.
@@ -572,7 +572,7 @@ impl DagState {
 
     /// Classify a completion report for `job`.
     pub fn on_done(&mut self, job: JobId, now_secs: f64) -> DoneOutcome {
-        let Some(&(root, task, _spec)) = self.task_of_job.get(&job) else {
+        let Some(&(root, task)) = self.task_of_job.get(&job) else {
             return DoneOutcome::NotTask;
         };
         if self.take_cancelled(job) {
@@ -1172,7 +1172,7 @@ mod tests {
         assert!(!st.is_active());
         assert_eq!(st.rows(), [0, 2, 0, 0, 0]);
         st.cancel(JobId(1));
-        assert_eq!(st.task_of(JobId(1)), Some((root, 0, false)));
+        assert_eq!(st.task_of(JobId(1)), Some((root, 0)));
         assert_eq!(st.task_of(JobId(8)), None, "the winner is settled");
         // A late placement of a loser starts no clock.
         st.on_placed(JobId(9), 7.0);

@@ -78,12 +78,10 @@ use crate::trace::{SchedEvent, SchedEventKind, TraceEvent, TraceKind};
 /// active.
 ///
 /// v6 added the atomization events `task_offer` (with `root`, `task`,
-/// `preds`, `total`), `task_bid` (with `root`, `task`,
-/// `estimate_secs`), `task_assign` (with `root`, `task`,
-/// `speculative`), `task_done` (with `root`, `task`) and the
-/// speculation events `spec_launch` / `spec_cancel` (with `root`,
-/// `task`), emitted when arrivals carry a
-/// [`TaskDag`](crate::atomize::TaskDag).
+/// `preds`, `total`), a task annotation of each bid and each
+/// placement, `task_done` (with `root`, `task`) and the speculation
+/// events `spec_launch` / `spec_cancel` (with `root`, `task`), emitted
+/// when arrivals carry a [`TaskDag`](crate::atomize::TaskDag).
 ///
 /// v7 added the replicated-data-plane events `fetch_req` / `fetch_ok`
 /// (with `object`, `from`), `fetch_fail` (with `object`, `from`,
@@ -92,7 +90,12 @@ use crate::trace::{SchedEvent, SchedEventKind, TraceEvent, TraceKind};
 /// `repair_start` (with `object`, `from`) / `repair_done` (with
 /// `object`), emitted when a
 /// [`ReplicationConfig`](crate::engine::ReplicationConfig) is active.
-pub const SCHEMA_VERSION: u64 = 7;
+///
+/// v8 removed v6's bid and placement annotations: each repeated a
+/// `bid_received` or an `assigned` / `offered` line of a task's job,
+/// and the job's `task_offer` or `spec_launch` already ties it to its
+/// task.
+pub const SCHEMA_VERSION: u64 = 8;
 
 /// The stream header: which run produced the lines that follow.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -669,16 +672,6 @@ mod tests {
                 preds: 0b101,
                 total: 7,
             },
-            SchedEventKind::TaskBid {
-                root: JobId(1000),
-                task: 3,
-                estimate_secs: 1.75,
-            },
-            SchedEventKind::TaskAssign {
-                root: JobId(1000),
-                task: 3,
-                speculative: true,
-            },
             SchedEventKind::TaskDone {
                 root: JobId(1000),
                 task: 3,
@@ -829,6 +822,18 @@ mod tests {
     fn unknown_line_type_is_an_error() {
         let err = parse_run_stream("{\"type\":\"mystery\"}").unwrap_err();
         assert!(err.0.contains("mystery"), "{err}");
+        // A v7 kind that v8 dropped is unknown, not skipped.
+        let kind = "task_bid";
+        let v7 = format!(
+            "{{\"type\":\"sched\",\"at_secs\":1.0,\"worker\":0,\"job\":1,\"kind\":\"{kind}\",\
+             \"root\":1,\"task\":0,\"estimate_secs\":2.0}}"
+        );
+        let err = parse_run_stream(&format!("\n{v7}")).unwrap_err();
+        assert!(err.0.starts_with("line 2:"), "{err}");
+        assert!(
+            err.0.contains(&format!("unknown sched kind {kind:?}")),
+            "{err}"
+        );
     }
 
     #[test]

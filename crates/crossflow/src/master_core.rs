@@ -304,10 +304,9 @@ struct Consulted {
     fallback: u64,
 }
 
-/// The most entries one bid's gate appends: `BidReceived` plus a DAG
-/// task's `TaskBid` — or, under `AcceptLateBids`, plus the stolen
-/// placement's `Assigned` and `TaskAssign`.
-const GATE_APPENDS: u64 = 3;
+/// The most entries one bid's gate appends: `BidReceived`, plus the
+/// stolen placement's `Assigned` under `AcceptLateBids`.
+const GATE_APPENDS: u64 = 2;
 
 /// The per-run figures of a [`RunRecord`] only the driver knows.
 pub(crate) struct RunTotals {
@@ -834,15 +833,11 @@ impl MasterCore {
     /// Commit `BidReceived` for each fresh, finite bid of a serving
     /// worker in `bids` into `job`'s open contest, in order. A late bid
     /// (its contest already closed) or a duplicate is received but
-    /// never committed, matching what the scheduler counts. A bid on a
-    /// DAG task additionally lands in the per-task vocabulary
-    /// (`TaskBid`), so the oracle can tie pricing to the DAG without
-    /// joining on job ids.
+    /// never committed, matching what the scheduler counts.
     fn gate(&mut self, now: SimTime, job: JobId, bids: &[(WorkerId, f64)]) {
         let mutation = self.mutation;
         let finite_only = mutation != ProtocolMutation::AcceptNonFiniteBids;
         let dup_ok = mutation == ProtocolMutation::AcceptDuplicateBids;
-        let task = self.dag.task_of(job);
         let mut contest = self.open_contests.get_mut(&job);
         for &(from, estimate_secs) in bids {
             let serving = self.members[from.0 as usize].stage == Stage::Serving;
@@ -867,23 +862,13 @@ impl MasterCore {
             self.m.bids_received.inc();
             let waited = now.saturating_since(opened).as_secs_f64();
             self.m.bid_latency_secs.record(waited);
-            let mut commit = |kind| {
-                let ev = SchedEvent {
-                    at: now,
-                    worker: Some(from),
-                    job: Some(job),
-                    kind,
-                };
-                append(&mut self.log, &mut self.failover_pending, &self.m, ev);
+            let ev = SchedEvent {
+                at: now,
+                worker: Some(from),
+                job: Some(job),
+                kind: SchedEventKind::BidReceived { estimate_secs },
             };
-            commit(SchedEventKind::BidReceived { estimate_secs });
-            if let Some((root, task, _)) = task {
-                commit(SchedEventKind::TaskBid {
-                    root,
-                    task,
-                    estimate_secs,
-                });
-            }
+            append(&mut self.log, &mut self.failover_pending, &self.m, ev);
         }
     }
 
@@ -1168,11 +1153,11 @@ impl MasterCore {
     }
 
     /// Place `job` on `worker`: record it — `Offered` or `Assigned`,
-    /// plus `TaskAssign` and the attempt's straggler clock for a DAG
-    /// task job — then put it on the ledger under a fresh seq with its
-    /// first retransmission and its lease armed. A completed or
-    /// cancelled job is never placed again; refusing a cancelled one
-    /// settles it, since no report of it will come.
+    /// and the attempt's straggler clock for a DAG task job — then put
+    /// it on the ledger under a fresh seq with its first retransmission
+    /// and its lease armed. A completed or cancelled job is never
+    /// placed again; refusing a cancelled one settles it, since no
+    /// report of it will come.
     pub(crate) fn place(
         &mut self,
         now: SimTime,
@@ -1191,17 +1176,7 @@ impl MasterCore {
         if !self.commit(now, Some(worker), Some(job.id), kind) {
             return Placed::Truncated;
         }
-        if let Some((root, task, speculative)) = self.dag.task_of(job.id) {
-            let kind = SchedEventKind::TaskAssign {
-                root,
-                task,
-                speculative,
-            };
-            if !self.commit(now, Some(worker), Some(job.id), kind) {
-                return Placed::Truncated;
-            }
-            self.dag.on_placed(job.id, now.as_secs_f64());
-        }
+        self.dag.on_placed(job.id, now.as_secs_f64());
         let mut sent = Delivery {
             worker,
             offer,
@@ -1633,7 +1608,7 @@ mod tests {
         retained: usize,
         placements: usize,
         committed: usize,
-        bound: Vec<Option<(JobId, u32, bool)>>,
+        bound: Vec<Option<(JobId, u32)>>,
     }
 
     /// A driver with no runtime: one worker's worth of bookkeeping

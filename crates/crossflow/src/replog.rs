@@ -44,10 +44,6 @@ use crate::trace::{SchedEvent, SchedEventKind, SchedLog};
 /// decision: the hand-off must not leave the shard unless the entry is
 /// quorum-committed, or a leader crash could double-run the job (the
 /// successor would re-offer it locally while the peer also runs it).
-/// `TaskAssign` is *not* one: it annotates an `Assigned`/`Offered`
-/// that is already durable, so it must stand with it — were it
-/// truncated, a standby would believe in a placement whose message
-/// never went out.
 pub fn is_decision(kind: &SchedEventKind) -> bool {
     matches!(
         kind,
@@ -282,14 +278,12 @@ impl SchedState {
                     self.removed.insert(w);
                 }
             }
-            // Task release/placement markers annotate the ordinary
-            // Submitted/Assigned entries of the task's job; the DAG
+            // Task release and speculation markers annotate the
+            // ordinary entries of the task's job; the DAG
             // bookkeeping itself is rebuilt by the atomizer from the
             // same entries, so the generic job state needs no extra
             // fields for them.
             SchedEventKind::TaskOffer { .. }
-            | SchedEventKind::TaskBid { .. }
-            | SchedEventKind::TaskAssign { .. }
             | SchedEventKind::TaskDone { .. }
             | SchedEventKind::SpecLaunch { .. } => {}
             SchedEventKind::SpecCancel { .. } => {

@@ -386,27 +386,6 @@ macro_rules! sched_vocabulary {
                 /// orphaned stages without out-of-band knowledge.
                 total: u32,
             },
-            /// Atomization: a worker bid on a task's job. Logged alongside the
-            /// generic [`BidReceived`](Self::BidReceived) so task-level
-            /// contests are identifiable without a job→task join.
-            TaskBid "task_bid" {
-                /// Root id of the DAG.
-                root: JobId,
-                /// Task index within the DAG.
-                task: u32,
-                /// The worker's completion-time estimate.
-                estimate_secs: f64,
-            },
-            /// Atomization: a task's job was placed on a worker. A *decision*
-            /// event committed right after the placement it annotates.
-            TaskAssign "task_assign" {
-                /// Root id of the DAG.
-                root: JobId,
-                /// Task index within the DAG.
-                task: u32,
-                /// True iff this placement is a speculative replica.
-                speculative: bool,
-            },
             /// Atomization: the straggler detector launched a speculative
             /// replica of an in-flight task. A *decision* event (committed
             /// before the replica's job is submitted). `job` is the replica's
@@ -856,16 +835,6 @@ impl SchedLog {
     /// Number of DAG tasks released into allocation.
     pub fn task_offers(&self) -> usize {
         self.count(Rank::TaskOffer)
-    }
-
-    /// Number of task-level bids received.
-    pub fn task_bids(&self) -> usize {
-        self.count(Rank::TaskBid)
-    }
-
-    /// Number of task placements (including speculative replicas).
-    pub fn task_assigns(&self) -> usize {
-        self.count(Rank::TaskAssign)
     }
 
     /// Number of effective task completions.
@@ -1566,8 +1535,6 @@ mod tests {
             log.worker_removals(),
             log.task_dones(),
             log.task_offers(),
-            log.task_bids(),
-            log.task_assigns(),
             log.spec_launches(),
             log.spec_cancels(),
             log.fetch_reqs(),
@@ -1596,8 +1563,7 @@ mod tests {
             .map(|e| {
                 let mut e = *e.borrow();
                 let bits = match &mut e.kind {
-                    SchedEventKind::BidReceived { estimate_secs }
-                    | SchedEventKind::TaskBid { estimate_secs, .. } => {
+                    SchedEventKind::BidReceived { estimate_secs } => {
                         std::mem::replace(estimate_secs, 0.0).to_bits()
                     }
                     _ => 0,
@@ -1682,32 +1648,22 @@ mod tests {
                 preds: pick(c),
                 total: pick(a >> 3) as u32,
             },
-            23 => K::TaskBid {
-                root,
-                task,
-                estimate_secs: estimate(c),
-            },
-            24 => K::TaskAssign {
-                root,
-                task,
-                speculative: flag(3),
-            },
-            25 => K::SpecLaunch { root, task },
-            26 => K::SpecCancel { root, task },
-            27 => K::FetchReq { object, from },
-            28 => K::FetchOk { object, from },
-            29 => K::FetchFail {
+            23 => K::SpecLaunch { root, task },
+            24 => K::SpecCancel { root, task },
+            25 => K::FetchReq { object, from },
+            26 => K::FetchOk { object, from },
+            27 => K::FetchFail {
                 object,
                 from,
                 attempt: pick(a) as u32,
             },
-            30 => K::ReplicaAdd { object },
-            31 => K::ReplicaDrop {
+            28 => K::ReplicaAdd { object },
+            29 => K::ReplicaDrop {
                 object,
                 evicted: flag(4),
             },
-            32 => K::RepairStart { object, from },
-            33 => K::RepairDone { object },
+            30 => K::RepairStart { object, from },
+            31 => K::RepairDone { object },
             _ => unreachable!("{KINDS} kinds"),
         }
     }

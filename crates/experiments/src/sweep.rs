@@ -193,8 +193,8 @@ fn sweeps() -> Vec<Sweep> {
             name: "failover",
             title: "Master failover check",
             pick: Scenario::is_plain,
-            // The DAG half of the ledger — task release, placement
-            // annotation, frontier recovery — under the same crashes.
+            // The DAG half of the ledger — task release, the straggler
+            // clock, frontier recovery — under the same crashes.
             sim_only: |s| matches!(s.workload, Workload::Dags { .. }),
             seed: 0xC0FFEE,
             iters: (8, 2),

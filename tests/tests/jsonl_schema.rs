@@ -12,9 +12,10 @@ use crossbid_crossflow::{
     parse_run_stream, run_federation, sched_kind_name, Allocator, Arrival, AtomizeConfig,
     BaselineAllocator, EngineConfig, FaultPlan, Faults, FedArrival, FedRuntimeKind, FederationSpec,
     JobId, JobSpec, MasterFaultPlan, MembershipPlan, NetFaultPlan, Payload, ReplicationConfig,
-    ResourceRef, RunOutput, RunSpec, RunStreamLine, Runtime, SchedEvent, SchedEventKind, ShardId,
-    ShardSpec, TaskDag, TaskNode, TraceEvent, TraceKind, WorkerId, WorkerSpec, Workflow,
+    ResourceRef, RunOutput, RunSpec, RunStreamLine, Runtime, SchedEvent, SchedEventKind, SchedLog,
+    ShardId, ShardSpec, TaskDag, TaskNode, TraceEvent, TraceKind, WorkerId, WorkerSpec, Workflow,
 };
+use crossbid_integration::{task_entries, TaskEntryKind};
 use crossbid_metrics::Json;
 use crossbid_net::{ControlPlane, NoiseModel};
 use crossbid_simcore::{SimDuration, SimTime};
@@ -108,8 +109,8 @@ fn netfault_spec() -> RunSpec {
 /// and the replicas' wins cancel the primaries — so a Baseline run of
 /// this spec covers `sched/spec_launch` and `sched/spec_cancel` on
 /// top of the task-lifecycle kinds. Under bidding the slow worker
-/// prices itself out (no speculation), but every offer draws
-/// `sched/task_bid`.
+/// prices itself out (no speculation), but every offer draws bids:
+/// `sched/bid_received` lines of a task's job.
 fn atomized_spec() -> RunSpec {
     let workers = vec![
         WorkerSpec::builder("fast")
@@ -582,7 +583,7 @@ fn both_runtimes_emit_the_golden_event_vocabulary() {
         .filter(|l| !l.is_empty())
         .map(String::from)
         .collect();
-    assert_eq!(golden.len(), 38, "golden file lists every event kind");
+    assert_eq!(golden.len(), 36, "golden file lists every event kind");
     // The bidding protocol never offers (it assigns contest winners)
     // and the Baseline never opens contests, so the full vocabulary is
     // the union of one faulted bidding run (worker crash/recovery plus
@@ -592,8 +593,8 @@ fn both_runtimes_emit_the_golden_event_vocabulary() {
     // resend/lease/ack events, one churned federation run for the v5
     // spill and membership kinds, two atomized straggler runs for
     // the v6 task kinds — Baseline for the speculation race (under
-    // bidding the slow worker prices itself out), bidding for
-    // `sched/task_bid` — and two replicated runs for the v7
+    // bidding the slow worker prices itself out), bidding for bids on
+    // a task's job — and two replicated runs for the v7
     // data-plane kinds (a draining holder for the peer fetch and the
     // repair cycle, total peer loss for `sched/fetch_fail`).
     let faulted = faulted_spec();
@@ -652,7 +653,7 @@ fn both_runtimes_emit_the_golden_event_vocabulary() {
         let (_, lossy_vocab) = stream_vocabulary(rt.lossy.as_mut(), &BiddingAllocator::new());
         let (_, dag_spec_vocab) =
             dag_stream_vocabulary(rt.dag_baseline.as_mut(), &BaselineAllocator);
-        let (_, dag_bid_vocab) =
+        let (dag_bid_text, dag_bid_vocab) =
             dag_stream_vocabulary(rt.dag_bidding.as_mut(), &BiddingAllocator::new());
         assert!(
             baseline_vocab.contains("sched/offered") && baseline_vocab.contains("sched/rejected"),
@@ -672,9 +673,17 @@ fn both_runtimes_emit_the_golden_event_vocabulary() {
             "{}: atomized baseline run must race a speculative replica",
             rt.dag_baseline.name()
         );
+        let mut dag_bid_log = SchedLog::new();
+        for line in parse_run_stream(&dag_bid_text).unwrap() {
+            if let RunStreamLine::Sched(e) = line {
+                dag_bid_log.push(e);
+            }
+        }
         assert!(
-            dag_bid_vocab.contains("sched/task_bid"),
-            "{}: atomized bidding run must draw per-task bids",
+            task_entries(&dag_bid_log)
+                .iter()
+                .any(|t| matches!(t.kind, TaskEntryKind::Bid { .. })),
+            "{}: atomized bidding run must draw bids on task jobs",
             rt.dag_bidding.name()
         );
         let (_, repl_vocab) = repl_stream_vocabulary(rt.replicated.as_mut());
@@ -776,16 +785,6 @@ fn every_sched_kind(wide: bool, estimate: f64) -> Vec<SchedEventKind> {
             preds: n64,
             total: n32,
         },
-        K::TaskBid {
-            root,
-            task,
-            estimate_secs: estimate,
-        },
-        K::TaskAssign {
-            root,
-            task,
-            speculative: wide,
-        },
         K::SpecLaunch { root, task },
         K::SpecCancel { root, task },
         K::FetchReq { object, from },
@@ -805,7 +804,7 @@ fn every_sched_kind(wide: bool, estimate: f64) -> Vec<SchedEventKind> {
     ]
 }
 
-/// All 4 trace kinds and all 34 scheduler kinds at one corner of the
+/// All 4 trace kinds and all 32 scheduler kinds at one corner of the
 /// value space.
 fn every_event_line(
     at: f64,
@@ -930,24 +929,6 @@ fn reference_json(line: &RunStreamLine) -> Json {
                     ],
                 ]
                 .concat(),
-                K::TaskBid {
-                    root,
-                    task,
-                    estimate_secs,
-                } => [
-                    task_of(root, task),
-                    one("estimate_secs", Json::Num(estimate_secs)),
-                ]
-                .concat(),
-                K::TaskAssign {
-                    root,
-                    task,
-                    speculative,
-                } => [
-                    task_of(root, task),
-                    one("speculative", Json::Bool(speculative)),
-                ]
-                .concat(),
                 K::TaskDone { root, task }
                 | K::SpecLaunch { root, task }
                 | K::SpecCancel { root, task } => task_of(root, task),
@@ -1018,7 +999,7 @@ fn event_encoder_matches_the_tree_renderer_at_the_boundaries() {
         .iter()
         .map(|l| reference_json(l).req_str("kind").unwrap().to_string())
         .collect();
-    assert_eq!(names.len(), 38, "4 trace kinds + 34 sched kinds");
+    assert_eq!(names.len(), 36, "4 trace kinds + 32 sched kinds");
     for line in &lines {
         let reference = reference_json(line).render();
         assert_eq!(line.render(), reference, "{line:?}");
@@ -1124,7 +1105,7 @@ fn event_decoder_matches_the_tree_parser_on_foreign_spellings() {
             checked += 1;
         }
     }
-    assert_eq!(checked, 8 * 8 * 38);
+    assert_eq!(checked, 8 * 8 * 36);
 
     // What the tree reader refused stays refused.
     for bad in [
