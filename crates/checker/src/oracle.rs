@@ -168,14 +168,6 @@ pub enum Violation {
         /// The worker it was placed on.
         worker: WorkerId,
     },
-    /// A worker's placement ledger went negative: more rejections +
-    /// completions than placements.
-    NegativeQueue {
-        /// Offending worker.
-        worker: WorkerId,
-        /// The depth it reached.
-        depth: i64,
-    },
     /// End of log: a submitted job neither completed nor is the run an
     /// acknowledged partial run.
     JobLost {
@@ -418,9 +410,6 @@ impl std::fmt::Display for Violation {
             ),
             Violation::PlacedAfterCancel { job, worker } => {
                 write!(f, "cancelled attempt {} placed on w{}", job.0, worker.0)
-            }
-            Violation::NegativeQueue { worker, depth } => {
-                write!(f, "w{} placement ledger went negative ({depth})", worker.0)
             }
             Violation::JobLost { job } => write!(f, "job {} submitted but never completed", job.0),
             Violation::SpillOutWithoutSpillIn { job, to_shard } => write!(
@@ -671,16 +660,12 @@ impl Oracle {
         *self.depth.entry(w).or_insert(0) += 1;
     }
 
+    /// The job leaves the worker it was placed on. Each decrement
+    /// undoes the increment of the [`place`](Self::place) that set
+    /// `placed`, so no depth goes below zero.
     fn unplace(&mut self, job: JobId) {
         if let Some(w) = self.jobs.entry(job).or_default().placed.take() {
-            let d = self.depth.entry(w).or_insert(0);
-            *d -= 1;
-            if *d < 0 {
-                self.violations.push(Violation::NegativeQueue {
-                    worker: WorkerId(w),
-                    depth: *d,
-                });
-            }
+            *self.depth.entry(w).or_insert(0) -= 1;
         }
     }
 
@@ -1273,6 +1258,52 @@ mod tests {
         assert_eq!(
             check_log(&clean_bidding_log(), OracleOptions::default()),
             vec![]
+        );
+    }
+
+    /// The clean log with `extra` inserted before entry `at`.
+    fn clean_log_with(at: usize, extra: SchedEvent) -> SchedLog {
+        let mut events: Vec<SchedEvent> = clean_bidding_log().events().collect();
+        events.insert(at, extra);
+        let mut log = SchedLog::new();
+        for e in events {
+            log.push(e);
+        }
+        log
+    }
+
+    #[test]
+    fn a_job_submitted_twice_is_flagged() {
+        let again = ev(SchedEventKind::Submitted, None, Some(0));
+        let v = check_log(&clean_log_with(1, again), OracleOptions::default());
+        assert_eq!(v, vec![Violation::DuplicateSubmit { job: JobId(0) }]);
+    }
+
+    #[test]
+    fn a_spill_in_after_the_submission_is_a_second_submission() {
+        // Outside a merged federation log a spill-in is the job's
+        // submission here, so one after the submission is a second.
+        let spill_in = SchedEventKind::SpillIn {
+            from_shard: ShardId(1),
+        };
+        let v = check_log(
+            &clean_log_with(1, ev(spill_in, None, Some(0))),
+            OracleOptions::default(),
+        );
+        assert_eq!(v, vec![Violation::DuplicateSubmit { job: JobId(0) }]);
+    }
+
+    #[test]
+    fn completing_a_job_never_submitted_is_flagged() {
+        let mut log = SchedLog::new();
+        log.push(ev(SchedEventKind::Completed, Some(2), Some(7)));
+        let (job, worker) = (JobId(7), WorkerId(2));
+        assert_eq!(
+            check_log(&log, OracleOptions::default()),
+            vec![
+                Violation::CompletedUnknownJob { job },
+                Violation::CompletedWithoutPlacement { job, worker },
+            ]
         );
     }
 

@@ -40,7 +40,7 @@ use crate::replica::{Landing, ReplicaPlane};
 use crate::replog::ReplicatedLog;
 use crate::scheduler::{Allocator, MasterScheduler, SchedCtx, WorkerHandle, WorkerToMaster};
 use crate::trace::{SchedEventKind, SchedLog, Trace, TraceEvent, TraceKind};
-use crate::worker::{Intake, WorkerNode, WorkerRules, WorkerSpec};
+use crate::worker::{BidderRow, Intake, Quotes, WorkerNode, WorkerRules, WorkerSpec};
 use crate::workflow::Workflow;
 
 /// Engine-wide configuration (the testbed parameters of §6.2/§6.3.1).
@@ -256,17 +256,22 @@ impl ReplicationConfig {
 /// speeds survive across iterations of a session (§6.3.1 runs every
 /// configuration "in three iterations" with caches warm).
 pub struct Cluster {
+    /// Every worker's bidder row, in id order, so a bid round prices
+    /// its recipients from one contiguous slice.
+    rows: Vec<BidderRow>,
     nodes: Vec<WorkerNode>,
 }
 
 impl Cluster {
     /// Build worker nodes from specs under the given engine config.
     pub fn new(specs: &[WorkerSpec], cfg: &EngineConfig) -> Self {
+        let nodes: Vec<WorkerNode> = specs
+            .iter()
+            .map(|s| WorkerNode::new(s.clone(), cfg.data_latency, &cfg.noise))
+            .collect();
         Cluster {
-            nodes: specs
-                .iter()
-                .map(|s| WorkerNode::new(s.clone(), cfg.data_latency, &cfg.noise))
-                .collect(),
+            rows: nodes.iter().map(|n| n.row(true)).collect(),
+            nodes,
         }
     }
 
@@ -458,8 +463,10 @@ enum Ev {
 struct Engine<'a> {
     cfg: &'a EngineConfig,
     q: EventQueue<Ev>,
-    /// The worker cores, alive or not (see [`WorkerNode`]).
-    nodes: &'a mut Vec<WorkerNode>,
+    /// The worker cores, alive or not: their bidder rows, and the rest
+    /// (see [`WorkerNode`]).
+    rows: &'a mut [BidderRow],
+    nodes: &'a mut [WorkerNode],
     assignments: Vec<(JobId, WorkerId)>,
     trace: Option<Trace>,
     /// The master shared with the threaded runtime: the scheduler and
@@ -670,8 +677,9 @@ impl<'a> Engine<'a> {
         self.q.schedule_in(d, Ev::Solicit { job, to: round });
     }
 
-    /// A round's requests land: each recipient answers in turn (a dead
-    /// one does not), and the bids go back as one `Ev::Bids`. Each
+    /// A round's requests land: each recipient answers in turn from its
+    /// row (a dead one does not), all of them priced through one
+    /// [`Quotes`], and the bids go back as one `Ev::Bids`. Each
     /// request would have scheduled exactly one bid or nothing, so the
     /// bids too would have had consecutive seqs and one instant.
     fn answer_round(&mut self, job: Job, mut to: Vec<WorkerId>) {
@@ -679,8 +687,9 @@ impl<'a> Engine<'a> {
             .spare_bids
             .pop()
             .unwrap_or_else(|| Vec::with_capacity(to.len()));
+        let (now, mut quotes) = (self.q.now(), Quotes::new(&job));
         for &worker in &to {
-            if let Some(est) = self.bid(worker, &job) {
+            if let Some(est) = self.bid(worker, now, &mut quotes) {
                 bids.push((worker, est));
             }
         }
@@ -716,11 +725,14 @@ impl<'a> Engine<'a> {
         self.spare_bids.push(bids);
     }
 
-    /// `worker`'s answer to a bid request for `job`: its estimate, or
-    /// `None` if it is dead or declines to bid.
-    fn bid(&mut self, worker: WorkerId, job: &Job) -> Option<f64> {
-        let peers = self.peer_priced(worker, job);
-        self.nodes[worker.0 as usize].bid(self.q.now(), job, peers)
+    /// `worker`'s answer to a bid request for the job `quotes` prices,
+    /// from its row: its estimate, or `None` if it is dead or declines
+    /// to bid.
+    #[inline]
+    fn bid(&mut self, worker: WorkerId, now: SimTime, quotes: &mut Quotes) -> Option<f64> {
+        let i = worker.0 as usize;
+        let has_peer = has_peer(self.plane.as_ref(), worker);
+        self.nodes[i].bid(&self.rows[i], now, quotes, has_peer)
     }
 
     /// A worker message reaches the master. A Reject is the nack of an
@@ -735,9 +747,9 @@ impl<'a> Engine<'a> {
     /// Take placement `seq` of `job` in at `worker` (see
     /// [`WorkerNode::intake`]) and act on the outcome.
     fn intake(&mut self, worker: WorkerId, job: Job, seq: u64, offer: bool) {
-        let now = self.q.now();
-        let peers = offer && self.peer_priced(worker, &job);
-        match self.nodes[worker.0 as usize].intake(now, job, seq, offer, peers) {
+        let (i, now) = (worker.0 as usize, self.q.now());
+        let has_peer = has_peer(self.plane.as_ref(), worker);
+        match self.nodes[i].intake(&mut self.rows[i], now, job, seq, offer, has_peer) {
             Some(Intake::Taken { job, queued, ack }) => {
                 if ack {
                     // The ack crosses the lossy worker→master link like
@@ -770,7 +782,8 @@ impl<'a> Engine<'a> {
 
     /// Start the worker's next queued job, if it is free.
     fn maybe_start(&mut self, w: WorkerId) {
-        let Some(s) = self.nodes[w.0 as usize].start(self.q.now()) else {
+        let (i, now) = (w.0 as usize, self.q.now());
+        let Some(s) = self.nodes[i].start(&mut self.rows[i], now) else {
             return;
         };
         self.note_trace(s.job, w, TraceKind::Started);
@@ -791,7 +804,8 @@ impl<'a> Engine<'a> {
         if let (Some(obj), Some(plane)) = (missing, &self.plane) {
             plane.peers(obj, w, &mut self.peers);
         }
-        let Some(step) = self.nodes[w.0 as usize].fetch(now, epoch, &self.peers) else {
+        let i = w.0 as usize;
+        let Some(step) = self.nodes[i].fetch(&mut self.rows[i], now, epoch, &self.peers) else {
             return;
         };
         if let Some((job, req)) = step.req {
@@ -811,15 +825,6 @@ impl<'a> Engine<'a> {
     fn bounce(&mut self, job: Job) {
         self.q
             .schedule_in(self.cfg.faults.detection_delay, Ev::Redispatch(job));
-    }
-
-    /// Would `w` fetch `job`'s input from a live peer? Then it prices
-    /// the peer transfer ([`WorkerNode::bid`]).
-    fn peer_priced(&self, w: WorkerId, job: &Job) -> bool {
-        self.plane.as_ref().is_some_and(|p| {
-            job.resource
-                .is_some_and(|r| !self.nodes[w.0 as usize].holds(r.id) && p.has_peer(r.id, w))
-        })
     }
 
     /// Commit what the replica plane journaled, make the repair copies
@@ -959,7 +964,7 @@ impl<'a> Engine<'a> {
     /// A control message reaches `worker`.
     fn worker_recv(&mut self, worker: WorkerId, msg: ToWorker) {
         match msg {
-            _ if !self.nodes[worker.0 as usize].alive() => {
+            _ if !self.rows[worker.0 as usize].alive => {
                 // The addressee is dead. A placement bounces back
                 // through the monitoring layer — unless the ledger no
                 // longer places it here (a crash reclaimed it, or it
@@ -982,7 +987,8 @@ impl<'a> Engine<'a> {
             }
             ToWorker::Shutdown => unreachable!("the sim runs no worker threads"),
             ToWorker::BidRequest(job) => {
-                if let Some(est) = self.bid(worker, &job) {
+                let now = self.q.now();
+                if let Some(est) = self.bid(worker, now, &mut Quotes::new(&job)) {
                     let bid = WorkerToMaster::Bid {
                         job: job.id,
                         estimate_secs: est,
@@ -997,7 +1003,8 @@ impl<'a> Engine<'a> {
     /// replica plane hears of it, and processing starts.
     fn fetched(&mut self, worker: WorkerId, epoch: u64) {
         let now = self.q.now();
-        let Some(f) = self.nodes[worker.0 as usize].fetched(now, epoch) else {
+        let i = worker.0 as usize;
+        let Some(f) = self.nodes[i].fetched(&mut self.rows[i], now, epoch) else {
             return;
         };
         if let Some((job, ok)) = f.ok {
@@ -1020,7 +1027,8 @@ impl<'a> Engine<'a> {
     /// A peer transfer to `worker` was lost: back off and retry, or
     /// fall back to the master.
     fn fetch_lost(&mut self, worker: WorkerId, epoch: u64) {
-        let Some(lost) = self.nodes[worker.0 as usize].fetch_lost(epoch) else {
+        let i = worker.0 as usize;
+        let Some(lost) = self.nodes[i].fetch_lost(&self.rows[i], epoch) else {
             return;
         };
         let (job, fail) = lost.fail;
@@ -1037,7 +1045,8 @@ impl<'a> Engine<'a> {
     /// 14): one control message carrying the completed job — resent,
     /// under the net-fault layer, until it is acked.
     fn finished(&mut self, worker: WorkerId, epoch: u64) {
-        let Some(f) = self.nodes[worker.0 as usize].finish(self.q.now(), epoch) else {
+        let (i, now) = (worker.0 as usize, self.q.now());
+        let Some(f) = self.nodes[i].finish(&mut self.rows[i], now, epoch) else {
             return;
         };
         self.core.m.proc_secs.record(f.report.proc_secs);
@@ -1097,12 +1106,12 @@ impl<'a> Engine<'a> {
     /// `worker`'s idle heartbeat: re-announce idleness, and beat again.
     fn idle_beat(&mut self, worker: WorkerId) {
         let w = worker.0 as usize;
-        if self.nodes[w].idle() && self.core.eligible(worker) {
+        if self.nodes[w].idle(&self.rows[w]) && self.core.eligible(worker) {
             self.send_to_master(worker, WorkerToMaster::Idle, 0, SimDuration::ZERO);
         }
         // A departed worker never comes back — let its beat die.
         let departed = self.core.member(worker).stage == Stage::Departed;
-        if !departed && (self.nodes[w].alive() || !self.cfg.faults.is_empty()) {
+        if !departed && (self.rows[w].alive || !self.cfg.faults.is_empty()) {
             self.beat_later(worker);
         }
     }
@@ -1118,12 +1127,12 @@ impl<'a> Engine<'a> {
     /// layer notices at once — `w` leaves the roster now, and what it
     /// owed re-enters allocation after the detection delay.
     fn crash(&mut self, w: WorkerId) {
-        let now = self.q.now();
-        if !self.nodes[w.0 as usize].alive() || !self.core.crash(now, w) {
+        let (i, now) = (w.0 as usize, self.q.now());
+        if !self.rows[i].alive || !self.core.crash(now, w) {
             return;
         }
-        self.down_since[w.0 as usize] = Some(now);
-        let stranded = self.nodes[w.0 as usize].crash(now);
+        self.down_since[i] = Some(now);
+        let stranded = self.nodes[i].crash(&mut self.rows[i], now);
         self.core.lose(now, w);
         self.apply();
         self.clear_out(w, stranded, self.cfg.faults.detection_delay);
@@ -1144,13 +1153,13 @@ impl<'a> Engine<'a> {
     /// departed for good.
     fn recover(&mut self, w: WorkerId) {
         let (i, now) = (w.0 as usize, self.q.now());
-        if self.nodes[i].alive() || !self.core.recover(now, w) {
+        if self.rows[i].alive || !self.core.recover(now, w) {
             return;
         }
         if let Some(since) = self.down_since[i].take() {
             self.downtime_secs += now.saturating_since(since).as_secs_f64();
         }
-        self.nodes[i].recover();
+        self.nodes[i].recover(&mut self.rows[i]);
         if let Some(p) = &mut self.plane {
             p.up(w);
         }
@@ -1164,10 +1173,10 @@ impl<'a> Engine<'a> {
     /// layer, starts its idle heartbeat.
     fn join_worker(&mut self, w: WorkerId) {
         let i = w.0 as usize;
-        if self.nodes[i].alive() || !self.core.join(self.q.now(), w) {
+        if self.rows[i].alive || !self.core.join(self.q.now(), w) {
             return;
         }
-        self.nodes[i].recover();
+        self.nodes[i].recover(&mut self.rows[i]);
         if let Some(p) = &mut self.plane {
             p.up(w);
         }
@@ -1190,11 +1199,14 @@ impl<'a> Engine<'a> {
     /// report unacked ([`WorkerNode::settled`]). Called from every site
     /// that could clear the last obligation.
     fn maybe_finish_drain(&mut self, w: WorkerId) {
-        let node = &self.nodes[w.0 as usize];
-        if self.core.member(w).stage != Stage::Draining || !node.alive() || !node.settled() {
+        let i = w.0 as usize;
+        if self.core.member(w).stage != Stage::Draining
+            || !self.rows[i].alive
+            || !self.nodes[i].settled()
+        {
             return;
         }
-        self.nodes[w.0 as usize].depart();
+        self.nodes[i].depart(&mut self.rows[i]);
         self.core.remove(self.q.now(), w);
         self.apply();
         // The departed worker's copies leave the cluster with it.
@@ -1215,8 +1227,8 @@ impl<'a> Engine<'a> {
         if let Some(since) = self.down_since[i].take() {
             self.downtime_secs += now.saturating_since(since).as_secs_f64();
         }
-        let stranded = if self.nodes[i].alive() {
-            self.nodes[i].crash(now)
+        let stranded = if self.rows[i].alive {
+            self.nodes[i].crash(&mut self.rows[i], now)
         } else {
             Vec::new()
         };
@@ -1261,7 +1273,7 @@ impl<'a> Engine<'a> {
         // Idle workers on the roster re-announce themselves so the
         // pull loop restarts under the new leader.
         for i in 0..self.nodes.len() {
-            if self.nodes[i].idle() && self.core.eligible(WorkerId(i as u32)) {
+            if self.nodes[i].idle(&self.rows[i]) && self.core.eligible(WorkerId(i as u32)) {
                 self.q.schedule_at(
                     now,
                     Ev::MasterRecv {
@@ -1292,6 +1304,12 @@ impl<'a> Engine<'a> {
         }
         self.replicate();
     }
+}
+
+/// Does a live peer of `w` hold an object? What `w`'s price asks on a
+/// store miss ([`WorkerNode::bid`]).
+fn has_peer(plane: Option<&ReplicaPlane>, w: WorkerId) -> impl Fn(ObjectId) -> bool + '_ {
+    move |obj| plane.is_some_and(|p| p.has_peer(obj, w))
 }
 
 /// Schedule the physical copy of one repair, `bytes` of `obj` to
@@ -1353,9 +1371,10 @@ pub fn run_workflow(
         net: cfg.netfaults.clone(),
         repl: cfg.replication,
     };
-    for (i, n) in cluster.nodes.iter_mut().enumerate() {
+    for (i, (n, row)) in cluster.nodes.iter_mut().zip(&mut cluster.rows).enumerate() {
         let id = WorkerId(i as u32);
         n.begin_run(
+            row,
             id,
             rules.clone(),
             allocator.worker_policy(),
@@ -1408,12 +1427,13 @@ pub fn run_workflow(
 
     // Warm caches from earlier iterations seed the replica plane.
     let plane = cfg.replication.enabled.then(|| {
-        let stores = cluster.nodes.iter().map(|n| (&n.store, n.alive()));
+        let stores = (cluster.nodes.iter().zip(&cluster.rows)).map(|(n, r)| (&n.store, r.alive));
         ReplicaPlane::new(cfg.replication, cfg.mutation, stores)
     });
     let mut engine = Engine {
         cfg,
         q,
+        rows: &mut cluster.rows,
         nodes: &mut cluster.nodes,
         assignments: Vec::new(),
         trace: if cfg.trace { Some(Trace::new()) } else { None },

@@ -1,6 +1,7 @@
 //! Worker-side threads of the threaded runtime.
 //!
-//! Each worker is one [`WorkerNode`] behind a mutex and two threads
+//! Each worker is one [`WorkerNode`] and its bidder row behind a mutex
+//! ([`Halves`]) and two threads
 //! driving it — "their internal state, i.e. their opinions", and, as
 //! the paper envisions, a separate thread for the bidding. The bidder
 //! answers the master (bids, placements, `Done` acks) and resends
@@ -15,13 +16,14 @@ use std::time::Duration;
 
 use crossbeam_channel::{Receiver, RecvTimeoutError, Sender};
 use crossbid_simcore::{RngStream, SimDuration};
+use crossbid_storage::ObjectId;
 use parking_lot::Mutex;
 
 use crate::faults::RetryPolicy;
-use crate::job::{Job, WorkerId};
+use crate::job::WorkerId;
 use crate::obs::RuntimeMetrics;
 use crate::replica::ReplicaPlane;
-use crate::worker::{Finished, Intake, Report, Started, Step, WorkerNode};
+use crate::worker::{Finished, Halves, Intake, Quotes, Report, Started, Step};
 
 use super::{Clock, ToMaster, ToWorker};
 
@@ -34,7 +36,7 @@ pub(crate) struct WorkerThreads {
 #[derive(Clone)]
 struct Worker {
     id: u32,
-    node: Arc<Mutex<WorkerNode>>,
+    node: Arc<Mutex<Halves>>,
     to_master: Sender<ToMaster>,
     clock: Clock,
     /// The owning thread's tallies (a clone forks them), flushed
@@ -59,33 +61,33 @@ impl Worker {
         });
     }
 
-    /// Would this worker fetch `job`'s input from a live peer? Then it
-    /// prices the peer transfer.
-    fn peer_priced(&self, node: &WorkerNode, job: &Job) -> bool {
-        let (Some(rp), Some(r)) = (&self.repl, job.resource) else {
-            return false;
-        };
-        if node.holds(r.id) {
-            return false;
+    /// Does a live peer hold an object? What this worker's price asks
+    /// on a store miss.
+    fn has_peer(&self) -> impl Fn(ObjectId) -> bool + '_ {
+        let me = WorkerId(self.id);
+        move |obj| {
+            self.repl
+                .as_ref()
+                .is_some_and(|rp| rp.lock().has_peer(obj, me))
         }
-        rp.lock().has_peer(r.id, WorkerId(self.id))
     }
 
     /// One transfer attempt for the job in hand, its live peer sources
     /// gathered into `peers`. The source choice and its `fetch_req`
     /// event happen in one critical section, so the committed log never
     /// shows a fetch from a source that was already dropped.
-    fn fetch(&self, node: &mut WorkerNode, epoch: u64, peers: &mut Vec<WorkerId>) -> Option<Step> {
+    fn fetch(&self, h: &mut Halves, epoch: u64, peers: &mut Vec<WorkerId>) -> Option<Step> {
         let now = self.clock.now();
+        let Halves { row, node } = h;
         let Some(rp) = &self.repl else {
-            return node.fetch(now, epoch, &[]);
+            return node.fetch(row, now, epoch, &[]);
         };
         let mut rp = rp.lock();
         peers.clear();
         if let Some(obj) = node.missing() {
             rp.peers(obj, WorkerId(self.id), peers);
         }
-        let step = node.fetch(now, epoch, peers)?;
+        let step = node.fetch(row, now, epoch, peers)?;
         if let Some((job, req)) = step.req {
             rp.fact(WorkerId(self.id), job, req);
         }
@@ -106,8 +108,7 @@ impl Worker {
                 while step.lost {
                     self.clock.sleep(step.d);
                     let backoff = {
-                        let mut node = self.node.lock();
-                        let lost = node.fetch_lost(epoch)?;
+                        let lost = self.node.lock().with(|n, row| n.fetch_lost(row, epoch))?;
                         let (job, fail) = lost.fail;
                         let rp = self.repl.as_ref().expect("only a peer attempt is lost");
                         rp.lock().fact(WorkerId(self.id), job, fail);
@@ -124,7 +125,8 @@ impl Worker {
             }
         };
         self.clock.sleep(proc);
-        let f = self.node.lock().finish(self.clock.now(), epoch)?;
+        let now = self.clock.now();
+        let f = self.node.lock().with(|n, row| n.finish(row, now, epoch))?;
         self.metrics.proc_secs.record(f.report.proc_secs);
         Some(f)
     }
@@ -134,12 +136,13 @@ impl Worker {
     /// time comes back.
     fn land(&self, epoch: u64) -> Option<SimDuration> {
         let me = WorkerId(self.id);
-        let mut node = self.node.lock();
+        let mut h = self.node.lock();
+        let Halves { row, node } = &mut *h;
         let mut rp = self.repl.as_ref().map(|r| r.lock());
         if let Some(rp) = rp.as_mut() {
             rp.pin(me, &mut node.store);
         }
-        let f = node.fetched(self.clock.now(), epoch)?;
+        let f = node.fetched(row, self.clock.now(), epoch)?;
         if let Some(rp) = rp.as_mut() {
             if let Some((job, ok)) = f.ok {
                 rp.fact(me, job, ok);
@@ -155,7 +158,7 @@ impl Worker {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn spawn_worker(
     id: u32,
-    node: Arc<Mutex<WorkerNode>>,
+    node: Arc<Mutex<Halves>>,
     rx_control: Receiver<ToWorker>,
     to_master: Sender<ToMaster>,
     clock: Clock,
@@ -202,9 +205,9 @@ pub(crate) fn spawn_worker(
                         },
                     };
                     if tick.is_some() {
-                        let mut node = w.node.lock();
+                        let mut h = w.node.lock();
                         let now = clock.now();
-                        while let Some(r) = node.resend_due(now) {
+                        while let Some(r) = h.node.resend_due(now) {
                             w.metrics.net_retries.inc();
                             w.done(r.report);
                         }
@@ -213,15 +216,14 @@ pub(crate) fn spawn_worker(
                     let (job, seq, offer) = match msg {
                         ToWorker::Shutdown => break,
                         ToWorker::AckDone(job) => {
-                            w.node.lock().ack_done(job);
+                            w.node.lock().node.ack_done(job);
                             continue;
                         }
                         ToWorker::BidRequest(job) => {
-                            let est = {
-                                let mut node = w.node.lock();
-                                let peers = w.peer_priced(&node, &job);
-                                node.bid(clock.now(), &job, peers)
-                            };
+                            let now = clock.now();
+                            let quotes = &mut Quotes::new(&job);
+                            let est = (w.node.lock())
+                                .with(|n, row| n.bid(row, now, quotes, w.has_peer()));
                             let Some(estimate_secs) = est else { continue };
                             if bid_delay > Duration::ZERO {
                                 // Chaos: think about it for a while —
@@ -239,11 +241,11 @@ pub(crate) fn spawn_worker(
                         ToWorker::Offer { job, seq } => (job, seq, true),
                         ToWorker::Assign { job, seq } => (job, seq, false),
                     };
-                    let intake = {
-                        let mut node = w.node.lock();
-                        let peers = offer && w.peer_priced(&node, &job);
-                        node.intake(clock.now(), job, seq, offer, peers)
-                    };
+                    let now = clock.now();
+                    let intake = w
+                        .node
+                        .lock()
+                        .with(|n, row| n.intake(row, now, job, seq, offer, w.has_peer()));
                     match intake {
                         // A crashed worker is silent.
                         None => {}
@@ -285,7 +287,8 @@ pub(crate) fn spawn_worker(
             let mut peers = Vec::new();
             loop {
                 loop {
-                    let started = w.node.lock().start(clock.now());
+                    let now = clock.now();
+                    let started = w.node.lock().with(|n, row| n.start(row, now));
                     let Some(s) = started else { break };
                     w.metrics.queue_wait_secs.record(s.waited);
                     if let Some(f) = w.run(s, &mut peers) {

@@ -24,6 +24,14 @@
 //! duration; the threaded worker's two threads share the core behind a
 //! mutex and sleep through them.
 //!
+//! **Two halves.** What a bid reads — liveness, backlog, queue length
+//! and the machine's believed speeds — is a small `Copy` row; the rest
+//! (store, link, noise, trackers, ledgers, policy) is the
+//! [`WorkerNode`]. Each rule takes both. The sim keeps every row in
+//! one contiguous `Vec`, so a bid round walks the rows and probes each
+//! store once; one price function serves every bid and intake of both
+//! runtimes.
+//!
 //! **An incarnation.** The queue, the job in hand, the backlog, the
 //! declined jobs, the placements taken in, the unacked completions and
 //! the store all die with the instance (`WorkerNode::crash`); learned
@@ -324,11 +332,6 @@ struct Unacked {
 struct Incarnation {
     queue: VecDeque<Queued>,
     running: Option<Running>,
-    /// `totalCostOfUnfinishedJobs()` (Listing 2 line 2): the estimates
-    /// of the queued jobs and the one in hand, a running sum that is
-    /// reset to exactly 0.0 whenever the queue drains, so removal
-    /// round-off never accumulates across a run.
-    backlog: f64,
     /// Placement seq → accepted?, so a retransmitted delivery replays
     /// its outcome instead of re-running the policy.
     placements: IdMap<u64, bool>,
@@ -343,9 +346,143 @@ struct Incarnation {
     declined: IdSet<JobId>,
 }
 
-/// One worker: its machine (spec, store, link, noise, learned speeds),
-/// which persists across session iterations, and the state of its
-/// current incarnation. See the [module docs](self).
+/// What a bid reads of one worker, and nothing more: the hot half of
+/// its state. It is `Copy` and seven words, so the sim keeps a
+/// cluster's rows in one contiguous `Vec` and prices a round walking
+/// it, and a threaded worker keeps its one row beside its
+/// [`WorkerNode`]. The worker core's rules keep it current;
+/// [`WorkerNode::begin_run`] rebuilds it, so a spec or tracker edited
+/// between runs shows from the next run on.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BidderRow {
+    /// Is this incarnation up?
+    pub alive: bool,
+    /// Jobs queued, not counting the one in hand.
+    pub queue_len: usize,
+    /// `totalCostOfUnfinishedJobs()` (Listing 2 line 2): the estimates
+    /// of the queued jobs and the one in hand, a running sum that is
+    /// reset to exactly 0.0 whenever the queue drains, so removal
+    /// round-off never accumulates across a run.
+    pub backlog: f64,
+    pub machine: Machine,
+}
+
+/// What a price converts a job's sizes to seconds with: the machine's
+/// believed speeds ([`WorkerNode::believed_net`] and `believed_rw`
+/// under the run's learning setting), its per-transfer latency and
+/// its CPU factor.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Machine {
+    pub net: Bandwidth,
+    pub rw: Bandwidth,
+    /// Seconds.
+    pub latency: f64,
+    pub cpu_factor: f64,
+}
+
+impl Machine {
+    /// Bit for bit the same machine: it quotes every job the same.
+    fn same(&self, other: &Machine) -> bool {
+        let bits = |m: &Machine| {
+            let (net, rw) = (m.net.as_bytes_per_sec(), m.rw.as_bytes_per_sec());
+            [net, rw, m.latency, m.cpu_factor].map(f64::to_bits)
+        };
+        bits(self) == bits(other)
+    }
+
+    /// Listing 2's two costs of `job` here, in seconds: fetching its
+    /// input from the repository host, latency + size / network speed
+    /// (line 4; nothing when it needs none), and processing it, work
+    /// bytes / read-write speed × CPU factor + fixed CPU seconds
+    /// (line 5).
+    fn quote(&self, job: &Job) -> (f64, f64) {
+        let fetch = job.resource.map_or(0.0, |r| {
+            self.latency + self.net.time_for(r.bytes).as_secs_f64()
+        });
+        let scan = if job.work_bytes == 0 {
+            0.0
+        } else {
+            self.rw.time_for(job.work_bytes).as_secs_f64()
+        };
+        (
+            fetch,
+            scan * self.cpu_factor + job.cpu_secs * self.cpu_factor,
+        )
+    }
+}
+
+/// One job's prices, worker by worker: every bid and every intake of
+/// both runtimes is priced here. A round prices one job on many rows,
+/// and rows of the same [`Machine`] share its quote, so a cluster of
+/// equal machines converts the job's sizes to seconds once a round
+/// rather than once a bid: those conversions cost a bid more than the
+/// walk to its row.
+pub(crate) struct Quotes<'j> {
+    job: &'j Job,
+    /// The machine quoted last, and its quote.
+    last: Option<(Machine, (f64, f64))>,
+}
+
+impl<'j> Quotes<'j> {
+    pub(crate) fn new(job: &'j Job) -> Self {
+        Quotes { job, last: None }
+    }
+
+    /// The job's price on `row`: the seconds to obtain its input and
+    /// to process it. The input costs nothing when the worker `holds`
+    /// it (or the job needs none); a fetch from a live peer costs the
+    /// host's quote divided by `peers`, the intra-cluster speed-up.
+    #[inline]
+    pub(crate) fn price(&mut self, row: &BidderRow, holds: bool, peers: Option<f64>) -> (f64, f64) {
+        let (fetch, proc) = match self.last {
+            Some((m, quote)) if m.same(&row.machine) => quote,
+            _ => {
+                let quote = row.machine.quote(self.job);
+                self.last = Some((row.machine, quote));
+                quote
+            }
+        };
+        let fetch = match peers {
+            _ if holds => 0.0,
+            Some(scale) if fetch > 0.0 => fetch / scale,
+            _ => fetch,
+        };
+        (fetch, proc)
+    }
+}
+
+/// A worker whole, its row beside the rest: how a threaded worker,
+/// which bids alone, keeps itself behind the one lock its threads and
+/// the master share.
+pub(crate) struct Halves {
+    pub row: BidderRow,
+    pub node: WorkerNode,
+}
+
+impl Halves {
+    pub(crate) fn new(node: WorkerNode) -> Self {
+        Halves {
+            row: node.row(true),
+            node,
+        }
+    }
+
+    /// Up, with nothing queued and nothing in hand.
+    pub(crate) fn idle(&self) -> bool {
+        self.node.idle(&self.row)
+    }
+
+    /// Run one of the worker core's rules on both halves.
+    pub(crate) fn with<T>(&mut self, rule: impl FnOnce(&mut WorkerNode, &mut BidderRow) -> T) -> T {
+        rule(&mut self.node, &mut self.row)
+    }
+}
+
+/// One worker's cold half: its machine (spec, store, link, noise,
+/// learned speeds), which persists across session iterations, and the
+/// ledgers and policy of its current incarnation. Every rule of the
+/// worker core also takes the worker's bidder row, its hot half. See
+/// the [module docs](self).
 pub struct WorkerNode {
     /// Static configuration.
     pub spec: WorkerSpec,
@@ -367,7 +504,6 @@ pub struct WorkerNode {
     /// Draws of transfer and scan noise (and of repair copies landing
     /// here).
     rng: RngStream,
-    alive: bool,
     epoch: u64,
     life: Incarnation,
     /// Busy (fetching or processing) indicator over time.
@@ -393,7 +529,6 @@ impl WorkerNode {
             rules: WorkerRules::default(),
             policy: Box::new(ObedientPolicy),
             rng: RngStream::from_seed(0),
-            alive: true,
             epoch: 0,
             life: Incarnation::default(),
             busy: TimeWeighted::new(),
@@ -404,17 +539,18 @@ impl WorkerNode {
     /// Begin a run as worker `id`, under the run's `rules`, with a
     /// fresh instance of the allocator's policy and the run's random
     /// stream for this worker; `alive` unless it joins later. Per-run
-    /// state starts afresh; the machine — store contents, learned
-    /// speeds, noise state — carries over.
+    /// state starts afresh, `row` included; the machine — store
+    /// contents, learned speeds, noise state — carries over.
     pub(crate) fn begin_run(
         &mut self,
+        row: &mut BidderRow,
         id: WorkerId,
         rules: WorkerRules,
         policy: Box<dyn WorkerPolicy>,
         rng: RngStream,
         alive: bool,
     ) {
-        (self.id, self.rules, self.policy, self.rng, self.alive) = (id, rules, policy, rng, alive);
+        (self.id, self.rules, self.policy, self.rng) = (id, rules, policy, rng);
         // A session's next run reuses the queue's buffer.
         let mut queue = std::mem::take(&mut self.life.queue);
         queue.clear();
@@ -425,6 +561,25 @@ impl WorkerNode {
         self.busy = TimeWeighted::new();
         self.wait = Welford::new();
         self.store.reset_stats();
+        *row = self.row(alive);
+    }
+
+    /// This worker's row as a run begins: up if `alive`, nothing
+    /// queued, the believed speeds under the run's learning setting.
+    pub(crate) fn row(&self, alive: bool) -> BidderRow {
+        let learning = self.rules.learning;
+        let machine = Machine {
+            net: self.believed_net(learning),
+            rw: self.believed_rw(learning),
+            latency: self.link.latency().as_secs_f64(),
+            cpu_factor: self.spec.cpu_factor,
+        };
+        BidderRow {
+            alive,
+            queue_len: 0,
+            backlog: 0.0,
+            machine,
+        }
     }
 
     /// The network speed estimates are computed from: learned historic
@@ -447,63 +602,25 @@ impl WorkerNode {
         }
     }
 
-    /// Does the worker hold `job`'s resource locally (or the job need
-    /// none)? And the estimated seconds to obtain it: zero if so, else
-    /// latency + size / believed network speed (Listing 2 line 4).
-    pub fn locality(&self, job: &Job, learning: bool) -> (bool, f64) {
-        match job.resource {
-            Some(r) if !self.store.peek(r.id) => {
-                let bw = self.believed_net(learning);
-                let secs = self.link.latency().as_secs_f64() + bw.time_for(r.bytes).as_secs_f64();
-                (false, secs)
-            }
-            _ => (true, 0.0),
-        }
-    }
-
-    /// Estimated seconds to process `job`: work bytes / believed
-    /// read-write speed × CPU factor + fixed CPU seconds (Listing 2
-    /// line 5).
-    pub fn est_proc_secs(&self, job: &Job, learning: bool) -> f64 {
-        let scan = if job.work_bytes == 0 {
-            0.0
-        } else {
-            self.believed_rw(learning)
-                .time_for(job.work_bytes)
-                .as_secs_f64()
-        };
-        scan * self.spec.cpu_factor + job.cpu_secs * self.spec.cpu_factor
-    }
-
-    /// `totalCostOfUnfinishedJobs()` — the backlog component of a bid
-    /// (Listing 2 line 2).
-    pub fn backlog_secs(&self) -> f64 {
-        self.life.backlog
-    }
-
     /// Number of resources held locally.
     pub fn cached_objects(&self) -> usize {
         self.store.len()
     }
 
-    /// Convenience for tests: is a specific object cached?
+    /// Is a specific object cached? A probe: the store's statistics
+    /// and eviction order do not move.
     pub fn holds(&self, id: ObjectId) -> bool {
         self.store.peek(id)
     }
 
-    /// Is this incarnation up?
-    pub(crate) fn alive(&self) -> bool {
-        self.alive
-    }
-
-    fn live(&self, epoch: u64) -> bool {
-        self.alive && self.epoch == epoch
+    fn live(&self, row: &BidderRow, epoch: u64) -> bool {
+        row.alive && self.epoch == epoch
     }
 
     /// Up, with nothing queued and nothing in hand: what an idle beat
     /// re-announces.
-    pub(crate) fn idle(&self) -> bool {
-        self.alive && self.life.running.is_none() && self.life.queue.is_empty()
+    pub(crate) fn idle(&self, row: &BidderRow) -> bool {
+        row.alive && self.life.running.is_none() && self.life.queue.is_empty()
     }
 
     /// Nothing queued, nothing in hand and no completion awaiting its
@@ -518,27 +635,50 @@ impl WorkerNode {
         self.link.transfer(bytes, &mut self.rng).duration
     }
 
-    /// What the allocator's policy decides on: Listing 2's components
-    /// on believed speeds, the backlog, and whether this worker
-    /// declined the job before. `peers`: the input is not local and a
-    /// live peer holds it — the worker then prices the cheaper
-    /// intra-cluster transfer, which spreads locality pressure over the
-    /// whole replica set instead of the one original holder.
-    fn price(&self, now: SimTime, job: &Job, peers: bool) -> (WorkerView, JobView) {
-        let learning = self.rules.learning;
-        let (has_data, mut est_fetch_secs) = self.locality(job, learning);
-        if peers && est_fetch_secs > 0.0 {
-            est_fetch_secs /= self.rules.repl.peer_bandwidth_scale;
+    /// Where `job`'s input is, by the one store probe its price takes:
+    /// held here (or none is needed); else, when a live peer holds it
+    /// (`has_peer`, asked only on a miss), the peer-transfer speed-up
+    /// its [price](Quotes::price) divides by. Pricing the cheaper
+    /// intra-cluster transfer spreads locality pressure over the whole
+    /// replica set instead of the one original holder.
+    #[inline]
+    fn peer_priced(
+        &self,
+        job: &Job,
+        has_peer: impl FnOnce(ObjectId) -> bool,
+    ) -> (bool, Option<f64>) {
+        match job.resource {
+            Some(r) if !self.store.peek(r.id) => {
+                let scale = || self.rules.repl.peer_bandwidth_scale;
+                (false, has_peer(r.id).then(scale))
+            }
+            _ => (true, None),
         }
+    }
+
+    /// What the allocator's policy decides on: the job's
+    /// [price](Quotes::price) on `row`, the backlog and queue, and
+    /// whether this worker declined the job before.
+    #[inline]
+    fn view(
+        &self,
+        row: &BidderRow,
+        now: SimTime,
+        quotes: &mut Quotes,
+        holds: bool,
+        peers: Option<f64>,
+    ) -> (WorkerView, JobView) {
+        let (est_fetch_secs, est_proc_secs) = quotes.price(row, holds, peers);
+        let job = quotes.job;
         let view = WorkerView {
             id: self.id,
             now,
-            backlog_secs: self.life.backlog,
-            has_data,
+            backlog_secs: row.backlog,
+            has_data: holds,
             declined_before: self.life.declined.contains(&job.id),
             est_fetch_secs,
-            est_proc_secs: self.est_proc_secs(job, learning),
-            queue_len: self.life.queue.len(),
+            est_proc_secs,
+            queue_len: row.queue_len,
         };
         let resource_bytes = job.resource_bytes();
         (
@@ -550,31 +690,43 @@ impl WorkerNode {
         )
     }
 
-    /// Answer a bid request: the policy's bid on `price`,
-    /// or `None` — the policy abstains, or the instance is dead and
-    /// hears nothing (the contest resolves without it).
-    pub(crate) fn bid(&mut self, now: SimTime, job: &Job, peers: bool) -> Option<f64> {
-        if !self.alive {
+    /// Answer a bid request for the job `quotes` prices: the policy's
+    /// bid on its [`view`](Self::view), or `None` — the policy
+    /// abstains, or the instance is dead and hears nothing (the contest
+    /// resolves without it). `has_peer`: does a live peer hold this
+    /// object?
+    #[inline]
+    pub(crate) fn bid(
+        &mut self,
+        row: &BidderRow,
+        now: SimTime,
+        quotes: &mut Quotes,
+        has_peer: impl FnOnce(ObjectId) -> bool,
+    ) -> Option<f64> {
+        if !row.alive {
             return None;
         }
-        let (view, jv) = self.price(now, job, peers);
+        let (holds, peers) = self.peer_priced(quotes.job, has_peer);
+        let (view, jv) = self.view(row, now, quotes, holds, peers);
         self.policy.bid(&view, &jv)
     }
 
     /// Take in placement `seq` of `job` — an assignment, or an `offer`
-    /// the policy may decline once (`peers` as in `price`). Under the at-least-once layer a
-    /// delivery of a placement already seen replays its outcome and a
-    /// job already taken in is confirmed, never queued twice. `None`:
-    /// the instance is dead and hears nothing.
+    /// the policy may decline once (`has_peer` as in
+    /// [`bid`](Self::bid)). Under the at-least-once layer a delivery of
+    /// a placement already seen replays its outcome and a job already
+    /// taken in is confirmed, never queued twice. `None`: the instance
+    /// is dead and hears nothing.
     pub(crate) fn intake(
         &mut self,
+        row: &mut BidderRow,
         now: SimTime,
         job: Job,
         seq: u64,
         offer: bool,
-        peers: bool,
+        has_peer: impl FnOnce(ObjectId) -> bool,
     ) -> Option<Intake> {
-        if !self.alive {
+        if !row.alive {
             return None;
         }
         let (reliable, id) = (self.rules.reliable, job.id);
@@ -588,8 +740,10 @@ impl WorkerNode {
             }
             None => {}
         }
+        let (holds, peers) = self.peer_priced(&job, |obj| offer && has_peer(obj));
+        let mut quotes = Quotes::new(&job);
         if offer {
-            let (view, jv) = self.price(now, &job, peers);
+            let (view, jv) = self.view(row, now, &mut quotes, holds, peers);
             if !self.policy.accept_offer(&view, &jv) {
                 self.life.declined.insert(job.id);
                 if reliable {
@@ -602,9 +756,11 @@ impl WorkerNode {
             self.life.placements.insert(seq, true);
             self.life.accepted.insert(id);
         }
-        let learning = self.rules.learning;
-        let est = self.locality(&job, learning).1 + self.est_proc_secs(&job, learning);
-        self.life.backlog += est;
+        // The backlog prices the master fetch, peers or not.
+        let (fetch, proc) = quotes.price(row, holds, None);
+        let est = fetch + proc;
+        row.backlog += est;
+        row.queue_len += 1;
         self.life.queue.push_back(Queued { job, est, at: now });
         let (job, queued, ack) = (id, true, reliable);
         Some(Intake::Taken { job, queued, ack })
@@ -613,11 +769,12 @@ impl WorkerNode {
     /// Take up the next queued job, if nothing is in hand. A local
     /// input (a store hit, or none needed) goes straight to
     /// processing.
-    pub(crate) fn start(&mut self, now: SimTime) -> Option<Started> {
+    pub(crate) fn start(&mut self, row: &mut BidderRow, now: SimTime) -> Option<Started> {
         if self.life.running.is_some() {
             return None;
         }
         let Queued { job, est, at } = self.life.queue.pop_front()?;
+        row.queue_len -= 1;
         let waited = now.saturating_since(at).as_secs_f64();
         self.wait.push(waited);
         self.busy.set(now, 1.0);
@@ -636,7 +793,7 @@ impl WorkerNode {
             job: id,
             waited,
             epoch: self.epoch,
-            proc: local.then(|| self.process()),
+            proc: local.then(|| self.process(row)),
         })
     }
 
@@ -652,8 +809,14 @@ impl WorkerNode {
     /// or the data plane's loss sample, it times out — or from the
     /// repository host once no peer holds it or every peer attempt is
     /// spent. `None`: epoch `epoch` is dead.
-    pub(crate) fn fetch(&mut self, now: SimTime, epoch: u64, sources: &[WorkerId]) -> Option<Step> {
-        if !self.live(epoch) {
+    pub(crate) fn fetch(
+        &mut self,
+        row: &mut BidderRow,
+        now: SimTime,
+        epoch: u64,
+        sources: &[WorkerId],
+    ) -> Option<Step> {
+        if !self.live(row, epoch) {
             return None;
         }
         let run = self.life.running.as_mut()?;
@@ -663,6 +826,7 @@ impl WorkerNode {
             run.from = None;
             let out = self.link.transfer(r.bytes, &mut self.rng);
             self.net_tracker.observe(out.achieved_mb_per_sec());
+            row.machine.net = self.believed_net(self.rules.learning);
             let (d, req, lost) = (out.duration, None, false);
             return Some(Step { d, req, lost });
         }
@@ -684,8 +848,13 @@ impl WorkerNode {
 
     /// The attempt in flight delivered: the input lands in the store
     /// and processing begins.
-    pub(crate) fn fetched(&mut self, now: SimTime, epoch: u64) -> Option<Fetched> {
-        if !self.live(epoch) {
+    pub(crate) fn fetched(
+        &mut self,
+        row: &mut BidderRow,
+        now: SimTime,
+        epoch: u64,
+    ) -> Option<Fetched> {
+        if !self.live(row, epoch) {
             return None;
         }
         let run = self.life.running.as_mut()?;
@@ -706,15 +875,15 @@ impl WorkerNode {
             bytes: r.bytes,
             ok,
             secs,
-            proc: self.process(),
+            proc: self.process(row),
         })
     }
 
     /// The peer attempt in flight timed out: back off before the next
     /// peer, or, after the last attempt, fall back to the master at
     /// once.
-    pub(crate) fn fetch_lost(&mut self, epoch: u64) -> Option<Lost> {
-        if !self.live(epoch) {
+    pub(crate) fn fetch_lost(&mut self, row: &BidderRow, epoch: u64) -> Option<Lost> {
+        if !self.live(row, epoch) {
             return None;
         }
         let run = self.life.running.as_mut()?;
@@ -741,7 +910,7 @@ impl WorkerNode {
 
     /// Processing time of the job in hand, under read/write noise; the
     /// observed scan speed feeds §6.4's historic average.
-    fn process(&mut self) -> SimDuration {
+    fn process(&mut self, row: &mut BidderRow) -> SimDuration {
         let job = &self
             .life
             .running
@@ -754,6 +923,7 @@ impl WorkerNode {
         if work_bytes > 0 && !scan.is_zero() && scan != SimDuration::MAX {
             self.rw_tracker
                 .observe(work_bytes as f64 / 1e6 / scan.as_secs_f64());
+            row.machine.rw = self.believed_rw(self.rules.learning);
         }
         scan.mul_f64(self.spec.cpu_factor)
             + SimDuration::from_secs_f64(cpu_secs * self.spec.cpu_factor)
@@ -762,17 +932,22 @@ impl WorkerNode {
     /// The job in hand finished: the policy learns estimate against
     /// actual, the backlog settles, and — under the at-least-once
     /// layer — the report is kept for resending until acked.
-    pub(crate) fn finish(&mut self, now: SimTime, epoch: u64) -> Option<Finished> {
-        if !self.live(epoch) {
+    pub(crate) fn finish(
+        &mut self,
+        row: &mut BidderRow,
+        now: SimTime,
+        epoch: u64,
+    ) -> Option<Finished> {
+        if !self.live(row, epoch) {
             return None;
         }
         let run = self.life.running.take()?;
         let since = |t: SimTime| now.saturating_since(t).as_secs_f64();
         let actual = since(run.started);
         self.policy.on_job_finished(run.est, actual);
-        self.life.backlog -= run.est;
+        row.backlog -= run.est;
         if self.life.queue.is_empty() {
-            self.life.backlog = 0.0;
+            row.backlog = 0.0;
         }
         self.busy.set(now, 0.0);
         let proc_secs = since(run.fetched.unwrap_or(run.started));
@@ -846,26 +1021,26 @@ impl WorkerNode {
     /// queue and the job in hand (returned, in that order, for the
     /// driver's reclaim), the backlog, the store, the declined jobs,
     /// the placement dedup memory and every unacked report.
-    pub(crate) fn crash(&mut self, now: SimTime) -> Vec<Job> {
+    pub(crate) fn crash(&mut self, row: &mut BidderRow, now: SimTime) -> Vec<Job> {
         let life = std::mem::take(&mut self.life);
         let mut stranded: Vec<Job> = life.running.map(|r| r.job).into_iter().collect();
         stranded.extend(life.queue.into_iter().map(|q| q.job));
         self.busy.set(now, 0.0);
         self.store.clear();
-        self.alive = false;
+        (row.alive, row.queue_len, row.backlog) = (false, 0, 0.0);
         self.epoch += 1;
         stranded
     }
 
     /// A new incarnation comes up (recovery, or a deferred join).
-    pub(crate) fn recover(&mut self) {
-        self.alive = true;
+    pub(crate) fn recover(&mut self, row: &mut BidderRow) {
+        row.alive = true;
         self.epoch += 1;
     }
 
     /// A settled worker leaves the cluster; its store stays on disk.
-    pub(crate) fn depart(&mut self) {
-        self.alive = false;
+    pub(crate) fn depart(&mut self, row: &mut BidderRow) {
+        row.alive = false;
         self.epoch += 1;
     }
 }
@@ -892,18 +1067,28 @@ mod tests {
         }
     }
 
-    fn node() -> WorkerNode {
+    fn node() -> (WorkerNode, BidderRow) {
         let spec = WorkerSpec::builder("w")
             .net_mbps(10.0)
             .rw_mbps(100.0)
             .storage_gb(1.0)
             .build();
-        WorkerNode::new(spec, SimDuration::ZERO, &NoiseModel::None)
+        let n = WorkerNode::new(spec, SimDuration::ZERO, &NoiseModel::None);
+        let row = n.row(true);
+        (n, row)
     }
 
-    fn assign(n: &mut WorkerNode, j: Job, at: SimTime) {
-        let intake = n.intake(at, j, 0, false, false);
+    fn assign(n: &mut WorkerNode, row: &mut BidderRow, j: Job, at: SimTime) {
+        let intake = n.intake(row, at, j, 0, false, |_| false);
         assert!(matches!(intake, Some(Intake::Taken { queued: true, .. })));
+    }
+
+    /// `job`'s fetch and processing estimates on `n` as its price sees
+    /// them, with no peer holding the input.
+    fn estimate(n: &WorkerNode, row: &BidderRow, job: &Job) -> (bool, f64, f64) {
+        let (holds, peers) = n.peer_priced(job, |_| false);
+        let (fetch, proc) = Quotes::new(job).price(row, holds, peers);
+        (holds, fetch, proc)
     }
 
     #[test]
@@ -917,47 +1102,103 @@ mod tests {
 
     #[test]
     fn fetch_estimate_is_zero_when_cached() {
-        let mut n = node();
+        let (mut n, row) = node();
         let j = job(1, 100_000_000); // 100 MB
-        assert!((n.locality(&j, false).1 - 10.0).abs() < 1e-9);
+        assert!((estimate(&n, &row, &j).1 - 10.0).abs() < 1e-9);
+        // A live peer holding it: the intra-cluster transfer is priced.
+        let (holds, peers) = n.peer_priced(&j, |_| true);
+        let scale = n.rules.repl.peer_bandwidth_scale;
+        assert_eq!((holds, peers), (false, Some(scale)));
+        let peer_secs = Quotes::new(&j).price(&row, holds, peers).0;
+        assert!((peer_secs - 10.0 / scale).abs() < 1e-9);
         n.store
             .insert(j.resource.unwrap().id, 100_000_000, SimTime::ZERO);
-        assert_eq!(n.locality(&j, false), (true, 0.0));
+        let (holds, fetch, _) = estimate(&n, &row, &j);
+        assert_eq!((holds, fetch), (true, 0.0));
+        assert_eq!(
+            n.peer_priced(&j, |_| panic!("asked on a hit")),
+            (true, None)
+        );
     }
 
     #[test]
     fn proc_estimate_uses_rw_and_cpu_factor() {
-        let mut n = node();
+        let (mut n, row) = node();
         let j = job(1, 200_000_000); // 200 MB at 100 MB/s = 2 s
-        assert!((n.est_proc_secs(&j, false) - 2.0).abs() < 1e-9);
+        assert!((estimate(&n, &row, &j).2 - 2.0).abs() < 1e-9);
+        // A spec edit shows from the next run's row on.
         n.spec.cpu_factor = 3.0;
-        assert!((n.est_proc_secs(&j, false) - 6.0).abs() < 1e-9);
+        let row = n.row(true);
+        assert!((estimate(&n, &row, &j).2 - 6.0).abs() < 1e-9);
     }
 
     #[test]
     fn backlog_tracks_unfinished_jobs() {
-        let mut n = node();
-        assert_eq!(n.backlog_secs(), 0.0);
+        let (mut n, mut row) = node();
+        assert_eq!(row.backlog, 0.0);
         // 10 MB: 1 s to fetch at 10 MB/s, 0.1 s to scan.
-        assign(&mut n, job(1, 10_000_000), SimTime::ZERO);
-        assign(&mut n, job(2, 10_000_000), SimTime::ZERO);
-        assert!((n.backlog_secs() - 2.2).abs() < 1e-9);
-        let s = n.start(SimTime::ZERO).expect("queued");
-        n.fetch(SimTime::ZERO, s.epoch, &[]).expect("live");
-        n.fetched(SimTime::from_secs(1), s.epoch).expect("live");
-        n.finish(SimTime::from_secs(2), s.epoch).expect("live");
-        assert!((n.backlog_secs() - 1.1).abs() < 1e-9);
+        assign(&mut n, &mut row, job(1, 10_000_000), SimTime::ZERO);
+        assign(&mut n, &mut row, job(2, 10_000_000), SimTime::ZERO);
+        assert!((row.backlog - 2.2).abs() < 1e-9);
+        assert_eq!(row.queue_len, 2);
+        let s = n.start(&mut row, SimTime::ZERO).expect("queued");
+        assert_eq!(row.queue_len, 1);
+        n.fetch(&mut row, SimTime::ZERO, s.epoch, &[])
+            .expect("live");
+        n.fetched(&mut row, SimTime::from_secs(1), s.epoch)
+            .expect("live");
+        n.finish(&mut row, SimTime::from_secs(2), s.epoch)
+            .expect("live");
+        assert!((row.backlog - 1.1).abs() < 1e-9);
     }
 
     #[test]
     fn speed_learning_switches_believed_speeds() {
-        let mut n = node();
+        let (mut n, _) = node();
         assert_eq!(n.believed_net(true), n.spec.net);
         n.net_tracker.observe(4.0);
         n.net_tracker.observe(6.0);
         assert!((n.believed_net(true).as_mb_per_sec() - 5.0).abs() < 1e-9);
         // Learning disabled: still the nominal speed.
         assert_eq!(n.believed_net(false), n.spec.net);
+    }
+
+    #[test]
+    fn learned_speeds_reach_the_row_only_when_learning() {
+        for learning in [false, true] {
+            // The transfer's latency and noise make the observed speeds
+            // differ from the nominal ones.
+            let spec = WorkerSpec::builder("w").net_mbps(10.0).rw_mbps(100.0);
+            let noise = NoiseModel::evaluation_default();
+            let mut n = WorkerNode::new(spec.build(), SimDuration::from_millis(300), &noise);
+            let mut row = n.row(true);
+            let rules = WorkerRules {
+                learning,
+                ..WorkerRules::default()
+            };
+            let policy = Box::new(ObedientPolicy);
+            n.begin_run(
+                &mut row,
+                WorkerId(0),
+                rules,
+                policy,
+                RngStream::from_seed(1),
+                true,
+            );
+            assign(&mut n, &mut row, job(1, 10_000_000), SimTime::ZERO);
+            let s = n.start(&mut row, SimTime::ZERO).expect("queued");
+            n.fetch(&mut row, SimTime::ZERO, s.epoch, &[])
+                .expect("live");
+            n.fetched(&mut row, SimTime::from_secs(2), s.epoch)
+                .expect("live");
+            assert_eq!((n.net_tracker.count(), n.rw_tracker.count()), (1, 1));
+            let (net, rw) = (row.machine.net, row.machine.rw);
+            assert_eq!(
+                (net, rw),
+                (n.believed_net(learning), n.believed_rw(learning))
+            );
+            assert_eq!(net == n.spec.net && rw == n.spec.rw, !learning);
+        }
     }
 
     #[test]
@@ -972,12 +1213,13 @@ mod tests {
 
     #[test]
     fn reset_keeps_store_but_clears_run_state() {
-        let mut n = node();
+        let (mut n, mut row) = node();
         n.store.insert(ObjectId(5), 1000, SimTime::ZERO);
-        assign(&mut n, job(1, 10), SimTime::ZERO);
+        assign(&mut n, &mut row, job(1, 10), SimTime::ZERO);
         n.life.declined.insert(JobId(9));
         let rules = WorkerRules::default();
         n.begin_run(
+            &mut row,
             WorkerId(0),
             rules,
             Box::new(ObedientPolicy),
@@ -987,15 +1229,15 @@ mod tests {
         assert!(n.holds(ObjectId(5)));
         assert!(n.life.queue.is_empty());
         assert!(n.life.declined.is_empty());
-        assert_eq!(n.backlog_secs(), 0.0);
-        assert!(n.idle());
+        assert_eq!((row.backlog, row.queue_len), (0.0, 0));
+        assert!(n.idle(&row));
     }
 
     #[test]
     fn wait_statistics() {
-        let mut n = node();
-        assign(&mut n, job(1, 0), SimTime::from_secs(10));
-        let s = n.start(SimTime::from_secs(14)).expect("queued");
+        let (mut n, mut row) = node();
+        assign(&mut n, &mut row, job(1, 0), SimTime::from_secs(10));
+        let s = n.start(&mut row, SimTime::from_secs(14)).expect("queued");
         assert_eq!(s.waited, 4.0);
         assert_eq!(n.wait.count(), 1);
         assert!((n.wait.mean() - 4.0).abs() < 1e-12);
@@ -1003,12 +1245,322 @@ mod tests {
 
     #[test]
     fn resource_free_job_always_has_data() {
-        let n = node();
+        let (n, row) = node();
         let j = Job {
             resource: None,
             ..job(1, 0)
         };
-        assert_eq!(n.locality(&j, false), (true, 0.0));
+        assert_eq!(estimate(&n, &row, &j), (true, 0.0, 0.0));
+    }
+
+    /// The price as the node computed it before its row was split off,
+    /// kept as the reference of `a_row_prices_as_the_node_did`: Listing
+    /// 2 read straight off the node — its store, trackers, spec, link,
+    /// queue and declined jobs — with the backlog the old rules kept.
+    /// `peers`: the input is not local and a live peer holds it.
+    fn reference_price(
+        n: &WorkerNode,
+        backlog: f64,
+        now: SimTime,
+        job: &Job,
+        peers: bool,
+    ) -> WorkerView {
+        let learning = n.rules.learning;
+        let (has_data, mut est_fetch_secs) = reference_locality(n, job);
+        if peers && est_fetch_secs > 0.0 {
+            est_fetch_secs /= n.rules.repl.peer_bandwidth_scale;
+        }
+        let scan = if job.work_bytes == 0 {
+            0.0
+        } else {
+            n.believed_rw(learning)
+                .time_for(job.work_bytes)
+                .as_secs_f64()
+        };
+        WorkerView {
+            id: n.id,
+            now,
+            backlog_secs: backlog,
+            has_data,
+            declined_before: n.life.declined.contains(&job.id),
+            est_fetch_secs,
+            est_proc_secs: scan * n.spec.cpu_factor + job.cpu_secs * n.spec.cpu_factor,
+            queue_len: n.life.queue.len(),
+        }
+    }
+
+    /// The reference's `(has_data, est_fetch_secs)` (Listing 2 line 4).
+    fn reference_locality(n: &WorkerNode, job: &Job) -> (bool, f64) {
+        match job.resource {
+            Some(r) if !n.store.peek(r.id) => {
+                let bw = n.believed_net(n.rules.learning);
+                let secs = n.link.latency().as_secs_f64() + bw.time_for(r.bytes).as_secs_f64();
+                (false, secs)
+            }
+            _ => (true, 0.0),
+        }
+    }
+
+    /// A view's fields, floats as bits: equal means bit for bit.
+    fn bits(v: &WorkerView) -> (WorkerId, SimTime, u64, bool, bool, u64, u64, usize) {
+        (
+            v.id,
+            v.now,
+            v.backlog_secs.to_bits(),
+            v.has_data,
+            v.declined_before,
+            v.est_fetch_secs.to_bits(),
+            v.est_proc_secs.to_bits(),
+            v.queue_len,
+        )
+    }
+
+    /// `crossbid-core`'s `AdaptiveBiddingPolicy` in miniature (that
+    /// crate depends on this one): Listing 2's estimate scaled by an
+    /// EWMA of actual over estimated seconds, learned from every
+    /// finished job.
+    struct Adaptive(f64);
+
+    impl WorkerPolicy for Adaptive {
+        fn accept_offer(&mut self, _: &WorkerView, _: &JobView) -> bool {
+            true
+        }
+
+        fn bid(&mut self, view: &WorkerView, _: &JobView) -> Option<f64> {
+            Some(crate::scheduler::estimate_bid(view).total() * self.0)
+        }
+
+        fn on_job_finished(&mut self, est_secs: f64, actual_secs: f64) {
+            if est_secs > 0.0 && actual_secs.is_finite() {
+                self.0 = 0.8 * self.0 + 0.2 * actual_secs / est_secs;
+            }
+        }
+    }
+
+    /// One step of the pricing differential.
+    #[derive(Debug, Clone)]
+    enum PriceOp {
+        /// Job `pick`, assigned or (`offer`) offered.
+        Place {
+            pick: usize,
+            offer: bool,
+        },
+        Start,
+        /// The job in hand's next phase: a transfer attempt, from the
+        /// master or (`peer`) a peer, then its landing or loss, then
+        /// the finish.
+        Step {
+            peer: bool,
+        },
+        /// Job `pick`'s input lands here, or the store is wiped.
+        Hold {
+            pick: usize,
+        },
+        Wipe,
+        /// This incarnation declines job `pick` (Baseline's memory).
+        Decline {
+            pick: usize,
+        },
+        Crash,
+        Recover,
+        Tick {
+            millis: u32,
+        },
+    }
+
+    fn price_op() -> impl Strategy<Value = PriceOp> {
+        (0u8..16, 0usize..16, proptest::bool::ANY).prop_map(|(kind, pick, flag)| match kind {
+            0..=3 => PriceOp::Place { pick, offer: flag },
+            4 | 5 => PriceOp::Start,
+            6..=9 => PriceOp::Step { peer: flag },
+            10 => PriceOp::Hold { pick },
+            11 if flag => PriceOp::Wipe,
+            11 => PriceOp::Decline { pick },
+            12 if flag => PriceOp::Crash,
+            12 => PriceOp::Recover,
+            _ => PriceOp::Tick {
+                millis: pick as u32 * 211,
+            },
+        })
+    }
+
+    /// Where the job in hand is.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Hand {
+        Fetch,
+        InFlight { lost: bool },
+        Process,
+    }
+
+    proptest! {
+        /// The row's price equals the price read straight off the node
+        /// ([`reference_price`]) bit for bit, view and bid, under
+        /// random backlog, queue, holder, peer, declined and learning
+        /// states, under the bidding, the adaptive and the Baseline
+        /// policy. The reference keeps the backlog as the node did.
+        #[test]
+        fn a_row_prices_as_the_node_did(
+            ops in proptest::collection::vec(price_op(), 10..160),
+            learning in proptest::bool::ANY,
+            reliable in proptest::bool::ANY,
+            which in 0u8..3,
+            cpu_factor in 0.5f64..3.0,
+            learned in proptest::collection::vec(1.0f64..200.0, 0..3),
+        ) {
+            let spec = WorkerSpec::builder("w")
+                .net_mbps(13.0)
+                .rw_mbps(97.0)
+                .cpu_factor(cpu_factor)
+                .storage_gb(0.05)
+                .build();
+            let noise = NoiseModel::evaluation_default();
+            let mut n = WorkerNode::new(spec, SimDuration::from_millis(300), &noise);
+            // Speeds a previous run learned: the machine's, not the run's.
+            for &mbps in &learned {
+                n.net_tracker.observe(mbps);
+                n.rw_tracker.observe(mbps * 3.0);
+            }
+            let rules = WorkerRules {
+                learning,
+                reliable,
+                net: NetFaultPlan::none(),
+                repl: ReplicationConfig::with_factor(2),
+            };
+            let policy: Box<dyn WorkerPolicy> = match which {
+                0 => Box::new(crate::scheduler::BiddingPolicy),
+                1 => Box::new(Adaptive(1.0)),
+                _ => Box::new(crate::baseline::BaselinePolicy),
+            };
+            let mut row = n.row(false);
+            n.begin_run(&mut row, WorkerId(3), rules, policy, RngStream::from_seed(9), true);
+            let jobs: Vec<Job> = (0..6u64)
+                .map(|i| Job {
+                    // Job 5 needs no input; job 4 only CPU.
+                    resource: (i < 5).then(|| ResourceRef {
+                        id: ObjectId(i % 4),
+                        bytes: 3_000_001 * (i % 4 + 1),
+                    }),
+                    work_bytes: if i == 4 { 0 } else { 5_000_003 * i },
+                    cpu_secs: 0.41 * i as f64,
+                    ..job(i, 0)
+                })
+                .collect();
+            // What the old rules kept: the backlog, and each queued
+            // job's estimate.
+            let (mut backlog, mut ests, mut in_hand) = (0.0f64, VecDeque::<f64>::new(), None);
+            let (mut now, mut alive, mut seq) = (SimTime::ZERO, true, 0u64);
+            let mut hand: Option<(u64, Hand)> = None;
+            for op in ops {
+                match op {
+                    PriceOp::Place { pick, offer } => {
+                        let job = jobs[pick % jobs.len()].clone();
+                        let (_, fetch) = reference_locality(&n, &job);
+                        let est = fetch + reference_price(&n, 0.0, now, &job, false).est_proc_secs;
+                        seq += 1;
+                        if let Some(Intake::Taken { queued: true, .. }) =
+                            n.intake(&mut row, now, job, seq, offer, |_| pick % 2 == 0)
+                        {
+                            backlog += est;
+                            ests.push_back(est);
+                        }
+                    }
+                    PriceOp::Start => {
+                        if let Some(s) = n.start(&mut row, now) {
+                            in_hand = ests.pop_front();
+                            let at = if s.proc.is_some() { Hand::Process } else { Hand::Fetch };
+                            hand = Some((s.epoch, at));
+                        }
+                    }
+                    PriceOp::Step { peer } => match hand {
+                        Some((epoch, Hand::Fetch)) => {
+                            let sources = if peer { vec![WorkerId(7)] } else { vec![] };
+                            let step = n.fetch(&mut row, now, epoch, &sources).expect("live");
+                            now += step.d;
+                            hand = Some((epoch, Hand::InFlight { lost: step.lost }));
+                        }
+                        Some((epoch, Hand::InFlight { lost: true })) => {
+                            n.fetch_lost(&row, epoch).expect("live");
+                            hand = Some((epoch, Hand::Fetch));
+                        }
+                        Some((epoch, Hand::InFlight { lost: false })) => {
+                            let f = n.fetched(&mut row, now, epoch).expect("live");
+                            now += f.proc;
+                            hand = Some((epoch, Hand::Process));
+                        }
+                        Some((epoch, Hand::Process)) => {
+                            n.finish(&mut row, now, epoch).expect("live");
+                            backlog -= in_hand.take().expect("a job in hand");
+                            if ests.is_empty() {
+                                backlog = 0.0;
+                            }
+                            hand = None;
+                        }
+                        None => {}
+                    },
+                    PriceOp::Hold { pick } => {
+                        if let Some(r) = jobs[pick % jobs.len()].resource {
+                            n.store.insert(r.id, r.bytes, now);
+                        }
+                    }
+                    PriceOp::Wipe => n.store.clear(),
+                    PriceOp::Decline { pick } => {
+                        n.life.declined.insert(jobs[pick % jobs.len()].id);
+                    }
+                    PriceOp::Crash if alive => {
+                        n.crash(&mut row, now);
+                        (backlog, in_hand, hand, alive) = (0.0, None, None, false);
+                        ests.clear();
+                    }
+                    PriceOp::Recover if !alive => {
+                        n.recover(&mut row);
+                        alive = true;
+                    }
+                    PriceOp::Crash | PriceOp::Recover => {}
+                    PriceOp::Tick { millis } => now += SimDuration::from_millis(millis as u64),
+                }
+                for job in &jobs {
+                    for peer in [false, true] {
+                        let (holds, peers) = n.peer_priced(job, |_| peer);
+                        let view = n.view(&row, now, &mut Quotes::new(job), holds, peers).0;
+                        let priced_peer = peer && job.resource.is_some_and(|r| !n.holds(r.id));
+                        let want = reference_price(&n, backlog, now, job, priced_peer);
+                        prop_assert_eq!(bits(&view), bits(&want), "{:?}, peer {}", job.id, peer);
+                        let jv = JobView { id: job.id, resource_bytes: job.resource_bytes() };
+                        let want = if alive { n.policy.bid(&want, &jv) } else { None };
+                        let got = n.bid(&row, now, &mut Quotes::new(job), |_| peer);
+                        prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// A round prices one job on many rows through one [`Quotes`]:
+        /// each row's price equals its price alone, bit for bit, while
+        /// rows repeat and differ in any one machine field.
+        #[test]
+        fn a_round_prices_each_row_as_alone(
+            rows in proptest::collection::vec((0usize..2, 0usize..2, 0usize..2, 0usize..2, proptest::bool::ANY, proptest::option::of(1.5f64..4.0)), 1..40),
+            bytes in 0u64..400_000_000,
+            work in 0u64..400_000_000,
+            cpu_secs in 0.0f64..5.0,
+        ) {
+            let job = Job { work_bytes: work, cpu_secs, ..job(1, bytes) };
+            let mut round = Quotes::new(&job);
+            for (net, rw, lat, cpu, holds, peers) in rows {
+                let machine = Machine {
+                    net: Bandwidth::mb_per_sec([10.0, 13.0][net]),
+                    rw: Bandwidth::mb_per_sec([97.0, 100.0][rw]),
+                    latency: [0.0, 0.3][lat],
+                    cpu_factor: [1.0, 2.5][cpu],
+                };
+                let row = BidderRow { alive: true, queue_len: 0, backlog: 0.0, machine };
+                let (a, b) = round.price(&row, holds, peers);
+                let (x, y) = Quotes::new(&job).price(&row, holds, peers);
+                prop_assert_eq!((a.to_bits(), b.to_bits()), (x.to_bits(), y.to_bits()), "{:?}", machine);
+            }
+        }
     }
 
     /// One step a driver may take. A step the driver would never take
@@ -1129,7 +1681,8 @@ mod tests {
                 },
             };
             let policy = Box::new(crate::baseline::BaselinePolicy);
-            n.begin_run(WorkerId(0), rules, policy, RngStream::from_seed(3), true);
+            let mut row = n.row(true);
+            n.begin_run(&mut row, WorkerId(0), rules, policy, RngStream::from_seed(3), true);
             let jobs: Vec<Job> = (0..5u64)
                 .map(|i| Job {
                     resource: Some(ResourceRef {
@@ -1160,8 +1713,8 @@ mod tests {
                         } else {
                             sent[pick % sent.len()].clone()
                         };
-                        let (id, has_data) = (job.id, n.locality(&job, false).0);
-                        let got = n.intake(now, job, seq, offer, false);
+                        let (id, has_data) = (job.id, estimate(&n, &row, &job).0);
+                        let got = n.intake(&mut row, now, job, seq, offer, |_| false);
                         if !alive {
                             prop_assert!(got.is_none(), "a dead instance took a placement in");
                             continue;
@@ -1187,7 +1740,7 @@ mod tests {
                             other => prop_assert!(false, "placement {seq} of {id:?}: got {other:?}"),
                         }
                     }
-                    Op::Start => match n.start(now) {
+                    Op::Start => match n.start(&mut row, now) {
                         Some(s) => {
                             prop_assert!(sh.running.is_none());
                             prop_assert_eq!(Some(s.job), sh.queue.pop_front());
@@ -1200,7 +1753,7 @@ mod tests {
                     Op::Fetch { src } => {
                         let Some((id, Phase::Fetch)) = sh.running else { continue };
                         let sources = [vec![], vec![PEER_OK], vec![PEER_CUT]][src as usize].clone();
-                        let step = n.fetch(now, epoch, &sources).expect("live");
+                        let step = n.fetch(&mut row, now, epoch, &sources).expect("live");
                         let master = sources.is_empty() || sh.lost >= MAX_ATTEMPTS;
                         prop_assert_eq!(step.req.is_none(), master, "attempt {} from {:?}", sh.lost, sources);
                         prop_assert_eq!(step.lost, !master && src == 2);
@@ -1208,12 +1761,12 @@ mod tests {
                     }
                     Op::Land => match sh.running {
                         Some((id, Phase::InFlight { lost: false })) => {
-                            let f = n.fetched(now, epoch).expect("live");
+                            let f = n.fetched(&mut row, now, epoch).expect("live");
                             prop_assert_eq!(f.job, id);
                             sh.running = Some((id, Phase::Process));
                         }
                         Some((id, Phase::InFlight { lost: true })) => {
-                            let lost = n.fetch_lost(epoch).expect("live");
+                            let lost = n.fetch_lost(&row, epoch).expect("live");
                             sh.lost += 1;
                             // After the last attempt, straight to the master.
                             prop_assert_eq!(lost.backoff.is_some(), sh.lost < MAX_ATTEMPTS);
@@ -1224,7 +1777,7 @@ mod tests {
                     Op::Finish => {
                         let Some((id, Phase::Process)) = sh.running else { continue };
                         sh.running = None;
-                        let f = n.finish(now, epoch).expect("live");
+                        let f = n.finish(&mut row, now, epoch).expect("live");
                         prop_assert_eq!(f.report.job.id, id);
                         prop_assert!(f.resend.is_some(), "a report with no resend");
                         prop_assert_eq!(f.idle, sh.queue.is_empty());
@@ -1251,9 +1804,10 @@ mod tests {
                     }
                     Op::Stale => {
                         let dead = n.epoch.wrapping_sub(1);
-                        prop_assert!(n.fetch(now, dead, &[PEER_OK]).is_none());
-                        prop_assert!(n.fetched(now, dead).is_none() && n.fetch_lost(dead).is_none());
-                        prop_assert!(n.finish(now, dead).is_none());
+                        prop_assert!(n.fetch(&mut row, now, dead, &[PEER_OK]).is_none());
+                        prop_assert!(n.fetched(&mut row, now, dead).is_none());
+                        prop_assert!(n.fetch_lost(&row, dead).is_none());
+                        prop_assert!(n.finish(&mut row, now, dead).is_none());
                         prop_assert!(n.resend(now, jobs[0].id, dead).is_none());
                     }
                     Op::Crash => {
@@ -1262,7 +1816,7 @@ mod tests {
                         }
                         let running = sh.running.map(|r| r.0);
                         let held: Vec<JobId> = running.into_iter().chain(sh.queue.iter().copied()).collect();
-                        let stranded: Vec<JobId> = n.crash(now).iter().map(|j| j.id).collect();
+                        let stranded: Vec<JobId> = n.crash(&mut row, now).iter().map(|j| j.id).collect();
                         prop_assert_eq!(stranded, held, "the job in hand, then the queue");
                         let life = &n.life;
                         prop_assert!(life.unacked.is_empty(), "a dead instance keeps reports to resend");
@@ -1273,7 +1827,7 @@ mod tests {
                     }
                     Op::Recover => {
                         if !alive {
-                            n.recover();
+                            n.recover(&mut row);
                             alive = true;
                         }
                     }
@@ -1281,8 +1835,10 @@ mod tests {
                     Op::Drive { .. } => unreachable!("resolved above"),
                 }
                 prop_assert_eq!(n.life.queue.len(), sh.queue.len());
+                prop_assert_eq!(row.queue_len, sh.queue.len());
+                prop_assert_eq!(row.alive, alive);
                 if sh.queue.is_empty() && sh.running.is_none() {
-                    prop_assert_eq!(n.backlog_secs(), 0.0, "the backlog outlived the queue");
+                    prop_assert_eq!(row.backlog, 0.0, "the backlog outlived the queue");
                 }
             }
         }

@@ -17,9 +17,8 @@
 //!   simulation mints itself, without SipHash's per-lookup cost.
 //! * [`rng`] — per-stream seeded random number generators so that
 //!   adding a consumer of randomness never perturbs other streams.
-//! * [`stats`] — online statistics (Welford mean/variance, time
-//!   weighted averages, fixed-bucket histograms) used by the metrics
-//!   layer.
+//! * [`stats`] — online statistics (Welford mean/variance, EWMA,
+//!   time-weighted averages) used by the metrics layer.
 //!
 //! The engine is *polymorphic over the event payload*: higher layers
 //! define their own event enum `E` and drive a
@@ -55,5 +54,5 @@ pub mod time;
 pub use hash::{IdHasher, IdMap, IdSet};
 pub use queue::EventQueue;
 pub use rng::{RngStream, SeedSequence};
-pub use stats::{Ewma, Histogram, TimeWeighted, Welford};
+pub use stats::{Ewma, TimeWeighted, Welford};
 pub use time::{SimDuration, SimTime};

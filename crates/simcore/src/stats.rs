@@ -3,8 +3,6 @@
 //! * [`Welford`] — numerically stable streaming mean/variance.
 //! * [`TimeWeighted`] — time-weighted average of a piecewise-constant
 //!   signal (queue lengths, utilization).
-//! * [`Histogram`] — fixed-boundary bucket histogram with quantile
-//!   estimation, for latency/backlog distributions.
 
 use crate::time::SimTime;
 
@@ -236,104 +234,6 @@ impl TimeWeighted {
     }
 }
 
-/// Fixed-boundary bucket histogram.
-///
-/// Buckets are `(-inf, b0], (b0, b1], ..., (b_{k-1}, +inf)`. Quantiles
-/// are estimated by linear interpolation inside the containing bucket.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    bounds: Vec<f64>,
-    counts: Vec<u64>,
-    total: u64,
-    sum: f64,
-}
-
-impl Histogram {
-    /// Create with the given strictly-increasing bucket boundaries.
-    pub fn new(bounds: Vec<f64>) -> Self {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
-        let n = bounds.len() + 1;
-        Histogram {
-            bounds,
-            counts: vec![0; n],
-            total: 0,
-            sum: 0.0,
-        }
-    }
-
-    /// Geometric boundaries `start, start*ratio, ...` (`k` boundaries).
-    pub fn geometric(start: f64, ratio: f64, k: usize) -> Self {
-        assert!(start > 0.0 && ratio > 1.0);
-        let mut bounds = Vec::with_capacity(k);
-        let mut b = start;
-        for _ in 0..k {
-            bounds.push(b);
-            b *= ratio;
-        }
-        Histogram::new(bounds)
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        let idx = self.bounds.partition_point(|&b| b < x);
-        self.counts[idx] += 1;
-        self.total += 1;
-        self.sum += x;
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Mean of all recorded observations (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum / self.total as f64
-        }
-    }
-
-    /// Estimate of quantile `q` in `[0, 1]`. Returns 0 if empty.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = q * self.total as f64;
-        let mut cum = 0.0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            let next = cum + c as f64;
-            if next >= target && c > 0 {
-                let lo = if i == 0 { 0.0 } else { self.bounds[i - 1] };
-                let hi = if i < self.bounds.len() {
-                    self.bounds[i]
-                } else {
-                    // Open-ended top bucket: report its lower bound.
-                    return lo;
-                };
-                let frac = if c == 0 {
-                    0.0
-                } else {
-                    (target - cum) / c as f64
-                };
-                return lo + (hi - lo) * frac.clamp(0.0, 1.0);
-            }
-            cum = next;
-        }
-        *self.bounds.last().unwrap_or(&0.0)
-    }
-
-    /// Per-bucket counts (for rendering).
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -446,50 +346,5 @@ mod tests {
         tw.set(t, 7.0);
         assert_eq!(tw.average(t), 7.0);
         assert_eq!(tw.average(t + SimDuration::from_secs(1)), 7.0);
-    }
-
-    #[test]
-    fn histogram_buckets_and_mean() {
-        let mut h = Histogram::new(vec![1.0, 10.0, 100.0]);
-        for x in [0.5, 5.0, 50.0, 500.0] {
-            h.record(x);
-        }
-        assert_eq!(h.counts(), &[1, 1, 1, 1]);
-        assert_eq!(h.count(), 4);
-        assert!((h.mean() - 138.875).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_boundary_goes_low() {
-        let mut h = Histogram::new(vec![1.0, 2.0]);
-        h.record(1.0); // (-inf, 1] bucket
-        assert_eq!(h.counts(), &[1, 0, 0]);
-    }
-
-    #[test]
-    fn histogram_quantiles_are_monotone() {
-        let mut h = Histogram::geometric(1.0, 2.0, 12);
-        let mut r = crate::rng::RngStream::from_seed(42);
-        for _ in 0..10_000 {
-            h.record(r.uniform(0.0, 2000.0));
-        }
-        let q25 = h.quantile(0.25);
-        let q50 = h.quantile(0.50);
-        let q99 = h.quantile(0.99);
-        assert!(q25 <= q50 && q50 <= q99, "{q25} {q50} {q99}");
-        // Median of U(0,2000) ≈ 1000 within bucket resolution.
-        assert!((600.0..1600.0).contains(&q50), "q50 {q50}");
-    }
-
-    #[test]
-    fn histogram_empty_quantile() {
-        let h = Histogram::new(vec![1.0]);
-        assert_eq!(h.quantile(0.5), 0.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn histogram_rejects_unsorted_bounds() {
-        Histogram::new(vec![2.0, 1.0]);
     }
 }

@@ -185,7 +185,8 @@ impl LocalStore {
 
     /// Non-mutating membership check used when *estimating* bids —
     /// checking "the contents of local cache memory" must not perturb
-    /// recency or hit/miss accounting.
+    /// recency or hit/miss accounting. Inlined: every bid takes one.
+    #[inline]
     pub fn peek(&self, id: ObjectId) -> bool {
         self.entries.contains_key(&id)
     }
