@@ -40,7 +40,7 @@ use crate::replica::{Landing, ReplicaPlane};
 use crate::replog::ReplicatedLog;
 use crate::scheduler::{Allocator, MasterScheduler, SchedCtx, WorkerHandle, WorkerToMaster};
 use crate::trace::{SchedEventKind, SchedLog, Trace, TraceEvent, TraceKind};
-use crate::worker::{BidderRow, Intake, Quotes, WorkerNode, WorkerRules, WorkerSpec};
+use crate::worker::{Intake, Quotes, WorkerNode, WorkerRules, WorkerSpec};
 use crate::workflow::Workflow;
 
 /// Engine-wide configuration (the testbed parameters of §6.2/§6.3.1).
@@ -256,22 +256,17 @@ impl ReplicationConfig {
 /// speeds survive across iterations of a session (§6.3.1 runs every
 /// configuration "in three iterations" with caches warm).
 pub struct Cluster {
-    /// Every worker's bidder row, in id order, so a bid round prices
-    /// its recipients from one contiguous slice.
-    rows: Vec<BidderRow>,
     nodes: Vec<WorkerNode>,
 }
 
 impl Cluster {
     /// Build worker nodes from specs under the given engine config.
     pub fn new(specs: &[WorkerSpec], cfg: &EngineConfig) -> Self {
-        let nodes: Vec<WorkerNode> = specs
-            .iter()
-            .map(|s| WorkerNode::new(s.clone(), cfg.data_latency, &cfg.noise))
-            .collect();
         Cluster {
-            rows: nodes.iter().map(|n| n.row(true)).collect(),
-            nodes,
+            nodes: specs
+                .iter()
+                .map(|s| WorkerNode::new(s.clone(), cfg.data_latency, &cfg.noise))
+                .collect(),
         }
     }
 
@@ -463,10 +458,8 @@ enum Ev {
 struct Engine<'a> {
     cfg: &'a EngineConfig,
     q: EventQueue<Ev>,
-    /// The worker cores, alive or not: their bidder rows, and the rest
-    /// (see [`WorkerNode`]).
-    rows: &'a mut [BidderRow],
-    nodes: &'a mut [WorkerNode],
+    /// The worker cores, alive or not (see [`WorkerNode`]).
+    nodes: &'a mut Vec<WorkerNode>,
     assignments: Vec<(JobId, WorkerId)>,
     trace: Option<Trace>,
     /// The master shared with the threaded runtime: the scheduler and
@@ -677,9 +670,9 @@ impl<'a> Engine<'a> {
         self.q.schedule_in(d, Ev::Solicit { job, to: round });
     }
 
-    /// A round's requests land: each recipient answers in turn from its
-    /// row (a dead one does not), all of them priced through one
-    /// [`Quotes`], and the bids go back as one `Ev::Bids`. Each
+    /// A round's requests land: each recipient answers in turn (a dead
+    /// one does not), all of them priced through one [`Quotes`], and
+    /// the bids go back as one `Ev::Bids`. Each
     /// request would have scheduled exactly one bid or nothing, so the
     /// bids too would have had consecutive seqs and one instant.
     fn answer_round(&mut self, job: Job, mut to: Vec<WorkerId>) {
@@ -725,14 +718,12 @@ impl<'a> Engine<'a> {
         self.spare_bids.push(bids);
     }
 
-    /// `worker`'s answer to a bid request for the job `quotes` prices,
-    /// from its row: its estimate, or `None` if it is dead or declines
-    /// to bid.
+    /// `worker`'s answer to a bid request for the job `quotes` prices:
+    /// its estimate, or `None` if it is dead or declines to bid.
     #[inline]
     fn bid(&mut self, worker: WorkerId, now: SimTime, quotes: &mut Quotes) -> Option<f64> {
-        let i = worker.0 as usize;
         let has_peer = has_peer(self.plane.as_ref(), worker);
-        self.nodes[i].bid(&self.rows[i], now, quotes, has_peer)
+        self.nodes[worker.0 as usize].bid(now, quotes, has_peer)
     }
 
     /// A worker message reaches the master. A Reject is the nack of an
@@ -747,9 +738,9 @@ impl<'a> Engine<'a> {
     /// Take placement `seq` of `job` in at `worker` (see
     /// [`WorkerNode::intake`]) and act on the outcome.
     fn intake(&mut self, worker: WorkerId, job: Job, seq: u64, offer: bool) {
-        let (i, now) = (worker.0 as usize, self.q.now());
+        let now = self.q.now();
         let has_peer = has_peer(self.plane.as_ref(), worker);
-        match self.nodes[i].intake(&mut self.rows[i], now, job, seq, offer, has_peer) {
+        match self.nodes[worker.0 as usize].intake(now, job, seq, offer, has_peer) {
             Some(Intake::Taken { job, queued, ack }) => {
                 if ack {
                     // The ack crosses the lossy worker→master link like
@@ -782,8 +773,7 @@ impl<'a> Engine<'a> {
 
     /// Start the worker's next queued job, if it is free.
     fn maybe_start(&mut self, w: WorkerId) {
-        let (i, now) = (w.0 as usize, self.q.now());
-        let Some(s) = self.nodes[i].start(&mut self.rows[i], now) else {
+        let Some(s) = self.nodes[w.0 as usize].start(self.q.now()) else {
             return;
         };
         self.note_trace(s.job, w, TraceKind::Started);
@@ -804,8 +794,7 @@ impl<'a> Engine<'a> {
         if let (Some(obj), Some(plane)) = (missing, &self.plane) {
             plane.peers(obj, w, &mut self.peers);
         }
-        let i = w.0 as usize;
-        let Some(step) = self.nodes[i].fetch(&mut self.rows[i], now, epoch, &self.peers) else {
+        let Some(step) = self.nodes[w.0 as usize].fetch(now, epoch, &self.peers) else {
             return;
         };
         if let Some((job, req)) = step.req {
@@ -964,7 +953,7 @@ impl<'a> Engine<'a> {
     /// A control message reaches `worker`.
     fn worker_recv(&mut self, worker: WorkerId, msg: ToWorker) {
         match msg {
-            _ if !self.rows[worker.0 as usize].alive => {
+            _ if !self.nodes[worker.0 as usize].alive() => {
                 // The addressee is dead. A placement bounces back
                 // through the monitoring layer — unless the ledger no
                 // longer places it here (a crash reclaimed it, or it
@@ -1003,8 +992,7 @@ impl<'a> Engine<'a> {
     /// replica plane hears of it, and processing starts.
     fn fetched(&mut self, worker: WorkerId, epoch: u64) {
         let now = self.q.now();
-        let i = worker.0 as usize;
-        let Some(f) = self.nodes[i].fetched(&mut self.rows[i], now, epoch) else {
+        let Some(f) = self.nodes[worker.0 as usize].fetched(now, epoch) else {
             return;
         };
         if let Some((job, ok)) = f.ok {
@@ -1027,8 +1015,7 @@ impl<'a> Engine<'a> {
     /// A peer transfer to `worker` was lost: back off and retry, or
     /// fall back to the master.
     fn fetch_lost(&mut self, worker: WorkerId, epoch: u64) {
-        let i = worker.0 as usize;
-        let Some(lost) = self.nodes[i].fetch_lost(&self.rows[i], epoch) else {
+        let Some(lost) = self.nodes[worker.0 as usize].fetch_lost(epoch) else {
             return;
         };
         let (job, fail) = lost.fail;
@@ -1045,8 +1032,7 @@ impl<'a> Engine<'a> {
     /// 14): one control message carrying the completed job — resent,
     /// under the net-fault layer, until it is acked.
     fn finished(&mut self, worker: WorkerId, epoch: u64) {
-        let (i, now) = (worker.0 as usize, self.q.now());
-        let Some(f) = self.nodes[i].finish(&mut self.rows[i], now, epoch) else {
+        let Some(f) = self.nodes[worker.0 as usize].finish(self.q.now(), epoch) else {
             return;
         };
         self.core.m.proc_secs.record(f.report.proc_secs);
@@ -1106,12 +1092,12 @@ impl<'a> Engine<'a> {
     /// `worker`'s idle heartbeat: re-announce idleness, and beat again.
     fn idle_beat(&mut self, worker: WorkerId) {
         let w = worker.0 as usize;
-        if self.nodes[w].idle(&self.rows[w]) && self.core.eligible(worker) {
+        if self.nodes[w].idle() && self.core.eligible(worker) {
             self.send_to_master(worker, WorkerToMaster::Idle, 0, SimDuration::ZERO);
         }
         // A departed worker never comes back — let its beat die.
         let departed = self.core.member(worker).stage == Stage::Departed;
-        if !departed && (self.rows[w].alive || !self.cfg.faults.is_empty()) {
+        if !departed && (self.nodes[w].alive() || !self.cfg.faults.is_empty()) {
             self.beat_later(worker);
         }
     }
@@ -1127,12 +1113,12 @@ impl<'a> Engine<'a> {
     /// layer notices at once — `w` leaves the roster now, and what it
     /// owed re-enters allocation after the detection delay.
     fn crash(&mut self, w: WorkerId) {
-        let (i, now) = (w.0 as usize, self.q.now());
-        if !self.rows[i].alive || !self.core.crash(now, w) {
+        let now = self.q.now();
+        if !self.nodes[w.0 as usize].alive() || !self.core.crash(now, w) {
             return;
         }
-        self.down_since[i] = Some(now);
-        let stranded = self.nodes[i].crash(&mut self.rows[i], now);
+        self.down_since[w.0 as usize] = Some(now);
+        let stranded = self.nodes[w.0 as usize].crash(now);
         self.core.lose(now, w);
         self.apply();
         self.clear_out(w, stranded, self.cfg.faults.detection_delay);
@@ -1153,13 +1139,13 @@ impl<'a> Engine<'a> {
     /// departed for good.
     fn recover(&mut self, w: WorkerId) {
         let (i, now) = (w.0 as usize, self.q.now());
-        if self.rows[i].alive || !self.core.recover(now, w) {
+        if self.nodes[i].alive() || !self.core.recover(now, w) {
             return;
         }
         if let Some(since) = self.down_since[i].take() {
             self.downtime_secs += now.saturating_since(since).as_secs_f64();
         }
-        self.nodes[i].recover(&mut self.rows[i]);
+        self.nodes[i].recover();
         if let Some(p) = &mut self.plane {
             p.up(w);
         }
@@ -1173,10 +1159,10 @@ impl<'a> Engine<'a> {
     /// layer, starts its idle heartbeat.
     fn join_worker(&mut self, w: WorkerId) {
         let i = w.0 as usize;
-        if self.rows[i].alive || !self.core.join(self.q.now(), w) {
+        if self.nodes[i].alive() || !self.core.join(self.q.now(), w) {
             return;
         }
-        self.nodes[i].recover(&mut self.rows[i]);
+        self.nodes[i].recover();
         if let Some(p) = &mut self.plane {
             p.up(w);
         }
@@ -1199,14 +1185,11 @@ impl<'a> Engine<'a> {
     /// report unacked ([`WorkerNode::settled`]). Called from every site
     /// that could clear the last obligation.
     fn maybe_finish_drain(&mut self, w: WorkerId) {
-        let i = w.0 as usize;
-        if self.core.member(w).stage != Stage::Draining
-            || !self.rows[i].alive
-            || !self.nodes[i].settled()
-        {
+        let node = &self.nodes[w.0 as usize];
+        if self.core.member(w).stage != Stage::Draining || !node.alive() || !node.settled() {
             return;
         }
-        self.nodes[i].depart(&mut self.rows[i]);
+        self.nodes[w.0 as usize].depart();
         self.core.remove(self.q.now(), w);
         self.apply();
         // The departed worker's copies leave the cluster with it.
@@ -1227,8 +1210,8 @@ impl<'a> Engine<'a> {
         if let Some(since) = self.down_since[i].take() {
             self.downtime_secs += now.saturating_since(since).as_secs_f64();
         }
-        let stranded = if self.rows[i].alive {
-            self.nodes[i].crash(&mut self.rows[i], now)
+        let stranded = if self.nodes[i].alive() {
+            self.nodes[i].crash(now)
         } else {
             Vec::new()
         };
@@ -1273,7 +1256,7 @@ impl<'a> Engine<'a> {
         // Idle workers on the roster re-announce themselves so the
         // pull loop restarts under the new leader.
         for i in 0..self.nodes.len() {
-            if self.nodes[i].idle(&self.rows[i]) && self.core.eligible(WorkerId(i as u32)) {
+            if self.nodes[i].idle() && self.core.eligible(WorkerId(i as u32)) {
                 self.q.schedule_at(
                     now,
                     Ev::MasterRecv {
@@ -1371,10 +1354,9 @@ pub fn run_workflow(
         net: cfg.netfaults.clone(),
         repl: cfg.replication,
     };
-    for (i, (n, row)) in cluster.nodes.iter_mut().zip(&mut cluster.rows).enumerate() {
+    for (i, n) in cluster.nodes.iter_mut().enumerate() {
         let id = WorkerId(i as u32);
         n.begin_run(
-            row,
             id,
             rules.clone(),
             allocator.worker_policy(),
@@ -1427,13 +1409,12 @@ pub fn run_workflow(
 
     // Warm caches from earlier iterations seed the replica plane.
     let plane = cfg.replication.enabled.then(|| {
-        let stores = (cluster.nodes.iter().zip(&cluster.rows)).map(|(n, r)| (&n.store, r.alive));
+        let stores = cluster.nodes.iter().map(|n| (&n.store, n.alive()));
         ReplicaPlane::new(cfg.replication, cfg.mutation, stores)
     });
     let mut engine = Engine {
         cfg,
         q,
-        rows: &mut cluster.rows,
         nodes: &mut cluster.nodes,
         assignments: Vec::new(),
         trace: if cfg.trace { Some(Trace::new()) } else { None },

@@ -20,7 +20,7 @@ use crate::scheduler::Allocator;
 use crate::session::Session;
 use crate::spec::RunSpec;
 use crate::threaded::{fresh_nodes, run_threaded};
-use crate::worker::Halves;
+use crate::worker::WorkerNode;
 use crate::workflow::Workflow;
 
 /// A stateful executor of workflow iterations.
@@ -73,7 +73,7 @@ impl Runtime for Session {
 /// up fresh threads over them.
 pub struct ThreadedSession {
     spec: RunSpec,
-    nodes: Vec<Arc<Mutex<Halves>>>,
+    nodes: Vec<Arc<Mutex<WorkerNode>>>,
     iteration: u32,
 }
 

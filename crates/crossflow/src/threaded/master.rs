@@ -40,7 +40,7 @@ use crate::replog::ReplicatedLog;
 use crate::scheduler::{Allocator, MasterScheduler, SchedCtx, WorkerHandle, WorkerToMaster};
 use crate::spec::RunSpec;
 use crate::trace::{SchedEventKind, Trace, TraceEvent, TraceKind};
-use crate::worker::{Halves, WorkerNode, WorkerRules, WorkerSpec};
+use crate::worker::{WorkerNode, WorkerRules, WorkerSpec};
 use crate::workflow::Workflow;
 
 use super::chaos::{Intake, NetIntake};
@@ -155,7 +155,7 @@ struct MasterState<'r> {
     spec: &'r RunSpec,
     allocator: &'r dyn Allocator,
     workflow: &'r mut Workflow,
-    nodes: &'r [Arc<Mutex<Halves>>],
+    nodes: &'r [Arc<Mutex<WorkerNode>>],
     /// The master shared with the simulation engine: the scheduler and
     /// its roster — what it believes of every worker, where a crash is
     /// believed only once the detection delay has elapsed, so for a
@@ -428,8 +428,7 @@ impl MasterState<'_> {
         if self.down_since[i].is_some() || !self.core.crash(self.clock.now(), w) {
             return;
         }
-        let virt = self.clock.now();
-        let stranded = self.nodes[i].lock().with(|n, row| n.crash(row, virt));
+        let stranded = self.nodes[i].lock().crash(self.clock.now());
         self.down_since[i] = Some(at);
         if let Some(r) = &self.repl {
             // The disk dies with the instance.
@@ -448,7 +447,7 @@ impl MasterState<'_> {
         if self.down_since[i].is_none() || !self.core.recover(self.clock.now(), w) {
             return;
         }
-        self.nodes[i].lock().with(WorkerNode::recover);
+        self.nodes[i].lock().recover();
         self.stop_downtime(i, at);
         self.last_recover[i] = Some(now);
         if let Some(r) = &self.repl {
@@ -512,10 +511,7 @@ impl MasterState<'_> {
         if !self.core.remove(self.clock.now(), w) {
             return;
         }
-        let now = self.clock.now();
-        let stranded = self.nodes[w.0 as usize]
-            .lock()
-            .with(|n, row| n.crash(row, now));
+        let stranded = self.nodes[w.0 as usize].lock().crash(self.clock.now());
         if let Some(r) = &self.repl {
             // Reclaimed disk and all.
             r.lock().drop_worker(w);
@@ -591,7 +587,7 @@ impl MasterState<'_> {
                     self.repair_timers.push((due, obj, dest));
                 }
                 Landing::Insert(bytes) => {
-                    plane.insert(dest, &mut node.node.store, obj, bytes, self.clock.now());
+                    plane.insert(dest, &mut node.store, obj, bytes, self.clock.now());
                 }
             }
         }
@@ -613,7 +609,7 @@ impl MasterState<'_> {
         loop {
             let Some(w) = r.lock().dirty() else { break };
             let mut node = self.nodes[w.0 as usize].lock();
-            r.lock().pin(w, &mut node.node.store);
+            r.lock().pin(w, &mut node.store);
         }
     }
 
@@ -801,9 +797,9 @@ impl MasterState<'_> {
             match &self.repl {
                 Some(r) => r
                     .lock()
-                    .insert(worker, &mut s.node.store, output.id, output.bytes, now),
+                    .insert(worker, &mut s.store, output.id, output.bytes, now),
                 None => {
-                    s.node.store.insert(output.id, output.bytes, now);
+                    s.store.insert(output.id, output.bytes, now);
                 }
             }
             drop(s);
@@ -847,7 +843,7 @@ impl MasterState<'_> {
         };
         let makespan = SimTime::from_secs_f64(makespan_secs);
         let workers = self.nodes.iter().map(|s| {
-            let s = &s.lock().node;
+            let s = s.lock();
             let frac = if makespan_secs > 0.0 {
                 s.busy.average(makespan).min(1.0)
             } else {
@@ -903,12 +899,15 @@ fn synthesize(
 
 /// Cold worker cores for the threaded runtime, which prices no
 /// per-transfer setup latency.
-pub(crate) fn fresh_nodes(specs: &[WorkerSpec], noise: &NoiseModel) -> Vec<Arc<Mutex<Halves>>> {
+pub(crate) fn fresh_nodes(specs: &[WorkerSpec], noise: &NoiseModel) -> Vec<Arc<Mutex<WorkerNode>>> {
     specs
         .iter()
         .map(|s| {
-            let node = WorkerNode::new(s.clone(), SimDuration::ZERO, noise);
-            Arc::new(Mutex::new(Halves::new(node)))
+            Arc::new(Mutex::new(WorkerNode::new(
+                s.clone(),
+                SimDuration::ZERO,
+                noise,
+            )))
         })
         .collect()
 }
@@ -928,12 +927,15 @@ fn draft(spec: &RunSpec, allocator: &dyn Allocator) -> Box<dyn MasterScheduler> 
 }
 
 /// The replica plane, shared with every worker thread when armed.
-fn replica_plane(spec: &RunSpec, nodes: &[Arc<Mutex<Halves>>]) -> Option<Arc<Mutex<ReplicaPlane>>> {
+fn replica_plane(
+    spec: &RunSpec,
+    nodes: &[Arc<Mutex<WorkerNode>>],
+) -> Option<Arc<Mutex<ReplicaPlane>>> {
     let cfg = &spec.engine;
     cfg.replication.enabled.then(|| {
         let held: Vec<_> = nodes.iter().map(|n| n.lock()).collect();
         let up = |i| !cfg.membership.is_deferred(WorkerId(i));
-        let stores = (0..).zip(&held).map(|(i, s)| (&s.node.store, up(i)));
+        let stores = (0..).zip(&held).map(|(i, s)| (&s.store, up(i)));
         Arc::new(Mutex::new(ReplicaPlane::new(
             cfg.replication,
             cfg.mutation,
@@ -956,7 +958,7 @@ fn copy_due(spec: &RunSpec, clock: Clock, obj: ObjectId, dest: WorkerId, bytes: 
 #[allow(clippy::too_many_arguments)]
 fn spawn_workers(
     spec: &RunSpec,
-    nodes: &[Arc<Mutex<Halves>>],
+    nodes: &[Arc<Mutex<WorkerNode>>],
     allocator: &dyn Allocator,
     seeds: &SeedSequence,
     clock: Clock,
@@ -982,9 +984,8 @@ fn spawn_workers(
         let id = WorkerId(i as u32);
         let worker_seed = seeds.seed_for(100 + i as u64);
         let rng = RngStream::from_seed(worker_seed);
-        let policy = allocator.worker_policy();
-        let rules = rules.clone();
-        (node.lock()).with(|n, row| n.begin_run(row, id, rules, policy, rng, true));
+        node.lock()
+            .begin_run(id, rules.clone(), allocator.worker_policy(), rng, true);
         let (tx, rx) = unbounded::<ToWorker>();
         threads.push(spawn_worker(
             id.0,
@@ -1066,7 +1067,7 @@ fn core_for(
 /// it measures (§6.4's role in the paper).
 pub(crate) fn run_threaded(
     spec: &RunSpec,
-    nodes: &[Arc<Mutex<Halves>>],
+    nodes: &[Arc<Mutex<WorkerNode>>],
     allocator: &dyn Allocator,
     workflow: &mut Workflow,
     arrivals: Vec<Arrival>,

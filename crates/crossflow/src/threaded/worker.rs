@@ -1,7 +1,6 @@
 //! Worker-side threads of the threaded runtime.
 //!
-//! Each worker is one [`WorkerNode`] and its bidder row behind a mutex
-//! ([`Halves`]) and two threads
+//! Each worker is one [`WorkerNode`] behind a mutex and two threads
 //! driving it — "their internal state, i.e. their opinions", and, as
 //! the paper envisions, a separate thread for the bidding. The bidder
 //! answers the master (bids, placements, `Done` acks) and resends
@@ -23,7 +22,7 @@ use crate::faults::RetryPolicy;
 use crate::job::WorkerId;
 use crate::obs::RuntimeMetrics;
 use crate::replica::ReplicaPlane;
-use crate::worker::{Finished, Halves, Intake, Quotes, Report, Started, Step};
+use crate::worker::{Finished, Intake, Quotes, Report, Started, Step, WorkerNode};
 
 use super::{Clock, ToMaster, ToWorker};
 
@@ -36,7 +35,7 @@ pub(crate) struct WorkerThreads {
 #[derive(Clone)]
 struct Worker {
     id: u32,
-    node: Arc<Mutex<Halves>>,
+    node: Arc<Mutex<WorkerNode>>,
     to_master: Sender<ToMaster>,
     clock: Clock,
     /// The owning thread's tallies (a clone forks them), flushed
@@ -76,18 +75,17 @@ impl Worker {
     /// gathered into `peers`. The source choice and its `fetch_req`
     /// event happen in one critical section, so the committed log never
     /// shows a fetch from a source that was already dropped.
-    fn fetch(&self, h: &mut Halves, epoch: u64, peers: &mut Vec<WorkerId>) -> Option<Step> {
+    fn fetch(&self, node: &mut WorkerNode, epoch: u64, peers: &mut Vec<WorkerId>) -> Option<Step> {
         let now = self.clock.now();
-        let Halves { row, node } = h;
         let Some(rp) = &self.repl else {
-            return node.fetch(row, now, epoch, &[]);
+            return node.fetch(now, epoch, &[]);
         };
         let mut rp = rp.lock();
         peers.clear();
         if let Some(obj) = node.missing() {
             rp.peers(obj, WorkerId(self.id), peers);
         }
-        let step = node.fetch(row, now, epoch, peers)?;
+        let step = node.fetch(now, epoch, peers)?;
         if let Some((job, req)) = step.req {
             rp.fact(WorkerId(self.id), job, req);
         }
@@ -108,7 +106,8 @@ impl Worker {
                 while step.lost {
                     self.clock.sleep(step.d);
                     let backoff = {
-                        let lost = self.node.lock().with(|n, row| n.fetch_lost(row, epoch))?;
+                        let mut node = self.node.lock();
+                        let lost = node.fetch_lost(epoch)?;
                         let (job, fail) = lost.fail;
                         let rp = self.repl.as_ref().expect("only a peer attempt is lost");
                         rp.lock().fact(WorkerId(self.id), job, fail);
@@ -125,8 +124,7 @@ impl Worker {
             }
         };
         self.clock.sleep(proc);
-        let now = self.clock.now();
-        let f = self.node.lock().with(|n, row| n.finish(row, now, epoch))?;
+        let f = self.node.lock().finish(self.clock.now(), epoch)?;
         self.metrics.proc_secs.record(f.report.proc_secs);
         Some(f)
     }
@@ -136,13 +134,12 @@ impl Worker {
     /// time comes back.
     fn land(&self, epoch: u64) -> Option<SimDuration> {
         let me = WorkerId(self.id);
-        let mut h = self.node.lock();
-        let Halves { row, node } = &mut *h;
+        let mut node = self.node.lock();
         let mut rp = self.repl.as_ref().map(|r| r.lock());
         if let Some(rp) = rp.as_mut() {
             rp.pin(me, &mut node.store);
         }
-        let f = node.fetched(row, self.clock.now(), epoch)?;
+        let f = node.fetched(self.clock.now(), epoch)?;
         if let Some(rp) = rp.as_mut() {
             if let Some((job, ok)) = f.ok {
                 rp.fact(me, job, ok);
@@ -158,7 +155,7 @@ impl Worker {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn spawn_worker(
     id: u32,
-    node: Arc<Mutex<Halves>>,
+    node: Arc<Mutex<WorkerNode>>,
     rx_control: Receiver<ToWorker>,
     to_master: Sender<ToMaster>,
     clock: Clock,
@@ -205,9 +202,9 @@ pub(crate) fn spawn_worker(
                         },
                     };
                     if tick.is_some() {
-                        let mut h = w.node.lock();
+                        let mut node = w.node.lock();
                         let now = clock.now();
-                        while let Some(r) = h.node.resend_due(now) {
+                        while let Some(r) = node.resend_due(now) {
                             w.metrics.net_retries.inc();
                             w.done(r.report);
                         }
@@ -216,14 +213,14 @@ pub(crate) fn spawn_worker(
                     let (job, seq, offer) = match msg {
                         ToWorker::Shutdown => break,
                         ToWorker::AckDone(job) => {
-                            w.node.lock().node.ack_done(job);
+                            w.node.lock().ack_done(job);
                             continue;
                         }
                         ToWorker::BidRequest(job) => {
-                            let now = clock.now();
-                            let quotes = &mut Quotes::new(&job);
-                            let est = (w.node.lock())
-                                .with(|n, row| n.bid(row, now, quotes, w.has_peer()));
+                            let est = {
+                                let mut node = w.node.lock();
+                                node.bid(clock.now(), &mut Quotes::new(&job), w.has_peer())
+                            };
                             let Some(estimate_secs) = est else { continue };
                             if bid_delay > Duration::ZERO {
                                 // Chaos: think about it for a while —
@@ -241,11 +238,10 @@ pub(crate) fn spawn_worker(
                         ToWorker::Offer { job, seq } => (job, seq, true),
                         ToWorker::Assign { job, seq } => (job, seq, false),
                     };
-                    let now = clock.now();
-                    let intake = w
-                        .node
-                        .lock()
-                        .with(|n, row| n.intake(row, now, job, seq, offer, w.has_peer()));
+                    let intake = {
+                        let mut node = w.node.lock();
+                        node.intake(clock.now(), job, seq, offer, w.has_peer())
+                    };
                     match intake {
                         // A crashed worker is silent.
                         None => {}
@@ -287,8 +283,7 @@ pub(crate) fn spawn_worker(
             let mut peers = Vec::new();
             loop {
                 loop {
-                    let now = clock.now();
-                    let started = w.node.lock().with(|n, row| n.start(row, now));
+                    let started = w.node.lock().start(clock.now());
                     let Some(s) = started else { break };
                     w.metrics.queue_wait_secs.record(s.waited);
                     if let Some(f) = w.run(s, &mut peers) {

@@ -24,13 +24,11 @@
 //! duration; the threaded worker's two threads share the core behind a
 //! mutex and sleep through them.
 //!
-//! **Two halves.** What a bid reads — liveness, backlog, queue length
-//! and the machine's believed speeds — is a small `Copy` row; the rest
-//! (store, link, noise, trackers, ledgers, policy) is the
-//! [`WorkerNode`]. Each rule takes both. The sim keeps every row in
-//! one contiguous `Vec`, so a bid round walks the rows and probes each
-//! store once; one price function serves every bid and intake of both
-//! runtimes.
+//! **One price.** Every bid and every intake of both runtimes is
+//! priced by `Quotes::price` on the worker's `Machine` — its
+//! believed speeds, kept current where the speed trackers learn —
+//! after one store probe. A bid round shares one size-to-seconds quote
+//! among the workers of one machine.
 //!
 //! **An incarnation.** The queue, the job in hand, the backlog, the
 //! declined jobs, the placements taken in, the unacked completions and
@@ -332,6 +330,11 @@ struct Unacked {
 struct Incarnation {
     queue: VecDeque<Queued>,
     running: Option<Running>,
+    /// `totalCostOfUnfinishedJobs()` (Listing 2 line 2): the estimates
+    /// of the queued jobs and the one in hand, a running sum that is
+    /// reset to exactly 0.0 whenever the queue drains, so removal
+    /// round-off never accumulates across a run.
+    backlog: f64,
     /// Placement seq → accepted?, so a retransmitted delivery replays
     /// its outcome instead of re-running the policy.
     placements: IdMap<u64, bool>,
@@ -346,38 +349,18 @@ struct Incarnation {
     declined: IdSet<JobId>,
 }
 
-/// What a bid reads of one worker, and nothing more: the hot half of
-/// its state. It is `Copy` and seven words, so the sim keeps a
-/// cluster's rows in one contiguous `Vec` and prices a round walking
-/// it, and a threaded worker keeps its one row beside its
-/// [`WorkerNode`]. The worker core's rules keep it current;
-/// [`WorkerNode::begin_run`] rebuilds it, so a spec or tracker edited
-/// between runs shows from the next run on.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct BidderRow {
-    /// Is this incarnation up?
-    pub alive: bool,
-    /// Jobs queued, not counting the one in hand.
-    pub queue_len: usize,
-    /// `totalCostOfUnfinishedJobs()` (Listing 2 line 2): the estimates
-    /// of the queued jobs and the one in hand, a running sum that is
-    /// reset to exactly 0.0 whenever the queue drains, so removal
-    /// round-off never accumulates across a run.
-    pub backlog: f64,
-    pub machine: Machine,
-}
-
 /// What a price converts a job's sizes to seconds with: the machine's
 /// believed speeds ([`WorkerNode::believed_net`] and `believed_rw`
 /// under the run's learning setting), its per-transfer latency and
-/// its CPU factor.
+/// its CPU factor. A [`WorkerNode`] keeps its own, read again where
+/// it can change: as a run begins, and where a tracker learns.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Machine {
-    pub net: Bandwidth,
-    pub rw: Bandwidth,
+    net: Bandwidth,
+    rw: Bandwidth,
     /// Seconds.
-    pub latency: f64,
-    pub cpu_factor: f64,
+    latency: f64,
+    cpu_factor: f64,
 }
 
 impl Machine {
@@ -412,11 +395,10 @@ impl Machine {
 }
 
 /// One job's prices, worker by worker: every bid and every intake of
-/// both runtimes is priced here. A round prices one job on many rows,
-/// and rows of the same [`Machine`] share its quote, so a cluster of
-/// equal machines converts the job's sizes to seconds once a round
-/// rather than once a bid: those conversions cost a bid more than the
-/// walk to its row.
+/// both runtimes is priced here. A round prices one job on many
+/// workers, and workers of the same [`Machine`] share its quote, so a
+/// cluster of equal machines converts the job's sizes to seconds once
+/// a round rather than once a bid.
 pub(crate) struct Quotes<'j> {
     job: &'j Job,
     /// The machine quoted last, and its quote.
@@ -428,17 +410,22 @@ impl<'j> Quotes<'j> {
         Quotes { job, last: None }
     }
 
-    /// The job's price on `row`: the seconds to obtain its input and
+    /// The job's price on `machine`: the seconds to obtain its input and
     /// to process it. The input costs nothing when the worker `holds`
     /// it (or the job needs none); a fetch from a live peer costs the
     /// host's quote divided by `peers`, the intra-cluster speed-up.
     #[inline]
-    pub(crate) fn price(&mut self, row: &BidderRow, holds: bool, peers: Option<f64>) -> (f64, f64) {
+    pub(crate) fn price(
+        &mut self,
+        machine: &Machine,
+        holds: bool,
+        peers: Option<f64>,
+    ) -> (f64, f64) {
         let (fetch, proc) = match self.last {
-            Some((m, quote)) if m.same(&row.machine) => quote,
+            Some((m, quote)) if m.same(machine) => quote,
             _ => {
-                let quote = row.machine.quote(self.job);
-                self.last = Some((row.machine, quote));
+                let quote = machine.quote(self.job);
+                self.last = Some((*machine, quote));
                 quote
             }
         };
@@ -451,38 +438,9 @@ impl<'j> Quotes<'j> {
     }
 }
 
-/// A worker whole, its row beside the rest: how a threaded worker,
-/// which bids alone, keeps itself behind the one lock its threads and
-/// the master share.
-pub(crate) struct Halves {
-    pub row: BidderRow,
-    pub node: WorkerNode,
-}
-
-impl Halves {
-    pub(crate) fn new(node: WorkerNode) -> Self {
-        Halves {
-            row: node.row(true),
-            node,
-        }
-    }
-
-    /// Up, with nothing queued and nothing in hand.
-    pub(crate) fn idle(&self) -> bool {
-        self.node.idle(&self.row)
-    }
-
-    /// Run one of the worker core's rules on both halves.
-    pub(crate) fn with<T>(&mut self, rule: impl FnOnce(&mut WorkerNode, &mut BidderRow) -> T) -> T {
-        rule(&mut self.node, &mut self.row)
-    }
-}
-
-/// One worker's cold half: its machine (spec, store, link, noise,
-/// learned speeds), which persists across session iterations, and the
-/// ledgers and policy of its current incarnation. Every rule of the
-/// worker core also takes the worker's bidder row, its hot half. See
-/// the [module docs](self).
+/// One worker: its machine (spec, store, link, noise, learned speeds),
+/// which persists across session iterations, and the state of its
+/// current incarnation. See the [module docs](self).
 pub struct WorkerNode {
     /// Static configuration.
     pub spec: WorkerSpec,
@@ -504,6 +462,9 @@ pub struct WorkerNode {
     /// Draws of transfer and scan noise (and of repair copies landing
     /// here).
     rng: RngStream,
+    alive: bool,
+    /// What a price reads of the machine: see [`Machine`].
+    machine: Machine,
     epoch: u64,
     life: Incarnation,
     /// Busy (fetching or processing) indicator over time.
@@ -518,6 +479,12 @@ impl WorkerNode {
     /// read/write speeds during execution.
     pub fn new(spec: WorkerSpec, data_latency: SimDuration, noise: &NoiseModel) -> Self {
         let noise = spec.noise_override.clone().unwrap_or_else(|| noise.clone());
+        let machine = Machine {
+            net: spec.net,
+            rw: spec.rw,
+            latency: data_latency.as_secs_f64(),
+            cpu_factor: spec.cpu_factor,
+        };
         WorkerNode {
             store: LocalStore::new(spec.storage_bytes, spec.eviction),
             link: Link::new(spec.net, data_latency, noise.clone()),
@@ -529,6 +496,8 @@ impl WorkerNode {
             rules: WorkerRules::default(),
             policy: Box::new(ObedientPolicy),
             rng: RngStream::from_seed(0),
+            alive: true,
+            machine,
             epoch: 0,
             life: Incarnation::default(),
             busy: TimeWeighted::new(),
@@ -539,18 +508,18 @@ impl WorkerNode {
     /// Begin a run as worker `id`, under the run's `rules`, with a
     /// fresh instance of the allocator's policy and the run's random
     /// stream for this worker; `alive` unless it joins later. Per-run
-    /// state starts afresh, `row` included; the machine — store
-    /// contents, learned speeds, noise state — carries over.
+    /// state starts afresh; the machine — store contents, learned
+    /// speeds, noise state — carries over, and its believed speeds are
+    /// read under the run's learning setting.
     pub(crate) fn begin_run(
         &mut self,
-        row: &mut BidderRow,
         id: WorkerId,
         rules: WorkerRules,
         policy: Box<dyn WorkerPolicy>,
         rng: RngStream,
         alive: bool,
     ) {
-        (self.id, self.rules, self.policy, self.rng) = (id, rules, policy, rng);
+        (self.id, self.rules, self.policy, self.rng, self.alive) = (id, rules, policy, rng, alive);
         // A session's next run reuses the queue's buffer.
         let mut queue = std::mem::take(&mut self.life.queue);
         queue.clear();
@@ -561,25 +530,13 @@ impl WorkerNode {
         self.busy = TimeWeighted::new();
         self.wait = Welford::new();
         self.store.reset_stats();
-        *row = self.row(alive);
-    }
-
-    /// This worker's row as a run begins: up if `alive`, nothing
-    /// queued, the believed speeds under the run's learning setting.
-    pub(crate) fn row(&self, alive: bool) -> BidderRow {
         let learning = self.rules.learning;
-        let machine = Machine {
+        self.machine = Machine {
             net: self.believed_net(learning),
             rw: self.believed_rw(learning),
             latency: self.link.latency().as_secs_f64(),
             cpu_factor: self.spec.cpu_factor,
         };
-        BidderRow {
-            alive,
-            queue_len: 0,
-            backlog: 0.0,
-            machine,
-        }
     }
 
     /// The network speed estimates are computed from: learned historic
@@ -613,14 +570,19 @@ impl WorkerNode {
         self.store.peek(id)
     }
 
-    fn live(&self, row: &BidderRow, epoch: u64) -> bool {
-        row.alive && self.epoch == epoch
+    /// Is this incarnation up?
+    pub(crate) fn alive(&self) -> bool {
+        self.alive
+    }
+
+    fn live(&self, epoch: u64) -> bool {
+        self.alive && self.epoch == epoch
     }
 
     /// Up, with nothing queued and nothing in hand: what an idle beat
     /// re-announces.
-    pub(crate) fn idle(&self, row: &BidderRow) -> bool {
-        row.alive && self.life.running.is_none() && self.life.queue.is_empty()
+    pub(crate) fn idle(&self) -> bool {
+        self.alive && self.life.running.is_none() && self.life.queue.is_empty()
     }
 
     /// Nothing queued, nothing in hand and no completion awaiting its
@@ -657,28 +619,27 @@ impl WorkerNode {
     }
 
     /// What the allocator's policy decides on: the job's
-    /// [price](Quotes::price) on `row`, the backlog and queue, and
-    /// whether this worker declined the job before.
+    /// [price](Quotes::price) here, the backlog and queue, and whether
+    /// this worker declined the job before.
     #[inline]
     fn view(
         &self,
-        row: &BidderRow,
         now: SimTime,
         quotes: &mut Quotes,
         holds: bool,
         peers: Option<f64>,
     ) -> (WorkerView, JobView) {
-        let (est_fetch_secs, est_proc_secs) = quotes.price(row, holds, peers);
+        let (est_fetch_secs, est_proc_secs) = quotes.price(&self.machine, holds, peers);
         let job = quotes.job;
         let view = WorkerView {
             id: self.id,
             now,
-            backlog_secs: row.backlog,
+            backlog_secs: self.life.backlog,
             has_data: holds,
             declined_before: self.life.declined.contains(&job.id),
             est_fetch_secs,
             est_proc_secs,
-            queue_len: row.queue_len,
+            queue_len: self.life.queue.len(),
         };
         let resource_bytes = job.resource_bytes();
         (
@@ -698,16 +659,15 @@ impl WorkerNode {
     #[inline]
     pub(crate) fn bid(
         &mut self,
-        row: &BidderRow,
         now: SimTime,
         quotes: &mut Quotes,
         has_peer: impl FnOnce(ObjectId) -> bool,
     ) -> Option<f64> {
-        if !row.alive {
+        if !self.alive {
             return None;
         }
         let (holds, peers) = self.peer_priced(quotes.job, has_peer);
-        let (view, jv) = self.view(row, now, quotes, holds, peers);
+        let (view, jv) = self.view(now, quotes, holds, peers);
         self.policy.bid(&view, &jv)
     }
 
@@ -719,14 +679,13 @@ impl WorkerNode {
     /// is dead and hears nothing.
     pub(crate) fn intake(
         &mut self,
-        row: &mut BidderRow,
         now: SimTime,
         job: Job,
         seq: u64,
         offer: bool,
         has_peer: impl FnOnce(ObjectId) -> bool,
     ) -> Option<Intake> {
-        if !row.alive {
+        if !self.alive {
             return None;
         }
         let (reliable, id) = (self.rules.reliable, job.id);
@@ -743,7 +702,7 @@ impl WorkerNode {
         let (holds, peers) = self.peer_priced(&job, |obj| offer && has_peer(obj));
         let mut quotes = Quotes::new(&job);
         if offer {
-            let (view, jv) = self.view(row, now, &mut quotes, holds, peers);
+            let (view, jv) = self.view(now, &mut quotes, holds, peers);
             if !self.policy.accept_offer(&view, &jv) {
                 self.life.declined.insert(job.id);
                 if reliable {
@@ -757,10 +716,9 @@ impl WorkerNode {
             self.life.accepted.insert(id);
         }
         // The backlog prices the master fetch, peers or not.
-        let (fetch, proc) = quotes.price(row, holds, None);
+        let (fetch, proc) = quotes.price(&self.machine, holds, None);
         let est = fetch + proc;
-        row.backlog += est;
-        row.queue_len += 1;
+        self.life.backlog += est;
         self.life.queue.push_back(Queued { job, est, at: now });
         let (job, queued, ack) = (id, true, reliable);
         Some(Intake::Taken { job, queued, ack })
@@ -769,12 +727,11 @@ impl WorkerNode {
     /// Take up the next queued job, if nothing is in hand. A local
     /// input (a store hit, or none needed) goes straight to
     /// processing.
-    pub(crate) fn start(&mut self, row: &mut BidderRow, now: SimTime) -> Option<Started> {
+    pub(crate) fn start(&mut self, now: SimTime) -> Option<Started> {
         if self.life.running.is_some() {
             return None;
         }
         let Queued { job, est, at } = self.life.queue.pop_front()?;
-        row.queue_len -= 1;
         let waited = now.saturating_since(at).as_secs_f64();
         self.wait.push(waited);
         self.busy.set(now, 1.0);
@@ -793,7 +750,7 @@ impl WorkerNode {
             job: id,
             waited,
             epoch: self.epoch,
-            proc: local.then(|| self.process(row)),
+            proc: local.then(|| self.process()),
         })
     }
 
@@ -809,14 +766,8 @@ impl WorkerNode {
     /// or the data plane's loss sample, it times out — or from the
     /// repository host once no peer holds it or every peer attempt is
     /// spent. `None`: epoch `epoch` is dead.
-    pub(crate) fn fetch(
-        &mut self,
-        row: &mut BidderRow,
-        now: SimTime,
-        epoch: u64,
-        sources: &[WorkerId],
-    ) -> Option<Step> {
-        if !self.live(row, epoch) {
+    pub(crate) fn fetch(&mut self, now: SimTime, epoch: u64, sources: &[WorkerId]) -> Option<Step> {
+        if !self.live(epoch) {
             return None;
         }
         let run = self.life.running.as_mut()?;
@@ -826,7 +777,7 @@ impl WorkerNode {
             run.from = None;
             let out = self.link.transfer(r.bytes, &mut self.rng);
             self.net_tracker.observe(out.achieved_mb_per_sec());
-            row.machine.net = self.believed_net(self.rules.learning);
+            self.machine.net = self.believed_net(self.rules.learning);
             let (d, req, lost) = (out.duration, None, false);
             return Some(Step { d, req, lost });
         }
@@ -848,13 +799,8 @@ impl WorkerNode {
 
     /// The attempt in flight delivered: the input lands in the store
     /// and processing begins.
-    pub(crate) fn fetched(
-        &mut self,
-        row: &mut BidderRow,
-        now: SimTime,
-        epoch: u64,
-    ) -> Option<Fetched> {
-        if !self.live(row, epoch) {
+    pub(crate) fn fetched(&mut self, now: SimTime, epoch: u64) -> Option<Fetched> {
+        if !self.live(epoch) {
             return None;
         }
         let run = self.life.running.as_mut()?;
@@ -875,15 +821,15 @@ impl WorkerNode {
             bytes: r.bytes,
             ok,
             secs,
-            proc: self.process(row),
+            proc: self.process(),
         })
     }
 
     /// The peer attempt in flight timed out: back off before the next
     /// peer, or, after the last attempt, fall back to the master at
     /// once.
-    pub(crate) fn fetch_lost(&mut self, row: &BidderRow, epoch: u64) -> Option<Lost> {
-        if !self.live(row, epoch) {
+    pub(crate) fn fetch_lost(&mut self, epoch: u64) -> Option<Lost> {
+        if !self.live(epoch) {
             return None;
         }
         let run = self.life.running.as_mut()?;
@@ -910,7 +856,7 @@ impl WorkerNode {
 
     /// Processing time of the job in hand, under read/write noise; the
     /// observed scan speed feeds §6.4's historic average.
-    fn process(&mut self, row: &mut BidderRow) -> SimDuration {
+    fn process(&mut self) -> SimDuration {
         let job = &self
             .life
             .running
@@ -923,7 +869,7 @@ impl WorkerNode {
         if work_bytes > 0 && !scan.is_zero() && scan != SimDuration::MAX {
             self.rw_tracker
                 .observe(work_bytes as f64 / 1e6 / scan.as_secs_f64());
-            row.machine.rw = self.believed_rw(self.rules.learning);
+            self.machine.rw = self.believed_rw(self.rules.learning);
         }
         scan.mul_f64(self.spec.cpu_factor)
             + SimDuration::from_secs_f64(cpu_secs * self.spec.cpu_factor)
@@ -932,22 +878,17 @@ impl WorkerNode {
     /// The job in hand finished: the policy learns estimate against
     /// actual, the backlog settles, and — under the at-least-once
     /// layer — the report is kept for resending until acked.
-    pub(crate) fn finish(
-        &mut self,
-        row: &mut BidderRow,
-        now: SimTime,
-        epoch: u64,
-    ) -> Option<Finished> {
-        if !self.live(row, epoch) {
+    pub(crate) fn finish(&mut self, now: SimTime, epoch: u64) -> Option<Finished> {
+        if !self.live(epoch) {
             return None;
         }
         let run = self.life.running.take()?;
         let since = |t: SimTime| now.saturating_since(t).as_secs_f64();
         let actual = since(run.started);
         self.policy.on_job_finished(run.est, actual);
-        row.backlog -= run.est;
+        self.life.backlog -= run.est;
         if self.life.queue.is_empty() {
-            row.backlog = 0.0;
+            self.life.backlog = 0.0;
         }
         self.busy.set(now, 0.0);
         let proc_secs = since(run.fetched.unwrap_or(run.started));
@@ -1021,26 +962,26 @@ impl WorkerNode {
     /// queue and the job in hand (returned, in that order, for the
     /// driver's reclaim), the backlog, the store, the declined jobs,
     /// the placement dedup memory and every unacked report.
-    pub(crate) fn crash(&mut self, row: &mut BidderRow, now: SimTime) -> Vec<Job> {
+    pub(crate) fn crash(&mut self, now: SimTime) -> Vec<Job> {
         let life = std::mem::take(&mut self.life);
         let mut stranded: Vec<Job> = life.running.map(|r| r.job).into_iter().collect();
         stranded.extend(life.queue.into_iter().map(|q| q.job));
         self.busy.set(now, 0.0);
         self.store.clear();
-        (row.alive, row.queue_len, row.backlog) = (false, 0, 0.0);
+        self.alive = false;
         self.epoch += 1;
         stranded
     }
 
     /// A new incarnation comes up (recovery, or a deferred join).
-    pub(crate) fn recover(&mut self, row: &mut BidderRow) {
-        row.alive = true;
+    pub(crate) fn recover(&mut self) {
+        self.alive = true;
         self.epoch += 1;
     }
 
     /// A settled worker leaves the cluster; its store stays on disk.
-    pub(crate) fn depart(&mut self, row: &mut BidderRow) {
-        row.alive = false;
+    pub(crate) fn depart(&mut self) {
+        self.alive = false;
         self.epoch += 1;
     }
 }
@@ -1067,27 +1008,25 @@ mod tests {
         }
     }
 
-    fn node() -> (WorkerNode, BidderRow) {
+    fn node() -> WorkerNode {
         let spec = WorkerSpec::builder("w")
             .net_mbps(10.0)
             .rw_mbps(100.0)
             .storage_gb(1.0)
             .build();
-        let n = WorkerNode::new(spec, SimDuration::ZERO, &NoiseModel::None);
-        let row = n.row(true);
-        (n, row)
+        WorkerNode::new(spec, SimDuration::ZERO, &NoiseModel::None)
     }
 
-    fn assign(n: &mut WorkerNode, row: &mut BidderRow, j: Job, at: SimTime) {
-        let intake = n.intake(row, at, j, 0, false, |_| false);
+    fn assign(n: &mut WorkerNode, j: Job, at: SimTime) {
+        let intake = n.intake(at, j, 0, false, |_| false);
         assert!(matches!(intake, Some(Intake::Taken { queued: true, .. })));
     }
 
     /// `job`'s fetch and processing estimates on `n` as its price sees
     /// them, with no peer holding the input.
-    fn estimate(n: &WorkerNode, row: &BidderRow, job: &Job) -> (bool, f64, f64) {
+    fn estimate(n: &WorkerNode, job: &Job) -> (bool, f64, f64) {
         let (holds, peers) = n.peer_priced(job, |_| false);
-        let (fetch, proc) = Quotes::new(job).price(row, holds, peers);
+        let (fetch, proc) = Quotes::new(job).price(&n.machine, holds, peers);
         (holds, fetch, proc)
     }
 
@@ -1102,18 +1041,18 @@ mod tests {
 
     #[test]
     fn fetch_estimate_is_zero_when_cached() {
-        let (mut n, row) = node();
+        let mut n = node();
         let j = job(1, 100_000_000); // 100 MB
-        assert!((estimate(&n, &row, &j).1 - 10.0).abs() < 1e-9);
+        assert!((estimate(&n, &j).1 - 10.0).abs() < 1e-9);
         // A live peer holding it: the intra-cluster transfer is priced.
         let (holds, peers) = n.peer_priced(&j, |_| true);
         let scale = n.rules.repl.peer_bandwidth_scale;
         assert_eq!((holds, peers), (false, Some(scale)));
-        let peer_secs = Quotes::new(&j).price(&row, holds, peers).0;
+        let peer_secs = Quotes::new(&j).price(&n.machine, holds, peers).0;
         assert!((peer_secs - 10.0 / scale).abs() < 1e-9);
         n.store
             .insert(j.resource.unwrap().id, 100_000_000, SimTime::ZERO);
-        let (holds, fetch, _) = estimate(&n, &row, &j);
+        let (holds, fetch, _) = estimate(&n, &j);
         assert_eq!((holds, fetch), (true, 0.0));
         assert_eq!(
             n.peer_priced(&j, |_| panic!("asked on a hit")),
@@ -1123,38 +1062,36 @@ mod tests {
 
     #[test]
     fn proc_estimate_uses_rw_and_cpu_factor() {
-        let (mut n, row) = node();
+        let mut n = node();
         let j = job(1, 200_000_000); // 200 MB at 100 MB/s = 2 s
-        assert!((estimate(&n, &row, &j).2 - 2.0).abs() < 1e-9);
-        // A spec edit shows from the next run's row on.
+        assert!((estimate(&n, &j).2 - 2.0).abs() < 1e-9);
+        // A spec edit shows from the next run on.
         n.spec.cpu_factor = 3.0;
-        let row = n.row(true);
-        assert!((estimate(&n, &row, &j).2 - 6.0).abs() < 1e-9);
+        let (rules, policy) = (WorkerRules::default(), Box::new(ObedientPolicy));
+        n.begin_run(WorkerId(0), rules, policy, RngStream::from_seed(1), true);
+        assert!((estimate(&n, &j).2 - 6.0).abs() < 1e-9);
     }
 
     #[test]
     fn backlog_tracks_unfinished_jobs() {
-        let (mut n, mut row) = node();
-        assert_eq!(row.backlog, 0.0);
+        let mut n = node();
+        assert_eq!(n.life.backlog, 0.0);
         // 10 MB: 1 s to fetch at 10 MB/s, 0.1 s to scan.
-        assign(&mut n, &mut row, job(1, 10_000_000), SimTime::ZERO);
-        assign(&mut n, &mut row, job(2, 10_000_000), SimTime::ZERO);
-        assert!((row.backlog - 2.2).abs() < 1e-9);
-        assert_eq!(row.queue_len, 2);
-        let s = n.start(&mut row, SimTime::ZERO).expect("queued");
-        assert_eq!(row.queue_len, 1);
-        n.fetch(&mut row, SimTime::ZERO, s.epoch, &[])
-            .expect("live");
-        n.fetched(&mut row, SimTime::from_secs(1), s.epoch)
-            .expect("live");
-        n.finish(&mut row, SimTime::from_secs(2), s.epoch)
-            .expect("live");
-        assert!((row.backlog - 1.1).abs() < 1e-9);
+        assign(&mut n, job(1, 10_000_000), SimTime::ZERO);
+        assign(&mut n, job(2, 10_000_000), SimTime::ZERO);
+        assert!((n.life.backlog - 2.2).abs() < 1e-9);
+        assert_eq!(n.life.queue.len(), 2);
+        let s = n.start(SimTime::ZERO).expect("queued");
+        assert_eq!(n.life.queue.len(), 1);
+        n.fetch(SimTime::ZERO, s.epoch, &[]).expect("live");
+        n.fetched(SimTime::from_secs(1), s.epoch).expect("live");
+        n.finish(SimTime::from_secs(2), s.epoch).expect("live");
+        assert!((n.life.backlog - 1.1).abs() < 1e-9);
     }
 
     #[test]
     fn speed_learning_switches_believed_speeds() {
-        let (mut n, _) = node();
+        let mut n = node();
         assert_eq!(n.believed_net(true), n.spec.net);
         n.net_tracker.observe(4.0);
         n.net_tracker.observe(6.0);
@@ -1164,35 +1101,25 @@ mod tests {
     }
 
     #[test]
-    fn learned_speeds_reach_the_row_only_when_learning() {
+    fn learned_speeds_reach_the_price_only_when_learning() {
         for learning in [false, true] {
             // The transfer's latency and noise make the observed speeds
             // differ from the nominal ones.
             let spec = WorkerSpec::builder("w").net_mbps(10.0).rw_mbps(100.0);
             let noise = NoiseModel::evaluation_default();
             let mut n = WorkerNode::new(spec.build(), SimDuration::from_millis(300), &noise);
-            let mut row = n.row(true);
             let rules = WorkerRules {
                 learning,
                 ..WorkerRules::default()
             };
             let policy = Box::new(ObedientPolicy);
-            n.begin_run(
-                &mut row,
-                WorkerId(0),
-                rules,
-                policy,
-                RngStream::from_seed(1),
-                true,
-            );
-            assign(&mut n, &mut row, job(1, 10_000_000), SimTime::ZERO);
-            let s = n.start(&mut row, SimTime::ZERO).expect("queued");
-            n.fetch(&mut row, SimTime::ZERO, s.epoch, &[])
-                .expect("live");
-            n.fetched(&mut row, SimTime::from_secs(2), s.epoch)
-                .expect("live");
+            n.begin_run(WorkerId(0), rules, policy, RngStream::from_seed(1), true);
+            assign(&mut n, job(1, 10_000_000), SimTime::ZERO);
+            let s = n.start(SimTime::ZERO).expect("queued");
+            n.fetch(SimTime::ZERO, s.epoch, &[]).expect("live");
+            n.fetched(SimTime::from_secs(2), s.epoch).expect("live");
             assert_eq!((n.net_tracker.count(), n.rw_tracker.count()), (1, 1));
-            let (net, rw) = (row.machine.net, row.machine.rw);
+            let (net, rw) = (n.machine.net, n.machine.rw);
             assert_eq!(
                 (net, rw),
                 (n.believed_net(learning), n.believed_rw(learning))
@@ -1213,13 +1140,12 @@ mod tests {
 
     #[test]
     fn reset_keeps_store_but_clears_run_state() {
-        let (mut n, mut row) = node();
+        let mut n = node();
         n.store.insert(ObjectId(5), 1000, SimTime::ZERO);
-        assign(&mut n, &mut row, job(1, 10), SimTime::ZERO);
+        assign(&mut n, job(1, 10), SimTime::ZERO);
         n.life.declined.insert(JobId(9));
         let rules = WorkerRules::default();
         n.begin_run(
-            &mut row,
             WorkerId(0),
             rules,
             Box::new(ObedientPolicy),
@@ -1229,15 +1155,15 @@ mod tests {
         assert!(n.holds(ObjectId(5)));
         assert!(n.life.queue.is_empty());
         assert!(n.life.declined.is_empty());
-        assert_eq!((row.backlog, row.queue_len), (0.0, 0));
-        assert!(n.idle(&row));
+        assert_eq!(n.life.backlog, 0.0);
+        assert!(n.idle());
     }
 
     #[test]
     fn wait_statistics() {
-        let (mut n, mut row) = node();
-        assign(&mut n, &mut row, job(1, 0), SimTime::from_secs(10));
-        let s = n.start(&mut row, SimTime::from_secs(14)).expect("queued");
+        let mut n = node();
+        assign(&mut n, job(1, 0), SimTime::from_secs(10));
+        let s = n.start(SimTime::from_secs(14)).expect("queued");
         assert_eq!(s.waited, 4.0);
         assert_eq!(n.wait.count(), 1);
         assert!((n.wait.mean() - 4.0).abs() < 1e-12);
@@ -1245,18 +1171,19 @@ mod tests {
 
     #[test]
     fn resource_free_job_always_has_data() {
-        let (n, row) = node();
+        let n = node();
         let j = Job {
             resource: None,
             ..job(1, 0)
         };
-        assert_eq!(estimate(&n, &row, &j), (true, 0.0, 0.0));
+        assert_eq!(estimate(&n, &j), (true, 0.0, 0.0));
     }
 
-    /// The price as the node computed it before its row was split off,
-    /// kept as the reference of `a_row_prices_as_the_node_did`: Listing
-    /// 2 read straight off the node — its store, trackers, spec, link,
-    /// queue and declined jobs — with the backlog the old rules kept.
+    /// The price as the node computed it before it kept its [`Machine`],
+    /// kept as the reference of `the_price_reads_as_the_node_did`:
+    /// Listing 2 read straight off the node — its store, trackers, spec,
+    /// link, queue and declined jobs — with the backlog the old rules
+    /// kept.
     /// `peers`: the input is not local and a live peer holds it.
     fn reference_price(
         n: &WorkerNode,
@@ -1393,13 +1320,13 @@ mod tests {
     }
 
     proptest! {
-        /// The row's price equals the price read straight off the node
+        /// The node's price equals the price read straight off its parts
         /// ([`reference_price`]) bit for bit, view and bid, under
         /// random backlog, queue, holder, peer, declined and learning
         /// states, under the bidding, the adaptive and the Baseline
         /// policy. The reference keeps the backlog as the node did.
         #[test]
-        fn a_row_prices_as_the_node_did(
+        fn the_price_reads_as_the_node_did(
             ops in proptest::collection::vec(price_op(), 10..160),
             learning in proptest::bool::ANY,
             reliable in proptest::bool::ANY,
@@ -1431,8 +1358,7 @@ mod tests {
                 1 => Box::new(Adaptive(1.0)),
                 _ => Box::new(crate::baseline::BaselinePolicy),
             };
-            let mut row = n.row(false);
-            n.begin_run(&mut row, WorkerId(3), rules, policy, RngStream::from_seed(9), true);
+            n.begin_run(WorkerId(3), rules, policy, RngStream::from_seed(9), true);
             let jobs: Vec<Job> = (0..6u64)
                 .map(|i| Job {
                     // Job 5 needs no input; job 4 only CPU.
@@ -1458,14 +1384,14 @@ mod tests {
                         let est = fetch + reference_price(&n, 0.0, now, &job, false).est_proc_secs;
                         seq += 1;
                         if let Some(Intake::Taken { queued: true, .. }) =
-                            n.intake(&mut row, now, job, seq, offer, |_| pick % 2 == 0)
+                            n.intake(now, job, seq, offer, |_| pick % 2 == 0)
                         {
                             backlog += est;
                             ests.push_back(est);
                         }
                     }
                     PriceOp::Start => {
-                        if let Some(s) = n.start(&mut row, now) {
+                        if let Some(s) = n.start(now) {
                             in_hand = ests.pop_front();
                             let at = if s.proc.is_some() { Hand::Process } else { Hand::Fetch };
                             hand = Some((s.epoch, at));
@@ -1474,21 +1400,21 @@ mod tests {
                     PriceOp::Step { peer } => match hand {
                         Some((epoch, Hand::Fetch)) => {
                             let sources = if peer { vec![WorkerId(7)] } else { vec![] };
-                            let step = n.fetch(&mut row, now, epoch, &sources).expect("live");
+                            let step = n.fetch(now, epoch, &sources).expect("live");
                             now += step.d;
                             hand = Some((epoch, Hand::InFlight { lost: step.lost }));
                         }
                         Some((epoch, Hand::InFlight { lost: true })) => {
-                            n.fetch_lost(&row, epoch).expect("live");
+                            n.fetch_lost(epoch).expect("live");
                             hand = Some((epoch, Hand::Fetch));
                         }
                         Some((epoch, Hand::InFlight { lost: false })) => {
-                            let f = n.fetched(&mut row, now, epoch).expect("live");
+                            let f = n.fetched(now, epoch).expect("live");
                             now += f.proc;
                             hand = Some((epoch, Hand::Process));
                         }
                         Some((epoch, Hand::Process)) => {
-                            n.finish(&mut row, now, epoch).expect("live");
+                            n.finish(now, epoch).expect("live");
                             backlog -= in_hand.take().expect("a job in hand");
                             if ests.is_empty() {
                                 backlog = 0.0;
@@ -1507,12 +1433,12 @@ mod tests {
                         n.life.declined.insert(jobs[pick % jobs.len()].id);
                     }
                     PriceOp::Crash if alive => {
-                        n.crash(&mut row, now);
+                        n.crash(now);
                         (backlog, in_hand, hand, alive) = (0.0, None, None, false);
                         ests.clear();
                     }
                     PriceOp::Recover if !alive => {
-                        n.recover(&mut row);
+                        n.recover();
                         alive = true;
                     }
                     PriceOp::Crash | PriceOp::Recover => {}
@@ -1521,13 +1447,13 @@ mod tests {
                 for job in &jobs {
                     for peer in [false, true] {
                         let (holds, peers) = n.peer_priced(job, |_| peer);
-                        let view = n.view(&row, now, &mut Quotes::new(job), holds, peers).0;
+                        let view = n.view(now, &mut Quotes::new(job), holds, peers).0;
                         let priced_peer = peer && job.resource.is_some_and(|r| !n.holds(r.id));
                         let want = reference_price(&n, backlog, now, job, priced_peer);
                         prop_assert_eq!(bits(&view), bits(&want), "{:?}, peer {}", job.id, peer);
                         let jv = JobView { id: job.id, resource_bytes: job.resource_bytes() };
                         let want = if alive { n.policy.bid(&want, &jv) } else { None };
-                        let got = n.bid(&row, now, &mut Quotes::new(job), |_| peer);
+                        let got = n.bid(now, &mut Quotes::new(job), |_| peer);
                         prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
                     }
                 }
@@ -1536,28 +1462,30 @@ mod tests {
     }
 
     proptest! {
-        /// A round prices one job on many rows through one [`Quotes`]:
-        /// each row's price equals its price alone, bit for bit, while
-        /// rows repeat and differ in any one machine field.
+        /// A round prices one job on many machines through one
+        /// [`Quotes`]: each machine's price equals its price alone, bit
+        /// for bit, while machines repeat and differ in any one field.
         #[test]
-        fn a_round_prices_each_row_as_alone(
-            rows in proptest::collection::vec((0usize..2, 0usize..2, 0usize..2, 0usize..2, proptest::bool::ANY, proptest::option::of(1.5f64..4.0)), 1..40),
+        fn a_round_prices_each_machine_as_alone(
+            machines in proptest::collection::vec(
+                (0usize..2, 0usize..2, 0usize..2, 0usize..2, proptest::bool::ANY, proptest::option::of(1.5f64..4.0)),
+                1..40,
+            ),
             bytes in 0u64..400_000_000,
             work in 0u64..400_000_000,
             cpu_secs in 0.0f64..5.0,
         ) {
             let job = Job { work_bytes: work, cpu_secs, ..job(1, bytes) };
             let mut round = Quotes::new(&job);
-            for (net, rw, lat, cpu, holds, peers) in rows {
+            for (net, rw, lat, cpu, holds, peers) in machines {
                 let machine = Machine {
                     net: Bandwidth::mb_per_sec([10.0, 13.0][net]),
                     rw: Bandwidth::mb_per_sec([97.0, 100.0][rw]),
                     latency: [0.0, 0.3][lat],
                     cpu_factor: [1.0, 2.5][cpu],
                 };
-                let row = BidderRow { alive: true, queue_len: 0, backlog: 0.0, machine };
-                let (a, b) = round.price(&row, holds, peers);
-                let (x, y) = Quotes::new(&job).price(&row, holds, peers);
+                let (a, b) = round.price(&machine, holds, peers);
+                let (x, y) = Quotes::new(&job).price(&machine, holds, peers);
                 prop_assert_eq!((a.to_bits(), b.to_bits()), (x.to_bits(), y.to_bits()), "{:?}", machine);
             }
         }
@@ -1681,8 +1609,7 @@ mod tests {
                 },
             };
             let policy = Box::new(crate::baseline::BaselinePolicy);
-            let mut row = n.row(true);
-            n.begin_run(&mut row, WorkerId(0), rules, policy, RngStream::from_seed(3), true);
+            n.begin_run(WorkerId(0), rules, policy, RngStream::from_seed(3), true);
             let jobs: Vec<Job> = (0..5u64)
                 .map(|i| Job {
                     resource: Some(ResourceRef {
@@ -1713,8 +1640,8 @@ mod tests {
                         } else {
                             sent[pick % sent.len()].clone()
                         };
-                        let (id, has_data) = (job.id, estimate(&n, &row, &job).0);
-                        let got = n.intake(&mut row, now, job, seq, offer, |_| false);
+                        let (id, has_data) = (job.id, estimate(&n, &job).0);
+                        let got = n.intake(now, job, seq, offer, |_| false);
                         if !alive {
                             prop_assert!(got.is_none(), "a dead instance took a placement in");
                             continue;
@@ -1740,7 +1667,7 @@ mod tests {
                             other => prop_assert!(false, "placement {seq} of {id:?}: got {other:?}"),
                         }
                     }
-                    Op::Start => match n.start(&mut row, now) {
+                    Op::Start => match n.start(now) {
                         Some(s) => {
                             prop_assert!(sh.running.is_none());
                             prop_assert_eq!(Some(s.job), sh.queue.pop_front());
@@ -1753,7 +1680,7 @@ mod tests {
                     Op::Fetch { src } => {
                         let Some((id, Phase::Fetch)) = sh.running else { continue };
                         let sources = [vec![], vec![PEER_OK], vec![PEER_CUT]][src as usize].clone();
-                        let step = n.fetch(&mut row, now, epoch, &sources).expect("live");
+                        let step = n.fetch(now, epoch, &sources).expect("live");
                         let master = sources.is_empty() || sh.lost >= MAX_ATTEMPTS;
                         prop_assert_eq!(step.req.is_none(), master, "attempt {} from {:?}", sh.lost, sources);
                         prop_assert_eq!(step.lost, !master && src == 2);
@@ -1761,12 +1688,12 @@ mod tests {
                     }
                     Op::Land => match sh.running {
                         Some((id, Phase::InFlight { lost: false })) => {
-                            let f = n.fetched(&mut row, now, epoch).expect("live");
+                            let f = n.fetched(now, epoch).expect("live");
                             prop_assert_eq!(f.job, id);
                             sh.running = Some((id, Phase::Process));
                         }
                         Some((id, Phase::InFlight { lost: true })) => {
-                            let lost = n.fetch_lost(&row, epoch).expect("live");
+                            let lost = n.fetch_lost(epoch).expect("live");
                             sh.lost += 1;
                             // After the last attempt, straight to the master.
                             prop_assert_eq!(lost.backoff.is_some(), sh.lost < MAX_ATTEMPTS);
@@ -1777,7 +1704,7 @@ mod tests {
                     Op::Finish => {
                         let Some((id, Phase::Process)) = sh.running else { continue };
                         sh.running = None;
-                        let f = n.finish(&mut row, now, epoch).expect("live");
+                        let f = n.finish(now, epoch).expect("live");
                         prop_assert_eq!(f.report.job.id, id);
                         prop_assert!(f.resend.is_some(), "a report with no resend");
                         prop_assert_eq!(f.idle, sh.queue.is_empty());
@@ -1804,10 +1731,9 @@ mod tests {
                     }
                     Op::Stale => {
                         let dead = n.epoch.wrapping_sub(1);
-                        prop_assert!(n.fetch(&mut row, now, dead, &[PEER_OK]).is_none());
-                        prop_assert!(n.fetched(&mut row, now, dead).is_none());
-                        prop_assert!(n.fetch_lost(&row, dead).is_none());
-                        prop_assert!(n.finish(&mut row, now, dead).is_none());
+                        prop_assert!(n.fetch(now, dead, &[PEER_OK]).is_none());
+                        prop_assert!(n.fetched(now, dead).is_none() && n.fetch_lost(dead).is_none());
+                        prop_assert!(n.finish(now, dead).is_none());
                         prop_assert!(n.resend(now, jobs[0].id, dead).is_none());
                     }
                     Op::Crash => {
@@ -1816,7 +1742,7 @@ mod tests {
                         }
                         let running = sh.running.map(|r| r.0);
                         let held: Vec<JobId> = running.into_iter().chain(sh.queue.iter().copied()).collect();
-                        let stranded: Vec<JobId> = n.crash(&mut row, now).iter().map(|j| j.id).collect();
+                        let stranded: Vec<JobId> = n.crash(now).iter().map(|j| j.id).collect();
                         prop_assert_eq!(stranded, held, "the job in hand, then the queue");
                         let life = &n.life;
                         prop_assert!(life.unacked.is_empty(), "a dead instance keeps reports to resend");
@@ -1827,7 +1753,7 @@ mod tests {
                     }
                     Op::Recover => {
                         if !alive {
-                            n.recover(&mut row);
+                            n.recover();
                             alive = true;
                         }
                     }
@@ -1835,10 +1761,8 @@ mod tests {
                     Op::Drive { .. } => unreachable!("resolved above"),
                 }
                 prop_assert_eq!(n.life.queue.len(), sh.queue.len());
-                prop_assert_eq!(row.queue_len, sh.queue.len());
-                prop_assert_eq!(row.alive, alive);
                 if sh.queue.is_empty() && sh.running.is_none() {
-                    prop_assert_eq!(row.backlog, 0.0, "the backlog outlived the queue");
+                    prop_assert_eq!(n.life.backlog, 0.0, "the backlog outlived the queue");
                 }
             }
         }
